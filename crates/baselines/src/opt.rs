@@ -10,9 +10,11 @@
 //! (Figure 10), while the unbounded variant needs arbitrarily large degrees
 //! (Figure 11).
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use vitis::monitor::{EventId, HopPath, Monitor};
+use vitis::dissemination::Dissemination;
+use vitis::monitor::{EventId, Monitor};
+use vitis::msg::Notification;
 use vitis::smallmap::SmallMap;
 use vitis::topic::{Subs, TopicId};
 use vitis_overlay::entry::Entry;
@@ -57,26 +59,16 @@ pub enum OptMsg {
     PsReq(Vec<Entry<Subs>>),
     /// Peer-sampling exchange reply.
     PsResp(Vec<Entry<Subs>>),
-    /// Connection request carrying the requester's id and subscriptions.
-    ConnectReq(Id, Subs),
-    /// Connection accept carrying the accepter's id and subscriptions.
-    ConnectAck(Id, Subs),
+    /// Connection request carrying the requester's subscriptions.
+    ConnectReq(Subs),
+    /// Connection accept carrying the accepter's subscriptions.
+    ConnectAck(Subs),
     /// Liveness heartbeat between connected neighbors.
     Heartbeat(Subs),
     /// Graceful link teardown (degree-bound enforcement).
     Disconnect,
     /// Data-plane event notification flooding the topic subgraph.
-    Notif {
-        /// The event.
-        event: EventId,
-        /// Its topic.
-        topic: TopicId,
-        /// Hops from the publisher.
-        hops: u32,
-        /// Causal provenance (forensic metadata only — excluded from
-        /// wire-size accounting, never consulted for routing).
-        path: HopPath,
-    },
+    Notif(Notification),
     /// Harness stimulus: publish `event` on `topic` from this node.
     PublishCmd {
         /// Pre-registered event id.
@@ -89,17 +81,9 @@ pub enum OptMsg {
     AeDigest(Arc<Vec<(u64, u32)>>),
     /// Anti-entropy pull request (IWANT): missing event ids.
     AeWant(Vec<u64>),
-    /// Anti-entropy recovery push answering an [`OptMsg::AeWant`].
-    AePush {
-        /// The recovered event.
-        event: EventId,
-        /// Its topic.
-        topic: TopicId,
-        /// Hops from the publisher, counting the repair hop.
-        hops: u32,
-        /// Causal provenance (forensic metadata only).
-        path: HopPath,
-    },
+    /// Anti-entropy recovery push answering an [`OptMsg::AeWant`]; its hop
+    /// count includes the repair hop.
+    AePush(Notification),
 }
 
 struct Link {
@@ -110,7 +94,6 @@ struct Link {
 /// An OPT peer.
 pub struct OptNode {
     cfg: Arc<OptConfig>,
-    monitor: Monitor,
     addr: NodeIdx,
     id: Id,
     subs: Subs,
@@ -120,13 +103,10 @@ pub struct OptNode {
     /// bursts cannot overshoot it).
     pending: BTreeSet<NodeIdx>,
     bootstrap: Vec<Entry<Subs>>,
-    seen: HashSet<EventId>,
-    /// Anti-entropy repair layer; inert (no sends, no RNG draws) unless
-    /// explicitly enabled via [`OptNode::with_repair`]. Caches `(hops,
-    /// path)` alongside the event/topic ids.
-    ae: AntiEntropy<(u32, HopPath)>,
-    /// Local round counter driving the repair cache TTL and digest cadence.
-    round: u64,
+    /// Dedup, delivery accounting and the anti-entropy repair layer (inert
+    /// unless enabled via [`OptNode::with_repair`]); owns the node's
+    /// monitor handle.
+    dissem: Dissemination,
 }
 
 impl OptNode {
@@ -142,7 +122,6 @@ impl OptNode {
         let sampling = Newscast::new(cfg.sampling_view);
         OptNode {
             cfg,
-            monitor,
             addr: NodeIdx(u32::MAX),
             id,
             subs,
@@ -150,22 +129,20 @@ impl OptNode {
             links: SmallMap::new(),
             pending: BTreeSet::new(),
             bootstrap,
-            seen: HashSet::new(),
-            ae: AntiEntropy::new(AeConfig::default()),
-            round: 0,
+            dissem: Dissemination::new(monitor),
         }
     }
 
     /// Replace the anti-entropy configuration (builder style). Pass
     /// [`AeConfig::on`] to enable digest-exchange repair.
     pub fn with_repair(mut self, cfg: AeConfig) -> Self {
-        self.ae = AntiEntropy::new(cfg);
+        self.dissem.set_repair(cfg);
         self
     }
 
     /// The anti-entropy repair layer (read access for tests).
-    pub fn repair(&self) -> &AntiEntropy<(u32, HopPath)> {
-        &self.ae
+    pub fn repair(&self) -> &AntiEntropy<Notification> {
+        self.dissem.repair()
     }
 
     /// This node's ring identifier.
@@ -261,28 +238,18 @@ impl OptNode {
         self.pending.remove(&peer);
     }
 
+    /// Send `notif` to every link that shares its topic except the one it
+    /// came in on.
     fn flood(
         &mut self,
         ctx: &mut Context<'_, OptMsg>,
         came_from: Option<NodeIdx>,
-        event: EventId,
-        topic: TopicId,
-        hops: u32,
-        path: &HopPath,
+        notif: Notification,
     ) {
         for (&peer, link) in &self.links {
-            if Some(peer) != came_from && link.subs.contains(topic) {
-                self.monitor
-                    .record_forward(event, self.addr, peer, hops, ctx.now);
-                ctx.send(
-                    peer,
-                    OptMsg::Notif {
-                        event,
-                        topic,
-                        hops,
-                        path: path.clone(),
-                    },
-                );
+            if Some(peer) != came_from && link.subs.contains(notif.topic) {
+                self.dissem
+                    .send_copy(ctx, peer, notif.clone(), OptMsg::Notif);
             }
         }
     }
@@ -295,15 +262,15 @@ impl ParallelProtocol for OptNode {
     type Deferred = Vec<vitis::monitor::MonitorOp>;
 
     fn set_deferred(&mut self, on: bool) {
-        self.monitor.set_deferred(on);
+        self.dissem.monitor().set_deferred(on);
     }
 
     fn take_deferred(&mut self) -> Self::Deferred {
-        self.monitor.take_deferred()
+        self.dissem.monitor().take_deferred()
     }
 
     fn apply_deferred(&mut self, ops: Self::Deferred) {
-        self.monitor.apply_ops(ops);
+        self.dissem.monitor().apply_ops(ops);
     }
 }
 
@@ -318,20 +285,19 @@ impl Protocol for OptNode {
             OptMsg::ConnectAck(..) => MsgTag::control("connect_ack"),
             OptMsg::Heartbeat(_) => MsgTag::control("heartbeat"),
             OptMsg::Disconnect => MsgTag::control("disconnect"),
-            OptMsg::Notif { .. } => MsgTag::data("notification"),
+            OptMsg::Notif(_) => MsgTag::data("notification"),
             OptMsg::PublishCmd { .. } => MsgTag::data("publish_cmd"),
             OptMsg::AeDigest(_) => MsgTag::control("ae_digest"),
             OptMsg::AeWant(_) => MsgTag::control("ae_want"),
-            OptMsg::AePush { .. } => MsgTag::data("ae_push"),
+            OptMsg::AePush(_) => MsgTag::data("ae_push"),
         }
     }
 
     fn event_of(msg: &OptMsg) -> Option<u64> {
         match msg {
-            OptMsg::Notif { event, .. } => Some(event.0),
             // Lost recovery pushes attribute to the event the same way lost
             // flood copies do, so `LossReason::Network` stays exact.
-            OptMsg::AePush { event, .. } => Some(event.0),
+            OptMsg::Notif(n) | OptMsg::AePush(n) => Some(n.event.0),
             _ => None,
         }
     }
@@ -340,7 +306,6 @@ impl Protocol for OptNode {
         self.addr = ctx.self_idx;
         let contacts = std::mem::take(&mut self.bootstrap);
         self.sampling.bootstrap(&contacts, self.addr);
-        let _ = ctx;
     }
 
     fn on_round(&mut self, ctx: &mut Context<'_, OptMsg>) {
@@ -362,7 +327,7 @@ impl Protocol for OptNode {
         // Greedy coverage repair.
         for target in self.pick_connect_targets() {
             self.pending.insert(target);
-            ctx.send(target, OptMsg::ConnectReq(self.id, self.subs.clone()));
+            ctx.send(target, OptMsg::ConnectReq(self.subs.clone()));
         }
 
         // Heartbeats.
@@ -372,18 +337,16 @@ impl Protocol for OptNode {
 
         // Anti-entropy repair. Entirely inert — no sends, no RNG draws —
         // unless the layer is enabled, so default runs stay bit-identical.
-        if self.ae.enabled() {
-            self.round += 1;
-            self.ae.tick(self.round);
-            for (target, ids) in self.ae.due_pulls(self.round) {
-                ctx.send(target, OptMsg::AeWant(ids));
-            }
-            if let Some(entries) = self.ae.digest(self.round) {
-                let entries = Arc::new(entries);
-                let nbrs = self.neighbor_addrs();
-                for t in self.ae.pick_targets(&nbrs, ctx.rng) {
-                    ctx.send(t, OptMsg::AeDigest(entries.clone()));
-                }
+        let links = &self.links;
+        let repair = self
+            .dissem
+            .round_step(|| links.keys().copied().collect(), ctx.rng);
+        for (target, ids) in repair.pulls {
+            ctx.send(target, OptMsg::AeWant(ids));
+        }
+        if let Some(entries) = repair.digest {
+            for t in repair.digest_targets {
+                ctx.send(t, OptMsg::AeDigest(entries.clone()));
             }
         }
     }
@@ -396,18 +359,17 @@ impl Protocol for OptNode {
                 ctx.send(from, OptMsg::PsResp(reply));
             }
             OptMsg::PsResp(buf) => self.sampling.on_response(self.addr, &buf),
-            OptMsg::ConnectReq(id, subs) => {
-                let _ = id;
+            OptMsg::ConnectReq(subs) => {
                 // Accept while under the degree bound (always, when
                 // unbounded): the accepter benefits passively from any link
                 // that shares topics, and SpiderCast links are symmetric.
                 let accept = self.links.contains_key(&from) || !self.at_capacity();
                 if accept {
                     self.add_link(from, subs);
-                    ctx.send(from, OptMsg::ConnectAck(self.id, self.subs.clone()));
+                    ctx.send(from, OptMsg::ConnectAck(self.subs.clone()));
                 }
             }
-            OptMsg::ConnectAck(_, subs) => {
+            OptMsg::ConnectAck(subs) => {
                 self.add_link(from, subs);
             }
             OptMsg::Heartbeat(subs) => {
@@ -419,88 +381,31 @@ impl Protocol for OptNode {
             OptMsg::Disconnect => {
                 self.links.remove(&from);
             }
-            OptMsg::Notif {
-                event,
-                topic,
-                hops,
-                path,
-            } => {
-                let interested = self.subs.contains(topic);
-                self.monitor.record_data_rx(self.addr, interested);
-                if !self.seen.insert(event) {
-                    return;
+            OptMsg::Notif(notif) => {
+                if let Some(fwd) = self.dissem.receive(self.addr, &self.subs, ctx.now, notif) {
+                    self.flood(ctx, Some(from), fwd);
                 }
-                let path_here = path.extend(self.addr);
-                if interested {
-                    self.monitor
-                        .record_delivery_traced(event, self.addr, hops, ctx.now, &path_here);
-                }
-                if self.ae.enabled() {
-                    self.ae
-                        .insert(event.0, topic.0, (hops, path_here.clone()), self.round);
-                }
-                self.flood(ctx, Some(from), event, topic, hops + 1, &path_here);
             }
             OptMsg::PublishCmd { event, topic } => {
-                self.seen.insert(event);
-                let path = HopPath::origin(self.addr);
-                if self.ae.enabled() {
-                    self.ae
-                        .insert(event.0, topic.0, (0, path.clone()), self.round);
-                }
-                self.flood(ctx, None, event, topic, 1, &path);
+                let notif = self.dissem.publish(self.addr, event, topic);
+                self.flood(ctx, None, notif);
             }
             OptMsg::AeDigest(entries) => {
-                let subs = self.subs.clone();
-                let seen = &self.seen;
-                let wants = self.ae.on_digest(
-                    from,
-                    &entries,
-                    self.round,
-                    |t| subs.contains(TopicId(t)),
-                    |e| seen.contains(&EventId(e)),
-                );
+                let wants = self.dissem.on_digest(from, &entries, &self.subs);
                 if !wants.is_empty() {
                     ctx.send(from, OptMsg::AeWant(wants));
                 }
             }
             OptMsg::AeWant(ids) => {
-                for (event, topic, (hops, path)) in self.ae.serve(&ids) {
-                    self.monitor
-                        .record_forward(EventId(event), self.addr, from, hops + 1, ctx.now);
-                    ctx.send(
-                        from,
-                        OptMsg::AePush {
-                            event: EventId(event),
-                            topic: TopicId(topic),
-                            hops: hops + 1,
-                            path,
-                        },
-                    );
+                for push in self.dissem.serve(&ids) {
+                    self.dissem.send_copy(ctx, from, push, OptMsg::AePush);
                 }
             }
-            OptMsg::AePush {
-                event,
-                topic,
-                hops,
-                path,
-            } => {
+            OptMsg::AePush(notif) => {
                 // Recovered copies count as a first delivery only if the
                 // flood never got here, and are never re-flooded — repair
                 // traffic stays pull-bounded.
-                let interested = self.subs.contains(topic);
-                self.monitor.record_data_rx(self.addr, interested);
-                if !self.seen.insert(event) {
-                    self.ae.satisfy(event.0);
-                    return;
-                }
-                let path_here = path.extend(self.addr);
-                if interested {
-                    self.monitor
-                        .record_delivery_recovered(event, self.addr, hops, ctx.now, &path_here);
-                }
-                self.ae
-                    .insert(event.0, topic.0, (hops, path_here), self.round);
+                self.dissem.recover(self.addr, &self.subs, ctx.now, notif);
             }
         }
     }

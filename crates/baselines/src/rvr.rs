@@ -11,11 +11,11 @@
 //! non-subscriber on a path is pure relay traffic, which is exactly the
 //! overhead Vitis's clustering removes.
 
-use std::collections::HashSet;
 use std::sync::Arc;
-use vitis::monitor::{EventId, HopPath, Monitor};
+use vitis::dissemination::Dissemination;
+use vitis::monitor::{EventId, Monitor};
+use vitis::msg::Notification;
 use vitis::relay::RelayTable;
-use vitis::smallmap::SmallMap;
 use vitis::topic::{Subs, TopicId};
 use vitis_overlay::entry::{merge_dedup, Entry};
 use vitis_overlay::id::Id;
@@ -80,17 +80,7 @@ pub enum RvrMsg {
         hops: u32,
     },
     /// Data-plane event notification travelling the tree.
-    Notif {
-        /// The event.
-        event: EventId,
-        /// Its topic.
-        topic: TopicId,
-        /// Hops from the publisher.
-        hops: u32,
-        /// Causal provenance (forensic metadata only — excluded from
-        /// wire-size accounting, never consulted for routing).
-        path: HopPath,
-    },
+    Notif(Notification),
     /// Harness stimulus: publish `event` on `topic` from this node.
     PublishCmd {
         /// Pre-registered event id.
@@ -103,23 +93,14 @@ pub enum RvrMsg {
     AeDigest(Arc<Vec<(u64, u32)>>),
     /// Anti-entropy pull request (IWANT): missing event ids.
     AeWant(Vec<u64>),
-    /// Anti-entropy recovery push answering an [`RvrMsg::AeWant`].
-    AePush {
-        /// The recovered event.
-        event: EventId,
-        /// Its topic.
-        topic: TopicId,
-        /// Hops from the publisher, counting the repair hop.
-        hops: u32,
-        /// Causal provenance (forensic metadata only).
-        path: HopPath,
-    },
+    /// Anti-entropy recovery push answering an [`RvrMsg::AeWant`]; its hop
+    /// count includes the repair hop.
+    AePush(Notification),
 }
 
 /// An RVR peer.
 pub struct RvrNode {
     cfg: Arc<RvrConfig>,
-    monitor: Monitor,
     addr: NodeIdx,
     id: Id,
     subs: Subs,
@@ -129,16 +110,10 @@ pub struct RvrNode {
     /// Per-topic multicast-tree soft state (same structure as Vitis relay
     /// paths: upstream = parent toward rendezvous, downstream = children).
     tree: RelayTable,
-    seen: HashSet<EventId>,
-    /// Neighbor subscription cache (from heartbeats) — used only for
-    /// delivery bookkeeping, never for neighbor selection.
-    nbr_subs: SmallMap<NodeIdx, Subs>,
-    /// Anti-entropy repair layer; inert (no sends, no RNG draws) unless
-    /// explicitly enabled via [`RvrNode::with_repair`]. Caches `(hops,
-    /// path)` alongside the event/topic ids.
-    ae: AntiEntropy<(u32, HopPath)>,
-    /// Local round counter driving the repair cache TTL and digest cadence.
-    round: u64,
+    /// Dedup, delivery accounting and the anti-entropy repair layer (inert
+    /// unless enabled via [`RvrNode::with_repair`]); owns the node's
+    /// monitor handle.
+    dissem: Dissemination,
 }
 
 impl RvrNode {
@@ -154,7 +129,6 @@ impl RvrNode {
         let sampling = Newscast::new(cfg.sampling_view);
         RvrNode {
             cfg,
-            monitor,
             addr: NodeIdx(u32::MAX),
             id,
             subs,
@@ -162,23 +136,20 @@ impl RvrNode {
             rt: HybridRt::new(),
             bootstrap,
             tree: RelayTable::new(),
-            seen: HashSet::new(),
-            nbr_subs: SmallMap::new(),
-            ae: AntiEntropy::new(AeConfig::default()),
-            round: 0,
+            dissem: Dissemination::new(monitor),
         }
     }
 
     /// Replace the anti-entropy configuration (builder style). Pass
     /// [`AeConfig::on`] to enable digest-exchange repair.
     pub fn with_repair(mut self, cfg: AeConfig) -> Self {
-        self.ae = AntiEntropy::new(cfg);
+        self.dissem.set_repair(cfg);
         self
     }
 
     /// The anti-entropy repair layer (read access for tests).
-    pub fn repair(&self) -> &AntiEntropy<(u32, HopPath)> {
-        &self.ae
+    pub fn repair(&self) -> &AntiEntropy<Notification> {
+        self.dissem.repair()
     }
 
     /// This node's ring identifier.
@@ -236,33 +207,6 @@ impl RvrNode {
         );
     }
 
-    /// Notify-style ring repair: adopt an unknown heartbeat sender as a
-    /// ring neighbor when it is closer than the current successor or
-    /// predecessor, keeping ring edges symmetric (they then refresh each
-    /// other) and lookups consistent.
-    fn consider_ring_candidate(&mut self, from: NodeIdx, id: Id, subs: Subs) {
-        if self.rt.contains(from) || id == self.id {
-            return;
-        }
-        let d_cw = self.id.distance_cw(id);
-        let adopt_succ = match &self.rt.succ {
-            None => true,
-            Some(s) => d_cw < self.id.distance_cw(s.id),
-        };
-        if adopt_succ {
-            self.rt.succ = Some(Entry::fresh(from, id, subs));
-            return;
-        }
-        let d_ccw = id.distance_cw(self.id);
-        let adopt_pred = match &self.rt.pred {
-            None => true,
-            Some(p) => d_ccw < p.id.distance_cw(self.id),
-        };
-        if adopt_pred {
-            self.rt.pred = Some(Entry::fresh(from, id, subs));
-        }
-    }
-
     /// One join/refresh step toward the rendezvous of `topic` from this
     /// node; the same logic serves the initiating subscriber and forwarders.
     fn join_step(&mut self, topic: TopicId, hops: u32, ctx: &mut Context<'_, RvrMsg>) {
@@ -283,81 +227,17 @@ impl RvrNode {
         }
     }
 
+    /// Send `notif` along every tree link of its topic except the one it
+    /// came in on.
     fn forward_notif(
         &mut self,
         ctx: &mut Context<'_, RvrMsg>,
         came_from: Option<NodeIdx>,
-        event: EventId,
-        topic: TopicId,
-        hops: u32,
-        path: &HopPath,
+        notif: Notification,
     ) {
-        for t in self.tree.fanout(topic, came_from) {
-            self.monitor
-                .record_forward(event, self.addr, t, hops, ctx.now);
-            ctx.send(
-                t,
-                RvrMsg::Notif {
-                    event,
-                    topic,
-                    hops,
-                    path: path.clone(),
-                },
-            );
+        for t in self.tree.fanout(notif.topic, came_from) {
+            self.dissem.send_copy(ctx, t, notif.clone(), RvrMsg::Notif);
         }
-    }
-
-    fn on_notif(
-        &mut self,
-        ctx: &mut Context<'_, RvrMsg>,
-        from: NodeIdx,
-        event: EventId,
-        topic: TopicId,
-        hops: u32,
-        path: &HopPath,
-    ) {
-        let interested = self.subs.contains(topic);
-        self.monitor.record_data_rx(self.addr, interested);
-        if !self.seen.insert(event) {
-            return;
-        }
-        let path_here = path.extend(self.addr);
-        if interested {
-            self.monitor
-                .record_delivery_traced(event, self.addr, hops, ctx.now, &path_here);
-        }
-        if self.ae.enabled() {
-            self.ae
-                .insert(event.0, topic.0, (hops, path_here.clone()), self.round);
-        }
-        self.forward_notif(ctx, Some(from), event, topic, hops + 1, &path_here);
-    }
-
-    /// A recovery push arrived: count it as a first delivery only if the
-    /// tree never got this event here, and never re-flood it — recovered
-    /// copies spread only through further digest exchanges, so repair
-    /// traffic stays pull-bounded.
-    fn on_recovery(
-        &mut self,
-        ctx: &mut Context<'_, RvrMsg>,
-        event: EventId,
-        topic: TopicId,
-        hops: u32,
-        path: &HopPath,
-    ) {
-        let interested = self.subs.contains(topic);
-        self.monitor.record_data_rx(self.addr, interested);
-        if !self.seen.insert(event) {
-            self.ae.satisfy(event.0);
-            return;
-        }
-        let path_here = path.extend(self.addr);
-        if interested {
-            self.monitor
-                .record_delivery_recovered(event, self.addr, hops, ctx.now, &path_here);
-        }
-        self.ae
-            .insert(event.0, topic.0, (hops, path_here), self.round);
     }
 }
 
@@ -368,15 +248,15 @@ impl ParallelProtocol for RvrNode {
     type Deferred = Vec<vitis::monitor::MonitorOp>;
 
     fn set_deferred(&mut self, on: bool) {
-        self.monitor.set_deferred(on);
+        self.dissem.monitor().set_deferred(on);
     }
 
     fn take_deferred(&mut self) -> Self::Deferred {
-        self.monitor.take_deferred()
+        self.dissem.monitor().take_deferred()
     }
 
     fn apply_deferred(&mut self, ops: Self::Deferred) {
-        self.monitor.apply_ops(ops);
+        self.dissem.monitor().apply_ops(ops);
     }
 }
 
@@ -391,20 +271,19 @@ impl Protocol for RvrNode {
             RvrMsg::RtResp(_) => MsgTag::control("rt_resp"),
             RvrMsg::Heartbeat(..) => MsgTag::control("heartbeat"),
             RvrMsg::Join { .. } => MsgTag::control("join"),
-            RvrMsg::Notif { .. } => MsgTag::data("notification"),
+            RvrMsg::Notif(_) => MsgTag::data("notification"),
             RvrMsg::PublishCmd { .. } => MsgTag::data("publish_cmd"),
             RvrMsg::AeDigest(_) => MsgTag::control("ae_digest"),
             RvrMsg::AeWant(_) => MsgTag::control("ae_want"),
-            RvrMsg::AePush { .. } => MsgTag::data("ae_push"),
+            RvrMsg::AePush(_) => MsgTag::data("ae_push"),
         }
     }
 
     fn event_of(msg: &RvrMsg) -> Option<u64> {
         match msg {
-            RvrMsg::Notif { event, .. } => Some(event.0),
             // Lost recovery pushes attribute to the event the same way lost
             // tree copies do, so `LossReason::Network` stays exact.
-            RvrMsg::AePush { event, .. } => Some(event.0),
+            RvrMsg::Notif(n) | RvrMsg::AePush(n) => Some(n.event.0),
             _ => None,
         }
     }
@@ -444,7 +323,6 @@ impl Protocol for RvrNode {
         for dead in self.rt.expire(self.cfg.age_threshold) {
             self.sampling.remove(dead);
             self.tree.remove_peer(dead);
-            self.nbr_subs.remove(&dead);
         }
 
         // Tree soft state decays unless refreshed by the joins below.
@@ -465,18 +343,14 @@ impl Protocol for RvrNode {
 
         // Anti-entropy repair. Entirely inert — no sends, no RNG draws —
         // unless the layer is enabled, so default runs stay bit-identical.
-        if self.ae.enabled() {
-            self.round += 1;
-            self.ae.tick(self.round);
-            for (target, ids) in self.ae.due_pulls(self.round) {
-                ctx.send(target, RvrMsg::AeWant(ids));
-            }
-            if let Some(entries) = self.ae.digest(self.round) {
-                let entries = Arc::new(entries);
-                let nbrs = self.rt.addrs();
-                for t in self.ae.pick_targets(&nbrs, ctx.rng) {
-                    ctx.send(t, RvrMsg::AeDigest(entries.clone()));
-                }
+        let rt = &self.rt;
+        let repair = self.dissem.round_step(|| rt.addrs(), ctx.rng);
+        for (target, ids) in repair.pulls {
+            ctx.send(target, RvrMsg::AeWant(ids));
+        }
+        if let Some(entries) = repair.digest {
+            for t in repair.digest_targets {
+                ctx.send(t, RvrMsg::AeDigest(entries.clone()));
             }
         }
     }
@@ -497,66 +371,41 @@ impl Protocol for RvrNode {
             }
             RvrMsg::RtResp(buf) => self.merge_and_select(&buf, ctx),
             RvrMsg::Heartbeat(id, subs) => {
-                if self.rt.refresh(from, subs.clone()) {
-                    self.nbr_subs.insert(from, subs);
-                } else {
-                    self.consider_ring_candidate(from, id, subs);
+                if !self.rt.refresh(from, subs.clone()) {
+                    self.rt.adopt_ring_candidate(self.id, from, id, subs);
                 }
             }
             RvrMsg::Join { topic, hops } => {
                 self.tree.add_downstream(topic, from);
                 self.join_step(topic, hops, ctx);
             }
-            RvrMsg::Notif {
-                event,
-                topic,
-                hops,
-                path,
-            } => self.on_notif(ctx, from, event, topic, hops, &path),
+            RvrMsg::Notif(notif) => {
+                if let Some(fwd) = self.dissem.receive(self.addr, &self.subs, ctx.now, notif) {
+                    self.forward_notif(ctx, Some(from), fwd);
+                }
+            }
             RvrMsg::PublishCmd { event, topic } => {
-                self.seen.insert(event);
                 // The publisher is a subscriber, so it sits in the tree; the
                 // notification climbs to the rendezvous and floods down.
-                let path = HopPath::origin(self.addr);
-                if self.ae.enabled() {
-                    self.ae
-                        .insert(event.0, topic.0, (0, path.clone()), self.round);
-                }
-                self.forward_notif(ctx, None, event, topic, 1, &path);
+                let notif = self.dissem.publish(self.addr, event, topic);
+                self.forward_notif(ctx, None, notif);
             }
             RvrMsg::AeDigest(entries) => {
-                let subs = self.subs.clone();
-                let seen = &self.seen;
-                let wants = self.ae.on_digest(
-                    from,
-                    &entries,
-                    self.round,
-                    |t| subs.contains(TopicId(t)),
-                    |e| seen.contains(&EventId(e)),
-                );
+                let wants = self.dissem.on_digest(from, &entries, &self.subs);
                 if !wants.is_empty() {
                     ctx.send(from, RvrMsg::AeWant(wants));
                 }
             }
             RvrMsg::AeWant(ids) => {
-                for (event, topic, (hops, path)) in self.ae.serve(&ids) {
-                    let push = RvrMsg::AePush {
-                        event: EventId(event),
-                        topic: TopicId(topic),
-                        hops: hops + 1,
-                        path,
-                    };
-                    self.monitor
-                        .record_forward(EventId(event), self.addr, from, hops + 1, ctx.now);
-                    ctx.send(from, push);
+                for push in self.dissem.serve(&ids) {
+                    self.dissem.send_copy(ctx, from, push, RvrMsg::AePush);
                 }
             }
-            RvrMsg::AePush {
-                event,
-                topic,
-                hops,
-                path,
-            } => self.on_recovery(ctx, event, topic, hops, &path),
+            RvrMsg::AePush(notif) => {
+                // A recovery push counts as a first delivery only if the
+                // tree never got this event here, and is never re-flooded.
+                self.dissem.recover(self.addr, &self.subs, ctx.now, notif);
+            }
         }
     }
 

@@ -8,7 +8,7 @@ use crate::rvr::{RvrConfig, RvrMsg, RvrNode};
 use std::collections::HashMap;
 use std::sync::Arc;
 use vitis::monitor::{EventId, LossReason, LossReport, MissContext, Monitor};
-use vitis::runtime::{hybrid_rt_probe, PubSubProtocol, SystemRuntime};
+use vitis::runtime::{hybrid_rt_probe, reached_component, PubSubProtocol, SystemRuntime};
 use vitis::system::SystemParams;
 use vitis::topic::{RateTable, Subs, TopicId};
 use vitis::topo::{NodeTopo, RelayTopo, TopoLink};
@@ -41,30 +41,15 @@ impl RvrProtocol {
         rendezvous_claims: usize,
         miss: &MissContext<'_>,
     ) -> LossReason {
-        let engine = rt.engine();
-        if !engine.is_alive(miss.subscriber) {
-            return LossReason::SubscriberChurned;
+        if let Some(reason) = rt.transport_loss(miss) {
+            return reason;
         }
-        if engine
-            .network_event_drops()
-            .iter()
-            .any(|&(e, s)| e == miss.event.0 && s == miss.subscriber.0)
-        {
-            // A copy addressed to this subscriber died in transit and no
-            // later copy arrived.
-            return LossReason::Network;
-        }
-        let Some(comp) = comps.iter().find(|c| c.contains(&miss.subscriber.0)) else {
-            return LossReason::PartitionedCluster;
-        };
-        if !comp
-            .iter()
-            .any(|&x| miss.delivered.binary_search(&NodeIdx(x)).is_ok())
-        {
+        let Some((_, true)) = reached_component(comps, miss) else {
             // The event never reached this partition of the overlay.
             return LossReason::PartitionedCluster;
-        }
-        let has_tree_state = engine
+        };
+        let has_tree_state = rt
+            .engine()
             .node(miss.subscriber)
             .is_some_and(|n| n.tree_table().has(miss.topic));
         if !has_tree_state {
@@ -167,26 +152,8 @@ impl PubSubProtocol for RvrProtocol {
             node: idx,
             ring_id: node.ring_id(),
             subs: node.subscriptions().iter().collect(),
-            links: node
-                .routing_table()
-                .iter_kinds()
-                .map(|(kind, e)| TopoLink {
-                    peer: e.addr,
-                    kind: kind.as_str(),
-                    age: Some(e.age),
-                })
-                .collect(),
-            relays: node
-                .tree_table()
-                .entries()
-                .map(|(topic, e)| RelayTopo {
-                    topic,
-                    upstream: e.upstream(),
-                    upstream_age: e.upstream_age(),
-                    downstream: e.downstreams().collect(),
-                    rendezvous: e.is_rendezvous(),
-                })
-                .collect(),
+            links: TopoLink::of_table(node.routing_table()),
+            relays: RelayTopo::of_table(node.tree_table()),
             // RVR has no gateway election: subscribers join the tree
             // directly, so there is no believed-gateway view to export.
             gateway_view: Vec::new(),
@@ -279,29 +246,15 @@ impl PubSubProtocol for OptProtocol {
         let engine = rt.engine();
         let mut comps_by_topic: HashMap<TopicId, Vec<Vec<u32>>> = HashMap::new();
         rt.monitor().attribute_losses(engine.now(), |miss| {
-            if !engine.is_alive(miss.subscriber) {
-                return LossReason::SubscriberChurned;
-            }
-            if engine
-                .network_event_drops()
-                .iter()
-                .any(|&(e, s)| e == miss.event.0 && s == miss.subscriber.0)
-            {
-                return LossReason::Network;
+            if let Some(reason) = rt.transport_loss(miss) {
+                return reason;
             }
             let comps = comps_by_topic
                 .entry(miss.topic)
                 .or_insert_with(|| graph.components_within(&rt.alive_subscribers(miss.topic)));
-            let Some(comp) = comps.iter().find(|c| c.contains(&miss.subscriber.0)) else {
-                return LossReason::PartitionedCluster;
-            };
-            if comp
-                .iter()
-                .any(|&x| miss.delivered.binary_search(&NodeIdx(x)).is_ok())
-            {
-                LossReason::IncompleteFlood
-            } else {
-                LossReason::PartitionedCluster
+            match reached_component(comps, miss) {
+                Some((_, true)) => LossReason::IncompleteFlood,
+                _ => LossReason::PartitionedCluster,
             }
         })
     }
@@ -463,6 +416,15 @@ mod tests {
             "unbounded {unbounded} < bounded {bounded}"
         );
         assert!(max_degree > 8, "unbounded degrees should exceed the cap");
+    }
+
+    /// Messages sit in every queued event, so their size is a hot constant.
+    #[test]
+    fn wire_enums_stay_within_32_bytes() {
+        use std::mem::size_of;
+        assert!(size_of::<vitis::msg::VitisMsg>() <= 32);
+        assert!(size_of::<RvrMsg>() <= 32);
+        assert!(size_of::<OptMsg>() <= 32);
     }
 
     /// All three systems must report the same observability schema:

@@ -2,18 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Which gossip peer-sampling service the node runs. The paper's
-/// evaluation uses Newscast; Cyclon is a drop-in alternative with more
-/// uniform samples ("any of the existing implementations for this service
-/// can be used", Section III-A).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub enum SamplingService {
-    /// Newscast: whole-view exchange, keep the freshest entries.
-    Newscast,
-    /// Cyclon: bounded shuffle with the oldest neighbor.
-    Cyclon,
-}
-
 /// All tunables of a Vitis node. Defaults mirror the paper's experimental
 /// settings (Section IV-A): routing-table size 15, `k = 3` small-world links
 /// counting the two ring links (so one extra sw-neighbor), gateway radius
@@ -38,12 +26,6 @@ pub struct VitisConfig {
     pub relay_ttl: u16,
     /// Peer-sampling view capacity.
     pub sampling_view: usize,
-    /// Which peer-sampling service to run.
-    pub sampling_service: SamplingService,
-    /// Estimate the network size from observed ring density instead of
-    /// trusting `est_n` (Symphony's approach); the estimate feeds the
-    /// harmonic small-world draw.
-    pub estimate_network_size: bool,
     /// Safety cap on greedy-lookup path length.
     pub max_lookup_hops: u32,
     /// Ablation: when false, gateway election is disabled and *every*
@@ -88,8 +70,6 @@ impl Default for VitisConfig {
             age_threshold: 5,
             relay_ttl: 5,
             sampling_view: 15,
-            sampling_service: SamplingService::Newscast,
-            estimate_network_size: false,
             max_lookup_hops: 128,
             gateway_election: true,
             utility_selection: true,

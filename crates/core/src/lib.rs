@@ -41,6 +41,7 @@
 
 pub mod config;
 pub mod conformance;
+pub mod dissemination;
 pub mod gateway;
 pub mod harness;
 pub mod monitor;
@@ -58,7 +59,7 @@ pub use utility::utility;
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::config::{SamplingService, VitisConfig};
+    pub use crate::config::VitisConfig;
     pub use crate::gateway::Proposal;
     pub use crate::harness::Workload;
     pub use crate::monitor::{EventId, Monitor, MonitorOp, PubSubStats};

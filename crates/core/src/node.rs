@@ -3,7 +3,8 @@
 //! gateway election (Algorithms 5–7), relay-path construction and event
 //! dissemination.
 
-use crate::config::{SamplingService, VitisConfig};
+use crate::config::VitisConfig;
+use crate::dissemination::Dissemination;
 use crate::gateway::{revise_proposal, Proposal};
 use crate::monitor::{EventId, HopPath, Monitor};
 use crate::msg::{wire, Notification, ProfileMsg, VitisMsg};
@@ -14,9 +15,8 @@ use crate::utility::utility;
 use std::collections::HashSet;
 use std::sync::Arc;
 use vitis_overlay::entry::{merge_dedup, Entry};
-use vitis_overlay::estimate::SizeEstimator;
 use vitis_overlay::id::Id;
-use vitis_overlay::peer_sampling::{Cyclon, Newscast, PeerSampling};
+use vitis_overlay::peer_sampling::{Newscast, PeerSampling};
 use vitis_overlay::routing::next_hop;
 use vitis_overlay::rt::{build_exchange_buffer, select_neighbors, HybridRt, RtParams};
 use vitis_sim::antientropy::{self, AeConfig, AntiEntropy};
@@ -46,16 +46,14 @@ struct NbrProposals {
 pub struct VitisNode {
     cfg: Arc<VitisConfig>,
     rates: Arc<RateTable>,
-    monitor: Monitor,
     /// Engine address; fixed at `on_start`.
     addr: NodeIdx,
     /// Ring identifier.
     id: Id,
     /// Own subscriptions.
     subs: Subs,
-    /// Peer sampling service (Newscast by default, as in the paper's
-    /// evaluation; Cyclon by configuration).
-    sampling: Box<dyn PeerSampling<Subs> + Send>,
+    /// Peer sampling service (Newscast, as in the paper's evaluation).
+    sampling: Newscast<Subs>,
     /// The bounded hybrid routing table.
     rt: HybridRt<Subs>,
     /// Bootstrap contacts consumed at `on_start`.
@@ -72,18 +70,14 @@ pub struct VitisNode {
     reverse: SmallMap<NodeIdx, ReverseLink>,
     /// Relay-path soft state.
     relays: RelayTable,
-    /// Events already processed (forwarding dedup).
-    seen: HashSet<EventId>,
     /// Events this node published that still await a gateway/relay-holder
     /// acknowledgment. Empty unless `publish_retries > 0`.
     pending_pubs: HashSet<EventId>,
-    /// Rounds executed (drives the friend-ablation pseudo-random ranking).
-    round: u64,
-    /// Ring-density network-size estimator (used when configured).
-    size_est: SizeEstimator,
-    /// Anti-entropy repair layer (digest exchange + pull recovery).
-    /// Default-off: inert unless enabled via [`VitisNode::with_repair`].
-    ae: AntiEntropy<Notification>,
+    /// What happens to a notification here: dedup, delivery accounting and
+    /// the anti-entropy repair layer (default-off; see
+    /// [`VitisNode::with_repair`]). Owns the node's monitor handle and the
+    /// round counter.
+    dissem: Dissemination,
 }
 
 impl VitisNode {
@@ -97,14 +91,10 @@ impl VitisNode {
         monitor: Monitor,
         bootstrap: Vec<Entry<Subs>>,
     ) -> Self {
-        let sampling: Box<dyn PeerSampling<Subs> + Send> = match cfg.sampling_service {
-            SamplingService::Newscast => Box::new(Newscast::new(cfg.sampling_view)),
-            SamplingService::Cyclon => Box::new(Cyclon::new(cfg.sampling_view, 6)),
-        };
+        let sampling = Newscast::new(cfg.sampling_view);
         VitisNode {
             cfg,
             rates,
-            monitor,
             addr: NodeIdx(u32::MAX),
             id,
             subs,
@@ -115,38 +105,25 @@ impl VitisNode {
             nbr_proposals: SmallMap::new(),
             reverse: SmallMap::new(),
             relays: RelayTable::new(),
-            seen: HashSet::new(),
             pending_pubs: HashSet::new(),
-            round: 0,
-            size_est: SizeEstimator::default(),
-            ae: AntiEntropy::new(AeConfig::default()),
+            dissem: Dissemination::new(monitor),
         }
     }
 
     /// Configure the anti-entropy repair layer (builder-style; the
     /// default configuration keeps it off and inert).
     pub fn with_repair(mut self, cfg: AeConfig) -> Self {
-        self.ae = AntiEntropy::new(cfg);
+        self.dissem.set_repair(cfg);
         self
     }
 
     /// The anti-entropy repair state (tests/telemetry).
     pub fn repair(&self) -> &AntiEntropy<Notification> {
-        &self.ae
+        self.dissem.repair()
     }
 
-    /// The node's current network-size estimate: the ring-density estimate
-    /// when enabled and warm, otherwise the configured `est_n`.
-    pub fn estimated_n(&self) -> usize {
-        if self.cfg.estimate_network_size {
-            // Let the EWMA absorb a few samples before trusting it.
-            if self.size_est.samples() >= 8 {
-                if let Some(n) = self.size_est.estimate() {
-                    return n;
-                }
-            }
-        }
-        self.cfg.est_n
+    fn monitor(&self) -> &Monitor {
+        self.dissem.monitor()
     }
 
     /// This node's ring identifier.
@@ -201,7 +178,7 @@ impl VitisNode {
         RtParams {
             rt_size: self.cfg.rt_size,
             k_sw: self.cfg.k_sw,
-            est_n: self.estimated_n(),
+            est_n: self.cfg.est_n,
         }
     }
 
@@ -235,7 +212,7 @@ impl VitisNode {
         } else {
             // Ablation: rank friends by a deterministic pseudo-random key
             // instead of Equation 1.
-            let salt = self.round ^ (self.addr.0 as u64) << 32;
+            let salt = self.dissem.round() ^ (self.addr.0 as u64) << 32;
             select_neighbors(
                 self.addr,
                 self.id,
@@ -317,7 +294,7 @@ impl VitisNode {
         match next_hop(self.id, topic.ring_id(), self.rt.route_candidates()) {
             Some(next) => {
                 self.relays.set_upstream(topic, next);
-                self.monitor
+                self.monitor()
                     .record_control_tx(self.addr, wire::RELAY_REQUEST_BYTES);
                 ctx.send(next, VitisMsg::RelayRequest { topic, hops: 1 });
             }
@@ -339,7 +316,7 @@ impl VitisNode {
         match next_hop(self.id, topic.ring_id(), self.rt.route_candidates()) {
             Some(next) => {
                 self.relays.set_upstream(topic, next);
-                self.monitor
+                self.monitor()
                     .record_control_tx(self.addr, wire::RELAY_REQUEST_BYTES);
                 ctx.send(
                     next,
@@ -383,9 +360,8 @@ impl VitisNode {
             }
         }
         for t in targets {
-            self.monitor
-                .record_forward(notif.event, self.addr, t, notif.hops, ctx.now);
-            ctx.send(t, VitisMsg::Notification(notif.clone()));
+            self.dissem
+                .send_copy(ctx, t, notif.clone(), VitisMsg::Notification);
         }
     }
 
@@ -395,8 +371,6 @@ impl VitisNode {
         from: NodeIdx,
         notif: Notification,
     ) {
-        let interested = self.subs.contains(notif.topic);
-        self.monitor.record_data_rx(self.addr, interested);
         // Retry hardening: gateways and relay holders acknowledge copies
         // that came straight from the publisher — including duplicates,
         // since the previous ack (or the retransmission prompting it) may
@@ -405,141 +379,24 @@ impl VitisNode {
             && notif.hops == 1
             && (self.is_gateway(notif.topic) || self.relays.has(notif.topic))
         {
-            self.monitor
+            self.monitor()
                 .record_control_tx(self.addr, wire::PUB_ACK_BYTES);
             ctx.send(from, VitisMsg::PubAck { event: notif.event });
         }
-        if !self.seen.insert(notif.event) {
+        let Some(fwd) = self.dissem.receive(self.addr, &self.subs, ctx.now, notif) else {
             return;
-        }
-        // Extend the causal path with this node once; the delivery record
-        // and every forwarded copy share it.
-        let path_here = notif.path.extend(self.addr);
-        if interested {
-            self.monitor.record_delivery_traced(
-                notif.event,
-                self.addr,
-                notif.hops,
-                ctx.now,
-                &path_here,
-            );
-        }
-        // Repair layer: cache the copy for re-serving to pulling peers
-        // (and cancel any pull of our own for it).
-        if self.ae.enabled() {
-            self.ae.insert(
-                notif.event.0,
-                notif.topic.0,
-                Notification {
-                    event: notif.event,
-                    topic: notif.topic,
-                    hops: notif.hops,
-                    path: path_here.clone(),
-                },
-                self.round,
-            );
-        }
-        // TTL hardening: deliver locally but stop forwarding once the copy
-        // has exhausted its hop budget, so traffic trapped by a partition
-        // dies out. Disabled (u32::MAX) by default.
-        if notif.hops >= self.cfg.max_event_hops {
-            return;
-        }
-        let fwd = Notification {
-            hops: notif.hops + 1,
-            path: path_here,
-            ..notif
         };
+        // TTL hardening: deliver (and cache) locally but stop forwarding
+        // once the copy has exhausted its hop budget, so traffic trapped by
+        // a partition dies out. Disabled (u32::MAX) by default.
+        if fwd.hops > self.cfg.max_event_hops {
+            return;
+        }
         self.forward_notification(ctx, Some(from), fwd);
     }
 
-    /// Notify-style ring repair: a heartbeat arrived from a node we do not
-    /// know. If it is ring-closer than our current successor or predecessor
-    /// (it heartbeats us, so it very likely considers us a ring neighbor),
-    /// adopt it — this keeps ring edges symmetric, so they refresh each
-    /// other and lookups converge on a single rendezvous per topic.
-    fn consider_ring_candidate(&mut self, from: NodeIdx, id: Id, subs: Subs) {
-        if self.rt.contains(from) || id == self.id {
-            return;
-        }
-        let d_cw = self.id.distance_cw(id);
-        let adopt_succ = match &self.rt.succ {
-            None => true,
-            Some(s) => d_cw < self.id.distance_cw(s.id),
-        };
-        if adopt_succ {
-            self.rt.succ = Some(Entry::fresh(from, id, subs));
-            return;
-        }
-        let d_ccw = id.distance_cw(self.id);
-        let adopt_pred = match &self.rt.pred {
-            None => true,
-            Some(p) => d_ccw < p.id.distance_cw(self.id),
-        };
-        if adopt_pred {
-            self.rt.pred = Some(Entry::fresh(from, id, subs));
-        }
-    }
-
-    /// A repair push arrived: deliver as a distinct `recovered` class and
-    /// cache it for onward repair, but never inject it into the normal
-    /// flood — recovered copies spread only through further digest
-    /// exchanges, so repair traffic stays pull-bounded.
-    fn on_recovery(&mut self, ctx: &mut Context<'_, VitisMsg>, notif: Notification) {
-        let interested = self.subs.contains(notif.topic);
-        self.monitor.record_data_rx(self.addr, interested);
-        if !self.seen.insert(notif.event) {
-            // Duplicate recovery: another pull (or the flood itself) won
-            // the race. The monitor would ignore the re-delivery anyway;
-            // just retire any leftover want.
-            self.ae.satisfy(notif.event.0);
-            return;
-        }
-        let path_here = notif.path.extend(self.addr);
-        if interested {
-            self.monitor.record_delivery_recovered(
-                notif.event,
-                self.addr,
-                notif.hops,
-                ctx.now,
-                &path_here,
-            );
-        }
-        self.ae.insert(
-            notif.event.0,
-            notif.topic.0,
-            Notification {
-                event: notif.event,
-                topic: notif.topic,
-                hops: notif.hops,
-                path: path_here,
-            },
-            self.round,
-        );
-    }
-
     fn on_publish(&mut self, ctx: &mut Context<'_, VitisMsg>, event: EventId, topic: TopicId) {
-        self.seen.insert(event);
-        if self.ae.enabled() {
-            // The publisher itself can answer pulls for its own events.
-            self.ae.insert(
-                event.0,
-                topic.0,
-                Notification {
-                    event,
-                    topic,
-                    hops: 0,
-                    path: HopPath::origin(self.addr),
-                },
-                self.round,
-            );
-        }
-        let notif = Notification {
-            event,
-            topic,
-            hops: 1,
-            path: HopPath::origin(self.addr),
-        };
+        let notif = self.dissem.publish(self.addr, event, topic);
         self.forward_notification(ctx, None, notif);
         if self.cfg.publish_retries > 0 {
             self.pending_pubs.insert(event);
@@ -605,15 +462,15 @@ impl ParallelProtocol for VitisNode {
     type Deferred = Vec<crate::monitor::MonitorOp>;
 
     fn set_deferred(&mut self, on: bool) {
-        self.monitor.set_deferred(on);
+        self.monitor().set_deferred(on);
     }
 
     fn take_deferred(&mut self) -> Self::Deferred {
-        self.monitor.take_deferred()
+        self.monitor().take_deferred()
     }
 
     fn apply_deferred(&mut self, ops: Self::Deferred) {
-        self.monitor.apply_ops(ops);
+        self.monitor().apply_ops(ops);
     }
 }
 
@@ -657,14 +514,13 @@ impl Protocol for VitisNode {
     }
 
     fn on_round(&mut self, ctx: &mut Context<'_, VitisMsg>) {
-        self.round += 1;
-        self.monitor.record_control_round(self.addr);
+        self.monitor().record_control_round(self.addr);
 
         // 1. Peer sampling exchange.
         self.sampling.tick();
         let se = self.self_entry();
         if let Some((partner, buf)) = self.sampling.initiate(&se, ctx.rng) {
-            self.monitor
+            self.monitor()
                 .record_control_tx(self.addr, wire::buffer_bytes(&buf));
             ctx.send(partner, VitisMsg::PsReq(buf));
         }
@@ -702,18 +558,9 @@ impl Protocol for VitisNode {
         };
         if let Some(partner) = partner {
             let buf = build_exchange_buffer(&self.rt, self.sampling.sample(), &se);
-            self.monitor
+            self.monitor()
                 .record_control_tx(self.addr, wire::buffer_bytes(&buf));
             ctx.send(partner, VitisMsg::RtReq(buf));
-        }
-
-        // Feed the size estimator from the current ring neighborhood.
-        if self.cfg.estimate_network_size {
-            self.size_est.observe(
-                self.id,
-                self.rt.succ.as_ref().map(|e| e.id),
-                self.rt.pred.as_ref().map(|e| e.id),
-            );
         }
 
         // 3. Failure detection: age and expire stale neighbors (forward and
@@ -766,35 +613,38 @@ impl Protocol for VitisNode {
         };
         let pm_bytes = wire::profile_bytes(&pm);
         for nbr in self.rt.addrs() {
-            self.monitor.record_control_tx(self.addr, pm_bytes);
+            self.monitor().record_control_tx(self.addr, pm_bytes);
             ctx.send(nbr, VitisMsg::Profile(pm.clone()));
         }
 
         // 7. Anti-entropy repair: retry outstanding pulls, then gossip a
-        //    digest of the recent-event cache to a small random neighbor
-        //    sample. Entirely inert — no sends, no RNG draws — unless the
-        //    layer is enabled, so default runs stay bit-identical.
-        if self.ae.enabled() {
-            self.ae.tick(self.round);
-            for (target, ids) in self.ae.due_pulls(self.round) {
-                self.monitor
-                    .record_control_tx(self.addr, ids.len() as u64 * antientropy::WANT_ID_BYTES);
-                ctx.send(target, VitisMsg::AeWant(ids));
-            }
-            if let Some(entries) = self.ae.digest(self.round) {
-                // Digest over the connection set: table plus reverse links.
-                let mut nbrs = self.rt.addrs();
-                for (&a, _) in &self.reverse {
+        //    digest of the recent-event cache to a small random sample of
+        //    the connection set (table plus reverse links). Entirely inert
+        //    — no sends, no RNG draws — unless the layer is enabled, so
+        //    default runs stay bit-identical.
+        let (rt, reverse) = (&self.rt, &self.reverse);
+        let repair = self.dissem.round_step(
+            || {
+                let mut nbrs = rt.addrs();
+                for (&a, _) in reverse {
                     if !nbrs.contains(&a) {
                         nbrs.push(a);
                     }
                 }
-                let bytes = entries.len() as u64 * antientropy::DIGEST_ENTRY_BYTES;
-                let entries = Arc::new(entries);
-                for t in self.ae.pick_targets(&nbrs, ctx.rng) {
-                    self.monitor.record_control_tx(self.addr, bytes);
-                    ctx.send(t, VitisMsg::AeDigest(entries.clone()));
-                }
+                nbrs
+            },
+            ctx.rng,
+        );
+        for (target, ids) in repair.pulls {
+            self.monitor()
+                .record_control_tx(self.addr, ids.len() as u64 * antientropy::WANT_ID_BYTES);
+            ctx.send(target, VitisMsg::AeWant(ids));
+        }
+        if let Some(entries) = repair.digest {
+            let bytes = entries.len() as u64 * antientropy::DIGEST_ENTRY_BYTES;
+            for t in repair.digest_targets {
+                self.monitor().record_control_tx(self.addr, bytes);
+                ctx.send(t, VitisMsg::AeDigest(entries.clone()));
             }
         }
     }
@@ -804,7 +654,7 @@ impl Protocol for VitisNode {
             VitisMsg::PsReq(buf) => {
                 let se = self.self_entry();
                 let reply = self.sampling.on_request(&se, from, &buf, ctx.rng);
-                self.monitor
+                self.monitor()
                     .record_control_tx(self.addr, wire::buffer_bytes(&reply));
                 ctx.send(from, VitisMsg::PsResp(reply));
             }
@@ -815,7 +665,7 @@ impl Protocol for VitisNode {
                 // Algorithm 3: reply with our own buffer first, then merge.
                 let se = self.self_entry();
                 let reply = build_exchange_buffer(&self.rt, self.sampling.sample(), &se);
-                self.monitor
+                self.monitor()
                     .record_control_tx(self.addr, wire::buffer_bytes(&reply));
                 ctx.send(from, VitisMsg::RtResp(reply));
                 self.merge_and_select(&buf, ctx);
@@ -839,7 +689,7 @@ impl Protocol for VitisNode {
                             age: 0,
                         },
                     );
-                    self.consider_ring_candidate(from, pm.id, pm.subs);
+                    self.rt.adopt_ring_candidate(self.id, from, pm.id, pm.subs);
                 }
                 self.nbr_proposals.insert(
                     from,
@@ -869,17 +719,9 @@ impl Protocol for VitisNode {
                 self.on_retry_publish(ctx, event, topic, attempt);
             }
             VitisMsg::AeDigest(entries) => {
-                let subs = self.subs.clone();
-                let seen = &self.seen;
-                let wants = self.ae.on_digest(
-                    from,
-                    &entries,
-                    self.round,
-                    |t| subs.contains(TopicId(t)),
-                    |e| seen.contains(&EventId(e)),
-                );
+                let wants = self.dissem.on_digest(from, &entries, &self.subs);
                 if !wants.is_empty() {
-                    self.monitor.record_control_tx(
+                    self.monitor().record_control_tx(
                         self.addr,
                         wants.len() as u64 * antientropy::WANT_ID_BYTES,
                     );
@@ -887,18 +729,12 @@ impl Protocol for VitisNode {
                 }
             }
             VitisMsg::AeWant(ids) => {
-                for (_, _, cached) in self.ae.serve(&ids) {
-                    let push = Notification {
-                        hops: cached.hops + 1,
-                        ..cached
-                    };
-                    self.monitor
-                        .record_forward(push.event, self.addr, from, push.hops, ctx.now);
-                    ctx.send(from, VitisMsg::AePush(push));
+                for push in self.dissem.serve(&ids) {
+                    self.dissem.send_copy(ctx, from, push, VitisMsg::AePush);
                 }
             }
             VitisMsg::AePush(notif) => {
-                self.on_recovery(ctx, notif);
+                self.dissem.recover(self.addr, &self.subs, ctx.now, notif);
             }
         }
     }

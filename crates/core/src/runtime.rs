@@ -23,7 +23,7 @@
 //! surface cannot drift between systems.
 
 use crate::harness::Workload;
-use crate::monitor::{EventId, LossReport, Monitor, PubSubStats};
+use crate::monitor::{EventId, LossReason, LossReport, MissContext, Monitor, PubSubStats};
 use crate::system::{cluster_probe, SystemParams};
 use crate::topic::{RateTable, Subs, TopicId, TopicSet};
 use rand::rngs::SmallRng;
@@ -410,6 +410,22 @@ impl<P: PubSubProtocol> SystemRuntime<P> {
             .collect()
     }
 
+    /// The losses every system classifies the same way, decided before any
+    /// overlay structure is consulted: the subscriber has gone, or a copy
+    /// addressed to it died in transit (lossy link, partition or freeze)
+    /// and no later copy made it. `None` leaves the miss to the system's
+    /// structural classifier.
+    pub fn transport_loss(&self, miss: &MissContext<'_>) -> Option<LossReason> {
+        if !self.engine.is_alive(miss.subscriber) {
+            return Some(LossReason::SubscriberChurned);
+        }
+        self.engine
+            .network_event_drops()
+            .iter()
+            .any(|&(e, s)| e == miss.event.0 && s == miss.subscriber.0)
+            .then_some(LossReason::Network)
+    }
+
     /// Publish from an explicit node (must be online). Returns the event
     /// id.
     pub fn publish_from(&mut self, publisher: u32, topic: TopicId) -> Option<EventId> {
@@ -449,6 +465,21 @@ impl SystemRuntime<crate::system::VitisProtocol> {
     pub fn ring_accuracy(&self) -> f64 {
         hybrid_rt_probe(self, |n| n.routing_table()).0
     }
+}
+
+/// The connected component of `comps` holding the missed subscriber, and
+/// whether the event was delivered to any member of it. `None` when the
+/// subscriber is alive but in no component (resubscribed after the publish,
+/// or otherwise outside the ground truth).
+pub fn reached_component<'c>(
+    comps: &'c [Vec<u32>],
+    miss: &MissContext<'_>,
+) -> Option<(&'c [u32], bool)> {
+    let comp = comps.iter().find(|c| c.contains(&miss.subscriber.0))?;
+    let reached = comp
+        .iter()
+        .any(|&x| miss.delivered.binary_search(&NodeIdx(x)).is_ok());
+    Some((comp, reached))
 }
 
 /// Ring accuracy and mean view age for systems whose nodes keep a

@@ -12,7 +12,7 @@ use crate::harness::Workload;
 use crate::monitor::{EventId, LossReason, LossReport, Monitor};
 use crate::msg::VitisMsg;
 use crate::node::VitisNode;
-use crate::runtime::{hybrid_rt_probe, PubSubProtocol, SystemRuntime};
+use crate::runtime::{hybrid_rt_probe, reached_component, PubSubProtocol, SystemRuntime};
 use crate::topic::{RateTable, Subs, TopicId, TopicSet};
 use crate::topo::{NodeTopo, RelayTopo, TopoLink};
 use rand::Rng;
@@ -177,33 +177,19 @@ impl VitisProtocol {
         rendezvous_claims: usize,
         miss: &crate::monitor::MissContext<'_>,
     ) -> LossReason {
-        let engine = rt.engine();
-        if !engine.is_alive(miss.subscriber) {
-            return LossReason::SubscriberChurned;
+        if let Some(reason) = rt.transport_loss(miss) {
+            return reason;
         }
-        if engine
-            .network_event_drops()
-            .iter()
-            .any(|&(e, s)| e == miss.event.0 && s == miss.subscriber.0)
-        {
-            // A copy addressed to this subscriber died in transit (lossy
-            // link, partition or freeze) and no later copy made it.
-            return LossReason::Network;
-        }
-        let Some(comp) = comps.iter().find(|c| c.contains(&miss.subscriber.0)) else {
-            // Alive but absent from every component: resubscribed after
-            // publish or otherwise outside the ground truth — treat as
-            // disconnected.
+        let Some((comp, reached)) = reached_component(comps, miss) else {
+            // Alive but outside the ground truth: treat as disconnected.
             return LossReason::PartitionedCluster;
         };
-        if comp
-            .iter()
-            .any(|&x| miss.delivered.binary_search(&NodeIdx(x)).is_ok())
-        {
+        if reached {
             // The event reached this connected cluster but forwarding
             // stopped before covering it.
             return LossReason::IncompleteFlood;
         }
+        let engine = rt.engine();
         let gateways: Vec<&VitisNode> = comp
             .iter()
             .filter_map(|&x| engine.node(NodeIdx(x)))
@@ -308,26 +294,8 @@ impl PubSubProtocol for VitisProtocol {
             node: idx,
             ring_id: node.ring_id(),
             subs: node.subscriptions().iter().collect(),
-            links: node
-                .routing_table()
-                .iter_kinds()
-                .map(|(kind, e)| TopoLink {
-                    peer: e.addr,
-                    kind: kind.as_str(),
-                    age: Some(e.age),
-                })
-                .collect(),
-            relays: node
-                .relay_table()
-                .entries()
-                .map(|(topic, e)| RelayTopo {
-                    topic,
-                    upstream: e.upstream(),
-                    upstream_age: e.upstream_age(),
-                    downstream: e.downstreams().collect(),
-                    rendezvous: e.is_rendezvous(),
-                })
-                .collect(),
+            links: TopoLink::of_table(node.routing_table()),
+            relays: RelayTopo::of_table(node.relay_table()),
             gateway_view: node
                 .subscriptions()
                 .iter()

@@ -26,10 +26,12 @@
 //! topic order for relay state), so identical snapshots produce
 //! byte-identical exports.
 
+use crate::relay::RelayTable;
 use crate::topic::TopicId;
 use std::collections::{BTreeMap, BTreeSet};
 use vitis_overlay::graph::Graph;
 use vitis_overlay::id::Id;
+use vitis_overlay::rt::HybridRt;
 use vitis_sim::event::NodeIdx;
 pub use vitis_sim::trace::TopoProbe;
 
@@ -43,6 +45,19 @@ pub struct TopoLink {
     pub kind: &'static str,
     /// Gossip freshness age, `None` where the overlay keeps no ages.
     pub age: Option<u16>,
+}
+
+impl TopoLink {
+    /// Every entry of a hybrid routing table, with its link kind and age.
+    pub fn of_table<P: Clone>(rt: &HybridRt<P>) -> Vec<TopoLink> {
+        rt.iter_kinds()
+            .map(|(kind, e)| TopoLink {
+                peer: e.addr,
+                kind: kind.as_str(),
+                age: Some(e.age),
+            })
+            .collect()
+    }
 }
 
 /// One topic's relay state at one node.
@@ -60,6 +75,22 @@ pub struct RelayTopo {
     pub downstream: Vec<NodeIdx>,
     /// Whether this node claims to be the topic's rendezvous.
     pub rendezvous: bool,
+}
+
+impl RelayTopo {
+    /// Every entry of a relay (or multicast-tree) table, in topic order.
+    pub fn of_table(table: &RelayTable) -> Vec<RelayTopo> {
+        table
+            .entries()
+            .map(|(topic, e)| RelayTopo {
+                topic,
+                upstream: e.upstream(),
+                upstream_age: e.upstream_age(),
+                downstream: e.downstreams().collect(),
+                rendezvous: e.is_rendezvous(),
+            })
+            .collect()
+    }
 }
 
 /// Everything one node exports into a topology snapshot.

@@ -418,7 +418,7 @@ fn run_resilience(args: &[String]) -> ExitCode {
         }
     );
     for fig in vitis_experiments::resilience::run(&scale, repair) {
-        print!("{}\n", fig.render());
+        println!("{}", fig.render());
     }
     report_sinks();
     ExitCode::SUCCESS

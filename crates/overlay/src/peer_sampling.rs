@@ -1,18 +1,19 @@
-//! Gossip-based peer sampling services.
+//! Gossip-based peer sampling.
 //!
 //! The evaluation uses Newscast as the common sampling layer of all three
-//! systems ("*they use the same peer sampling service (Newscast)*"); a
-//! Cyclon-style shuffle is provided as a drop-in alternative, as the paper
-//! notes any implementation of the service works.
+//! systems ("*they use the same peer sampling service (Newscast)*"), and
+//! [`Newscast`] is the one implementation here; the [`PeerSampling`] trait
+//! is the seam the paper names ("any of the existing implementations for
+//! this service can be used").
 //!
-//! These are *passive* state machines: the owning protocol embeds one, calls
-//! [`PeerSampling::initiate`] from its round handler, routes the returned
-//! buffer through its own message enum, and feeds received buffers back in.
+//! The service is a *passive* state machine: the owning protocol embeds
+//! one, calls [`PeerSampling::initiate`] from its round handler, routes the
+//! returned buffer through its own message enum, and feeds received buffers
+//! back in.
 
 use crate::entry::Entry;
 use crate::view::View;
 use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
 use vitis_sim::event::NodeIdx;
 
 /// Common interface of gossip peer-sampling implementations.
@@ -114,80 +115,6 @@ impl<P: Clone> PeerSampling<P> for Newscast<P> {
     }
 }
 
-/// Cyclon-style enhanced shuffle: exchanges a random subset of `shuffle_len`
-/// descriptors with the *oldest* neighbor, which is removed from the view
-/// (it re-enters if it is still alive and replies elsewhere). Produces more
-/// uniform samples and faster dead-link cleanup than Newscast.
-#[derive(Clone, Debug)]
-pub struct Cyclon<P> {
-    view: View<P>,
-    shuffle_len: usize,
-}
-
-impl<P: Clone> Cyclon<P> {
-    /// Cyclon with view `capacity` and per-exchange `shuffle_len`.
-    pub fn new(capacity: usize, shuffle_len: usize) -> Self {
-        assert!(shuffle_len >= 1);
-        Cyclon {
-            view: View::new(capacity),
-            shuffle_len,
-        }
-    }
-
-    fn random_subset(&self, n: usize, rng: &mut SmallRng) -> Vec<Entry<P>> {
-        let mut all = self.view.to_vec();
-        all.shuffle(rng);
-        all.truncate(n);
-        all
-    }
-}
-
-impl<P: Clone> PeerSampling<P> for Cyclon<P> {
-    fn tick(&mut self) {
-        self.view.age_all();
-    }
-
-    fn sample(&self) -> &[Entry<P>] {
-        self.view.entries()
-    }
-
-    fn bootstrap(&mut self, contacts: &[Entry<P>], self_addr: NodeIdx) {
-        self.view.merge(contacts, self_addr);
-    }
-
-    fn initiate(
-        &mut self,
-        self_entry: &Entry<P>,
-        rng: &mut SmallRng,
-    ) -> Option<(NodeIdx, Vec<Entry<P>>)> {
-        let partner = self.view.oldest()?.addr;
-        self.view.remove(partner);
-        let mut buf = self.random_subset(self.shuffle_len.saturating_sub(1), rng);
-        buf.push(self_entry.refreshed(self_entry.payload.clone()));
-        Some((partner, buf))
-    }
-
-    fn on_request(
-        &mut self,
-        self_entry: &Entry<P>,
-        _from: NodeIdx,
-        incoming: &[Entry<P>],
-        rng: &mut SmallRng,
-    ) -> Vec<Entry<P>> {
-        let reply = self.random_subset(self.shuffle_len, rng);
-        self.view.merge(incoming, self_entry.addr);
-        reply
-    }
-
-    fn on_response(&mut self, self_addr: NodeIdx, incoming: &[Entry<P>]) {
-        self.view.merge(incoming, self_addr);
-    }
-
-    fn remove(&mut self, addr: NodeIdx) {
-        self.view.remove(addr);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,27 +165,7 @@ mod tests {
         assert_eq!(a.sample()[0].age, 1);
     }
 
-    #[test]
-    fn cyclon_contacts_oldest_and_removes_it() {
-        let mut c: Cyclon<()> = Cyclon::new(4, 2);
-        c.bootstrap(&[e(1, 3), e(2, 7), e(3, 0)], NodeIdx(0));
-        let (to, buf) = c.initiate(&e(0, 0), &mut rng()).unwrap();
-        assert_eq!(to, NodeIdx(2));
-        assert!(!c.sample().iter().any(|x| x.addr == NodeIdx(2)));
-        // Buffer contains a fresh self-descriptor.
-        assert!(buf.iter().any(|x| x.addr == NodeIdx(0) && x.age == 0));
-        assert!(buf.len() <= 2);
-    }
-
-    #[test]
-    fn cyclon_remove_feedback() {
-        let mut c: Cyclon<()> = Cyclon::new(4, 2);
-        c.bootstrap(&[e(1, 0)], NodeIdx(0));
-        c.remove(NodeIdx(1));
-        assert!(c.sample().is_empty());
-    }
-
-    /// Both services must converge to fresh, live samples under repeated
+    /// Views must converge to fresh, live samples under repeated
     /// exchanges in a tiny fully-simulated loop.
     #[test]
     fn repeated_newscast_keeps_entries_fresh() {

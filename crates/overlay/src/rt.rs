@@ -207,6 +207,36 @@ impl<P: Clone> HybridRt<P> {
         found
     }
 
+    /// Notify-style ring repair: a heartbeat arrived from `from`, a node
+    /// this table may not know. If it is ring-closer to `self_id` than the
+    /// current successor or predecessor (it heartbeats us, so it very
+    /// likely considers us a ring neighbor), adopt it — this keeps ring
+    /// edges symmetric, so they refresh each other and lookups converge on
+    /// a single rendezvous per topic. A known peer, the node's own id and a
+    /// farther candidate are ignored.
+    pub fn adopt_ring_candidate(&mut self, self_id: Id, from: NodeIdx, id: Id, payload: P) {
+        if self.contains(from) || id == self_id {
+            return;
+        }
+        let d_cw = self_id.distance_cw(id);
+        if self
+            .succ
+            .as_ref()
+            .is_none_or(|s| d_cw < self_id.distance_cw(s.id))
+        {
+            self.succ = Some(Entry::fresh(from, id, payload));
+            return;
+        }
+        let d_ccw = id.distance_cw(self_id);
+        if self
+            .pred
+            .as_ref()
+            .is_none_or(|p| d_ccw < p.id.distance_cw(self_id))
+        {
+            self.pred = Some(Entry::fresh(from, id, payload));
+        }
+    }
+
     /// Remove `addr` from every slot it occupies.
     pub fn remove(&mut self, addr: NodeIdx) {
         if self.succ.as_ref().is_some_and(|e| e.addr == addr) {
@@ -457,6 +487,37 @@ mod tests {
         rt.remove(NodeIdx(1));
         assert_eq!(rt.len(), 1);
         assert!(rt.contains(NodeIdx(2)));
+    }
+
+    #[test]
+    fn ring_repair_adopts_only_strictly_closer_unknown_peers() {
+        let me = Id(1000);
+        let mut rt: HybridRt<f64> = HybridRt::new();
+        rt.succ = Some(e(1, 1500, 0.0));
+        rt.pred = Some(e(2, 500, 0.0));
+        // A known peer, our own id and a farther candidate change nothing.
+        rt.adopt_ring_candidate(me, NodeIdx(1), Id(1100), 0.0);
+        rt.adopt_ring_candidate(me, NodeIdx(9), me, 0.0);
+        rt.adopt_ring_candidate(me, NodeIdx(9), Id(1500), 0.0);
+        rt.adopt_ring_candidate(me, NodeIdx(9), Id(400), 0.0);
+        assert_eq!(rt.succ.as_ref().unwrap().addr, NodeIdx(1));
+        assert_eq!(rt.pred.as_ref().unwrap().addr, NodeIdx(2));
+        // Strictly closer clockwise: new successor, fresh, with the payload.
+        rt.adopt_ring_candidate(me, NodeIdx(3), Id(1200), 7.0);
+        let s = rt.succ.as_ref().unwrap();
+        assert_eq!((s.addr, s.id, s.payload), (NodeIdx(3), Id(1200), 7.0));
+        assert_eq!(s.age, 0);
+        assert_eq!(rt.pred.as_ref().unwrap().addr, NodeIdx(2));
+        // Strictly closer counter-clockwise: new predecessor.
+        rt.adopt_ring_candidate(me, NodeIdx(4), Id(900), 0.0);
+        assert_eq!(rt.pred.as_ref().unwrap().addr, NodeIdx(4));
+        assert_eq!(rt.succ.as_ref().unwrap().addr, NodeIdx(3));
+        // Empty slots adopt anyone.
+        let mut empty: HybridRt<f64> = HybridRt::new();
+        empty.adopt_ring_candidate(me, NodeIdx(5), Id(5), 0.0);
+        assert_eq!(empty.succ.as_ref().unwrap().addr, NodeIdx(5));
+        empty.adopt_ring_candidate(me, NodeIdx(6), Id(6), 0.0);
+        assert_eq!(empty.pred.as_ref().unwrap().addr, NodeIdx(6));
     }
 
     #[test]

@@ -88,14 +88,6 @@ impl<P: Clone> View<P> {
         }
     }
 
-    /// The entry with the highest age (Cyclon's exchange-partner choice);
-    /// ties broken by address.
-    pub fn oldest(&self) -> Option<&Entry<P>> {
-        self.entries
-            .iter()
-            .max_by_key(|e| (e.age, std::cmp::Reverse(e.addr.0)))
-    }
-
     /// Clone out all entries (e.g. to build a gossip buffer).
     pub fn to_vec(&self) -> Vec<Entry<P>> {
         self.entries.clone()
@@ -145,15 +137,6 @@ mod tests {
         v.expire(2);
         assert!(v.contains(NodeIdx(1)));
         assert!(!v.contains(NodeIdx(2)));
-    }
-
-    #[test]
-    fn oldest_prefers_highest_age() {
-        let mut v: View<()> = View::new(4);
-        v.merge(&[e(1, 1), e(2, 5), e(3, 5)], NodeIdx(9));
-        let o = v.oldest().unwrap();
-        assert_eq!(o.age, 5);
-        assert_eq!(o.addr, NodeIdx(2)); // tie -> lower addr via Reverse key
     }
 
     #[test]

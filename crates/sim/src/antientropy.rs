@@ -123,6 +123,13 @@ pub fn exhausted_pull_status() -> Option<u64> {
     (n > 0).then_some(n)
 }
 
+/// Backoff, in rounds, before the attempt *after* number `attempts`: the
+/// base doubles per attempt, capped at 32×.
+fn backoff(base_rounds: u16, attempts: u32) -> u64 {
+    let sh = attempts.saturating_sub(1).min(5);
+    (base_rounds.max(1) as u64) << sh
+}
+
 /// Per-node anti-entropy state machine. `P` is the protocol's re-servable
 /// payload (typically its notification message body).
 #[derive(Clone, Debug)]
@@ -224,7 +231,7 @@ impl<P: Clone> AntiEntropy<P> {
             return None;
         }
         let every = self.cfg.digest_every.max(1) as u64;
-        if round % every != 0 {
+        if !round.is_multiple_of(every) {
             return None;
         }
         let skip = self.cache.len().saturating_sub(self.cfg.digest_entries);
@@ -287,7 +294,7 @@ impl<P: Clone> AntiEntropy<P> {
                             Want {
                                 advertisers: vec![from],
                                 attempts: 1,
-                                due: round + self.backoff(1),
+                                due: round + backoff(self.cfg.backoff_rounds, 1),
                             },
                         ),
                     );
@@ -296,13 +303,6 @@ impl<P: Clone> AntiEntropy<P> {
             }
         }
         fresh
-    }
-
-    /// Backoff before the attempt *after* number `attempts`: base doubles
-    /// per attempt, capped at 32×.
-    fn backoff(&self, attempts: u32) -> u64 {
-        let sh = attempts.saturating_sub(1).min(5);
-        (self.cfg.backoff_rounds.max(1) as u64) << sh
     }
 
     /// Pull retries due this round, grouped per target peer (ascending by
@@ -314,10 +314,9 @@ impl<P: Clone> AntiEntropy<P> {
         if !self.cfg.enabled || self.wants.is_empty() {
             return Vec::new();
         }
-        let retries = self.cfg.pull_retries;
+        let (retries, base) = (self.cfg.pull_retries, self.cfg.backoff_rounds);
         let mut asks: Vec<(NodeIdx, Vec<u64>)> = Vec::new();
         let mut dropped = 0u64;
-        let cfg = self.cfg.clone();
         self.wants.retain_mut(|(event, w)| {
             if w.due > round {
                 return true;
@@ -328,8 +327,7 @@ impl<P: Clone> AntiEntropy<P> {
             }
             let target = w.advertisers[w.attempts as usize % w.advertisers.len()];
             w.attempts += 1;
-            let sh = w.attempts.saturating_sub(1).min(5);
-            w.due = round + ((cfg.backoff_rounds.max(1) as u64) << sh);
+            w.due = round + backoff(base, w.attempts);
             match asks.binary_search_by_key(&target, |(t, _)| *t) {
                 Ok(i) => asks[i].1.push(*event),
                 Err(i) => asks.insert(i, (target, vec![*event])),

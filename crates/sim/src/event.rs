@@ -8,9 +8,10 @@
 //!   events can be drained in one dense pass (`EventQueue::pop_batch`),
 //!   which is what lets the engine execute gossip rounds batch-wise instead
 //!   of one heap pop per message.
-//! * `HeapQueue` — the original binary min-heap, retained as the reference
-//!   implementation for differential tests (the CI smoke job asserts both
-//!   schedulers produce identical event orderings on a randomized trace).
+//! * `HeapQueue` — the original binary min-heap, compiled only under
+//!   `cfg(test)` as the reference implementation for differential tests
+//!   (the CI smoke job asserts both schedulers produce identical event
+//!   orderings on a randomized trace).
 //!
 //! Both pop events in `(time, insertion order)`: a monotonically increasing
 //! sequence number makes ordering fully deterministic even when many events
@@ -42,6 +43,7 @@
 use crate::time::SimTime;
 use std::cell::Cell;
 use std::cmp::Ordering;
+#[cfg(test)]
 use std::collections::BinaryHeap;
 
 /// Identifies a node *slot* in the engine. Slots are stable for the lifetime
@@ -301,13 +303,13 @@ impl<E> EventQueue<E> {
 /// implementation: unlike the calendar queue it accepts pushes at any
 /// timestamp. Differential tests assert both produce identical orderings
 /// under the engine's monotonic scheduling contract.
-#[cfg_attr(not(test), allow(dead_code))]
+#[cfg(test)]
 pub(crate) struct HeapQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
 }
 
-#[cfg_attr(not(test), allow(dead_code))]
+#[cfg(test)]
 impl<E> HeapQueue<E> {
     pub fn new() -> Self {
         HeapQueue {

@@ -176,12 +176,10 @@ fn opt_trades_degree_for_coverage() {
     assert!(unbounded.mean_degree() > bounded.mean_degree());
 }
 
-/// Robustness extensions beyond the paper's evaluation: message loss,
-/// latency jitter, Cyclon sampling and decentralized size estimation all
-/// keep delivery near-complete.
+/// Robustness extensions beyond the paper's evaluation: message loss and
+/// latency jitter keep delivery near-complete.
 #[test]
 fn extensions_survive_hostile_settings() {
-    use vitis::config::SamplingService;
     use vitis::system::NetworkSpec;
 
     let base = params(Correlation::Low, 300, 31);
@@ -195,31 +193,11 @@ fn extensions_survive_hostile_settings() {
     assert!(s.hit_ratio > 0.93, "lossy: hit {}", s.hit_ratio);
 
     // Jittered latency.
-    let mut p = base.clone();
+    let mut p = base;
     p.network = NetworkSpec::Uniform(1, 8);
     let mut sys = VitisSystem::new(p);
     let s = warm_and_publish(&mut sys, topics);
     assert!(s.hit_ratio > 0.97, "jitter: hit {}", s.hit_ratio);
-
-    // Cyclon sampling + ring-density size estimation.
-    let mut p = base;
-    p.cfg.sampling_service = SamplingService::Cyclon;
-    p.cfg.estimate_network_size = true;
-    p.cfg.est_n = 7; // deliberately wrong; the estimator must take over
-    let mut sys = VitisSystem::new(p);
-    let s = warm_and_publish(&mut sys, topics);
-    assert!(s.hit_ratio > 0.97, "cyclon+est: hit {}", s.hit_ratio);
-    // Nodes converged to a sensible size estimate despite the bogus config.
-    let ests: Vec<usize> = sys
-        .engine()
-        .alive_nodes()
-        .map(|(_, n)| n.estimated_n())
-        .collect();
-    let mean = ests.iter().sum::<usize>() as f64 / ests.len() as f64;
-    assert!(
-        (60.0..1500.0).contains(&mean),
-        "mean size estimate {mean} for n=300"
-    );
 }
 
 /// Runtime resubscription through the system API changes both ground truth
