@@ -210,7 +210,11 @@ impl RvrNode {
     /// One join/refresh step toward the rendezvous of `topic` from this
     /// node; the same logic serves the initiating subscriber and forwarders.
     fn join_step(&mut self, topic: TopicId, hops: u32, ctx: &mut Context<'_, RvrMsg>) {
-        match next_hop(self.id, topic.ring_id(), self.rt.route_candidates()) {
+        match next_hop(
+            self.id,
+            topic.ring_id(),
+            self.rt.iter().map(|e| (e.id, e.addr)),
+        ) {
             Some(next) => {
                 self.tree.set_upstream(topic, next);
                 if hops < self.cfg.max_lookup_hops {
@@ -304,14 +308,12 @@ impl Protocol for RvrNode {
         }
 
         // T-Man exchange.
-        let partner = {
-            let addrs = self.rt.addrs();
-            if addrs.is_empty() {
-                self.sampling.sample().first().map(|e| e.addr)
-            } else {
-                use rand::Rng;
-                Some(addrs[ctx.rng.gen_range(0..addrs.len())])
-            }
+        let partner = if self.rt.is_empty() {
+            self.sampling.sample().first().map(|e| e.addr)
+        } else {
+            use rand::Rng;
+            let pick = ctx.rng.gen_range(0..self.rt.len());
+            self.rt.iter().nth(pick).map(|e| e.addr)
         };
         if let Some(partner) = partner {
             let buf = build_exchange_buffer(&self.rt, self.sampling.sample(), &se);
@@ -337,8 +339,8 @@ impl Protocol for RvrNode {
         }
 
         // Heartbeats keep neighbor entries fresh.
-        for nbr in self.rt.addrs() {
-            ctx.send(nbr, RvrMsg::Heartbeat(self.id, self.subs.clone()));
+        for e in self.rt.iter() {
+            ctx.send(e.addr, RvrMsg::Heartbeat(self.id, self.subs.clone()));
         }
 
         // Anti-entropy repair. Entirely inert — no sends, no RNG draws —

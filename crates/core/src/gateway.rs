@@ -39,7 +39,47 @@ impl Proposal {
     }
 }
 
-/// One revision step of Algorithm 5 for a single topic.
+/// Fold one neighbor's advertised proposal `new` into the running
+/// proposal `prop` for a topic whose rendezvous id is `target` — the body
+/// of Algorithm 5's loop. Folding the interested neighbors of a topic
+/// through this, in order, from the self-proposal is [`revise_proposal`].
+pub fn revise_step(
+    prop: &mut Proposal,
+    self_addr: NodeIdx,
+    target: Id,
+    d_max: u32,
+    nbr: NodeIdx,
+    new: &Proposal,
+    rt_contains: impl Fn(NodeIdx) -> bool,
+) {
+    // Loop avoidance: never adopt a proposal that was itself adopted
+    // from us, and otherwise require the neighbor to be the proposal's
+    // origin-adjacent parent or the parent to be outside our table
+    // (Algorithm 5 line 7, plus the self-parent guard the pseudocode
+    // leaves implicit).
+    if new.parent == self_addr {
+        return;
+    }
+    if new.parent != nbr && rt_contains(new.parent) {
+        return;
+    }
+    let current_dist = target.ring_distance(prop.gw_id);
+    let new_dist = target.ring_distance(new.gw_id);
+    let closer =
+        new_dist < current_dist || (new_dist == current_dist && new.gw_id.0 < prop.gw_id.0);
+    let adopt = (closer && new.hops + 1 < d_max)
+        || (new.gw_addr == prop.gw_addr && new.hops + 1 < prop.hops);
+    if adopt {
+        *prop = Proposal {
+            gw_id: new.gw_id,
+            gw_addr: new.gw_addr,
+            parent: nbr,
+            hops: new.hops + 1,
+        };
+    }
+}
+
+/// One revision of Algorithm 5 for a single topic.
 ///
 /// `neighbor_proposals` yields, for each routing-table neighbor that is
 /// itself subscribed to `topic`, that neighbor's most recently advertised
@@ -63,31 +103,7 @@ where
     let target = topic.ring_id();
     let mut prop = Proposal::self_proposal(self_addr, self_id);
     for (nbr, new) in neighbor_proposals {
-        // Loop avoidance: never adopt a proposal that was itself adopted
-        // from us, and otherwise require the neighbor to be the proposal's
-        // origin-adjacent parent or the parent to be outside our table
-        // (Algorithm 5 line 7, plus the self-parent guard the pseudocode
-        // leaves implicit).
-        if new.parent == self_addr {
-            continue;
-        }
-        if new.parent != nbr && rt_contains(new.parent) {
-            continue;
-        }
-        let current_dist = target.ring_distance(prop.gw_id);
-        let new_dist = target.ring_distance(new.gw_id);
-        let closer = new_dist < current_dist
-            || (new_dist == current_dist && new.gw_id.0 < prop.gw_id.0);
-        let adopt = (closer && new.hops + 1 < d_max)
-            || (new.gw_addr == prop.gw_addr && new.hops + 1 < prop.hops);
-        if adopt {
-            prop = Proposal {
-                gw_id: new.gw_id,
-                gw_addr: new.gw_addr,
-                parent: nbr,
-                hops: new.hops + 1,
-            };
-        }
+        revise_step(&mut prop, self_addr, target, d_max, nbr, new, &rt_contains);
     }
     prop
 }

@@ -34,7 +34,10 @@ pub struct ProfileMsg {
     pub id: vitis_overlay::id::Id,
     /// The sender's subscription set.
     pub subs: Subs,
-    /// The sender's gateway proposal per subscribed topic.
+    /// The sender's gateway proposal per subscribed topic. Invariant:
+    /// ascending by topic, no duplicates — the receiver's election merges
+    /// this list against two sorted subscription sets in one pass, and a
+    /// list out of order would silently lose votes.
     pub proposals: Arc<Vec<(TopicId, Proposal)>>,
 }
 

@@ -5,13 +5,15 @@
 
 use crate::config::VitisConfig;
 use crate::dissemination::Dissemination;
-use crate::gateway::{revise_proposal, Proposal};
+use crate::gateway::{revise_step, Proposal};
 use crate::monitor::{EventId, HopPath, Monitor};
 use crate::msg::{wire, Notification, ProfileMsg, VitisMsg};
 use crate::relay::RelayTable;
 use crate::smallmap::SmallMap;
 use crate::topic::{RateTable, Subs, TopicId};
 use crate::utility::utility;
+use rand::rngs::SmallRng;
+use std::cell::RefCell;
 use std::collections::HashSet;
 use std::sync::Arc;
 use vitis_overlay::entry::{merge_dedup, Entry};
@@ -41,6 +43,11 @@ struct NbrProposals {
     age: u16,
 }
 
+/// The [`ProfileMsg::proposals`] invariant the election's merge relies on.
+fn ascending_by_topic(props: &[(TopicId, Proposal)]) -> bool {
+    props.windows(2).all(|w| w[0].0 < w[1].0)
+}
+
 /// A Vitis peer. Construct with [`VitisNode::new`] and hand to the engine;
 /// the [`crate::system::VitisSystem`] wrapper does this for whole networks.
 pub struct VitisNode {
@@ -58,8 +65,19 @@ pub struct VitisNode {
     rt: HybridRt<Subs>,
     /// Bootstrap contacts consumed at `on_start`.
     bootstrap: Vec<Entry<Subs>>,
-    /// Own gateway proposal per subscribed topic (recomputed each round).
-    proposals: SmallMap<TopicId, Proposal>,
+    /// Own gateway proposal per subscribed topic, ascending by topic
+    /// (recomputed each round).
+    proposals: Vec<(TopicId, Proposal)>,
+    /// The proposals as last advertised; sent again while `proposals`
+    /// still equals it, so an unchanged heartbeat allocates nothing.
+    advert: Arc<Vec<(TopicId, Proposal)>>,
+    /// Equation 1 results of the last T-Man merge, `(peer, the
+    /// subscription handle it advertised, utility)` sorted by address. An
+    /// entry is reused only when the candidate carries the *same* handle
+    /// (`Arc::ptr_eq`): holding the `Arc` keeps that allocation alive, so
+    /// its address cannot be reused by a different set. Rebuilt by every
+    /// merge from the candidates it ranked, which is what bounds it.
+    utility_memo: Vec<(NodeIdx, Subs, f64)>,
     /// Latest proposals advertised by each neighbor (routing-table or
     /// reverse), with staleness for the failover path.
     nbr_proposals: SmallMap<NodeIdx, NbrProposals>,
@@ -101,7 +119,9 @@ impl VitisNode {
             sampling,
             rt: HybridRt::new(),
             bootstrap,
-            proposals: SmallMap::new(),
+            proposals: Vec::new(),
+            advert: Arc::new(Vec::new()),
+            utility_memo: Vec::new(),
             nbr_proposals: SmallMap::new(),
             reverse: SmallMap::new(),
             relays: RelayTable::new(),
@@ -153,21 +173,24 @@ impl VitisNode {
 
     /// Whether this node currently believes it is a gateway for `topic`.
     pub fn is_gateway(&self, topic: TopicId) -> bool {
-        self.proposals
-            .get(&topic)
-            .is_some_and(|p| p.gw_addr == self.addr)
+        self.proposal(topic).is_some_and(|p| p.gw_addr == self.addr)
     }
 
     /// The node's current proposal for `topic`, if subscribed.
     pub fn proposal(&self, topic: TopicId) -> Option<&Proposal> {
-        self.proposals.get(&topic)
+        self.proposals
+            .binary_search_by_key(&topic, |(t, _)| *t)
+            .ok()
+            .map(|i| &self.proposals[i].1)
     }
 
     /// Replace this node's subscriptions (subscribe/unsubscribe API). The
     /// change propagates with the next profile heartbeat.
     pub fn set_subscriptions(&mut self, subs: Subs) {
         self.subs = subs;
-        self.proposals.retain(|t, _| self.subs.contains(*t));
+        self.proposals.retain(|(t, _)| self.subs.contains(*t));
+        // Every remembered utility was computed against the old set.
+        self.utility_memo.clear();
     }
 
     fn self_entry(&self) -> Entry<Subs> {
@@ -184,7 +207,7 @@ impl VitisNode {
 
     /// Merge a received T-Man buffer with the current table and sampling
     /// list, then re-run Algorithm 4.
-    fn merge_and_select(&mut self, incoming: &[Entry<Subs>], ctx: &mut Context<'_, VitisMsg>) {
+    fn merge_and_select(&mut self, incoming: &[Entry<Subs>], rng: &mut SmallRng) {
         let mut candidates = self.rt.to_vec();
         merge_dedup(&mut candidates, incoming);
         merge_dedup(&mut candidates, self.sampling.sample());
@@ -197,18 +220,29 @@ impl VitisNode {
         let keep_sw: Vec<NodeIdx> = self.rt.sw.iter().map(|e| e.addr).collect();
         let keep_friends: Vec<NodeIdx> = self.rt.friends.iter().map(|e| e.addr).collect();
         let rt = if self.cfg.utility_selection {
-            let subs = self.subs.clone();
-            let rates = self.rates.clone();
-            select_neighbors(
+            let (subs, rates, memo) = (&self.subs, &self.rates, &self.utility_memo);
+            let ranked = RefCell::new(Vec::with_capacity(candidates.len()));
+            let rt = select_neighbors(
                 self.addr,
                 self.id,
                 &self.rt_params(),
                 candidates,
                 &keep_sw,
                 &keep_friends,
-                |e| utility(&subs, &e.payload, &rates),
-                ctx.rng,
-            )
+                |e| {
+                    let u = match memo.binary_search_by_key(&e.addr, |m| m.0) {
+                        Ok(i) if Arc::ptr_eq(&memo[i].1, &e.payload) => memo[i].2,
+                        _ => utility(subs, &e.payload, rates),
+                    };
+                    ranked.borrow_mut().push((e.addr, e.payload.clone(), u));
+                    u
+                },
+                rng,
+            );
+            let mut ranked = ranked.into_inner();
+            ranked.sort_unstable_by_key(|m| m.0);
+            self.utility_memo = ranked;
+            rt
         } else {
             // Ablation: rank friends by a deterministic pseudo-random key
             // instead of Equation 1.
@@ -221,7 +255,7 @@ impl VitisNode {
                 &keep_sw,
                 &[],
                 |e| mix64(e.addr.0 as u64 ^ salt) as f64,
-                ctx.rng,
+                rng,
             )
         };
         self.rt = rt;
@@ -232,66 +266,83 @@ impl VitisNode {
     }
 
     /// Recompute the gateway proposal for every subscribed topic from the
-    /// neighbors' latest advertisements (Algorithm 5), then refresh the
-    /// relay path wherever this node elects itself.
-    fn update_profile(&mut self, ctx: &mut Context<'_, VitisMsg>) {
-        let subs = self.subs.clone();
-        let mut new_props = SmallMap::new();
-        for topic in subs.iter() {
-            let prop = if self.cfg.gateway_election {
-                // Interested neighbors over the *connection* set: our table
-                // entries plus reverse links.
-                let rt_nbrs = self
-                    .rt
-                    .iter()
-                    .filter(|e| e.payload.contains(topic))
-                    .map(|e| e.addr);
-                let rev_nbrs = self
-                    .reverse
-                    .iter()
-                    .filter(|(a, l)| l.subs.contains(topic) && !self.rt.contains(**a))
-                    .map(|(a, _)| *a);
-                // With failover on, advertisements older than the failure-
-                // detection threshold have lost their vote: the advertiser
-                // has gone silent, so whatever gateway it endorsed may be
-                // gone too, and the election re-runs without it.
-                let failover = self.cfg.gateway_failover;
-                let thr = self.cfg.age_threshold;
-                let with_props = rt_nbrs.chain(rev_nbrs).filter_map(|addr| {
-                    self.nbr_proposals
-                        .get(&addr)
-                        .filter(|np| !failover || np.age <= thr)
-                        .and_then(|np| np.props.iter().find(|(t, _)| *t == topic))
-                        .map(|(_, p)| (addr, p))
+    /// neighbors' latest advertisements (Algorithm 5).
+    ///
+    /// Neighbor-major: the connection set (table entries, then reverse
+    /// links not in the table) is walked once, and each neighbor's
+    /// advertisement is folded into every topic that we, its descriptor
+    /// and the advertisement all name, by one merge of the three sorted
+    /// lists. A topic still meets its interested neighbors in connection-
+    /// set order, so each topic's fold is the one `revise_proposal` makes.
+    fn elect(&mut self) {
+        let own = Proposal::self_proposal(self.addr, self.id);
+        let mut props = std::mem::take(&mut self.proposals);
+        props.clear();
+        props.extend(self.subs.iter().map(|t| (t, own)));
+        // Ablation: no election — every subscriber acts as its own
+        // gateway, Scribe-style.
+        if self.cfg.gateway_election {
+            let (rt, reverse) = (&self.rt, &self.reverse);
+            let connected = |a: NodeIdx| rt.contains(a) || reverse.contains_key(&a);
+            let table = rt.iter().map(|e| (e.addr, &e.payload));
+            let reverse_only = reverse
+                .iter()
+                .filter(|(a, _)| !rt.contains(**a))
+                .map(|(a, l)| (*a, &l.subs));
+            // With failover on, advertisements older than the failure-
+            // detection threshold have lost their vote: the advertiser
+            // has gone silent, so whatever gateway it endorsed may be
+            // gone too, and the election re-runs without it.
+            let failover = self.cfg.gateway_failover;
+            let thr = self.cfg.age_threshold;
+            for (nbr, nbr_subs) in table.chain(reverse_only) {
+                let Some(np) = self.nbr_proposals.get(&nbr) else {
+                    continue;
+                };
+                if failover && np.age > thr {
+                    continue;
+                }
+                let mut advertised = np.props.iter().peekable();
+                self.subs.for_each_common(nbr_subs, |i, topic| {
+                    while advertised.next_if(|(t, _)| *t < topic).is_some() {}
+                    if let Some((_, new)) = advertised.next_if(|(t, _)| *t == topic) {
+                        revise_step(
+                            &mut props[i].1,
+                            self.addr,
+                            topic.ring_id(),
+                            self.cfg.d_max_hops,
+                            nbr,
+                            new,
+                            connected,
+                        );
+                    }
                 });
-                let rt = &self.rt;
-                let reverse = &self.reverse;
-                revise_proposal(
-                    self.addr,
-                    self.id,
-                    topic,
-                    self.cfg.d_max_hops,
-                    with_props,
-                    |a| rt.contains(a) || reverse.contains_key(&a),
-                )
-            } else {
-                // Ablation: no election — every subscriber acts as its own
-                // gateway, Scribe-style.
-                Proposal::self_proposal(self.addr, self.id)
-            };
+            }
+        }
+        self.proposals = props;
+    }
+
+    /// Gateway election, then a relay-path refresh wherever this node
+    /// elects itself.
+    fn update_profile(&mut self, ctx: &mut Context<'_, VitisMsg>) {
+        self.elect();
+        for i in 0..self.proposals.len() {
+            let (topic, prop) = self.proposals[i];
             if prop.gw_addr == self.addr {
                 self.refresh_relay(topic, ctx);
             }
-            new_props.insert(topic, prop);
         }
-        self.proposals = new_props;
     }
 
     /// One lookup step from this node toward `hash(topic)`: install the
     /// upstream link and forward the relay request, or claim the rendezvous
     /// role if no neighbor is closer.
     fn refresh_relay(&mut self, topic: TopicId, ctx: &mut Context<'_, VitisMsg>) {
-        match next_hop(self.id, topic.ring_id(), self.rt.route_candidates()) {
+        match next_hop(
+            self.id,
+            topic.ring_id(),
+            self.rt.iter().map(|e| (e.id, e.addr)),
+        ) {
             Some(next) => {
                 self.relays.set_upstream(topic, next);
                 self.monitor()
@@ -313,7 +364,11 @@ impl VitisNode {
         if hops >= self.cfg.max_lookup_hops {
             return;
         }
-        match next_hop(self.id, topic.ring_id(), self.rt.route_candidates()) {
+        match next_hop(
+            self.id,
+            topic.ring_id(),
+            self.rt.iter().map(|e| (e.id, e.addr)),
+        ) {
             Some(next) => {
                 self.relays.set_upstream(topic, next);
                 self.monitor()
@@ -510,7 +565,7 @@ impl Protocol for VitisNode {
         let contacts = std::mem::take(&mut self.bootstrap);
         self.sampling.bootstrap(&contacts, self.addr);
         // Seed the routing table immediately so the first rounds can gossip.
-        self.merge_and_select(&contacts, ctx);
+        self.merge_and_select(&contacts, ctx.rng);
     }
 
     fn on_round(&mut self, ctx: &mut Context<'_, VitisMsg>) {
@@ -548,11 +603,11 @@ impl Protocol for VitisNode {
                 None
             };
             ring_pick.or_else(|| {
-                let addrs = self.rt.addrs();
-                if addrs.is_empty() {
+                if self.rt.is_empty() {
                     self.sampling.sample().first().map(|e| e.addr)
                 } else {
-                    Some(addrs[ctx.rng.gen_range(0..addrs.len())])
+                    let pick = ctx.rng.gen_range(0..self.rt.len());
+                    self.rt.iter().nth(pick).map(|e| e.addr)
                 }
             })
         };
@@ -601,20 +656,19 @@ impl Protocol for VitisNode {
         self.update_profile(ctx);
 
         // 6. Profile heartbeat to every neighbor (Algorithm 6).
+        if *self.advert != self.proposals {
+            self.advert = Arc::new(self.proposals.clone());
+        }
+        debug_assert!(ascending_by_topic(&self.advert));
         let pm = ProfileMsg {
             id: self.id,
             subs: self.subs.clone(),
-            proposals: Arc::new(
-                self.proposals
-                    .iter()
-                    .map(|(t, p)| (*t, *p))
-                    .collect::<Vec<_>>(),
-            ),
+            proposals: self.advert.clone(),
         };
         let pm_bytes = wire::profile_bytes(&pm);
-        for nbr in self.rt.addrs() {
+        for e in self.rt.iter() {
             self.monitor().record_control_tx(self.addr, pm_bytes);
-            ctx.send(nbr, VitisMsg::Profile(pm.clone()));
+            ctx.send(e.addr, VitisMsg::Profile(pm.clone()));
         }
 
         // 7. Anti-entropy repair: retry outstanding pulls, then gossip a
@@ -668,10 +722,10 @@ impl Protocol for VitisNode {
                 self.monitor()
                     .record_control_tx(self.addr, wire::buffer_bytes(&reply));
                 ctx.send(from, VitisMsg::RtResp(reply));
-                self.merge_and_select(&buf, ctx);
+                self.merge_and_select(&buf, ctx.rng);
             }
             VitisMsg::RtResp(buf) => {
-                self.merge_and_select(&buf, ctx);
+                self.merge_and_select(&buf, ctx.rng);
             }
             VitisMsg::Profile(pm) => {
                 // Algorithm 7: refresh the sender's entry and remember its
@@ -691,6 +745,7 @@ impl Protocol for VitisNode {
                     );
                     self.rt.adopt_ring_candidate(self.id, from, pm.id, pm.subs);
                 }
+                debug_assert!(ascending_by_topic(&pm.proposals));
                 self.nbr_proposals.insert(
                     from,
                     NbrProposals {
@@ -866,6 +921,354 @@ mod tests {
         let node = eng.node(victim).unwrap();
         assert!(!node.subscriptions().contains(TopicId(0)));
         assert!(node.proposal(TopicId(1)).is_some());
+    }
+
+    fn subs_of(topics: &[u32]) -> Subs {
+        Arc::new(crate::topic::TopicSet::from_iter(topics.iter().copied()))
+    }
+
+    /// A started node at address 0 with nothing in its tables.
+    fn lone_node(subs: &[u32], cfg: VitisConfig) -> VitisNode {
+        let mut node = VitisNode::new(
+            Id(1 << 40),
+            subs_of(subs),
+            Arc::new(cfg),
+            Arc::new(crate::topic::RateTable::uniform(64)),
+            Monitor::new(),
+            Vec::new(),
+        );
+        node.addr = NodeIdx(0);
+        node
+    }
+
+    /// The election as it was before the neighbor-major pass: per topic,
+    /// the interested neighbors in connection-set order, each looked up in
+    /// its advertisement, folded by `revise_proposal`.
+    fn elect_topic_major(node: &VitisNode) -> Vec<(TopicId, Proposal)> {
+        let failover = node.cfg.gateway_failover;
+        let thr = node.cfg.age_threshold;
+        node.subs
+            .iter()
+            .map(|topic| {
+                let rt_nbrs = node
+                    .rt
+                    .iter()
+                    .filter(|e| e.payload.contains(topic))
+                    .map(|e| e.addr);
+                let rev_nbrs = node
+                    .reverse
+                    .iter()
+                    .filter(|(a, l)| l.subs.contains(topic) && !node.rt.contains(**a))
+                    .map(|(a, _)| *a);
+                let with_props = rt_nbrs.chain(rev_nbrs).filter_map(|addr| {
+                    node.nbr_proposals
+                        .get(&addr)
+                        .filter(|np| !failover || np.age <= thr)
+                        .and_then(|np| np.props.iter().find(|(t, _)| *t == topic))
+                        .map(|(_, p)| (addr, p))
+                });
+                let prop = crate::gateway::revise_proposal(
+                    node.addr,
+                    node.id,
+                    topic,
+                    node.cfg.d_max_hops,
+                    with_props,
+                    |a| node.rt.contains(a) || node.reverse.contains_key(&a),
+                );
+                (topic, prop)
+            })
+            .collect()
+    }
+
+    const TOPICS: u32 = 10;
+
+    /// Random connection state: a table, reverse links (some shadowing
+    /// table entries), and advertisements of every age whose topics need
+    /// not match the advertiser's descriptor and whose parents range over
+    /// self, the advertiser, table members and strangers.
+    fn randomize_connections(node: &mut VitisNode, two_node_ring: bool, rng: &mut SmallRng) {
+        use rand::Rng;
+        const POOL: u32 = 24;
+        // Few topics, gateways and hop counts: several neighbors vote on
+        // each topic and tie, so the result depends on the fold order.
+        let random_subs = |rng: &mut SmallRng| {
+            let n = rng.gen_range(0..12);
+            let topics: Vec<u32> = (0..n).map(|_| rng.gen_range(0..TOPICS)).collect();
+            subs_of(&topics)
+        };
+        let entry = |addr: u32, rng: &mut SmallRng| Entry {
+            addr: NodeIdx(addr),
+            id: Id::of_node(addr as u64),
+            age: rng.gen_range(0..4),
+            payload: random_subs(rng),
+        };
+        let mut order: Vec<u32> = (1..POOL).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.gen_range(0..=i));
+        }
+        let mut next = order.into_iter();
+        node.rt = HybridRt::new();
+        node.rt.succ = Some(entry(next.next().unwrap(), rng));
+        if two_node_ring {
+            node.rt.pred = node.rt.succ.clone();
+        } else {
+            node.rt.pred = Some(entry(next.next().unwrap(), rng));
+            for _ in 0..rng.gen_range(0..3) {
+                node.rt.sw.push(entry(next.next().unwrap(), rng));
+            }
+            for _ in 0..rng.gen_range(0..8) {
+                node.rt.friends.push(entry(next.next().unwrap(), rng));
+            }
+        }
+        node.reverse = SmallMap::new();
+        for _ in 0..rng.gen_range(0..8) {
+            let link = ReverseLink {
+                subs: random_subs(rng),
+                age: 0,
+            };
+            node.reverse.insert(NodeIdx(rng.gen_range(1..POOL)), link);
+        }
+        node.nbr_proposals = SmallMap::new();
+        let thr = node.cfg.age_threshold;
+        for addr in 1..POOL {
+            if rng.gen_bool(0.2) {
+                continue;
+            }
+            let topics = if rng.gen_bool(0.5) {
+                // Usually an advertiser proposes for what its descriptor
+                // says it subscribes to …
+                let in_rt = node.rt.iter().find(|e| e.addr.0 == addr);
+                let in_rev = node.reverse.get(&NodeIdx(addr)).map(|l| &l.subs);
+                in_rt.map(|e| &e.payload).or(in_rev).cloned()
+            } else {
+                None
+            }
+            // … but a stale descriptor can disagree with the advert.
+            .unwrap_or_else(|| random_subs(rng));
+            let props = topics
+                .iter()
+                .map(|t| {
+                    let gw = rng.gen_range(0..4);
+                    let prop = Proposal {
+                        gw_id: Id::of_node(gw as u64),
+                        gw_addr: NodeIdx(gw),
+                        parent: NodeIdx(match rng.gen_range(0..6) {
+                            0 => 0,
+                            1 | 2 => rng.gen_range(1..POOL + 8),
+                            _ => addr,
+                        }),
+                        hops: rng.gen_range(0..5),
+                    };
+                    (t, prop)
+                })
+                .collect();
+            node.nbr_proposals.insert(
+                NodeIdx(addr),
+                NbrProposals {
+                    props: Arc::new(props),
+                    age: rng.gen_range(0..=2 * thr),
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn neighbor_major_election_equals_the_per_topic_fold() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(99);
+        let (mut adopted, mut stale_votes, mut in_table_parents) = (0, 0, 0);
+        for case in 0..600 {
+            let failover = case % 2 == 0;
+            let cfg = VitisConfig {
+                gateway_failover: failover,
+                ..VitisConfig::default()
+            };
+            let own: Vec<u32> = (0..rng.gen_range(0..14))
+                .map(|_| rng.gen_range(0..TOPICS))
+                .collect();
+            let mut node = lone_node(&own, cfg);
+            randomize_connections(&mut node, case % 5 == 0, &mut rng);
+            let expected = elect_topic_major(&node);
+            node.elect();
+            assert_eq!(node.proposals, expected, "case {case}");
+
+            let thr = node.cfg.age_threshold;
+            adopted += expected
+                .iter()
+                .filter(|(_, p)| p.gw_addr != node.addr)
+                .count();
+            stale_votes += node.nbr_proposals.values().filter(|n| n.age > thr).count();
+            in_table_parents += node
+                .nbr_proposals
+                .values()
+                .flat_map(|n| n.props.iter())
+                .filter(|(_, p)| node.rt.contains(p.parent))
+                .count();
+            // With failover off, a stale advertisement still votes: ageing
+            // every advert past the threshold must not change the result.
+            if !failover {
+                for np in node.nbr_proposals.values_mut() {
+                    np.age = thr + 1;
+                }
+                node.elect();
+                assert_eq!(node.proposals, expected, "case {case}, aged");
+            }
+        }
+        assert!(adopted > 300, "the cases must adopt foreign gateways");
+        assert!(stale_votes > 300 && in_table_parents > 300);
+    }
+
+    #[test]
+    fn election_without_neighbors_or_with_the_ablation_proposes_self() {
+        let mut node = lone_node(&[3, 1, 2], small_cfg());
+        node.elect();
+        let own = Proposal::self_proposal(node.addr, node.id);
+        assert_eq!(
+            node.proposals,
+            vec![(TopicId(1), own), (TopicId(2), own), (TopicId(3), own)]
+        );
+        let cfg = VitisConfig {
+            gateway_election: false,
+            ..VitisConfig::default()
+        };
+        let mut node = lone_node(&[1, 2], cfg);
+        randomize_connections(&mut node, false, &mut rand::SeedableRng::seed_from_u64(1));
+        node.elect();
+        assert!(node.proposals.iter().all(|(_, p)| *p == own));
+    }
+
+    /// Peers 1 (successor) and 2 (predecessor) take the ring slots; peers
+    /// 3.. compete for the three friend slots with strictly decreasing
+    /// overlap with the node's subscriptions `0..8`.
+    fn friend_contest() -> (VitisNode, Vec<Entry<Subs>>) {
+        let cfg = VitisConfig {
+            rt_size: 5,
+            k_sw: 0,
+            ..VitisConfig::default()
+        };
+        let node = lone_node(&[0, 1, 2, 3, 4, 5, 6, 7], cfg);
+        let mut peers = vec![
+            Entry::fresh(NodeIdx(1), Id(node.id.0 + 1), subs_of(&[40])),
+            Entry::fresh(NodeIdx(2), Id(node.id.0 - 1), subs_of(&[41])),
+        ];
+        for k in 0..6u32 {
+            let overlap: Vec<u32> = (0..8 - k).collect();
+            peers.push(Entry {
+                addr: NodeIdx(3 + k),
+                id: Id(node.id.0 ^ (u64::from(k) + 1) << 50),
+                age: 1,
+                payload: subs_of(&overlap),
+            });
+        }
+        (node, peers)
+    }
+
+    fn friend_addrs(node: &VitisNode) -> Vec<u32> {
+        let mut addrs: Vec<u32> = node.rt.friends.iter().map(|e| e.addr.0).collect();
+        addrs.sort_unstable();
+        addrs
+    }
+
+    fn memo_entry(node: &VitisNode, addr: u32) -> &(NodeIdx, Subs, f64) {
+        node.utility_memo
+            .iter()
+            .find(|m| m.0 == NodeIdx(addr))
+            .expect("peer was ranked by the last merge")
+    }
+
+    #[test]
+    fn memo_misses_when_a_peer_readvertises_under_a_new_handle() {
+        use rand::SeedableRng;
+        let mut rng = SmallRng::seed_from_u64(3);
+        let (mut node, peers) = friend_contest();
+        node.merge_and_select(&peers, &mut rng);
+        assert_eq!(friend_addrs(&node), vec![3, 4, 5]);
+        // Ring and small-world picks are never ranked, so never memoised.
+        assert_eq!(node.utility_memo.len(), 6);
+        assert!(node.utility_memo.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(memo_entry(&node, 3).2, 1.0);
+
+        // The best friend moves to a disjoint set: a fresher descriptor,
+        // same address, new handle. A stale hit would keep it a friend.
+        let mut peers = peers;
+        peers[2] = Entry::fresh(NodeIdx(3), peers[2].id, subs_of(&[50]));
+        node.merge_and_select(&peers, &mut rng);
+        assert_eq!(friend_addrs(&node), vec![4, 5, 6]);
+        assert!(Arc::ptr_eq(&memo_entry(&node, 3).1, &peers[2].payload));
+        assert_eq!(memo_entry(&node, 3).2, 0.0);
+        assert_eq!(node.utility_memo.len(), 6);
+
+        // Equal contents in a different allocation: a miss that recomputes
+        // the same value and re-keys the entry to the new handle.
+        let old_handle = memo_entry(&node, 4).1.clone();
+        let twin = Entry::fresh(NodeIdx(4), peers[3].id, subs_of(&[0, 1, 2, 3, 4, 5, 6]));
+        assert!(*twin.payload == *old_handle && !Arc::ptr_eq(&twin.payload, &old_handle));
+        node.merge_and_select(std::slice::from_ref(&twin), &mut rng);
+        assert!(Arc::ptr_eq(&memo_entry(&node, 4).1, &twin.payload));
+        assert_eq!(memo_entry(&node, 4).2, 7.0 / 8.0);
+        assert_eq!(friend_addrs(&node), vec![4, 5, 6]);
+        // Rebuilt from this merge's candidates only: the table's five
+        // entries (the incoming one replaced its own), less the ring picks.
+        assert_eq!(node.utility_memo.len(), 3);
+    }
+
+    #[test]
+    fn set_subscriptions_clears_the_memo_and_reranks_friends() {
+        use rand::SeedableRng;
+        let mut rng = SmallRng::seed_from_u64(4);
+        let (mut node, peers) = friend_contest();
+        node.merge_and_select(&peers, &mut rng);
+        assert_eq!(friend_addrs(&node), vec![3, 4, 5]);
+        // Peers 6, 7, 8 hold {0..=4}, {0..=3}, {0..=2}: against the new set
+        // {0, 1, 2} they are the better matches, and only a recomputation
+        // can see it (every handle is unchanged).
+        node.set_subscriptions(subs_of(&[0, 1, 2]));
+        assert!(node.utility_memo.is_empty());
+        node.merge_and_select(&peers, &mut rng);
+        assert_eq!(friend_addrs(&node), vec![6, 7, 8]);
+        assert_eq!(memo_entry(&node, 7).2, 3.0 / 4.0);
+    }
+
+    /// Whatever the memo remembers, a merge must pick the table a memo-less
+    /// merge picks, and remember only values Equation 1 gives.
+    #[test]
+    fn memoised_merges_equal_unmemoised_ones() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(21);
+        let mut node = lone_node(&[0, 1, 2, 3, 4, 5], VitisConfig::default());
+        let handles: Vec<Subs> = (0..12u32)
+            .map(|k| subs_of(&[k % 5, k % 7, k % 3, 10 + k % 2]))
+            .collect();
+        let mut hits = 0;
+        for _ in 0..200 {
+            let incoming: Vec<Entry<Subs>> = (0..rng.gen_range(0..10))
+                .map(|_| {
+                    let addr = rng.gen_range(1..40u32);
+                    Entry {
+                        addr: NodeIdx(addr),
+                        id: Id::of_node(addr as u64),
+                        age: rng.gen_range(0..3),
+                        payload: handles[rng.gen_range(0..handles.len())].clone(),
+                    }
+                })
+                .collect();
+            let mut fresh = lone_node(&[0, 1, 2, 3, 4, 5], VitisConfig::default());
+            fresh.rt = node.rt.clone();
+            let before = node.utility_memo.clone();
+            let candidates = node.rt.len() + incoming.len();
+            node.merge_and_select(&incoming, &mut rng.clone());
+            fresh.merge_and_select(&incoming, &mut rng);
+            assert_eq!(node.rt.to_vec(), fresh.rt.to_vec());
+            assert!(node.utility_memo.len() <= candidates);
+            for (addr, subs, u) in &node.utility_memo {
+                assert_eq!(*u, utility(&node.subs, subs, &node.rates));
+                hits += before
+                    .iter()
+                    .filter(|m| m.0 == *addr && Arc::ptr_eq(&m.1, subs))
+                    .count();
+            }
+        }
+        assert!(hits > 200, "the sequence must exercise memo hits: {hits}");
     }
 
     #[test]

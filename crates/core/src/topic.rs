@@ -89,55 +89,55 @@ impl TopicSet {
         self.topics.iter().map(|&t| TopicId(t))
     }
 
-    /// Size of the intersection with `other` (linear merge).
-    pub fn intersection_len(&self, other: &TopicSet) -> usize {
-        let mut i = 0;
-        let mut j = 0;
-        let mut n = 0;
-        while i < self.topics.len() && j < other.topics.len() {
-            match self.topics[i].cmp(&other.topics[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    n += 1;
-                    i += 1;
-                    j += 1;
-                }
+    /// Call `f(index in self, topic)` for every topic in both sets, in
+    /// ascending order (linear merge).
+    pub fn for_each_common(&self, other: &TopicSet, mut f: impl FnMut(usize, TopicId)) {
+        let (a, b) = (&self.topics[..], &other.topics[..]);
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            let (x, y) = (a[i], b[j]);
+            if x == y {
+                f(i, TopicId(x));
             }
+            i += (x <= y) as usize;
+            j += (y <= x) as usize;
         }
+    }
+
+    /// Size of the intersection with `other`.
+    pub fn intersection_len(&self, other: &TopicSet) -> usize {
+        let mut n = 0;
+        self.for_each_common(other, |_, _| n += 1);
         n
     }
 
     /// Rate-weighted intersection and union masses against `other`:
     /// `(Σ_{t ∈ A∩B} rate(t), Σ_{t ∈ A∪B} rate(t))` in one merge pass.
+    ///
+    /// The merge is branch-free: which side holds the smaller topic is
+    /// unpredictable, so each step takes the minimum, adds its rate to the
+    /// union and `rate` or `+0.0` to the intersection, and advances both
+    /// cursors by comparison results. Every addition happens in ascending
+    /// topic order on the same operands a three-way branch would use, and
+    /// adding `+0.0` to a sum that is never `-0.0` (it starts at `+0.0`)
+    /// is exact — so the result is bit-identical to the branching merge.
     pub fn weighted_overlap(&self, other: &TopicSet, rates: &RateTable) -> (f64, f64) {
-        let mut i = 0;
-        let mut j = 0;
+        let (a, b) = (&self.topics[..], &other.topics[..]);
+        let (mut i, mut j) = (0, 0);
         let mut inter = 0.0;
         let mut union = 0.0;
-        while i < self.topics.len() && j < other.topics.len() {
-            match self.topics[i].cmp(&other.topics[j]) {
-                std::cmp::Ordering::Less => {
-                    union += rates.rate(TopicId(self.topics[i]));
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    union += rates.rate(TopicId(other.topics[j]));
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    let r = rates.rate(TopicId(self.topics[i]));
-                    inter += r;
-                    union += r;
-                    i += 1;
-                    j += 1;
-                }
-            }
+        while i < a.len() && j < b.len() {
+            let (x, y) = (a[i], b[j]);
+            let r = rates.rate(TopicId(x.min(y)));
+            union += r;
+            inter += if x == y { r } else { 0.0 };
+            i += (x <= y) as usize;
+            j += (y <= x) as usize;
         }
-        for &t in &self.topics[i..] {
+        for &t in &a[i..] {
             union += rates.rate(TopicId(t));
         }
-        for &t in &other.topics[j..] {
+        for &t in &b[j..] {
             union += rates.rate(TopicId(t));
         }
         (inter, union)
@@ -255,6 +255,94 @@ mod tests {
         let (i, u) = ts(&[0, 1]).weighted_overlap(&ts(&[1, 2]), &rates);
         assert!((i - 10.0).abs() < 1e-12);
         assert!((u - 11.0).abs() < 1e-12);
+    }
+
+    /// The three-way-branch merge `weighted_overlap` replaced, kept as the
+    /// reference the branch-free one must match bit for bit.
+    fn weighted_overlap_branching(a: &TopicSet, b: &TopicSet, rates: &RateTable) -> (f64, f64) {
+        let (mut i, mut j) = (0, 0);
+        let (mut inter, mut union) = (0.0, 0.0);
+        while i < a.topics.len() && j < b.topics.len() {
+            match a.topics[i].cmp(&b.topics[j]) {
+                std::cmp::Ordering::Less => {
+                    union += rates.rate(TopicId(a.topics[i]));
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    union += rates.rate(TopicId(b.topics[j]));
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    let r = rates.rate(TopicId(a.topics[i]));
+                    inter += r;
+                    union += r;
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        for &t in &a.topics[i..] {
+            union += rates.rate(TopicId(t));
+        }
+        for &t in &b.topics[j..] {
+            union += rates.rate(TopicId(t));
+        }
+        (inter, union)
+    }
+
+    #[test]
+    fn weighted_overlap_is_bit_identical_to_the_branching_merge() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        const TOPICS: usize = 96;
+        let mut signed_zeros = vec![0.0; TOPICS];
+        for (t, r) in signed_zeros.iter_mut().enumerate() {
+            *r = [-0.0, 0.0, 0.3, 1e-300][t % 4];
+        }
+        let tables = [
+            RateTable::uniform(TOPICS),
+            RateTable::from_rates((1..=TOPICS).map(|k| 1.0 / (k as f64).powf(1.3)).collect()),
+            RateTable::from_rates(vec![0.0; TOPICS]),
+            RateTable::from_rates(vec![-0.0; TOPICS]),
+            RateTable::from_rates(signed_zeros),
+        ];
+        let mut rng = SmallRng::seed_from_u64(13);
+        // Topics range past the tables' length: those rate 0.
+        let random_set = |rng: &mut SmallRng| {
+            let n = rng.gen_range(0..60);
+            TopicSet::from_iter((0..n).map(|_| rng.gen_range(0..TOPICS as u32 + 32)))
+        };
+        let mut pairs = vec![
+            (ts(&[]), ts(&[])),
+            (ts(&[]), ts(&[1, 2, 100])),
+            (ts(&[0, 2, 4, 200]), ts(&[1, 3, 5, 201])),
+        ];
+        for _ in 0..300 {
+            let a = random_set(&mut rng);
+            let b = random_set(&mut rng);
+            let nested = TopicSet::from_iter(a.iter().map(|t| t.0).filter(|_| rng.gen_bool(0.5)));
+            pairs.push((a.clone(), a.clone()));
+            pairs.push((a.clone(), nested));
+            pairs.push((a, b));
+        }
+        for rates in &tables {
+            for (a, b) in &pairs {
+                for (x, y) in [(a, b), (b, a)] {
+                    let (i, u) = x.weighted_overlap(y, rates);
+                    let (ri, ru) = weighted_overlap_branching(x, y, rates);
+                    assert_eq!(i.to_bits(), ri.to_bits(), "inter {x:?} {y:?}");
+                    assert_eq!(u.to_bits(), ru.to_bits(), "union {x:?} {y:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn for_each_common_visits_the_intersection_in_order() {
+        let a = ts(&[1, 4, 6, 9, 12]);
+        let mut seen = Vec::new();
+        a.for_each_common(&ts(&[0, 4, 5, 9, 12, 13]), |i, t| seen.push((i, t.0)));
+        assert_eq!(seen, vec![(1, 4), (3, 9), (4, 12)]);
+        a.for_each_common(&ts(&[]), |_, _| panic!("empty intersection"));
     }
 
     #[test]
