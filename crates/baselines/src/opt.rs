@@ -19,7 +19,7 @@ use vitis::smallmap::SmallMap;
 use vitis::topic::{Subs, TopicId};
 use vitis_overlay::entry::Entry;
 use vitis_overlay::id::Id;
-use vitis_overlay::peer_sampling::{Newscast, PeerSampling};
+use vitis_overlay::substrate::Sampler;
 use vitis_sim::antientropy::{AeConfig, AntiEntropy};
 use vitis_sim::event::NodeIdx;
 use vitis_sim::prelude::{Context, MsgTag, ParallelProtocol, Protocol, StopReason};
@@ -94,15 +94,14 @@ struct Link {
 /// An OPT peer.
 pub struct OptNode {
     cfg: Arc<OptConfig>,
-    addr: NodeIdx,
-    id: Id,
-    subs: Subs,
-    sampling: Newscast<Subs>,
+    /// The sampling half of the membership substrate: identity, the
+    /// advertised subscriptions and the Newscast view that feeds candidate
+    /// discovery. OPT negotiates its own links, so no routing table.
+    ps: Sampler<Subs>,
     links: SmallMap<NodeIdx, Link>,
     /// Requests in flight this round (counted against the degree bound so
     /// bursts cannot overshoot it).
     pending: BTreeSet<NodeIdx>,
-    bootstrap: Vec<Entry<Subs>>,
     /// Dedup, delivery accounting and the anti-entropy repair layer (inert
     /// unless enabled via [`OptNode::with_repair`]); owns the node's
     /// monitor handle.
@@ -119,16 +118,11 @@ impl OptNode {
         monitor: Monitor,
         bootstrap: Vec<Entry<Subs>>,
     ) -> Self {
-        let sampling = Newscast::new(cfg.sampling_view);
         OptNode {
+            ps: Sampler::new(id, subs, cfg.sampling_view, bootstrap),
             cfg,
-            addr: NodeIdx(u32::MAX),
-            id,
-            subs,
-            sampling,
             links: SmallMap::new(),
             pending: BTreeSet::new(),
-            bootstrap,
             dissem: Dissemination::new(monitor),
         }
     }
@@ -147,12 +141,12 @@ impl OptNode {
 
     /// This node's ring identifier.
     pub fn ring_id(&self) -> Id {
-        self.id
+        self.ps.id()
     }
 
     /// This node's subscriptions.
     pub fn subscriptions(&self) -> &Subs {
-        &self.subs
+        self.ps.payload()
     }
 
     /// Current degree (established connections).
@@ -184,7 +178,7 @@ impl OptNode {
     /// `requests_per_round` picks with positive gain.
     fn pick_connect_targets(&self) -> Vec<NodeIdx> {
         let mut deficit: BTreeMap<TopicId, isize> = BTreeMap::new();
-        for t in self.subs.iter() {
+        for t in self.ps.payload().iter() {
             let have = self.topic_coverage(t) as isize;
             let want = self.cfg.coverage as isize;
             if have < want {
@@ -196,11 +190,11 @@ impl OptNode {
         }
         let mut picks = Vec::new();
         let mut candidates: Vec<&Entry<Subs>> = self
-            .sampling
+            .ps
             .sample()
             .iter()
             .filter(|e| {
-                e.addr != self.addr
+                e.addr != self.ps.addr()
                     && !self.links.contains_key(&e.addr)
                     && !self.pending.contains(&e.addr)
             })
@@ -303,16 +297,12 @@ impl Protocol for OptNode {
     }
 
     fn on_start(&mut self, ctx: &mut Context<'_, OptMsg>) {
-        self.addr = ctx.self_idx;
-        let contacts = std::mem::take(&mut self.bootstrap);
-        self.sampling.bootstrap(&contacts, self.addr);
+        self.ps.start(ctx.self_idx);
     }
 
     fn on_round(&mut self, ctx: &mut Context<'_, OptMsg>) {
         // Peer sampling drives candidate discovery.
-        self.sampling.tick();
-        let se = Entry::fresh(self.addr, self.id, self.subs.clone());
-        if let Some((partner, buf)) = self.sampling.initiate(&se, ctx.rng) {
+        if let Some((partner, buf)) = self.ps.sampling_round(ctx.rng) {
             ctx.send(partner, OptMsg::PsReq(buf));
         }
 
@@ -327,12 +317,12 @@ impl Protocol for OptNode {
         // Greedy coverage repair.
         for target in self.pick_connect_targets() {
             self.pending.insert(target);
-            ctx.send(target, OptMsg::ConnectReq(self.subs.clone()));
+            ctx.send(target, OptMsg::ConnectReq(self.ps.payload().clone()));
         }
 
         // Heartbeats.
         for peer in self.links.keys().copied().collect::<Vec<_>>() {
-            ctx.send(peer, OptMsg::Heartbeat(self.subs.clone()));
+            ctx.send(peer, OptMsg::Heartbeat(self.ps.payload().clone()));
         }
 
         // Anti-entropy repair. Entirely inert — no sends, no RNG draws —
@@ -354,11 +344,10 @@ impl Protocol for OptNode {
     fn on_message(&mut self, ctx: &mut Context<'_, OptMsg>, from: NodeIdx, msg: OptMsg) {
         match msg {
             OptMsg::PsReq(buf) => {
-                let se = Entry::fresh(self.addr, self.id, self.subs.clone());
-                let reply = self.sampling.on_request(&se, from, &buf, ctx.rng);
+                let reply = self.ps.on_ps_request(from, &buf, ctx.rng);
                 ctx.send(from, OptMsg::PsResp(reply));
             }
-            OptMsg::PsResp(buf) => self.sampling.on_response(self.addr, &buf),
+            OptMsg::PsResp(buf) => self.ps.on_ps_response(&buf),
             OptMsg::ConnectReq(subs) => {
                 // Accept while under the degree bound (always, when
                 // unbounded): the accepter benefits passively from any link
@@ -366,7 +355,7 @@ impl Protocol for OptNode {
                 let accept = self.links.contains_key(&from) || !self.at_capacity();
                 if accept {
                     self.add_link(from, subs);
-                    ctx.send(from, OptMsg::ConnectAck(self.subs.clone()));
+                    ctx.send(from, OptMsg::ConnectAck(self.ps.payload().clone()));
                 }
             }
             OptMsg::ConnectAck(subs) => {
@@ -382,16 +371,19 @@ impl Protocol for OptNode {
                 self.links.remove(&from);
             }
             OptMsg::Notif(notif) => {
-                if let Some(fwd) = self.dissem.receive(self.addr, &self.subs, ctx.now, notif) {
+                if let Some(fwd) =
+                    self.dissem
+                        .receive(self.ps.addr(), self.ps.payload(), ctx.now, notif)
+                {
                     self.flood(ctx, Some(from), fwd);
                 }
             }
             OptMsg::PublishCmd { event, topic } => {
-                let notif = self.dissem.publish(self.addr, event, topic);
+                let notif = self.dissem.publish(self.ps.addr(), event, topic);
                 self.flood(ctx, None, notif);
             }
             OptMsg::AeDigest(entries) => {
-                let wants = self.dissem.on_digest(from, &entries, &self.subs);
+                let wants = self.dissem.on_digest(from, &entries, self.ps.payload());
                 if !wants.is_empty() {
                     ctx.send(from, OptMsg::AeWant(wants));
                 }
@@ -405,7 +397,8 @@ impl Protocol for OptNode {
                 // Recovered copies count as a first delivery only if the
                 // flood never got here, and are never re-flooded — repair
                 // traffic stays pull-bounded.
-                self.dissem.recover(self.addr, &self.subs, ctx.now, notif);
+                self.dissem
+                    .recover(self.ps.addr(), self.ps.payload(), ctx.now, notif);
             }
         }
     }

@@ -17,11 +17,11 @@ use vitis::monitor::{EventId, Monitor};
 use vitis::msg::Notification;
 use vitis::relay::RelayTable;
 use vitis::topic::{Subs, TopicId};
-use vitis_overlay::entry::{merge_dedup, Entry};
+use vitis_overlay::entry::Entry;
 use vitis_overlay::id::Id;
-use vitis_overlay::peer_sampling::{Newscast, PeerSampling};
 use vitis_overlay::routing::next_hop;
-use vitis_overlay::rt::{build_exchange_buffer, select_neighbors, HybridRt, RtParams};
+use vitis_overlay::rt::{HybridRt, RtParams};
+use vitis_overlay::substrate::{Sampler, Substrate};
 use vitis_sim::antientropy::{AeConfig, AntiEntropy};
 use vitis_sim::event::NodeIdx;
 use vitis_sim::prelude::{Context, MsgTag, ParallelProtocol, Protocol, StopReason};
@@ -101,12 +101,9 @@ pub enum RvrMsg {
 /// An RVR peer.
 pub struct RvrNode {
     cfg: Arc<RvrConfig>,
-    addr: NodeIdx,
-    id: Id,
-    subs: Subs,
-    sampling: Newscast<Subs>,
-    rt: HybridRt<Subs>,
-    bootstrap: Vec<Entry<Subs>>,
+    /// Membership substrate, the same one Vitis runs on. The subscriptions
+    /// ride in the descriptors but no merge ever ranks by them.
+    net: Substrate<Subs>,
     /// Per-topic multicast-tree soft state (same structure as Vitis relay
     /// paths: upstream = parent toward rendezvous, downstream = children).
     tree: RelayTable,
@@ -126,15 +123,17 @@ impl RvrNode {
         monitor: Monitor,
         bootstrap: Vec<Entry<Subs>>,
     ) -> Self {
-        let sampling = Newscast::new(cfg.sampling_view);
+        let params = RtParams {
+            rt_size: cfg.rt_size,
+            // Subscription-oblivious: everything beyond the ring is a
+            // small-world link; no friend slots exist.
+            k_sw: cfg.rt_size.saturating_sub(2),
+            est_n: cfg.est_n,
+        };
+        let sampler = Sampler::new(id, subs, cfg.sampling_view, bootstrap);
         RvrNode {
+            net: Substrate::new(sampler, params, cfg.age_threshold),
             cfg,
-            addr: NodeIdx(u32::MAX),
-            id,
-            subs,
-            sampling,
-            rt: HybridRt::new(),
-            bootstrap,
             tree: RelayTable::new(),
             dissem: Dissemination::new(monitor),
         }
@@ -154,17 +153,17 @@ impl RvrNode {
 
     /// This node's ring identifier.
     pub fn ring_id(&self) -> Id {
-        self.id
+        self.net.id()
     }
 
     /// This node's subscriptions.
     pub fn subscriptions(&self) -> &Subs {
-        &self.subs
+        self.net.payload()
     }
 
     /// The current routing table.
     pub fn routing_table(&self) -> &HybridRt<Subs> {
-        &self.rt
+        self.net.rt()
     }
 
     /// The per-topic tree soft state.
@@ -172,49 +171,11 @@ impl RvrNode {
         &self.tree
     }
 
-    fn self_entry(&self) -> Entry<Subs> {
-        Entry::fresh(self.addr, self.id, self.subs.clone())
-    }
-
-    fn rt_params(&self) -> RtParams {
-        RtParams {
-            rt_size: self.cfg.rt_size,
-            // Subscription-oblivious: everything beyond the ring is a
-            // small-world link; no friend slots exist.
-            k_sw: self.cfg.rt_size.saturating_sub(2),
-            est_n: self.cfg.est_n,
-        }
-    }
-
-    fn merge_and_select(&mut self, incoming: &[Entry<Subs>], ctx: &mut Context<'_, RvrMsg>) {
-        let mut candidates = self.rt.to_vec();
-        merge_dedup(&mut candidates, incoming);
-        merge_dedup(&mut candidates, self.sampling.sample());
-        // Drop descriptors past the failure-detection threshold; see the
-        // same filter in VitisNode — circulating copies of dead descriptors
-        // otherwise re-enter tables as zombie ring neighbors.
-        candidates.retain(|e| e.age <= self.cfg.age_threshold);
-        let keep_sw: Vec<NodeIdx> = self.rt.sw.iter().map(|e| e.addr).collect();
-        self.rt = select_neighbors(
-            self.addr,
-            self.id,
-            &self.rt_params(),
-            candidates,
-            &keep_sw,
-            &[],
-            |_| 0.0,
-            ctx.rng,
-        );
-    }
-
     /// One join/refresh step toward the rendezvous of `topic` from this
     /// node; the same logic serves the initiating subscriber and forwarders.
     fn join_step(&mut self, topic: TopicId, hops: u32, ctx: &mut Context<'_, RvrMsg>) {
-        match next_hop(
-            self.id,
-            topic.ring_id(),
-            self.rt.iter().map(|e| (e.id, e.addr)),
-        ) {
+        let table = self.net.rt().iter().map(|e| (e.id, e.addr));
+        match next_hop(self.net.id(), topic.ring_id(), table) {
             Some(next) => {
                 self.tree.set_upstream(topic, next);
                 if hops < self.cfg.max_lookup_hops {
@@ -293,37 +254,23 @@ impl Protocol for RvrNode {
     }
 
     fn on_start(&mut self, ctx: &mut Context<'_, RvrMsg>) {
-        self.addr = ctx.self_idx;
-        let contacts = std::mem::take(&mut self.bootstrap);
-        self.sampling.bootstrap(&contacts, self.addr);
-        self.merge_and_select(&contacts, ctx);
+        let contacts = self.net.start(ctx.self_idx);
+        self.net.merge(&contacts, false, |_| 0.0, ctx.rng);
     }
 
     fn on_round(&mut self, ctx: &mut Context<'_, RvrMsg>) {
         // Peer sampling.
-        self.sampling.tick();
-        let se = self.self_entry();
-        if let Some((partner, buf)) = self.sampling.initiate(&se, ctx.rng) {
+        if let Some((partner, buf)) = self.net.sampling_round(ctx.rng) {
             ctx.send(partner, RvrMsg::PsReq(buf));
         }
 
         // T-Man exchange.
-        let partner = if self.rt.is_empty() {
-            self.sampling.sample().first().map(|e| e.addr)
-        } else {
-            use rand::Rng;
-            let pick = ctx.rng.gen_range(0..self.rt.len());
-            self.rt.iter().nth(pick).map(|e| e.addr)
-        };
-        if let Some(partner) = partner {
-            let buf = build_exchange_buffer(&self.rt, self.sampling.sample(), &se);
-            ctx.send(partner, RvrMsg::RtReq(buf));
+        if let Some(partner) = self.net.uniform_partner(ctx.rng) {
+            ctx.send(partner, RvrMsg::RtReq(self.net.exchange_buffer()));
         }
 
         // Failure detection.
-        self.rt.age_all();
-        for dead in self.rt.expire(self.cfg.age_threshold) {
-            self.sampling.remove(dead);
+        for dead in self.net.detect_failures() {
             self.tree.remove_peer(dead);
         }
 
@@ -333,19 +280,19 @@ impl Protocol for RvrNode {
 
         // Every subscriber re-joins every subscribed tree each round
         // (Scribe keep-alive).
-        let subs = self.subs.clone();
+        let subs = self.net.payload().clone();
         for topic in subs.iter() {
             self.join_step(topic, 0, ctx);
         }
 
         // Heartbeats keep neighbor entries fresh.
-        for e in self.rt.iter() {
-            ctx.send(e.addr, RvrMsg::Heartbeat(self.id, self.subs.clone()));
+        for e in self.net.rt().iter() {
+            ctx.send(e.addr, RvrMsg::Heartbeat(self.net.id(), subs.clone()));
         }
 
         // Anti-entropy repair. Entirely inert — no sends, no RNG draws —
         // unless the layer is enabled, so default runs stay bit-identical.
-        let rt = &self.rt;
+        let rt = self.net.rt();
         let repair = self.dissem.round_step(|| rt.addrs(), ctx.rng);
         for (target, ids) in repair.pulls {
             ctx.send(target, RvrMsg::AeWant(ids));
@@ -360,40 +307,38 @@ impl Protocol for RvrNode {
     fn on_message(&mut self, ctx: &mut Context<'_, RvrMsg>, from: NodeIdx, msg: RvrMsg) {
         match msg {
             RvrMsg::PsReq(buf) => {
-                let se = self.self_entry();
-                let reply = self.sampling.on_request(&se, from, &buf, ctx.rng);
+                let reply = self.net.on_ps_request(from, &buf, ctx.rng);
                 ctx.send(from, RvrMsg::PsResp(reply));
             }
-            RvrMsg::PsResp(buf) => self.sampling.on_response(self.addr, &buf),
+            RvrMsg::PsResp(buf) => self.net.on_ps_response(&buf),
             RvrMsg::RtReq(buf) => {
-                let se = self.self_entry();
-                let reply = build_exchange_buffer(&self.rt, self.sampling.sample(), &se);
+                let reply = self.net.on_rt_request(&buf, false, |_| 0.0, ctx.rng);
                 ctx.send(from, RvrMsg::RtResp(reply));
-                self.merge_and_select(&buf, ctx);
             }
-            RvrMsg::RtResp(buf) => self.merge_and_select(&buf, ctx),
+            RvrMsg::RtResp(buf) => self.net.merge(&buf, false, |_| 0.0, ctx.rng),
             RvrMsg::Heartbeat(id, subs) => {
-                if !self.rt.refresh(from, subs.clone()) {
-                    self.rt.adopt_ring_candidate(self.id, from, id, subs);
-                }
+                self.net.on_heartbeat(from, id, subs);
             }
             RvrMsg::Join { topic, hops } => {
                 self.tree.add_downstream(topic, from);
                 self.join_step(topic, hops, ctx);
             }
             RvrMsg::Notif(notif) => {
-                if let Some(fwd) = self.dissem.receive(self.addr, &self.subs, ctx.now, notif) {
+                if let Some(fwd) =
+                    self.dissem
+                        .receive(self.net.addr(), self.net.payload(), ctx.now, notif)
+                {
                     self.forward_notif(ctx, Some(from), fwd);
                 }
             }
             RvrMsg::PublishCmd { event, topic } => {
                 // The publisher is a subscriber, so it sits in the tree; the
                 // notification climbs to the rendezvous and floods down.
-                let notif = self.dissem.publish(self.addr, event, topic);
+                let notif = self.dissem.publish(self.net.addr(), event, topic);
                 self.forward_notif(ctx, None, notif);
             }
             RvrMsg::AeDigest(entries) => {
-                let wants = self.dissem.on_digest(from, &entries, &self.subs);
+                let wants = self.dissem.on_digest(from, &entries, self.net.payload());
                 if !wants.is_empty() {
                     ctx.send(from, RvrMsg::AeWant(wants));
                 }
@@ -406,7 +351,8 @@ impl Protocol for RvrNode {
             RvrMsg::AePush(notif) => {
                 // A recovery push counts as a first delivery only if the
                 // tree never got this event here, and is never re-flooded.
-                self.dissem.recover(self.addr, &self.subs, ctx.now, notif);
+                self.dissem
+                    .recover(self.net.addr(), self.net.payload(), ctx.now, notif);
             }
         }
     }
@@ -442,18 +388,6 @@ mod tests {
             directory.push(Entry::fresh(slot, id, subs));
         }
         (eng, monitor)
-    }
-
-    #[test]
-    fn tables_are_all_structure_no_friends() {
-        let (mut eng, _) = build_net(48, |i| vec![(i % 4) as u32]);
-        eng.run_rounds(25);
-        for (_, n) in eng.alive_nodes() {
-            let rt = n.routing_table();
-            assert!(rt.friends.is_empty());
-            assert!(rt.len() <= 15);
-            assert!(rt.succ.is_some() && rt.pred.is_some());
-        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Harness-free meso-benchmark (originally recorded `BENCH_PR4.json`).
+//! Harness-free meso-benchmark.
 //!
 //! Mirrors the `gossip_round`, `dissemination` and `system_build` groups
 //! of `benches/gossip_round.rs` but times them with plain

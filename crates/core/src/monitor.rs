@@ -823,16 +823,6 @@ impl Monitor {
         self.submit(MonitorOp::DataRx { node, useful });
     }
 
-    /// Delivery latency (in ticks) is not tracked — the paper measures hops.
-    /// Exposed for completeness of per-event introspection in tests.
-    pub fn event_published_at(&self, event: EventId) -> Option<SimTime> {
-        self.inner
-            .lock()
-            .unwrap()
-            .record_of(event)
-            .map(|r| r.published_at)
-    }
-
     /// Expected and delivered counts of a single event.
     pub fn event_progress(&self, event: EventId) -> Option<(usize, usize)> {
         self.inner

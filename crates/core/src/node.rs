@@ -1,7 +1,8 @@
-//! The Vitis node: the per-peer protocol state machine tying together peer
-//! sampling, T-Man neighbor selection (Algorithm 4), profile gossip with
-//! gateway election (Algorithms 5–7), relay-path construction and event
-//! dissemination.
+//! The Vitis node: the membership [`Substrate`] (peer sampling, T-Man
+//! neighbor selection, failure detection) and the [`Dissemination`]
+//! component, assembled under Vitis's own routing policy — Equation 1
+//! friend ranking, profile gossip with gateway election (Algorithms 5–7)
+//! and relay-path construction.
 
 use crate::config::VitisConfig;
 use crate::dissemination::Dissemination;
@@ -12,16 +13,15 @@ use crate::relay::RelayTable;
 use crate::smallmap::SmallMap;
 use crate::topic::{RateTable, Subs, TopicId};
 use crate::utility::utility;
-use rand::rngs::SmallRng;
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::sync::Arc;
-use vitis_overlay::entry::{merge_dedup, Entry};
+use vitis_overlay::entry::Entry;
 use vitis_overlay::id::Id;
-use vitis_overlay::peer_sampling::{Newscast, PeerSampling};
 use vitis_overlay::routing::next_hop;
-use vitis_overlay::rt::{build_exchange_buffer, select_neighbors, HybridRt, RtParams};
-use vitis_sim::antientropy::{self, AeConfig, AntiEntropy};
+use vitis_overlay::rt::{HybridRt, RtParams};
+use vitis_overlay::substrate::{Sampler, Substrate};
+use vitis_sim::antientropy::{AeConfig, AntiEntropy};
 use vitis_sim::event::NodeIdx;
 use vitis_sim::prelude::{Context, MsgTag, ParallelProtocol, Protocol, StopReason};
 use vitis_sim::rng::mix64;
@@ -53,18 +53,10 @@ fn ascending_by_topic(props: &[(TopicId, Proposal)]) -> bool {
 pub struct VitisNode {
     cfg: Arc<VitisConfig>,
     rates: Arc<RateTable>,
-    /// Engine address; fixed at `on_start`.
-    addr: NodeIdx,
-    /// Ring identifier.
-    id: Id,
-    /// Own subscriptions.
-    subs: Subs,
-    /// Peer sampling service (Newscast, as in the paper's evaluation).
-    sampling: Newscast<Subs>,
-    /// The bounded hybrid routing table.
-    rt: HybridRt<Subs>,
-    /// Bootstrap contacts consumed at `on_start`.
-    bootstrap: Vec<Entry<Subs>>,
+    /// Membership substrate: identity, the advertised subscriptions, the
+    /// Newscast view (as in the paper's evaluation), the bounded hybrid
+    /// routing table and its failure detector.
+    net: Substrate<Subs>,
     /// Own gateway proposal per subscribed topic, ascending by topic
     /// (recomputed each round).
     proposals: Vec<(TopicId, Proposal)>,
@@ -109,16 +101,16 @@ impl VitisNode {
         monitor: Monitor,
         bootstrap: Vec<Entry<Subs>>,
     ) -> Self {
-        let sampling = Newscast::new(cfg.sampling_view);
+        let params = RtParams {
+            rt_size: cfg.rt_size,
+            k_sw: cfg.k_sw,
+            est_n: cfg.est_n,
+        };
+        let sampler = Sampler::new(id, subs, cfg.sampling_view, bootstrap);
         VitisNode {
+            net: Substrate::new(sampler, params, cfg.age_threshold),
             cfg,
             rates,
-            addr: NodeIdx(u32::MAX),
-            id,
-            subs,
-            sampling,
-            rt: HybridRt::new(),
-            bootstrap,
             proposals: Vec::new(),
             advert: Arc::new(Vec::new()),
             utility_memo: Vec::new(),
@@ -148,17 +140,17 @@ impl VitisNode {
 
     /// This node's ring identifier.
     pub fn ring_id(&self) -> Id {
-        self.id
+        self.net.id()
     }
 
     /// This node's subscription set.
     pub fn subscriptions(&self) -> &Subs {
-        &self.subs
+        self.net.payload()
     }
 
     /// The current routing table (for snapshots and tests).
     pub fn routing_table(&self) -> &HybridRt<Subs> {
-        &self.rt
+        self.net.rt()
     }
 
     /// The relay soft state (for snapshots and tests).
@@ -173,7 +165,8 @@ impl VitisNode {
 
     /// Whether this node currently believes it is a gateway for `topic`.
     pub fn is_gateway(&self, topic: TopicId) -> bool {
-        self.proposal(topic).is_some_and(|p| p.gw_addr == self.addr)
+        self.proposal(topic)
+            .is_some_and(|p| p.gw_addr == self.net.addr())
     }
 
     /// The node's current proposal for `topic`, if subscribed.
@@ -187,82 +180,58 @@ impl VitisNode {
     /// Replace this node's subscriptions (subscribe/unsubscribe API). The
     /// change propagates with the next profile heartbeat.
     pub fn set_subscriptions(&mut self, subs: Subs) {
-        self.subs = subs;
-        self.proposals.retain(|(t, _)| self.subs.contains(*t));
+        self.proposals.retain(|(t, _)| subs.contains(*t));
+        self.net.set_payload(subs);
         // Every remembered utility was computed against the old set.
         self.utility_memo.clear();
     }
 
-    fn self_entry(&self) -> Entry<Subs> {
-        Entry::fresh(self.addr, self.id, self.subs.clone())
+    /// The one place control bytes are accounted: record the message's
+    /// wire size against this node, then send it.
+    fn send_control(&self, ctx: &mut Context<'_, VitisMsg>, to: NodeIdx, msg: VitisMsg) {
+        self.monitor()
+            .record_control_tx(self.net.addr(), wire::message_bytes(&msg));
+        ctx.send(to, msg);
     }
 
-    fn rt_params(&self) -> RtParams {
-        RtParams {
-            rt_size: self.cfg.rt_size,
-            k_sw: self.cfg.k_sw,
-            est_n: self.cfg.est_n,
-        }
-    }
-
-    /// Merge a received T-Man buffer with the current table and sampling
-    /// list, then re-run Algorithm 4.
-    fn merge_and_select(&mut self, incoming: &[Entry<Subs>], rng: &mut SmallRng) {
-        let mut candidates = self.rt.to_vec();
-        merge_dedup(&mut candidates, incoming);
-        merge_dedup(&mut candidates, self.sampling.sample());
-        // Never select descriptors past the failure-detection threshold:
-        // copies of a dead node's descriptor keep circulating in exchange
-        // buffers (their ages grow in lockstep everywhere), and without this
-        // filter they re-enter tables as zombie ring neighbors faster than
-        // per-round expiry can purge them.
-        candidates.retain(|e| e.age <= self.cfg.age_threshold);
-        let keep_sw: Vec<NodeIdx> = self.rt.sw.iter().map(|e| e.addr).collect();
-        let keep_friends: Vec<NodeIdx> = self.rt.friends.iter().map(|e| e.addr).collect();
-        let rt = if self.cfg.utility_selection {
-            let (subs, rates, memo) = (&self.subs, &self.rates, &self.utility_memo);
-            let ranked = RefCell::new(Vec::with_capacity(candidates.len()));
-            let rt = select_neighbors(
-                self.addr,
-                self.id,
-                &self.rt_params(),
-                candidates,
-                &keep_sw,
-                &keep_friends,
-                |e| {
-                    let u = match memo.binary_search_by_key(&e.addr, |m| m.0) {
-                        Ok(i) if Arc::ptr_eq(&memo[i].1, &e.payload) => memo[i].2,
-                        _ => utility(subs, &e.payload, rates),
-                    };
-                    ranked.borrow_mut().push((e.addr, e.payload.clone(), u));
-                    u
-                },
-                rng,
-            );
+    /// Run one substrate merge under Vitis's friend policy — Equation 1
+    /// behind the memo with current friends winning ties, or the
+    /// ablation's pseudo-random key — then forget the advertisements of
+    /// peers the merge disconnected. `merge` is handed the substrate, the
+    /// tie rule and the ranking, and picks the operation: a plain merge or
+    /// the reply-then-merge of a T-Man request.
+    fn ranked_merge<R>(
+        &mut self,
+        merge: impl FnOnce(&mut Substrate<Subs>, bool, &dyn Fn(&Entry<Subs>) -> f64) -> R,
+    ) -> R {
+        let out = if self.cfg.utility_selection {
+            let subs = self.net.payload().clone();
+            let (rates, memo) = (&self.rates, &self.utility_memo);
+            let ranked = RefCell::new(Vec::with_capacity(memo.len()));
+            let out = merge(&mut self.net, true, &|e| {
+                let u = match memo.binary_search_by_key(&e.addr, |m| m.0) {
+                    Ok(i) if Arc::ptr_eq(&memo[i].1, &e.payload) => memo[i].2,
+                    _ => utility(&subs, &e.payload, rates),
+                };
+                ranked.borrow_mut().push((e.addr, e.payload.clone(), u));
+                u
+            });
             let mut ranked = ranked.into_inner();
             ranked.sort_unstable_by_key(|m| m.0);
             self.utility_memo = ranked;
-            rt
+            out
         } else {
             // Ablation: rank friends by a deterministic pseudo-random key
             // instead of Equation 1.
-            let salt = self.dissem.round() ^ (self.addr.0 as u64) << 32;
-            select_neighbors(
-                self.addr,
-                self.id,
-                &self.rt_params(),
-                candidates,
-                &keep_sw,
-                &[],
-                |e| mix64(e.addr.0 as u64 ^ salt) as f64,
-                rng,
-            )
+            let salt = self.dissem.round() ^ (self.net.addr().0 as u64) << 32;
+            merge(&mut self.net, false, &|e| {
+                mix64(e.addr.0 as u64 ^ salt) as f64
+            })
         };
-        self.rt = rt;
-        let rt = &self.rt;
-        let reverse = &self.reverse;
+        let (rt, reverse) = (self.net.rt(), &self.reverse);
         self.nbr_proposals
             .retain(|addr, _| rt.contains(*addr) || reverse.contains_key(addr));
+        out
     }
 
     /// Recompute the gateway proposal for every subscribed topic from the
@@ -275,14 +244,15 @@ impl VitisNode {
     /// lists. A topic still meets its interested neighbors in connection-
     /// set order, so each topic's fold is the one `revise_proposal` makes.
     fn elect(&mut self) {
-        let own = Proposal::self_proposal(self.addr, self.id);
+        let (addr, subs) = (self.net.addr(), self.net.payload());
+        let own = Proposal::self_proposal(addr, self.net.id());
         let mut props = std::mem::take(&mut self.proposals);
         props.clear();
-        props.extend(self.subs.iter().map(|t| (t, own)));
+        props.extend(subs.iter().map(|t| (t, own)));
         // Ablation: no election — every subscriber acts as its own
         // gateway, Scribe-style.
         if self.cfg.gateway_election {
-            let (rt, reverse) = (&self.rt, &self.reverse);
+            let (rt, reverse) = (self.net.rt(), &self.reverse);
             let connected = |a: NodeIdx| rt.contains(a) || reverse.contains_key(&a);
             let table = rt.iter().map(|e| (e.addr, &e.payload));
             let reverse_only = reverse
@@ -303,12 +273,12 @@ impl VitisNode {
                     continue;
                 }
                 let mut advertised = np.props.iter().peekable();
-                self.subs.for_each_common(nbr_subs, |i, topic| {
+                subs.for_each_common(nbr_subs, |i, topic| {
                     while advertised.next_if(|(t, _)| *t < topic).is_some() {}
                     if let Some((_, new)) = advertised.next_if(|(t, _)| *t == topic) {
                         revise_step(
                             &mut props[i].1,
-                            self.addr,
+                            addr,
                             topic.ring_id(),
                             self.cfg.d_max_hops,
                             nbr,
@@ -328,26 +298,23 @@ impl VitisNode {
         self.elect();
         for i in 0..self.proposals.len() {
             let (topic, prop) = self.proposals[i];
-            if prop.gw_addr == self.addr {
-                self.refresh_relay(topic, ctx);
+            if prop.gw_addr == self.net.addr() {
+                self.relay_step(ctx, topic, 0);
             }
         }
     }
 
-    /// One lookup step from this node toward `hash(topic)`: install the
-    /// upstream link and forward the relay request, or claim the rendezvous
-    /// role if no neighbor is closer.
-    fn refresh_relay(&mut self, topic: TopicId, ctx: &mut Context<'_, VitisMsg>) {
-        match next_hop(
-            self.id,
-            topic.ring_id(),
-            self.rt.iter().map(|e| (e.id, e.addr)),
-        ) {
+    /// One lookup step from this node toward `hash(topic)`, `hops` into
+    /// the path (0 at the refreshing gateway): install the upstream link
+    /// and forward the relay request, or claim the rendezvous role if no
+    /// neighbor is closer.
+    fn relay_step(&mut self, ctx: &mut Context<'_, VitisMsg>, topic: TopicId, hops: u32) {
+        let table = self.net.rt().iter().map(|e| (e.id, e.addr));
+        match next_hop(self.net.id(), topic.ring_id(), table) {
             Some(next) => {
                 self.relays.set_upstream(topic, next);
-                self.monitor()
-                    .record_control_tx(self.addr, wire::RELAY_REQUEST_BYTES);
-                ctx.send(next, VitisMsg::RelayRequest { topic, hops: 1 });
+                let hops = hops + 1;
+                self.send_control(ctx, next, VitisMsg::RelayRequest { topic, hops });
             }
             None => self.relays.mark_rendezvous(topic),
         }
@@ -364,25 +331,7 @@ impl VitisNode {
         if hops >= self.cfg.max_lookup_hops {
             return;
         }
-        match next_hop(
-            self.id,
-            topic.ring_id(),
-            self.rt.iter().map(|e| (e.id, e.addr)),
-        ) {
-            Some(next) => {
-                self.relays.set_upstream(topic, next);
-                self.monitor()
-                    .record_control_tx(self.addr, wire::RELAY_REQUEST_BYTES);
-                ctx.send(
-                    next,
-                    VitisMsg::RelayRequest {
-                        topic,
-                        hops: hops + 1,
-                    },
-                );
-            }
-            None => self.relays.mark_rendezvous(topic),
-        }
+        self.relay_step(ctx, topic, hops);
     }
 
     /// Forward a notification to every interested routing-table neighbor and
@@ -394,7 +343,7 @@ impl VitisNode {
         notif: Notification,
     ) {
         let mut targets: Vec<NodeIdx> = Vec::new();
-        for e in self.rt.iter() {
+        for e in self.net.rt().iter() {
             if e.payload.contains(notif.topic) && Some(e.addr) != came_from {
                 targets.push(e.addr);
             }
@@ -434,11 +383,10 @@ impl VitisNode {
             && notif.hops == 1
             && (self.is_gateway(notif.topic) || self.relays.has(notif.topic))
         {
-            self.monitor()
-                .record_control_tx(self.addr, wire::PUB_ACK_BYTES);
-            ctx.send(from, VitisMsg::PubAck { event: notif.event });
+            self.send_control(ctx, from, VitisMsg::PubAck { event: notif.event });
         }
-        let Some(fwd) = self.dissem.receive(self.addr, &self.subs, ctx.now, notif) else {
+        let (addr, subs) = (self.net.addr(), self.net.payload());
+        let Some(fwd) = self.dissem.receive(addr, subs, ctx.now, notif) else {
             return;
         };
         // TTL hardening: deliver (and cache) locally but stop forwarding
@@ -451,7 +399,7 @@ impl VitisNode {
     }
 
     fn on_publish(&mut self, ctx: &mut Context<'_, VitisMsg>, event: EventId, topic: TopicId) {
-        let notif = self.dissem.publish(self.addr, event, topic);
+        let notif = self.dissem.publish(self.net.addr(), event, topic);
         self.forward_notification(ctx, None, notif);
         if self.cfg.publish_retries > 0 {
             self.pending_pubs.insert(event);
@@ -483,7 +431,7 @@ impl VitisNode {
             event,
             topic,
             hops: 1,
-            path: HopPath::origin(self.addr),
+            path: HopPath::origin(self.net.addr()),
         };
         self.forward_notification(ctx, None, notif);
         if attempt < self.cfg.publish_retries {
@@ -561,23 +509,17 @@ impl Protocol for VitisNode {
     }
 
     fn on_start(&mut self, ctx: &mut Context<'_, VitisMsg>) {
-        self.addr = ctx.self_idx;
-        let contacts = std::mem::take(&mut self.bootstrap);
-        self.sampling.bootstrap(&contacts, self.addr);
+        let contacts = self.net.start(ctx.self_idx);
         // Seed the routing table immediately so the first rounds can gossip.
-        self.merge_and_select(&contacts, ctx.rng);
+        self.ranked_merge(|net, sticky, rank| net.merge(&contacts, sticky, rank, ctx.rng));
     }
 
     fn on_round(&mut self, ctx: &mut Context<'_, VitisMsg>) {
-        self.monitor().record_control_round(self.addr);
+        self.monitor().record_control_round(self.net.addr());
 
         // 1. Peer sampling exchange.
-        self.sampling.tick();
-        let se = self.self_entry();
-        if let Some((partner, buf)) = self.sampling.initiate(&se, ctx.rng) {
-            self.monitor()
-                .record_control_tx(self.addr, wire::buffer_bytes(&buf));
-            ctx.send(partner, VitisMsg::PsReq(buf));
+        if let Some((partner, buf)) = self.net.sampling_round(ctx.rng) {
+            self.send_control(ctx, partner, VitisMsg::PsReq(buf));
         }
 
         // 2. T-Man exchange (Algorithm 2). Half the exchanges target a ring
@@ -585,11 +527,13 @@ impl Protocol for VitisNode {
         //    is what walks the successor/predecessor pointers to the true
         //    ring. A friend-dominated table would otherwise mix almost
         //    exclusively inside its own interest cluster and converge the
-        //    ring very slowly. Falls back to a sampled peer while empty.
-        let partner = {
+        //    ring very slowly. The other half, and a node with no ring
+        //    neighbor yet, draw from the whole table.
+        let ring_pick = {
             use rand::Rng;
-            let ring_pick = if ctx.rng.gen_bool(0.5) {
-                match (&self.rt.succ, &self.rt.pred) {
+            let rt = self.net.rt();
+            if ctx.rng.gen_bool(0.5) {
+                match (&rt.succ, &rt.pred) {
                     (Some(s), Some(p)) => Some(if ctx.rng.gen_bool(0.5) {
                         s.addr
                     } else {
@@ -601,35 +545,23 @@ impl Protocol for VitisNode {
                 }
             } else {
                 None
-            };
-            ring_pick.or_else(|| {
-                if self.rt.is_empty() {
-                    self.sampling.sample().first().map(|e| e.addr)
-                } else {
-                    let pick = ctx.rng.gen_range(0..self.rt.len());
-                    self.rt.iter().nth(pick).map(|e| e.addr)
-                }
-            })
+            }
         };
-        if let Some(partner) = partner {
-            let buf = build_exchange_buffer(&self.rt, self.sampling.sample(), &se);
-            self.monitor()
-                .record_control_tx(self.addr, wire::buffer_bytes(&buf));
-            ctx.send(partner, VitisMsg::RtReq(buf));
+        if let Some(partner) = ring_pick.or_else(|| self.net.uniform_partner(ctx.rng)) {
+            let buf = self.net.exchange_buffer();
+            self.send_control(ctx, partner, VitisMsg::RtReq(buf));
         }
 
         // 3. Failure detection: age and expire stale neighbors (forward and
         //    reverse).
-        self.rt.age_all();
-        for dead in self.rt.expire(self.cfg.age_threshold) {
+        for dead in self.net.detect_failures() {
             if !self.reverse.contains_key(&dead) {
                 self.nbr_proposals.remove(&dead);
             }
-            self.sampling.remove(dead);
             self.relays.remove_peer(dead);
         }
         let thr = self.cfg.age_threshold;
-        let rt = &self.rt;
+        let rt = self.net.rt();
         let nbr_proposals = &mut self.nbr_proposals;
         self.reverse.retain(|addr, link| {
             link.age = link.age.saturating_add(1);
@@ -661,14 +593,12 @@ impl Protocol for VitisNode {
         }
         debug_assert!(ascending_by_topic(&self.advert));
         let pm = ProfileMsg {
-            id: self.id,
-            subs: self.subs.clone(),
+            id: self.net.id(),
+            subs: self.net.payload().clone(),
             proposals: self.advert.clone(),
         };
-        let pm_bytes = wire::profile_bytes(&pm);
-        for e in self.rt.iter() {
-            self.monitor().record_control_tx(self.addr, pm_bytes);
-            ctx.send(e.addr, VitisMsg::Profile(pm.clone()));
+        for e in self.net.rt().iter() {
+            self.send_control(ctx, e.addr, VitisMsg::Profile(pm.clone()));
         }
 
         // 7. Anti-entropy repair: retry outstanding pulls, then gossip a
@@ -676,7 +606,7 @@ impl Protocol for VitisNode {
         //    the connection set (table plus reverse links). Entirely inert
         //    — no sends, no RNG draws — unless the layer is enabled, so
         //    default runs stay bit-identical.
-        let (rt, reverse) = (&self.rt, &self.reverse);
+        let (rt, reverse) = (self.net.rt(), &self.reverse);
         let repair = self.dissem.round_step(
             || {
                 let mut nbrs = rt.addrs();
@@ -690,15 +620,11 @@ impl Protocol for VitisNode {
             ctx.rng,
         );
         for (target, ids) in repair.pulls {
-            self.monitor()
-                .record_control_tx(self.addr, ids.len() as u64 * antientropy::WANT_ID_BYTES);
-            ctx.send(target, VitisMsg::AeWant(ids));
+            self.send_control(ctx, target, VitisMsg::AeWant(ids));
         }
         if let Some(entries) = repair.digest {
-            let bytes = entries.len() as u64 * antientropy::DIGEST_ENTRY_BYTES;
             for t in repair.digest_targets {
-                self.monitor().record_control_tx(self.addr, bytes);
-                ctx.send(t, VitisMsg::AeDigest(entries.clone()));
+                self.send_control(ctx, t, VitisMsg::AeDigest(entries.clone()));
             }
         }
     }
@@ -706,26 +632,18 @@ impl Protocol for VitisNode {
     fn on_message(&mut self, ctx: &mut Context<'_, VitisMsg>, from: NodeIdx, msg: VitisMsg) {
         match msg {
             VitisMsg::PsReq(buf) => {
-                let se = self.self_entry();
-                let reply = self.sampling.on_request(&se, from, &buf, ctx.rng);
-                self.monitor()
-                    .record_control_tx(self.addr, wire::buffer_bytes(&reply));
-                ctx.send(from, VitisMsg::PsResp(reply));
+                let reply = self.net.on_ps_request(from, &buf, ctx.rng);
+                self.send_control(ctx, from, VitisMsg::PsResp(reply));
             }
-            VitisMsg::PsResp(buf) => {
-                self.sampling.on_response(self.addr, &buf);
-            }
+            VitisMsg::PsResp(buf) => self.net.on_ps_response(&buf),
             VitisMsg::RtReq(buf) => {
-                // Algorithm 3: reply with our own buffer first, then merge.
-                let se = self.self_entry();
-                let reply = build_exchange_buffer(&self.rt, self.sampling.sample(), &se);
-                self.monitor()
-                    .record_control_tx(self.addr, wire::buffer_bytes(&reply));
-                ctx.send(from, VitisMsg::RtResp(reply));
-                self.merge_and_select(&buf, ctx.rng);
+                let reply = self.ranked_merge(|net, sticky, rank| {
+                    net.on_rt_request(&buf, sticky, rank, ctx.rng)
+                });
+                self.send_control(ctx, from, VitisMsg::RtResp(reply));
             }
             VitisMsg::RtResp(buf) => {
-                self.merge_and_select(&buf, ctx.rng);
+                self.ranked_merge(|net, sticky, rank| net.merge(&buf, sticky, rank, ctx.rng));
             }
             VitisMsg::Profile(pm) => {
                 // Algorithm 7: refresh the sender's entry and remember its
@@ -733,17 +651,14 @@ impl Protocol for VitisNode {
                 // hold ourselves is a *reverse* neighbor (the connection's
                 // other end) — track it for flooding and election, and
                 // offer it to the ring-repair check.
-                if self.rt.refresh(from, pm.subs.clone()) {
+                if self.net.on_heartbeat(from, pm.id, pm.subs.clone()) {
                     self.reverse.remove(&from);
                 } else {
-                    self.reverse.insert(
-                        from,
-                        ReverseLink {
-                            subs: pm.subs.clone(),
-                            age: 0,
-                        },
-                    );
-                    self.rt.adopt_ring_candidate(self.id, from, pm.id, pm.subs);
+                    let link = ReverseLink {
+                        subs: pm.subs,
+                        age: 0,
+                    };
+                    self.reverse.insert(from, link);
                 }
                 debug_assert!(ascending_by_topic(&pm.proposals));
                 self.nbr_proposals.insert(
@@ -774,13 +689,9 @@ impl Protocol for VitisNode {
                 self.on_retry_publish(ctx, event, topic, attempt);
             }
             VitisMsg::AeDigest(entries) => {
-                let wants = self.dissem.on_digest(from, &entries, &self.subs);
+                let wants = self.dissem.on_digest(from, &entries, self.net.payload());
                 if !wants.is_empty() {
-                    self.monitor().record_control_tx(
-                        self.addr,
-                        wants.len() as u64 * antientropy::WANT_ID_BYTES,
-                    );
-                    ctx.send(from, VitisMsg::AeWant(wants));
+                    self.send_control(ctx, from, VitisMsg::AeWant(wants));
                 }
             }
             VitisMsg::AeWant(ids) => {
@@ -789,7 +700,8 @@ impl Protocol for VitisNode {
                 }
             }
             VitisMsg::AePush(notif) => {
-                self.dissem.recover(self.addr, &self.subs, ctx.now, notif);
+                let (addr, subs) = (self.net.addr(), self.net.payload());
+                self.dissem.recover(addr, subs, ctx.now, notif);
             }
         }
     }
@@ -801,6 +713,7 @@ impl Protocol for VitisNode {
 mod tests {
     use super::*;
     use crate::config::VitisConfig;
+    use rand::rngs::SmallRng;
     use vitis_sim::engine::{Engine, EngineConfig};
     use vitis_sim::time::Duration;
 
@@ -841,18 +754,6 @@ mod tests {
         VitisConfig {
             est_n: 64,
             ..VitisConfig::default()
-        }
-    }
-
-    #[test]
-    fn tables_fill_and_stay_bounded() {
-        let (mut eng, _) = build_net(64, |i| vec![(i % 4) as u32], 4, small_cfg());
-        eng.run_rounds(25);
-        for (_, node) in eng.alive_nodes() {
-            let rt = node.routing_table();
-            assert!(rt.len() <= 15);
-            assert!(rt.len() >= 5, "table too empty: {}", rt.len());
-            assert!(rt.succ.is_some() && rt.pred.is_some());
         }
     }
 
@@ -937,7 +838,7 @@ mod tests {
             Monitor::new(),
             Vec::new(),
         );
-        node.addr = NodeIdx(0);
+        node.net.start(NodeIdx(0));
         node
     }
 
@@ -947,18 +848,18 @@ mod tests {
     fn elect_topic_major(node: &VitisNode) -> Vec<(TopicId, Proposal)> {
         let failover = node.cfg.gateway_failover;
         let thr = node.cfg.age_threshold;
-        node.subs
+        let rt = node.net.rt();
+        node.subscriptions()
             .iter()
             .map(|topic| {
-                let rt_nbrs = node
-                    .rt
+                let rt_nbrs = rt
                     .iter()
                     .filter(|e| e.payload.contains(topic))
                     .map(|e| e.addr);
                 let rev_nbrs = node
                     .reverse
                     .iter()
-                    .filter(|(a, l)| l.subs.contains(topic) && !node.rt.contains(**a))
+                    .filter(|(a, l)| l.subs.contains(topic) && !rt.contains(**a))
                     .map(|(a, _)| *a);
                 let with_props = rt_nbrs.chain(rev_nbrs).filter_map(|addr| {
                     node.nbr_proposals
@@ -968,12 +869,12 @@ mod tests {
                         .map(|(_, p)| (addr, p))
                 });
                 let prop = crate::gateway::revise_proposal(
-                    node.addr,
-                    node.id,
+                    node.net.addr(),
+                    node.net.id(),
                     topic,
                     node.cfg.d_max_hops,
                     with_props,
-                    |a| node.rt.contains(a) || node.reverse.contains_key(&a),
+                    |a| rt.contains(a) || node.reverse.contains_key(&a),
                 );
                 (topic, prop)
             })
@@ -1007,19 +908,20 @@ mod tests {
             order.swap(i, rng.gen_range(0..=i));
         }
         let mut next = order.into_iter();
-        node.rt = HybridRt::new();
-        node.rt.succ = Some(entry(next.next().unwrap(), rng));
+        let mut rt = HybridRt::new();
+        rt.succ = Some(entry(next.next().unwrap(), rng));
         if two_node_ring {
-            node.rt.pred = node.rt.succ.clone();
+            rt.pred = rt.succ.clone();
         } else {
-            node.rt.pred = Some(entry(next.next().unwrap(), rng));
+            rt.pred = Some(entry(next.next().unwrap(), rng));
             for _ in 0..rng.gen_range(0..3) {
-                node.rt.sw.push(entry(next.next().unwrap(), rng));
+                rt.sw.push(entry(next.next().unwrap(), rng));
             }
             for _ in 0..rng.gen_range(0..8) {
-                node.rt.friends.push(entry(next.next().unwrap(), rng));
+                rt.friends.push(entry(next.next().unwrap(), rng));
             }
         }
+        *node.net.rt_mut() = rt;
         node.reverse = SmallMap::new();
         for _ in 0..rng.gen_range(0..8) {
             let link = ReverseLink {
@@ -1037,7 +939,7 @@ mod tests {
             let topics = if rng.gen_bool(0.5) {
                 // Usually an advertiser proposes for what its descriptor
                 // says it subscribes to …
-                let in_rt = node.rt.iter().find(|e| e.addr.0 == addr);
+                let in_rt = node.net.rt().iter().find(|e| e.addr.0 == addr);
                 let in_rev = node.reverse.get(&NodeIdx(addr)).map(|l| &l.subs);
                 in_rt.map(|e| &e.payload).or(in_rev).cloned()
             } else {
@@ -1095,14 +997,14 @@ mod tests {
             let thr = node.cfg.age_threshold;
             adopted += expected
                 .iter()
-                .filter(|(_, p)| p.gw_addr != node.addr)
+                .filter(|(_, p)| p.gw_addr != node.net.addr())
                 .count();
             stale_votes += node.nbr_proposals.values().filter(|n| n.age > thr).count();
             in_table_parents += node
                 .nbr_proposals
                 .values()
                 .flat_map(|n| n.props.iter())
-                .filter(|(_, p)| node.rt.contains(p.parent))
+                .filter(|(_, p)| node.net.rt().contains(p.parent))
                 .count();
             // With failover off, a stale advertisement still votes: ageing
             // every advert past the threshold must not change the result.
@@ -1122,7 +1024,7 @@ mod tests {
     fn election_without_neighbors_or_with_the_ablation_proposes_self() {
         let mut node = lone_node(&[3, 1, 2], small_cfg());
         node.elect();
-        let own = Proposal::self_proposal(node.addr, node.id);
+        let own = Proposal::self_proposal(node.net.addr(), node.net.id());
         assert_eq!(
             node.proposals,
             vec![(TopicId(1), own), (TopicId(2), own), (TopicId(3), own)]
@@ -1147,15 +1049,16 @@ mod tests {
             ..VitisConfig::default()
         };
         let node = lone_node(&[0, 1, 2, 3, 4, 5, 6, 7], cfg);
+        let id = node.net.id();
         let mut peers = vec![
-            Entry::fresh(NodeIdx(1), Id(node.id.0 + 1), subs_of(&[40])),
-            Entry::fresh(NodeIdx(2), Id(node.id.0 - 1), subs_of(&[41])),
+            Entry::fresh(NodeIdx(1), Id(id.0 + 1), subs_of(&[40])),
+            Entry::fresh(NodeIdx(2), Id(id.0 - 1), subs_of(&[41])),
         ];
         for k in 0..6u32 {
             let overlap: Vec<u32> = (0..8 - k).collect();
             peers.push(Entry {
                 addr: NodeIdx(3 + k),
-                id: Id(node.id.0 ^ (u64::from(k) + 1) << 50),
+                id: Id(id.0 ^ (u64::from(k) + 1) << 50),
                 age: 1,
                 payload: subs_of(&overlap),
             });
@@ -1163,8 +1066,13 @@ mod tests {
         (node, peers)
     }
 
+    /// A plain T-Man merge under the node's own ranking, as `RtResp` does.
+    fn merge(node: &mut VitisNode, incoming: &[Entry<Subs>], rng: &mut SmallRng) {
+        node.ranked_merge(|net, sticky, rank| net.merge(incoming, sticky, rank, rng));
+    }
+
     fn friend_addrs(node: &VitisNode) -> Vec<u32> {
-        let mut addrs: Vec<u32> = node.rt.friends.iter().map(|e| e.addr.0).collect();
+        let mut addrs: Vec<u32> = node.net.rt().friends.iter().map(|e| e.addr.0).collect();
         addrs.sort_unstable();
         addrs
     }
@@ -1181,7 +1089,7 @@ mod tests {
         use rand::SeedableRng;
         let mut rng = SmallRng::seed_from_u64(3);
         let (mut node, peers) = friend_contest();
-        node.merge_and_select(&peers, &mut rng);
+        merge(&mut node, &peers, &mut rng);
         assert_eq!(friend_addrs(&node), vec![3, 4, 5]);
         // Ring and small-world picks are never ranked, so never memoised.
         assert_eq!(node.utility_memo.len(), 6);
@@ -1192,7 +1100,7 @@ mod tests {
         // same address, new handle. A stale hit would keep it a friend.
         let mut peers = peers;
         peers[2] = Entry::fresh(NodeIdx(3), peers[2].id, subs_of(&[50]));
-        node.merge_and_select(&peers, &mut rng);
+        merge(&mut node, &peers, &mut rng);
         assert_eq!(friend_addrs(&node), vec![4, 5, 6]);
         assert!(Arc::ptr_eq(&memo_entry(&node, 3).1, &peers[2].payload));
         assert_eq!(memo_entry(&node, 3).2, 0.0);
@@ -1203,7 +1111,7 @@ mod tests {
         let old_handle = memo_entry(&node, 4).1.clone();
         let twin = Entry::fresh(NodeIdx(4), peers[3].id, subs_of(&[0, 1, 2, 3, 4, 5, 6]));
         assert!(*twin.payload == *old_handle && !Arc::ptr_eq(&twin.payload, &old_handle));
-        node.merge_and_select(std::slice::from_ref(&twin), &mut rng);
+        merge(&mut node, std::slice::from_ref(&twin), &mut rng);
         assert!(Arc::ptr_eq(&memo_entry(&node, 4).1, &twin.payload));
         assert_eq!(memo_entry(&node, 4).2, 7.0 / 8.0);
         assert_eq!(friend_addrs(&node), vec![4, 5, 6]);
@@ -1217,14 +1125,14 @@ mod tests {
         use rand::SeedableRng;
         let mut rng = SmallRng::seed_from_u64(4);
         let (mut node, peers) = friend_contest();
-        node.merge_and_select(&peers, &mut rng);
+        merge(&mut node, &peers, &mut rng);
         assert_eq!(friend_addrs(&node), vec![3, 4, 5]);
         // Peers 6, 7, 8 hold {0..=4}, {0..=3}, {0..=2}: against the new set
         // {0, 1, 2} they are the better matches, and only a recomputation
         // can see it (every handle is unchanged).
         node.set_subscriptions(subs_of(&[0, 1, 2]));
         assert!(node.utility_memo.is_empty());
-        node.merge_and_select(&peers, &mut rng);
+        merge(&mut node, &peers, &mut rng);
         assert_eq!(friend_addrs(&node), vec![6, 7, 8]);
         assert_eq!(memo_entry(&node, 7).2, 3.0 / 4.0);
     }
@@ -1253,15 +1161,15 @@ mod tests {
                 })
                 .collect();
             let mut fresh = lone_node(&[0, 1, 2, 3, 4, 5], VitisConfig::default());
-            fresh.rt = node.rt.clone();
+            *fresh.net.rt_mut() = node.net.rt().clone();
             let before = node.utility_memo.clone();
-            let candidates = node.rt.len() + incoming.len();
-            node.merge_and_select(&incoming, &mut rng.clone());
-            fresh.merge_and_select(&incoming, &mut rng);
-            assert_eq!(node.rt.to_vec(), fresh.rt.to_vec());
+            let candidates = node.net.rt().len() + incoming.len();
+            merge(&mut node, &incoming, &mut rng.clone());
+            merge(&mut fresh, &incoming, &mut rng);
+            assert_eq!(node.net.rt().to_vec(), fresh.net.rt().to_vec());
             assert!(node.utility_memo.len() <= candidates);
             for (addr, subs, u) in &node.utility_memo {
-                assert_eq!(*u, utility(&node.subs, subs, &node.rates));
+                assert_eq!(*u, utility(node.subscriptions(), subs, &node.rates));
                 hits += before
                     .iter()
                     .filter(|m| m.0 == *addr && Arc::ptr_eq(&m.1, subs))

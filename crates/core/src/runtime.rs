@@ -338,11 +338,6 @@ impl<P: PubSubProtocol> SystemRuntime<P> {
         self.parallel = on;
     }
 
-    /// Whether rounds currently run through the parallel executor.
-    pub fn parallel_rounds(&self) -> bool {
-        self.parallel
-    }
-
     /// The protocol adapter (shared config state).
     pub fn protocol(&self) -> &P {
         &self.protocol

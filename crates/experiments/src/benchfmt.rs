@@ -1,7 +1,7 @@
 //! The shared BENCH file format (`vitis-bench-v1`).
 //!
 //! One schema for every wall-clock benchmark artifact in the repo: the
-//! `scale` subcommand's `BENCH_PR6.json`, the `meso_timing` binary's
+//! `scale` subcommand's `BENCH_current.json`, the `meso_timing` binary's
 //! output, and anything CI wants to diff across commits. The file is a
 //! single valid JSON object, laid out one entry per line so it also
 //! greps and diffs like JSONL:

@@ -245,7 +245,7 @@ fn run_scale(args: &[String]) -> ExitCode {
     use vitis_experiments::scalebench;
     let mut max_nodes = scalebench::DEFAULT_MAX_NODES;
     let mut seed: u64 = 42;
-    let mut out = "BENCH_PR9.json".to_string();
+    let mut out = "BENCH_current.json".to_string();
     let mut perf_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut budget_secs: Option<u64> = None;

@@ -9,6 +9,9 @@
 //! * the T-Man-driven [`rt::HybridRt`] routing table: the paper's
 //!   Algorithm 4 neighbor selection, the exchange buffer of Algorithm 2 and
 //!   notify-style ring repair,
+//! * the [`substrate`] that assembles sampling, the T-Man exchange and
+//!   failure detection into the one membership component every node type
+//!   holds,
 //! * greedy rendezvous [`routing`], and
 //! * static [`graph`] analysis (topic clusters, hop counts, degrees).
 
@@ -22,6 +25,7 @@ pub mod ring;
 pub mod routing;
 pub mod rt;
 pub mod smallworld;
+pub mod substrate;
 pub mod view;
 
 /// Convenience re-exports.
@@ -34,5 +38,6 @@ pub mod prelude {
     pub use crate::routing::{greedy_walk, next_hop, LookupPath};
     pub use crate::rt::{build_exchange_buffer, select_neighbors, HybridRt, LinkKind, RtParams};
     pub use crate::smallworld::{harmonic_distance, select_sw_neighbor};
+    pub use crate::substrate::{Sampler, Substrate};
     pub use crate::view::View;
 }

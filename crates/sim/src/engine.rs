@@ -1,10 +1,13 @@
 //! The deterministic discrete-event engine.
 //!
 //! The engine owns all node states, a single event queue, and the network
-//! model. It is single-threaded by design: determinism and debuggability of
-//! protocol logic trump parallel execution here (parameter-sweep parallelism
-//! lives one level up, across independent engine instances — see the
-//! experiment harness, which runs sweep points on Rayon).
+//! model. Determinism trumps parallel execution: [`Engine::run_until`] runs
+//! every handler on the calling thread, and the opt-in
+//! [`Engine::run_until_parallel`] spreads one timestamp batch's handlers
+//! over Rayon workers but merges their effects back in exact serial event
+//! order, so both produce the same bytes at any thread count. Parameter
+//! sweeps parallelise one level up, across independent engine instances
+//! (the experiment harness runs sweep points on Rayon).
 //!
 //! Gossip protocols are *cycle-driven* on top of the event queue: each alive
 //! node receives a `RoundTick` every `round_period` ticks, desynchronized by
@@ -48,10 +51,6 @@ struct Slot<P: Protocol> {
     rng: SmallRng,
     incarnation: u32,
     joined_at: SimTime,
-    /// Messages handed to the network by this node (control + data).
-    sent: u64,
-    /// Messages delivered to this node.
-    received: u64,
     /// Frozen: alive but silent (fault injection). A frozen node executes
     /// no rounds and receives nothing; its pending ticks keep rescheduling
     /// so it resumes when thawed.
@@ -148,11 +147,6 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
     /// events into it from now on.
     pub fn set_trace(&mut self, trace: TraceHandle) {
         self.trace = Some(trace);
-    }
-
-    /// Stop recording into the installed trace, if any.
-    pub fn clear_trace(&mut self) {
-        self.trace = None;
     }
 
     /// A clone of the installed trace handle, if any.
@@ -253,19 +247,6 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
         }
     }
 
-    /// Number of pending events in the queue (ticks + in-flight messages).
-    #[inline]
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Whether the event queue is fully drained (only possible when no node
-    /// is alive, since alive nodes keep a pending round tick).
-    #[inline]
-    pub fn queue_is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
     /// Number of slots ever created (alive or dead).
     #[inline]
     pub fn num_slots(&self) -> usize {
@@ -320,12 +301,6 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
         self.alive_nodes().map(|(i, _)| i).collect()
     }
 
-    /// Per-node (sent, received) message counters for the slot's lifetime.
-    pub fn slot_traffic(&self, idx: NodeIdx) -> (u64, u64) {
-        let s = &self.slots[idx.index()];
-        (s.sent, s.received)
-    }
-
     /// Inject a message into `to` from outside the protocol flow — harness
     /// stimuli such as a publish command. Delivered one tick from now with
     /// `from == to`, like a self-timer.
@@ -350,8 +325,6 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
             rng: node_rng,
             incarnation: 0,
             joined_at: self.now,
-            sent: 0,
-            received: 0,
             frozen: false,
         });
         self.trace_record(TraceEvent::Join {
@@ -476,22 +449,6 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
         }
     }
 
-    /// Drain every pending event regardless of timestamp (the clock follows
-    /// the last executed event). Useful to let a dissemination cascade
-    /// complete; be sure protocols are quiescent (ticks keep the queue
-    /// non-empty, so this caps at `max_events`).
-    pub fn drain(&mut self, max_events: u64) {
-        for _ in 0..max_events {
-            match self.queue.pop() {
-                Some((time, ev)) => {
-                    self.now = time;
-                    self.handle_event(ev);
-                }
-                None => break,
-            }
-        }
-    }
-
     fn handle_event(&mut self, ev: Ev<P::Msg>) {
         match ev {
             Ev::Deliver { to, from, msg } => {
@@ -505,7 +462,6 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
                     self.stats.messages_suppressed += 1;
                     self.record_net_drop(from, to, &msg);
                 } else if alive {
-                    self.slots[to.index()].received += 1;
                     self.stats.messages_delivered += 1;
                     let tag = P::classify(&msg);
                     self.ledger.record_deliver(tag);
@@ -576,23 +532,18 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
         let discard_effects = matches!(kind, DispatchKind::Stop(StopReason::Crash));
         let mut effects = std::mem::take(&mut self.effects_buf);
         effects.clear();
-        let sent;
-        {
-            let slot = &mut self.slots[idx.index()];
-            let mut ctx = Context::new(idx, self.now, &mut slot.rng, &mut effects);
-            match kind {
-                DispatchKind::Start => proto.on_start(&mut ctx),
-                DispatchKind::Round => proto.on_round(&mut ctx),
-                DispatchKind::Message { from, msg } => proto.on_message(&mut ctx, from, msg),
-                DispatchKind::Stop(reason) => proto.on_stop(&mut ctx, reason),
-            }
-            sent = ctx.sent;
+        let slot = &mut self.slots[idx.index()];
+        let mut ctx = Context::new(idx, self.now, &mut slot.rng, &mut effects);
+        match kind {
+            DispatchKind::Start => proto.on_start(&mut ctx),
+            DispatchKind::Round => proto.on_round(&mut ctx),
+            DispatchKind::Message { from, msg } => proto.on_message(&mut ctx, from, msg),
+            DispatchKind::Stop(reason) => proto.on_stop(&mut ctx, reason),
         }
-        self.slots[idx.index()].proto = Some(proto);
+        slot.proto = Some(proto);
         if discard_effects {
             effects.clear();
         } else {
-            self.slots[idx.index()].sent += sent;
             self.apply_effects(idx, &mut effects);
         }
         self.effects_buf = effects;
@@ -804,7 +755,6 @@ impl<P: ParallelProtocol, N: NetworkModel> Engine<P, N> {
                     to,
                     tag,
                 } => {
-                    self.slots[to.index()].received += 1;
                     self.stats.messages_delivered += 1;
                     self.ledger.record_deliver(tag);
                     self.trace_message(|| TraceEvent::MsgDeliver {
@@ -818,7 +768,6 @@ impl<P: ParallelProtocol, N: NetworkModel> Engine<P, N> {
                     let r = &mut results[group as usize];
                     let oc = r.outcomes.pop().expect("missing worker outcome");
                     r.proto.apply_deferred(oc.ops);
-                    self.slots[to.index()].sent += oc.sent;
                     let mut effects = oc.effects;
                     self.apply_effects(to, &mut effects);
                 }
@@ -832,7 +781,6 @@ impl<P: ParallelProtocol, N: NetworkModel> Engine<P, N> {
                     let r = &mut results[group as usize];
                     let oc = r.outcomes.pop().expect("missing worker outcome");
                     r.proto.apply_deferred(oc.ops);
-                    self.slots[node.index()].sent += oc.sent;
                     let mut effects = oc.effects;
                     self.apply_effects(node, &mut effects);
                     self.push_event(
@@ -926,11 +874,10 @@ enum WorkItem<M> {
     Round,
 }
 
-/// Captured output of one handler run: its effects, its send count, and
-/// its deferred shared-sink operations.
+/// Captured output of one handler run: its effects and its deferred
+/// shared-sink operations.
 struct ItemOutcome<M, D> {
     effects: Vec<Effect<M>>,
-    sent: u64,
     ops: D,
 }
 
@@ -956,18 +903,13 @@ fn run_node_group<P: ParallelProtocol>(now: SimTime, g: NodeGroup<P>) -> GroupRe
     let mut outcomes = Vec::with_capacity(items.len());
     for item in items {
         let mut effects = Vec::new();
-        let sent;
-        {
-            let mut ctx = Context::new(idx, now, &mut rng, &mut effects);
-            match item {
-                WorkItem::Deliver { from, msg } => proto.on_message(&mut ctx, from, msg),
-                WorkItem::Round => proto.on_round(&mut ctx),
-            }
-            sent = ctx.sent;
+        let mut ctx = Context::new(idx, now, &mut rng, &mut effects);
+        match item {
+            WorkItem::Deliver { from, msg } => proto.on_message(&mut ctx, from, msg),
+            WorkItem::Round => proto.on_round(&mut ctx),
         }
         outcomes.push(ItemOutcome {
             effects,
-            sent,
             ops: proto.take_deferred(),
         });
     }

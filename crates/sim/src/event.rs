@@ -251,7 +251,9 @@ impl<E> EventQueue<E> {
         self.overflow_min = min;
     }
 
-    /// Pop the earliest pending event.
+    /// Pop the earliest pending event. The engine drains by batch; tests
+    /// use this to check single-event order against the heap oracle.
+    #[cfg(test)]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let t = self.peek_time()?.0;
         self.advance_floor(t);
@@ -282,6 +284,7 @@ impl<E> EventQueue<E> {
         self.len
     }
 
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }

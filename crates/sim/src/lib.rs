@@ -58,7 +58,7 @@ pub mod prelude {
     pub use crate::fault::{
         FaultDriver, FaultEpisode, FaultPlan, FaultPlanError, FaultedNetwork, LossScope, Span,
     };
-    pub use crate::metrics::{Counter, Histogram, Summary, TimeSeries};
+    pub use crate::metrics::{Histogram, Summary};
     pub use crate::network::{ConstantLatency, Lossy, NetworkModel, UniformLatency};
     pub use crate::perf::{EngineCounters, MemSnapshot, SpanStat};
     pub use crate::protocol::{Context, ParallelProtocol, Protocol, StopReason};

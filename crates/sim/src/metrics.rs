@@ -1,35 +1,10 @@
-//! Measurement primitives: counters, sample summaries, fixed-bin histograms
-//! and time series.
+//! Measurement primitives: sample summaries and fixed-bin histograms.
 //!
 //! These are intentionally simple, allocation-light containers; the
 //! evaluation-metric *semantics* (hit ratio, traffic overhead, propagation
 //! delay) live with the protocols that define them.
 
 use serde::{Deserialize, Serialize};
-
-/// A monotonically increasing event counter.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counter(pub u64);
-
-impl Counter {
-    /// Increment by one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increment by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    #[inline]
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
 
 /// Streaming summary of a sample: count, mean, variance (Welford), min, max.
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
@@ -240,63 +215,9 @@ impl Histogram {
     }
 }
 
-/// A `(time, value)` series, e.g. hit ratio sampled every hour of a churn
-/// experiment (Figure 12).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct TimeSeries {
-    points: Vec<(u64, f64)>,
-}
-
-impl TimeSeries {
-    /// An empty series.
-    pub fn new() -> Self {
-        TimeSeries { points: Vec::new() }
-    }
-
-    /// Append a point; `t` is a raw tick count (or any monotone x-value).
-    pub fn push(&mut self, t: u64, v: f64) {
-        debug_assert!(
-            self.points.last().is_none_or(|&(pt, _)| pt <= t),
-            "time series must be appended in order"
-        );
-        self.points.push((t, v));
-    }
-
-    /// The recorded points.
-    pub fn points(&self) -> &[(u64, f64)] {
-        &self.points
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the series is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Mean of the values (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::default();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
 
     #[test]
     fn summary_matches_closed_form() {
@@ -460,16 +381,5 @@ mod tests {
             assert_eq!(h.fraction(i), 0.0);
         }
         assert!(h.fractions().iter().all(|&(_, f)| f == 0.0));
-    }
-
-    #[test]
-    fn time_series_basics() {
-        let mut ts = TimeSeries::new();
-        assert!(ts.is_empty());
-        ts.push(0, 1.0);
-        ts.push(10, 3.0);
-        assert_eq!(ts.len(), 2);
-        assert_eq!(ts.points()[1], (10, 3.0));
-        assert!((ts.mean() - 2.0).abs() < 1e-12);
     }
 }

@@ -123,8 +123,6 @@ pub struct Context<'a, M> {
     /// The node's private, deterministic RNG stream.
     pub rng: &'a mut SmallRng,
     pub(crate) effects: &'a mut Vec<Effect<M>>,
-    /// Messages sent by the handler, counted for control/data accounting.
-    pub(crate) sent: u64,
 }
 
 impl<'a, M> Context<'a, M> {
@@ -139,7 +137,6 @@ impl<'a, M> Context<'a, M> {
             now,
             rng,
             effects,
-            sent: 0,
         }
     }
 
@@ -147,7 +144,6 @@ impl<'a, M> Context<'a, M> {
     /// network model. Sending to a dead or never-existing slot silently drops
     /// the message at delivery time, exactly like a datagram to a gone peer.
     pub fn send(&mut self, to: NodeIdx, msg: M) {
-        self.sent += 1;
         self.effects.push(Effect::Send { to, msg });
     }
 
@@ -171,7 +167,6 @@ mod tests {
         ctx.send(NodeIdx(1), 100);
         ctx.timer(Duration(5), 200);
         ctx.send(NodeIdx(2), 300);
-        assert_eq!(ctx.sent, 2);
         assert_eq!(effects.len(), 3);
         match &effects[0] {
             Effect::Send { to, msg } => {
