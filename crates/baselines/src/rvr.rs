@@ -171,24 +171,29 @@ impl RvrNode {
         &self.tree
     }
 
-    /// One join/refresh step toward the rendezvous of `topic` from this
-    /// node; the same logic serves the initiating subscriber and forwarders.
-    fn join_step(&mut self, topic: TopicId, hops: u32, ctx: &mut Context<'_, RvrMsg>) {
+    /// One join/refresh step toward the rendezvous of `topic` at this node,
+    /// on one tree-table search; the same logic serves the initiating
+    /// subscriber (`from` is `None`) and forwarders, which first refresh the
+    /// child link the join arrived over.
+    fn join_hop(
+        &mut self,
+        ctx: &mut Context<'_, RvrMsg>,
+        topic: TopicId,
+        from: Option<NodeIdx>,
+        hops: u32,
+    ) {
+        let entry = self.tree.entry(topic);
+        if let Some(from) = from {
+            entry.refresh_downstream(from);
+        }
         let table = self.net.rt().iter().map(|e| (e.id, e.addr));
-        match next_hop(self.net.id(), topic.ring_id(), table) {
-            Some(next) => {
-                self.tree.set_upstream(topic, next);
-                if hops < self.cfg.max_lookup_hops {
-                    ctx.send(
-                        next,
-                        RvrMsg::Join {
-                            topic,
-                            hops: hops + 1,
-                        },
-                    );
-                }
+        let next = next_hop(self.net.id(), topic.ring_id(), table);
+        entry.route(next);
+        if let Some(next) = next {
+            if hops < self.cfg.max_lookup_hops {
+                let hops = hops + 1;
+                ctx.send(next, RvrMsg::Join { topic, hops });
             }
-            None => self.tree.mark_rendezvous(topic),
         }
     }
 
@@ -200,9 +205,11 @@ impl RvrNode {
         came_from: Option<NodeIdx>,
         notif: Notification,
     ) {
-        for t in self.tree.fanout(notif.topic, came_from) {
-            self.dissem.send_copy(ctx, t, notif.clone(), RvrMsg::Notif);
-        }
+        let (topic, tree) = (notif.topic, &self.tree);
+        self.dissem
+            .send_copies(ctx, notif, RvrMsg::Notif, |targets| {
+                tree.fanout_into(topic, came_from, targets)
+            });
     }
 }
 
@@ -282,7 +289,7 @@ impl Protocol for RvrNode {
         // (Scribe keep-alive).
         let subs = self.net.payload().clone();
         for topic in subs.iter() {
-            self.join_step(topic, 0, ctx);
+            self.join_hop(ctx, topic, None, 0);
         }
 
         // Heartbeats keep neighbor entries fresh.
@@ -320,8 +327,7 @@ impl Protocol for RvrNode {
                 self.net.on_heartbeat(from, id, subs);
             }
             RvrMsg::Join { topic, hops } => {
-                self.tree.add_downstream(topic, from);
-                self.join_step(topic, hops, ctx);
+                self.join_hop(ctx, topic, Some(from), hops);
             }
             RvrMsg::Notif(notif) => {
                 if let Some(fwd) =

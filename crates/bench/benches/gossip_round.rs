@@ -140,8 +140,23 @@ fn bench_publish_wave(c: &mut Criterion) {
     g.finish();
 }
 
+/// What an activation costs the engine when the handler does nothing, at
+/// three node-state sizes (see `vitis_bench::dispatch`): the same, as
+/// long as dispatch does not move the node.
+fn bench_dispatch(c: &mut Criterion) {
+    let mut g = c.benchmark_group("dispatch");
+    g.sample_size(10);
+    for (bytes, mut run) in vitis_bench::dispatch::cases(2000) {
+        g.bench_function(BenchmarkId::new("null_round_2000_nodes", bytes), |b| {
+            b.iter(|| run(1));
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
+    bench_dispatch,
     bench_round,
     bench_dissemination,
     bench_build,

@@ -1,9 +1,10 @@
 //! Harness-free meso-benchmark.
 //!
-//! Mirrors the `gossip_round`, `dissemination` and `system_build` groups
-//! of `benches/gossip_round.rs` but times them with plain
+//! Mirrors the `gossip_round`, `dissemination`, `system_build` and
+//! `dispatch` groups of `benches/gossip_round.rs` but times them with plain
 //! `std::time::Instant`, so it runs in environments where the criterion
-//! harness is unavailable. Emits median microseconds in the shared
+//! harness is unavailable. Emits medians (microseconds; nanoseconds per
+//! activation for `dispatch`) in the shared
 //! `vitis-bench-v1` BENCH schema (`vitis_experiments::benchfmt`) — the
 //! same format as `vitis-experiments scale` — so any two reports diff
 //! with the `bench-diff` binary:
@@ -37,15 +38,9 @@ fn params(n: usize) -> SystemParams {
     p
 }
 
-/// Median wall time in microseconds over `samples` runs of `f`.
-fn median_us(samples: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
+/// Median over `samples` calls of `sample`.
+fn median(samples: usize, sample: impl FnMut() -> f64) -> f64 {
+    let mut times: Vec<f64> = std::iter::repeat_with(sample).take(samples).collect();
     times.sort_by(|a, b| a.total_cmp(b));
     let mid = times.len() / 2;
     if times.len().is_multiple_of(2) {
@@ -53,6 +48,15 @@ fn median_us(samples: usize, mut f: impl FnMut()) -> f64 {
     } else {
         times[mid]
     }
+}
+
+/// Median wall time in microseconds over `samples` runs of `f`.
+fn median_us(samples: usize, mut f: impl FnMut()) -> f64 {
+    median(samples, || {
+        let t0 = Instant::now();
+        f();
+        t0.elapsed().as_secs_f64() * 1e6
+    })
 }
 
 fn round_bench(sys: &mut dyn PubSub, samples: usize) -> f64 {
@@ -137,10 +141,18 @@ fn main() {
         median_us(SAMPLES, || drop(OptSystem::new(p.clone()))),
     ));
 
-    let bench: Vec<BenchEntry> = entries
+    let mut bench: Vec<BenchEntry> = entries
         .into_iter()
         .map(|(name, us)| BenchEntry::new(name, (us * 10.0).round() / 10.0, "us"))
         .collect();
+
+    // Null activations at three node-state sizes: equal, to within cache
+    // effects, as long as dispatch does not move the node.
+    for (bytes, mut run) in vitis_bench::dispatch::cases(2000) {
+        let ns = median(SAMPLES, || run(20));
+        let name = format!("dispatch/null_activation/{bytes}");
+        bench.push(BenchEntry::new(name, (ns * 10.0).round() / 10.0, "ns"));
+    }
     let text = benchfmt::render(&bench);
     match &out {
         Some(path) => {

@@ -20,6 +20,7 @@ use crate::msg::Notification;
 use crate::topic::{Subs, TopicId};
 use rand::rngs::SmallRng;
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use vitis_sim::antientropy::{AeConfig, AntiEntropy};
 use vitis_sim::event::NodeIdx;
@@ -39,11 +40,40 @@ pub struct RepairRound {
     pub digest_targets: Vec<NodeIdx>,
 }
 
+/// Hasher of the forwarding-dedup set: one multiplication by an odd
+/// constant. [`EventId`]s are dense counters the monitor hands out, never
+/// input from outside the program, so SipHash's collision resistance buys
+/// nothing here and its per-process key only costs; the product spreads
+/// consecutive ids over both the low bits (the table's bucket index) and
+/// the high bits (its control tags). The set is probed, never iterated, so
+/// the hash cannot reach any simulated outcome.
+#[derive(Default)]
+struct EventIdHasher(u64);
+
+impl Hasher for EventIdHasher {
+    fn write_u64(&mut self, id: u64) {
+        self.0 = (self.0 ^ id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Per-node dissemination and repair state.
 pub struct Dissemination {
     monitor: Monitor,
     /// Events already processed (forwarding dedup).
-    seen: HashSet<EventId>,
+    seen: HashSet<EventId, BuildHasherDefault<EventIdHasher>>,
+    /// The targets of the notification being forwarded; kept between calls
+    /// so steady-state forwarding allocates nothing.
+    targets: Vec<NodeIdx>,
     /// Anti-entropy repair layer. Default-off: inert (no sends, no RNG
     /// draws) unless enabled via [`Dissemination::set_repair`].
     ae: AntiEntropy<Notification>,
@@ -56,7 +86,8 @@ impl Dissemination {
     pub fn new(monitor: Monitor) -> Self {
         Dissemination {
             monitor,
-            seen: HashSet::new(),
+            seen: HashSet::default(),
+            targets: Vec::new(),
             ae: AntiEntropy::new(AeConfig::default()),
             round: 0,
         }
@@ -177,6 +208,25 @@ impl Dissemination {
         self.monitor
             .record_forward(notif.event, ctx.self_idx, to, notif.hops, ctx.now);
         ctx.send(to, wrap(notif));
+    }
+
+    /// Fan `notif` out: `fill` appends the targets (in send order, without
+    /// duplicates) to the node's reused target buffer, and each gets one
+    /// [`Dissemination::send_copy`].
+    pub fn send_copies<M>(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        notif: Notification,
+        wrap: impl Fn(Notification) -> M,
+        fill: impl FnOnce(&mut Vec<NodeIdx>),
+    ) {
+        let mut targets = std::mem::take(&mut self.targets);
+        targets.clear();
+        fill(&mut targets);
+        for &to in &targets {
+            self.send_copy(ctx, to, notif.clone(), &wrap);
+        }
+        self.targets = targets;
     }
 
     /// End-of-round step: count the round, age the cache, collect the pull

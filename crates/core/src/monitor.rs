@@ -24,7 +24,8 @@ use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use vitis_sim::event::NodeIdx;
 use vitis_sim::metrics::Summary;
 use vitis_sim::time::SimTime;
@@ -38,6 +39,14 @@ pub struct EventId(pub u64);
 /// engine slots an event copy has visited, publisher first. Backed by a
 /// shared `Arc` so fanning a notification out to `k` neighbors clones a
 /// pointer, not the path; [`HopPath::extend`] allocates once per hop.
+///
+/// The handle is one thin pointer on purpose, at the price of a second
+/// allocation per path (the `Arc`, then the vector's buffer). A path rides
+/// in every `Notification`, every notification in flight is an event in the
+/// engine's queue, and the queue is most of a data-plane run's memory:
+/// `Arc<[NodeIdx]>` — one allocation, but a 16-byte handle — grew every
+/// message of all three systems from 32 to 40 bytes and measured +13 % peak
+/// RSS and +4 % `cpu_s` on the benchmark's `publish_1k` (DESIGN §14).
 ///
 /// The path is forensic metadata only — it never influences routing and
 /// does not count toward wire-size accounting (see `docs/METRICS.md` §6).
@@ -427,6 +436,16 @@ pub enum MonitorOp {
     },
 }
 
+/// What every handle of one monitor shares.
+#[derive(Debug, Default)]
+struct Shared {
+    inner: Mutex<MonitorInner>,
+    /// Whether `inner.trace` is installed, readable without the lock so
+    /// forensics-only writes cost nothing in untraced runs. Written only by
+    /// [`Monitor::set_trace`], while it holds the lock.
+    tracing: AtomicBool,
+}
+
 /// Shared monitor handle.
 ///
 /// Cloning shares the underlying accounting state but gives the clone its
@@ -434,7 +453,7 @@ pub enum MonitorOp {
 /// independently under parallel execution.
 #[derive(Debug, Default)]
 pub struct Monitor {
-    inner: Arc<Mutex<MonitorInner>>,
+    shared: Arc<Shared>,
     /// `Some` while this handle is in deferred mode: handler-side writes
     /// are buffered here instead of applied. Per-handle, not shared.
     deferred: RefCell<Option<Vec<MonitorOp>>>,
@@ -443,7 +462,7 @@ pub struct Monitor {
 impl Clone for Monitor {
     fn clone(&self) -> Self {
         Monitor {
-            inner: Arc::clone(&self.inner),
+            shared: Arc::clone(&self.shared),
             deferred: RefCell::new(None),
         }
     }
@@ -453,6 +472,13 @@ impl Monitor {
     /// A fresh monitor.
     pub fn new() -> Self {
         Monitor::default()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, MonitorInner> {
+        self.shared
+            .inner
+            .lock()
+            .expect("a monitor writer panicked mid-update")
     }
 
     /// Enter (`true`) or leave (`false`) deferred mode for *this handle*.
@@ -489,7 +515,7 @@ impl Monitor {
         if ops.is_empty() {
             return;
         }
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         for op in ops {
             Self::apply_op(&mut inner, op);
         }
@@ -501,7 +527,7 @@ impl Monitor {
             buf.push(op);
             return;
         }
-        Self::apply_op(&mut self.inner.lock().unwrap(), op);
+        Self::apply_op(&mut self.lock(), op);
     }
 
     /// The single mutation path for handler-side writes: immediate calls
@@ -611,7 +637,7 @@ impl Monitor {
     ) -> EventId {
         expected.sort_unstable();
         expected.dedup();
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         let id = EventId(inner.first_id + inner.events.len() as u64);
         inner.events.push(EventRecord {
             topic,
@@ -679,21 +705,27 @@ impl Monitor {
     /// anti-entropy repair layer (process lifetime of this monitor, never
     /// reset by metrics windows — callers diff across windows).
     pub fn recovered_deliveries(&self) -> u64 {
-        self.inner.lock().unwrap().recovered_deliveries
+        self.lock().recovered_deliveries
     }
 
     /// Install (or, with `None`, remove) the forensics trace sink. Systems
     /// wire this alongside their engine trace so causal records land in
     /// the same ring buffer as transport events.
     pub fn set_trace(&self, trace: Option<TraceHandle>) {
-        self.inner.lock().unwrap().trace = trace;
+        let mut inner = self.lock();
+        // Release pairs with the Acquire load in `record_forward`; the
+        // handle itself is published by the mutex.
+        self.shared
+            .tracing
+            .store(trace.is_some(), Ordering::Release);
+        inner.trace = trace;
     }
 
     /// Emit the `pub_event` forensics record for a freshly registered
     /// event: the root of its delivery tree. Call right after
     /// [`Monitor::register_event`], once the publisher is known.
     pub fn trace_publish(&self, event: EventId, publisher: NodeIdx) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         let Some(rec) = inner.record_of(event) else {
             return;
         };
@@ -714,8 +746,9 @@ impl Monitor {
     }
 
     /// Emit one `fwd` forensics record: `from` handed a copy of `event` to
-    /// `to` carrying hop count `hop`. No-op unless a trace is installed,
-    /// so protocols call it unconditionally on their forwarding paths.
+    /// `to` carrying hop count `hop`. No-op — no lock, nothing buffered —
+    /// unless a trace is installed, so protocols call it unconditionally
+    /// on their forwarding paths.
     pub fn record_forward(
         &self,
         event: EventId,
@@ -724,6 +757,9 @@ impl Monitor {
         hop: u32,
         now: SimTime,
     ) {
+        if !self.shared.tracing.load(Ordering::Acquire) {
+            return;
+        }
         self.submit(MonitorOp::Forward {
             event,
             from,
@@ -754,7 +790,7 @@ impl Monitor {
             missing: Vec<NodeIdx>,
         }
         let (misses, trace, mut report) = {
-            let inner = self.inner.lock().unwrap();
+            let inner = self.lock();
             let mut misses = Vec::new();
             let mut report = LossReport::default();
             for (i, rec) in inner.events.iter().enumerate() {
@@ -825,16 +861,14 @@ impl Monitor {
 
     /// Expected and delivered counts of a single event.
     pub fn event_progress(&self, event: EventId) -> Option<(usize, usize)> {
-        self.inner
-            .lock()
-            .unwrap()
+        self.lock()
             .record_of(event)
             .map(|r| (r.expected.len(), r.delivered.len()))
     }
 
     /// Aggregate metrics over everything recorded since the last reset.
     pub fn snapshot(&self) -> PubSubStats {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         let mut expected = 0u64;
         let mut delivered = 0u64;
         let mut hops = Summary::new();
@@ -898,7 +932,7 @@ impl Monitor {
     /// Per-node traffic overhead in percent, for every slot that received at
     /// least `min_msgs` data-plane messages (Figure 5's distribution).
     pub fn per_node_overhead(&self, min_msgs: u64) -> Vec<(NodeIdx, f64)> {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         let n = inner.useful_rx.len().max(inner.relay_rx.len());
         let mut out = Vec::new();
         for i in 0..n {
@@ -916,7 +950,7 @@ impl Monitor {
     /// `(topic, expected, delivered)`, topics in ascending order. Lets a
     /// harness find the worst-served topics (e.g. split clusters).
     pub fn per_topic_progress(&self) -> Vec<(TopicId, u64, u64)> {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         let mut by_topic: std::collections::BTreeMap<TopicId, (u64, u64)> =
             std::collections::BTreeMap::new();
         for rec in &inner.events {
@@ -933,7 +967,7 @@ impl Monitor {
     /// Forget all events and traffic (end of a warmup phase, or the start
     /// of a new measurement window in the churn experiment).
     pub fn reset(&self) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         inner.first_id += inner.events.len() as u64;
         inner.events.clear();
         inner.useful_rx.clear();
@@ -1150,6 +1184,43 @@ mod forensics_tests {
         m.record_forward(e, n(0), n(1), 1, SimTime(1));
         m.record_delivery_traced(e, n(1), 1, SimTime(2), &HopPath::origin(n(0)));
         assert_eq!(m.snapshot().delivered, 1);
+    }
+
+    #[test]
+    fn record_forward_follows_the_installed_trace_on_every_handle() {
+        let m = Monitor::new();
+        let e = m.register_event(TopicId(0), SimTime(0), vec![n(1)]);
+        // A node's handle, cloned before any trace exists, in the parallel
+        // executor's deferred mode.
+        let handle = m.clone();
+        handle.set_deferred(true);
+        handle.record_forward(e, n(0), n(1), 1, SimTime(1));
+        assert!(
+            handle.take_deferred().is_empty(),
+            "untraced: nothing to replay"
+        );
+
+        let trace = Trace::shared(16);
+        m.set_trace(Some(trace.clone()));
+        handle.record_forward(e, n(0), n(1), 1, SimTime(2));
+        m.record_forward(e, n(1), n(2), 2, SimTime(3)); // immediate path
+        let ops = handle.take_deferred();
+        assert_eq!(ops.len(), 1, "traced: the record waits for the merge");
+        handle.apply_ops(ops);
+        handle.set_deferred(false);
+        let fwd: Vec<(u64, u32)> = trace
+            .borrow()
+            .events()
+            .filter_map(|ev| match ev {
+                TraceEvent::Fwd { now, hop, .. } => Some((*now, *hop)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(fwd, vec![(3, 2), (2, 1)], "replay order is the merge's");
+
+        m.set_trace(None);
+        handle.record_forward(e, n(0), n(1), 1, SimTime(4));
+        assert_eq!(trace.borrow().events().count(), 2, "removed: off again");
     }
 
     #[test]

@@ -299,39 +299,38 @@ impl VitisNode {
         for i in 0..self.proposals.len() {
             let (topic, prop) = self.proposals[i];
             if prop.gw_addr == self.net.addr() {
-                self.relay_step(ctx, topic, 0);
+                self.relay_hop(ctx, topic, None, 0);
             }
         }
     }
 
-    /// One lookup step from this node toward `hash(topic)`, `hops` into
-    /// the path (0 at the refreshing gateway): install the upstream link
-    /// and forward the relay request, or claim the rendezvous role if no
-    /// neighbor is closer.
-    fn relay_step(&mut self, ctx: &mut Context<'_, VitisMsg>, topic: TopicId, hops: u32) {
-        let table = self.net.rt().iter().map(|e| (e.id, e.addr));
-        match next_hop(self.net.id(), topic.ring_id(), table) {
-            Some(next) => {
-                self.relays.set_upstream(topic, next);
-                let hops = hops + 1;
-                self.send_control(ctx, next, VitisMsg::RelayRequest { topic, hops });
-            }
-            None => self.relays.mark_rendezvous(topic),
-        }
-    }
-
-    fn on_relay_request(
+    /// One lookup step at this node toward `hash(topic)`, `hops` into the
+    /// path, on one relay-table search: refresh the downstream link to
+    /// `from` (`None` at the refreshing gateway, where `hops` is 0), then
+    /// install the upstream link and forward the relay request, or claim
+    /// the rendezvous role if no neighbor is closer. A request that has
+    /// used up its hop budget leaves only the downstream link.
+    fn relay_hop(
         &mut self,
         ctx: &mut Context<'_, VitisMsg>,
-        from: NodeIdx,
         topic: TopicId,
+        from: Option<NodeIdx>,
         hops: u32,
     ) {
-        self.relays.add_downstream(topic, from);
-        if hops >= self.cfg.max_lookup_hops {
-            return;
+        let entry = self.relays.entry(topic);
+        if let Some(from) = from {
+            entry.refresh_downstream(from);
+            if hops >= self.cfg.max_lookup_hops {
+                return;
+            }
         }
-        self.relay_step(ctx, topic, hops);
+        let table = self.net.rt().iter().map(|e| (e.id, e.addr));
+        let next = next_hop(self.net.id(), topic.ring_id(), table);
+        entry.route(next);
+        if let Some(next) = next {
+            let hops = hops + 1;
+            self.send_control(ctx, next, VitisMsg::RelayRequest { topic, hops });
+        }
     }
 
     /// Forward a notification to every interested routing-table neighbor and
@@ -342,31 +341,27 @@ impl VitisNode {
         came_from: Option<NodeIdx>,
         notif: Notification,
     ) {
-        let mut targets: Vec<NodeIdx> = Vec::new();
-        for e in self.net.rt().iter() {
-            if e.payload.contains(notif.topic) && Some(e.addr) != came_from {
-                targets.push(e.addr);
-            }
-        }
-        // Links are connections: flood across reverse links too, or weakly
-        // connected cluster pockets never hear the event.
-        for (&addr, link) in &self.reverse {
-            if link.subs.contains(notif.topic)
-                && Some(addr) != came_from
-                && !targets.contains(&addr)
-            {
-                targets.push(addr);
-            }
-        }
-        for r in self.relays.fanout(notif.topic, came_from) {
-            if !targets.contains(&r) {
-                targets.push(r);
-            }
-        }
-        for t in targets {
-            self.dissem
-                .send_copy(ctx, t, notif.clone(), VitisMsg::Notification);
-        }
+        let topic = notif.topic;
+        let (rt, reverse, relays) = (self.net.rt(), &self.reverse, &self.relays);
+        self.dissem
+            .send_copies(ctx, notif, VitisMsg::Notification, |targets| {
+                for e in rt.iter() {
+                    if e.payload.contains(topic) && Some(e.addr) != came_from {
+                        targets.push(e.addr);
+                    }
+                }
+                // Links are connections: flood across reverse links too, or
+                // weakly connected cluster pockets never hear the event.
+                for (&addr, link) in reverse {
+                    if link.subs.contains(topic)
+                        && Some(addr) != came_from
+                        && !targets.contains(&addr)
+                    {
+                        targets.push(addr);
+                    }
+                }
+                relays.fanout_into(topic, came_from, targets);
+            });
     }
 
     fn on_notification(
@@ -670,7 +665,7 @@ impl Protocol for VitisNode {
                 );
             }
             VitisMsg::RelayRequest { topic, hops } => {
-                self.on_relay_request(ctx, from, topic, hops);
+                self.relay_hop(ctx, topic, Some(from), hops);
             }
             VitisMsg::Notification(n) => {
                 self.on_notification(ctx, from, n);

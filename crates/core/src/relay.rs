@@ -58,6 +58,25 @@ impl RelayEntry {
     pub fn num_downstreams(&self) -> usize {
         self.downstream.len()
     }
+
+    /// A relay request arrived from `from` (a gateway or an earlier path
+    /// node): install the downstream link, or reset its age.
+    pub fn refresh_downstream(&mut self, from: NodeIdx) {
+        match self.downstream.iter_mut().find(|(n, _)| *n == from) {
+            Some(link) => link.1 = 0,
+            None => self.downstream.push((from, 0)),
+        }
+    }
+
+    /// Record where the lookup goes from here. `Some(next)` installs (or
+    /// refreshes) the upstream link and clears any rendezvous claim — if
+    /// churn moved the greedy next hop, the old link is replaced. `None`
+    /// means no neighbor is closer to `hash(topic)`: the lookup terminated
+    /// here, so this node is the rendezvous and has no upstream.
+    pub fn route(&mut self, next: Option<NodeIdx>) {
+        self.upstream = next.map(|n| (n, 0));
+        self.rendezvous = next.is_none();
+    }
 }
 
 /// All relay entries held by one node.
@@ -72,31 +91,13 @@ impl RelayTable {
         RelayTable::default()
     }
 
-    /// Record a relay request for `topic` arriving from `from` (a gateway
-    /// or an earlier path node): installs/refreshes the downstream link.
-    pub fn add_downstream(&mut self, topic: TopicId, from: NodeIdx) {
-        let e = self.entries.entry_or_default(topic);
-        match e.downstream.iter_mut().find(|(n, _)| *n == from) {
-            Some(link) => link.1 = 0,
-            None => e.downstream.push((from, 0)),
-        }
-    }
-
-    /// Install/refresh the upstream link of `topic` toward `next`, clearing
-    /// any rendezvous claim. If the greedy next hop changed (churn moved the
-    /// rendezvous), the old link is replaced.
-    pub fn set_upstream(&mut self, topic: TopicId, next: NodeIdx) {
-        let e = self.entries.entry_or_default(topic);
-        e.upstream = Some((next, 0));
-        e.rendezvous = false;
-    }
-
-    /// Mark this node as the rendezvous for `topic` (lookup terminated
-    /// here): no upstream exists.
-    pub fn mark_rendezvous(&mut self, topic: TopicId) {
-        let e = self.entries.entry_or_default(topic);
-        e.upstream = None;
-        e.rendezvous = true;
+    /// The entry for `topic`, created empty if absent — the one key search
+    /// of a relay hop. The lookup step then works on the entry in hand:
+    /// [`RelayEntry::refresh_downstream`] for the link the request arrived
+    /// over, the greedy next-hop scan, and [`RelayEntry::route`] with its
+    /// outcome.
+    pub fn entry(&mut self, topic: TopicId) -> &mut RelayEntry {
+        self.entries.entry_or_default(topic)
     }
 
     /// The entry for `topic`, if any.
@@ -119,24 +120,28 @@ impl RelayTable {
         self.entries.is_empty()
     }
 
-    /// Forwarding fan-out for a notification on `topic` arriving from
-    /// `from`: the upstream link plus every downstream link, minus the
-    /// sender. Empty if this node has no relay state for the topic.
-    pub fn fanout(&self, topic: TopicId, from: Option<NodeIdx>) -> Vec<NodeIdx> {
+    /// Append the forwarding fan-out for a notification on `topic` arriving
+    /// from `from` to `out`: the upstream link, then every downstream link,
+    /// minus the sender and minus anything `out` already holds (the
+    /// caller's own targets). Appends nothing if this node has no relay
+    /// state for the topic. Allocates only when `out` must grow.
+    pub fn fanout_into(&self, topic: TopicId, from: Option<NodeIdx>, out: &mut Vec<NodeIdx>) {
         let Some(e) = self.entries.get(&topic) else {
-            return Vec::new();
+            return;
         };
-        let mut out = Vec::with_capacity(e.downstream.len() + 1);
-        if let Some((up, _)) = e.upstream {
-            if Some(up) != from {
-                out.push(up);
+        let links = e.upstream.iter().chain(&e.downstream);
+        for &(link, _) in links {
+            if Some(link) != from && !out.contains(&link) {
+                out.push(link);
             }
         }
-        for &(down, _) in &e.downstream {
-            if Some(down) != from && !out.contains(&down) {
-                out.push(down);
-            }
-        }
+    }
+
+    /// [`RelayTable::fanout_into`] a fresh vector, for callers off the
+    /// forwarding path (tests, the repo benchmark's kernel replay).
+    pub fn fanout(&self, topic: TopicId, from: Option<NodeIdx>) -> Vec<NodeIdx> {
+        let mut out = Vec::new();
+        self.fanout_into(topic, from, &mut out);
         out
     }
 
@@ -199,9 +204,9 @@ mod tests {
     #[test]
     fn fanout_forwards_everywhere_except_sender() {
         let mut rt = RelayTable::new();
-        rt.add_downstream(T, n(1));
-        rt.add_downstream(T, n(2));
-        rt.set_upstream(T, n(9));
+        rt.entry(T).refresh_downstream(n(1));
+        rt.entry(T).refresh_downstream(n(2));
+        rt.entry(T).route(Some(n(9)));
         let f = rt.fanout(T, Some(n(1)));
         assert_eq!(f, vec![n(9), n(2)]);
         let f = rt.fanout(T, Some(n(9)));
@@ -214,23 +219,23 @@ mod tests {
     #[test]
     fn rendezvous_has_no_upstream() {
         let mut rt = RelayTable::new();
-        rt.set_upstream(T, n(9));
-        rt.mark_rendezvous(T);
+        rt.entry(T).route(Some(n(9)));
+        rt.entry(T).route(None);
         let e = rt.get(T).unwrap();
         assert!(e.is_rendezvous());
         assert_eq!(e.upstream(), None);
         // Re-routing later clears the rendezvous claim.
-        rt.set_upstream(T, n(4));
+        rt.entry(T).route(Some(n(4)));
         assert!(!rt.get(T).unwrap().is_rendezvous());
     }
 
     #[test]
     fn refresh_resets_ages() {
         let mut rt = RelayTable::new();
-        rt.add_downstream(T, n(1));
+        rt.entry(T).refresh_downstream(n(1));
         rt.tick();
         rt.tick();
-        rt.add_downstream(T, n(1)); // refresh
+        rt.entry(T).refresh_downstream(n(1)); // refresh
         rt.expire(1);
         assert!(rt.has(T));
         assert_eq!(rt.get(T).unwrap().downstreams().count(), 1);
@@ -239,8 +244,8 @@ mod tests {
     #[test]
     fn expiry_drops_stale_links_and_empty_entries() {
         let mut rt = RelayTable::new();
-        rt.add_downstream(T, n(1));
-        rt.set_upstream(T, n(9));
+        rt.entry(T).refresh_downstream(n(1));
+        rt.entry(T).route(Some(n(9)));
         for _ in 0..3 {
             rt.tick();
         }
@@ -251,11 +256,11 @@ mod tests {
     #[test]
     fn partial_expiry_keeps_fresh_links() {
         let mut rt = RelayTable::new();
-        rt.add_downstream(T, n(1));
+        rt.entry(T).refresh_downstream(n(1));
         for _ in 0..3 {
             rt.tick();
         }
-        rt.add_downstream(T, n(2)); // fresh
+        rt.entry(T).refresh_downstream(n(2)); // fresh
         rt.expire(2);
         let e = rt.get(T).unwrap();
         assert_eq!(e.downstreams().collect::<Vec<_>>(), vec![n(2)]);
@@ -264,8 +269,8 @@ mod tests {
     #[test]
     fn remove_peer_heals_entries() {
         let mut rt = RelayTable::new();
-        rt.add_downstream(T, n(1));
-        rt.set_upstream(T, n(9));
+        rt.entry(T).refresh_downstream(n(1));
+        rt.entry(T).route(Some(n(9)));
         rt.remove_peer(n(9));
         assert!(rt.has(T)); // downstream survives
         assert_eq!(rt.get(T).unwrap().upstream(), None);
@@ -276,8 +281,8 @@ mod tests {
     #[test]
     fn duplicate_downstream_not_added() {
         let mut rt = RelayTable::new();
-        rt.add_downstream(T, n(1));
-        rt.add_downstream(T, n(1));
+        rt.entry(T).refresh_downstream(n(1));
+        rt.entry(T).refresh_downstream(n(1));
         assert_eq!(rt.get(T).unwrap().downstreams().count(), 1);
         assert_eq!(rt.len(), 1);
     }
@@ -285,12 +290,12 @@ mod tests {
     #[test]
     fn upstream_replacement_resets_target_and_age() {
         let mut rt = RelayTable::new();
-        rt.set_upstream(T, n(9));
+        rt.entry(T).route(Some(n(9)));
         rt.tick();
         rt.tick();
         assert_eq!(rt.get(T).unwrap().upstream_age(), Some(2));
         // Churn moved the rendezvous: the greedy next hop changes.
-        rt.set_upstream(T, n(4));
+        rt.entry(T).route(Some(n(4)));
         let e = rt.get(T).unwrap();
         assert_eq!(e.upstream(), Some(n(4)));
         assert_eq!(e.upstream_age(), Some(0));
@@ -299,9 +304,9 @@ mod tests {
     #[test]
     fn downstream_removal_under_churn_keeps_other_ages() {
         let mut rt = RelayTable::new();
-        rt.add_downstream(T, n(1));
+        rt.entry(T).refresh_downstream(n(1));
         rt.tick();
-        rt.add_downstream(T, n(2)); // younger link
+        rt.entry(T).refresh_downstream(n(2)); // younger link
         rt.remove_peer(n(1));
         let e = rt.get(T).unwrap();
         assert_eq!(e.downstreams().collect::<Vec<_>>(), vec![n(2)]);
@@ -313,15 +318,15 @@ mod tests {
     #[test]
     fn rendezvous_remarking_cycle() {
         let mut rt = RelayTable::new();
-        rt.mark_rendezvous(T);
+        rt.entry(T).route(None);
         assert!(rt.get(T).unwrap().is_rendezvous());
         // A joining node takes over the rendezvous position...
-        rt.set_upstream(T, n(5));
+        rt.entry(T).route(Some(n(5)));
         let e = rt.get(T).unwrap();
         assert!(!e.is_rendezvous());
         assert_eq!(e.upstream(), Some(n(5)));
         // ...then crashes and the lookup terminates here again.
-        rt.mark_rendezvous(T);
+        rt.entry(T).route(None);
         let e = rt.get(T).unwrap();
         assert!(e.is_rendezvous());
         assert_eq!(e.upstream(), None);
@@ -333,11 +338,11 @@ mod tests {
         let mut rt = RelayTable::new();
         // The crashed node appears as upstream of one topic and downstream
         // of another.
-        rt.set_upstream(T, n(3));
-        rt.add_downstream(T, n(1));
-        rt.add_downstream(T2, n(3));
-        rt.mark_rendezvous(T2);
-        rt.add_downstream(T2, n(8));
+        rt.entry(T).route(Some(n(3)));
+        rt.entry(T).refresh_downstream(n(1));
+        rt.entry(T2).refresh_downstream(n(3));
+        rt.entry(T2).route(None);
+        rt.entry(T2).refresh_downstream(n(8));
         rt.remove_peer(n(3));
         let e = rt.get(T).unwrap();
         assert_eq!(e.upstream(), None);
@@ -355,9 +360,9 @@ mod tests {
     #[test]
     fn entries_iterates_in_topic_order() {
         let mut rt = RelayTable::new();
-        rt.add_downstream(TopicId(9), n(1));
-        rt.add_downstream(TopicId(2), n(1));
-        rt.add_downstream(TopicId(5), n(1));
+        rt.entry(TopicId(9)).refresh_downstream(n(1));
+        rt.entry(TopicId(2)).refresh_downstream(n(1));
+        rt.entry(TopicId(5)).refresh_downstream(n(1));
         let order: Vec<TopicId> = rt.entries().map(|(t, _)| t).collect();
         assert_eq!(order, vec![TopicId(2), TopicId(5), TopicId(9)]);
     }

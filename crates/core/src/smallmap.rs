@@ -1,16 +1,19 @@
 //! A compact sorted-vector map for per-node hot state.
 //!
-//! Vitis nodes hold many tiny maps — gateway proposals per subscribed topic,
-//! per-neighbor advertisement caches, reverse-link tables, relay entries —
-//! each with a handful of entries (bounded by the view size or subscription
-//! count, typically < 32). A `BTreeMap` spends a heap allocation per node
+//! Vitis nodes hold many small maps — per-neighbor advertisement caches and
+//! reverse-link tables (bounded by the view size, < 32 entries) and the
+//! relay table, which is not that small: one entry per topic whose relay
+//! path crosses the node. Weighted by lookups (the big tables are the busy
+//! ones) it averages 111 entries on the benchmark's `gossip_2k`, 47 on
+//! `publish_1k` and 18 on `churn_repair_300`; per node and round, ≈ 90 and
+//! ≈ 45 on the first two. A `BTreeMap` spends a heap allocation per node
 //! (or per leaf) and chases pointers on every lookup; at N = 100k–1M nodes
-//! that dominates the round loop's cache behavior. [`SmallMap`] stores the
-//! entries as a single `Vec<(K, V)>` kept sorted by key: lookups are a
-//! binary search over one contiguous allocation, iteration is a linear scan
-//! in ascending key order — the *same* deterministic order `BTreeMap`
-//! iteration produced, so replacing one with the other is behavior- and
-//! golden-trace-preserving.
+//! that dominates the round loop's cache behavior.
+//! [`SmallMap`] stores the entries as a single `Vec<(K, V)>` kept sorted by
+//! key: lookups are a binary search over one contiguous allocation,
+//! iteration is a linear scan in ascending key order — the *same*
+//! deterministic order `BTreeMap` iteration produced, so replacing one with
+//! the other is behavior- and golden-trace-preserving.
 //!
 //! The API mirrors the `BTreeMap` subset the node code uses (`get`,
 //! `insert`, `remove`, `retain`, `iter`, `keys`, `values_mut`, …) with one
@@ -21,8 +24,11 @@
 /// A map backed by a `Vec<(K, V)>` sorted by `K`.
 ///
 /// Insertions and removals are `O(n)` shifts — the right trade for the
-/// small, read-mostly maps in per-node state, where `n` is bounded by the
-/// fanout/view size and the contiguous layout wins on every lookup and scan.
+/// read-mostly maps in per-node state, where the contiguous layout wins on
+/// every lookup and scan. A lookup's cost is its first, cold probe into the
+/// entry array, not the search: a hash index over the relay table moved
+/// that miss to the next access instead of removing it (DESIGN §14), so
+/// callers on a hot path look a key up once and keep the entry.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SmallMap<K, V> {
     entries: Vec<(K, V)>,

@@ -1,7 +1,7 @@
 //! Property-based tests for the Vitis core data structures.
 
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use vitis::gateway::{revise_proposal, Proposal};
 use vitis::monitor::Monitor;
 use vitis::relay::RelayTable;
@@ -13,6 +13,75 @@ use vitis_sim::time::SimTime;
 
 fn ts(v: &[u32]) -> TopicSet {
     TopicSet::from_iter(v.iter().copied())
+}
+
+/// The relay table as it was before a hop became one lookup: three entry
+/// points, each finding (or creating) the topic's entry for itself.
+#[derive(Default)]
+struct ThreeLookupTable(BTreeMap<u32, ModelEntry>);
+
+#[derive(Default, Debug, PartialEq)]
+struct ModelEntry {
+    upstream: Option<(u32, u16)>,
+    downstream: Vec<(u32, u16)>,
+    rendezvous: bool,
+}
+
+impl ThreeLookupTable {
+    fn add_downstream(&mut self, topic: u32, from: u32) {
+        let e = self.0.entry(topic).or_default();
+        match e.downstream.iter_mut().find(|(n, _)| *n == from) {
+            Some(link) => link.1 = 0,
+            None => e.downstream.push((from, 0)),
+        }
+    }
+
+    fn set_upstream(&mut self, topic: u32, next: u32) {
+        let e = self.0.entry(topic).or_default();
+        e.upstream = Some((next, 0));
+        e.rendezvous = false;
+    }
+
+    fn mark_rendezvous(&mut self, topic: u32) {
+        let e = self.0.entry(topic).or_default();
+        e.upstream = None;
+        e.rendezvous = true;
+    }
+
+    fn tick(&mut self) {
+        for e in self.0.values_mut() {
+            let links = e.upstream.iter_mut().chain(&mut e.downstream);
+            links.for_each(|(_, age)| *age = age.saturating_add(1));
+        }
+    }
+
+    fn retain_links(&mut self, keep: impl Fn(u32, u16) -> bool) {
+        self.0.retain(|_, e| {
+            e.upstream = e.upstream.filter(|&(n, age)| keep(n, age));
+            e.downstream.retain(|&(n, age)| keep(n, age));
+            e.upstream.is_some() || !e.downstream.is_empty()
+        });
+    }
+}
+
+/// `RelayTable::fanout` as it was: a fresh vector of the upstream link and
+/// the downstream links, minus the sender.
+fn fanout_before(rt: &RelayTable, topic: TopicId, from: Option<NodeIdx>) -> Vec<NodeIdx> {
+    let Some(e) = rt.get(topic) else {
+        return Vec::new();
+    };
+    let mut out = Vec::new();
+    if let Some(up) = e.upstream() {
+        if Some(up) != from {
+            out.push(up);
+        }
+    }
+    for down in e.downstreams() {
+        if Some(down) != from && !out.contains(&down) {
+            out.push(down);
+        }
+    }
+    out
 }
 
 proptest! {
@@ -98,10 +167,10 @@ proptest! {
         let mut rt = RelayTable::new();
         let t = TopicId(1);
         for &d in &downs {
-            rt.add_downstream(t, NodeIdx(d));
+            rt.entry(t).refresh_downstream(NodeIdx(d));
         }
         if let Some(u) = upstream {
-            rt.set_upstream(t, NodeIdx(u));
+            rt.entry(t).route(Some(NodeIdx(u)));
         }
         let from_idx = from.map(NodeIdx);
         let fan = rt.fanout(t, from_idx);
@@ -112,6 +181,114 @@ proptest! {
         dedup.sort();
         dedup.dedup();
         prop_assert_eq!(dedup.len(), fan.len());
+    }
+
+    /// A relay hop on the one entry it looked up leaves the table the old
+    /// `add_downstream` → `set_upstream` / `mark_rendezvous` sequence left,
+    /// whatever ageing, expiry and peer removal happen in between.
+    /// Each op is `(kind, topic, a, b)`.
+    #[test]
+    fn single_lookup_relay_hop_equals_the_three_lookup_sequence(
+        ops in proptest::collection::vec((0u32..7, 0u32..4, 0u32..8, 0u32..8), 0..120),
+    ) {
+        let mut rt = RelayTable::new();
+        let mut model = ThreeLookupTable::default();
+        for &(kind, topic, a, b) in &ops {
+            match kind {
+                // A hop: a refresh at the path's origin (no downstream), a
+                // forwarded request, or one that has used up its hop
+                // budget and so installs the downstream link only.
+                0..=3 => {
+                    let from = (a > 0).then_some(a);
+                    let capped = kind == 3 && from.is_some();
+                    let next = (b > 0).then_some(b);
+
+                    let entry = rt.entry(TopicId(topic));
+                    if let Some(from) = from {
+                        entry.refresh_downstream(NodeIdx(from));
+                    }
+                    if !capped {
+                        entry.route(next.map(NodeIdx));
+                    }
+
+                    if let Some(from) = from {
+                        model.add_downstream(topic, from);
+                    }
+                    match next {
+                        _ if capped => {}
+                        Some(next) => model.set_upstream(topic, next),
+                        None => model.mark_rendezvous(topic),
+                    }
+                }
+                4 => {
+                    rt.tick();
+                    model.tick();
+                }
+                5 => {
+                    let ttl = (a % 4) as u16;
+                    rt.expire(ttl);
+                    model.retain_links(|_, age| age <= ttl);
+                }
+                _ => {
+                    rt.remove_peer(NodeIdx(a));
+                    model.retain_links(|n, _| n != a);
+                }
+            }
+            let got: BTreeMap<u32, ModelEntry> = rt
+                .entries()
+                .map(|(t, e)| {
+                    let entry = ModelEntry {
+                        upstream: e.upstream().map(|n| n.0).zip(e.upstream_age()),
+                        downstream: e.downstream_links().map(|(n, age)| (n.0, age)).collect(),
+                        rendezvous: e.is_rendezvous(),
+                    };
+                    (t.0, entry)
+                })
+                .collect();
+            prop_assert_eq!(&got, &model.0);
+            prop_assert_eq!(rt.len(), model.0.len());
+        }
+    }
+
+    /// Appending the fan-out to the caller's targets gives the targets, in
+    /// the order, that `fanout` plus the caller's own `contains` check
+    /// gave — for every sender, and whatever the caller already holds.
+    #[test]
+    fn appending_fanout_equals_fanout_then_dedup(
+        downs in proptest::collection::vec(0u32..10, 0..10),
+        upstream in proptest::option::of(0u32..10),
+        own_targets in proptest::collection::vec(0u32..14, 0..8),
+    ) {
+        let mut rt = RelayTable::new();
+        let t = TopicId(1);
+        for &d in &downs {
+            rt.entry(t).refresh_downstream(NodeIdx(d));
+        }
+        if let Some(u) = upstream {
+            rt.entry(t).route(Some(NodeIdx(u)));
+        }
+        for came_from in std::iter::once(None).chain((0..14).map(|f| Some(NodeIdx(f)))) {
+            // The caller's own targets: distinct, never the sender.
+            let mut own: Vec<NodeIdx> = Vec::new();
+            for &o in &own_targets {
+                if Some(NodeIdx(o)) != came_from && !own.contains(&NodeIdx(o)) {
+                    own.push(NodeIdx(o));
+                }
+            }
+            for topic in [t, TopicId(2)] {
+                let before = fanout_before(&rt, topic, came_from);
+                prop_assert_eq!(&rt.fanout(topic, came_from), &before);
+                let mut want = own.clone();
+                for r in before {
+                    if !want.contains(&r) {
+                        want.push(r);
+                    }
+                }
+                let mut got = own.clone();
+                rt.fanout_into(topic, came_from, &mut got);
+                prop_assert_eq!(got, want);
+            }
+        }
     }
 
     /// Gateway revision always returns either the self-proposal or one of

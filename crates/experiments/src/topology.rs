@@ -310,7 +310,7 @@ mod tests {
                     r.summary
                 ),
                 // RVR's hop-capped joins install an upstream belief
-                // without ever sending the join onward (`join_step`
+                // without ever sending the join onward (`join_hop`
                 // sets upstream even at max_lookup_hops), so the
                 // auditor legitimately reports dangling upstream links
                 // — and must report nothing else.

@@ -517,11 +517,13 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
     }
 
     fn dispatch(&mut self, idx: NodeIdx, kind: DispatchKind<P::Msg>) {
-        // Take the protocol out of its slot so we can hand out `&mut` to both
-        // the protocol and the slot RNG without aliasing.
-        let mut proto = match self.slots[idx.index()].proto.take() {
-            Some(p) => p,
-            None => return,
+        // The handler runs on the protocol where it lives: the slot's `proto`
+        // and `rng` are disjoint fields, and the effects buffer is a local,
+        // so nothing is moved. Activation cost must not depend on
+        // `size_of::<P>()`.
+        let slot = &mut self.slots[idx.index()];
+        let Some(proto) = slot.proto.as_mut() else {
+            return;
         };
         match &kind {
             DispatchKind::Start => self.counters.activations_start += 1,
@@ -532,7 +534,6 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
         let discard_effects = matches!(kind, DispatchKind::Stop(StopReason::Crash));
         let mut effects = std::mem::take(&mut self.effects_buf);
         effects.clear();
-        let slot = &mut self.slots[idx.index()];
         let mut ctx = Context::new(idx, self.now, &mut slot.rng, &mut effects);
         match kind {
             DispatchKind::Start => proto.on_start(&mut ctx),
@@ -540,7 +541,6 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
             DispatchKind::Message { from, msg } => proto.on_message(&mut ctx, from, msg),
             DispatchKind::Stop(reason) => proto.on_stop(&mut ctx, reason),
         }
-        slot.proto = Some(proto);
         if discard_effects {
             effects.clear();
         } else {
@@ -1138,6 +1138,69 @@ mod tests {
         eng.run_for(Duration(4));
         // Only the graceful leaver's goodbye arrives.
         assert_eq!(eng.node(a).unwrap().got, 1);
+    }
+
+    /// The queue holds one `Ev` per message in flight, and its retained
+    /// bucket capacity is most of a data-plane run's memory: the engine may
+    /// add the two endpoint slots to a message and nothing else (the
+    /// variant tag must keep riding in the message's own niche or padding).
+    #[test]
+    fn an_event_is_its_message_plus_eight_bytes() {
+        use std::mem::size_of;
+        #[derive(Clone)]
+        #[allow(dead_code)]
+        enum Wire {
+            Small(u32),
+            Big([u64; 3]),
+        }
+        assert_eq!(size_of::<Wire>(), 32);
+        assert_eq!(size_of::<Ev<Wire>>(), 40);
+        assert_eq!(size_of::<Ev<PpMsg>>(), 16);
+    }
+
+    #[test]
+    fn dispatch_to_a_dead_slot_is_a_no_op() {
+        let mut eng = Engine::new(cfg());
+        let a = eng.add_node(pp(None));
+        eng.remove_node(a, StopReason::Crash);
+        let (stats, counters) = (eng.stats(), eng.perf_counters());
+        // `remove_node` guards on aliveness itself, so go underneath it:
+        // every kind of activation of the vacated slot must do nothing.
+        eng.dispatch(a, DispatchKind::Start);
+        eng.dispatch(a, DispatchKind::Round);
+        eng.dispatch(
+            a,
+            DispatchKind::Message {
+                from: a,
+                msg: PpMsg::Ping(1),
+            },
+        );
+        eng.dispatch(a, DispatchKind::Stop(StopReason::Leave));
+        assert_eq!(eng.stats(), stats);
+        assert_eq!(eng.perf_counters(), counters);
+        assert!(eng.node(a).is_none() && !eng.is_alive(a));
+        eng.run_for(Duration(4));
+        assert_eq!(eng.stats().messages_sent, 0, "no effect escaped");
+    }
+
+    #[test]
+    fn node_accessors_see_the_state_a_handler_left() {
+        // The handler mutates the protocol where it lives in the slot, so
+        // `node()` and `node_mut()` must observe every activation's writes,
+        // and a write through `node_mut()` must be what the next handler
+        // starts from.
+        let mut eng = Engine::new(EngineConfig {
+            desynchronize_rounds: false,
+            ..cfg()
+        });
+        let a = eng.add_node(pp(None));
+        eng.run_rounds(3);
+        assert_eq!(eng.node(a).unwrap().rounds, 3);
+        eng.node_mut(a).unwrap().rounds = 100;
+        eng.inject(a, PpMsg::Pong(7));
+        eng.run_rounds(2);
+        let node = eng.node(a).unwrap();
+        assert_eq!((node.rounds, node.last_seen), (102, 7));
     }
 
     #[test]

@@ -1,0 +1,46 @@
+//! Size budgets for the types the simulator holds by the million.
+//!
+//! **Messages.** Every message in flight is one event in the engine's
+//! calendar queue, and the queue's buckets keep the capacity of their
+//! busiest tick — on a data-plane run that is most of the process. Eight
+//! bytes more per message (a fat `Arc<[NodeIdx]>` path handle in
+//! `Notification`, tried in PR 15) measured +13 % peak RSS and +4 % `cpu_s`
+//! on the benchmark's `publish_1k`. A new field in a message variant must
+//! fit the 24 payload bytes the largest variants already use, or go behind
+//! the variant's existing `Arc`. The engine's own 8 bytes per event are
+//! pinned in `vitis_sim::engine`'s tests.
+//!
+//! **Nodes.** Dispatch runs handlers on the node in place, so an
+//! activation's cost does not depend on the node's size (`meso_timing`'s
+//! dispatch case measures that). What is left is memory: N of them are
+//! resident, and a handler touches one cache line per 64 bytes of the fields
+//! it reads. The budgets are the PR 15 sizes rounded up to a cache line;
+//! raise one knowingly, with the `peak_rss_kb_per_node` rows beside it.
+#![cfg(target_pointer_width = "64")]
+
+use std::mem::size_of;
+use vitis::msg::{Notification, VitisMsg};
+use vitis::node::VitisNode;
+use vitis_baselines::opt::OptMsg;
+use vitis_baselines::rvr::RvrMsg;
+use vitis_baselines::{OptNode, RvrNode};
+
+fn within<T>(budget: usize) {
+    let (name, size) = (std::any::type_name::<T>(), size_of::<T>());
+    assert!(size <= budget, "{name} is {size} bytes, budget {budget}");
+}
+
+#[test]
+fn messages_fit_their_queue_slot() {
+    within::<Notification>(24);
+    within::<VitisMsg>(32);
+    within::<RvrMsg>(32);
+    within::<OptMsg>(32);
+}
+
+#[test]
+fn nodes_fit_their_cache_line_budget() {
+    within::<VitisNode>(640);
+    within::<RvrNode>(448);
+    within::<OptNode>(384);
+}
