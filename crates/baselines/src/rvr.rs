@@ -262,7 +262,7 @@ impl Protocol for RvrNode {
 
     fn on_start(&mut self, ctx: &mut Context<'_, RvrMsg>) {
         let contacts = self.net.start(ctx.self_idx);
-        self.net.merge(&contacts, false, |_| 0.0, ctx.rng);
+        self.net.merge(contacts, false, |_| 0.0, ctx.rng);
     }
 
     fn on_round(&mut self, ctx: &mut Context<'_, RvrMsg>) {
@@ -319,12 +319,12 @@ impl Protocol for RvrNode {
             }
             RvrMsg::PsResp(buf) => self.net.on_ps_response(&buf),
             RvrMsg::RtReq(buf) => {
-                let reply = self.net.on_rt_request(&buf, false, |_| 0.0, ctx.rng);
+                let reply = self.net.on_rt_request(buf, false, |_| 0.0, ctx.rng);
                 ctx.send(from, RvrMsg::RtResp(reply));
             }
-            RvrMsg::RtResp(buf) => self.net.merge(&buf, false, |_| 0.0, ctx.rng),
+            RvrMsg::RtResp(buf) => self.net.merge(buf, false, |_| 0.0, ctx.rng),
             RvrMsg::Heartbeat(id, subs) => {
-                self.net.on_heartbeat(from, id, subs);
+                self.net.on_heartbeat(from, id, &subs);
             }
             RvrMsg::Join { topic, hops } => {
                 self.join_hop(ctx, topic, Some(from), hops);

@@ -13,7 +13,7 @@ use crate::relay::RelayTable;
 use crate::smallmap::SmallMap;
 use crate::topic::{RateTable, Subs, TopicId};
 use crate::utility::utility;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 use std::sync::Arc;
 use vitis_overlay::entry::Entry;
@@ -43,6 +43,28 @@ struct NbrProposals {
     age: u16,
 }
 
+/// How many T-Man merges a remembered Equation 1 result answers for,
+/// counting the merge that computed or last used it: ranked at merge *k*
+/// and not asked for again, it is still there at merge *k* + 5 and gone at
+/// *k* + 6 — three gossip rounds at two merges a round. Peers come back:
+/// on the benchmark's `churn_repair_300` 84 % of requests name a `(peer,
+/// handle)` pair ranked within this window, against 63 % for the last
+/// merge alone, at 24 bytes per retained entry. DESIGN §14 ("The T-Man
+/// merge") has hit share, memo length and peak RSS by window: 7 takes
+/// `gossip_2k`'s peak RSS to within 0.02 points of the 2.5 % allowed for
+/// this memo on one of three seeds, and 8 is past it.
+const MEMO_WINDOW: u32 = 6;
+
+/// One remembered Equation 1 result: what `peer` scored while advertising
+/// the subscription handle `subs`. Public only for `tests/size_budget.rs`.
+pub struct MemoEntry {
+    peer: NodeIdx,
+    /// The node's merge count when this entry last answered or was made.
+    used: Cell<u32>,
+    subs: Subs,
+    utility: f64,
+}
+
 /// The [`ProfileMsg::proposals`] invariant the election's merge relies on.
 fn ascending_by_topic(props: &[(TopicId, Proposal)]) -> bool {
     props.windows(2).all(|w| w[0].0 < w[1].0)
@@ -63,13 +85,15 @@ pub struct VitisNode {
     /// The proposals as last advertised; sent again while `proposals`
     /// still equals it, so an unchanged heartbeat allocates nothing.
     advert: Arc<Vec<(TopicId, Proposal)>>,
-    /// Equation 1 results of the last T-Man merge, `(peer, the
-    /// subscription handle it advertised, utility)` sorted by address. An
-    /// entry is reused only when the candidate carries the *same* handle
-    /// (`Arc::ptr_eq`): holding the `Arc` keeps that allocation alive, so
-    /// its address cannot be reused by a different set. Rebuilt by every
-    /// merge from the candidates it ranked, which is what bounds it.
-    utility_memo: Vec<(NodeIdx, Subs, f64)>,
+    /// Equation 1 results of the last [`MEMO_WINDOW`] T-Man merges, one
+    /// per peer, ascending by address. An entry answers only for a
+    /// candidate carrying the *same* handle (`Arc::ptr_eq`): holding the
+    /// `Arc` keeps that allocation alive, so its address cannot be reused
+    /// by a different set. Bounded by the window times the candidates of a
+    /// merge.
+    utility_memo: Vec<MemoEntry>,
+    /// T-Man merges run so far: the clock of `utility_memo`.
+    merges: u32,
     /// Latest proposals advertised by each neighbor (routing-table or
     /// reverse), with staleness for the failover path.
     nbr_proposals: SmallMap<NodeIdx, NbrProposals>,
@@ -114,6 +138,7 @@ impl VitisNode {
             proposals: Vec::new(),
             advert: Arc::new(Vec::new()),
             utility_memo: Vec::new(),
+            merges: 0,
             nbr_proposals: SmallMap::new(),
             reverse: SmallMap::new(),
             relays: RelayTable::new(),
@@ -205,20 +230,28 @@ impl VitisNode {
         merge: impl FnOnce(&mut Substrate<Subs>, bool, &dyn Fn(&Entry<Subs>) -> f64) -> R,
     ) -> R {
         let out = if self.cfg.utility_selection {
+            self.merges = self.merges.wrapping_add(1);
+            let now = self.merges;
             let subs = self.net.payload().clone();
             let (rates, memo) = (&self.rates, &self.utility_memo);
-            let ranked = RefCell::new(Vec::with_capacity(memo.len()));
+            let misses = RefCell::new(Vec::new());
             let out = merge(&mut self.net, true, &|e| {
-                let u = match memo.binary_search_by_key(&e.addr, |m| m.0) {
-                    Ok(i) if Arc::ptr_eq(&memo[i].1, &e.payload) => memo[i].2,
-                    _ => utility(&subs, &e.payload, rates),
-                };
-                ranked.borrow_mut().push((e.addr, e.payload.clone(), u));
+                if let Ok(i) = memo.binary_search_by_key(&e.addr, |m| m.peer) {
+                    if Arc::ptr_eq(&memo[i].subs, &e.payload) {
+                        memo[i].used.set(now);
+                        return memo[i].utility;
+                    }
+                }
+                let u = utility(&subs, &e.payload, rates);
+                misses.borrow_mut().push(MemoEntry {
+                    peer: e.addr,
+                    used: Cell::new(now),
+                    subs: e.payload.clone(),
+                    utility: u,
+                });
                 u
             });
-            let mut ranked = ranked.into_inner();
-            ranked.sort_unstable_by_key(|m| m.0);
-            self.utility_memo = ranked;
+            self.remember(misses.into_inner());
             out
         } else {
             // Ablation: rank friends by a deterministic pseudo-random key
@@ -232,6 +265,37 @@ impl VitisNode {
         self.nbr_proposals
             .retain(|addr, _| rt.contains(*addr) || reverse.contains_key(addr));
         out
+    }
+
+    /// Memo upkeep after a merge: drop what the window has passed, take in
+    /// the merge's `misses` — a miss for a remembered peer replaces its
+    /// entry, so an address never appears twice — and keep the address
+    /// order. The new vector is sized to what it holds; a merge that
+    /// missed nothing and aged nothing out leaves the memo as it is.
+    fn remember(&mut self, mut misses: Vec<MemoEntry>) {
+        let now = self.merges;
+        let live = |m: &MemoEntry| now.wrapping_sub(m.used.get()) < MEMO_WINDOW - 1;
+        let survivors = self.utility_memo.iter().filter(|m| live(m)).count();
+        if misses.is_empty() && survivors == self.utility_memo.len() {
+            return;
+        }
+        misses.sort_unstable_by_key(|m| m.peer);
+        misses.dedup_by_key(|m| m.peer);
+        let mut memo = Vec::with_capacity(survivors + misses.len());
+        let mut misses = misses.into_iter().peekable();
+        for old in std::mem::take(&mut self.utility_memo) {
+            if !live(&old) {
+                continue;
+            }
+            while let Some(new) = misses.next_if(|new| new.peer < old.peer) {
+                memo.push(new);
+            }
+            if misses.peek().is_none_or(|new| new.peer != old.peer) {
+                memo.push(old);
+            }
+        }
+        memo.extend(misses);
+        self.utility_memo = memo;
     }
 
     /// Recompute the gateway proposal for every subscribed topic from the
@@ -506,7 +570,7 @@ impl Protocol for VitisNode {
     fn on_start(&mut self, ctx: &mut Context<'_, VitisMsg>) {
         let contacts = self.net.start(ctx.self_idx);
         // Seed the routing table immediately so the first rounds can gossip.
-        self.ranked_merge(|net, sticky, rank| net.merge(&contacts, sticky, rank, ctx.rng));
+        self.ranked_merge(|net, sticky, rank| net.merge(contacts, sticky, rank, ctx.rng));
     }
 
     fn on_round(&mut self, ctx: &mut Context<'_, VitisMsg>) {
@@ -633,12 +697,12 @@ impl Protocol for VitisNode {
             VitisMsg::PsResp(buf) => self.net.on_ps_response(&buf),
             VitisMsg::RtReq(buf) => {
                 let reply = self.ranked_merge(|net, sticky, rank| {
-                    net.on_rt_request(&buf, sticky, rank, ctx.rng)
+                    net.on_rt_request(buf, sticky, rank, ctx.rng)
                 });
                 self.send_control(ctx, from, VitisMsg::RtResp(reply));
             }
             VitisMsg::RtResp(buf) => {
-                self.ranked_merge(|net, sticky, rank| net.merge(&buf, sticky, rank, ctx.rng));
+                self.ranked_merge(|net, sticky, rank| net.merge(buf, sticky, rank, ctx.rng));
             }
             VitisMsg::Profile(pm) => {
                 // Algorithm 7: refresh the sender's entry and remember its
@@ -646,7 +710,7 @@ impl Protocol for VitisNode {
                 // hold ourselves is a *reverse* neighbor (the connection's
                 // other end) — track it for flooding and election, and
                 // offer it to the ring-repair check.
-                if self.net.on_heartbeat(from, pm.id, pm.subs.clone()) {
+                if self.net.on_heartbeat(from, pm.id, &pm.subs) {
                     self.reverse.remove(&from);
                 } else {
                     let link = ReverseLink {
@@ -1062,7 +1126,7 @@ mod tests {
     }
 
     /// A plain T-Man merge under the node's own ranking, as `RtResp` does.
-    fn merge(node: &mut VitisNode, incoming: &[Entry<Subs>], rng: &mut SmallRng) {
+    fn merge(node: &mut VitisNode, incoming: Vec<Entry<Subs>>, rng: &mut SmallRng) {
         node.ranked_merge(|net, sticky, rank| net.merge(incoming, sticky, rank, rng));
     }
 
@@ -1072,47 +1136,81 @@ mod tests {
         addrs
     }
 
-    fn memo_entry(node: &VitisNode, addr: u32) -> &(NodeIdx, Subs, f64) {
-        node.utility_memo
-            .iter()
-            .find(|m| m.0 == NodeIdx(addr))
-            .expect("peer was ranked by the last merge")
+    fn memo_entry(node: &VitisNode, addr: u32) -> Option<&MemoEntry> {
+        node.utility_memo.iter().find(|m| m.peer == NodeIdx(addr))
+    }
+
+    fn memo_is_strictly_ascending(node: &VitisNode) -> bool {
+        node.utility_memo.windows(2).all(|w| w[0].peer < w[1].peer)
+    }
+
+    /// An entry ranked at merge *k* and not asked for since answers at
+    /// merge *k* + `MEMO_WINDOW` − 1 and is gone at *k* + `MEMO_WINDOW`.
+    /// "Answers" is made visible by poisoning the remembered value: only a
+    /// recomputation can undo it.
+    #[test]
+    fn a_memo_entry_outlives_its_last_use_by_the_window_and_no_more() {
+        use rand::SeedableRng;
+        for unused in 0..=MEMO_WINDOW {
+            let mut rng = SmallRng::seed_from_u64(3);
+            let (mut node, peers) = friend_contest();
+            merge(&mut node, peers.clone(), &mut rng);
+            assert_eq!(friend_addrs(&node), vec![3, 4, 5]);
+            // Ring picks are never ranked, so never remembered.
+            assert_eq!(node.utility_memo.len(), 6);
+            assert_eq!(memo_entry(&node, 8).unwrap().utility, 3.0 / 8.0);
+            let entry = node.utility_memo.iter_mut().find(|m| m.peer == NodeIdx(8));
+            entry.unwrap().utility = 2.0;
+            // Merges that rank the table's own friends and nobody else.
+            for _ in 0..unused {
+                merge(&mut node, Vec::new(), &mut rng);
+                assert_eq!(friend_addrs(&node), vec![3, 4, 5]);
+            }
+            let remembered = unused < MEMO_WINDOW - 1;
+            assert_eq!(memo_entry(&node, 8).is_some(), remembered, "{unused}");
+            assert_eq!(node.utility_memo.len(), if remembered { 6 } else { 3 });
+            merge(&mut node, peers, &mut rng);
+            let expected = if remembered { [3, 4, 8] } else { [3, 4, 5] };
+            assert_eq!(friend_addrs(&node), expected, "unused for {unused} merges");
+            assert_eq!(node.utility_memo.len(), 6);
+            assert!(memo_is_strictly_ascending(&node));
+        }
     }
 
     #[test]
-    fn memo_misses_when_a_peer_readvertises_under_a_new_handle() {
+    fn a_readvertisement_under_a_new_handle_replaces_the_memo_entry() {
         use rand::SeedableRng;
         let mut rng = SmallRng::seed_from_u64(3);
         let (mut node, peers) = friend_contest();
-        merge(&mut node, &peers, &mut rng);
+        merge(&mut node, peers.clone(), &mut rng);
         assert_eq!(friend_addrs(&node), vec![3, 4, 5]);
-        // Ring and small-world picks are never ranked, so never memoised.
-        assert_eq!(node.utility_memo.len(), 6);
-        assert!(node.utility_memo.windows(2).all(|w| w[0].0 < w[1].0));
-        assert_eq!(memo_entry(&node, 3).2, 1.0);
+        assert_eq!(memo_entry(&node, 3).unwrap().utility, 1.0);
 
         // The best friend moves to a disjoint set: a fresher descriptor,
         // same address, new handle. A stale hit would keep it a friend.
         let mut peers = peers;
         peers[2] = Entry::fresh(NodeIdx(3), peers[2].id, subs_of(&[50]));
-        merge(&mut node, &peers, &mut rng);
+        merge(&mut node, peers.clone(), &mut rng);
         assert_eq!(friend_addrs(&node), vec![4, 5, 6]);
-        assert!(Arc::ptr_eq(&memo_entry(&node, 3).1, &peers[2].payload));
-        assert_eq!(memo_entry(&node, 3).2, 0.0);
-        assert_eq!(node.utility_memo.len(), 6);
+        let entry = memo_entry(&node, 3).unwrap();
+        assert!(Arc::ptr_eq(&entry.subs, &peers[2].payload));
+        assert_eq!(entry.utility, 0.0);
+        assert_eq!(node.utility_memo.len(), 6, "replaced, not added");
+        assert!(memo_is_strictly_ascending(&node));
 
         // Equal contents in a different allocation: a miss that recomputes
         // the same value and re-keys the entry to the new handle.
-        let old_handle = memo_entry(&node, 4).1.clone();
+        let old_handle = memo_entry(&node, 4).unwrap().subs.clone();
         let twin = Entry::fresh(NodeIdx(4), peers[3].id, subs_of(&[0, 1, 2, 3, 4, 5, 6]));
         assert!(*twin.payload == *old_handle && !Arc::ptr_eq(&twin.payload, &old_handle));
-        merge(&mut node, std::slice::from_ref(&twin), &mut rng);
-        assert!(Arc::ptr_eq(&memo_entry(&node, 4).1, &twin.payload));
-        assert_eq!(memo_entry(&node, 4).2, 7.0 / 8.0);
+        merge(&mut node, vec![twin.clone()], &mut rng);
+        let entry = memo_entry(&node, 4).unwrap();
+        assert!(Arc::ptr_eq(&entry.subs, &twin.payload));
+        assert_eq!(entry.utility, 7.0 / 8.0);
         assert_eq!(friend_addrs(&node), vec![4, 5, 6]);
-        // Rebuilt from this merge's candidates only: the table's five
-        // entries (the incoming one replaced its own), less the ring picks.
-        assert_eq!(node.utility_memo.len(), 3);
+        // Peers this merge did not rank are still remembered.
+        assert_eq!(node.utility_memo.len(), 6);
+        assert!(memo_is_strictly_ascending(&node));
     }
 
     #[test]
@@ -1120,20 +1218,21 @@ mod tests {
         use rand::SeedableRng;
         let mut rng = SmallRng::seed_from_u64(4);
         let (mut node, peers) = friend_contest();
-        merge(&mut node, &peers, &mut rng);
+        merge(&mut node, peers.clone(), &mut rng);
         assert_eq!(friend_addrs(&node), vec![3, 4, 5]);
         // Peers 6, 7, 8 hold {0..=4}, {0..=3}, {0..=2}: against the new set
         // {0, 1, 2} they are the better matches, and only a recomputation
         // can see it (every handle is unchanged).
         node.set_subscriptions(subs_of(&[0, 1, 2]));
         assert!(node.utility_memo.is_empty());
-        merge(&mut node, &peers, &mut rng);
+        merge(&mut node, peers, &mut rng);
         assert_eq!(friend_addrs(&node), vec![6, 7, 8]);
-        assert_eq!(memo_entry(&node, 7).2, 3.0 / 4.0);
+        assert_eq!(memo_entry(&node, 7).unwrap().utility, 3.0 / 4.0);
     }
 
     /// Whatever the memo remembers, a merge must pick the table a memo-less
-    /// merge picks, and remember only values Equation 1 gives.
+    /// merge picks, remember only values Equation 1 gives, and stay within
+    /// the window's bound.
     #[test]
     fn memoised_merges_equal_unmemoised_ones() {
         use rand::{Rng, SeedableRng};
@@ -1142,7 +1241,7 @@ mod tests {
         let handles: Vec<Subs> = (0..12u32)
             .map(|k| subs_of(&[k % 5, k % 7, k % 3, 10 + k % 2]))
             .collect();
-        let mut hits = 0;
+        let (mut hits, mut max_candidates, mut max_len) = (0, 0, 0);
         for _ in 0..200 {
             let incoming: Vec<Entry<Subs>> = (0..rng.gen_range(0..10))
                 .map(|_| {
@@ -1155,22 +1254,32 @@ mod tests {
                     }
                 })
                 .collect();
-            let mut fresh = lone_node(&[0, 1, 2, 3, 4, 5], VitisConfig::default());
-            *fresh.net.rt_mut() = node.net.rt().clone();
-            let before = node.utility_memo.clone();
-            let candidates = node.net.rt().len() + incoming.len();
-            merge(&mut node, &incoming, &mut rng.clone());
-            merge(&mut fresh, &incoming, &mut rng);
-            assert_eq!(node.net.rt().to_vec(), fresh.net.rt().to_vec());
-            assert!(node.utility_memo.len() <= candidates);
-            for (addr, subs, u) in &node.utility_memo {
-                assert_eq!(*u, utility(node.subscriptions(), subs, &node.rates));
-                hits += before
-                    .iter()
-                    .filter(|m| m.0 == *addr && Arc::ptr_eq(&m.1, subs))
-                    .count();
+            // The twin starts every merge with the same table and no memo.
+            let mut twin = lone_node(&[0, 1, 2, 3, 4, 5], VitisConfig::default());
+            *twin.net.rt_mut() = node.net.rt().clone();
+            let before: Vec<(NodeIdx, Subs)> = node
+                .utility_memo
+                .iter()
+                .map(|m| (m.peer, m.subs.clone()))
+                .collect();
+            max_candidates = max_candidates.max(node.net.rt().len() + incoming.len());
+            merge(&mut node, incoming.clone(), &mut rng.clone());
+            merge(&mut twin, incoming, &mut rng);
+            assert_eq!(node.net.rt().to_vec(), twin.net.rt().to_vec());
+            assert!(memo_is_strictly_ascending(&node));
+            for m in &node.utility_memo {
+                assert_eq!(
+                    m.utility,
+                    utility(node.subscriptions(), &m.subs, &node.rates)
+                );
+                // Asked for by this merge and already there before it.
+                let known = |b: &(NodeIdx, Subs)| b.0 == m.peer && Arc::ptr_eq(&b.1, &m.subs);
+                hits += usize::from(m.used.get() == node.merges && before.iter().any(known));
             }
+            max_len = max_len.max(node.utility_memo.len());
         }
+        assert!(max_len <= MEMO_WINDOW as usize * max_candidates);
+        assert!(max_len > max_candidates, "the memo must outlive one merge");
         assert!(hits > 200, "the sequence must exercise memo hits: {hits}");
     }
 

@@ -6,6 +6,7 @@
 //! for the subscription-oblivious RVR baseline).
 
 use crate::id::Id;
+use std::borrow::Borrow;
 use vitis_sim::event::NodeIdx;
 
 /// A descriptor of a remote node carried in gossip messages and views.
@@ -49,14 +50,32 @@ impl<P> Entry<P> {
 /// keeping the *freshest* (lowest-age) descriptor for each node. `O(n·m)`
 /// over small gossip buffers, which beats hashing at these sizes.
 pub fn merge_dedup<P: Clone>(buf: &mut Vec<Entry<P>>, incoming: &[Entry<P>]) {
+    merge_with(buf, incoming, Entry::clone);
+}
+
+/// [`merge_dedup`] for descriptors the caller owns (a received buffer, a
+/// freshly minted self-descriptor): the same rule, moving what it keeps.
+pub fn merge_dedup_owned<P>(buf: &mut Vec<Entry<P>>, incoming: impl IntoIterator<Item = Entry<P>>) {
+    merge_with(buf, incoming, |e| e);
+}
+
+/// The one merge rule: an `incoming` descriptor replaces the buffered one
+/// for its address only when strictly fresher, and is appended when the
+/// address is new. `keep` turns an accepted item into an owned descriptor.
+fn merge_with<P, E: Borrow<Entry<P>>>(
+    buf: &mut Vec<Entry<P>>,
+    incoming: impl IntoIterator<Item = E>,
+    keep: impl Fn(E) -> Entry<P>,
+) {
     for e in incoming {
-        match buf.iter_mut().find(|b| b.addr == e.addr) {
+        let (addr, age) = (e.borrow().addr, e.borrow().age);
+        match buf.iter_mut().find(|b| b.addr == addr) {
             Some(existing) => {
-                if e.age < existing.age {
-                    *existing = e.clone();
+                if age < existing.age {
+                    *existing = keep(e);
                 }
             }
-            None => buf.push(e.clone()),
+            None => buf.push(keep(e)),
         }
     }
 }
@@ -98,6 +117,17 @@ mod tests {
         }];
         merge_dedup(&mut buf, &[e(1, 3)]);
         assert_eq!(buf[0].payload, 100);
+    }
+
+    #[test]
+    fn owned_merge_follows_the_same_rule() {
+        let incoming = [e(1, 2), e(2, 9), e(3, 1), e(3, 0), e(1, 2)];
+        let mut by_ref = vec![e(1, 5), e(2, 0)];
+        let mut by_move = by_ref.clone();
+        merge_dedup(&mut by_ref, &incoming);
+        merge_dedup_owned(&mut by_move, incoming.to_vec());
+        assert_eq!(by_move, by_ref);
+        assert_eq!(by_move.len(), 3);
     }
 
     #[test]

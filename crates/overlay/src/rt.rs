@@ -14,7 +14,7 @@
 //! RVR baseline — the same code path serves both systems, which is exactly
 //! the comparability the paper sets up.
 
-use crate::entry::{merge_dedup, remove_addr, Entry};
+use crate::entry::{merge_dedup, merge_dedup_owned, remove_addr, Entry};
 use crate::id::Id;
 use crate::ring::{find_predecessor, find_successor};
 use crate::smallworld::select_sw_neighbor;
@@ -151,6 +151,15 @@ impl<P: Clone> HybridRt<P> {
         self.iter().cloned().collect()
     }
 
+    /// All entries by value, in the order of [`HybridRt::iter`].
+    pub fn into_entries(self) -> impl Iterator<Item = Entry<P>> {
+        self.succ
+            .into_iter()
+            .chain(self.pred)
+            .chain(self.sw)
+            .chain(self.friends)
+    }
+
     /// Age every entry by one round.
     pub fn age_all(&mut self) {
         for e in self
@@ -189,7 +198,7 @@ impl<P: Clone> HybridRt<P> {
 
     /// Reset the age of `addr` to zero and replace its payload (receipt of
     /// a heartbeat/profile message, Algorithm 7). Returns true if present.
-    pub fn refresh(&mut self, addr: NodeIdx, payload: P) -> bool {
+    pub fn refresh(&mut self, addr: NodeIdx, payload: &P) -> bool {
         let mut found = false;
         for e in self
             .succ
@@ -214,7 +223,7 @@ impl<P: Clone> HybridRt<P> {
     /// edges symmetric, so they refresh each other and lookups converge on
     /// a single rendezvous per topic. A known peer, the node's own id and a
     /// farther candidate are ignored.
-    pub fn adopt_ring_candidate(&mut self, self_id: Id, from: NodeIdx, id: Id, payload: P) {
+    pub fn adopt_ring_candidate(&mut self, self_id: Id, from: NodeIdx, id: Id, payload: &P) {
         if self.contains(from) || id == self_id {
             return;
         }
@@ -224,7 +233,7 @@ impl<P: Clone> HybridRt<P> {
             .as_ref()
             .is_none_or(|s| d_cw < self_id.distance_cw(s.id))
         {
-            self.succ = Some(Entry::fresh(from, id, payload));
+            self.succ = Some(Entry::fresh(from, id, payload.clone()));
             return;
         }
         let d_ccw = id.distance_cw(self_id);
@@ -233,7 +242,7 @@ impl<P: Clone> HybridRt<P> {
             .as_ref()
             .is_none_or(|p| d_ccw < p.id.distance_cw(self_id))
         {
-            self.pred = Some(Entry::fresh(from, id, payload));
+            self.pred = Some(Entry::fresh(from, id, payload.clone()));
         }
     }
 
@@ -311,7 +320,10 @@ pub fn select_neighbors<P: Clone, R: Rng>(
     let n_friends = params.num_friends();
     if n_friends > 0 && !candidates.is_empty() {
         // Rank by utility; current friends win ties (stability); remaining
-        // ties break randomly (in-link diversity).
+        // ties break randomly (in-link diversity), and what is left after
+        // that by candidate position — the order a stable sort would leave,
+        // and what makes the selected *set* unique, so that a partial
+        // selection picks exactly the prefix a full sort would.
         let mut ranked: Vec<(f64, bool, u64, usize)> = candidates
             .iter()
             .enumerate()
@@ -324,28 +336,32 @@ pub fn select_neighbors<P: Clone, R: Rng>(
                 )
             })
             .collect();
-        ranked.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .expect("utility must not be NaN")
-                .then_with(|| a.1.cmp(&b.1))
-                .then_with(|| a.2.cmp(&b.2))
-        });
-        ranked.truncate(n_friends);
-        let keep: Vec<usize> = ranked.into_iter().map(|(_, _, _, i)| i).collect();
-        let mut taken: Vec<Entry<P>> = Vec::with_capacity(keep.len());
-        for (i, e) in candidates.into_iter().enumerate() {
-            if keep.contains(&i) {
-                taken.push(e);
-            }
+        if ranked.len() > n_friends {
+            ranked.select_nth_unstable_by(n_friends - 1, |a, b| {
+                b.0.partial_cmp(&a.0)
+                    .expect("utility must not be NaN")
+                    .then_with(|| a.1.cmp(&b.1))
+                    .then_with(|| a.2.cmp(&b.2))
+                    .then_with(|| a.3.cmp(&b.3))
+            });
+            ranked.truncate(n_friends);
         }
-        rt.friends = taken;
+        let mut selected = vec![false; candidates.len()];
+        for &(_, _, _, i) in &ranked {
+            selected[i] = true;
+        }
+        // Friends keep candidate order, whatever order the ranking left.
+        rt.friends.reserve_exact(ranked.len());
+        let winners = candidates.into_iter().zip(selected);
+        rt.friends
+            .extend(winners.filter_map(|(e, keep)| keep.then_some(e)));
     }
     rt
 }
 
 /// Build the T-Man exchange buffer (Algorithm 2, lines 3–4): the fresh
 /// peer-sampling list merged with the current routing table and a fresh
-/// self-descriptor.
+/// (age 0) copy of `self_entry`, whatever age the one passed in carries.
 pub fn build_exchange_buffer<P: Clone>(
     rt: &HybridRt<P>,
     sample: &[Entry<P>],
@@ -353,8 +369,7 @@ pub fn build_exchange_buffer<P: Clone>(
 ) -> Vec<Entry<P>> {
     let mut buf = rt.to_vec();
     merge_dedup(&mut buf, sample);
-    let fresh = self_entry.refreshed(self_entry.payload.clone());
-    merge_dedup(&mut buf, std::slice::from_ref(&fresh));
+    merge_dedup_owned(&mut buf, [self_entry.refreshed(self_entry.payload.clone())]);
     buf
 }
 
@@ -449,12 +464,12 @@ mod tests {
         }
         // Refresh one neighbor; expire the rest at max_age 2.
         let keep = rt.addrs()[0];
-        assert!(rt.refresh(keep, 9.0));
+        assert!(rt.refresh(keep, &9.0));
         let removed = rt.expire(2);
         assert_eq!(removed.len(), n0 - 1);
         assert_eq!(rt.len(), 1);
         assert!(rt.contains(keep));
-        assert!(!rt.refresh(NodeIdx(1234), 0.0));
+        assert!(!rt.refresh(NodeIdx(1234), &0.0));
     }
 
     #[test]
@@ -496,28 +511,155 @@ mod tests {
         rt.succ = Some(e(1, 1500, 0.0));
         rt.pred = Some(e(2, 500, 0.0));
         // A known peer, our own id and a farther candidate change nothing.
-        rt.adopt_ring_candidate(me, NodeIdx(1), Id(1100), 0.0);
-        rt.adopt_ring_candidate(me, NodeIdx(9), me, 0.0);
-        rt.adopt_ring_candidate(me, NodeIdx(9), Id(1500), 0.0);
-        rt.adopt_ring_candidate(me, NodeIdx(9), Id(400), 0.0);
+        rt.adopt_ring_candidate(me, NodeIdx(1), Id(1100), &0.0);
+        rt.adopt_ring_candidate(me, NodeIdx(9), me, &0.0);
+        rt.adopt_ring_candidate(me, NodeIdx(9), Id(1500), &0.0);
+        rt.adopt_ring_candidate(me, NodeIdx(9), Id(400), &0.0);
         assert_eq!(rt.succ.as_ref().unwrap().addr, NodeIdx(1));
         assert_eq!(rt.pred.as_ref().unwrap().addr, NodeIdx(2));
         // Strictly closer clockwise: new successor, fresh, with the payload.
-        rt.adopt_ring_candidate(me, NodeIdx(3), Id(1200), 7.0);
+        rt.adopt_ring_candidate(me, NodeIdx(3), Id(1200), &7.0);
         let s = rt.succ.as_ref().unwrap();
         assert_eq!((s.addr, s.id, s.payload), (NodeIdx(3), Id(1200), 7.0));
         assert_eq!(s.age, 0);
         assert_eq!(rt.pred.as_ref().unwrap().addr, NodeIdx(2));
         // Strictly closer counter-clockwise: new predecessor.
-        rt.adopt_ring_candidate(me, NodeIdx(4), Id(900), 0.0);
+        rt.adopt_ring_candidate(me, NodeIdx(4), Id(900), &0.0);
         assert_eq!(rt.pred.as_ref().unwrap().addr, NodeIdx(4));
         assert_eq!(rt.succ.as_ref().unwrap().addr, NodeIdx(3));
         // Empty slots adopt anyone.
         let mut empty: HybridRt<f64> = HybridRt::new();
-        empty.adopt_ring_candidate(me, NodeIdx(5), Id(5), 0.0);
+        empty.adopt_ring_candidate(me, NodeIdx(5), Id(5), &0.0);
         assert_eq!(empty.succ.as_ref().unwrap().addr, NodeIdx(5));
-        empty.adopt_ring_candidate(me, NodeIdx(6), Id(6), 0.0);
+        empty.adopt_ring_candidate(me, NodeIdx(6), Id(6), &0.0);
         assert_eq!(empty.pred.as_ref().unwrap().addr, NodeIdx(6));
+    }
+
+    /// Algorithm 4 as it ranked friends before the partial selection: a
+    /// stable sort of every candidate, the first `n_friends` kept, the
+    /// winners found by scanning the kept indices. The ring and small-world
+    /// picks are copied as they stand.
+    fn select_by_stable_sort<R: Rng>(
+        self_addr: NodeIdx,
+        self_id: Id,
+        params: &RtParams,
+        mut candidates: Vec<Entry<f64>>,
+        keep_sw: &[NodeIdx],
+        keep_friends: &[NodeIdx],
+        rng: &mut R,
+    ) -> HybridRt<f64> {
+        remove_addr(&mut candidates, self_addr);
+        let mut rt = HybridRt::new();
+        if let Some(i) = find_successor(self_id, &candidates) {
+            rt.succ = Some(candidates.swap_remove(i));
+        }
+        if let Some(i) = find_predecessor(self_id, &candidates) {
+            rt.pred = Some(candidates.swap_remove(i));
+        }
+        let sw_budget = params.k_sw.min(params.rt_size.saturating_sub(rt.len()));
+        for &addr in keep_sw {
+            if rt.sw.len() >= sw_budget {
+                break;
+            }
+            if let Some(i) = candidates.iter().position(|e| e.addr == addr) {
+                rt.sw.push(candidates.swap_remove(i));
+            }
+        }
+        while rt.sw.len() < sw_budget {
+            match select_sw_neighbor(self_id, &candidates, params.est_n, rng) {
+                Some(i) => rt.sw.push(candidates.swap_remove(i)),
+                None => break,
+            }
+        }
+        let n_friends = params.num_friends();
+        if n_friends > 0 && !candidates.is_empty() {
+            let mut ranked: Vec<(f64, bool, u64, usize)> = candidates
+                .iter()
+                .enumerate()
+                .map(|(i, e)| {
+                    let sticky = !keep_friends.contains(&e.addr);
+                    (e.payload, sticky, rng.gen::<u64>(), i)
+                })
+                .collect();
+            ranked.sort_by(|a, b| {
+                b.0.partial_cmp(&a.0)
+                    .unwrap()
+                    .then_with(|| a.1.cmp(&b.1))
+                    .then_with(|| a.2.cmp(&b.2))
+            });
+            ranked.truncate(n_friends);
+            let keep: Vec<usize> = ranked.into_iter().map(|(_, _, _, i)| i).collect();
+            for (i, e) in candidates.into_iter().enumerate() {
+                if keep.contains(&i) {
+                    rt.friends.push(e);
+                }
+            }
+        }
+        rt
+    }
+
+    /// A generator whose 64-bit draws take four values, so that the random
+    /// tie-break itself ties and the candidate position has to decide:
+    /// without the position in the comparator the test below fails.
+    #[derive(Clone, PartialEq, Debug)]
+    struct CoarseRng(SmallRng);
+
+    impl rand::RngCore for CoarseRng {
+        fn next_u32(&mut self) -> u32 {
+            self.0.next_u32()
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0.next_u64() >> 62
+        }
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            self.0.fill_bytes(dest)
+        }
+    }
+
+    #[test]
+    fn partial_selection_picks_what_the_stable_sort_picked() {
+        let mut gen = SmallRng::seed_from_u64(16);
+        for case in 0..600 {
+            let n = gen.gen_range(0..48u32);
+            // Two or three utility levels: most comparisons tie on utility.
+            let levels = gen.gen_range(2..4u32);
+            let cands: Vec<Entry<f64>> = (0..n)
+                .map(|i| e(i, gen.gen::<u64>(), f64::from(gen.gen_range(0..levels))))
+                .collect();
+            let pick = |gen: &mut SmallRng| -> Vec<NodeIdx> {
+                (0..n).filter(|_| gen.gen_bool(0.3)).map(NodeIdx).collect()
+            };
+            let (keep_sw, keep_friends) = (pick(&mut gen), pick(&mut gen));
+            let p = params(gen.gen_range(0..20), gen.gen_range(0..4));
+            let (me, my_id) = (NodeIdx(gen.gen_range(0..48)), Id(gen.gen()));
+            let mut rng = CoarseRng(SmallRng::seed_from_u64(case));
+            let mut oracle_rng = rng.clone();
+            let got = select_neighbors(
+                me,
+                my_id,
+                &p,
+                cands.clone(),
+                &keep_sw,
+                &keep_friends,
+                |x| x.payload,
+                &mut rng,
+            );
+            let want = select_by_stable_sort(
+                me,
+                my_id,
+                &p,
+                cands,
+                &keep_sw,
+                &keep_friends,
+                &mut oracle_rng,
+            );
+            assert_eq!(got.to_vec(), want.to_vec(), "case {case}");
+            assert_eq!(
+                (got.succ, got.pred, got.sw),
+                (want.succ, want.pred, want.sw)
+            );
+            assert_eq!(rng, oracle_rng, "case {case}: same draws");
+        }
     }
 
     #[test]

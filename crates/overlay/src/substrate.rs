@@ -14,7 +14,7 @@
 //! Policy enters as arguments — how friends are ranked, whether current
 //! friends win ties — never as a branch on which system is calling.
 
-use crate::entry::{merge_dedup, Entry};
+use crate::entry::{merge_dedup, merge_dedup_owned, Entry};
 use crate::id::Id;
 use crate::peer_sampling::{Newscast, PeerSampling};
 use crate::rt::{build_exchange_buffer, select_neighbors, HybridRt, RtParams};
@@ -24,10 +24,11 @@ use vitis_sim::event::NodeIdx;
 
 /// Identity, advertised payload and the peer-sampling view of one node.
 pub struct Sampler<P> {
-    /// Engine address; `NodeIdx(u32::MAX)` until [`Sampler::start`].
-    addr: NodeIdx,
-    id: Id,
-    payload: P,
+    /// This node's own descriptor, always at age 0: ring id, advertised
+    /// payload and the engine address, which is `NodeIdx(u32::MAX)` until
+    /// [`Sampler::start`]. Kept as a descriptor so that the exchanges
+    /// borrow it instead of minting a copy per buffer.
+    me: Entry<P>,
     view: Newscast<P>,
     /// Bootstrap contacts consumed at start.
     bootstrap: Vec<Entry<P>>,
@@ -37,9 +38,7 @@ impl<P: Clone> Sampler<P> {
     /// A not-yet-started sampler with a view of `view_size` descriptors.
     pub fn new(id: Id, payload: P, view_size: usize, bootstrap: Vec<Entry<P>>) -> Self {
         Sampler {
-            addr: NodeIdx(u32::MAX),
-            id,
-            payload,
+            me: Entry::fresh(NodeIdx(u32::MAX), id, payload),
             view: Newscast::new(view_size),
             bootstrap,
         }
@@ -50,7 +49,7 @@ impl<P: Clone> Sampler<P> {
     /// the routing table too, by a first [`Substrate::merge`] under its
     /// own ranking.
     pub fn start(&mut self, addr: NodeIdx) -> Vec<Entry<P>> {
-        self.addr = addr;
+        self.me.addr = addr;
         let contacts = std::mem::take(&mut self.bootstrap);
         self.view.bootstrap(&contacts, addr);
         contacts
@@ -58,22 +57,22 @@ impl<P: Clone> Sampler<P> {
 
     /// The node's engine address.
     pub fn addr(&self) -> NodeIdx {
-        self.addr
+        self.me.addr
     }
 
     /// The node's ring identifier.
     pub fn id(&self) -> Id {
-        self.id
+        self.me.id
     }
 
     /// The payload this node advertises in its own descriptor.
     pub fn payload(&self) -> &P {
-        &self.payload
+        &self.me.payload
     }
 
     /// Replace the advertised payload; it spreads with the next exchanges.
     pub fn set_payload(&mut self, payload: P) {
-        self.payload = payload;
+        self.me.payload = payload;
     }
 
     /// The current sample of known peers.
@@ -81,15 +80,11 @@ impl<P: Clone> Sampler<P> {
         self.view.sample()
     }
 
-    fn self_entry(&self) -> Entry<P> {
-        Entry::fresh(self.addr, self.id, self.payload.clone())
-    }
-
     /// The round step: age the view and begin an exchange. Returns the
     /// partner and the request buffer, `None` while the view is empty.
     pub fn sampling_round(&mut self, rng: &mut SmallRng) -> Option<(NodeIdx, Vec<Entry<P>>)> {
         self.view.tick();
-        self.view.initiate(&self.self_entry(), rng)
+        self.view.initiate(&self.me, rng)
     }
 
     /// Handle an exchange request: merge it and return the reply buffer.
@@ -99,13 +94,12 @@ impl<P: Clone> Sampler<P> {
         incoming: &[Entry<P>],
         rng: &mut SmallRng,
     ) -> Vec<Entry<P>> {
-        let se = self.self_entry();
-        self.view.on_request(&se, from, incoming, rng)
+        self.view.on_request(&self.me, from, incoming, rng)
     }
 
     /// Handle the reply to an exchange this node initiated.
     pub fn on_ps_response(&mut self, incoming: &[Entry<P>]) {
-        self.view.on_response(self.addr, incoming);
+        self.view.on_response(self.me.addr, incoming);
     }
 }
 
@@ -172,39 +166,49 @@ impl<P: Clone> Substrate<P> {
     /// The T-Man exchange buffer (Algorithm 2): table ∪ sample ∪ a fresh
     /// self-descriptor.
     pub fn exchange_buffer(&self) -> Vec<Entry<P>> {
-        build_exchange_buffer(&self.rt, self.ps.sample(), &self.ps.self_entry())
+        build_exchange_buffer(&self.rt, self.ps.sample(), &self.ps.me)
     }
 
     /// Merge a received T-Man buffer with the current table and the
     /// sampling list, then re-run Algorithm 4. `utility` ranks friend
     /// candidates; with `sticky_friends` the current friends win utility
     /// ties. Current small-world links are always kept while alive.
+    ///
+    /// The old table and `incoming` are consumed: their descriptors move
+    /// into the candidate list, and only sample entries the list lacks are
+    /// cloned. The list's order — table entries in [`HybridRt::iter`]
+    /// order, then new incoming addresses, then new sample addresses — is
+    /// part of the result: it carries Algorithm 4's `swap_remove`s, its
+    /// per-candidate RNG draws and its last tie-break.
     pub fn merge(
         &mut self,
-        incoming: &[Entry<P>],
+        incoming: Vec<Entry<P>>,
         sticky_friends: bool,
         utility: impl Fn(&Entry<P>) -> f64,
         rng: &mut SmallRng,
     ) {
-        let mut candidates = self.rt.to_vec();
-        merge_dedup(&mut candidates, incoming);
-        merge_dedup(&mut candidates, self.ps.sample());
+        let old = std::mem::replace(&mut self.rt, HybridRt::new());
+        let addrs = |list: &[Entry<P>]| list.iter().map(|e| e.addr).collect::<Vec<_>>();
+        let keep_sw = addrs(&old.sw);
+        let keep_friends = if sticky_friends {
+            addrs(&old.friends)
+        } else {
+            Vec::new()
+        };
+        let sample = self.ps.sample();
+        let mut candidates = Vec::with_capacity(old.len() + incoming.len() + sample.len());
+        candidates.extend(old.into_entries());
+        merge_dedup_owned(&mut candidates, incoming);
+        merge_dedup(&mut candidates, sample);
         // Never select descriptors past the failure-detection threshold:
         // copies of a dead node's descriptor keep circulating in exchange
         // buffers (their ages grow in lockstep everywhere), and without this
         // filter they re-enter tables as zombie ring neighbors faster than
         // per-round expiry can purge them.
         candidates.retain(|e| e.age <= self.age_threshold);
-        let addrs = |list: &[Entry<P>]| list.iter().map(|e| e.addr).collect::<Vec<_>>();
-        let keep_sw = addrs(&self.rt.sw);
-        let keep_friends = if sticky_friends {
-            addrs(&self.rt.friends)
-        } else {
-            Vec::new()
-        };
         self.rt = select_neighbors(
-            self.ps.addr,
-            self.ps.id,
+            self.ps.me.addr,
+            self.ps.me.id,
             &self.params,
             candidates,
             &keep_sw,
@@ -219,7 +223,7 @@ impl<P: Clone> Substrate<P> {
     /// reply for the caller to send.
     pub fn on_rt_request(
         &mut self,
-        incoming: &[Entry<P>],
+        incoming: Vec<Entry<P>>,
         sticky_friends: bool,
         utility: impl Fn(&Entry<P>) -> f64,
         rng: &mut SmallRng,
@@ -232,10 +236,11 @@ impl<P: Clone> Substrate<P> {
     /// A heartbeat arrived from `from`: refresh its table entry (age and
     /// payload) and return true, or — for a peer the table does not hold —
     /// offer it to notify-style ring repair and return false.
-    pub fn on_heartbeat(&mut self, from: NodeIdx, id: Id, payload: P) -> bool {
-        let known = self.rt.refresh(from, payload.clone());
+    pub fn on_heartbeat(&mut self, from: NodeIdx, id: Id, payload: &P) -> bool {
+        let known = self.rt.refresh(from, payload);
         if !known {
-            self.rt.adopt_ring_candidate(self.ps.id, from, id, payload);
+            self.rt
+                .adopt_ring_candidate(self.ps.me.id, from, id, payload);
         }
         known
     }
@@ -302,8 +307,8 @@ mod tests {
         let live = [e(5, 1100, THRESHOLD, 1), e(6, 900, 0, 1), e(7, 3000, 2, 2)];
         let offered: Vec<Entry<u32>> = stale.iter().chain(&live).cloned().collect();
         let mut s = substrate(6, 2, Vec::new());
-        s.merge(&offered, true, by_payload, &mut rng);
-        let reply = s.on_rt_request(&offered, true, by_payload, &mut rng);
+        s.merge(offered.clone(), true, by_payload, &mut rng);
+        let reply = s.on_rt_request(offered, true, by_payload, &mut rng);
         for dead in &stale {
             assert!(!s.rt().contains(dead.addr), "{:?} was selected", dead.addr);
             assert!(reply.iter().all(|r| r.addr != dead.addr));
@@ -318,11 +323,11 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(2);
         let contacts = vec![e(1, 1100, 0, 0), e(2, 900, 0, 0), e(3, 4000, 0, 0)];
         let mut s = substrate(6, 1, contacts.clone());
-        s.merge(&contacts, false, |_| 0.0, &mut rng);
+        s.merge(contacts, false, |_| 0.0, &mut rng);
         assert_eq!(s.rt().len(), 3);
         // Peer 1 keeps heartbeating; the others fall silent.
         for _ in 0..THRESHOLD {
-            assert!(s.on_heartbeat(NodeIdx(1), Id(1100), 9));
+            assert!(s.on_heartbeat(NodeIdx(1), Id(1100), &9));
             assert_eq!(s.detect_failures(), Vec::<NodeIdx>::new());
         }
         let mut dead = s.detect_failures();
@@ -336,14 +341,14 @@ mod tests {
         // with nothing new cannot bring them back.
         let sampled: Vec<NodeIdx> = s.ps.sample().iter().map(|x| x.addr).collect();
         assert_eq!(sampled, vec![NodeIdx(1)]);
-        s.merge(&[], false, |_| 0.0, &mut rng);
+        s.merge(Vec::new(), false, |_| 0.0, &mut rng);
         assert_eq!(s.rt().addrs(), vec![NodeIdx(1)]);
     }
 
     #[test]
     fn heartbeat_from_a_stranger_goes_to_ring_repair() {
         let mut s = substrate(6, 1, Vec::new());
-        assert!(!s.on_heartbeat(NodeIdx(4), Id(1200), 3));
+        assert!(!s.on_heartbeat(NodeIdx(4), Id(1200), &3));
         let succ = s.rt().succ.as_ref().unwrap();
         assert_eq!(
             (succ.addr, succ.id, succ.payload),
@@ -355,11 +360,11 @@ mod tests {
     fn a_request_is_answered_from_the_table_before_the_merge() {
         let mut rng = SmallRng::seed_from_u64(3);
         let mut s = substrate(4, 0, Vec::new());
-        s.merge(&[e(1, 2000, 0, 0)], false, |_| 0.0, &mut rng);
+        s.merge(vec![e(1, 2000, 0, 0)], false, |_| 0.0, &mut rng);
         let before = s.exchange_buffer();
         // The partner offers a closer successor and our own stale copy.
-        let offered = [e(2, 1500, 0, 0), e(0, 1000, 3, 7)];
-        let reply = s.on_rt_request(&offered, false, |_| 0.0, &mut rng);
+        let offered = vec![e(2, 1500, 0, 0), e(0, 1000, 3, 7)];
+        let reply = s.on_rt_request(offered, false, |_| 0.0, &mut rng);
         assert_eq!(reply, before);
         let mut addrs: Vec<u32> = reply.iter().map(|x| x.addr.0).collect();
         addrs.sort_unstable();
@@ -367,6 +372,89 @@ mod tests {
         assert_eq!(reply.iter().find(|x| x.addr.0 == 0).unwrap().age, 0);
         assert_eq!(s.rt().succ.as_ref().unwrap().addr, NodeIdx(2));
         assert!(!s.rt().contains(NodeIdx(0)));
+    }
+
+    /// The merge as it assembled candidates before it moved them: clone
+    /// the table, `merge_dedup` the partner's buffer and the sample into
+    /// it by reference.
+    fn merge_by_clone(
+        s: &mut Substrate<u32>,
+        incoming: &[Entry<u32>],
+        sticky_friends: bool,
+        rng: &mut SmallRng,
+    ) {
+        let mut candidates = s.rt.to_vec();
+        merge_dedup(&mut candidates, incoming);
+        merge_dedup(&mut candidates, s.ps.sample());
+        candidates.retain(|e| e.age <= s.age_threshold);
+        let addrs = |list: &[Entry<u32>]| list.iter().map(|e| e.addr).collect::<Vec<_>>();
+        let keep_sw = addrs(&s.rt.sw);
+        let keep_friends = if sticky_friends {
+            addrs(&s.rt.friends)
+        } else {
+            Vec::new()
+        };
+        s.rt = select_neighbors(
+            s.addr(),
+            s.id(),
+            &s.params,
+            candidates,
+            &keep_sw,
+            &keep_friends,
+            by_payload,
+            rng,
+        );
+    }
+
+    #[test]
+    fn merge_by_move_equals_merge_by_clone() {
+        use rand::Rng;
+        let mut gen = SmallRng::seed_from_u64(6);
+        // 24 addresses (0 is the node itself) met again and again at other
+        // ages and under other payloads: every buffer repeats addresses the
+        // table, the sample or the buffer itself already holds, fresher,
+        // staler or past the threshold.
+        let descriptor = |gen: &mut SmallRng| {
+            let addr = gen.gen_range(0..24u32);
+            let id = Id::of_node(u64::from(addr)).0;
+            e(
+                addr,
+                id,
+                gen.gen_range(0..THRESHOLD + 3),
+                gen.gen_range(0..4),
+            )
+        };
+        let buffer = |gen: &mut SmallRng| -> Vec<Entry<u32>> {
+            (0..gen.gen_range(0..20)).map(|_| descriptor(gen)).collect()
+        };
+        let mut replaced = 0;
+        for case in 0..300 {
+            let mut moved = substrate(gen.gen_range(2..12), gen.gen_range(0..4), buffer(&mut gen));
+            let mut cloned = substrate(moved.params.rt_size, moved.params.k_sw, Vec::new());
+            cloned.ps.view.bootstrap(moved.ps.sample(), NodeIdx(0));
+            assert_eq!(cloned.ps.sample(), moved.ps.sample());
+            let mut rng = SmallRng::seed_from_u64(case);
+            for step in 0..6 {
+                let (incoming, sticky) = (buffer(&mut gen), gen.gen_bool(0.5));
+                let mut oracle_rng = rng.clone();
+                merge_by_clone(&mut cloned, &incoming, sticky, &mut oracle_rng);
+                let before = moved.rt.to_vec();
+                moved.merge(incoming, sticky, by_payload, &mut rng);
+                assert_eq!(moved.rt.to_vec(), cloned.rt.to_vec(), "case {case}.{step}");
+                assert_eq!(moved.rt.succ, cloned.rt.succ);
+                assert_eq!(moved.rt.sw, cloned.rt.sw);
+                assert_eq!(rng, oracle_rng, "case {case}.{step}: same draws");
+                replaced += moved
+                    .rt
+                    .iter()
+                    .filter(|now| before.iter().any(|b| b.addr == now.addr && b != *now))
+                    .count();
+                // Tables age between exchanges, so that buffers can be fresher.
+                moved.rt.age_all();
+                cloned.rt.age_all();
+            }
+        }
+        assert!(replaced > 300, "fresher copies must replace table entries");
     }
 
     #[test]
@@ -377,7 +465,7 @@ mod tests {
         assert_eq!(s.uniform_partner(&mut rng), Some(NodeIdx(9)));
         assert_eq!(rng, untouched, "the sample fallback must not draw");
         s.merge(
-            &[e(1, 2000, 0, 0), e(2, 500, 0, 0)],
+            vec![e(1, 2000, 0, 0), e(2, 500, 0, 0)],
             false,
             |_| 0.0,
             &mut rng,
@@ -408,7 +496,7 @@ mod tests {
             let sampler = Sampler::new(Id::of_node(u64::from(i)), i % 4, 15, boot);
             let mut s = Substrate::new(sampler, params, THRESHOLD);
             let contacts = s.start(NodeIdx(i));
-            s.merge(&contacts, true, |c| rank(i % 4, c), &mut rng);
+            s.merge(contacts, true, |c| rank(i % 4, c), &mut rng);
             nodes.push(s);
         }
         for _ in 0..25 {
@@ -423,13 +511,13 @@ mod tests {
                     let buf = nodes[i].exchange_buffer();
                     let theirs = *nodes[to.index()].payload();
                     let reply =
-                        nodes[to.index()].on_rt_request(&buf, true, |c| rank(theirs, c), &mut rng);
-                    nodes[i].merge(&reply, true, |c| rank(group, c), &mut rng);
+                        nodes[to.index()].on_rt_request(buf, true, |c| rank(theirs, c), &mut rng);
+                    nodes[i].merge(reply, true, |c| rank(group, c), &mut rng);
                 }
                 nodes[i].detect_failures();
                 let id = nodes[i].id();
                 for to in nodes[i].rt().addrs() {
-                    nodes[to.index()].on_heartbeat(me, id, group);
+                    nodes[to.index()].on_heartbeat(me, id, &group);
                 }
             }
         }

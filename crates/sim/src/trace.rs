@@ -118,8 +118,18 @@ impl TrafficLedger {
         TrafficLedger::default()
     }
 
+    /// A kind name is a `&'static str` literal from `classify`, so nearly
+    /// every lookup is answered by comparing addresses and lengths; the
+    /// content comparison decides only for a kind not seen yet, or one
+    /// whose literal exists at two addresses. Either way a name has one
+    /// slot, at the position of its first appearance.
     fn slot(&mut self, tag: MsgTag) -> &mut KindTraffic {
-        if let Some(i) = self.kinds.iter().position(|k| k.kind == tag.kind) {
+        let known = self
+            .kinds
+            .iter()
+            .position(|k| std::ptr::eq(k.kind, tag.kind))
+            .or_else(|| self.kinds.iter().position(|k| k.kind == tag.kind));
+        if let Some(i) = known {
             return &mut self.kinds[i];
         }
         self.kinds.push(KindTraffic {
@@ -1561,6 +1571,13 @@ mod tests {
         assert_eq!(l.sent_by_class(), (2, 1));
         let ps = l.kinds().iter().find(|k| k.kind == "ps_req").unwrap();
         assert_eq!((ps.sent, ps.delivered), (2, 1));
+        // The same name at another address is the same kind, and the
+        // kinds stay in first-seen order.
+        let twin: &'static str = Box::leak(String::from("ps_req").into_boxed_str());
+        assert!(!std::ptr::eq(twin, ps.kind));
+        l.record_send(MsgTag::control(twin));
+        let order: Vec<_> = l.kinds().iter().map(|k| (k.kind, k.sent)).collect();
+        assert_eq!(order, vec![("ps_req", 3), ("notification", 1)]);
         l.reset();
         assert_eq!(l.sent_by_class(), (0, 0));
         // Kind list survives the window reset.

@@ -20,7 +20,7 @@
 
 use std::mem::size_of;
 use vitis::msg::{Notification, VitisMsg};
-use vitis::node::VitisNode;
+use vitis::node::{MemoEntry, VitisNode};
 use vitis_baselines::opt::OptMsg;
 use vitis_baselines::rvr::RvrMsg;
 use vitis_baselines::{OptNode, RvrNode};
@@ -41,6 +41,9 @@ fn messages_fit_their_queue_slot() {
 #[test]
 fn nodes_fit_their_cache_line_budget() {
     within::<VitisNode>(640);
+    // A node retains ≈ 60 remembered Equation 1 results (DESIGN §14, "The
+    // T-Man merge"): eight bytes more per entry is half a kilobyte a node.
+    within::<MemoEntry>(24);
     within::<RvrNode>(448);
     within::<OptNode>(384);
 }
