@@ -22,7 +22,7 @@ use vitis_overlay::id::Id;
 use vitis_overlay::substrate::Sampler;
 use vitis_sim::antientropy::{AeConfig, AntiEntropy};
 use vitis_sim::event::NodeIdx;
-use vitis_sim::prelude::{Context, MsgTag, ParallelProtocol, Protocol, StopReason};
+use vitis_sim::prelude::{Context, MsgTag, Protocol, StopReason};
 
 /// OPT node configuration.
 #[derive(Clone, Debug)]
@@ -246,25 +246,6 @@ impl OptNode {
                     .send_copy(ctx, peer, notif.clone(), OptMsg::Notif);
             }
         }
-    }
-}
-
-/// Parallel-execution support: the shared evaluation monitor is the only
-/// shared sink; its writes buffer while deferred and replay in serial
-/// event order on the engine thread.
-impl ParallelProtocol for OptNode {
-    type Deferred = Vec<vitis::monitor::MonitorOp>;
-
-    fn set_deferred(&mut self, on: bool) {
-        self.dissem.monitor().set_deferred(on);
-    }
-
-    fn take_deferred(&mut self) -> Self::Deferred {
-        self.dissem.monitor().take_deferred()
-    }
-
-    fn apply_deferred(&mut self, ops: Self::Deferred) {
-        self.dissem.monitor().apply_ops(ops);
     }
 }
 

@@ -24,7 +24,7 @@ use vitis_overlay::rt::{HybridRt, RtParams};
 use vitis_overlay::substrate::{Sampler, Substrate};
 use vitis_sim::antientropy::{AeConfig, AntiEntropy};
 use vitis_sim::event::NodeIdx;
-use vitis_sim::prelude::{Context, MsgTag, ParallelProtocol, Protocol, StopReason};
+use vitis_sim::prelude::{Context, MsgTag, Protocol, StopReason};
 
 /// RVR node configuration.
 #[derive(Clone, Debug)]
@@ -210,25 +210,6 @@ impl RvrNode {
             .send_copies(ctx, notif, RvrMsg::Notif, |targets| {
                 tree.fanout_into(topic, came_from, targets)
             });
-    }
-}
-
-/// Parallel-execution support: the shared evaluation monitor is the only
-/// shared sink; its writes buffer while deferred and replay in serial
-/// event order on the engine thread.
-impl ParallelProtocol for RvrNode {
-    type Deferred = Vec<vitis::monitor::MonitorOp>;
-
-    fn set_deferred(&mut self, on: bool) {
-        self.dissem.monitor().set_deferred(on);
-    }
-
-    fn take_deferred(&mut self) -> Self::Deferred {
-        self.dissem.monitor().take_deferred()
-    }
-
-    fn apply_deferred(&mut self, ops: Self::Deferred) {
-        self.dissem.monitor().apply_ops(ops);
     }
 }
 

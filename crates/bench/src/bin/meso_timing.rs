@@ -1,10 +1,8 @@
-//! Harness-free meso-benchmark.
+//! Meso-scale wall-clock timings.
 //!
-//! Mirrors the `gossip_round`, `dissemination`, `system_build` and
-//! `dispatch` groups of `benches/gossip_round.rs` but times them with plain
-//! `std::time::Instant`, so it runs in environments where the criterion
-//! harness is unavailable. Emits medians (microseconds; nanoseconds per
-//! activation for `dispatch`) in the shared
+//! Times four groups — `gossip_round`, `dissemination`, `system_build` and
+//! `dispatch` — with plain `std::time::Instant`. Emits medians
+//! (microseconds; nanoseconds per activation for `dispatch`) in the shared
 //! `vitis-bench-v1` BENCH schema (`vitis_experiments::benchfmt`) — the
 //! same format as `vitis-experiments scale` — so any two reports diff
 //! with the `bench-diff` binary:

@@ -1,12 +1,10 @@
 //! Vitis protocol configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// All tunables of a Vitis node. Defaults mirror the paper's experimental
 /// settings (Section IV-A): routing-table size 15, `k = 3` small-world links
 /// counting the two ring links (so one extra sw-neighbor), gateway radius
 /// `d = 5`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct VitisConfig {
     /// Bounded routing-table size (node degree bound). Paper default: 15.
     pub rt_size: usize,

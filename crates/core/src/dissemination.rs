@@ -10,10 +10,6 @@
 //! forward, pull or push and the node wraps that in its own message
 //! variants, so a node that accounts control bytes (Vitis) does so without
 //! this code branching on its caller.
-//!
-//! It owns the node's **only** [`Monitor`] handle. `Monitor::clone` gives
-//! the clone its own deferral buffer, so a second handle per node would
-//! reorder buffered writes under the engine's parallel round executor.
 
 use crate::monitor::{EventId, HopPath, Monitor};
 use crate::msg::Notification;
@@ -99,7 +95,7 @@ impl Dissemination {
     }
 
     /// The node's monitor handle, for accounting the node does itself
-    /// (control bytes, rounds) and for the parallel executor's deferral.
+    /// (control bytes, rounds).
     pub fn monitor(&self) -> &Monitor {
         &self.monitor
     }

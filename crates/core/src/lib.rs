@@ -62,7 +62,7 @@ pub mod prelude {
     pub use crate::config::VitisConfig;
     pub use crate::gateway::Proposal;
     pub use crate::harness::Workload;
-    pub use crate::monitor::{EventId, Monitor, MonitorOp, PubSubStats};
+    pub use crate::monitor::{EventId, Monitor, PubSubStats};
     pub use crate::smallmap::SmallMap;
     pub use crate::msg::{Notification, ProfileMsg, VitisMsg};
     pub use crate::node::VitisNode;

@@ -12,17 +12,11 @@
 //! * **Propagation delay** — hops from publisher to subscriber, averaged
 //!   over achieved deliveries.
 //!
-//! A [`Monitor`] is a cheap `Arc` handle cloned into every node of a system.
-//! Under serial execution each handle applies writes immediately; under the
-//! engine's deterministic parallel executor a handle switches into *deferred*
-//! mode and buffers its writes as [`MonitorOp`]s, which the engine replays on
-//! the merge thread in exact serial event order (see
-//! `vitis_sim::protocol::ParallelProtocol`).
+//! A [`Monitor`] is a cheap `Arc` handle cloned into every node of a system;
+//! every handle writes straight into the one shared state, in call order.
 
 use crate::topic::TopicId;
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -32,7 +26,7 @@ use vitis_sim::time::SimTime;
 use vitis_sim::trace::{KindTraffic, TraceEvent, TraceHandle, TrafficClass};
 
 /// Identifier of a published event within a run.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EventId(pub u64);
 
 /// Causal hop-path provenance carried inside dissemination messages: the
@@ -97,7 +91,7 @@ impl HopPath {
 
 /// Why a missed `(event, subscriber)` pair failed, as classified by the
 /// loss-attribution pass at window close ([`Monitor::attribute_losses`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LossReason {
     /// The subscriber went offline between publish and window close.
     SubscriberChurned,
@@ -174,7 +168,7 @@ pub struct MissContext<'a> {
 /// The loss-attribution breakdown of one measurement window: every missed
 /// `(event, subscriber)` pair classified by a [`LossReason`]. Counts sum
 /// exactly to `expected - delivered`.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct LossReport {
     /// Expected `(event, subscriber)` deliveries over the window.
     pub expected: u64,
@@ -293,6 +287,15 @@ struct MonitorInner {
     recovered_deliveries: u64,
 }
 
+/// Add `by` to `node`'s entry of a per-slot counter, growing it on demand.
+fn bump(counts: &mut Vec<u64>, node: NodeIdx, by: u64) {
+    let i = node.index();
+    if counts.len() <= i {
+        counts.resize(i + 1, 0);
+    }
+    counts[i] += by;
+}
+
 impl MonitorInner {
     fn record_of(&mut self, event: EventId) -> Option<&mut EventRecord> {
         let i = event.0.checked_sub(self.first_id)? as usize;
@@ -301,7 +304,7 @@ impl MonitorInner {
 }
 
 /// Aggregated publish/subscribe metrics over the monitor's current window.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct PubSubStats {
     /// Events published.
     pub published: u64,
@@ -341,7 +344,7 @@ pub struct PubSubStats {
 /// Sent/delivered counters for one protocol message kind, as surfaced in
 /// [`PubSubStats::traffic_by_kind`]. Owned strings so the snapshot is
 /// self-contained and serializable.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KindStat {
     /// Message-kind name (e.g. `"rt_req"`, `"notification"`).
     pub kind: String,
@@ -378,64 +381,6 @@ impl PubSubStats {
     }
 }
 
-/// One buffered monitor write, captured while a handle is in deferred mode
-/// (parallel round execution) and replayed on the engine thread in exact
-/// serial event order. Only the *handler-side* writers are represented —
-/// harness-side operations (event registration, snapshots, loss attribution)
-/// never run inside node handlers and stay immediate.
-#[derive(Clone, Debug)]
-pub enum MonitorOp {
-    /// [`Monitor::record_control_tx`].
-    ControlTx {
-        /// Sending node.
-        node: NodeIdx,
-        /// Control-plane bytes sent.
-        bytes: u64,
-    },
-    /// [`Monitor::record_control_round`].
-    ControlRound {
-        /// Node that executed a gossip round.
-        node: NodeIdx,
-    },
-    /// [`Monitor::record_data_rx`].
-    DataRx {
-        /// Receiving node.
-        node: NodeIdx,
-        /// Whether the receiver subscribes to the message's topic.
-        useful: bool,
-    },
-    /// [`Monitor::record_forward`].
-    Forward {
-        /// Event being forwarded.
-        event: EventId,
-        /// Forwarding node.
-        from: NodeIdx,
-        /// Receiving node.
-        to: NodeIdx,
-        /// Hop count carried by the copy.
-        hop: u32,
-        /// Simulated time of the forward.
-        now: SimTime,
-    },
-    /// [`Monitor::record_delivery_traced`] (and via it
-    /// [`Monitor::record_delivery`], with an empty path).
-    DeliveryTraced {
-        /// Delivered event.
-        event: EventId,
-        /// Delivering node.
-        node: NodeIdx,
-        /// Hop count at arrival.
-        hops: u32,
-        /// Arrival time.
-        now: SimTime,
-        /// Causal hop path (cheap `Arc` clone).
-        path: HopPath,
-        /// `true` when the copy arrived via anti-entropy repair (a
-        /// digest-triggered pull) rather than normal dissemination.
-        recovered: bool,
-    },
-}
-
 /// What every handle of one monitor shares.
 #[derive(Debug, Default)]
 struct Shared {
@@ -446,26 +391,11 @@ struct Shared {
     tracing: AtomicBool,
 }
 
-/// Shared monitor handle.
-///
-/// Cloning shares the underlying accounting state but gives the clone its
-/// own (empty, inactive) deferral buffer — each node's handle defers
-/// independently under parallel execution.
-#[derive(Debug, Default)]
+/// Shared monitor handle: one pointer. Cloning shares the underlying
+/// accounting state.
+#[derive(Clone, Debug, Default)]
 pub struct Monitor {
     shared: Arc<Shared>,
-    /// `Some` while this handle is in deferred mode: handler-side writes
-    /// are buffered here instead of applied. Per-handle, not shared.
-    deferred: RefCell<Option<Vec<MonitorOp>>>,
-}
-
-impl Clone for Monitor {
-    fn clone(&self) -> Self {
-        Monitor {
-            shared: Arc::clone(&self.shared),
-            deferred: RefCell::new(None),
-        }
-    }
 }
 
 impl Monitor {
@@ -479,151 +409,6 @@ impl Monitor {
             .inner
             .lock()
             .expect("a monitor writer panicked mid-update")
-    }
-
-    /// Enter (`true`) or leave (`false`) deferred mode for *this handle*.
-    /// While on, handler-side writes buffer into the handle instead of
-    /// touching shared state; collect them with [`Monitor::take_deferred`].
-    pub fn set_deferred(&self, on: bool) {
-        let mut d = self.deferred.borrow_mut();
-        if on {
-            if d.is_none() {
-                *d = Some(Vec::new());
-            }
-        } else {
-            debug_assert!(
-                d.as_ref().is_none_or(|v| v.is_empty()),
-                "leaving deferred mode with uncollected monitor ops"
-            );
-            *d = None;
-        }
-    }
-
-    /// Take the ops buffered on this handle since the last call (empty if
-    /// not in deferred mode).
-    pub fn take_deferred(&self) -> Vec<MonitorOp> {
-        self.deferred
-            .borrow_mut()
-            .as_mut()
-            .map(std::mem::take)
-            .unwrap_or_default()
-    }
-
-    /// Replay previously buffered ops against the shared state, in order.
-    /// Called on the engine thread during the deterministic parallel merge.
-    pub fn apply_ops(&self, ops: Vec<MonitorOp>) {
-        if ops.is_empty() {
-            return;
-        }
-        let mut inner = self.lock();
-        for op in ops {
-            Self::apply_op(&mut inner, op);
-        }
-    }
-
-    /// Buffer `op` if this handle is deferred, else apply it immediately.
-    fn submit(&self, op: MonitorOp) {
-        if let Some(buf) = self.deferred.borrow_mut().as_mut() {
-            buf.push(op);
-            return;
-        }
-        Self::apply_op(&mut self.lock(), op);
-    }
-
-    /// The single mutation path for handler-side writes: immediate calls
-    /// and deferred replays both land here, so both orders of operations
-    /// produce identical state.
-    fn apply_op(inner: &mut MonitorInner, op: MonitorOp) {
-        match op {
-            MonitorOp::ControlTx { node, bytes } => {
-                let i = node.index();
-                if inner.control_tx_bytes.len() <= i {
-                    inner.control_tx_bytes.resize(i + 1, 0);
-                }
-                inner.control_tx_bytes[i] += bytes;
-            }
-            MonitorOp::ControlRound { node } => {
-                let i = node.index();
-                if inner.control_rounds.len() <= i {
-                    inner.control_rounds.resize(i + 1, 0);
-                }
-                inner.control_rounds[i] += 1;
-            }
-            MonitorOp::DataRx { node, useful } => {
-                let i = node.index();
-                let v = if useful {
-                    &mut inner.useful_rx
-                } else {
-                    &mut inner.relay_rx
-                };
-                if v.len() <= i {
-                    v.resize(i + 1, 0);
-                }
-                v[i] += 1;
-            }
-            MonitorOp::Forward {
-                event,
-                from,
-                to,
-                hop,
-                now,
-            } => {
-                if let Some(trace) = &inner.trace {
-                    trace.borrow_mut().record(TraceEvent::Fwd {
-                        now: now.ticks(),
-                        event: event.0,
-                        from: from.0,
-                        to: to.0,
-                        hop,
-                    });
-                }
-            }
-            MonitorOp::DeliveryTraced {
-                event,
-                node,
-                hops,
-                now,
-                path,
-                recovered,
-            } => {
-                let Some(rec) = inner.record_of(event) else {
-                    return;
-                };
-                if rec.expected.binary_search(&node).is_err() {
-                    return;
-                }
-                let first = !rec.delivered.contains_key(&node);
-                let published_at = rec.published_at;
-                rec.delivered
-                    .entry(node)
-                    .and_modify(|(h, t)| {
-                        *h = (*h).min(hops);
-                        *t = (*t).min(now);
-                    })
-                    .or_insert((hops, now));
-                if first {
-                    // A repair-recovered first arrival is a distinct
-                    // delivery class: counted (it shrinks the loss gap
-                    // and its `LossReason` attribution) and flagged in
-                    // the forensics record. Duplicate recoveries of an
-                    // already-delivered event change nothing.
-                    if recovered {
-                        inner.recovered_deliveries += 1;
-                    }
-                    if let Some(trace) = &inner.trace {
-                        trace.borrow_mut().record(TraceEvent::DeliverEvent {
-                            now: now.ticks(),
-                            event: event.0,
-                            node: node.0,
-                            hops,
-                            latency: now.since(published_at).ticks(),
-                            path: path.render(),
-                            recovered,
-                        });
-                    }
-                }
-            }
-        }
     }
 
     /// Register a published event with its ground-truth expected subscriber
@@ -668,14 +453,7 @@ impl Monitor {
         now: SimTime,
         path: &HopPath,
     ) {
-        self.submit(MonitorOp::DeliveryTraced {
-            event,
-            node,
-            hops,
-            now,
-            path: path.clone(),
-            recovered: false,
-        });
+        self.deliver(event, node, hops, now, path, false);
     }
 
     /// [`Monitor::record_delivery_traced`] for a copy that arrived via
@@ -691,14 +469,54 @@ impl Monitor {
         now: SimTime,
         path: &HopPath,
     ) {
-        self.submit(MonitorOp::DeliveryTraced {
-            event,
-            node,
-            hops,
-            now,
-            path: path.clone(),
-            recovered: true,
-        });
+        self.deliver(event, node, hops, now, path, true);
+    }
+
+    fn deliver(
+        &self,
+        event: EventId,
+        node: NodeIdx,
+        hops: u32,
+        now: SimTime,
+        path: &HopPath,
+        recovered: bool,
+    ) {
+        let mut inner = self.lock();
+        let Some(rec) = inner.record_of(event) else {
+            return;
+        };
+        if rec.expected.binary_search(&node).is_err() {
+            return;
+        }
+        let first = !rec.delivered.contains_key(&node);
+        let published_at = rec.published_at;
+        rec.delivered
+            .entry(node)
+            .and_modify(|(h, t)| {
+                *h = (*h).min(hops);
+                *t = (*t).min(now);
+            })
+            .or_insert((hops, now));
+        if first {
+            // A repair-recovered first arrival is a distinct delivery
+            // class: counted (it shrinks the loss gap and its `LossReason`
+            // attribution) and flagged in the forensics record. Duplicate
+            // recoveries of an already-delivered event change nothing.
+            if recovered {
+                inner.recovered_deliveries += 1;
+            }
+            if let Some(trace) = &inner.trace {
+                trace.borrow_mut().record(TraceEvent::DeliverEvent {
+                    now: now.ticks(),
+                    event: event.0,
+                    node: node.0,
+                    hops,
+                    latency: now.since(published_at).ticks(),
+                    path: path.render(),
+                    recovered,
+                });
+            }
+        }
     }
 
     /// First arrivals at expected subscribers that came through the
@@ -746,9 +564,9 @@ impl Monitor {
     }
 
     /// Emit one `fwd` forensics record: `from` handed a copy of `event` to
-    /// `to` carrying hop count `hop`. No-op — no lock, nothing buffered —
-    /// unless a trace is installed, so protocols call it unconditionally
-    /// on their forwarding paths.
+    /// `to` carrying hop count `hop`. No-op — no lock taken — unless a
+    /// trace is installed, so protocols call it unconditionally on their
+    /// forwarding paths.
     pub fn record_forward(
         &self,
         event: EventId,
@@ -760,13 +578,15 @@ impl Monitor {
         if !self.shared.tracing.load(Ordering::Acquire) {
             return;
         }
-        self.submit(MonitorOp::Forward {
-            event,
-            from,
-            to,
-            hop,
-            now,
-        });
+        if let Some(trace) = &self.lock().trace {
+            trace.borrow_mut().record(TraceEvent::Fwd {
+                now: now.ticks(),
+                event: event.0,
+                from: from.0,
+                to: to.0,
+                hop,
+            });
+        }
     }
 
     /// Classify every missed `(event, subscriber)` pair of the current
@@ -844,19 +664,25 @@ impl Monitor {
     /// Account control-plane bytes sent by `node` (gossip buffers,
     /// heartbeats, relay lookups, exchange replies).
     pub fn record_control_tx(&self, node: NodeIdx, bytes: u64) {
-        self.submit(MonitorOp::ControlTx { node, bytes });
+        bump(&mut self.lock().control_tx_bytes, node, bytes);
     }
 
     /// Mark one gossip round executed at `node`; the per-round control
     /// bandwidth statistic divides recorded bytes by recorded rounds.
     pub fn record_control_round(&self, node: NodeIdx) {
-        self.submit(MonitorOp::ControlRound { node });
+        bump(&mut self.lock().control_rounds, node, 1);
     }
 
     /// Account one received data-plane message at `node`; `useful` is true
     /// iff the receiver is subscribed to the message's topic.
     pub fn record_data_rx(&self, node: NodeIdx, useful: bool) {
-        self.submit(MonitorOp::DataRx { node, useful });
+        let mut inner = self.lock();
+        let counts = if useful {
+            &mut inner.useful_rx
+        } else {
+            &mut inner.relay_rx
+        };
+        bump(counts, node, 1);
     }
 
     /// Expected and delivered counts of a single event.
@@ -1190,24 +1016,15 @@ mod forensics_tests {
     fn record_forward_follows_the_installed_trace_on_every_handle() {
         let m = Monitor::new();
         let e = m.register_event(TopicId(0), SimTime(0), vec![n(1)]);
-        // A node's handle, cloned before any trace exists, in the parallel
-        // executor's deferred mode.
+        // A node's handle, cloned before any trace exists.
         let handle = m.clone();
-        handle.set_deferred(true);
         handle.record_forward(e, n(0), n(1), 1, SimTime(1));
-        assert!(
-            handle.take_deferred().is_empty(),
-            "untraced: nothing to replay"
-        );
 
         let trace = Trace::shared(16);
         m.set_trace(Some(trace.clone()));
+        assert_eq!(trace.borrow().events().count(), 0, "untraced: nothing kept");
         handle.record_forward(e, n(0), n(1), 1, SimTime(2));
-        m.record_forward(e, n(1), n(2), 2, SimTime(3)); // immediate path
-        let ops = handle.take_deferred();
-        assert_eq!(ops.len(), 1, "traced: the record waits for the merge");
-        handle.apply_ops(ops);
-        handle.set_deferred(false);
+        m.record_forward(e, n(1), n(2), 2, SimTime(3));
         let fwd: Vec<(u64, u32)> = trace
             .borrow()
             .events()
@@ -1216,7 +1033,7 @@ mod forensics_tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(fwd, vec![(3, 2), (2, 1)], "replay order is the merge's");
+        assert_eq!(fwd, vec![(2, 1), (3, 2)], "records land in call order");
 
         m.set_trace(None);
         handle.record_forward(e, n(0), n(1), 1, SimTime(4));

@@ -23,7 +23,7 @@ use vitis_overlay::rt::{HybridRt, RtParams};
 use vitis_overlay::substrate::{Sampler, Substrate};
 use vitis_sim::antientropy::{AeConfig, AntiEntropy};
 use vitis_sim::event::NodeIdx;
-use vitis_sim::prelude::{Context, MsgTag, ParallelProtocol, Protocol, StopReason};
+use vitis_sim::prelude::{Context, MsgTag, Protocol, StopReason};
 use vitis_sim::rng::mix64;
 
 /// State of a reverse link (a neighbor relationship initiated by the peer).
@@ -512,27 +512,6 @@ impl VitisNode {
             // Retry budget exhausted: give up so the set stays bounded.
             self.pending_pubs.remove(&event);
         }
-    }
-}
-
-/// Parallel-execution support: the node's only shared sink is the
-/// evaluation [`Monitor`], whose handler-side writes buffer as
-/// [`crate::monitor::MonitorOp`]s while deferred and replay in serial
-/// event order on the
-/// engine thread.
-impl ParallelProtocol for VitisNode {
-    type Deferred = Vec<crate::monitor::MonitorOp>;
-
-    fn set_deferred(&mut self, on: bool) {
-        self.monitor().set_deferred(on);
-    }
-
-    fn take_deferred(&mut self) -> Self::Deferred {
-        self.monitor().take_deferred()
-    }
-
-    fn apply_deferred(&mut self, ops: Self::Deferred) {
-        self.monitor().apply_ops(ops);
     }
 }
 

@@ -38,7 +38,7 @@ use vitis_sim::event::NodeIdx;
 use vitis_sim::fault::{FaultDriver, FaultedNetwork};
 use vitis_sim::network::DynNetworkModel;
 use vitis_sim::prelude::StopReason;
-use vitis_sim::protocol::{ParallelProtocol, Protocol};
+use vitis_sim::protocol::Protocol;
 use vitis_sim::rng::{domain, stream_rng};
 use vitis_sim::time::{Duration, SimTime};
 use vitis_sim::trace::{HealthProbe, TraceEvent, TraceHandle};
@@ -129,13 +129,6 @@ pub trait PubSub {
     /// states export identically.
     fn overlay_snapshot(&self) -> crate::topo::OverlaySnapshot;
 
-    /// Route round execution through the engine's deterministic parallel
-    /// executor (`true`) or the serial batched drain (`false`, the
-    /// default). Fixed-seed results are bit-identical in both modes at
-    /// any thread count; the switch trades wall-clock for cores, never
-    /// results.
-    fn set_parallel_rounds(&mut self, on: bool);
-
     /// Enable (or, with `None`, disable) the periodic topology sampler:
     /// every `every_rounds` gossip rounds the runtime snapshots the
     /// overlay, computes [`crate::topo::probe`] and records a `topo`
@@ -151,12 +144,8 @@ pub trait PubSub {
 /// publish scheduling, churn slot management, stats, tracing — lives in
 /// the runtime and is shared verbatim.
 pub trait PubSubProtocol: Sized {
-    /// The per-node protocol state machine driven by the engine. The
-    /// [`ParallelProtocol`] bound lets every system opt into the engine's
-    /// deterministic parallel round executor (see
-    /// [`SystemRuntime::set_parallel_rounds`]); nodes with no shared sink
-    /// satisfy it with `Deferred = ()` no-ops.
-    type Node: ParallelProtocol;
+    /// The per-node protocol state machine driven by the engine.
+    type Node: Protocol;
 
     /// Salt of the bootstrap-sampling RNG stream in
     /// [`vitis_sim::rng::domain::WORKLOAD`]. Distinct per system so
@@ -240,10 +229,6 @@ pub struct SystemRuntime<P: PubSubProtocol> {
     topo_every: Option<u64>,
     /// Next scheduled topology sample (meaningful only while enabled).
     next_topo: SimTime,
-    /// Run rounds through the deterministic parallel executor instead of
-    /// the serial drain. Off by default; results are bit-identical either
-    /// way (see `vitis_sim::engine::Engine::run_until_parallel`).
-    parallel: bool,
 }
 
 impl<P: PubSubProtocol> SystemRuntime<P> {
@@ -291,7 +276,6 @@ impl<P: PubSubProtocol> SystemRuntime<P> {
             bootstrap_contacts: params.bootstrap_contacts,
             topo_every: None,
             next_topo: SimTime::default(),
-            parallel: false,
         };
         for logical in 0..n as u32 {
             let node = sys.make_node(logical);
@@ -329,14 +313,12 @@ impl<P: PubSubProtocol> SystemRuntime<P> {
             .collect()
     }
 
-    /// Route round execution through the engine's deterministic parallel
-    /// executor (`true`) or the serial batched drain (`false`, the
-    /// default). Fixed-seed runs produce bit-identical traces, stats and
-    /// goldens in both modes at any thread count — this switch trades
-    /// wall-clock for cores, never results.
-    pub fn set_parallel_rounds(&mut self, on: bool) {
-        self.parallel = on;
-    }
+    // The engine has one executor, so there is nothing to switch. Kept only
+    // because `benchmark/src/workloads.rs:492` still calls it and that file
+    // is editable only by a `[benchmark]`-scoped PR; delete this line
+    // together with that call (ROADMAP item 4).
+    #[doc(hidden)]
+    pub fn set_parallel_rounds(&mut self, _on: bool) {}
 
     /// The protocol adapter (shared config state).
     pub fn protocol(&self) -> &P {
@@ -527,7 +509,7 @@ impl<P: PubSubProtocol> SystemRuntime<P> {
             let Some(stop) = [next_fault, next_topo].into_iter().flatten().min() else {
                 break;
             };
-            self.run_engine_until(stop);
+            self.engine.run_until(stop);
             if next_fault == Some(stop) {
                 self.fault_driver.apply_due(&mut self.engine);
             }
@@ -537,16 +519,7 @@ impl<P: PubSubProtocol> SystemRuntime<P> {
                 self.next_topo = stop + Duration(self.engine.round_period().ticks() * every);
             }
         }
-        self.run_engine_until(target);
-    }
-
-    /// Drain the engine to `target` through whichever executor is selected.
-    fn run_engine_until(&mut self, target: SimTime) {
-        if self.parallel {
-            self.engine.run_until_parallel(target);
-        } else {
-            self.engine.run_until(target);
-        }
+        self.engine.run_until(target);
     }
 
     /// Snapshot every online node's structural state, in slot order.
@@ -686,10 +659,6 @@ impl<P: PubSubProtocol> PubSub for SystemRuntime<P> {
 
     fn overlay_snapshot(&self) -> crate::topo::OverlaySnapshot {
         self.snapshot_topology()
-    }
-
-    fn set_parallel_rounds(&mut self, on: bool) {
-        SystemRuntime::set_parallel_rounds(self, on);
     }
 
     fn set_topo_sampling(&mut self, every_rounds: Option<u64>) {

@@ -1,11 +1,10 @@
 //! Topics, subscription sets and publication-rate tables.
 
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use vitis_overlay::id::Id;
 
 /// A topic identifier, dense from zero within a run.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct TopicId(pub u32);
 
 impl TopicId {
@@ -26,7 +25,7 @@ impl std::fmt::Display for TopicId {
 ///
 /// Kept sorted so that membership is a binary search and set operations are
 /// linear merges — these run in the innermost loop of friend selection.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TopicSet {
     topics: Vec<u32>,
 }
@@ -155,7 +154,7 @@ pub type Subs = Arc<TopicSet>;
 
 /// Per-topic publication rates, the `rate(t)` of Equation 1. The paper's
 /// default is uniform; the α-sweep experiment installs a Zipf profile.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RateTable {
     rates: Vec<f64>,
 }

@@ -11,7 +11,10 @@
 //! than the tolerance above baseline, `per_sec` regresses when it falls
 //! more than the tolerance below, and informational units (`bytes`,
 //! `count`, `ratio`) are printed for context only. Exit status 1 when any
-//! gated metric regressed, 2 on usage or parse errors.
+//! gated metric regressed, 2 on usage or parse errors — and 2 when the
+//! files have no gated metric in common, so a gate pointed at the wrong
+//! file (or at a successor whose names all changed) fails instead of
+//! passing on nothing.
 //!
 //! Wall-clock benchmarks are noisy; the default tolerance is 25%, wide
 //! enough that CI only trips on structural slowdowns.
@@ -101,6 +104,12 @@ fn main() -> ExitCode {
         }
     }
     println!("# {compared} gated metrics compared, {regressions} regressed");
+    if compared == 0 {
+        eprintln!(
+            "error: {baseline_path} and {current_path} share no gated metric: nothing was compared"
+        );
+        return ExitCode::from(2);
+    }
     if regressions > 0 {
         ExitCode::from(1)
     } else {
@@ -122,7 +131,8 @@ fn usage(err: &str) -> ExitCode {
          \tCompares vitis-bench-v1 files (from `vitis-experiments scale` or\n\
          \t`meso_timing`). Time units gate on increases, per_sec on decreases,\n\
          \tbytes/count/ratio are informational. Default tolerance: 25%.\n\
-         \tExit 1 on regression, 2 on bad input."
+         \tExit 1 on regression, 2 on bad input (including two files with no\n\
+         \tgated metric in common)."
     );
     if err.is_empty() {
         ExitCode::SUCCESS

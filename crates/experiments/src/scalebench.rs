@@ -15,12 +15,6 @@
 //! engine scaling without paying the baselines' superlinear costs; the
 //! sweep logs exactly what each rung runs, and `--budget-secs` caps the
 //! total wall-clock by skipping whole rungs once the budget is spent.
-//!
-//! Each Vitis point additionally re-runs under the deterministic parallel
-//! executor and reports `parallel_speedup` (serial wall-clock / parallel
-//! wall-clock over the round-driving phases). On a single-core host this
-//! hovers at or below 1.0 — the executor is validated by bit-identity,
-//! and the ratio records what the hardware actually delivered.
 
 use crate::benchfmt::BenchEntry;
 use crate::runner::synthetic_params;
@@ -152,7 +146,6 @@ fn bench_point(
     system: &'static str,
     scale: &Scale,
     trace: Option<TraceHandle>,
-    parallel: bool,
     build: impl FnOnce(SystemParams) -> Box<dyn PubSub>,
 ) -> BenchPoint {
     let _span = perf::span("scale.point");
@@ -164,7 +157,6 @@ fn bench_point(
         let _span = perf::span("scale.build");
         build(params)
     };
-    sys.set_parallel_rounds(parallel);
     if let Some(t) = trace {
         sys.install_trace(t);
     }
@@ -223,24 +215,15 @@ fn bench_point(
     }
 }
 
-/// Total round-driving wall-clock of a point (the phases the executor
-/// choice can affect; build is excluded).
-fn round_ms(p: &BenchPoint) -> f64 {
-    p.warmup_ms + p.measure_ms + p.drain_ms
-}
-
 /// Run the sweep over every ladder point `<= max_nodes`, returning the
 /// flattened BENCH entries. Rungs up to [`PAPER_PLAN_MAX`] run all three
 /// systems on the paper plan; larger rungs run Vitis only on the reduced
-/// frontier plan (logged per rung — nothing is skipped silently). Every
-/// Vitis point is re-run under the parallel executor and emits a
-/// `parallel_speedup` entry.
+/// frontier plan (logged per rung — nothing is skipped silently).
 ///
 /// `budget_secs` (when given) caps total wall-clock: once spent, the
-/// remaining rungs — and the parallel re-run within a rung — are skipped
-/// with a log line. Progress goes to stderr; `make_trace` (when given)
-/// supplies a fresh trace handle per point, which the caller drains after
-/// this returns point results via `on_point`.
+/// remaining rungs are skipped with a log line. Progress goes to stderr;
+/// `make_trace` (when given) supplies a fresh trace handle per point, which
+/// the caller drains after this returns point results via `on_point`.
 pub fn run_sweep(
     max_nodes: usize,
     seed: u64,
@@ -249,9 +232,6 @@ pub fn run_sweep(
     mut on_point: impl FnMut(&BenchPoint),
 ) -> Vec<BenchEntry> {
     let started = Instant::now();
-    let over_budget = |at: &Instant| {
-        budget_secs.is_some_and(|b| at.elapsed().as_secs() >= b)
-    };
     let mut entries = Vec::new();
     let ladder: Vec<usize> = LADDER.iter().copied().filter(|&n| n <= max_nodes).collect();
     let skipped = LADDER.len() - ladder.len();
@@ -262,7 +242,7 @@ pub fn run_sweep(
         );
     }
     for &nodes in &ladder {
-        if over_budget(&started) {
+        if budget_secs.is_some_and(|b| started.elapsed().as_secs() >= b) {
             eprintln!(
                 "scale: wall-clock budget ({}s) spent — skipping the {nodes}-node rung and \
                  everything above it",
@@ -290,36 +270,9 @@ pub fn run_sweep(
         for &(name, build) in systems {
             eprintln!("scale: {name} @ {nodes} nodes...");
             let trace = make_trace.as_mut().map(|f| f(name, nodes));
-            let point = bench_point(name, &scale, trace, false, build);
+            let point = bench_point(name, &scale, trace, build);
             on_point(&point);
             entries.extend(point.entries());
-            if name == "vitis" {
-                if over_budget(&started) {
-                    eprintln!(
-                        "scale: wall-clock budget spent — skipping the parallel re-run at \
-                         {nodes} nodes"
-                    );
-                    continue;
-                }
-                eprintln!("scale: vitis @ {nodes} nodes (parallel executor)...");
-                let par = bench_point(name, &scale, None, true, build);
-                let speedup = if round_ms(&par) > 0.0 {
-                    round_ms(&point) / round_ms(&par)
-                } else {
-                    0.0
-                };
-                eprintln!(
-                    "scale: vitis @ {nodes}: serial {:.0} ms vs parallel {:.0} ms \
-                     (speedup {speedup:.2}x)",
-                    round_ms(&point),
-                    round_ms(&par)
-                );
-                entries.push(BenchEntry::new(
-                    format!("scale/vitis/{nodes}/parallel_speedup"),
-                    speedup,
-                    "ratio",
-                ));
-            }
         }
     }
     entries
@@ -348,7 +301,7 @@ mod tests {
             s.events = 30;
             s
         };
-        let point = bench_point("vitis", &scale, None, false, |p| Box::new(VitisSystem::new(p)));
+        let point = bench_point("vitis", &scale, None, |p| Box::new(VitisSystem::new(p)));
         assert_eq!(point.nodes, 200);
         assert!(point.delivered > 0, "toy sweep must deliver events");
         assert!(point.deliveries_per_sec > 0.0);
@@ -393,25 +346,6 @@ mod tests {
         assert_eq!((big.warmup_rounds, big.events, big.drain_rounds), (5, 50, 3));
         // Proportional workload shape is preserved at every tier.
         assert_eq!(big.nodes, 500_000);
-    }
-
-    #[test]
-    fn parallel_bench_point_runs() {
-        let scale = {
-            let mut s = sweep_scale(200, 7);
-            s.warmup_rounds = 10;
-            s.events = 20;
-            s
-        };
-        let serial = bench_point("vitis", &scale, None, false, |p| {
-            Box::new(VitisSystem::new(p))
-        });
-        let par = bench_point("vitis", &scale, None, true, |p| {
-            Box::new(VitisSystem::new(p))
-        });
-        // Same simulation either way: identical deliveries and hit ratio.
-        assert_eq!(serial.delivered, par.delivered);
-        assert_eq!(serial.hit_ratio, par.hit_ratio);
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //! messages itself. The owning protocol drives it from `on_round` /
 //! `on_message` and maps its outputs onto protocol-specific message
 //! variants, which keeps all randomness on the node's own deterministic
-//! RNG stream and makes the layer safe under the engine's parallel round
-//! executor. With `enabled = false` (the default) every entry point is an
+//! RNG stream. With `enabled = false` (the default) every entry point is an
 //! inert no-op that consumes no randomness, so fixed-seed runs are
 //! bit-identical to a build without the layer.
 

@@ -10,10 +10,9 @@ use crate::event::NodeIdx;
 use crate::network::NetworkModel;
 use crate::protocol::{Protocol, StopReason};
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// The direction of a churn event.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ChurnKind {
     /// The node comes online.
     Join,
@@ -23,7 +22,7 @@ pub enum ChurnKind {
 }
 
 /// One entry of a churn trace over *logical* node ids (dense `0..n`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ChurnEvent {
     /// When the event takes effect.
     pub time: SimTime,
@@ -34,33 +33,12 @@ pub struct ChurnEvent {
 }
 
 /// A validated, time-sorted churn trace.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-#[serde(from = "RawChurnTrace")]
+#[derive(Clone, Debug, Default)]
 pub struct ChurnTrace {
     events: Vec<ChurnEvent>,
     num_logical: u32,
     /// `prefix_online[i]` = nodes online after applying `events[..i]`.
-    /// Derived, not serialized; rebuilt on deserialization.
-    #[serde(skip)]
     prefix_online: Vec<u32>,
-}
-
-/// Serialized form of [`ChurnTrace`] (the derived cache is rebuilt on load,
-/// keeping the on-disk format identical to earlier versions).
-#[derive(Deserialize)]
-struct RawChurnTrace {
-    events: Vec<ChurnEvent>,
-    num_logical: u32,
-}
-
-impl From<RawChurnTrace> for ChurnTrace {
-    fn from(raw: RawChurnTrace) -> Self {
-        ChurnTrace {
-            prefix_online: prefix_online_counts(&raw.events),
-            events: raw.events,
-            num_logical: raw.num_logical,
-        }
-    }
 }
 
 /// Running online population after each event prefix. Valid traces strictly

@@ -2,12 +2,10 @@
 //!
 //! The engine owns all node states, a single event queue, and the network
 //! model. Determinism trumps parallel execution: [`Engine::run_until`] runs
-//! every handler on the calling thread, and the opt-in
-//! [`Engine::run_until_parallel`] spreads one timestamp batch's handlers
-//! over Rayon workers but merges their effects back in exact serial event
-//! order, so both produce the same bytes at any thread count. Parameter
-//! sweeps parallelise one level up, across independent engine instances
-//! (the experiment harness runs sweep points on Rayon).
+//! every handler on the calling thread, in event order, like the PeerSim
+//! loop the paper was evaluated in. Parameter sweeps parallelise one level
+//! up, across independent engine instances (the experiment harness runs
+//! sweep points on Rayon).
 //!
 //! Gossip protocols are *cycle-driven* on top of the event queue: each alive
 //! node receives a `RoundTick` every `round_period` ticks, desynchronized by
@@ -16,12 +14,12 @@
 
 use crate::event::{EventQueue, NodeIdx};
 use crate::network::{ConstantLatency, NetworkModel};
-use crate::protocol::{Context, Effect, ParallelProtocol, Protocol, StopReason};
+use crate::protocol::{Context, Effect, Protocol, StopReason};
 use crate::rng;
 use crate::time::{Duration, SimTime};
-use crate::trace::{KindTraffic, MsgTag, TraceEvent, TraceHandle, TrafficLedger};
+use crate::trace::{KindTraffic, TraceEvent, TraceHandle, TrafficLedger};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// Engine construction parameters.
 #[derive(Clone, Copy, Debug)]
@@ -411,7 +409,9 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
     }
 
     /// Run the simulation until simulated time `t` (inclusive of events at
-    /// `t`), then set the clock to `t`.
+    /// `t`), then advance the clock to `t`. The clock never moves backwards:
+    /// a `t` in the past runs nothing and leaves `now()` where it was, so a
+    /// later [`Engine::inject`] cannot schedule below the queue's floor.
     ///
     /// Events are drained in dense per-timestamp batches from the calendar
     /// queue (one bucket grab per distinct tick instead of one heap pop per
@@ -434,7 +434,7 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
             }
         }
         self.batch_buf = batch;
-        self.now = t;
+        self.now = self.now.max(t);
     }
 
     /// Advance the clock by `d` ticks, executing everything due.
@@ -551,7 +551,7 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
 
     /// Apply the buffered effects of one handler run on node `idx`:
     /// accounting, tracing, network latency draws and event pushes, in
-    /// effect order. Shared by serial dispatch and the parallel merge.
+    /// effect order.
     fn apply_effects(&mut self, idx: NodeIdx, effects: &mut Vec<Effect<P::Msg>>) {
         for eff in effects.drain(..) {
             match eff {
@@ -594,332 +594,6 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
                 }
             }
         }
-    }
-}
-
-impl<P: ParallelProtocol, N: NetworkModel> Engine<P, N> {
-    /// Like [`Engine::run_until`], but executes each timestamp batch's
-    /// protocol handlers in parallel across node slots. Bit-identical to
-    /// serial execution at any thread count (including 1):
-    ///
-    /// 1. **Pre-pass (serial)** — each popped event is classified against
-    ///    slot state exactly as [`Engine::run_until`] would (dead, frozen,
-    ///    stale incarnation, runnable). Runnable events are grouped by
-    ///    destination node in first-occurrence order; each group checks the
-    ///    node's protocol state and private RNG out of its slot. Valid
-    ///    because nothing inside batch handling changes aliveness, freeze
-    ///    flags or incarnations — those only move via external engine calls.
-    /// 2. **Workers (parallel)** — each group runs its node's handlers in
-    ///    event order with the node's own RNG, buffering effects per event
-    ///    and deferring shared-sink writes (see
-    ///    [`ParallelProtocol::set_deferred`]). No worker touches the
-    ///    engine RNG, the queue, the trace or the ledger.
-    /// 3. **Merge (serial)** — effects, stats, trace records, deferred
-    ///    shared-sink operations, network latency draws (engine RNG) and
-    ///    event pushes are applied in exact original event order, so every
-    ///    downstream consumer sees the same byte stream as serial mode.
-    pub fn run_until_parallel(&mut self, t: SimTime) {
-        let _span = crate::perf::span("engine.run_until_parallel");
-        let mut batch = std::mem::take(&mut self.batch_buf);
-        let mut group_of = vec![u32::MAX; self.slots.len()];
-        let mut actions: Vec<Action> = Vec::new();
-        while let Some(et) = self.queue.peek_time() {
-            if et > t {
-                break;
-            }
-            batch.clear();
-            let time = self.queue.pop_batch(&mut batch).expect("peeked event vanished");
-            debug_assert!(time >= self.now, "event queue went backwards");
-            self.now = time;
-            self.process_batch_parallel(&mut batch, &mut actions, &mut group_of);
-        }
-        self.batch_buf = batch;
-        self.now = t;
-    }
-
-    fn process_batch_parallel(
-        &mut self,
-        batch: &mut Vec<Ev<P::Msg>>,
-        actions: &mut Vec<Action>,
-        group_of: &mut [u32],
-    ) {
-        self.pending_virtual = batch.len() as u64;
-        actions.clear();
-        let mut groups: Vec<NodeGroup<P>> = Vec::new();
-
-        // Pre-pass: classify in event order, group runnable work per node.
-        // A node already checked out into a work group has `proto == None`
-        // in its slot, so aliveness checks must treat grouped as alive.
-        for ev in batch.drain(..) {
-            match ev {
-                Ev::Deliver { to, from, msg } => {
-                    let grouped =
-                        group_of.get(to.index()).is_some_and(|&g| g != u32::MAX);
-                    let alive = grouped
-                        || self
-                            .slots
-                            .get(to.index())
-                            .is_some_and(|s| s.proto.is_some());
-                    if alive && self.slots[to.index()].frozen {
-                        actions.push(Action::NetSuppressed {
-                            from,
-                            to,
-                            event: P::event_of(&msg),
-                            tag: P::classify(&msg),
-                        });
-                    } else if alive {
-                        let tag = P::classify(&msg);
-                        let g = Self::group_for(&mut groups, group_of, &mut self.slots, to);
-                        groups[g as usize].items.push(WorkItem::Deliver { from, msg });
-                        actions.push(Action::WorkDeliver {
-                            group: g,
-                            from,
-                            to,
-                            tag,
-                        });
-                    } else {
-                        actions.push(Action::ToDead);
-                    }
-                }
-                Ev::RoundTick { node, incarnation } => {
-                    let grouped =
-                        group_of.get(node.index()).is_some_and(|&g| g != u32::MAX);
-                    let alive = self.slots.get(node.index()).is_some_and(|s| {
-                        (grouped || s.proto.is_some()) && s.incarnation == incarnation
-                    });
-                    if !alive {
-                        actions.push(Action::StaleTick);
-                    } else if self.slots[node.index()].frozen {
-                        actions.push(Action::FrozenTick { node, incarnation });
-                    } else {
-                        let g = Self::group_for(&mut groups, group_of, &mut self.slots, node);
-                        groups[g as usize].items.push(WorkItem::Round);
-                        actions.push(Action::WorkRound {
-                            group: g,
-                            node,
-                            incarnation,
-                        });
-                    }
-                }
-            }
-        }
-
-        // Workers: run each node's handlers. Group order is preserved by
-        // the parallel collect; falling back to a plain sequential map when
-        // parallelism can't help keeps the code path semantics identical.
-        let now = self.now;
-        let mut results: Vec<GroupResult<P>> =
-            if groups.len() >= 2 && rayon::current_num_threads() > 1 {
-                use rayon::prelude::*;
-                groups
-                    .into_par_iter()
-                    .map(|g| run_node_group(now, g))
-                    .collect()
-            } else {
-                groups.into_iter().map(|g| run_node_group(now, g)).collect()
-            };
-
-        // Merge: replay every side effect in original event order.
-        for action in actions.drain(..) {
-            self.pending_virtual -= 1;
-            match action {
-                Action::ToDead => self.stats.messages_to_dead += 1,
-                Action::NetSuppressed {
-                    from,
-                    to,
-                    event,
-                    tag,
-                } => {
-                    self.stats.messages_suppressed += 1;
-                    if let Some(ev) = event {
-                        self.net_drops.push((ev, to.0));
-                    }
-                    self.trace_message(|| TraceEvent::NetDrop {
-                        now: self.now.0,
-                        from: from.0,
-                        to: to.0,
-                        kind: std::borrow::Cow::Borrowed(tag.kind),
-                        event,
-                    });
-                }
-                Action::StaleTick => {}
-                Action::FrozenTick { node, incarnation } => {
-                    self.push_event(
-                        self.now + self.cfg.round_period,
-                        Ev::RoundTick { node, incarnation },
-                    );
-                }
-                Action::WorkDeliver {
-                    group,
-                    from,
-                    to,
-                    tag,
-                } => {
-                    self.stats.messages_delivered += 1;
-                    self.ledger.record_deliver(tag);
-                    self.trace_message(|| TraceEvent::MsgDeliver {
-                        now: self.now.0,
-                        from: from.0,
-                        to: to.0,
-                        kind: std::borrow::Cow::Borrowed(tag.kind),
-                        class: tag.class,
-                    });
-                    self.counters.activations_message += 1;
-                    let r = &mut results[group as usize];
-                    let oc = r.outcomes.pop().expect("missing worker outcome");
-                    r.proto.apply_deferred(oc.ops);
-                    let mut effects = oc.effects;
-                    self.apply_effects(to, &mut effects);
-                }
-                Action::WorkRound {
-                    group,
-                    node,
-                    incarnation,
-                } => {
-                    self.stats.rounds_executed += 1;
-                    self.counters.activations_round += 1;
-                    let r = &mut results[group as usize];
-                    let oc = r.outcomes.pop().expect("missing worker outcome");
-                    r.proto.apply_deferred(oc.ops);
-                    let mut effects = oc.effects;
-                    self.apply_effects(node, &mut effects);
-                    self.push_event(
-                        self.now + self.cfg.round_period,
-                        Ev::RoundTick { node, incarnation },
-                    );
-                }
-            }
-        }
-
-        // Return node state and RNGs to the slots.
-        for r in results {
-            debug_assert!(r.outcomes.is_empty(), "unconsumed worker outcomes");
-            let slot = &mut self.slots[r.idx.index()];
-            slot.proto = Some(r.proto);
-            slot.rng = r.rng;
-            group_of[r.idx.index()] = u32::MAX;
-        }
-        debug_assert_eq!(self.pending_virtual, 0);
-    }
-
-    /// Index of the work group for `idx`, checking the node's state out of
-    /// its slot on first occurrence.
-    fn group_for(
-        groups: &mut Vec<NodeGroup<P>>,
-        group_of: &mut [u32],
-        slots: &mut [Slot<P>],
-        idx: NodeIdx,
-    ) -> u32 {
-        let slot = idx.index();
-        if group_of[slot] != u32::MAX {
-            return group_of[slot];
-        }
-        let g = groups.len() as u32;
-        group_of[slot] = g;
-        let s = &mut slots[slot];
-        let proto = s.proto.take().expect("grouped a dead node");
-        let rng = std::mem::replace(&mut s.rng, SmallRng::seed_from_u64(0));
-        groups.push(NodeGroup {
-            idx,
-            proto,
-            rng,
-            items: Vec::new(),
-        });
-        g
-    }
-}
-
-/// One batch event's classification, recorded by the parallel pre-pass and
-/// consumed by the merge in original event order.
-enum Action {
-    /// Delivery to a dead slot.
-    ToDead,
-    /// Delivery suppressed by the destination's freeze flag.
-    NetSuppressed {
-        from: NodeIdx,
-        to: NodeIdx,
-        event: Option<u64>,
-        tag: MsgTag,
-    },
-    /// Round tick for a previous incarnation of the slot.
-    StaleTick,
-    /// Round tick on a frozen node: reschedule only.
-    FrozenTick { node: NodeIdx, incarnation: u32 },
-    /// Runnable delivery, handled by work group `group`.
-    WorkDeliver {
-        group: u32,
-        from: NodeIdx,
-        to: NodeIdx,
-        tag: MsgTag,
-    },
-    /// Runnable round tick, handled by work group `group`.
-    WorkRound {
-        group: u32,
-        node: NodeIdx,
-        incarnation: u32,
-    },
-}
-
-/// A node's slice of one timestamp batch: its state, its RNG, and its
-/// events in batch order.
-struct NodeGroup<P: ParallelProtocol> {
-    idx: NodeIdx,
-    proto: P,
-    rng: SmallRng,
-    items: Vec<WorkItem<P::Msg>>,
-}
-
-enum WorkItem<M> {
-    Deliver { from: NodeIdx, msg: M },
-    Round,
-}
-
-/// Captured output of one handler run: its effects and its deferred
-/// shared-sink operations.
-struct ItemOutcome<M, D> {
-    effects: Vec<Effect<M>>,
-    ops: D,
-}
-
-struct GroupResult<P: ParallelProtocol> {
-    idx: NodeIdx,
-    proto: P,
-    rng: SmallRng,
-    /// Reversed, so `pop()` yields outcomes in batch order.
-    outcomes: Vec<ItemOutcome<P::Msg, P::Deferred>>,
-}
-
-/// Worker body: run one node's handlers for the batch, in event order,
-/// against the node's own RNG. Engine-global state is untouched; all
-/// output is captured for the ordered merge.
-fn run_node_group<P: ParallelProtocol>(now: SimTime, g: NodeGroup<P>) -> GroupResult<P> {
-    let NodeGroup {
-        idx,
-        mut proto,
-        mut rng,
-        items,
-    } = g;
-    proto.set_deferred(true);
-    let mut outcomes = Vec::with_capacity(items.len());
-    for item in items {
-        let mut effects = Vec::new();
-        let mut ctx = Context::new(idx, now, &mut rng, &mut effects);
-        match item {
-            WorkItem::Deliver { from, msg } => proto.on_message(&mut ctx, from, msg),
-            WorkItem::Round => proto.on_round(&mut ctx),
-        }
-        outcomes.push(ItemOutcome {
-            effects,
-            ops: proto.take_deferred(),
-        });
-    }
-    proto.set_deferred(false);
-    outcomes.reverse();
-    GroupResult {
-        idx,
-        proto,
-        rng,
-        outcomes,
     }
 }
 
@@ -1211,6 +885,21 @@ mod tests {
     }
 
     #[test]
+    fn run_until_never_moves_the_clock_backwards() {
+        let mut eng = Engine::new(cfg());
+        let a = eng.add_node(pp(None));
+        eng.run_until(SimTime(500));
+        eng.run_until(SimTime(100));
+        assert_eq!(eng.now(), SimTime(500));
+        // An injection is due one tick from *now*; with the clock rewound it
+        // would land under the scheduler's floor.
+        eng.inject(a, PpMsg::Pong(9));
+        eng.run_until(SimTime(501));
+        assert_eq!(eng.node(a).unwrap().last_seen, 9);
+        assert_eq!(eng.now(), SimTime(501));
+    }
+
+    #[test]
     fn kind_traffic_follows_classify() {
         use crate::trace::{MsgTag, TrafficClass};
         struct Tagged {
@@ -1363,17 +1052,11 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    impl ParallelProtocol for PingPong {
-        type Deferred = ();
-        fn set_deferred(&mut self, _on: bool) {}
-        fn take_deferred(&mut self) -> Self::Deferred {}
-        fn apply_deferred(&mut self, _ops: Self::Deferred) {}
-    }
-
-    /// Drive a churn-and-freeze scenario through either executor and
-    /// return every observable output: stats, perf counters, per-node
-    /// protocol state and the full trace byte stream.
-    fn executor_scenario(parallel: bool) -> (EngineStats, crate::perf::EngineCounters, Vec<(u32, u32)>, String) {
+    /// Freeze the busiest receiver, crash it, rejoin it, under a jittered
+    /// network with a trace installed; returns every observable output:
+    /// stats, perf counters, per-node protocol state and the trace's JSONL.
+    fn freeze_crash_rejoin_scenario(
+    ) -> (EngineStats, crate::perf::EngineCounters, Vec<(u32, u32)>, String) {
         use crate::network::UniformLatency;
         use crate::trace::Trace;
         let mut eng = Engine::with_network(cfg(), UniformLatency { min: 1, max: 5 });
@@ -1384,14 +1067,8 @@ mod tests {
         for _ in 0..4 {
             eng.add_node(pp(Some(a)));
         }
-        let step = Duration(16);
         for i in 0..12 {
-            let t = eng.now() + step;
-            if parallel {
-                eng.run_until_parallel(t);
-            } else {
-                eng.run_until(t);
-            }
+            eng.run_for(Duration(16));
             // Freeze the busiest receiver (suppressed deliveries + frozen
             // ticks), crash it (to-dead + stale ticks), then rejoin it.
             if i == 3 {
@@ -1414,16 +1091,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_executor_is_bit_identical_to_serial() {
-        let serial = executor_scenario(false);
-        let parallel = executor_scenario(true);
-        assert_eq!(serial.0, parallel.0, "engine stats diverged");
-        assert_eq!(serial.1, parallel.1, "perf counters diverged");
-        assert_eq!(serial.2, parallel.2, "node states diverged");
-        assert_eq!(serial.3, parallel.3, "trace streams diverged");
+    fn freeze_crash_rejoin_scenario_is_deterministic_and_reaches_every_arm() {
+        let x = freeze_crash_rejoin_scenario();
+        let y = freeze_crash_rejoin_scenario();
+        assert_eq!(x.0, y.0, "engine stats diverged");
+        assert_eq!(x.1, y.1, "perf counters diverged");
+        assert_eq!(x.2, y.2, "node states diverged");
+        assert_eq!(x.3, y.3, "trace streams diverged");
         // The scenario must actually exercise the tricky arms.
-        assert!(serial.0.messages_suppressed > 0, "no suppressed deliveries");
-        assert!(serial.0.messages_to_dead > 0, "no to-dead deliveries");
+        assert!(x.0.messages_suppressed > 0, "no suppressed deliveries");
+        assert!(x.0.messages_to_dead > 0, "no to-dead deliveries");
     }
 
     #[test]
@@ -1450,16 +1127,6 @@ mod tests {
         eng.set_frozen(b, false);
         eng.run_for(Duration(1500 * 2));
         assert_eq!(eng.node(b).unwrap().rounds, 2, "thawed node resumes ticking");
-    }
-
-    #[test]
-    fn parallel_executor_ignores_thread_count() {
-        // RAYON_NUM_THREADS only affects worker scheduling, never output;
-        // exercise the sequential fallback (0 groups, 1 group) and the
-        // threaded path in one scenario run per call.
-        let x = executor_scenario(true);
-        let y = executor_scenario(true);
-        assert_eq!(x, y);
     }
 
     #[test]

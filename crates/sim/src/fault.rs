@@ -27,10 +27,9 @@ use crate::protocol::{Protocol, StopReason};
 use crate::time::{Duration, SimTime};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A half-open interval of simulated time: active for `start <= t < end`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Span {
     /// First tick the episode is active.
     pub start: SimTime,
@@ -55,7 +54,7 @@ impl Span {
 }
 
 /// Which messages a loss burst affects.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum LossScope {
     /// Every message in the network.
     All,
@@ -65,7 +64,7 @@ pub enum LossScope {
 
 /// One scheduled fault. Node lists refer to engine slots
 /// (`NodeIdx.0`); they are sorted and deduplicated during plan validation.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum FaultEpisode {
     /// Network partition: while active, messages crossing group boundaries
     /// are dropped. Slots not listed in any group form one implicit "rest"
@@ -173,8 +172,7 @@ impl std::fmt::Display for FaultPlanError {
 impl std::error::Error for FaultPlanError {}
 
 /// A validated fault schedule, sorted by episode start time.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-#[serde(try_from = "Vec<FaultEpisode>", into = "Vec<FaultEpisode>")]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     episodes: Vec<FaultEpisode>,
 }
@@ -756,8 +754,8 @@ mod tests {
 
     #[test]
     fn plan_conversion_boundary_validates() {
-        // The serde surface goes through TryFrom/Into — exercise it
-        // directly: a round trip reproduces the plan, invalid input fails.
+        // Episode lists from outside enter through TryFrom and leave through
+        // Into: a round trip reproduces the plan, invalid input fails.
         let plan = FaultPlan::try_from(vec![
             FaultEpisode::Partition {
                 groups: vec![vec![0, 1], vec![2, 3]],

@@ -11,10 +11,8 @@
 //! periodic, per-node-desynchronized round ticks — PeerSim's event-driven
 //! mode running periodic (gossip) protocols. Events are scheduled by a
 //! calendar-queue scheduler ([`event`]) and drained in dense per-timestamp
-//! batches; protocols implementing [`protocol::ParallelProtocol`] can opt
-//! into [`engine::Engine::run_until_parallel`], which fans each batch out
-//! across worker threads and merges effects deterministically — output is
-//! bit-identical to serial execution at any thread count.
+//! batches by the one executor, [`engine::Engine::run_until`], on the
+//! calling thread.
 //!
 //! ```
 //! use vitis_sim::prelude::*;
@@ -61,7 +59,7 @@ pub mod prelude {
     pub use crate::metrics::{Histogram, Summary};
     pub use crate::network::{ConstantLatency, Lossy, NetworkModel, UniformLatency};
     pub use crate::perf::{EngineCounters, MemSnapshot, SpanStat};
-    pub use crate::protocol::{Context, ParallelProtocol, Protocol, StopReason};
+    pub use crate::protocol::{Context, Protocol, StopReason};
     pub use crate::time::{Duration, SimTime};
     pub use crate::trace::{
         HealthProbe, KindTraffic, MsgTag, Trace, TraceEvent, TraceHandle, TrafficClass,

@@ -4,10 +4,8 @@
 //! evaluation-metric *semantics* (hit ratio, traffic overhead, propagation
 //! delay) live with the protocols that define them.
 
-use serde::{Deserialize, Serialize};
-
 /// Streaming summary of a sample: count, mean, variance (Welford), min, max.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Summary {
     n: u64,
     mean: f64,
@@ -113,7 +111,7 @@ impl Summary {
 /// A histogram over `[0, upper)` with `bins` equal-width bins plus an
 /// overflow bin. Used e.g. for the per-node traffic-overhead distribution
 /// of Figure 5 (percent values, 0–100).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Histogram {
     counts: Vec<u64>,
     upper: f64,

@@ -69,40 +69,6 @@ pub trait Protocol: Sized {
     }
 }
 
-/// A protocol that can run under the engine's deterministic parallel round
-/// executor ([`crate::engine::Engine::run_until_parallel`]).
-///
-/// The parallel executor moves each node's state (and private RNG) into a
-/// worker, runs its handlers for the current timestamp there, then merges
-/// all side effects back on the engine thread in exact serial event order —
-/// so results are bit-identical to serial execution at any thread count.
-///
-/// Handlers themselves stay pure (all engine-visible output goes through
-/// [`Context`] effects), but protocols that write to a *shared* sink from
-/// inside handlers — e.g. a delivery monitor shared by every node — would
-/// race and record in nondeterministic order. The `Deferred` mechanism fixes
-/// that: while `set_deferred(true)` is active, the protocol must buffer all
-/// shared-sink writes locally instead of applying them; the engine collects
-/// the buffer after *each* handler via `take_deferred` and replays it with
-/// `apply_deferred` during the ordered merge. Protocols with no shared sink
-/// use `Deferred = ()` and no-op implementations.
-pub trait ParallelProtocol: Protocol<Msg: Send> + Send {
-    /// Buffered shared-sink operations captured from one handler run.
-    type Deferred: Send + Default;
-
-    /// Enter or leave deferred mode. While on, shared-sink writes must be
-    /// buffered, not applied.
-    fn set_deferred(&mut self, on: bool);
-
-    /// Take the operations buffered since the last call (or since entering
-    /// deferred mode).
-    fn take_deferred(&mut self) -> Self::Deferred;
-
-    /// Apply previously buffered operations to the shared sink. Called on
-    /// the engine thread, in serial event order.
-    fn apply_deferred(&mut self, ops: Self::Deferred);
-}
-
 /// An output requested by a protocol handler, applied by the engine after the
 /// handler returns.
 #[derive(Debug)]

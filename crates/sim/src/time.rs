@@ -7,14 +7,13 @@
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub};
-use serde::{Deserialize, Serialize};
 
 /// A point in simulated time, in abstract ticks since the simulation epoch.
 ///
 /// `SimTime` is a transparent wrapper over `u64` with saturating semantics on
 /// subtraction, so "how long ago" computations never panic on clock skew
 /// introduced by scheduling jitter.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 impl SimTime {
@@ -56,7 +55,7 @@ impl fmt::Display for SimTime {
 }
 
 /// A span of simulated time, in ticks.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug)]
 pub struct Duration(pub u64);
 
 impl Duration {

@@ -444,11 +444,11 @@ pub enum TraceEvent {
 /// Shared handle to a [`Trace`]; the engine and the harness both record
 /// into the same buffer.
 ///
-/// Backed by `Arc<Mutex>` so traced protocol state can cross worker
-/// threads under the engine's parallel round executor; all recording
-/// still happens on the engine thread (workers defer shared-sink writes),
-/// so the lock is uncontended. The `borrow`/`borrow_mut` method names are
-/// kept from the earlier single-threaded `Rc<RefCell>` handle.
+/// Backed by `Arc<Mutex>` so a traced system is `Send`; every recording
+/// happens on the thread that drives the engine, so the lock is
+/// uncontended (whether `Rc<RefCell>` would pay is ROADMAP item 4's
+/// follow-up). The `borrow`/`borrow_mut` method names are kept from the
+/// earlier `Rc<RefCell>` handle.
 #[derive(Clone, Debug)]
 pub struct TraceHandle(Arc<Mutex<Trace>>);
 

@@ -1,9 +1,6 @@
-//! Shared fixed-seed golden scenario, used by both the serial
-//! (`determinism_golden`) and parallel (`parallel_determinism`) suites —
-//! the two must compare against the *same* checked-in snapshots, byte for
-//! byte, or the parallel executor is not deterministic.
-
-#![allow(dead_code)] // each test binary uses a subset of this module
+//! The fixed-seed golden scenarios behind `determinism_golden`: parameters,
+//! drivers and the canonical snapshot rendering compared byte for byte
+//! against `tests/golden/`.
 
 use rand::Rng;
 use std::fmt::Write as _;
@@ -73,7 +70,7 @@ pub fn faulted_params() -> SystemParams {
 /// events and pull what the faults cost them. Drives the `vitis_repair`
 /// golden, which pins the whole repair path — digest cadence, pull
 /// retries/backoff, recovery delivery accounting, and the `ae_*` ledger
-/// kinds — to a bit-exact snapshot in both serial and parallel execution.
+/// kinds — to a bit-exact snapshot.
 pub fn repair_params() -> SystemParams {
     let mut p = faulted_params();
     p.repair = AeConfig::on();

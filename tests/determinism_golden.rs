@@ -15,10 +15,6 @@
 //! * **iteration-order bugs** — the HashMap-order class of
 //!   nondeterminism fixed in PR 3 cannot silently come back.
 //!
-//! The same snapshots double as the parallel-executor oracle: the
-//! `parallel_determinism` suite re-runs these scenarios through
-//! `SystemRuntime::set_parallel_rounds(true)` against the *same* files.
-//!
 //! Wall-clock fields (the phase timers of the experiment metrics sink)
 //! are inherently non-reproducible and are the only records excluded.
 //!
