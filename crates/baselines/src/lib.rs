@@ -16,7 +16,8 @@
 //! adapter ([`RvrProtocol`], [`OptProtocol`]) plugged into the shared
 //! [`vitis::runtime::SystemRuntime`], which provides the whole-network
 //! [`vitis::runtime::PubSub`] driver; [`RvrSystem`] and [`OptSystem`] are
-//! type aliases over that runtime.
+//! type aliases over that runtime. [`System`] names the three systems of
+//! the evaluation (Vitis included) as one value that builds any of them.
 
 #![warn(missing_docs)]
 
@@ -26,4 +27,4 @@ pub mod systems;
 
 pub use opt::{OptConfig, OptNode};
 pub use rvr::{RvrConfig, RvrNode};
-pub use systems::{OptProtocol, OptSystem, RvrProtocol, RvrSystem};
+pub use systems::{OptProtocol, OptSystem, RvrProtocol, RvrSystem, System};

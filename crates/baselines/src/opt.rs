@@ -65,8 +65,6 @@ pub enum OptMsg {
     ConnectAck(Subs),
     /// Liveness heartbeat between connected neighbors.
     Heartbeat(Subs),
-    /// Graceful link teardown (degree-bound enforcement).
-    Disconnect,
     /// Data-plane event notification flooding the topic subgraph.
     Notif(Notification),
     /// Harness stimulus: publish `event` on `topic` from this node.
@@ -259,7 +257,6 @@ impl Protocol for OptNode {
             OptMsg::ConnectReq(..) => MsgTag::control("connect_req"),
             OptMsg::ConnectAck(..) => MsgTag::control("connect_ack"),
             OptMsg::Heartbeat(_) => MsgTag::control("heartbeat"),
-            OptMsg::Disconnect => MsgTag::control("disconnect"),
             OptMsg::Notif(_) => MsgTag::data("notification"),
             OptMsg::PublishCmd { .. } => MsgTag::data("publish_cmd"),
             OptMsg::AeDigest(_) => MsgTag::control("ae_digest"),
@@ -347,9 +344,6 @@ impl Protocol for OptNode {
                     l.age = 0;
                     l.subs = subs;
                 }
-            }
-            OptMsg::Disconnect => {
-                self.links.remove(&from);
             }
             OptMsg::Notif(notif) => {
                 if let Some(fwd) =

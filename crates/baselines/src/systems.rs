@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use vitis::monitor::{EventId, LossReason, LossReport, MissContext, Monitor};
 use vitis::runtime::{hybrid_rt_probe, reached_component, PubSubProtocol, SystemRuntime};
-use vitis::system::SystemParams;
+use vitis::system::{PubSub, SystemParams, VitisSystem};
 use vitis::topic::{RateTable, Subs, TopicId};
 use vitis::topo::{NodeTopo, RelayTopo, TopoLink};
 use vitis_overlay::entry::Entry;
@@ -285,11 +285,71 @@ impl PubSubProtocol for OptProtocol {
     }
 }
 
+/// One of the three publish/subscribe systems the paper evaluates. The
+/// one place a system is chosen by value: parsed from `--system`, spelled
+/// in run ids and BENCH rows ([`System::name`]) and figure legends
+/// ([`System::label`]), and built from [`SystemParams`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum System {
+    /// The Vitis hybrid overlay.
+    Vitis,
+    /// The rendezvous-routing baseline.
+    Rvr,
+    /// The overlay-per-topic baseline, degree-bounded to `cfg.rt_size`.
+    Opt,
+}
+
+impl System {
+    /// Every system, in the order the paper's legends list them.
+    pub const ALL: [System; 3] = [System::Vitis, System::Rvr, System::Opt];
+
+    /// Stable lowercase name (`vitis` | `rvr` | `opt`); [`FromStr`]
+    /// parses it back.
+    ///
+    /// [`FromStr`]: std::str::FromStr
+    pub fn name(self) -> &'static str {
+        match self {
+            System::Vitis => "vitis",
+            System::Rvr => "rvr",
+            System::Opt => "opt",
+        }
+    }
+
+    /// Figure-legend label (`Vitis` | `RVR` | `OPT`).
+    pub fn label(self) -> &'static str {
+        match self {
+            System::Vitis => "Vitis",
+            System::Rvr => "RVR",
+            System::Opt => "OPT",
+        }
+    }
+
+    /// Build this system over `params`, ready to drive through
+    /// [`PubSub`].
+    pub fn build(self, params: SystemParams) -> Box<dyn PubSub> {
+        match self {
+            System::Vitis => Box::new(VitisSystem::new(params)),
+            System::Rvr => Box::new(RvrSystem::new(params)),
+            System::Opt => Box::new(OptSystem::new(params)),
+        }
+    }
+}
+
+impl std::str::FromStr for System {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<System, String> {
+        System::ALL
+            .into_iter()
+            .find(|sys| sys.name() == s)
+            .ok_or_else(|| format!("unknown system {s:?} (one of: vitis rvr opt)"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::Rng;
-    use vitis::system::PubSub;
     use vitis::topic::TopicSet;
     use vitis_sim::rng::{domain, stream_rng};
 
@@ -504,5 +564,17 @@ mod tests {
             (s.delivered, s.relay_msgs)
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn system_names_round_trip_and_all_three_build() {
+        for sys in System::ALL {
+            assert_eq!(sys.name().parse(), Ok(sys));
+            let mut built = sys.build(random_params(60, 10, 3, 43));
+            built.run_rounds(2);
+            assert_eq!(built.alive_count(), 60, "{}", sys.label());
+        }
+        let err = "RVR".parse::<System>().expect_err("labels do not parse");
+        assert!(err.contains("\"RVR\""), "the error names the token: {err}");
     }
 }

@@ -772,24 +772,6 @@ impl Monitor {
         out
     }
 
-    /// Per-topic delivery breakdown over the current window:
-    /// `(topic, expected, delivered)`, topics in ascending order. Lets a
-    /// harness find the worst-served topics (e.g. split clusters).
-    pub fn per_topic_progress(&self) -> Vec<(TopicId, u64, u64)> {
-        let inner = self.lock();
-        let mut by_topic: std::collections::BTreeMap<TopicId, (u64, u64)> =
-            std::collections::BTreeMap::new();
-        for rec in &inner.events {
-            let e = by_topic.entry(rec.topic).or_insert((0, 0));
-            e.0 += rec.expected.len() as u64;
-            e.1 += rec.delivered.len() as u64;
-        }
-        by_topic
-            .into_iter()
-            .map(|(t, (exp, del))| (t, exp, del))
-            .collect()
-    }
-
     /// Forget all events and traffic (end of a warmup phase, or the start
     /// of a new measurement window in the churn experiment).
     pub fn reset(&self) {
@@ -1182,23 +1164,5 @@ mod bandwidth_tests {
         assert!((s.control_bytes_per_round - 400.0 / 3.0).abs() < 1e-9);
         m.reset();
         assert_eq!(m.snapshot().control_bytes_per_round, 0.0);
-    }
-}
-
-#[cfg(test)]
-mod per_topic_tests {
-    use super::*;
-
-    #[test]
-    fn per_topic_progress_groups_and_sorts() {
-        let m = Monitor::new();
-        let a = m.register_event(TopicId(2), SimTime(0), vec![NodeIdx(1), NodeIdx(2)]);
-        let b = m.register_event(TopicId(0), SimTime(0), vec![NodeIdx(3)]);
-        let c = m.register_event(TopicId(2), SimTime(1), vec![NodeIdx(4)]);
-        m.record_delivery(a, NodeIdx(1), 1, SimTime(2));
-        m.record_delivery(b, NodeIdx(3), 1, SimTime(2));
-        let _ = c;
-        let got = m.per_topic_progress();
-        assert_eq!(got, vec![(TopicId(0), 1, 1), (TopicId(2), 3, 1)]);
     }
 }

@@ -54,11 +54,6 @@ impl RelayEntry {
         self.downstream.iter().copied()
     }
 
-    /// Number of downstream links.
-    pub fn num_downstreams(&self) -> usize {
-        self.downstream.len()
-    }
-
     /// A relay request arrived from `from` (a gateway or an earlier path
     /// node): install the downstream link, or reset its age.
     pub fn refresh_downstream(&mut self, from: NodeIdx) {
@@ -312,7 +307,6 @@ mod tests {
         assert_eq!(e.downstreams().collect::<Vec<_>>(), vec![n(2)]);
         // Removal must not disturb the surviving link's freshness age.
         assert_eq!(e.downstream_links().collect::<Vec<_>>(), vec![(n(2), 0)]);
-        assert_eq!(e.num_downstreams(), 1);
     }
 
     #[test]

@@ -11,123 +11,113 @@
 //!   delay at the price of fewer friend slots.
 
 use crate::report::{Figure, Series};
-use crate::obs::Obs;
-use crate::runner::{measure_obs, synthetic_params, with_cfg, PublishPlan};
+use crate::runner::{plot, sweep, Job, Point};
 use crate::scale::Scale;
-use rayon::prelude::*;
-use vitis::system::VitisSystem;
+use vitis::config::VitisConfig;
+use vitis_baselines::System;
 use vitis_workloads::Correlation;
 
-/// Measure overhead/delay with a config toggle applied. `label` names the
-/// toggle in the observability run id (`ablations/<label>#N`).
-fn toggled_run(
-    scale: &Scale,
-    corr: Correlation,
-    label: &str,
-    f: impl FnOnce(&mut vitis::config::VitisConfig),
-) -> (f64, f64, f64) {
-    let ctx = Obs::global().start("ablations", label);
-    let params = with_cfg(synthetic_params(scale, corr), f);
-    let mut sys = VitisSystem::new(params);
-    let s = measure_obs(&mut sys, scale, PublishPlan::RoundRobin, ctx);
-    (s.overhead_pct, s.mean_hops, s.hit_ratio)
+/// The on (x = 1) and off (x = 0) jobs of a boolean config knob, on
+/// high-correlation subscriptions; run labels `<knob>-true|false`.
+fn on_off(scale: &Scale, knob: &str, set: fn(&mut VitisConfig, bool)) -> [Job; 2] {
+    [true, false].map(|on| {
+        let mut job = Job::synthetic(
+            scale,
+            System::Vitis,
+            Correlation::High,
+            on as u64 as f64,
+            "",
+        );
+        set(&mut job.params.cfg, on);
+        job.label = format!("{knob}-{on}");
+        job
+    })
 }
 
-/// A1: gateway election on/off, high-correlation subscriptions.
-pub fn gateway_election(scale: &Scale) -> Figure {
-    let results: Vec<(bool, (f64, f64, f64))> = [true, false]
-        .par_iter()
-        .map(|&on| {
-            (
-                on,
-                toggled_run(scale, Correlation::High, &format!("gateway-{on}"), |c| {
-                    c.gateway_election = on
-                }),
-            )
-        })
-        .collect();
-    let mut fig = Figure::new(
-        "Ablation A1: gateway election (Algorithm 5)",
-        "election enabled (0/1)",
-        "overhead %",
-    );
-    let pts: Vec<(f64, f64)> = results
-        .iter()
-        .map(|&(on, (o, _, _))| (on as u64 as f64, o))
-        .collect();
-    fig.push_series(Series::new("Vitis - high correlation", pts));
-    for &(on, (o, d, h)) in &results {
+/// A1: gateway election.
+fn gateway_jobs(scale: &Scale) -> [Job; 2] {
+    on_off(scale, "gateway", |c, on| c.gateway_election = on)
+}
+
+/// A2: Equation 1 utility ranking (off: random friends).
+fn utility_jobs(scale: &Scale) -> [Job; 2] {
+    on_off(scale, "utility", |c, on| c.utility_selection = on)
+}
+
+/// A3: `k` small-world links (table size fixed at 15), random
+/// subscriptions.
+fn sw_job(scale: &Scale, k: usize) -> Job {
+    let mut job = Job::synthetic(scale, System::Vitis, Correlation::Random, k as f64, "");
+    job.params.cfg.k_sw = k;
+    job.series = "Vitis delay".to_string();
+    job.label = format!("sw{k}");
+    job
+}
+
+/// An on/off ablation: the overhead curve plus one note per setting.
+fn toggle_figure(fig: Figure, knob: &str, points: &[Point], expectation: &str) -> Figure {
+    let mut fig = plot(fig, points, |s| s.overhead_pct);
+    for p in points {
         fig.note(format!(
-            "election={on}: overhead {o:.1}% delay {d:.2} hops hit {h:.3}"
+            "{knob}={}: overhead {:.1}% delay {:.2} hops hit {:.3}",
+            p.x == 1.0,
+            p.stats.overhead_pct,
+            p.stats.mean_hops,
+            p.stats.hit_ratio
         ));
     }
-    fig.note("expectation: per-subscriber relay paths (election off) raise relay traffic");
+    fig.note(expectation);
     fig
 }
 
-/// A2: Equation 1 utility ranking vs random friends.
-pub fn utility_selection(scale: &Scale) -> Figure {
-    let results: Vec<(bool, (f64, f64, f64))> = [true, false]
-        .par_iter()
-        .map(|&on| {
-            (
-                on,
-                toggled_run(scale, Correlation::High, &format!("utility-{on}"), |c| {
-                    c.utility_selection = on
-                }),
-            )
-        })
-        .collect();
-    let mut fig = Figure::new(
-        "Ablation A2: Equation 1 friend selection vs random friends",
-        "utility ranking enabled (0/1)",
-        "overhead %",
-    );
-    let pts: Vec<(f64, f64)> = results
-        .iter()
-        .map(|&(on, (o, _, _))| (on as u64 as f64, o))
-        .collect();
-    fig.push_series(Series::new("Vitis - high correlation", pts));
-    for &(on, (o, d, h)) in &results {
-        fig.note(format!(
-            "utility={on}: overhead {o:.1}% delay {d:.2} hops hit {h:.3}"
-        ));
-    }
-    fig.note("expectation: random friends destroy clustering; overhead rises sharply");
-    fig
-}
+/// Run the three ablations as one sweep; returns the A1, A2 and A3
+/// figures.
+pub fn run(scale: &Scale) -> Vec<Figure> {
+    let mut jobs = Vec::new();
+    jobs.extend(gateway_jobs(scale));
+    jobs.extend(utility_jobs(scale));
+    jobs.extend([1, 2, 4, 8].map(|k| sw_job(scale, k)));
+    let points = sweep("ablations", scale, jobs);
+    let (gateway, rest) = points.split_at(2);
+    let (utility, sw) = rest.split_at(2);
 
-/// A3: small-world link count k (table size fixed at 15).
-pub fn sw_links(scale: &Scale) -> Figure {
-    let ks = [1usize, 2, 4, 8];
-    let results: Vec<(usize, (f64, f64, f64))> = ks
-        .par_iter()
-        .map(|&k| {
-            (
-                k,
-                toggled_run(scale, Correlation::Random, &format!("sw{k}"), |c| c.k_sw = k),
-            )
-        })
-        .collect();
-    let mut fig = Figure::new(
-        "Ablation A3: small-world links vs propagation delay (random subs)",
-        "sw links k",
-        "hops",
+    let a1 = toggle_figure(
+        Figure::new(
+            "Ablation A1: gateway election (Algorithm 5)",
+            "election enabled (0/1)",
+            "overhead %",
+        ),
+        "election",
+        gateway,
+        "expectation: per-subscriber relay paths (election off) raise relay traffic",
     );
-    let mut delay_pts: Vec<(f64, f64)> = results
-        .iter()
-        .map(|&(k, (_, d, _))| (k as f64, d))
-        .collect();
-    delay_pts.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
-    fig.push_series(Series::new("Vitis delay", delay_pts));
-    let mut over_pts: Vec<(f64, f64)> = results
-        .iter()
-        .map(|&(k, (o, _, _))| (k as f64, o))
-        .collect();
-    over_pts.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
-    fig.push_series(Series::new("Vitis overhead %", over_pts));
-    fig.note("expectation: delay falls with k (O(log^2 N / k) routing); overhead rises (fewer friends)");
-    fig
+    let a2 = toggle_figure(
+        Figure::new(
+            "Ablation A2: Equation 1 friend selection vs random friends",
+            "utility ranking enabled (0/1)",
+            "overhead %",
+        ),
+        "utility",
+        utility,
+        "expectation: random friends destroy clustering; overhead rises sharply",
+    );
+    let mut a3 = plot(
+        Figure::new(
+            "Ablation A3: small-world links vs propagation delay (random subs)",
+            "sw links k",
+            "hops",
+        ),
+        sw,
+        |s| s.mean_hops,
+    );
+    a3.push_series(Series::new(
+        "Vitis overhead %",
+        sw.iter().map(|p| (p.x, p.stats.overhead_pct)).collect(),
+    ));
+    a3.note(
+        "expectation: delay falls with k (O(log^2 N / k) routing); overhead rises (fewer friends)",
+    );
+    vec![a1, a2, a3]
 }
 
 #[cfg(test)]
@@ -144,10 +134,9 @@ mod tests {
     #[test]
     fn gateway_election_cuts_overhead() {
         let sc = sc();
-        let (on, _, hit_on) =
-            toggled_run(&sc, Correlation::High, "t", |c| c.gateway_election = true);
-        let (off, _, _) = toggled_run(&sc, Correlation::High, "t", |c| c.gateway_election = false);
-        assert!(hit_on > 0.9);
+        let pts = sweep("ablations", &sc, gateway_jobs(&sc));
+        let (on, off) = (pts[0].stats.overhead_pct, pts[1].stats.overhead_pct);
+        assert!(pts[0].stats.hit_ratio > 0.9);
         assert!(
             on <= off + 1.0,
             "election on {on}% should not exceed off {off}%"
@@ -157,8 +146,8 @@ mod tests {
     #[test]
     fn utility_selection_is_what_creates_clusters() {
         let sc = sc();
-        let (on, _, _) = toggled_run(&sc, Correlation::High, "t", |c| c.utility_selection = true);
-        let (off, _, _) = toggled_run(&sc, Correlation::High, "t", |c| c.utility_selection = false);
+        let pts = sweep("ablations", &sc, utility_jobs(&sc));
+        let (on, off) = (pts[0].stats.overhead_pct, pts[1].stats.overhead_pct);
         assert!(
             on < off,
             "utility ranking must cut overhead: on {on}% vs off {off}%"

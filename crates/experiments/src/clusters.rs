@@ -6,6 +6,7 @@
 //! makes those sketches measurable: clusters per topic, cluster sizes,
 //! gateways per topic and relay-path footprint, across correlation levels.
 
+use crate::fig4::CORRELATIONS;
 use crate::obs::Obs;
 use crate::report::Figure;
 use crate::runner::synthetic_params;
@@ -32,15 +33,15 @@ pub struct ClusterStats {
 
 /// Measure cluster structure after convergence at a correlation level.
 pub fn cluster_stats(scale: &Scale, corr: Correlation) -> ClusterStats {
-    let mut ctx = Obs::global().start("clusters", corr.slug());
+    let index = CORRELATIONS.iter().position(|&c| c == corr).unwrap_or(0);
+    let mut ctx = Obs::global().start("clusters", corr.slug(), index);
     let mut sys = VitisSystem::new(synthetic_params(scale, corr));
     ctx.phase("build");
     ctx.install_trace(&mut sys);
     sys.run_rounds(scale.warmup_rounds);
     ctx.phase("warmup");
     ctx.sample(scale.warmup_rounds, &sys);
-    ctx.record_perf(sys.perf_counters(), sys.footprint_estimate());
-    ctx.finish(scale, &sys.stats());
+    ctx.finish(scale, &sys);
     let mut clusters = Summary::new();
     let mut largest = Summary::new();
     let mut gateways = Summary::new();
@@ -95,7 +96,7 @@ pub fn run(scale: &Scale) -> Figure {
         "-",
         "-",
     );
-    for corr in [Correlation::High, Correlation::Low, Correlation::Random] {
+    for corr in CORRELATIONS {
         let s = cluster_stats(scale, corr);
         fig.note(format!(
             "{}: clusters/topic {:.2} (largest {:.1} nodes, {:.0}% single-cluster), \

@@ -7,53 +7,14 @@
 //! around 80 %; Vitis's overhead is ~30–40 % below RVR's; Vitis is ~1.5×
 //! faster than RVR and ~1.7× faster than OPT.
 
+use crate::fig6::RT_SIZES;
 use crate::fig8_9::sampled_trace;
-use crate::report::{Figure, Series};
-use crate::obs::Obs;
-use crate::runner::{measure_obs, params_from_subs, with_cfg, PublishPlan};
+use crate::report::Figure;
+use crate::runner::{params_from_subs, plot, sweep, Job, PublishPlan};
 use crate::scale::Scale;
-use rayon::prelude::*;
-use vitis::system::{SystemParams, VitisSystem};
+use vitis::system::SystemParams;
 use vitis::topic::TopicSet;
-use vitis_baselines::{OptSystem, RvrSystem};
-
-/// Routing-table sizes swept.
-pub const RT_SIZES: [usize; 5] = [15, 20, 25, 30, 35];
-
-/// Which system a sweep point measures.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SystemKind {
-    /// Vitis with `rt_size` links.
-    Vitis,
-    /// RVR with `rt_size` links.
-    Rvr,
-    /// OPT bounded to `rt_size` links.
-    Opt,
-}
-
-impl SystemKind {
-    /// Legend label.
-    pub fn label(self) -> &'static str {
-        match self {
-            SystemKind::Vitis => "Vitis",
-            SystemKind::Rvr => "RVR",
-            SystemKind::Opt => "OPT",
-        }
-    }
-}
-
-/// One measured point.
-#[derive(Clone, Copy, Debug)]
-pub struct Point {
-    /// Routing-table size / degree bound.
-    pub rt_size: usize,
-    /// Hit ratio.
-    pub hit_ratio: f64,
-    /// Traffic overhead in percent.
-    pub overhead: f64,
-    /// Mean propagation delay in hops.
-    pub delay: f64,
-}
+use vitis_baselines::System;
 
 /// Subscription sets of the Twitter sample (topics = node indices).
 pub fn twitter_params(scale: &Scale) -> SystemParams {
@@ -67,93 +28,72 @@ pub fn twitter_params(scale: &Scale) -> SystemParams {
     params_from_subs(scale, subs, n)
 }
 
-/// Measure one system at one table size on the Twitter subscriptions.
-pub fn point(scale: &Scale, kind: SystemKind, rt_size: usize) -> Point {
-    let params = with_cfg(twitter_params(scale), |c| {
-        c.rt_size = rt_size;
-        c.k_sw = 1;
-    });
-    let mut scale = *scale;
-    // Topics = nodes here, so cap the event batch at the population.
-    scale.topics = params.num_topics;
-    scale.events = scale.events.min(params.num_topics);
-    let label = match kind {
-        SystemKind::Vitis => "vitis",
-        SystemKind::Rvr => "rvr",
-        SystemKind::Opt => "opt",
-    };
-    let ctx = Obs::global().start("fig10", &format!("{label}-rt{rt_size}"));
-    let stats = match kind {
-        SystemKind::Vitis => {
-            let mut sys = VitisSystem::new(params);
-            measure_obs(&mut sys, &scale, PublishPlan::RoundRobin, ctx)
-        }
-        SystemKind::Rvr => {
-            let mut sys = RvrSystem::new(params);
-            measure_obs(&mut sys, &scale, PublishPlan::RoundRobin, ctx)
-        }
-        SystemKind::Opt => {
-            let mut sys = OptSystem::new(params);
-            measure_obs(&mut sys, &scale, PublishPlan::RoundRobin, ctx)
-        }
-    };
-    Point {
-        rt_size,
-        hit_ratio: stats.hit_ratio,
-        overhead: stats.overhead_pct,
-        delay: stats.mean_hops,
+/// The measurement plan on the Twitter subscriptions: topics = nodes
+/// there, so the round-robin and the event batch are capped at the sample's
+/// population.
+fn twitter_scale(scale: &Scale, twitter: &SystemParams) -> Scale {
+    Scale {
+        topics: twitter.num_topics,
+        events: scale.events.min(twitter.num_topics),
+        ..*scale
     }
 }
 
-/// Run the sweep; returns `(hit ratio, overhead, delay)` figures.
-pub fn run(scale: &Scale) -> (Figure, Figure, Figure) {
-    let kinds = [SystemKind::Vitis, SystemKind::Rvr, SystemKind::Opt];
-    let mut jobs = Vec::new();
-    for k in kinds {
-        for rt in RT_SIZES {
-            jobs.push((k, rt));
-        }
+/// One system at one table size (OPT: degree bound) on `twitter`.
+fn job(twitter: &SystemParams, system: System, rt_size: usize) -> Job {
+    let mut params = twitter.clone();
+    params.cfg.rt_size = rt_size;
+    params.cfg.k_sw = 1;
+    Job {
+        series: system.label().to_string(),
+        x: rt_size as f64,
+        system,
+        params,
+        plan: PublishPlan::RoundRobin,
+        label: format!("{}-rt{rt_size}", system.name()),
     }
-    let results: Vec<(SystemKind, Point)> = jobs
-        .par_iter()
-        .map(|&(k, rt)| (k, point(scale, k, rt)))
-        .collect();
+}
 
-    let mut hit = Figure::new(
-        "Figure 10(a): hit ratio vs routing table size (Twitter)",
-        "routing table size",
-        "hit ratio %",
-    );
-    let mut overhead = Figure::new(
-        "Figure 10(b): traffic overhead vs routing table size (Twitter)",
-        "routing table size",
-        "overhead %",
-    );
-    let mut delay = Figure::new(
-        "Figure 10(c): propagation delay vs routing table size (Twitter)",
-        "routing table size",
-        "hops",
-    );
-    for k in kinds {
-        let pts: Vec<&Point> = results
-            .iter()
-            .filter(|(kk, _)| *kk == k)
-            .map(|(_, p)| p)
-            .collect();
-        hit.push_series(series_of(k.label(), &pts, |p| 100.0 * p.hit_ratio));
-        overhead.push_series(series_of(k.label(), &pts, |p| p.overhead));
-        delay.push_series(series_of(k.label(), &pts, |p| p.delay));
+/// Run the sweep; returns the hit-ratio, overhead and delay figures.
+pub fn run(scale: &Scale) -> Vec<Figure> {
+    let twitter = twitter_params(scale);
+    let mut jobs = Vec::new();
+    for system in System::ALL {
+        jobs.extend(RT_SIZES.map(|rt| job(&twitter, system, rt)));
     }
+    let points = sweep("fig10", &twitter_scale(scale, &twitter), jobs);
+
+    let mut hit = plot(
+        Figure::new(
+            "Figure 10(a): hit ratio vs routing table size (Twitter)",
+            "routing table size",
+            "hit ratio %",
+        ),
+        &points,
+        |s| 100.0 * s.hit_ratio,
+    );
+    let mut overhead = plot(
+        Figure::new(
+            "Figure 10(b): traffic overhead vs routing table size (Twitter)",
+            "routing table size",
+            "overhead %",
+        ),
+        &points,
+        |s| s.overhead_pct,
+    );
+    let mut delay = plot(
+        Figure::new(
+            "Figure 10(c): propagation delay vs routing table size (Twitter)",
+            "routing table size",
+            "hops",
+        ),
+        &points,
+        |s| s.mean_hops,
+    );
     hit.note("paper: Vitis and RVR at 100%; OPT ~80% even at degree 35");
     overhead.note("paper: OPT ~0; Vitis 30-40% below RVR");
     delay.note("paper: Vitis ~1.5x faster than RVR, ~1.7x faster than OPT");
-    (hit, overhead, delay)
-}
-
-fn series_of(label: &str, pts: &[&Point], y: impl Fn(&Point) -> f64) -> Series {
-    let mut v: Vec<(f64, f64)> = pts.iter().map(|p| (p.rt_size as f64, y(p))).collect();
-    v.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite x"));
-    Series::new(label, v)
+    vec![hit, overhead, delay]
 }
 
 #[cfg(test)]
@@ -167,13 +107,24 @@ mod tests {
         let mut sc = Scale::quick();
         sc.warmup_rounds = 50;
         sc.events = 150;
-        let v = point(&sc, SystemKind::Vitis, 15);
-        let r = point(&sc, SystemKind::Rvr, 15);
-        let o = point(&sc, SystemKind::Opt, 15);
+        let twitter = twitter_params(&sc);
+        let jobs = System::ALL.map(|system| job(&twitter, system, 15));
+        let pts = sweep("fig10", &twitter_scale(&sc, &twitter), jobs);
+        let (v, r, o) = (&pts[0].stats, &pts[1].stats, &pts[2].stats);
         assert!(v.hit_ratio > 0.9, "vitis hit {}", v.hit_ratio);
         assert!(r.hit_ratio > 0.9, "rvr hit {}", r.hit_ratio);
-        assert!(o.hit_ratio < v.hit_ratio, "opt {} vs vitis {}", o.hit_ratio, v.hit_ratio);
-        assert!(o.overhead < 1.0, "opt overhead {}", o.overhead);
-        assert!(v.overhead < r.overhead, "vitis {} vs rvr {}", v.overhead, r.overhead);
+        assert!(
+            o.hit_ratio < v.hit_ratio,
+            "opt {} vs vitis {}",
+            o.hit_ratio,
+            v.hit_ratio
+        );
+        assert!(o.overhead_pct < 1.0, "opt overhead {}", o.overhead_pct);
+        assert!(
+            v.overhead_pct < r.overhead_pct,
+            "vitis {} vs rvr {}",
+            v.overhead_pct,
+            r.overhead_pct
+        );
     }
 }

@@ -26,7 +26,7 @@ pub struct DegreeStats {
 /// Run unbounded OPT on the Twitter sample until link churn settles, then
 /// snapshot the degree distribution.
 pub fn degree_stats(scale: &Scale) -> DegreeStats {
-    let mut ctx = Obs::global().start("fig11", "opt-unbounded");
+    let mut ctx = Obs::global().start("fig11", "opt-unbounded", 0);
     let params = twitter_params(scale);
     let mut sys = OptSystem::with_protocol(
         OptProtocol::with_config(OptConfig {
@@ -40,9 +40,7 @@ pub fn degree_stats(scale: &Scale) -> DegreeStats {
     sys.run_rounds(scale.warmup_rounds);
     ctx.phase("warmup");
     ctx.sample(scale.warmup_rounds, &sys);
-    let stats = sys.stats();
-    ctx.record_perf(sys.perf_counters(), sys.footprint_estimate());
-    ctx.finish(scale, &stats);
+    ctx.finish(scale, &sys);
     let degrees = sys.degree_distribution();
     let n = degrees.len().max(1) as f64;
     let frac_above_15 = degrees.iter().filter(|&&d| d > 15).count() as f64 / n;

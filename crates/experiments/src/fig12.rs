@@ -8,11 +8,10 @@
 
 use crate::obs::{Obs, RunCtx};
 use crate::report::{Figure, Series};
-use crate::runner::synthetic_params;
+use crate::runner::{par_indexed, synthetic_params};
 use crate::scale::Scale;
-use rayon::prelude::*;
-use vitis::system::{PubSub, SystemParams, VitisSystem};
-use vitis_baselines::RvrSystem;
+use vitis::system::{PubSub, SystemParams};
+use vitis_baselines::System;
 use vitis_sim::churn::{ChurnKind, ChurnTrace};
 use vitis_sim::time::Duration;
 use vitis_workloads::{Correlation, SkypeModel};
@@ -87,7 +86,6 @@ pub fn run_system(
     let mut cursor = 0usize;
     let events = trace.events();
     let horizon = plan.model.horizon_hours;
-    let window_ticks = (plan.window_hours * tph as f64) as u64;
     let mut hour = 0.0;
     while hour < horizon {
         let wend_hour = (hour + plan.window_hours).min(horizon);
@@ -129,12 +127,9 @@ pub fn run_system(
             delay: stats.mean_hops,
         });
         hour = wend_hour;
-        let _ = window_ticks;
     }
     ctx.phase("trace");
-    let stats = sys.stats();
-    ctx.record_perf(sys.perf_counters(), sys.footprint_estimate());
-    ctx.finish(scale, &stats);
+    ctx.finish(scale, &*sys);
     samples
 }
 
@@ -156,72 +151,54 @@ fn churn_params(scale: &Scale, plan: &ChurnPlan) -> SystemParams {
     p
 }
 
-/// Run both systems over the trace; returns `(hit, overhead, delay)`
-/// figures, each including the online-population series.
-pub fn run(scale: &Scale) -> (Figure, Figure, Figure) {
+/// Run both systems over the trace; returns the hit-ratio, overhead and
+/// delay figures, each including the online-population series.
+pub fn run(scale: &Scale) -> Vec<Figure> {
     let plan = ChurnPlan::for_scale(scale);
     let trace = plan.model.generate(scale.seed);
-    let runs: Vec<(&str, Vec<WindowSample>)> = [true, false]
-        .par_iter()
-        .map(|&vitis| {
-            let params = churn_params(scale, &plan);
-            let trace = trace.clone();
-            if vitis {
-                let ctx = Obs::global().start("fig12", "vitis");
-                let mut sys = VitisSystem::new(params);
-                ("Vitis", run_system(&mut sys, &plan, &trace, scale, ctx))
-            } else {
-                let ctx = Obs::global().start("fig12", "rvr");
-                let mut sys = RvrSystem::new(params);
-                ("RVR", run_system(&mut sys, &plan, &trace, scale, ctx))
-            }
-        })
-        .collect();
+    let runs = par_indexed([System::Vitis, System::Rvr], |index, system| {
+        let ctx = Obs::global().start("fig12", system.name(), index);
+        let mut sys = system.build(churn_params(scale, &plan));
+        let samples = run_system(sys.as_mut(), &plan, &trace, scale, ctx);
+        (system.label(), samples)
+    });
 
-    let mut hit = Figure::new(
-        "Figure 12(a): hit ratio under churn (Skype-like trace)",
-        "hour",
-        "hit ratio % / online nodes",
-    );
-    let mut overhead = Figure::new(
-        "Figure 12(b): traffic overhead under churn",
-        "hour",
-        "overhead % / online nodes",
-    );
-    let mut delay = Figure::new(
-        "Figure 12(c): propagation delay under churn",
-        "hour",
-        "hops / online nodes",
-    );
-    let size_series: Vec<(f64, f64)> = runs[0]
+    let size: Vec<(f64, f64)> = runs[0]
         .1
         .iter()
         .map(|w| (w.hour, w.online as f64))
         .collect();
-    for f in [&mut hit, &mut overhead, &mut delay] {
-        f.push_series(Series::new("Network size", size_series.clone()));
-    }
-    for (label, samples) in &runs {
-        hit.push_series(Series::new(
-            label.to_string(),
-            samples.iter().map(|w| (w.hour, 100.0 * w.hit_ratio)).collect(),
-        ));
-        overhead.push_series(Series::new(
-            label.to_string(),
-            samples.iter().map(|w| (w.hour, w.overhead)).collect(),
-        ));
-        delay.push_series(Series::new(
-            label.to_string(),
-            samples.iter().map(|w| (w.hour, w.delay)).collect(),
-        ));
-    }
+    let curves = |title: &str, y_label: &str, y: fn(&WindowSample) -> f64| {
+        let mut fig = Figure::new(title, "hour", y_label);
+        fig.push_series(Series::new("Network size", size.clone()));
+        for (label, samples) in &runs {
+            let points = samples.iter().map(|w| (w.hour, y(w))).collect();
+            fig.push_series(Series::new(*label, points));
+        }
+        fig
+    };
+    let mut hit = curves(
+        "Figure 12(a): hit ratio under churn (Skype-like trace)",
+        "hit ratio % / online nodes",
+        |w| 100.0 * w.hit_ratio,
+    );
+    let mut overhead = curves(
+        "Figure 12(b): traffic overhead under churn",
+        "overhead % / online nodes",
+        |w| w.overhead,
+    );
+    let mut delay = curves(
+        "Figure 12(c): propagation delay under churn",
+        "hops / online nodes",
+        |w| w.delay,
+    );
     let fc = plan.model.flash_crowd_hour;
     hit.note(format!(
         "flash crowd at hour {fc}; paper: RVR dips to ~87%, Vitis worst case ~99%"
     ));
     overhead.note("paper: RVR's overhead drops at the flash crowd (broken trees), Vitis's rises slightly");
     delay.note("paper: delay roughly flat in moderate churn, higher after the flash crowd (bigger network)");
-    (hit, overhead, delay)
+    vec![hit, overhead, delay]
 }
 
 #[cfg(test)]
@@ -252,9 +229,9 @@ mod tests {
     fn vitis_tracks_population_and_delivers_under_churn() {
         let (sc, plan) = tiny_plan();
         let trace = plan.model.generate(sc.seed);
-        let mut sys = VitisSystem::new(churn_params(&sc, &plan));
-        let ctx = Obs::global().start("test", "fig12");
-        let samples = run_system(&mut sys, &plan, &trace, &sc, ctx);
+        let mut sys = System::Vitis.build(churn_params(&sc, &plan));
+        let ctx = Obs::global().start("test", "fig12", 0);
+        let samples = run_system(sys.as_mut(), &plan, &trace, &sc, ctx);
         assert_eq!(samples.len(), 10);
         // Population grows from zero and follows the trace.
         assert!(samples[0].online < samples.last().unwrap().online + 50);

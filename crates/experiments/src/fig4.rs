@@ -7,13 +7,10 @@
 //! correlated subscriptions and rises slightly for random ones; RVR is the
 //! flat reference line.
 
-use crate::report::{Figure, Series};
-use crate::obs::Obs;
-use crate::runner::{measure_obs, synthetic_params, with_cfg, PublishPlan};
+use crate::report::Figure;
+use crate::runner::{plot, sweep, Job, Point};
 use crate::scale::Scale;
-use rayon::prelude::*;
-use vitis::system::VitisSystem;
-use vitis_baselines::RvrSystem;
+use vitis_baselines::System;
 use vitis_workloads::Correlation;
 
 /// The friend counts swept on the x axis.
@@ -23,117 +20,68 @@ pub const FRIEND_COUNTS: [usize; 7] = [0, 2, 4, 6, 8, 10, 12];
 pub const CORRELATIONS: [Correlation; 3] =
     [Correlation::High, Correlation::Low, Correlation::Random];
 
-/// One measured point of the sweep.
-#[derive(Clone, Copy, Debug)]
-pub struct Point {
-    /// x value (number of friends).
-    pub x: f64,
-    /// Traffic overhead in percent.
-    pub overhead: f64,
-    /// Mean propagation delay in hops.
-    pub delay: f64,
-    /// Hit ratio (the paper reports 100 % for both systems here).
-    pub hit_ratio: f64,
+/// One Vitis configuration of the sweep.
+fn vitis_job(scale: &Scale, corr: Correlation, friends: usize) -> Job {
+    let mut job = Job::synthetic(
+        scale,
+        System::Vitis,
+        corr,
+        friends as f64,
+        &format!("-f{friends}"),
+    );
+    job.params.cfg = job.params.cfg.with_friends(friends);
+    job
 }
 
-/// Run the sweep; returns `(overhead figure, delay figure)`.
-pub fn run(scale: &Scale) -> (Figure, Figure) {
-    let mut jobs: Vec<(String, Option<Correlation>, usize)> = Vec::new();
-    for corr in CORRELATIONS {
-        for f in FRIEND_COUNTS {
-            jobs.push((format!("Vitis - {}", corr.label()), Some(corr), f));
-        }
-    }
-    jobs.push(("RVR".to_string(), None, 0));
+/// The RVR reference, measured once.
+fn rvr_job(scale: &Scale) -> Job {
+    Job::synthetic(scale, System::Rvr, Correlation::Random, 0.0, "")
+}
 
-    let results: Vec<(String, usize, Point)> = jobs
-        .par_iter()
-        .map(|(label, corr, friends)| {
-            let point = match corr {
-                Some(c) => vitis_point(scale, *c, *friends),
-                None => rvr_point(scale),
-            };
-            (label.clone(), *friends, point)
-        })
-        .collect();
-
-    let mut overhead = Figure::new(
-        "Figure 4(a): traffic overhead vs number of friends",
-        "friends (of 15 links)",
-        "overhead %",
-    );
-    let mut delay = Figure::new(
-        "Figure 4(b): propagation delay vs number of friends",
-        "friends (of 15 links)",
-        "hops",
-    );
+/// Run the sweep; returns the overhead and delay figures.
+pub fn run(scale: &Scale) -> Vec<Figure> {
+    let mut jobs = Vec::new();
     for corr in CORRELATIONS {
-        let label = format!("Vitis - {}", corr.label());
-        let mut o = Vec::new();
-        let mut d = Vec::new();
-        for (l, _, pt) in &results {
-            if *l == label {
-                o.push((pt.x, pt.overhead));
-                d.push((pt.x, pt.delay));
-            }
-        }
-        o.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite x"));
-        d.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite x"));
-        overhead.push_series(Series::new(label.clone(), o));
-        delay.push_series(Series::new(label, d));
+        jobs.extend(FRIEND_COUNTS.map(|f| vitis_job(scale, corr, f)));
     }
+    jobs.push(rvr_job(scale));
+    let mut points = sweep("fig4", scale, jobs);
+
     // RVR is friend-count independent: draw it flat across the sweep.
-    if let Some((_, _, rvr)) = results.iter().find(|(l, _, _)| l == "RVR") {
-        let flat_o: Vec<(f64, f64)> = FRIEND_COUNTS
-            .iter()
-            .map(|&f| (f as f64, rvr.overhead))
-            .collect();
-        let flat_d: Vec<(f64, f64)> = FRIEND_COUNTS
-            .iter()
-            .map(|&f| (f as f64, rvr.delay))
-            .collect();
-        overhead.push_series(Series::new("RVR", flat_o));
-        delay.push_series(Series::new("RVR", flat_d));
-        overhead.note(format!(
-            "RVR hit ratio {:.3}; expectation: all systems ~1.0 here",
-            rvr.hit_ratio
-        ));
-    }
+    let rvr = points.pop().expect("the RVR job is last");
+    points.extend(FRIEND_COUNTS.map(|f| Point {
+        x: f as f64,
+        ..rvr.clone()
+    }));
+
+    let mut overhead = plot(
+        Figure::new(
+            "Figure 4(a): traffic overhead vs number of friends",
+            "friends (of 15 links)",
+            "overhead %",
+        ),
+        &points,
+        |s| s.overhead_pct,
+    );
+    let mut delay = plot(
+        Figure::new(
+            "Figure 4(b): propagation delay vs number of friends",
+            "friends (of 15 links)",
+            "hops",
+        ),
+        &points,
+        |s| s.mean_hops,
+    );
+    overhead.note(format!(
+        "RVR hit ratio {:.3}; expectation: all systems ~1.0 here",
+        rvr.stats.hit_ratio
+    ));
     overhead.note(
         "paper: Vitis overhead falls ~88% (high corr) as friends replace sw links; \
          Vitis < 1/3 of RVR even with random subscriptions",
     );
     delay.note("paper: delay improves with friends for correlated subs, degrades for random");
-    (overhead, delay)
-}
-
-/// Measure a single Vitis configuration of the sweep.
-pub fn vitis_point(scale: &Scale, corr: Correlation, friends: usize) -> Point {
-    let ctx = Obs::global().start("fig4", &format!("vitis-{}-f{friends}", corr.slug()));
-    let params = with_cfg(synthetic_params(scale, corr), |c| {
-        *c = c.clone().with_friends(friends);
-    });
-    let mut sys = VitisSystem::new(params);
-    let s = measure_obs(&mut sys, scale, PublishPlan::RoundRobin, ctx);
-    Point {
-        x: friends as f64,
-        overhead: s.overhead_pct,
-        delay: s.mean_hops,
-        hit_ratio: s.hit_ratio,
-    }
-}
-
-/// Measure the RVR reference point.
-pub fn rvr_point(scale: &Scale) -> Point {
-    let ctx = Obs::global().start("fig4", "rvr");
-    let mut sys = RvrSystem::new(synthetic_params(scale, Correlation::Random));
-    let s = measure_obs(&mut sys, scale, PublishPlan::RoundRobin, ctx);
-    Point {
-        x: 0.0,
-        overhead: s.overhead_pct,
-        delay: s.mean_hops,
-        hit_ratio: s.hit_ratio,
-    }
+    vec![overhead, delay]
 }
 
 #[cfg(test)]
@@ -146,25 +94,29 @@ mod tests {
     // checks is also covered by tests/end_to_end.rs (correlation_reduces_
     // vitis_overhead) on every run.
     #[test]
-    #[ignore = "slow (~13 s at quick scale): four full measurement runs; run with `cargo test -- --ignored`"]
+    #[ignore = "slow (~13 s at quick scale): three full measurement runs; run with `cargo test -- --ignored`"]
     fn overhead_falls_with_friends_and_beats_rvr() {
         let mut sc = Scale::quick();
         sc.warmup_rounds = 45;
         sc.events = 120;
-        let lo = vitis_point(&sc, Correlation::High, 2);
-        let hi = vitis_point(&sc, Correlation::High, 12);
-        let rvr = rvr_point(&sc);
+        let jobs = vec![
+            vitis_job(&sc, Correlation::High, 2),
+            vitis_job(&sc, Correlation::High, 12),
+            rvr_job(&sc),
+        ];
+        let pts = sweep("fig4", &sc, jobs);
+        let (lo, hi, rvr) = (&pts[0].stats, &pts[1].stats, &pts[2].stats);
         assert!(
-            hi.overhead < lo.overhead,
+            hi.overhead_pct < lo.overhead_pct,
             "friends should cut overhead: {} -> {}",
-            lo.overhead,
-            hi.overhead
+            lo.overhead_pct,
+            hi.overhead_pct
         );
         assert!(
-            hi.overhead < rvr.overhead / 2.0,
+            hi.overhead_pct < rvr.overhead_pct / 2.0,
             "vitis {} vs rvr {}",
-            hi.overhead,
-            rvr.overhead
+            hi.overhead_pct,
+            rvr.overhead_pct
         );
         assert!(hi.hit_ratio > 0.9 && rvr.hit_ratio > 0.9);
     }

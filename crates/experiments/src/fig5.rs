@@ -6,12 +6,9 @@
 //! fraction above 20 % overhead to less than a third of RVR's.
 
 use crate::report::{Figure, Series};
-use crate::obs::Obs;
-use crate::runner::{measure_obs, synthetic_params, PublishPlan};
+use crate::runner::{sweep, synthetic_params, Job, PublishPlan};
 use crate::scale::Scale;
-use rayon::prelude::*;
-use vitis::system::{PubSub, VitisSystem};
-use vitis_baselines::RvrSystem;
+use vitis_baselines::System;
 use vitis_sim::metrics::Histogram;
 use vitis_workloads::Correlation;
 
@@ -40,56 +37,57 @@ pub fn fraction_above(per_node: &[f64], threshold: f64) -> f64 {
     per_node.iter().filter(|&&x| x > threshold).count() as f64 / per_node.len() as f64
 }
 
+/// One system on one subscription pattern.
+fn job(scale: &Scale, system: System, corr: Correlation) -> Job {
+    let pattern = match corr {
+        Correlation::High => "correlated",
+        _ => "random",
+    };
+    Job {
+        series: format!("{} - {pattern}", system.label()),
+        x: 0.0,
+        system,
+        params: synthetic_params(scale, corr),
+        plan: PublishPlan::RoundRobin,
+        label: format!("{}-{}", system.name(), corr.slug()),
+    }
+}
+
 /// Run the experiment: Vitis and RVR on correlated and random
-/// subscriptions, per-node distribution over nodes with ≥ `min_msgs`
-/// data-plane messages.
-pub fn run(scale: &Scale) -> Figure {
-    let jobs: Vec<(&str, bool, Correlation)> = vec![
-        ("Vitis - correlated", true, Correlation::High),
-        ("Vitis - random", true, Correlation::Random),
-        ("RVR - correlated", false, Correlation::High),
-        ("RVR - random", false, Correlation::Random),
-    ];
-    let results: Vec<(String, Vec<f64>)> = jobs
-        .par_iter()
-        .map(|&(label, vitis, corr)| (label.to_string(), per_node_overhead(scale, vitis, corr)))
-        .collect();
+/// subscriptions, per-node distribution over nodes with at least one
+/// data-plane message.
+pub fn run(scale: &Scale) -> Vec<Figure> {
+    let mut jobs = Vec::new();
+    for system in [System::Vitis, System::Rvr] {
+        for corr in [Correlation::High, Correlation::Random] {
+            jobs.push(job(scale, system, corr));
+        }
+    }
+    let points = sweep("fig5", scale, jobs);
 
     let mut fig = Figure::new(
         "Figure 5: distribution of per-node traffic overhead",
         "overhead bin lower edge (%)",
         "fraction of nodes",
     );
-    for (label, per_node) in &results {
-        fig.push_series(Series::new(label.clone(), distribution(per_node)));
+    for p in &points {
+        fig.push_series(Series::new(
+            p.series.clone(),
+            distribution(&p.per_node_overhead),
+        ));
     }
-    for (label, per_node) in &results {
+    for p in &points {
         fig.note(format!(
-            "{label}: {:.1}% of nodes above 20% overhead",
-            100.0 * fraction_above(per_node, 20.0)
+            "{}: {:.1}% of nodes above 20% overhead",
+            p.series,
+            100.0 * fraction_above(&p.per_node_overhead, 20.0)
         ));
     }
     fig.note(
         "paper: Vitis grows the <=10% bucket and cuts nodes above 20% overhead to \
          less than a third of RVR's",
     );
-    fig
-}
-
-/// Per-node overhead percentages for one system/pattern.
-pub fn per_node_overhead(scale: &Scale, vitis: bool, corr: Correlation) -> Vec<f64> {
-    let sys_name = if vitis { "vitis" } else { "rvr" };
-    let ctx = Obs::global().start("fig5", &format!("{sys_name}-{}", corr.slug()));
-    let params = synthetic_params(scale, corr);
-    if vitis {
-        let mut sys = VitisSystem::new(params);
-        measure_obs(&mut sys, scale, PublishPlan::RoundRobin, ctx);
-        sys.per_node_overhead(1)
-    } else {
-        let mut sys = RvrSystem::new(params);
-        measure_obs(&mut sys, scale, PublishPlan::RoundRobin, ctx);
-        sys.per_node_overhead(1)
-    }
+    vec![fig]
 }
 
 #[cfg(test)]
@@ -118,10 +116,13 @@ mod tests {
         let mut sc = Scale::quick();
         sc.warmup_rounds = 45;
         sc.events = 120;
-        let v = per_node_overhead(&sc, true, Correlation::High);
-        let r = per_node_overhead(&sc, false, Correlation::High);
-        let fv = fraction_above(&v, 20.0);
-        let fr = fraction_above(&r, 20.0);
+        let jobs = vec![
+            job(&sc, System::Vitis, Correlation::High),
+            job(&sc, System::Rvr, Correlation::High),
+        ];
+        let pts = sweep("fig5", &sc, jobs);
+        let fv = fraction_above(&pts[0].per_node_overhead, 20.0);
+        let fr = fraction_above(&pts[1].per_node_overhead, 20.0);
         assert!(fv < fr, "vitis {fv} vs rvr {fr} above 20% overhead");
     }
 }

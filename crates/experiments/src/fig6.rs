@@ -6,124 +6,62 @@
 //! (better clustering, fewer relay paths). The paper notes Vitis's delay
 //! with random subscriptions overtaking RVR's beyond ~30 entries.
 
-use crate::report::{Figure, Series};
-use crate::obs::Obs;
-use crate::runner::{measure_obs, synthetic_params, with_cfg, PublishPlan};
+use crate::fig4::CORRELATIONS;
+use crate::report::Figure;
+use crate::runner::{plot, sweep, Job};
 use crate::scale::Scale;
-use rayon::prelude::*;
-use vitis::system::VitisSystem;
-use vitis_baselines::RvrSystem;
+use vitis_baselines::System;
 use vitis_workloads::Correlation;
 
 /// Routing-table sizes swept.
 pub const RT_SIZES: [usize; 5] = [15, 20, 25, 30, 35];
 
-/// One measured sweep point.
-#[derive(Clone, Copy, Debug)]
-pub struct Point {
-    /// Routing-table size.
-    pub rt_size: usize,
-    /// Traffic overhead in percent.
-    pub overhead: f64,
-    /// Mean propagation delay in hops.
-    pub delay: f64,
-    /// Hit ratio.
-    pub hit_ratio: f64,
-}
-
-/// Measure Vitis at a given table size (k_sw stays 1; extra slots become
-/// friends).
-pub fn vitis_point(scale: &Scale, corr: Correlation, rt_size: usize) -> Point {
-    let ctx = Obs::global().start("fig6", &format!("vitis-{}-rt{rt_size}", corr.slug()));
-    let params = with_cfg(synthetic_params(scale, corr), |c| {
-        c.rt_size = rt_size;
-        c.k_sw = 1;
-    });
-    let mut sys = VitisSystem::new(params);
-    let s = measure_obs(&mut sys, scale, PublishPlan::RoundRobin, ctx);
-    Point {
-        rt_size,
-        overhead: s.overhead_pct,
-        delay: s.mean_hops,
-        hit_ratio: s.hit_ratio,
-    }
-}
-
-/// Measure RVR at a given table size (all extra slots are sw links).
-pub fn rvr_point(scale: &Scale, rt_size: usize) -> Point {
-    let ctx = Obs::global().start("fig6", &format!("rvr-rt{rt_size}"));
-    let params = with_cfg(synthetic_params(scale, Correlation::Random), |c| {
-        c.rt_size = rt_size;
-    });
-    let mut sys = RvrSystem::new(params);
-    let s = measure_obs(&mut sys, scale, PublishPlan::RoundRobin, ctx);
-    Point {
-        rt_size,
-        overhead: s.overhead_pct,
-        delay: s.mean_hops,
-        hit_ratio: s.hit_ratio,
-    }
-}
-
-/// Run the sweep; returns `(overhead figure, delay figure)`.
-pub fn run(scale: &Scale) -> (Figure, Figure) {
-    let corrs = [Correlation::High, Correlation::Low, Correlation::Random];
-    let mut jobs: Vec<(Option<Correlation>, usize)> = Vec::new();
-    for corr in corrs {
-        for rt in RT_SIZES {
-            jobs.push((Some(corr), rt));
-        }
-    }
-    for rt in RT_SIZES {
-        jobs.push((None, rt));
-    }
-    let results: Vec<(Option<Correlation>, Point)> = jobs
-        .par_iter()
-        .map(|&(corr, rt)| {
-            let p = match corr {
-                Some(c) => vitis_point(scale, c, rt),
-                None => rvr_point(scale, rt),
-            };
-            (corr, p)
-        })
-        .collect();
-
-    let mut overhead = Figure::new(
-        "Figure 6(a): traffic overhead vs routing table size",
-        "routing table size",
-        "overhead %",
+/// One system at one table size. Vitis keeps `k_sw` at 1, so every extra
+/// slot becomes a friend; RVR ignores `k_sw` and fills every slot beyond
+/// the ring with sw links.
+fn job(scale: &Scale, system: System, corr: Correlation, rt_size: usize) -> Job {
+    let mut job = Job::synthetic(
+        scale,
+        system,
+        corr,
+        rt_size as f64,
+        &format!("-rt{rt_size}"),
     );
-    let mut delay = Figure::new(
-        "Figure 6(b): propagation delay vs routing table size",
-        "routing table size",
-        "hops",
-    );
-    for corr in corrs {
-        let label = format!("Vitis - {}", corr.label());
-        let pts: Vec<&Point> = results
-            .iter()
-            .filter(|(c, _)| *c == Some(corr))
-            .map(|(_, p)| p)
-            .collect();
-        overhead.push_series(series_of(&label, &pts, |p| p.overhead));
-        delay.push_series(series_of(&label, &pts, |p| p.delay));
+    job.params.cfg.rt_size = rt_size;
+    job.params.cfg.k_sw = 1;
+    job
+}
+
+/// Run the sweep; returns the overhead and delay figures.
+pub fn run(scale: &Scale) -> Vec<Figure> {
+    let mut jobs = Vec::new();
+    for corr in CORRELATIONS {
+        jobs.extend(RT_SIZES.map(|rt| job(scale, System::Vitis, corr, rt)));
     }
-    let rvr_pts: Vec<&Point> = results
-        .iter()
-        .filter(|(c, _)| c.is_none())
-        .map(|(_, p)| p)
-        .collect();
-    overhead.push_series(series_of("RVR", &rvr_pts, |p| p.overhead));
-    delay.push_series(series_of("RVR", &rvr_pts, |p| p.delay));
+    jobs.extend(RT_SIZES.map(|rt| job(scale, System::Rvr, Correlation::Random, rt)));
+    let points = sweep("fig6", scale, jobs);
+
+    let mut overhead = plot(
+        Figure::new(
+            "Figure 6(a): traffic overhead vs routing table size",
+            "routing table size",
+            "overhead %",
+        ),
+        &points,
+        |s| s.overhead_pct,
+    );
+    let mut delay = plot(
+        Figure::new(
+            "Figure 6(b): propagation delay vs routing table size",
+            "routing table size",
+            "hops",
+        ),
+        &points,
+        |s| s.mean_hops,
+    );
     overhead.note("paper: both systems improve with bigger tables; Vitis stays well below RVR");
     delay.note("paper: Vitis (random subs) overtakes RVR beyond ~30 entries");
-    (overhead, delay)
-}
-
-fn series_of(label: &str, pts: &[&Point], y: impl Fn(&Point) -> f64) -> Series {
-    let mut v: Vec<(f64, f64)> = pts.iter().map(|p| (p.rt_size as f64, y(p))).collect();
-    v.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite x"));
-    Series::new(label, v)
+    vec![overhead, delay]
 }
 
 #[cfg(test)]
@@ -135,13 +73,14 @@ mod tests {
         let mut sc = Scale::quick();
         sc.warmup_rounds = 45;
         sc.events = 120;
-        let small = vitis_point(&sc, Correlation::Low, 15);
-        let big = vitis_point(&sc, Correlation::Low, 35);
+        let jobs = [15, 35].map(|rt| job(&sc, System::Vitis, Correlation::Low, rt));
+        let pts = sweep("fig6", &sc, jobs);
+        let (small, big) = (&pts[0].stats, &pts[1].stats);
         assert!(
-            big.overhead <= small.overhead + 2.0,
+            big.overhead_pct <= small.overhead_pct + 2.0,
             "rt 35 {} should not exceed rt 15 {}",
-            big.overhead,
-            small.overhead
+            big.overhead_pct,
+            small.overhead_pct
         );
         assert!(big.hit_ratio > 0.9);
     }
@@ -151,13 +90,14 @@ mod tests {
         let mut sc = Scale::quick();
         sc.warmup_rounds = 45;
         sc.events = 120;
-        let small = rvr_point(&sc, 15);
-        let big = rvr_point(&sc, 35);
+        let jobs = [15, 35].map(|rt| job(&sc, System::Rvr, Correlation::Random, rt));
+        let pts = sweep("fig6", &sc, jobs);
+        let (small, big) = (&pts[0].stats, &pts[1].stats);
         assert!(
-            big.delay < small.delay + 0.5,
+            big.mean_hops < small.mean_hops + 0.5,
             "more sw links should not slow RVR: {} vs {}",
-            big.delay,
-            small.delay
+            big.mean_hops,
+            small.mean_hops
         );
     }
 }

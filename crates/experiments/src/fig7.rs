@@ -6,123 +6,58 @@
 //! correlated ones. Events are drawn rate-weighted, as the rates define
 //! the actual workload.
 
-use crate::report::{Figure, Series};
-use crate::obs::Obs;
-use crate::runner::{measure_obs, synthetic_params, with_rates, PublishPlan};
+use crate::fig4::CORRELATIONS;
+use crate::report::Figure;
+use crate::runner::{plot, sweep, Job, PublishPlan};
 use crate::scale::Scale;
-use rayon::prelude::*;
-use vitis::system::VitisSystem;
-use vitis_baselines::RvrSystem;
+use vitis::topic::RateTable;
+use vitis_baselines::System;
 use vitis_workloads::{powerlaw_rates, Correlation};
 
 /// The α values swept (log-scaled axis in the paper).
 pub const ALPHAS: [f64; 6] = [0.3, 0.5, 1.0, 1.5, 2.0, 3.0];
 
-/// One measured point.
-#[derive(Clone, Copy, Debug)]
-pub struct Point {
-    /// Rate-skew exponent α.
-    pub alpha: f64,
-    /// Traffic overhead in percent.
-    pub overhead: f64,
-    /// Mean propagation delay in hops.
-    pub delay: f64,
-    /// Hit ratio.
-    pub hit_ratio: f64,
+/// One system under rate skew α. RVR is subscription-oblivious, so rates
+/// only change which topics carry its events.
+fn job(scale: &Scale, system: System, corr: Correlation, alpha: f64) -> Job {
+    let mut job = Job::synthetic(scale, system, corr, alpha, &format!("-a{alpha}"));
+    job.params.rates = RateTable::from_rates(powerlaw_rates(scale.topics, alpha, scale.seed));
+    job.plan = PublishPlan::RateWeighted;
+    job
 }
 
-/// Measure Vitis under rate skew α.
-pub fn vitis_point(scale: &Scale, corr: Correlation, alpha: f64) -> Point {
-    let ctx = Obs::global().start("fig7", &format!("vitis-{}-a{alpha}", corr.slug()));
-    let rates = powerlaw_rates(scale.topics, alpha, scale.seed);
-    let params = with_rates(synthetic_params(scale, corr), rates);
-    let mut sys = VitisSystem::new(params);
-    let s = measure_obs(&mut sys, scale, PublishPlan::RateWeighted, ctx);
-    Point {
-        alpha,
-        overhead: s.overhead_pct,
-        delay: s.mean_hops,
-        hit_ratio: s.hit_ratio,
+/// Run the sweep; returns the overhead and delay figures.
+pub fn run(scale: &Scale) -> Vec<Figure> {
+    let mut jobs = Vec::new();
+    for corr in CORRELATIONS {
+        jobs.extend(ALPHAS.map(|a| job(scale, System::Vitis, corr, a)));
     }
-}
+    jobs.extend(ALPHAS.map(|a| job(scale, System::Rvr, Correlation::Random, a)));
+    let points = sweep("fig7", scale, jobs);
 
-/// Measure RVR under rate skew α (subscription-oblivious, so rates only
-/// change which topics carry the events).
-pub fn rvr_point(scale: &Scale, alpha: f64) -> Point {
-    let ctx = Obs::global().start("fig7", &format!("rvr-a{alpha}"));
-    let rates = powerlaw_rates(scale.topics, alpha, scale.seed);
-    let params = with_rates(synthetic_params(scale, Correlation::Random), rates);
-    let mut sys = RvrSystem::new(params);
-    let s = measure_obs(&mut sys, scale, PublishPlan::RateWeighted, ctx);
-    Point {
-        alpha,
-        overhead: s.overhead_pct,
-        delay: s.mean_hops,
-        hit_ratio: s.hit_ratio,
-    }
-}
-
-/// Run the sweep; returns `(overhead figure, delay figure)`.
-pub fn run(scale: &Scale) -> (Figure, Figure) {
-    let corrs = [Correlation::High, Correlation::Low, Correlation::Random];
-    let mut jobs: Vec<(Option<Correlation>, f64)> = Vec::new();
-    for corr in corrs {
-        for a in ALPHAS {
-            jobs.push((Some(corr), a));
-        }
-    }
-    for a in ALPHAS {
-        jobs.push((None, a));
-    }
-    let results: Vec<(Option<Correlation>, Point)> = jobs
-        .par_iter()
-        .map(|&(corr, a)| {
-            let p = match corr {
-                Some(c) => vitis_point(scale, c, a),
-                None => rvr_point(scale, a),
-            };
-            (corr, p)
-        })
-        .collect();
-
-    let mut overhead = Figure::new(
-        "Figure 7(a): traffic overhead vs publication-rate skew alpha",
-        "alpha",
-        "overhead %",
+    let mut overhead = plot(
+        Figure::new(
+            "Figure 7(a): traffic overhead vs publication-rate skew alpha",
+            "alpha",
+            "overhead %",
+        ),
+        &points,
+        |s| s.overhead_pct,
     );
-    let mut delay = Figure::new(
-        "Figure 7(b): propagation delay vs publication-rate skew alpha",
-        "alpha",
-        "hops",
+    let delay = plot(
+        Figure::new(
+            "Figure 7(b): propagation delay vs publication-rate skew alpha",
+            "alpha",
+            "hops",
+        ),
+        &points,
+        |s| s.mean_hops,
     );
-    for corr in corrs {
-        let label = format!("Vitis - {}", corr.label());
-        let pts: Vec<&Point> = results
-            .iter()
-            .filter(|(c, _)| *c == Some(corr))
-            .map(|(_, p)| p)
-            .collect();
-        overhead.push_series(series_of(&label, &pts, |p| p.overhead));
-        delay.push_series(series_of(&label, &pts, |p| p.delay));
-    }
-    let rvr: Vec<&Point> = results
-        .iter()
-        .filter(|(c, _)| c.is_none())
-        .map(|(_, p)| p)
-        .collect();
-    overhead.push_series(series_of("RVR", &rvr, |p| p.overhead));
-    delay.push_series(series_of("RVR", &rvr, |p| p.delay));
     overhead.note(
         "paper: as alpha grows, the random-subscription curve approaches the \
          high-correlation one (rate weighting re-clusters around hot topics)",
     );
-    (overhead, delay)
-}
-
-fn series_of(label: &str, pts: &[&Point], y: impl Fn(&Point) -> f64) -> Series {
-    let mut v: Vec<(f64, f64)> = pts.iter().map(|p| (p.alpha, y(p))).collect();
-    v.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite x"));
-    Series::new(label, v)
+    vec![overhead, delay]
 }
 
 #[cfg(test)]
@@ -135,13 +70,14 @@ mod tests {
         let mut sc = Scale::quick();
         sc.warmup_rounds = 45;
         sc.events = 120;
-        let flat = vitis_point(&sc, Correlation::Random, 0.3);
-        let skewed = vitis_point(&sc, Correlation::Random, 3.0);
+        let jobs = [0.3, 3.0].map(|a| job(&sc, System::Vitis, Correlation::Random, a));
+        let pts = sweep("fig7", &sc, jobs);
+        let (flat, skewed) = (&pts[0].stats, &pts[1].stats);
         assert!(
-            skewed.overhead < flat.overhead + 1.0,
+            skewed.overhead_pct < flat.overhead_pct + 1.0,
             "alpha 3 overhead {} should not exceed alpha 0.3 {}",
-            skewed.overhead,
-            flat.overhead
+            skewed.overhead_pct,
+            flat.overhead_pct
         );
         assert!(flat.hit_ratio > 0.85 && skewed.hit_ratio > 0.85);
     }

@@ -4,13 +4,9 @@
 //! it shows the paper-shape orderings are stable, not seed luck.
 
 use crate::report::Figure;
-use crate::obs::Obs;
-use crate::runner::{measure_obs, synthetic_params, PublishPlan};
+use crate::runner::{sweep, synthetic_params, Job, Point, PublishPlan};
 use crate::scale::Scale;
-use rayon::prelude::*;
-use vitis::monitor::PubSubStats;
-use vitis::system::VitisSystem;
-use vitis_baselines::{OptSystem, RvrSystem};
+use vitis_baselines::System;
 use vitis_sim::metrics::Summary;
 use vitis_workloads::Correlation;
 
@@ -43,14 +39,14 @@ pub struct Cell {
     pub delay: Replicated,
 }
 
-fn aggregate(stats: &[PubSubStats]) -> Cell {
+fn aggregate<'a>(replicas: impl Iterator<Item = &'a Point>) -> Cell {
     let mut hit = Summary::new();
     let mut overhead = Summary::new();
     let mut delay = Summary::new();
-    for s in stats {
-        hit.record(s.hit_ratio);
-        overhead.record(s.overhead_pct);
-        delay.record(s.mean_hops);
+    for p in replicas {
+        hit.record(p.stats.hit_ratio);
+        overhead.record(p.stats.overhead_pct);
+        delay.record(p.stats.mean_hops);
     }
     Cell {
         hit: Replicated::from_summary(&hit),
@@ -59,76 +55,56 @@ fn aggregate(stats: &[PubSubStats]) -> Cell {
     }
 }
 
-/// Which system a cell measures.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Sys {
-    /// Vitis.
-    Vitis,
-    /// RVR baseline.
-    Rvr,
-    /// OPT baseline (degree-bounded).
-    Opt,
-}
-
-/// Run one cell over `replicas` independent seeds.
-pub fn cell(scale: &Scale, sys: Sys, corr: Correlation, replicas: usize) -> Cell {
-    let stats: Vec<PubSubStats> = (0..replicas as u64)
-        .into_par_iter()
+/// The `replicas` jobs of one (system, correlation) cell, one per
+/// independent seed; they share a series, which is also the cell's row
+/// name in the table.
+fn cell_jobs(scale: &Scale, system: System, corr: Correlation, replicas: usize) -> Vec<Job> {
+    (0..replicas as u64)
         .map(|r| {
             let mut sc = *scale;
             sc.seed = scale.seed.wrapping_add(r.wrapping_mul(0x9E37_79B9));
-            let label = match sys {
-                Sys::Vitis => "vitis",
-                Sys::Rvr => "rvr",
-                Sys::Opt => "opt",
-            };
-            let ctx =
-                Obs::global().start("headline", &format!("{label}-{}-r{r}", corr.slug()));
-            let params = synthetic_params(&sc, corr);
-            match sys {
-                Sys::Vitis => {
-                    let mut s = VitisSystem::new(params);
-                    measure_obs(&mut s, &sc, PublishPlan::RoundRobin, ctx)
-                }
-                Sys::Rvr => {
-                    let mut s = RvrSystem::new(params);
-                    measure_obs(&mut s, &sc, PublishPlan::RoundRobin, ctx)
-                }
-                Sys::Opt => {
-                    let mut s = OptSystem::new(params);
-                    measure_obs(&mut s, &sc, PublishPlan::RoundRobin, ctx)
-                }
+            Job {
+                series: format!("{system:?} / {}", corr.label()),
+                x: r as f64,
+                system,
+                params: synthetic_params(&sc, corr),
+                plan: PublishPlan::RoundRobin,
+                label: format!("{}-{}-r{r}", system.name(), corr.slug()),
             }
         })
-        .collect();
-    aggregate(&stats)
+        .collect()
 }
 
 /// Run the replicated headline table.
-pub fn run(scale: &Scale, replicas: usize) -> Figure {
+pub fn run(scale: &Scale, replicas: usize) -> Vec<Figure> {
+    let mut jobs = Vec::new();
+    for corr in [Correlation::High, Correlation::Random] {
+        for system in System::ALL {
+            jobs.extend(cell_jobs(scale, system, corr, replicas));
+        }
+    }
+    let points = sweep("headline", scale, jobs);
+
     let mut fig = Figure::new(
         format!("Headline comparison, {replicas} replicas (mean ± std)"),
         "-",
         "-",
     );
-    for corr in [Correlation::High, Correlation::Random] {
-        for sys in [Sys::Vitis, Sys::Rvr, Sys::Opt] {
-            let c = cell(scale, sys, corr, replicas);
-            fig.note(format!(
-                "{:?} / {}: hit {:.3}±{:.3}  overhead {:.1}±{:.1}%  delay {:.2}±{:.2} hops",
-                sys,
-                corr.label(),
-                c.hit.mean,
-                c.hit.std,
-                c.overhead.mean,
-                c.overhead.std,
-                c.delay.mean,
-                c.delay.std,
-            ));
-        }
+    for cell in points.chunks(replicas.max(1)) {
+        let c = aggregate(cell.iter());
+        fig.note(format!(
+            "{}: hit {:.3}±{:.3}  overhead {:.1}±{:.1}%  delay {:.2}±{:.2} hops",
+            cell[0].series,
+            c.hit.mean,
+            c.hit.std,
+            c.overhead.mean,
+            c.overhead.std,
+            c.delay.mean,
+            c.delay.std,
+        ));
     }
     fig.note("paper shape: Vitis & RVR hit ~1.0, OPT lower; overhead Vitis << RVR, OPT ~0");
-    fig
+    vec![fig]
 }
 
 #[cfg(test)]
@@ -141,8 +117,11 @@ mod tests {
         let mut sc = Scale::proportional(250, 7);
         sc.warmup_rounds = 40;
         sc.events = 80;
-        let v = cell(&sc, Sys::Vitis, Correlation::High, 3);
-        let r = cell(&sc, Sys::Rvr, Correlation::High, 3);
+        let mut jobs = cell_jobs(&sc, System::Vitis, Correlation::High, 3);
+        jobs.extend(cell_jobs(&sc, System::Rvr, Correlation::High, 3));
+        let pts = sweep("headline", &sc, jobs);
+        let v = aggregate(pts[..3].iter());
+        let r = aggregate(pts[3..].iter());
         assert!(v.hit.mean > 0.95);
         assert!(r.hit.mean > 0.95);
         // Separation is larger than the combined noise.

@@ -1,18 +1,7 @@
 //! CLI entry point: regenerate the paper's figures.
 //!
-//! ```text
-//! vitis-experiments [FIGURES] [--nodes N] [--seed S] [--paper | --quick]
-//!                   [--metrics-out FILE] [--trace-out FILE]
-//!                   [--trace-capacity N] [--perf-out FILE]
-//! vitis-experiments analyze TRACE.jsonl [--dot FILE.dot]
-//! vitis-experiments topology [--nodes N] [--seed S] [--system vitis|rvr|opt]
-//!                   [--rounds R] [--every K] [--out FILE] [--dot FILE] [--strict]
-//! vitis-experiments scale [--max-nodes N] [--budget-secs B] [--seed S] [--out BENCH.json]
-//!                   [--perf-out FILE] [--trace-out FILE]
-//!
-//! FIGURES: any of fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12
-//!          ablations, or "all" (default)
-//! ```
+//! `vitis-experiments --help` prints the synopsis of the five
+//! subcommands ([`USAGE`]); the default one regenerates the named figures.
 //!
 //! `--metrics-out` streams one JSONL record per measurement run (phase
 //! timers, final stats with the per-kind traffic split, per-round
@@ -25,168 +14,199 @@
 //! with a flamegraph-compatible `FILE.folded` companion. All schemas are
 //! documented in `docs/METRICS.md`.
 
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::process::ExitCode;
+use std::str::FromStr;
 use vitis_experiments::obs::Obs;
 use vitis_experiments::{
-    ablations, clusters, fig10, fig11, fig12, fig4, fig5, fig6, fig7, fig8_9, headline, Scale,
+    ablations, clusters, fig10, fig11, fig12, fig4, fig5, fig6, fig7, fig8_9, headline, Figure,
+    Scale,
 };
 use vitis_sim::perf;
 
+/// Why a subcommand stopped early.
+enum Stop {
+    /// `--help`: print the usage, exit 0.
+    Help,
+    /// Bad command line: print the message and the usage, exit 2.
+    Usage(String),
+    /// The run itself failed (I/O, a strict audit): print the message,
+    /// exit 1.
+    Failed(String),
+}
+
+/// A file the run could not open or write.
+fn io_failed(verb: &str, path: &str, e: std::io::Error) -> Stop {
+    Stop::Failed(format!("could not {verb} {path}: {e}"))
+}
+
+/// The arguments of one subcommand, read left to right.
+struct Args<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Args<'a> {
+    fn next(&mut self) -> Option<&'a str> {
+        self.0.next().map(String::as_str)
+    }
+
+    /// The value following `flag`, parsed as `T`. A missing or
+    /// unparsable value is a usage error that names the offending token.
+    fn value<T: FromStr>(&mut self, flag: &str) -> Result<T, Stop>
+    where
+        T::Err: std::fmt::Display,
+    {
+        let raw = self
+            .next()
+            .ok_or_else(|| Stop::Usage(format!("{flag} needs a value")))?;
+        raw.parse()
+            .map_err(|e| Stop::Usage(format!("{flag} {raw:?}: {e}")))
+    }
+}
+
+/// The `--nodes / --seed / --paper / --quick` block of every simulating
+/// subcommand.
+struct ScaleOpts {
+    nodes: Option<NonZeroUsize>,
+    seed: u64,
+    preset: fn() -> Scale,
+}
+
+impl ScaleOpts {
+    fn new() -> Self {
+        ScaleOpts {
+            nodes: None,
+            seed: 42,
+            preset: Scale::default_run,
+        }
+    }
+
+    /// Take `flag` if it is one of the scale options; `Ok(false)` leaves
+    /// it to the subcommand.
+    fn accept(&mut self, flag: &str, args: &mut Args) -> Result<bool, Stop> {
+        match flag {
+            "--nodes" => self.nodes = Some(args.value(flag)?),
+            "--seed" => self.seed = args.value(flag)?,
+            "--paper" => self.preset = Scale::paper,
+            "--quick" => self.preset = Scale::quick,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// `--nodes` wins over a preset; `--seed` applies to either.
+    fn scale(&self) -> Scale {
+        let mut scale = match self.nodes {
+            Some(n) => Scale::proportional(n.get(), self.seed),
+            None => (self.preset)(),
+        };
+        scale.seed = self.seed;
+        scale
+    }
+}
+
+/// A figure the default subcommand can regenerate: its name, whether `all`
+/// includes it, and its runner (handed the scale and `--replicas`).
+type FigureEntry = (&'static str, bool, fn(&Scale, usize) -> Vec<Figure>);
+
+/// Every figure, in print order.
+const FIGURES: [FigureEntry; 12] = [
+    ("fig4", true, |s, _| fig4::run(s)),
+    ("fig5", true, |s, _| fig5::run(s)),
+    ("fig6", true, |s, _| fig6::run(s)),
+    ("fig7", true, |s, _| fig7::run(s)),
+    ("fig8", true, |s, _| vec![fig8_9::run_fig8(s)]),
+    ("fig9", true, |s, _| vec![fig8_9::run_fig9(s).0]),
+    ("fig10", true, |s, _| fig10::run(s)),
+    ("fig11", true, |s, _| vec![fig11::run(s)]),
+    ("fig12", true, |s, _| fig12::run(s)),
+    ("headline", false, headline::run),
+    ("clusters", true, |s, _| vec![clusters::run(s)]),
+    ("ablations", true, |s, _| ablations::run(s)),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("analyze") {
-        return run_analyze(&args[1..]);
+    let result = match args.first().map(String::as_str) {
+        Some("analyze") => run_analyze(Args(args[1..].iter())),
+        Some("resilience") => run_resilience(Args(args[1..].iter())),
+        Some("scale") => run_scale(Args(args[1..].iter())),
+        Some("topology") => run_topology(Args(args[1..].iter())),
+        _ => run_figures(Args(args.iter())),
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(Stop::Help) => {
+            eprintln!("{USAGE}");
+            ExitCode::SUCCESS
+        }
+        Err(Stop::Usage(msg)) => {
+            eprintln!("error: {msg}\n\n{USAGE}");
+            ExitCode::from(2)
+        }
+        Err(Stop::Failed(msg)) => {
+            eprintln!("error: {msg}");
+            ExitCode::from(1)
+        }
     }
-    if args.first().map(String::as_str) == Some("resilience") {
-        return run_resilience(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("scale") {
-        return run_scale(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("topology") {
-        return run_topology(&args[1..]);
-    }
-    let mut figures: Vec<String> = Vec::new();
-    let mut nodes: Option<usize> = None;
-    let mut seed: u64 = 42;
-    let mut replicas: usize = 5;
-    let mut preset: Option<&str> = None;
+}
+
+/// The default subcommand: regenerate the named figures.
+fn run_figures(mut args: Args) -> Result<(), Stop> {
+    let mut named: Vec<&str> = Vec::new();
+    let mut all = false;
+    let mut scale = ScaleOpts::new();
+    let mut replicas = NonZeroUsize::new(5).expect("nonzero");
     let mut metrics_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut perf_out: Option<String> = None;
-
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--nodes" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => nodes = Some(n),
-                None => return usage("--nodes needs an integer"),
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(s) => seed = s,
-                None => return usage("--seed needs an integer"),
-            },
-            "--replicas" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(r) => replicas = r,
-                None => return usage("--replicas needs an integer"),
-            },
-            "--metrics-out" => match it.next() {
-                Some(p) => metrics_out = Some(p.clone()),
-                None => return usage("--metrics-out needs a file path"),
-            },
-            "--trace-out" => match it.next() {
-                Some(p) => trace_out = Some(p.clone()),
-                None => return usage("--trace-out needs a file path"),
-            },
-            "--perf-out" => match it.next() {
-                Some(p) => perf_out = Some(p.clone()),
-                None => return usage("--perf-out needs a file path"),
-            },
-            "--trace-capacity" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => Obs::global().set_trace_capacity(n),
-                _ => return usage("--trace-capacity needs a positive integer"),
-            },
-            "--paper" => preset = Some("paper"),
-            "--quick" => preset = Some("quick"),
-            "--help" | "-h" => return usage(""),
-            f if f.starts_with("fig")
-                || f == "all"
-                || f == "ablations"
-                || f == "clusters"
-                || f == "headline" =>
-            {
-                figures.push(f.to_string())
+    while let Some(a) = args.next() {
+        match a {
+            "--replicas" => replicas = args.value(a)?,
+            "--metrics-out" => metrics_out = Some(args.value(a)?),
+            "--trace-out" => trace_out = Some(args.value(a)?),
+            "--perf-out" => perf_out = Some(args.value(a)?),
+            "--trace-capacity" => {
+                Obs::global().set_trace_capacity(args.value::<NonZeroUsize>(a)?.get())
             }
-            other => return usage(&format!("unknown argument: {other}")),
+            "--help" | "-h" => return Err(Stop::Help),
+            _ if scale.accept(a, &mut args)? => {}
+            "all" => all = true,
+            _ if FIGURES.iter().any(|(name, ..)| *name == a) => named.push(a),
+            other => return Err(Stop::Usage(format!("unknown argument: {other}"))),
         }
     }
-    if figures.is_empty() {
-        figures.push("all".to_string());
-    }
-    Obs::global().enable(metrics_out.is_some(), trace_out.is_some());
-    if let Some(path) = &metrics_out {
-        if let Err(e) = Obs::global().set_metrics_file(path) {
-            eprintln!("error: could not open {path}: {e}");
-            return ExitCode::from(1);
-        }
-    }
-    if let Some(path) = &trace_out {
-        if let Err(e) = Obs::global().set_trace_file(path) {
-            eprintln!("error: could not open {path}: {e}");
-            return ExitCode::from(1);
-        }
-    }
+    open_sinks(metrics_out.as_deref(), trace_out.as_deref())?;
     perf::set_enabled(perf_out.is_some());
 
-    let mut scale = match preset {
-        Some("paper") => Scale::paper(),
-        Some("quick") => Scale::quick(),
-        _ => Scale::default_run(),
-    };
-    if let Some(n) = nodes {
-        scale = Scale::proportional(n, seed);
-    }
-    scale.seed = seed;
-
+    let scale = scale.scale();
     println!(
         "# Vitis reproduction — scale: {} nodes, {} topics, {} subs/node, seed {}\n",
         scale.nodes, scale.topics, scale.subs_per_node, scale.seed
     );
-
-    let want = |name: &str| figures.iter().any(|f| f == name || f == "all");
-
-    if want("fig4") {
-        let (a, b) = fig4::run(&scale);
-        print!("{}\n{}\n", a.render(), b.render());
-    }
-    if want("fig5") {
-        println!("{}", fig5::run(&scale).render());
-    }
-    if want("fig6") {
-        let (a, b) = fig6::run(&scale);
-        print!("{}\n{}\n", a.render(), b.render());
-    }
-    if want("fig7") {
-        let (a, b) = fig7::run(&scale);
-        print!("{}\n{}\n", a.render(), b.render());
-    }
-    if want("fig8") {
-        println!("{}", fig8_9::run_fig8(&scale).render());
-    }
-    if want("fig9") {
-        let (f, _, _) = fig8_9::run_fig9(&scale);
-        println!("{}", f.render());
-    }
-    if want("fig10") {
-        let (a, b, c) = fig10::run(&scale);
-        print!("{}\n{}\n{}\n", a.render(), b.render(), c.render());
-    }
-    if want("fig11") {
-        println!("{}", fig11::run(&scale).render());
-    }
-    if want("fig12") {
-        let (a, b, c) = fig12::run(&scale);
-        print!("{}\n{}\n{}\n", a.render(), b.render(), c.render());
-    }
-    if figures.iter().any(|f| f == "headline") {
-        println!("{}", headline::run(&scale, replicas).render());
-    }
-    if want("clusters") {
-        println!("{}", clusters::run(&scale).render());
-    }
-    if want("ablations") {
-        println!("{}", ablations::gateway_election(&scale).render());
-        println!("{}", ablations::utility_selection(&scale).render());
-        println!("{}", ablations::sw_links(&scale).render());
-    }
-    report_sinks();
-    if let Some(path) = &perf_out {
-        if let Err(e) = write_perf_report(path) {
-            eprintln!("error: could not write {path}: {e}");
-            return ExitCode::from(1);
+    let all = all || named.is_empty();
+    for (name, in_all, run) in FIGURES {
+        if named.contains(&name) || (all && in_all) {
+            for fig in run(&scale, replicas.get()) {
+                println!("{}", fig.render());
+            }
         }
     }
-    ExitCode::SUCCESS
+    report_sinks();
+    perf_out.map_or(Ok(()), |path| write_perf_report(&path))
+}
+
+/// Open the `--metrics-out` / `--trace-out` sinks that were asked for.
+fn open_sinks(metrics_out: Option<&str>, trace_out: Option<&str>) -> Result<(), Stop> {
+    if let Some(path) = metrics_out {
+        Obs::global()
+            .set_metrics_file(path)
+            .map_err(|e| io_failed("open", path, e))?;
+    }
+    if let Some(path) = trace_out {
+        Obs::global()
+            .set_trace_file(path)
+            .map_err(|e| io_failed("open", path, e))?;
+    }
+    Ok(())
 }
 
 /// Report how many records each file-streaming sink wrote (they are
@@ -215,21 +235,24 @@ fn report_sinks() {
 /// Write the span profiler's aggregate and the memory accounting snapshot
 /// as JSONL to `path`, plus a flamegraph-compatible folded-stack
 /// companion at `path.folded` (`flamegraph.pl FILE.folded > out.svg`).
-fn write_perf_report(path: &str) -> std::io::Result<()> {
+fn write_perf_report(path: &str) -> Result<(), Stop> {
     use std::io::Write;
     let spans = perf::take_spans();
-    let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-    for (p, s) in &spans {
-        writeln!(w, "{}", perf::span_jsonl_line(p, s))?;
-    }
-    writeln!(w, "{}", perf::mem_jsonl_line(&perf::mem_snapshot()))?;
-    w.flush()?;
     let folded_path = format!("{path}.folded");
-    let mut fw = std::io::BufWriter::new(std::fs::File::create(&folded_path)?);
-    for (p, s) in &spans {
-        writeln!(fw, "{}", perf::folded_line(p, s))?;
-    }
-    fw.flush()?;
+    let write = || -> std::io::Result<()> {
+        let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
+        for (p, s) in &spans {
+            writeln!(w, "{}", perf::span_jsonl_line(p, s))?;
+        }
+        writeln!(w, "{}", perf::mem_jsonl_line(&perf::mem_snapshot()))?;
+        w.flush()?;
+        let mut fw = std::io::BufWriter::new(std::fs::File::create(&folded_path)?);
+        for (p, s) in &spans {
+            writeln!(fw, "{}", perf::folded_line(p, s))?;
+        }
+        fw.flush()
+    };
+    write().map_err(|e| io_failed("write", path, e))?;
     eprintln!(
         "wrote {} span aggregates to {path} (folded stacks: {folded_path})",
         spans.len()
@@ -241,7 +264,7 @@ fn write_perf_report(path: &str) -> std::io::Result<()> {
 /// systems and write the results as a BENCH file (see `docs/METRICS.md`
 /// §9). Build with `--features perf-alloc` to include real allocator
 /// peak-memory entries.
-fn run_scale(args: &[String]) -> ExitCode {
+fn run_scale(mut args: Args) -> Result<(), Stop> {
     use vitis_experiments::scalebench;
     let mut max_nodes = scalebench::DEFAULT_MAX_NODES;
     let mut seed: u64 = 42;
@@ -249,49 +272,25 @@ fn run_scale(args: &[String]) -> ExitCode {
     let mut perf_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut budget_secs: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--max-nodes" | "--max-n" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => max_nodes = n,
-                None => return usage("--max-nodes needs an integer"),
-            },
-            "--budget-secs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(b) => budget_secs = Some(b),
-                None => return usage("--budget-secs needs an integer"),
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(s) => seed = s,
-                None => return usage("--seed needs an integer"),
-            },
-            "--out" => match it.next() {
-                Some(p) => out = p.clone(),
-                None => return usage("--out needs a file path"),
-            },
-            "--perf-out" => match it.next() {
-                Some(p) => perf_out = Some(p.clone()),
-                None => return usage("--perf-out needs a file path"),
-            },
-            "--trace-out" => match it.next() {
-                Some(p) => trace_out = Some(p.clone()),
-                None => return usage("--trace-out needs a file path"),
-            },
-            "--help" | "-h" => return usage(""),
-            other => return usage(&format!("unexpected argument: {other}")),
+    while let Some(a) = args.next() {
+        match a {
+            "--max-nodes" => max_nodes = args.value(a)?,
+            "--budget-secs" => budget_secs = Some(args.value(a)?),
+            "--seed" => seed = args.value(a)?,
+            "--out" => out = args.value(a)?,
+            "--perf-out" => perf_out = Some(args.value(a)?),
+            "--trace-out" => trace_out = Some(args.value(a)?),
+            "--help" | "-h" => return Err(Stop::Help),
+            other => return Err(Stop::Usage(format!("unexpected argument: {other}"))),
         }
     }
     perf::set_enabled(perf_out.is_some());
     let mut trace_w = match &trace_out {
-        Some(path) => match std::fs::File::create(path) {
-            Ok(f) => Some(std::io::BufWriter::new(f)),
-            Err(e) => {
-                eprintln!("error: could not open {path}: {e}");
-                return ExitCode::from(1);
-            }
-        },
+        Some(path) => Some(std::io::BufWriter::new(
+            std::fs::File::create(path).map_err(|e| io_failed("open", path, e))?,
+        )),
         None => None,
     };
-    let streaming = trace_w.is_some();
     println!(
         "# Vitis scale sweep — up to {max_nodes} nodes, seed {seed}, allocator accounting {}",
         if perf::mem_snapshot().counting {
@@ -300,111 +299,54 @@ fn run_scale(args: &[String]) -> ExitCode {
             "off (build with --features perf-alloc)"
         }
     );
-
-    // Each point gets a fresh shared trace; its events stream to the
-    // trace file the moment the point completes (Trace::write_jsonl), so
-    // nothing is double-buffered and an aborted sweep keeps every
-    // finished point's events.
-    let pending: std::cell::RefCell<Option<vitis_sim::trace::TraceHandle>> =
-        std::cell::RefCell::new(None);
-    let mut make_trace = |_sys: &'static str, _nodes: usize| {
-        let h = vitis_sim::trace::Trace::shared(Obs::global().trace_capacity());
-        *pending.borrow_mut() = Some(h.clone());
-        h
-    };
     let entries = scalebench::run_sweep(
         max_nodes,
         seed,
         budget_secs,
-        streaming.then_some(&mut make_trace as &mut dyn FnMut(&'static str, usize) -> _),
+        trace_w.as_mut().map(|w| w as &mut dyn std::io::Write),
         |point| {
             println!(
                 "{}/{}: build {:.0} ms, warmup {:.0} ms, measure {:.0} ms, drain {:.0} ms, \
                  {:.0} deliveries/s",
                 point.system,
                 point.nodes,
-                point.build_ms,
-                point.warmup_ms,
-                point.measure_ms,
-                point.drain_ms,
+                point.ms.build,
+                point.ms.warmup,
+                point.ms.measure,
+                point.ms.drain,
                 point.deliveries_per_sec
             );
-            if let (Some(w), Some(h)) = (trace_w.as_mut(), pending.borrow_mut().take()) {
-                if let Err(e) = h.borrow().write_jsonl(w) {
-                    eprintln!("warning: trace stream failed: {e}");
-                }
-            }
         },
     );
     if let Some(mut w) = trace_w {
-        use std::io::Write;
-        if let Err(e) = w.flush() {
+        if let Err(e) = std::io::Write::flush(&mut w) {
             eprintln!("warning: trace stream flush failed: {e}");
         }
     }
     let text = vitis_experiments::benchfmt::render(&entries);
-    if let Err(e) = std::fs::write(&out, text) {
-        eprintln!("error: could not write {out}: {e}");
-        return ExitCode::from(1);
-    }
+    std::fs::write(&out, text).map_err(|e| io_failed("write", &out, e))?;
     eprintln!("wrote {} BENCH entries to {out}", entries.len());
-    if let Some(path) = &perf_out {
-        if let Err(e) = write_perf_report(path) {
-            eprintln!("error: could not write {path}: {e}");
-            return ExitCode::from(1);
-        }
-    }
-    ExitCode::SUCCESS
+    perf_out.map_or(Ok(()), |path| write_perf_report(&path))
 }
 
 /// The `resilience` subcommand: sweep partition-episode severity across
 /// the three systems and print the hit-ratio and reconvergence curves.
 /// Fully deterministic for a fixed `--nodes`/`--seed` pair.
-fn run_resilience(args: &[String]) -> ExitCode {
-    let mut nodes: Option<usize> = None;
-    let mut seed: u64 = 42;
-    let mut preset: Option<&str> = None;
+fn run_resilience(mut args: Args) -> Result<(), Stop> {
+    let mut scale = ScaleOpts::new();
     let mut metrics_out: Option<String> = None;
     let mut repair = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--nodes" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => nodes = Some(n),
-                None => return usage("--nodes needs an integer"),
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(s) => seed = s,
-                None => return usage("--seed needs an integer"),
-            },
-            "--metrics-out" => match it.next() {
-                Some(p) => metrics_out = Some(p.clone()),
-                None => return usage("--metrics-out needs a file path"),
-            },
-            "--paper" => preset = Some("paper"),
-            "--quick" => preset = Some("quick"),
+    while let Some(a) = args.next() {
+        match a {
+            "--metrics-out" => metrics_out = Some(args.value(a)?),
             "--repair" => repair = true,
-            "--no-repair" => repair = false,
-            "--help" | "-h" => return usage(""),
-            other => return usage(&format!("unexpected argument: {other}")),
+            "--help" | "-h" => return Err(Stop::Help),
+            _ if scale.accept(a, &mut args)? => {}
+            other => return Err(Stop::Usage(format!("unexpected argument: {other}"))),
         }
     }
-    Obs::global().enable(metrics_out.is_some(), false);
-    if let Some(path) = &metrics_out {
-        if let Err(e) = Obs::global().set_metrics_file(path) {
-            eprintln!("error: could not open {path}: {e}");
-            return ExitCode::from(1);
-        }
-    }
-    let mut scale = match preset {
-        Some("paper") => Scale::paper(),
-        Some("quick") => Scale::quick(),
-        _ => Scale::default_run(),
-    };
-    if let Some(n) = nodes {
-        scale = Scale::proportional(n, seed);
-    }
-    scale.seed = seed;
+    open_sinks(metrics_out.as_deref(), None)?;
+    let scale = scale.scale();
     println!(
         "# Vitis resilience sweep — scale: {} nodes, {} topics, {} subs/node, seed {}{}\n",
         scale.nodes,
@@ -421,7 +363,7 @@ fn run_resilience(args: &[String]) -> ExitCode {
         println!("{}", fig.render());
     }
     report_sinks();
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// The `topology` subcommand: sample overlay structural health over a
@@ -429,65 +371,30 @@ fn run_resilience(args: &[String]) -> ExitCode {
 /// the series as topology JSONL plus an optional Graphviz DOT of the
 /// final overlay. `--strict` exits nonzero on any invariant violation
 /// (the CI gate).
-fn run_topology(args: &[String]) -> ExitCode {
-    use vitis_experiments::topology::{self, SystemKind, TopologyOpts};
-    let mut nodes: Option<usize> = None;
-    let mut seed: u64 = 42;
-    let mut preset: Option<&str> = None;
+fn run_topology(mut args: Args) -> Result<(), Stop> {
+    use vitis_experiments::topology::{self, TopologyOpts};
+    let mut scale = ScaleOpts::new();
     let mut opts = TopologyOpts::default();
     let mut out: Option<String> = None;
     let mut dot: Option<String> = None;
     let mut strict = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--nodes" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => nodes = Some(n),
-                None => return usage("--nodes needs an integer"),
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(s) => seed = s,
-                None => return usage("--seed needs an integer"),
-            },
-            "--system" => match it.next().and_then(|v| SystemKind::parse(v)) {
-                Some(s) => opts.system = s,
-                None => return usage("--system needs one of: vitis rvr opt"),
-            },
-            "--rounds" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(r) => opts.rounds = r,
-                None => return usage("--rounds needs an integer"),
-            },
-            "--every" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(k) if k > 0 => opts.every = k,
-                _ => return usage("--every needs a positive integer"),
-            },
-            "--out" => match it.next() {
-                Some(p) => out = Some(p.clone()),
-                None => return usage("--out needs a file path"),
-            },
-            "--dot" => match it.next() {
-                Some(p) => dot = Some(p.clone()),
-                None => return usage("--dot needs a file path"),
-            },
+    while let Some(a) = args.next() {
+        match a {
+            "--system" => opts.system = args.value(a)?,
+            "--rounds" => opts.rounds = args.value(a)?,
+            "--every" => opts.every = args.value::<NonZeroU64>(a)?.get(),
+            "--out" => out = Some(args.value(a)?),
+            "--dot" => dot = Some(args.value(a)?),
             "--strict" => strict = true,
-            "--paper" => preset = Some("paper"),
-            "--quick" => preset = Some("quick"),
-            "--help" | "-h" => return usage(""),
-            other => return usage(&format!("unexpected argument: {other}")),
+            "--help" | "-h" => return Err(Stop::Help),
+            _ if scale.accept(a, &mut args)? => {}
+            other => return Err(Stop::Usage(format!("unexpected argument: {other}"))),
         }
     }
-    let mut scale = match preset {
-        Some("paper") => Scale::paper(),
-        Some("quick") => Scale::quick(),
-        _ => Scale::default_run(),
-    };
-    if let Some(n) = nodes {
-        scale = Scale::proportional(n, seed);
-    }
-    scale.seed = seed;
+    let scale = scale.scale();
     println!(
         "# Vitis topology telemetry — {} @ {} nodes, seed {}, {} rounds sampled every {}\n",
-        opts.system.as_str(),
+        opts.system.name(),
         scale.nodes,
         scale.seed,
         opts.rounds,
@@ -500,99 +407,70 @@ fn run_topology(args: &[String]) -> ExitCode {
             text.push_str(line);
             text.push('\n');
         }
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("error: could not write {path}: {e}");
-            return ExitCode::from(1);
-        }
+        std::fs::write(path, text).map_err(|e| io_failed("write", path, e))?;
         eprintln!("wrote {} topology records to {path}", run.jsonl.len());
     }
     if let Some(path) = &dot {
-        if let Err(e) = std::fs::write(path, &run.dot) {
-            eprintln!("error: could not write {path}: {e}");
-            return ExitCode::from(1);
-        }
+        std::fs::write(path, &run.dot).map_err(|e| io_failed("write", path, e))?;
         eprintln!("wrote overlay graph to {path}");
     }
     print!("{}", run.summary);
     if strict && !run.violations.is_empty() {
-        eprintln!(
-            "error: --strict and the final audit found {} violation(s)",
+        return Err(Stop::Failed(format!(
+            "--strict and the final audit found {} violation(s)",
             run.violations.len()
-        );
-        return ExitCode::from(1);
+        )));
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// The `analyze` subcommand: offline delivery forensics over a
 /// `--trace-out` dump (report to stdout, optional Graphviz export).
-fn run_analyze(args: &[String]) -> ExitCode {
-    let mut path: Option<&String> = None;
-    let mut dot: Option<&String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--dot" => match it.next() {
-                Some(p) => dot = Some(p),
-                None => return usage("--dot needs a file path"),
-            },
-            "--help" | "-h" => return usage(""),
+fn run_analyze(mut args: Args) -> Result<(), Stop> {
+    let mut path: Option<&str> = None;
+    let mut dot: Option<String> = None;
+    while let Some(a) = args.next() {
+        match a {
+            "--dot" => dot = Some(args.value(a)?),
+            "--help" | "-h" => return Err(Stop::Help),
             _ if path.is_none() && !a.starts_with('-') => path = Some(a),
-            other => return usage(&format!("unexpected argument: {other}")),
+            other => return Err(Stop::Usage(format!("unexpected argument: {other}"))),
         }
     }
-    let Some(path) = path else {
-        return usage("analyze needs a trace file (from --trace-out)");
-    };
-    match vitis_experiments::analyze::run_file(path, dot.map(String::as_str)) {
-        Ok(report) => {
-            print!("{report}");
-            if let Some(d) = dot {
-                eprintln!("wrote dissemination trees to {d}");
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(1)
-        }
+    let path = path
+        .ok_or_else(|| Stop::Usage("analyze needs a trace file (from --trace-out)".to_string()))?;
+    let report = vitis_experiments::analyze::run_file(path, dot.as_deref())
+        .map_err(|e| Stop::Failed(e.to_string()))?;
+    print!("{report}");
+    if let Some(d) = dot {
+        eprintln!("wrote dissemination trees to {d}");
     }
+    Ok(())
 }
 
-fn usage(err: &str) -> ExitCode {
-    if !err.is_empty() {
-        eprintln!("error: {err}\n");
-    }
-    eprintln!(
-        "usage: vitis-experiments [fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 clusters headline ablations | all]\n\
-         \t[--nodes N] [--seed S] [--replicas R] [--paper | --quick]\n\
-         \t[--metrics-out FILE.jsonl] [--trace-out FILE.jsonl] [--trace-capacity N]\n\
-         \t[--perf-out FILE.jsonl] (span profiler + memory accounting; also writes FILE.jsonl.folded)\n\
-         \t(schema: docs/METRICS.md)\n\
-         \n\
-         \tvitis-experiments analyze TRACE.jsonl [--dot FILE.dot]\n\
-         \t(delivery forensics: per-event trees, hop/latency percentiles, loss attribution)\n\
-         \n\
-         \tvitis-experiments resilience [--nodes N] [--seed S] [--quick | --paper] [--metrics-out FILE.jsonl]\n\
-         \t\t[--repair | --no-repair]\n\
-         \t(partition-severity sweep: hit ratio during the episode + reconvergence time after heal;\n\
-         \t --repair runs every point twice at identical seeds — anti-entropy off and on — and adds\n\
-         \t the repair cost/effect figure)\n\
-         \n\
-         \tvitis-experiments topology [--nodes N] [--seed S] [--system vitis|rvr|opt]\n\
-         \t\t[--rounds R] [--every K] [--out TOPO.jsonl] [--dot FILE.dot] [--strict]\n\
-         \t(overlay structural-health series + invariant audit; topo schema in docs/METRICS.md §10;\n\
-         \t --strict exits nonzero on any audit violation)\n\
-         \n\
-         \tvitis-experiments scale [--max-nodes N] [--budget-secs B] [--seed S] [--out BENCH.json]\n\
-         \t\t[--perf-out FILE.jsonl] [--trace-out FILE.jsonl]\n\
-         \t(node-count ladder 2k..100k across vitis/rvr/opt; BENCH schema in docs/METRICS.md §9.\n\
-         \t build with --features perf-alloc for allocator peak-memory entries;\n\
-         \t compare two BENCH files with the bench-diff binary)"
-    );
-    if err.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(2)
-    }
-}
+const USAGE: &str = "\
+usage: vitis-experiments [fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 clusters headline ablations | all]
+\t[--nodes N] [--seed S] [--replicas R] [--paper | --quick]
+\t[--metrics-out FILE.jsonl] [--trace-out FILE.jsonl] [--trace-capacity N]
+\t[--perf-out FILE.jsonl] (span profiler + memory accounting; also writes FILE.jsonl.folded)
+\t(schema: docs/METRICS.md)
+
+\tvitis-experiments analyze TRACE.jsonl [--dot FILE.dot]
+\t(delivery forensics: per-event trees, hop/latency percentiles, loss attribution)
+
+\tvitis-experiments resilience [--nodes N] [--seed S] [--quick | --paper] [--metrics-out FILE.jsonl]
+\t\t[--repair]
+\t(partition-severity sweep: hit ratio during the episode + reconvergence time after heal;
+\t --repair runs every point twice at identical seeds — anti-entropy off and on — and adds
+\t the repair cost/effect figure)
+
+\tvitis-experiments topology [--nodes N] [--seed S] [--system vitis|rvr|opt]
+\t\t[--rounds R] [--every K] [--out TOPO.jsonl] [--dot FILE.dot] [--strict]
+\t(overlay structural-health series + invariant audit; topo schema in docs/METRICS.md §10;
+\t --strict exits nonzero on any audit violation)
+
+\tvitis-experiments scale [--max-nodes N] [--budget-secs B] [--seed S] [--out BENCH.json]
+\t\t[--perf-out FILE.jsonl] [--trace-out FILE.jsonl]
+\t(node-count ladder 2k..100k across vitis/rvr/opt; BENCH schema in docs/METRICS.md §9.
+\t build with --features perf-alloc for allocator peak-memory entries;
+\t compare two BENCH files with the bench-diff binary)";

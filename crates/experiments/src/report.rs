@@ -136,37 +136,6 @@ impl Figure {
     }
 }
 
-impl Figure {
-    /// Render as CSV: header `x,<series...>`, one row per x value, empty
-    /// cells for missing points, notes as trailing `#` comment lines.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let header: Vec<String> = std::iter::once("x".to_string())
-            .chain(self.series.iter().map(|s| csv_escape(&s.label)))
-            .collect();
-        let _ = writeln!(out, "{}", header.join(","));
-        for x in self.x_values() {
-            let mut row = vec![trim_float(x)];
-            for s in &self.series {
-                row.push(s.y_at(x).map(|y| format!("{y}")).unwrap_or_default());
-            }
-            let _ = writeln!(out, "{}", row.join(","));
-        }
-        for n in &self.notes {
-            let _ = writeln!(out, "# {n}");
-        }
-        out
-    }
-}
-
-fn csv_escape(s: &str) -> String {
-    if s.contains([',', '"', '\n']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
 fn trim_float(x: f64) -> String {
     if (x - x.round()).abs() < 1e-9 {
         format!("{}", x.round() as i64)
@@ -215,23 +184,5 @@ mod tests {
     fn trim_float_formats() {
         assert_eq!(trim_float(3.0), "3");
         assert_eq!(trim_float(0.25), "0.25");
-    }
-
-    #[test]
-    fn csv_has_header_rows_and_notes() {
-        let csv = fig().to_csv();
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some("x,a,b"));
-        assert_eq!(lines.next(), Some("0,1,"));
-        assert_eq!(lines.next(), Some("1,2,5"));
-        assert_eq!(lines.next(), Some("2,,6.5"));
-        assert_eq!(lines.next(), Some("# hello"));
-    }
-
-    #[test]
-    fn csv_escapes_labels() {
-        assert_eq!(csv_escape("plain"), "plain");
-        assert_eq!(csv_escape("a,b"), "\"a,b\"");
-        assert_eq!(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
     }
 }

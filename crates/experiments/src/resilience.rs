@@ -13,15 +13,14 @@
 
 use crate::obs::Obs;
 use crate::report::{Figure, Series};
-use crate::runner::synthetic_params;
+use crate::runner::{par_indexed, synthetic_params};
 use crate::scale::Scale;
-use rayon::prelude::*;
 use vitis::monitor::{LossReason, PubSubStats, ReconvergenceTracker};
 use vitis::runtime::TOPO_SAMPLE_TOPICS;
-use vitis::system::{PubSub, SystemParams, VitisSystem};
+use vitis::system::{PubSub, SystemParams};
 use vitis::topic::TopicId;
 use vitis::topo::{probe, TopoProbe};
-use vitis_baselines::{OptSystem, RvrSystem};
+use vitis_baselines::System;
 use vitis_sim::antientropy::AeConfig;
 use vitis_sim::fault::{FaultEpisode, FaultPlan, Span};
 use vitis_sim::time::SimTime;
@@ -278,15 +277,16 @@ pub fn run_system(
     }
 }
 
-/// Construct the named system over `params` and run the timeline. With
-/// `repair` on, every node runs the anti-entropy layer at its default
-/// (enabled) configuration.
+/// Construct `system` and run the timeline as point `index` of the
+/// sweep. With `repair` on, every node runs the anti-entropy layer at its
+/// default (enabled) configuration.
 pub fn run_point(
-    system: &str,
+    system: System,
     plan: &ResiliencePlan,
     scale: &Scale,
     severity: f64,
     repair: bool,
+    index: usize,
 ) -> ResilienceOutcome {
     let mut params: SystemParams = synthetic_params(scale, Correlation::Low);
     let period = params.round_period.ticks();
@@ -295,20 +295,17 @@ pub fn run_point(
         params.repair = AeConfig::on();
     }
     let tag = if repair { "+ae" } else { "" };
-    let mut ctx = Obs::global().start("resilience", &format!("{system}{tag}-s{severity}"));
-    let mut sys: Box<dyn PubSub> = match system {
-        "vitis" => {
-            // Hardening on: retries re-flood unacknowledged publishes
-            // after the heal, failover re-elects around silent gateways,
-            // and the TTL stops partition-trapped traffic.
-            params.cfg.publish_retries = 2;
-            params.cfg.gateway_failover = true;
-            params.cfg.max_event_hops = 64;
-            Box::new(VitisSystem::new(params))
-        }
-        "rvr" => Box::new(RvrSystem::new(params)),
-        _ => Box::new(OptSystem::new(params)),
-    };
+    let label = format!("{}{tag}-s{severity}", system.name());
+    let mut ctx = Obs::global().start("resilience", &label, index);
+    if system == System::Vitis {
+        // Hardening on: retries re-flood unacknowledged publishes after
+        // the heal, failover re-elects around silent gateways, and the
+        // TTL stops partition-trapped traffic.
+        params.cfg.publish_retries = 2;
+        params.cfg.gateway_failover = true;
+        params.cfg.max_event_hops = 64;
+    }
+    let mut sys = system.build(params);
     ctx.phase("build");
     let mut topo = TopoTrack::new(Obs::global().metrics_on(), period);
     let outcome = run_system(sys.as_mut(), plan, scale, severity, period, &mut topo);
@@ -331,16 +328,14 @@ pub fn run_point(
         Obs::global().push_metrics_lines(std::iter::once(crate::obs::stamp_run(
             &ctx.run,
             &event_to_json(&TraceEvent::Reconv {
-                system: system.to_string().into(),
+                system: system.name().into(),
                 severity_pct: (100.0 * severity).round() as u32,
                 repair,
                 rounds: outcome.recovery_rounds.map(|r| r.round() as u64),
             }),
         )));
     }
-    let stats = sys.stats();
-    ctx.record_perf(sys.perf_counters(), sys.footprint_estimate());
-    ctx.finish(scale, &stats);
+    ctx.finish(scale, &*sys);
     outcome
 }
 
@@ -352,18 +347,16 @@ pub fn run_point(
 pub fn run(scale: &Scale, repair: bool) -> Vec<Figure> {
     let plan = ResiliencePlan::for_scale(scale);
     let modes: &[bool] = if repair { &[false, true] } else { &[false] };
-    let points: Vec<(&str, f64, bool)> = ["vitis", "rvr", "opt"]
-        .iter()
-        .flat_map(|&s| {
-            plan.severities
-                .iter()
-                .flat_map(move |&sev| modes.iter().map(move |&ae| (s, sev, ae)))
-        })
-        .collect();
-    let outcomes: Vec<(&str, bool, ResilienceOutcome)> = points
-        .par_iter()
-        .map(|&(system, sev, ae)| (system, ae, run_point(system, &plan, scale, sev, ae)))
-        .collect();
+    // One curve per (system, mode), its severities adjacent.
+    let severities = &plan.severities;
+    let points = System::ALL.iter().flat_map(|&s| {
+        modes
+            .iter()
+            .flat_map(move |&ae| severities.iter().map(move |&sev| (s, ae, sev)))
+    });
+    let outcomes = par_indexed(points, |index, (system, ae, sev)| {
+        (system, ae, run_point(system, &plan, scale, sev, ae, index))
+    });
 
     let mut hit = Figure::new(
         "Resilience: hit ratio during a partition episode",
@@ -380,68 +373,56 @@ pub fn run(scale: &Scale, repair: bool) -> Vec<Figure> {
         "% of nodes isolated",
         "messages / deliveries per run",
     );
-    for name in ["vitis", "rvr", "opt"] {
-        for &ae in modes {
-            let label = match (name, ae) {
-                ("vitis", false) => "Vitis",
-                ("vitis", true) => "Vitis+AE",
-                ("rvr", false) => "RVR",
-                ("rvr", true) => "RVR+AE",
-                (_, false) => "OPT",
-                _ => "OPT+AE",
-            };
-            let mine: Vec<&ResilienceOutcome> = outcomes
-                .iter()
-                .filter(|(s, m, _)| *s == name && *m == ae)
-                .map(|(_, _, o)| o)
-                .collect();
-            hit.push_series(Series::new(
-                label,
-                mine.iter()
-                    .map(|o| (100.0 * o.severity, 100.0 * o.episode_hit))
-                    .collect(),
-            ));
-            // Only the points that actually reconverged are plotted; runs
-            // that never re-entered the band get an explicit note instead
-            // of a sentinel value.
-            rec.push_series(Series::new(
-                label,
-                mine.iter()
-                    .filter_map(|o| o.recovery_rounds.map(|r| (100.0 * o.severity, r)))
-                    .collect(),
-            ));
-            for o in &mine {
-                if o.recovery_rounds.is_none() {
-                    rec.note(format!(
-                        "unrecovered: {label} at {:.0}% isolated never re-entered the band \
-                         within {} post-heal windows",
-                        100.0 * o.severity,
-                        plan.recovery_windows
-                    ));
-                }
+    for curve in outcomes.chunks(severities.len().max(1)) {
+        let (system, ae, _) = curve[0];
+        let label = &format!("{}{}", system.label(), if ae { "+AE" } else { "" });
+        let mine: Vec<&ResilienceOutcome> = curve.iter().map(|(_, _, o)| o).collect();
+        hit.push_series(Series::new(
+            label,
+            mine.iter()
+                .map(|o| (100.0 * o.severity, 100.0 * o.episode_hit))
+                .collect(),
+        ));
+        // Only the points that actually reconverged are plotted; runs
+        // that never re-entered the band get an explicit note instead
+        // of a sentinel value.
+        rec.push_series(Series::new(
+            label,
+            mine.iter()
+                .filter_map(|o| o.recovery_rounds.map(|r| (100.0 * o.severity, r)))
+                .collect(),
+        ));
+        for o in &mine {
+            if o.recovery_rounds.is_none() {
+                rec.note(format!(
+                    "unrecovered: {label} at {:.0}% isolated never re-entered the band \
+                     within {} post-heal windows",
+                    100.0 * o.severity,
+                    plan.recovery_windows
+                ));
             }
-            if repair {
-                if ae {
-                    cost.push_series(Series::new(
-                        format!("{label} repair msgs"),
-                        mine.iter()
-                            .map(|o| (100.0 * o.severity, o.repair_msgs as f64))
-                            .collect(),
-                    ));
-                    cost.push_series(Series::new(
-                        format!("{label} recovered deliveries"),
-                        mine.iter()
-                            .map(|o| (100.0 * o.severity, o.recovered_deliveries as f64))
-                            .collect(),
-                    ));
-                }
-                for o in &mine {
-                    cost.note(format!(
-                        "fault-time Network losses, {label} at {:.0}%: {}",
-                        100.0 * o.severity,
-                        o.fault_net_losses
-                    ));
-                }
+        }
+        if repair {
+            if ae {
+                cost.push_series(Series::new(
+                    format!("{label} repair msgs"),
+                    mine.iter()
+                        .map(|o| (100.0 * o.severity, o.repair_msgs as f64))
+                        .collect(),
+                ));
+                cost.push_series(Series::new(
+                    format!("{label} recovered deliveries"),
+                    mine.iter()
+                        .map(|o| (100.0 * o.severity, o.recovered_deliveries as f64))
+                        .collect(),
+                ));
+            }
+            for o in &mine {
+                cost.note(format!(
+                    "fault-time Network losses, {label} at {:.0}%: {}",
+                    100.0 * o.severity,
+                    o.fault_net_losses
+                ));
             }
         }
     }
@@ -495,8 +476,9 @@ mod tests {
         let mut sc = Scale::proportional(150, 19);
         sc.warmup_rounds = 25;
         let plan = ResiliencePlan::for_scale(&sc);
-        for system in ["vitis", "rvr", "opt"] {
-            let o = run_point(system, &plan, &sc, 0.25, false);
+        for system in System::ALL {
+            let o = run_point(system, &plan, &sc, 0.25, false, 0);
+            let system = system.name();
             assert!(o.baseline_hit > 0.9, "{system} baseline {}", o.baseline_hit);
             assert!(
                 o.episode_hit < o.baseline_hit,
@@ -525,12 +507,12 @@ mod tests {
         let mut params = synthetic_params(&sc, Correlation::Low);
         let period = params.round_period.ticks();
         params.faults = plan.fault_plan(severity, sc.nodes, period);
-        let mut sys = VitisSystem::new(params);
+        let mut sys = System::Vitis.build(params);
         let mut topo = TopoTrack::new(true, period);
-        run_system(&mut sys, &plan, &sc, severity, period, &mut topo);
+        run_system(sys.as_mut(), &plan, &sc, severity, period, &mut topo);
         for _ in 0..4 {
             sys.run_rounds(3);
-            topo.sample(&sys);
+            topo.sample(sys.as_ref());
         }
 
         let ep_start = plan.warmup_rounds + plan.baseline_windows * plan.window_rounds;
@@ -593,8 +575,8 @@ mod tests {
         let mut sc = Scale::proportional(150, 19);
         sc.warmup_rounds = 25;
         let plan = ResiliencePlan::for_scale(&sc);
-        let off = run_point("vitis", &plan, &sc, 0.25, false);
-        let on = run_point("vitis", &plan, &sc, 0.25, true);
+        let off = run_point(System::Vitis, &plan, &sc, 0.25, false, 0);
+        let on = run_point(System::Vitis, &plan, &sc, 0.25, true, 1);
         assert_eq!(off.recovered_deliveries, 0, "repair off must never recover");
         assert_eq!(off.repair_msgs, 0, "repair off must send no ae_* traffic");
         assert!(off.fault_net_losses > 0, "partition must drop something");
@@ -617,9 +599,10 @@ mod tests {
         let mut sc = Scale::proportional(500, 42);
         sc.warmup_rounds = 30;
         let plan = ResiliencePlan::for_scale(&sc);
-        for system in ["vitis", "rvr", "opt"] {
-            let off = run_point(system, &plan, &sc, 0.25, false);
-            let on = run_point(system, &plan, &sc, 0.25, true);
+        for system in System::ALL {
+            let off = run_point(system, &plan, &sc, 0.25, false, 0);
+            let on = run_point(system, &plan, &sc, 0.25, true, 1);
+            let system = system.name();
             assert!(
                 on.fault_net_losses < off.fault_net_losses,
                 "{system}: repair did not shrink Network losses ({} vs {})",
@@ -636,8 +619,9 @@ mod tests {
         let mut sc = Scale::proportional(500, 42);
         sc.warmup_rounds = 30;
         let plan = ResiliencePlan::for_scale(&sc);
-        for system in ["vitis", "rvr", "opt"] {
-            let o = run_point(system, &plan, &sc, 0.25, false);
+        for system in System::ALL {
+            let o = run_point(system, &plan, &sc, 0.25, false, 0);
+            let system = system.name();
             assert!(
                 o.recovery_rounds.is_some(),
                 "{system}: infinite recovery time (last {}, baseline {})",

@@ -17,13 +17,14 @@
 //! total wall-clock by skipping whole rungs once the budget is spent.
 
 use crate::benchfmt::BenchEntry;
-use crate::runner::synthetic_params;
+use crate::obs::Obs;
+use crate::runner::{measure_obs, synthetic_params, PhaseMs, PublishPlan};
 use crate::scale::Scale;
+use std::io::Write;
 use std::time::Instant;
-use vitis::system::{PubSub, SystemParams, VitisSystem};
-use vitis_baselines::{OptSystem, RvrSystem};
+use vitis_baselines::System;
 use vitis_sim::perf;
-use vitis_sim::trace::TraceHandle;
+use vitis_sim::trace::Trace;
 use vitis_workloads::Correlation;
 
 /// The full node-count trajectory. Entries above `max_nodes` are skipped
@@ -47,13 +48,7 @@ pub struct BenchPoint {
     /// Node count of this point.
     pub nodes: usize,
     /// Wall-clock per phase, milliseconds.
-    pub build_ms: f64,
-    /// Warmup-phase wall-clock (ms).
-    pub warmup_ms: f64,
-    /// Publish-window wall-clock (ms).
-    pub measure_ms: f64,
-    /// Drain-phase wall-clock (ms).
-    pub drain_ms: f64,
+    pub ms: PhaseMs,
     /// Allocator peak since the point started (0 without `perf-alloc`).
     pub peak_bytes: u64,
     /// Structural per-node footprint estimate at the end of the run.
@@ -67,35 +62,26 @@ pub struct BenchPoint {
 }
 
 impl BenchPoint {
-    /// Flatten into BENCH entries named `scale/{system}/{nodes}/...`.
+    /// Flatten into BENCH entries named `scale/{system}/{nodes}/...`;
+    /// `peak_bytes` only when the counting allocator measured one.
     pub fn entries(&self) -> Vec<BenchEntry> {
-        let p = format!("scale/{}/{}", self.system, self.nodes);
-        let mut out = vec![
-            BenchEntry::new(format!("{p}/build_ms"), self.build_ms, "ms"),
-            BenchEntry::new(format!("{p}/warmup_ms"), self.warmup_ms, "ms"),
-            BenchEntry::new(format!("{p}/measure_ms"), self.measure_ms, "ms"),
-            BenchEntry::new(format!("{p}/drain_ms"), self.drain_ms, "ms"),
-            BenchEntry::new(
-                format!("{p}/deliveries_per_sec"),
-                self.deliveries_per_sec,
-                "per_sec",
-            ),
-            BenchEntry::new(
-                format!("{p}/footprint_bytes"),
-                self.footprint_bytes as f64,
-                "bytes",
-            ),
-            BenchEntry::new(format!("{p}/delivered"), self.delivered as f64, "count"),
-            BenchEntry::new(format!("{p}/hit_ratio"), self.hit_ratio, "ratio"),
+        let mut rows = vec![
+            ("build_ms", self.ms.build, "ms"),
+            ("warmup_ms", self.ms.warmup, "ms"),
+            ("measure_ms", self.ms.measure, "ms"),
+            ("drain_ms", self.ms.drain, "ms"),
+            ("deliveries_per_sec", self.deliveries_per_sec, "per_sec"),
+            ("footprint_bytes", self.footprint_bytes as f64, "bytes"),
+            ("delivered", self.delivered as f64, "count"),
+            ("hit_ratio", self.hit_ratio, "ratio"),
         ];
         if self.peak_bytes > 0 {
-            out.push(BenchEntry::new(
-                format!("{p}/peak_bytes"),
-                self.peak_bytes as f64,
-                "bytes",
-            ));
+            rows.push(("peak_bytes", self.peak_bytes as f64, "bytes"));
         }
-        out
+        let name = |metric| format!("scale/{}/{}/{metric}", self.system, self.nodes);
+        rows.into_iter()
+            .map(|(metric, value, unit)| BenchEntry::new(name(metric), value, unit))
+            .collect()
     }
 }
 
@@ -140,70 +126,45 @@ pub fn plan_for(nodes: usize, seed: u64) -> Scale {
     }
 }
 
-/// Run one (system, node-count) point. `trace` is installed when the
-/// caller streams an event trace.
+/// Run point `index` of the sweep: one system at one node count, through
+/// the same [`measure_obs`] window as every figure. With `trace_out`, the
+/// point records into a fresh event trace and streams it out the moment
+/// the point completes, so nothing is double-buffered and an aborted
+/// sweep keeps every finished point's events.
 fn bench_point(
-    system: &'static str,
+    system: System,
     scale: &Scale,
-    trace: Option<TraceHandle>,
-    build: impl FnOnce(SystemParams) -> Box<dyn PubSub>,
+    index: usize,
+    trace_out: Option<&mut (dyn Write + '_)>,
 ) -> BenchPoint {
     let _span = perf::span("scale.point");
     perf::reset_mem_peak();
 
-    let t = Instant::now();
+    let label = format!("{}-{}", system.name(), scale.nodes);
+    let ctx = Obs::global().start("scale", &label, index);
     let params = synthetic_params(scale, Correlation::High);
     let mut sys = {
         let _span = perf::span("scale.build");
-        build(params)
+        system.build(params)
     };
-    if let Some(t) = trace {
-        sys.install_trace(t);
+    let trace = trace_out.map(|w| (w, Trace::shared(Obs::global().trace_capacity())));
+    if let Some((_, t)) = &trace {
+        sys.install_trace(t.clone());
     }
-    let build_ms = t.elapsed().as_secs_f64() * 1e3;
-
-    let t = Instant::now();
-    {
-        let _span = perf::span("scale.warmup");
-        sys.run_rounds(scale.warmup_rounds);
-    }
-    let warmup_ms = t.elapsed().as_secs_f64() * 1e3;
-    sys.reset_metrics();
-
-    let t = Instant::now();
-    {
-        let _span = perf::span("scale.measure");
-        let chunk = (scale.events / 10).max(1);
-        let mut published = 0usize;
-        let mut topic = 0u32;
-        while published < scale.events {
-            for _ in 0..chunk.min(scale.events - published) {
-                sys.publish(vitis::topic::TopicId(topic));
-                topic = (topic + 1) % scale.topics as u32;
-                published += 1;
-            }
-            sys.run_rounds(1);
+    let (stats, ms) = measure_obs(sys.as_mut(), scale, PublishPlan::RoundRobin, ctx);
+    let peak_bytes = perf::mem_snapshot().peak_bytes;
+    if let Some((w, t)) = trace {
+        if let Err(e) = t.borrow().write_jsonl(w) {
+            eprintln!("warning: trace stream failed: {e}");
         }
     }
-    let measure_ms = t.elapsed().as_secs_f64() * 1e3;
 
-    let t = Instant::now();
-    {
-        let _span = perf::span("scale.drain");
-        sys.run_rounds(scale.drain_rounds);
-    }
-    let drain_ms = t.elapsed().as_secs_f64() * 1e3;
-
-    let stats = sys.stats();
-    let window_secs = (measure_ms + drain_ms) / 1e3;
+    let window_secs = (ms.measure + ms.drain) / 1e3;
     BenchPoint {
-        system,
+        system: system.name(),
         nodes: scale.nodes,
-        build_ms,
-        warmup_ms,
-        measure_ms,
-        drain_ms,
-        peak_bytes: perf::mem_snapshot().peak_bytes,
+        ms,
+        peak_bytes,
         footprint_bytes: sys.footprint_estimate(),
         delivered: stats.delivered,
         deliveries_per_sec: if window_secs > 0.0 {
@@ -222,17 +183,18 @@ fn bench_point(
 ///
 /// `budget_secs` (when given) caps total wall-clock: once spent, the
 /// remaining rungs are skipped with a log line. Progress goes to stderr;
-/// `make_trace` (when given) supplies a fresh trace handle per point, which
-/// the caller drains after this returns point results via `on_point`.
+/// each point's event trace streams to `trace_out` (when given) as the
+/// point completes, and `on_point` sees every finished point.
 pub fn run_sweep(
     max_nodes: usize,
     seed: u64,
     budget_secs: Option<u64>,
-    mut make_trace: Option<&mut dyn FnMut(&'static str, usize) -> TraceHandle>,
+    mut trace_out: Option<&mut (dyn Write + '_)>,
     mut on_point: impl FnMut(&BenchPoint),
 ) -> Vec<BenchEntry> {
     let started = Instant::now();
     let mut entries = Vec::new();
+    let mut index = 0;
     let ladder: Vec<usize> = LADDER.iter().copied().filter(|&n| n <= max_nodes).collect();
     let skipped = LADDER.len() - ladder.len();
     if skipped > 0 {
@@ -251,26 +213,20 @@ pub fn run_sweep(
             break;
         }
         let scale = plan_for(nodes, seed);
-        type Build = fn(SystemParams) -> Box<dyn PubSub>;
-        let all: [(&'static str, Build); 3] = [
-            ("vitis", |p| Box::new(VitisSystem::new(p))),
-            ("rvr", |p| Box::new(RvrSystem::new(p))),
-            ("opt", |p| Box::new(OptSystem::new(p))),
-        ];
-        let systems: &[(&'static str, Build)] = if nodes <= PAPER_PLAN_MAX {
-            &all
+        let systems = if nodes <= PAPER_PLAN_MAX {
+            &System::ALL[..]
         } else {
             eprintln!(
                 "scale: {nodes} nodes uses the frontier plan (warmup {}, events {}, drain {}) \
                  and benchmarks vitis only",
                 scale.warmup_rounds, scale.events, scale.drain_rounds
             );
-            &all[..1]
+            &System::ALL[..1]
         };
-        for &(name, build) in systems {
-            eprintln!("scale: {name} @ {nodes} nodes...");
-            let trace = make_trace.as_mut().map(|f| f(name, nodes));
-            let point = bench_point(name, &scale, trace, build);
+        for &system in systems {
+            eprintln!("scale: {} @ {nodes} nodes...", system.name());
+            let point = bench_point(system, &scale, index, trace_out.as_deref_mut());
+            index += 1;
             on_point(&point);
             entries.extend(point.entries());
         }
@@ -301,7 +257,7 @@ mod tests {
             s.events = 30;
             s
         };
-        let point = bench_point("vitis", &scale, None, |p| Box::new(VitisSystem::new(p)));
+        let point = bench_point(System::Vitis, &scale, 0, None);
         assert_eq!(point.nodes, 200);
         assert!(point.delivered > 0, "toy sweep must deliver events");
         assert!(point.deliveries_per_sec > 0.0);

@@ -18,50 +18,17 @@ use std::fmt::Write as _;
 use crate::runner::synthetic_params;
 use crate::scale::Scale;
 use vitis::runtime::TOPO_SAMPLE_TOPICS;
-use vitis::system::{PubSub, VitisSystem};
 use vitis::topo::{analyze, audit, OverlaySnapshot, TopoMetrics, Violation};
-use vitis_baselines::{OptSystem, RvrSystem};
+use vitis_baselines::System;
 use vitis_sim::trace::{event_to_json, TraceEvent};
 use vitis_workloads::Correlation;
-
-/// Which system the `topology` subcommand builds.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SystemKind {
-    /// The full Vitis hybrid overlay (default).
-    Vitis,
-    /// The rendezvous-routing baseline.
-    Rvr,
-    /// The unbounded-mesh baseline.
-    Opt,
-}
-
-impl SystemKind {
-    /// Parse a CLI name (`vitis` | `rvr` | `opt`).
-    pub fn parse(s: &str) -> Option<SystemKind> {
-        match s {
-            "vitis" => Some(SystemKind::Vitis),
-            "rvr" => Some(SystemKind::Rvr),
-            "opt" => Some(SystemKind::Opt),
-            _ => None,
-        }
-    }
-
-    /// Stable lowercase label, used in run names and report headers.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SystemKind::Vitis => "vitis",
-            SystemKind::Rvr => "rvr",
-            SystemKind::Opt => "opt",
-        }
-    }
-}
 
 /// Options of one `topology` invocation (paths and strictness are
 /// handled by the CLI layer; this is the measurement core).
 #[derive(Clone, Copy, Debug)]
 pub struct TopologyOpts {
-    /// System under observation.
-    pub system: SystemKind,
+    /// System under observation (default Vitis).
+    pub system: System,
     /// Sampled rounds after warmup.
     pub rounds: u64,
     /// Sampling period in rounds.
@@ -71,7 +38,7 @@ pub struct TopologyOpts {
 impl Default for TopologyOpts {
     fn default() -> Self {
         TopologyOpts {
-            system: SystemKind::Vitis,
+            system: System::Vitis,
             rounds: 30,
             every: 5,
         }
@@ -95,11 +62,7 @@ pub struct TopologyRun {
 /// Build, warm up, and sample one system; audit the final snapshot.
 pub fn run(scale: &Scale, opts: &TopologyOpts) -> TopologyRun {
     let params = synthetic_params(scale, Correlation::High);
-    let mut sys: Box<dyn PubSub> = match opts.system {
-        SystemKind::Vitis => Box::new(VitisSystem::new(params)),
-        SystemKind::Rvr => Box::new(RvrSystem::new(params)),
-        SystemKind::Opt => Box::new(OptSystem::new(params)),
-    };
+    let mut sys = opts.system.build(params);
     sys.run_rounds(scale.warmup_rounds);
 
     let every = opts.every.max(1);
@@ -193,7 +156,7 @@ pub fn render_dot(snap: &OverlaySnapshot) -> String {
 
 /// Render the human-readable end-of-run report.
 fn render_summary(
-    system: SystemKind,
+    system: System,
     final_round: u64,
     samples: usize,
     m: &TopoMetrics,
@@ -204,7 +167,7 @@ fn render_summary(
     let _ = writeln!(
         s,
         "topology audit — {} @ round {} ({} samples)",
-        system.as_str(),
+        system.name(),
         final_round,
         samples
     );
@@ -292,7 +255,7 @@ mod tests {
     #[test]
     fn baselines_run_and_export() {
         let sc = tiny();
-        for system in [SystemKind::Rvr, SystemKind::Opt] {
+        for system in [System::Rvr, System::Opt] {
             let opts = TopologyOpts {
                 system,
                 rounds: 5,
@@ -304,22 +267,18 @@ mod tests {
             assert!(r.dot.ends_with("}\n"));
             match system {
                 // OPT has no relay layer, so nothing can dangle.
-                SystemKind::Opt => assert!(
-                    r.violations.is_empty(),
-                    "opt violations:\n{}",
-                    r.summary
-                ),
+                System::Opt => assert!(r.violations.is_empty(), "opt violations:\n{}", r.summary),
                 // RVR's hop-capped joins install an upstream belief
                 // without ever sending the join onward (`join_hop`
                 // sets upstream even at max_lookup_hops), so the
                 // auditor legitimately reports dangling upstream links
                 // — and must report nothing else.
-                SystemKind::Rvr => assert!(
+                System::Rvr => assert!(
                     r.violations.iter().all(|v| v.kind == "asymmetric_upstream"),
                     "rvr unexpected violations:\n{}",
                     r.summary
                 ),
-                SystemKind::Vitis => unreachable!(),
+                System::Vitis => unreachable!(),
             }
         }
     }

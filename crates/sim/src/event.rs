@@ -13,9 +13,10 @@
 //!   (the CI smoke job asserts both schedulers produce identical event
 //!   orderings on a randomized trace).
 //!
-//! Both pop events in `(time, insertion order)`: a monotonically increasing
-//! sequence number makes ordering fully deterministic even when many events
-//! share a timestamp.
+//! Both pop events in `(time, insertion order)`, so ordering is fully
+//! deterministic even when many events share a timestamp. The calendar
+//! queue gets insertion order from its layout alone (below) and stores no
+//! sequence number; the heap oracle still carries one.
 //!
 //! # Scheduling contract (calendar queue)
 //!
@@ -32,19 +33,19 @@
 //!   where `T ≡ i (mod RING)` and `T ∈ [floor, floor + RING)`; there is
 //!   exactly one such `T` for a given floor, and events at `T - RING` are
 //!   impossible because they would predate the floor.
-//! * **Seq order within a bucket** — bucket vectors are append-only in
-//!   sequence order. Overflow events are redistributed *eagerly* whenever
-//!   the floor advances: an overflow event at time `T` was pushed while
-//!   `floor ≤ T - RING`, whereas any direct bucket push at `T` requires
-//!   `floor > T - RING`; redistribution happens at the exact pop where the
-//!   floor first crosses `T - RING`, so it lands in the (necessarily empty)
-//!   bucket before any direct push at `T` and FIFO order equals seq order.
+//! * **Push order within a bucket** — bucket vectors are append-only, and
+//!   the overflow list is kept and redistributed in push order. Overflow
+//!   events are redistributed *eagerly* whenever the floor advances: an
+//!   overflow event at time `T` was pushed while `floor ≤ T - RING`,
+//!   whereas any direct bucket push at `T` requires `floor > T - RING`;
+//!   redistribution happens at the exact pop where the floor first crosses
+//!   `T - RING`, so it lands in the (necessarily empty) bucket before any
+//!   direct push at `T` and FIFO order equals push order.
 
 use crate::time::SimTime;
 use std::cell::Cell;
-use std::cmp::Ordering;
 #[cfg(test)]
-use std::collections::BinaryHeap;
+use std::{cmp::Ordering, collections::BinaryHeap};
 
 /// Identifies a node *slot* in the engine. Slots are stable for the lifetime
 /// of a simulation: a node that leaves and re-joins re-uses its slot with a
@@ -66,27 +67,33 @@ impl std::fmt::Display for NodeIdx {
     }
 }
 
-/// An event scheduled for execution at a point in simulated time.
+/// A heap entry of the reference scheduler: the sequence number breaks
+/// timestamp ties in insertion order.
+#[cfg(test)]
 #[derive(Debug)]
-pub(crate) struct Scheduled<E> {
-    pub time: SimTime,
-    pub seq: u64,
-    pub event: E,
+struct Scheduled<E> {
+    time: SimTime,
+    seq: u64,
+    event: E,
 }
 
+#[cfg(test)]
 impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
     }
 }
+#[cfg(test)]
 impl<E> Eq for Scheduled<E> {}
 
+#[cfg(test)]
 impl<E> PartialOrd for Scheduled<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
+#[cfg(test)]
 impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we need the earliest first.
@@ -109,13 +116,13 @@ const RING: usize = 1024;
 /// See the module docs for the scheduling contract and invariants.
 pub(crate) struct EventQueue<E> {
     /// `RING` one-tick buckets; `buckets[t % RING]` holds the events at
-    /// absolute tick `t` for `t ∈ [floor, floor + RING)`, in seq order.
-    buckets: Vec<Vec<(u64, E)>>,
+    /// absolute tick `t` for `t ∈ [floor, floor + RING)`, in push order.
+    buckets: Vec<Vec<E>>,
     /// Absolute tick stored in each bucket (valid while non-empty).
     bucket_time: Vec<u64>,
-    /// Events scheduled at or beyond `floor + RING` at push time, in seq
-    /// order. Redistributed into the ring when the floor advances.
-    overflow: Vec<Scheduled<E>>,
+    /// `(tick, event)` scheduled at or beyond `floor + RING` at push time,
+    /// in push order. Redistributed into the ring when the floor advances.
+    overflow: Vec<(u64, E)>,
     /// Minimum timestamp in `overflow` (`u64::MAX` when empty).
     overflow_min: u64,
     /// Timestamp of the last popped event; no live event is earlier.
@@ -124,7 +131,6 @@ pub(crate) struct EventQueue<E> {
     /// cursor so repeated peeks don't rescan; lowered by pushes.
     hint: Cell<u64>,
     len: usize,
-    next_seq: u64,
     batches_popped: u64,
     overflow_pushes: u64,
 }
@@ -139,7 +145,6 @@ impl<E> EventQueue<E> {
             floor: 0,
             hint: Cell::new(0),
             len: 0,
-            next_seq: 0,
             batches_popped: 0,
             overflow_pushes: 0,
         }
@@ -155,17 +160,11 @@ impl<E> EventQueue<E> {
             self.floor
         );
         let t = time.0.max(self.floor);
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.len += 1;
         if t - self.floor >= RING as u64 {
             self.overflow_pushes += 1;
             self.overflow_min = self.overflow_min.min(t);
-            self.overflow.push(Scheduled {
-                time: SimTime(t),
-                seq,
-                event,
-            });
+            self.overflow.push((t, event));
         } else {
             let off = t - self.floor;
             if off < self.hint.get() {
@@ -180,7 +179,7 @@ impl<E> EventQueue<E> {
                 t
             );
             self.bucket_time[i] = t;
-            self.buckets[i].push((seq, event));
+            self.buckets[i].push(event);
         }
     }
 
@@ -233,8 +232,7 @@ impl<E> EventQueue<E> {
         let horizon = self.floor + RING as u64;
         let drained = std::mem::take(&mut self.overflow);
         let mut min = u64::MAX;
-        for s in drained {
-            let t = s.time.0;
+        for (t, event) in drained {
             if t < horizon {
                 let i = (t % RING as u64) as usize;
                 debug_assert!(
@@ -242,10 +240,10 @@ impl<E> EventQueue<E> {
                     "bucket purity violated during redistribution"
                 );
                 self.bucket_time[i] = t;
-                self.buckets[i].push((s.seq, s.event));
+                self.buckets[i].push(event);
             } else {
                 min = min.min(t);
-                self.overflow.push(s);
+                self.overflow.push((t, event));
             }
         }
         self.overflow_min = min;
@@ -259,7 +257,7 @@ impl<E> EventQueue<E> {
         self.advance_floor(t);
         let i = (t % RING as u64) as usize;
         debug_assert!(!self.buckets[i].is_empty() && self.bucket_time[i] == t);
-        let (_, event) = self.buckets[i].remove(0);
+        let event = self.buckets[i].remove(0);
         self.len -= 1;
         Some((SimTime(t), event))
     }
@@ -274,7 +272,7 @@ impl<E> EventQueue<E> {
         let i = (t % RING as u64) as usize;
         debug_assert!(!self.buckets[i].is_empty() && self.bucket_time[i] == t);
         self.len -= self.buckets[i].len();
-        out.extend(self.buckets[i].drain(..).map(|(_, e)| e));
+        out.append(&mut self.buckets[i]);
         self.batches_popped += 1;
         Some(SimTime(t))
     }
@@ -433,7 +431,7 @@ mod tests {
     #[test]
     fn far_future_events_wrap_past_the_ring_horizon() {
         // Events beyond floor + RING go to overflow and must come back out
-        // in global (time, seq) order, including times that alias the same
+        // in global (time, push) order, including times that alias the same
         // bucket index across ring epochs.
         let r = RING as u64;
         let mut q = EventQueue::new();
@@ -455,13 +453,13 @@ mod tests {
     #[test]
     fn overflow_redistribution_preserves_insertion_order() {
         // An overflow event and a direct push at the same timestamp: the
-        // overflow event was scheduled first (smaller seq) and must pop
+        // overflow event was scheduled first and must pop
         // first even though it spent time parked in the overflow list.
         let r = RING as u64;
         let target = 2 * r; // far future at push time
         let mut q = EventQueue::new();
         q.push(SimTime(1), "a");
-        q.push(SimTime(target), "parked"); // overflow (seq 1)
+        q.push(SimTime(target), "parked"); // overflow
         assert_eq!(q.pop(), Some((SimTime(1), "a")));
         // Walk the floor forward until `target` is inside the ring window.
         q.push(SimTime(target - r + 10), "step");

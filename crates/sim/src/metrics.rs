@@ -175,13 +175,6 @@ impl Histogram {
         self.upper * i as f64 / self.num_bins() as f64
     }
 
-    /// `(bin_lower, fraction)` pairs for all bins including overflow.
-    pub fn fractions(&self) -> Vec<(f64, f64)> {
-        (0..self.counts.len())
-            .map(|i| (self.bin_lower(i), self.fraction(i)))
-            .collect()
-    }
-
     /// Estimate the `q`-quantile (`0.0..=1.0`) of the recorded sample by
     /// linear interpolation within the first bin whose cumulative count
     /// reaches `q · total`.
@@ -378,6 +371,5 @@ mod tests {
         for i in 0..=h.num_bins() {
             assert_eq!(h.fraction(i), 0.0);
         }
-        assert!(h.fractions().iter().all(|&(_, f)| f == 0.0));
     }
 }
