@@ -204,6 +204,37 @@ mod tests {
         assert_eq!(direction_of("count"), Direction::Informational);
     }
 
+    /// Fence for the parser: every `docs/results/BENCH_*.json` listed in
+    /// `tests/golden/bench_parse_digests.txt` still parses to the entries
+    /// the PR 19 parser read from it — per file, the entry count and an
+    /// FNV-1a hash over each entry's name, value bits and unit.
+    /// `benchmark/` reads its own sets through [`parse`].
+    #[test]
+    fn committed_bench_files_parse_to_the_recorded_entries() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let recorded =
+            std::fs::read_to_string(format!("{root}/tests/golden/bench_parse_digests.txt"))
+                .unwrap();
+        assert!(recorded.lines().count() >= 14);
+        for want in recorded.lines() {
+            let f = want.split(' ').next().unwrap();
+            let text = std::fs::read_to_string(format!("{root}/docs/results/{f}")).unwrap();
+            let entries = parse(&text).unwrap_or_else(|e| panic!("{f}: {e}"));
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            let mut eat = |bytes: &[u8]| {
+                for &b in bytes.iter().chain(&[0xff]) {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            };
+            for e in &entries {
+                eat(e.name.as_bytes());
+                eat(&e.value.to_bits().to_le_bytes());
+                eat(e.unit.as_bytes());
+            }
+            assert_eq!(format!("{f} {} {h:016x}", entries.len()), want);
+        }
+    }
+
     #[test]
     fn escaped_names_survive() {
         let entries = vec![BenchEntry::new("weird \"name\"\nwith\tescapes", 1.0, "count")];

@@ -551,6 +551,308 @@ mod tests {
         ));
     }
 
+    /// The golden values of `tests/golden/records_v1.jsonl`: one line per
+    /// record type and per special case, then a BENCH document.
+    fn golden_records() -> String {
+        use std::borrow::Cow;
+        use vitis::monitor::KindStat;
+        use vitis_sim::perf::{mem_jsonl_line, span_jsonl_line, MemSnapshot, SpanStat};
+        use vitis_sim::trace::{event_to_json, HealthProbe, TopoProbe, TrafficClass};
+        let events = vec![
+            TraceEvent::Round {
+                round: 3,
+                now: 192,
+                alive: 400,
+            },
+            TraceEvent::Join {
+                now: 0,
+                node: 17,
+                rejoin: false,
+            },
+            TraceEvent::Leave {
+                now: 900,
+                node: 3,
+                crash: true,
+            },
+            TraceEvent::MsgSend {
+                now: 12,
+                from: 1,
+                to: 9,
+                kind: Cow::Borrowed("rt_req"),
+                class: TrafficClass::Control,
+            },
+            TraceEvent::MsgDeliver {
+                now: 13,
+                from: 1,
+                to: 9,
+                kind: Cow::Borrowed("notification"),
+                class: TrafficClass::Data,
+            },
+            TraceEvent::Health {
+                now: 192,
+                probe: HealthProbe {
+                    alive: 400,
+                    mean_degree: 14.25,
+                    ring_accuracy: Some(0.9825),
+                    mean_view_age: Some(1.5),
+                    clusters: Some(3),
+                    largest_cluster: Some(120),
+                },
+            },
+            TraceEvent::Health {
+                now: 200,
+                probe: HealthProbe {
+                    alive: 10,
+                    mean_degree: 2.0,
+                    ..HealthProbe::default()
+                },
+            },
+            TraceEvent::Sample {
+                round: 4,
+                now: 256,
+                hit_ratio: 0.96875,
+                overhead_pct: 12.5,
+                delivered: 31,
+                expected: 32,
+            },
+            TraceEvent::Sample {
+                round: 1,
+                now: 64,
+                hit_ratio: f64::NAN,
+                overhead_pct: f64::INFINITY,
+                delivered: 0,
+                expected: 0,
+            },
+            TraceEvent::Phase {
+                name: Cow::Borrowed("warmup"),
+                wall_ms: 1523.75,
+            },
+            TraceEvent::Phase {
+                name: Cow::Borrowed("we\"ird\\ph\nase\t\r\u{1}\u{1f}é"),
+                wall_ms: 1.0,
+            },
+            TraceEvent::PubEvent {
+                now: 300,
+                event: 7,
+                topic: 42,
+                node: 11,
+                expected: 58,
+            },
+            TraceEvent::Fwd {
+                now: 301,
+                event: 7,
+                from: 11,
+                to: 29,
+                hop: 1,
+            },
+            TraceEvent::DeliverEvent {
+                now: 330,
+                event: 7,
+                node: 29,
+                hops: 2,
+                latency: 30,
+                path: "11>5>29".to_string(),
+                recovered: false,
+            },
+            TraceEvent::DeliverEvent {
+                now: 340,
+                event: 7,
+                node: 31,
+                hops: 3,
+                latency: 40,
+                path: "11>5>31".to_string(),
+                recovered: true,
+            },
+            TraceEvent::NetDrop {
+                now: 305,
+                from: 11,
+                to: 88,
+                kind: Cow::Borrowed("notification"),
+                event: Some(7),
+            },
+            TraceEvent::NetDrop {
+                now: 306,
+                from: 2,
+                to: 3,
+                kind: Cow::Borrowed("ps_req"),
+                event: None,
+            },
+            TraceEvent::DropEvent {
+                now: 900,
+                event: 7,
+                node: 88,
+                reason: Cow::Borrowed("no_gateway"),
+            },
+            TraceEvent::TopoSample {
+                round: 6,
+                now: 384,
+                probe: TopoProbe {
+                    nodes: 400,
+                    links: 5600,
+                    sampled_topics: 32,
+                    components: 41,
+                    stitched_components: 32,
+                    largest_component_frac: 0.96875,
+                    rendezvous_conflicts: 1,
+                    headless_topics: 0,
+                    dead_links: 2,
+                    mean_relay_stretch: Some(1.25),
+                    max_gateway_load: 5,
+                    mean_view_age: Some(1.5),
+                    violations: 3,
+                },
+            },
+            TraceEvent::TopoSample {
+                round: 0,
+                now: 400,
+                probe: TopoProbe {
+                    nodes: 10,
+                    links: 40,
+                    ..TopoProbe::default()
+                },
+            },
+            TraceEvent::Reconv {
+                system: Cow::Borrowed("vitis"),
+                severity_pct: 25,
+                repair: true,
+                rounds: Some(9),
+            },
+            TraceEvent::Reconv {
+                system: Cow::Borrowed("rvr"),
+                severity_pct: 50,
+                repair: false,
+                rounds: None,
+            },
+            TraceEvent::TraceMeta {
+                capacity: 65536,
+                recorded: 812344,
+                evicted: 746808,
+            },
+        ];
+        let mut lines: Vec<String> = events.iter().map(event_to_json).collect();
+
+        // What `RunCtx::finish` heads and fills a run's trace with.
+        let mut ring = Trace::new(2);
+        for ev in &events[..3] {
+            ring.record(ev.clone());
+        }
+        lines.push(trace_meta_line("fig6/vitis-low-rt25#7", &ring));
+        for ev in ring.events() {
+            lines.push(stamp_run("fig6/vitis-low-rt25#7", &event_to_json(ev)));
+        }
+        lines.push(stamp_run("we\"ird\\run\n#0", &event_to_json(&events[0])));
+
+        // The `run` record of `--metrics-out`.
+        let mut scale = crate::scale::Scale::quick();
+        scale.seed = 42;
+        let kind = |kind: &str, class: &str, sent, delivered| KindStat {
+            kind: kind.to_string(),
+            class: class.to_string(),
+            sent,
+            delivered,
+        };
+        let stats = PubSubStats {
+            published: 200,
+            expected: 9973,
+            delivered: 9950,
+            hit_ratio: f64::NAN,
+            mean_hops: 4.125,
+            max_hops: 11,
+            useful_msgs: 11250,
+            relay_msgs: 801,
+            overhead_pct: 6.625,
+            mean_latency_ticks: 122.75,
+            max_latency_ticks: 402,
+            control_bytes_per_round: 2210.5,
+            control_sent: 240210,
+            data_sent: 12051,
+            traffic_by_kind: vec![
+                kind("ps_req", "control", 48000, 47988),
+                kind("notification", "data", 11851, 11833),
+            ],
+        };
+        let sample = |round, now, hit_ratio, delivered| RoundSample {
+            round,
+            now,
+            hit_ratio,
+            overhead_pct: 6.5,
+            delivered,
+            expected: 1000 * round,
+        };
+        let perf = PerfSample {
+            counters: EngineCounters {
+                queue_hwm: 5366,
+                activations_start: 400,
+                activations_round: 32000,
+                activations_message: 1067532,
+                activations_stop: 1,
+                sched_batches: 33450,
+                sched_overflow: 12,
+            },
+            footprint_bytes: 739008,
+        };
+        lines.push(render_metrics_line(
+            "fig6/vitis-low-rt25#7",
+            &scale,
+            &[("build", 41.25), ("warmup", 612.5), ("measure", 130.75), ("drain", 95.0)],
+            &[sample(1, 1830, 0.40625, 410), sample(2, 1860, 0.859375, 1720)],
+            &stats,
+            &perf,
+        ));
+        lines.push(render_metrics_line(
+            "t/empty#0",
+            &scale,
+            &[],
+            &[],
+            &PubSubStats::default(),
+            &PerfSample {
+                counters: EngineCounters::default(),
+                footprint_bytes: 0,
+            },
+        ));
+
+        // `--perf-out`.
+        let span = SpanStat {
+            count: 30,
+            total_ns: 12_000_000_000,
+            min_ns: 3,
+            max_ns: 9,
+            self_ns: 80,
+        };
+        lines.push(span_jsonl_line("scale.point;measure.warmup", &span));
+        lines.push(mem_jsonl_line(&MemSnapshot {
+            counting: true,
+            live_bytes: 1024,
+            peak_bytes: 4096,
+            allocations: 17,
+        }));
+
+        let mut text = lines.join("\n");
+        text.push('\n');
+        // A BENCH document: header, two entries, trailer.
+        text.push_str(&crate::benchfmt::render(&[
+            crate::benchfmt::BenchEntry::new("scale/vitis/2000/measure_ms", 4397.9, "ms"),
+            crate::benchfmt::BenchEntry::new("weird \"name\"\nwith\tescapes", f64::NAN, "ratio"),
+        ]));
+        text
+    }
+
+    /// The fence of the record table: every writer renders the golden
+    /// values to the committed bytes.
+    #[test]
+    fn records_render_to_the_committed_golden_bytes() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/golden/records_v1.jsonl"
+        );
+        let got = golden_records();
+        if std::env::var_os("UPDATE_GOLDEN").is_some() {
+            std::fs::write(path, &got).unwrap();
+        }
+        let want = std::fs::read_to_string(path).expect("tests/golden/records_v1.jsonl");
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn file_sink_streams_whole_flushed_lines() {
         let path = std::env::temp_dir().join(format!("obs_sink_test_{}.jsonl", std::process::id()));
