@@ -303,57 +303,61 @@ impl MonitorInner {
     }
 }
 
-/// Aggregated publish/subscribe metrics over the monitor's current window.
-#[derive(Clone, Debug, Default)]
-pub struct PubSubStats {
-    /// Events published.
-    pub published: u64,
-    /// Total expected (event, subscriber) deliveries.
-    pub expected: u64,
-    /// Deliveries achieved.
-    pub delivered: u64,
-    /// `delivered / expected` (1.0 when nothing was expected).
-    pub hit_ratio: f64,
-    /// Mean hops over achieved deliveries.
-    pub mean_hops: f64,
-    /// Maximum hops over achieved deliveries.
-    pub max_hops: u32,
-    /// Data-plane messages received by interested nodes.
-    pub useful_msgs: u64,
-    /// Data-plane messages received by uninterested (relay) nodes.
-    pub relay_msgs: u64,
-    /// Global traffic overhead: `relay / (relay + useful)` in percent.
-    pub overhead_pct: f64,
-    /// Mean delivery latency in simulation ticks (publish to arrival).
-    pub mean_latency_ticks: f64,
-    /// Maximum delivery latency in ticks.
-    pub max_latency_ticks: u64,
-    /// Mean control-plane bytes a node sends per gossip round.
-    pub control_bytes_per_round: f64,
-    /// Control-plane messages handed to the network (engine-side count
-    /// over the window, from `Protocol::classify`).
-    pub control_sent: u64,
-    /// Data-plane messages handed to the network over the window.
-    pub data_sent: u64,
-    /// Per-message-kind sent/delivered counts over the window, in
-    /// first-seen order (empty until a system merges its engine ledger
-    /// via [`PubSubStats::with_kind_traffic`]).
-    pub traffic_by_kind: Vec<KindStat>,
+vitis_sim::record! {
+    /// Aggregated publish/subscribe metrics over the monitor's current window.
+    #[derive(Clone, Debug, Default)]
+    pub struct PubSubStats {
+        /// Events published.
+        pub published: u64,
+        /// Total expected (event, subscriber) deliveries.
+        pub expected: u64,
+        /// Deliveries achieved.
+        pub delivered: u64,
+        /// `delivered / expected` (1.0 when nothing was expected).
+        pub hit_ratio: f64,
+        /// Mean hops over achieved deliveries.
+        pub mean_hops: f64,
+        /// Maximum hops over achieved deliveries.
+        pub max_hops: u32,
+        /// Data-plane messages received by interested nodes.
+        pub useful_msgs: u64,
+        /// Data-plane messages received by uninterested (relay) nodes.
+        pub relay_msgs: u64,
+        /// Global traffic overhead: `relay / (relay + useful)` in percent.
+        pub overhead_pct: f64,
+        /// Mean delivery latency in simulation ticks (publish to arrival).
+        pub mean_latency_ticks: f64,
+        /// Maximum delivery latency in ticks.
+        pub max_latency_ticks: u64,
+        /// Mean control-plane bytes a node sends per gossip round.
+        pub control_bytes_per_round: f64,
+        /// Control-plane messages handed to the network (engine-side count
+        /// over the window, from `Protocol::classify`).
+        pub control_sent: u64,
+        /// Data-plane messages handed to the network over the window.
+        pub data_sent: u64,
+        /// Per-message-kind sent/delivered counts over the window, in
+        /// first-seen order (empty until a system merges its engine ledger
+        /// via [`PubSubStats::with_kind_traffic`]).
+        pub traffic_by_kind: Vec<KindStat>,
+    }
 }
 
-/// Sent/delivered counters for one protocol message kind, as surfaced in
-/// [`PubSubStats::traffic_by_kind`]. Owned strings so the snapshot is
-/// self-contained and serializable.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct KindStat {
-    /// Message-kind name (e.g. `"rt_req"`, `"notification"`).
-    pub kind: String,
-    /// `"control"` or `"data"`.
-    pub class: String,
-    /// Messages of this kind handed to the network.
-    pub sent: u64,
-    /// Messages of this kind delivered to alive nodes.
-    pub delivered: u64,
+vitis_sim::record! {
+    /// Sent/delivered counters for one protocol message kind, as surfaced in
+    /// [`PubSubStats::traffic_by_kind`]. Owned strings so the snapshot is
+    /// self-contained and serializable.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct KindStat {
+        /// Message-kind name (e.g. `"rt_req"`, `"notification"`).
+        pub kind: String,
+        /// `"control"` or `"data"`.
+        pub class: String,
+        /// Messages of this kind handed to the network.
+        pub sent: u64,
+        /// Messages of this kind delivered to alive nodes.
+        pub delivered: u64,
+    }
 }
 
 impl PubSubStats {

@@ -41,7 +41,7 @@ use vitis_sim::prelude::StopReason;
 use vitis_sim::protocol::Protocol;
 use vitis_sim::rng::{domain, stream_rng};
 use vitis_sim::time::{Duration, SimTime};
-use vitis_sim::trace::{HealthProbe, TraceEvent, TraceHandle};
+use vitis_sim::trace::{HealthProbe, TraceHandle};
 
 /// The uniform driver interface over Vitis, RVR and OPT systems.
 ///
@@ -490,10 +490,6 @@ pub fn hybrid_rt_probe<P: PubSubProtocol>(
     )
 }
 
-/// Sampled-topic cap of the periodic topology sampler (evenly spaced
-/// over the subscribed topics; see [`crate::topo::analyze`]).
-pub const TOPO_SAMPLE_TOPICS: usize = 64;
-
 impl<P: PubSubProtocol> SystemRuntime<P> {
     /// Advance to `target`, applying scheduled crash/freeze fault actions
     /// and due topology samples at their exact timestamps on the way.
@@ -541,13 +537,9 @@ impl<P: PubSubProtocol> SystemRuntime<P> {
         let Some(trace) = self.engine.trace_handle() else {
             return;
         };
-        let snap = self.snapshot_topology();
-        let probe = crate::topo::probe(&snap, TOPO_SAMPLE_TOPICS);
-        let now = self.engine.now().0;
-        let round = now / self.engine.round_period().ticks().max(1);
-        trace
-            .borrow_mut()
-            .record(TraceEvent::TopoSample { round, now, probe });
+        let period = self.engine.round_period().ticks();
+        let sample = crate::topo::sample(&self.snapshot_topology(), period);
+        trace.borrow_mut().record(sample);
     }
 }
 

@@ -34,6 +34,7 @@ use vitis_overlay::id::Id;
 use vitis_overlay::rt::HybridRt;
 use vitis_sim::event::NodeIdx;
 pub use vitis_sim::trace::TopoProbe;
+use vitis_sim::trace::TraceEvent;
 
 /// One overlay link as exported by a node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -508,6 +509,22 @@ pub fn probe(snap: &OverlaySnapshot, max_topics: usize) -> TopoProbe {
     let mut p = analyze(snap, max_topics).probe;
     p.violations = audit(snap).len() as u64;
     p
+}
+
+/// Sampled-topic cap of a `topo` record (evenly spaced over the
+/// subscribed topics; see [`analyze`]).
+pub const TOPO_SAMPLE_TOPICS: usize = 64;
+
+/// The `topo` record of `snap` (docs/METRICS.md §10): its [`probe`] over
+/// [`TOPO_SAMPLE_TOPICS`], in the round `round_period` puts its time in.
+/// Every producer of the record — the runtime sampler, the `resilience`
+/// series, the `topology` subcommand — calls this.
+pub fn sample(snap: &OverlaySnapshot, round_period: u64) -> TraceEvent {
+    TraceEvent::TopoSample {
+        round: snap.now / round_period.max(1),
+        now: snap.now,
+        probe: probe(snap, TOPO_SAMPLE_TOPICS),
+    }
 }
 
 #[cfg(test)]

@@ -11,8 +11,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
+use crate::obs::RunRecord;
 use vitis_sim::metrics::Histogram;
-use vitis_sim::trace::{parse_stamped, TraceEvent};
+use vitis_sim::perf::{MemSnapshot, SpanRecord};
+use vitis_sim::record::{parse_value, read_record, ParseError, Value};
+use vitis_sim::trace::TraceEvent;
 
 /// One first-arrival delivery of an event at a subscriber.
 #[derive(Clone, Debug)]
@@ -75,15 +78,25 @@ pub struct TraceFile {
     pub runs: BTreeMap<String, RunForensics>,
     /// Non-empty lines read.
     pub lines: u64,
-    /// Lines that failed to parse as trace records.
+    /// Lines that failed to parse as a record of any sink.
     pub skipped: u64,
     /// Well-formed records that carry no forensic payload (round
-    /// boundaries, samples, health probes, ...).
+    /// boundaries, samples, health probes, ... and the records of the
+    /// other sinks: `run`, `span`, `mem`).
     pub other_events: u64,
 }
 
-/// Parse a JSONL trace dump into grouped per-event forensics.
-/// Malformed lines are counted in [`TraceFile::skipped`], never fatal.
+/// Whether `o` is a well-formed record of a sink other than the trace:
+/// `--metrics-out`'s `run`, or `--perf-out`'s `span` / `mem`.
+fn is_metrics_or_perf_record(o: &Value) -> bool {
+    read_record::<RunRecord>(o).is_ok()
+        || read_record::<SpanRecord>(o).is_ok()
+        || read_record::<MemSnapshot>(o).is_ok()
+}
+
+/// Parse a JSONL dump — a trace, or any other file this binary writes —
+/// into grouped per-event forensics. Malformed lines are counted in
+/// [`TraceFile::skipped`], never fatal.
 pub fn parse_trace(text: &str) -> TraceFile {
     let mut tf = TraceFile::default();
     for line in text.lines() {
@@ -92,14 +105,21 @@ pub fn parse_trace(text: &str) -> TraceFile {
             continue;
         }
         tf.lines += 1;
-        let (run, ev) = match parse_stamped(line) {
-            Ok(x) => x,
+        // Anything but an object has no `"type"`, and fails the read below.
+        let o = parse_value(line).unwrap_or(Value::Null);
+        let ev = match read_record::<TraceEvent>(&o) {
+            Ok(ev) => ev,
+            Err(ParseError::UnknownType(_)) if is_metrics_or_perf_record(&o) => {
+                tf.other_events += 1;
+                continue;
+            }
             Err(_) => {
                 tf.skipped += 1;
                 continue;
             }
         };
-        let rf = tf.runs.entry(run.unwrap_or_default()).or_default();
+        let run = o.get("run").and_then(Value::as_str).unwrap_or_default();
+        let rf = tf.runs.entry(run.to_string()).or_default();
         match ev {
             TraceEvent::PubEvent {
                 now,
@@ -410,12 +430,42 @@ mod tests {
         .to_string()
     }
 
+    /// A `run` record as `--metrics-out` writes it, a `span` and a `mem`
+    /// as `--perf-out` does, and a `run` line cut short by a crash.
+    fn other_sinks_lines() -> String {
+        use vitis_sim::record::to_json;
+        let run = RunRecord {
+            run: "fig6/vitis#0".to_string(),
+            nodes: 10,
+            topics: 4,
+            seed: 42,
+            perf: crate::obs::PerfSample::new(&Default::default(), 0),
+            phase_ms: vec![("build".into(), 1.5)],
+            stats: Default::default(),
+            samples: Default::default(),
+        };
+        let span = SpanRecord {
+            path: "a;b".to_string(),
+            stat: Default::default(),
+        };
+        let run = to_json(None, &run);
+        let cut = &run[..run.len() / 2];
+        let (span, mem) = (to_json(None, &span), to_json(None, &MemSnapshot::default()));
+        format!("{run}\n{span}\n{mem}\n{cut}\n")
+    }
+
     #[test]
     fn parse_groups_by_run_and_event() {
         let tf = parse_trace(sample_trace());
         assert_eq!(tf.lines, 10);
         assert_eq!(tf.skipped, 1);
         assert_eq!(tf.other_events, 1);
+        // The records of the other sinks are known, not unparsable; a
+        // truncated one still is, and neither is fatal.
+        let tf = parse_trace(&(sample_trace().to_string() + &other_sinks_lines()));
+        assert_eq!(tf.lines, 14);
+        assert_eq!(tf.skipped, 2);
+        assert_eq!(tf.other_events, 4);
         let rf = &tf.runs["fig6/vitis#0"];
         assert_eq!(rf.meta, Some((100, 9, 0)));
         let e = &rf.events[&1];

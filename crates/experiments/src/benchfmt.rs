@@ -18,21 +18,24 @@
 //! lower-is-better, `per_sec` is higher-is-better, and everything else
 //! (`bytes`, `count`, `ratio`) is informational context that never gates.
 
-use vitis_sim::trace::{push_f64, push_json_str};
+use vitis_sim::record::{parse_line, write_record};
 
 /// The schema tag heading every BENCH file.
 pub const SCHEMA: &str = "vitis-bench-v1";
 
-/// One measured quantity: a slash-separated name, a value, and the unit
-/// that tells consumers how to compare it.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BenchEntry {
-    /// Hierarchical metric name, e.g. `scale/vitis/2000/measure_ms`.
-    pub name: String,
-    /// Measured value.
-    pub value: f64,
-    /// Unit: `ms`, `us`, `ns`, `per_sec`, `bytes`, `count`, `ratio`.
-    pub unit: String,
+vitis_sim::record! {
+    /// One measured quantity: a slash-separated name, a value, and the unit
+    /// that tells consumers how to compare it. An entry line of the file is
+    /// this record, written by the codec every JSONL record goes through.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct BenchEntry {
+        /// Hierarchical metric name, e.g. `scale/vitis/2000/measure_ms`.
+        pub name: String,
+        /// Measured value.
+        pub value: f64,
+        /// Unit: `ms`, `us`, `ns`, `per_sec`, `bytes`, `count`, `ratio`.
+        pub unit: String,
+    }
 }
 
 impl BenchEntry {
@@ -73,13 +76,7 @@ pub fn render(entries: &[BenchEntry]) -> String {
     o.push_str(SCHEMA);
     o.push_str("\",\"entries\":[\n");
     for (i, e) in entries.iter().enumerate() {
-        o.push_str("{\"name\":");
-        push_json_str(&mut o, &e.name);
-        o.push_str(",\"value\":");
-        push_f64(&mut o, e.value);
-        o.push_str(",\"unit\":");
-        push_json_str(&mut o, &e.unit);
-        o.push('}');
+        write_record(&mut o, None, e);
         if i + 1 < entries.len() {
             o.push(',');
         }
@@ -104,58 +101,10 @@ pub fn parse(text: &str) -> Result<Vec<BenchEntry>, String> {
         if line.is_empty() || line == "]}" {
             continue;
         }
-        entries.push(parse_entry(line)?);
+        let (_, entry) = parse_line(line).map_err(|e| format!("{e} in {line:?}"))?;
+        entries.push(entry);
     }
     Ok(entries)
-}
-
-fn parse_entry(line: &str) -> Result<BenchEntry, String> {
-    let name = field_str(line, "name").ok_or_else(|| format!("no \"name\" in {line:?}"))?;
-    let unit = field_str(line, "unit").ok_or_else(|| format!("no \"unit\" in {line:?}"))?;
-    let value = field_num(line, "value").ok_or_else(|| format!("no \"value\" in {line:?}"))?;
-    Ok(BenchEntry { name, value, unit })
-}
-
-/// Extract a string field from a flat JSON object line. Handles the
-/// escapes [`push_json_str`] emits (`\"`, `\\`, `\n`, `\t`, `\r`,
-/// `\u00XX`) — enough to round-trip our own renderer.
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let mut out = String::new();
-    let mut chars = line[start..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                'r' => out.push('\r'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
-                }
-                other => out.push(other),
-            },
-            other => out.push(other),
-        }
-    }
-    None
-}
-
-/// Extract a numeric field from a flat JSON object line (`null` → NaN).
-fn field_num(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find([',', '}'])
-        .unwrap_or(rest.len());
-    let tok = rest[..end].trim();
-    if tok == "null" {
-        return Some(f64::NAN);
-    }
-    tok.parse().ok()
 }
 
 #[cfg(test)]

@@ -32,7 +32,8 @@
 //! Sweep points are embarrassingly parallel; each builds its own
 //! single-threaded simulation, and Rayon fans the points out across cores.
 //! [`obs`] holds the `--metrics-out` / `--trace-out` sinks they record
-//! into; a run's id is its figure, label and job index.
+//! into; a run's id is its figure, label and job index. Every record of
+//! every sink is declared once, with `vitis_sim::record!`.
 //!
 //! Run from the CLI: `cargo run -p vitis-experiments --release -- all
 //! --nodes 2000` (use `--paper` for the full 10 000-node setting).

@@ -17,7 +17,7 @@
 use std::num::{NonZeroU64, NonZeroUsize};
 use std::process::ExitCode;
 use std::str::FromStr;
-use vitis_experiments::obs::Obs;
+use vitis_experiments::obs::{Batch, FileSink, Obs};
 use vitis_experiments::{
     ablations, clusters, fig10, fig11, fig12, fig4, fig5, fig6, fig7, fig8_9, headline, Figure,
     Scale,
@@ -103,6 +103,32 @@ impl ScaleOpts {
     }
 }
 
+/// The `--metrics-out / --trace-out / --trace-capacity / --perf-out` block
+/// of the subcommands that run `measure_obs`: the figure runner and
+/// `scale`.
+#[derive(Default)]
+struct SinkOpts {
+    metrics_out: Option<String>,
+    trace_out: Option<String>,
+    trace_capacity: Option<NonZeroUsize>,
+    perf_out: Option<String>,
+}
+
+impl SinkOpts {
+    /// Take `flag` if it is one of the sink options; `Ok(false)` leaves
+    /// it to the subcommand.
+    fn accept(&mut self, flag: &str, args: &mut Args) -> Result<bool, Stop> {
+        match flag {
+            "--metrics-out" => self.metrics_out = Some(args.value(flag)?),
+            "--trace-out" => self.trace_out = Some(args.value(flag)?),
+            "--trace-capacity" => self.trace_capacity = Some(args.value(flag)?),
+            "--perf-out" => self.perf_out = Some(args.value(flag)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
 /// A figure the default subcommand can regenerate: its name, whether `all`
 /// includes it, and its runner (handed the scale and `--replicas`).
 type FigureEntry = (&'static str, bool, fn(&Scale, usize) -> Vec<Figure>);
@@ -154,28 +180,19 @@ fn run_figures(mut args: Args) -> Result<(), Stop> {
     let mut named: Vec<&str> = Vec::new();
     let mut all = false;
     let mut scale = ScaleOpts::new();
+    let mut sinks = SinkOpts::default();
     let mut replicas = NonZeroUsize::new(5).expect("nonzero");
-    let mut metrics_out: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut perf_out: Option<String> = None;
     while let Some(a) = args.next() {
         match a {
             "--replicas" => replicas = args.value(a)?,
-            "--metrics-out" => metrics_out = Some(args.value(a)?),
-            "--trace-out" => trace_out = Some(args.value(a)?),
-            "--perf-out" => perf_out = Some(args.value(a)?),
-            "--trace-capacity" => {
-                Obs::global().set_trace_capacity(args.value::<NonZeroUsize>(a)?.get())
-            }
             "--help" | "-h" => return Err(Stop::Help),
-            _ if scale.accept(a, &mut args)? => {}
+            _ if scale.accept(a, &mut args)? || sinks.accept(a, &mut args)? => {}
             "all" => all = true,
             _ if FIGURES.iter().any(|(name, ..)| *name == a) => named.push(a),
             other => return Err(Stop::Usage(format!("unknown argument: {other}"))),
         }
     }
-    open_sinks(metrics_out.as_deref(), trace_out.as_deref())?;
-    perf::set_enabled(perf_out.is_some());
+    open_sinks(&sinks)?;
 
     let scale = scale.scale();
     println!(
@@ -190,32 +207,46 @@ fn run_figures(mut args: Args) -> Result<(), Stop> {
             }
         }
     }
-    report_sinks();
-    perf_out.map_or(Ok(()), |path| write_perf_report(&path))
+    close_sinks(&sinks)
 }
 
-/// Open the `--metrics-out` / `--trace-out` sinks that were asked for.
-fn open_sinks(metrics_out: Option<&str>, trace_out: Option<&str>) -> Result<(), Stop> {
-    if let Some(path) = metrics_out {
-        Obs::global()
-            .set_metrics_file(path)
-            .map_err(|e| io_failed("open", path, e))?;
+/// Open the sinks that were asked for, before the first run starts.
+fn open_sinks(sinks: &SinkOpts) -> Result<(), Stop> {
+    let obs = Obs::global();
+    if let Some(path) = &sinks.metrics_out {
+        obs.metrics.open(path).map_err(|e| io_failed("open", path, e))?;
     }
-    if let Some(path) = trace_out {
-        Obs::global()
-            .set_trace_file(path)
-            .map_err(|e| io_failed("open", path, e))?;
+    if let Some(path) = &sinks.trace_out {
+        obs.trace.open(path).map_err(|e| io_failed("open", path, e))?;
     }
+    if let Some(capacity) = sinks.trace_capacity {
+        obs.set_trace_capacity(capacity.get());
+    }
+    perf::set_enabled(sinks.perf_out.is_some());
     Ok(())
+}
+
+/// After the last run: report what the sinks wrote, and write the
+/// `--perf-out` report if one was asked for.
+fn close_sinks(sinks: &SinkOpts) -> Result<(), Stop> {
+    report_sinks();
+    sinks.perf_out.as_deref().map_or(Ok(()), write_perf_report)
+}
+
+/// Write `batch` as the JSONL file `path`.
+fn write_jsonl(path: &str, batch: &Batch) -> Result<(), Stop> {
+    FileSink::create(path)
+        .and_then(|mut sink| sink.write(batch))
+        .map_err(|e| io_failed("write", path, e))
 }
 
 /// Report how many records each file-streaming sink wrote (they are
 /// already on disk — flushed line by line as runs finished).
 fn report_sinks() {
-    if let Some((path, lines)) = Obs::global().metrics_file_status() {
+    if let Some((path, lines)) = Obs::global().metrics.status() {
         eprintln!("wrote {lines} metrics records to {path}");
     }
-    if let Some((path, lines)) = Obs::global().trace_file_status() {
+    if let Some((path, lines)) = Obs::global().trace.status() {
         eprintln!("wrote {lines} event-trace records to {path}");
     }
     if let Some((runs, evicted)) = Obs::global().trace_overflow_status() {
@@ -236,27 +267,20 @@ fn report_sinks() {
 /// as JSONL to `path`, plus a flamegraph-compatible folded-stack
 /// companion at `path.folded` (`flamegraph.pl FILE.folded > out.svg`).
 fn write_perf_report(path: &str) -> Result<(), Stop> {
-    use std::io::Write;
     let spans = perf::take_spans();
+    let count = spans.len();
     let folded_path = format!("{path}.folded");
-    let write = || -> std::io::Result<()> {
-        let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-        for (p, s) in &spans {
-            writeln!(w, "{}", perf::span_jsonl_line(p, s))?;
-        }
-        writeln!(w, "{}", perf::mem_jsonl_line(&perf::mem_snapshot()))?;
-        w.flush()?;
-        let mut fw = std::io::BufWriter::new(std::fs::File::create(&folded_path)?);
-        for (p, s) in &spans {
-            writeln!(fw, "{}", perf::folded_line(p, s))?;
-        }
-        fw.flush()
-    };
-    write().map_err(|e| io_failed("write", path, e))?;
-    eprintln!(
-        "wrote {} span aggregates to {path} (folded stacks: {folded_path})",
-        spans.len()
-    );
+    let mut batch = Batch::default();
+    let mut folded = String::new();
+    for (path, stat) in spans {
+        folded.push_str(&perf::folded_line(&path, &stat));
+        folded.push('\n');
+        batch.push(None, &perf::SpanRecord { path, stat });
+    }
+    batch.push(None, &perf::mem_snapshot());
+    write_jsonl(path, &batch)?;
+    std::fs::write(&folded_path, folded).map_err(|e| io_failed("write", &folded_path, e))?;
+    eprintln!("wrote {count} span aggregates to {path} (folded stacks: {folded_path})");
     Ok(())
 }
 
@@ -269,8 +293,7 @@ fn run_scale(mut args: Args) -> Result<(), Stop> {
     let mut max_nodes = scalebench::DEFAULT_MAX_NODES;
     let mut seed: u64 = 42;
     let mut out = "BENCH_current.json".to_string();
-    let mut perf_out: Option<String> = None;
-    let mut trace_out: Option<String> = None;
+    let mut sinks = SinkOpts::default();
     let mut budget_secs: Option<u64> = None;
     while let Some(a) = args.next() {
         match a {
@@ -278,19 +301,12 @@ fn run_scale(mut args: Args) -> Result<(), Stop> {
             "--budget-secs" => budget_secs = Some(args.value(a)?),
             "--seed" => seed = args.value(a)?,
             "--out" => out = args.value(a)?,
-            "--perf-out" => perf_out = Some(args.value(a)?),
-            "--trace-out" => trace_out = Some(args.value(a)?),
             "--help" | "-h" => return Err(Stop::Help),
+            _ if sinks.accept(a, &mut args)? => {}
             other => return Err(Stop::Usage(format!("unexpected argument: {other}"))),
         }
     }
-    perf::set_enabled(perf_out.is_some());
-    let mut trace_w = match &trace_out {
-        Some(path) => Some(std::io::BufWriter::new(
-            std::fs::File::create(path).map_err(|e| io_failed("open", path, e))?,
-        )),
-        None => None,
-    };
+    open_sinks(&sinks)?;
     println!(
         "# Vitis scale sweep — up to {max_nodes} nodes, seed {seed}, allocator accounting {}",
         if perf::mem_snapshot().counting {
@@ -299,34 +315,23 @@ fn run_scale(mut args: Args) -> Result<(), Stop> {
             "off (build with --features perf-alloc)"
         }
     );
-    let entries = scalebench::run_sweep(
-        max_nodes,
-        seed,
-        budget_secs,
-        trace_w.as_mut().map(|w| w as &mut dyn std::io::Write),
-        |point| {
-            println!(
-                "{}/{}: build {:.0} ms, warmup {:.0} ms, measure {:.0} ms, drain {:.0} ms, \
-                 {:.0} deliveries/s",
-                point.system,
-                point.nodes,
-                point.ms.build,
-                point.ms.warmup,
-                point.ms.measure,
-                point.ms.drain,
-                point.deliveries_per_sec
-            );
-        },
-    );
-    if let Some(mut w) = trace_w {
-        if let Err(e) = std::io::Write::flush(&mut w) {
-            eprintln!("warning: trace stream flush failed: {e}");
-        }
-    }
+    let entries = scalebench::run_sweep(max_nodes, seed, budget_secs, |point| {
+        println!(
+            "{}/{}: build {:.0} ms, warmup {:.0} ms, measure {:.0} ms, drain {:.0} ms, \
+             {:.0} deliveries/s",
+            point.system,
+            point.nodes,
+            point.ms.build,
+            point.ms.warmup,
+            point.ms.measure,
+            point.ms.drain,
+            point.deliveries_per_sec
+        );
+    });
     let text = vitis_experiments::benchfmt::render(&entries);
     std::fs::write(&out, text).map_err(|e| io_failed("write", &out, e))?;
     eprintln!("wrote {} BENCH entries to {out}", entries.len());
-    perf_out.map_or(Ok(()), |path| write_perf_report(&path))
+    close_sinks(&sinks)
 }
 
 /// The `resilience` subcommand: sweep partition-episode severity across
@@ -345,7 +350,10 @@ fn run_resilience(mut args: Args) -> Result<(), Stop> {
             other => return Err(Stop::Usage(format!("unexpected argument: {other}"))),
         }
     }
-    open_sinks(metrics_out.as_deref(), None)?;
+    open_sinks(&SinkOpts {
+        metrics_out,
+        ..SinkOpts::default()
+    })?;
     let scale = scale.scale();
     println!(
         "# Vitis resilience sweep — scale: {} nodes, {} topics, {} subs/node, seed {}{}\n",
@@ -402,13 +410,12 @@ fn run_topology(mut args: Args) -> Result<(), Stop> {
     );
     let run = topology::run(&scale, &opts);
     if let Some(path) = &out {
-        let mut text = String::with_capacity(run.jsonl.iter().map(|l| l.len() + 1).sum());
-        for line in &run.jsonl {
-            text.push_str(line);
-            text.push('\n');
+        let mut batch = Batch::default();
+        for sample in &run.samples {
+            batch.push(None, sample);
         }
-        std::fs::write(path, text).map_err(|e| io_failed("write", path, e))?;
-        eprintln!("wrote {} topology records to {path}", run.jsonl.len());
+        write_jsonl(path, &batch)?;
+        eprintln!("wrote {} topology records to {path}", run.samples.len());
     }
     if let Some(path) = &dot {
         std::fs::write(path, &run.dot).map_err(|e| io_failed("write", path, e))?;
@@ -470,7 +477,8 @@ usage: vitis-experiments [fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 cluste
 \t --strict exits nonzero on any audit violation)
 
 \tvitis-experiments scale [--max-nodes N] [--budget-secs B] [--seed S] [--out BENCH.json]
-\t\t[--perf-out FILE.jsonl] [--trace-out FILE.jsonl]
+\t\t[--metrics-out FILE.jsonl] [--trace-out FILE.jsonl] [--trace-capacity N] [--perf-out FILE.jsonl]
 \t(node-count ladder 2k..100k across vitis/rvr/opt; BENCH schema in docs/METRICS.md §9.
+\t the four sink options are the figure runner's: each point is the run scale/<system>-<nodes>#<index>;
 \t build with --features perf-alloc for allocator peak-memory entries;
 \t compare two BENCH files with the bench-diff binary)";

@@ -1,23 +1,31 @@
 //! Process-wide observability sinks for experiment runs.
 //!
 //! The CLI opens the global [`Obs`] sinks once (from `--metrics-out` /
-//! `--trace-out`); every figure runner then labels its measurement runs
+//! `--trace-out`, each a [`Sink`]); every figure runner then labels its measurement runs
 //! through [`Obs::start`], and [`crate::runner::measure_obs`] records
 //! per-run phase timers, a per-round convergence time series, overlay
 //! health probes and the final [`PubSubStats`] into JSONL sinks. Sweep
-//! points run on Rayon workers, so the sinks take pre-rendered lines
-//! behind mutexes; with no sink open (the default, and always in unit
-//! tests) every recording call is a cheap no-op.
+//! points run on Rayon workers, so the sinks take a finished run's lines
+//! as one [`Batch`] behind a mutex; with no sink open (the default, and
+//! always in unit tests) every recording call is a cheap no-op.
 //!
-//! The schema of both sinks is documented in `docs/METRICS.md`.
+//! [`FileSink`] is the one thing in this crate that opens and writes a
+//! JSONL file — these two sinks, `--perf-out` and `topology --out` — and
+//! every line it writes is a record of the one table
+//! ([`mod@vitis_sim::record`]): the trace's [`TraceEvent`]s, the
+//! [`RunRecord`] declared here, the perf module's spans and memory.
+//!
+//! The schema of every record is documented in `docs/METRICS.md`.
 
+use std::borrow::Cow;
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 use vitis::monitor::PubSubStats;
 use vitis_sim::perf::EngineCounters;
-use vitis_sim::trace::{push_f64, push_json_str, Trace, TraceEvent, TraceHandle};
+use vitis_sim::record::{write_record, Record};
+use vitis_sim::trace::{Sample, Trace, TraceEvent, TraceHandle};
 
 /// Default ring-buffer capacity of the per-run event trace. Old events
 /// are evicted (and counted) beyond this; the `trace_meta` record reports
@@ -25,36 +33,35 @@ use vitis_sim::trace::{push_f64, push_json_str, Trace, TraceEvent, TraceHandle};
 /// [`Obs::set_trace_capacity`].
 pub const TRACE_CAPACITY: usize = 65_536;
 
-/// One per-round convergence sample taken during the measure/drain
-/// phases (the `samples` array of a metrics record).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RoundSample {
-    /// Rounds since measurement started (1-based).
-    pub round: u64,
-    /// Simulation time of the sample.
-    pub now: u64,
-    /// Hit ratio so far in the window.
-    pub hit_ratio: f64,
-    /// Traffic overhead percent so far in the window.
-    pub overhead_pct: f64,
-    /// Deliveries achieved so far.
-    pub delivered: u64,
-    /// Deliveries expected so far.
-    pub expected: u64,
+/// The lines of one write: records rendered one per line into one buffer.
+#[derive(Default)]
+pub struct Batch {
+    text: String,
+    lines: u64,
 }
 
-/// A sink streaming finished JSONL lines to a file. Each batch is written
-/// and flushed whole the moment a run finishes, so a sweep that panics or
-/// is killed part-way still leaves a valid JSONL prefix covering every
-/// completed run.
-struct FileSink {
+impl Batch {
+    /// Append `rec` as one line, led by the `run` stamp if there is one.
+    pub fn push<R: Record>(&mut self, run: Option<&str>, rec: &R) {
+        write_record(&mut self.text, run, rec);
+        self.text.push('\n');
+        self.lines += 1;
+    }
+}
+
+/// A JSONL file being written. A batch goes out in a single `write_all`
+/// followed by a flush, so only whole lines ever reach the file: a sweep
+/// that panics or is killed part-way still leaves a valid JSONL prefix
+/// covering every completed run.
+pub struct FileSink {
     f: std::fs::File,
     path: String,
     lines: u64,
 }
 
 impl FileSink {
-    fn create(path: &str) -> std::io::Result<FileSink> {
+    /// Create (truncate) `path`.
+    pub fn create(path: &str) -> std::io::Result<FileSink> {
         Ok(FileSink {
             f: std::fs::File::create(path)?,
             path: path.to_string(),
@@ -62,52 +69,61 @@ impl FileSink {
         })
     }
 
-    /// Render the batch into one buffer and write it with a single
-    /// `write_all` (only whole lines ever reach the file), then flush.
-    fn push_batch<I: IntoIterator<Item = String>>(&mut self, batch: I) {
-        let mut buf = String::new();
-        let mut n = 0u64;
-        for line in batch {
-            buf.push_str(&line);
-            buf.push('\n');
-            n += 1;
-        }
-        if n == 0 {
-            return;
-        }
-        match self.f.write_all(buf.as_bytes()).and_then(|()| self.f.flush()) {
-            Ok(()) => self.lines += n,
-            Err(e) => eprintln!("warning: obs sink {}: write failed: {e}", self.path),
+    /// Write `batch` whole and flush it.
+    pub fn write(&mut self, batch: &Batch) -> std::io::Result<()> {
+        self.f.write_all(batch.text.as_bytes())?;
+        self.f.flush()?;
+        self.lines += batch.lines;
+        Ok(())
+    }
+}
+
+/// One of the switchboard's sinks: closed until the CLI opens a file for
+/// it. Runs look at it once per phase and per measured round, so an
+/// uncontended lock is all "is it open" costs.
+pub struct Sink(Mutex<Option<FileSink>>);
+
+impl Sink {
+    /// Stream to `path` from now on. Each run's records are written and
+    /// flushed as the run finishes, so an aborted sweep leaves a valid
+    /// partial JSONL file.
+    pub fn open(&self, path: &str) -> std::io::Result<()> {
+        *self.0.lock().expect("obs lock") = Some(FileSink::create(path)?);
+        Ok(())
+    }
+
+    /// Whether records for this sink are being collected.
+    pub fn is_open(&self) -> bool {
+        self.0.lock().expect("obs lock").is_some()
+    }
+
+    /// `(path, lines written so far)`, once open.
+    pub fn status(&self) -> Option<(String, u64)> {
+        let guard = self.0.lock().expect("obs lock");
+        guard.as_ref().map(|s| (s.path.clone(), s.lines))
+    }
+
+    /// Write `batch` if the sink is open. A failed write is a warning,
+    /// not the end of the sweep.
+    fn submit(&self, batch: &Batch) {
+        if let Some(s) = self.0.lock().expect("obs lock").as_mut() {
+            if let Err(e) = s.write(batch) {
+                eprintln!("warning: obs sink {}: write failed: {e}", s.path);
+            }
         }
     }
 }
 
-/// A sink slot: `None` until the CLI opens a file for it.
-type Sink = Mutex<Option<FileSink>>;
-
-fn push_batch<I: IntoIterator<Item = String>>(sink: &Sink, batch: I) {
-    if let Some(s) = sink.lock().expect("obs lock").as_mut() {
-        s.push_batch(batch);
-    }
-}
-
-/// `(path, lines written so far)` of an open sink.
-fn file_status(sink: &Sink) -> Option<(String, u64)> {
-    let guard = sink.lock().expect("obs lock");
-    guard.as_ref().map(|s| (s.path.clone(), s.lines))
-}
-
-/// The global observability switchboard: two JSONL file sinks (each with
-/// a lock-free "is it open" flag), shared by every figure runner in the
-/// process.
+/// The global observability switchboard: two JSONL file sinks, shared by
+/// every figure runner in the process.
 pub struct Obs {
-    metrics_on: AtomicBool,
-    trace_on: AtomicBool,
+    /// Per-run metrics records (`--metrics-out`).
+    pub metrics: Sink,
+    /// Per-run event traces (`--trace-out`).
+    pub trace: Sink,
     trace_capacity: AtomicUsize,
     overflow_runs: AtomicU64,
     overflow_evicted: AtomicU64,
-    metrics_sink: Sink,
-    trace_sink: Sink,
 }
 
 static GLOBAL: Obs = Obs::new();
@@ -115,13 +131,11 @@ static GLOBAL: Obs = Obs::new();
 impl Obs {
     const fn new() -> Obs {
         Obs {
-            metrics_on: AtomicBool::new(false),
-            trace_on: AtomicBool::new(false),
+            metrics: Sink(Mutex::new(None)),
+            trace: Sink(Mutex::new(None)),
             trace_capacity: AtomicUsize::new(TRACE_CAPACITY),
             overflow_runs: AtomicU64::new(0),
             overflow_evicted: AtomicU64::new(0),
-            metrics_sink: Mutex::new(None),
-            trace_sink: Mutex::new(None),
         }
     }
 
@@ -129,16 +143,6 @@ impl Obs {
     /// set, so library users and tests pay nothing.
     pub fn global() -> &'static Obs {
         &GLOBAL
-    }
-
-    /// Whether per-run metrics records are being collected.
-    pub fn metrics_on(&self) -> bool {
-        self.metrics_on.load(Ordering::Relaxed)
-    }
-
-    /// Whether per-run event traces are being collected.
-    pub fn trace_on(&self) -> bool {
-        self.trace_on.load(Ordering::Relaxed)
     }
 
     /// Per-run trace ring capacity (`--trace-capacity`, default
@@ -165,41 +169,9 @@ impl Obs {
             last_phase: Instant::now(),
             phases: Vec::new(),
             samples: Vec::new(),
+            records: Vec::new(),
             trace: None,
         }
-    }
-
-    /// Collect per-run metrics records, streaming them to `path`. Each
-    /// record is written and flushed as its run finishes, so an aborted
-    /// sweep leaves a valid partial JSONL file.
-    pub fn set_metrics_file(&self, path: &str) -> std::io::Result<()> {
-        *self.metrics_sink.lock().expect("obs lock") = Some(FileSink::create(path)?);
-        self.metrics_on.store(true, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Collect per-run event traces, streaming them to `path` (same
-    /// crash-safety as [`Obs::set_metrics_file`]).
-    pub fn set_trace_file(&self, path: &str) -> std::io::Result<()> {
-        *self.trace_sink.lock().expect("obs lock") = Some(FileSink::create(path)?);
-        self.trace_on.store(true, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// `(path, lines written so far)` of the metrics sink, once open.
-    pub fn metrics_file_status(&self) -> Option<(String, u64)> {
-        file_status(&self.metrics_sink)
-    }
-
-    /// `(path, lines written so far)` of the trace sink, once open.
-    pub fn trace_file_status(&self) -> Option<(String, u64)> {
-        file_status(&self.trace_sink)
-    }
-
-    /// Submit lines rendered outside [`RunCtx::finish`] (the resilience
-    /// sweep's `topo` and `reconv` records) through the metrics sink.
-    pub fn push_metrics_lines<I: IntoIterator<Item = String>>(&self, lines: I) {
-        push_batch(&self.metrics_sink, lines);
     }
 
     /// Account one run whose trace ring overflowed. Returns true only for
@@ -227,33 +199,98 @@ pub struct RunCtx {
     /// Run id (`figure/label#index`) stamped on every record.
     pub run: String,
     last_phase: Instant,
-    phases: Vec<(&'static str, f64)>,
-    samples: Vec<RoundSample>,
+    phases: Vec<(Cow<'static, str>, f64)>,
+    samples: Vec<Sample>,
+    records: Vec<TraceEvent>,
     trace: Option<TraceHandle>,
 }
 
-/// Deterministic perf facts read at the end of a run (the `"perf"` object
-/// of its metrics record): engine-side counters plus the structural
-/// footprint estimate. Pure functions of the simulation (no wall clock),
-/// so they survive the determinism double-run diff unchanged.
-#[derive(Clone, Copy, Debug)]
-pub struct PerfSample {
-    /// Queue high-water mark and per-phase activation counts.
-    pub counters: EngineCounters,
-    /// Structural per-node footprint estimate, summed over alive nodes.
-    pub footprint_bytes: u64,
+vitis_sim::record! {
+    /// The record of one measurement run in the `--metrics-out` file
+    /// (docs/METRICS.md §3).
+    #[derive(Clone, Debug)]
+    pub struct RunRecord = "run" {
+        /// Run id (`figure/label#index`).
+        pub(crate) run: String,
+        // The run's `Scale`.
+        pub(crate) nodes: u64,
+        pub(crate) topics: u64,
+        pub(crate) seed: u64,
+        /// Deterministic perf facts read at the end of the run: pure
+        /// functions of the simulation (no wall clock), so they survive
+        /// the determinism double-run diff unchanged.
+        pub(crate) perf: PerfSample,
+        /// Wall-clock milliseconds per phase, in phase order.
+        pub(crate) phase_ms: Vec<(Cow<'static, str>, f64)>,
+        /// The final stats of the measurement window.
+        pub(crate) stats: PubSubStats,
+        /// One convergence sample per measured round.
+        pub(crate) samples: Vec<Sample>,
+    }
+}
+
+vitis_sim::record! {
+    /// The `"perf"` object of a [`RunRecord`]: the engine's
+    /// [`EngineCounters`], regrouped, plus the structural footprint
+    /// estimate summed over alive nodes.
+    #[derive(Clone, Copy, Debug)]
+    pub(crate) struct PerfSample {
+        queue_hwm: u64,
+        activations: Activations,
+        sched: Sched,
+        footprint_bytes: u64,
+    }
+}
+
+vitis_sim::record! {
+    /// `EngineCounters::activations_*`.
+    #[derive(Clone, Copy, Debug)]
+    pub(crate) struct Activations {
+        start: u64,
+        round: u64,
+        message: u64,
+        stop: u64,
+    }
+}
+
+vitis_sim::record! {
+    /// `EngineCounters::sched_*`.
+    #[derive(Clone, Copy, Debug)]
+    pub(crate) struct Sched {
+        batches: u64,
+        overflow: u64,
+    }
+}
+
+impl PerfSample {
+    pub(crate) fn new(c: &EngineCounters, footprint_bytes: u64) -> PerfSample {
+        PerfSample {
+            queue_hwm: c.queue_hwm,
+            activations: Activations {
+                start: c.activations_start,
+                round: c.activations_round,
+                message: c.activations_message,
+                stop: c.activations_stop,
+            },
+            sched: Sched {
+                batches: c.sched_batches,
+                overflow: c.sched_overflow,
+            },
+            footprint_bytes,
+        }
+    }
 }
 
 impl RunCtx {
     /// True when nothing is being collected; recording calls no-op.
     pub fn disabled(&self) -> bool {
-        !self.obs.metrics_on() && !self.obs.trace_on()
+        !self.obs.metrics.is_open() && !self.obs.trace.is_open()
     }
 
     /// Install a fresh event trace into `sys` (no-op unless `--trace-out`
     /// is active).
     pub fn install_trace(&mut self, sys: &mut dyn vitis::system::PubSub) {
-        if self.obs.trace_on() {
+        if self.obs.trace.is_open() {
             let handle = Trace::shared(self.obs.trace_capacity());
             sys.install_trace(handle.clone());
             self.trace = Some(handle);
@@ -272,7 +309,7 @@ impl RunCtx {
         let elapsed = self.last_phase.elapsed().as_secs_f64() * 1e3;
         self.last_phase = Instant::now();
         if !self.disabled() {
-            self.phases.push((name, elapsed));
+            self.phases.push((name.into(), elapsed));
         }
         if let Some(t) = &self.trace {
             t.borrow_mut().record(TraceEvent::Phase {
@@ -291,7 +328,7 @@ impl RunCtx {
         }
         let stats = sys.stats();
         let now = sys.now().0;
-        let s = RoundSample {
+        let sample = Sample {
             round,
             now,
             hit_ratio: stats.hit_ratio,
@@ -299,7 +336,6 @@ impl RunCtx {
             delivered: stats.delivered,
             expected: stats.expected,
         };
-        self.samples.push(s);
         if let Some(t) = &self.trace {
             let probe = sys.health_probe();
             let mut t = t.borrow_mut();
@@ -308,15 +344,19 @@ impl RunCtx {
                 now,
                 alive: probe.alive,
             });
-            t.record(TraceEvent::Sample {
-                round,
-                now,
-                hit_ratio: s.hit_ratio,
-                overhead_pct: s.overhead_pct,
-                delivered: s.delivered,
-                expected: s.expected,
-            });
+            t.record(TraceEvent::Sample { sample });
             t.record(TraceEvent::Health { now, probe });
+        }
+        self.samples.push(sample);
+    }
+
+    /// Keep `ev` for the metrics sink: it is written, stamped with the run
+    /// id, ahead of the run's own record (the resilience sweep's `topo`
+    /// series and `reconv` outcome). A no-op unless `--metrics-out` is
+    /// active.
+    pub fn record(&mut self, ev: TraceEvent) {
+        if self.obs.metrics.is_open() {
+            self.records.push(ev);
         }
     }
 
@@ -329,14 +369,26 @@ impl RunCtx {
         sys: &dyn vitis::system::PubSub,
     ) -> PubSubStats {
         let stats = sys.stats();
-        if self.obs.metrics_on() {
-            let perf = PerfSample {
-                counters: sys.perf_counters(),
-                footprint_bytes: sys.footprint_estimate(),
-            };
-            let line =
-                render_metrics_line(&self.run, scale, &self.phases, &self.samples, &stats, &perf);
-            push_batch(&self.obs.metrics_sink, [line]);
+        let run = Some(self.run.as_str());
+        if self.obs.metrics.is_open() {
+            let mut batch = Batch::default();
+            for ev in &self.records {
+                batch.push(run, ev);
+            }
+            batch.push(
+                None,
+                &RunRecord {
+                    run: self.run.clone(),
+                    nodes: scale.nodes as u64,
+                    topics: scale.topics as u64,
+                    seed: scale.seed,
+                    perf: PerfSample::new(&sys.perf_counters(), sys.footprint_estimate()),
+                    phase_ms: self.phases,
+                    stats: stats.clone(),
+                    samples: self.samples,
+                },
+            );
+            self.obs.metrics.submit(&batch);
         }
         if let Some(t) = &self.trace {
             let t = t.borrow();
@@ -353,161 +405,62 @@ impl RunCtx {
                     t.total_recorded()
                 );
             }
-            let mut batch = vec![trace_meta_line(&self.run, &t)];
+            // The run's trace is headed by its ring accounting: capacity
+            // and how many events were evicted (0 = the trace is complete).
+            let mut batch = Batch::default();
+            batch.push(
+                run,
+                &TraceEvent::TraceMeta {
+                    capacity: t.capacity() as u64,
+                    recorded: t.total_recorded(),
+                    evicted: t.evicted(),
+                },
+            );
             for ev in t.events() {
-                batch.push(stamp_run(&self.run, &vitis_sim::trace::event_to_json(ev)));
+                batch.push(run, ev);
             }
-            push_batch(&self.obs.trace_sink, batch);
+            self.obs.trace.submit(&batch);
         }
         stats
     }
 }
 
-/// Prefix a rendered trace-event object with a `"run"` field.
-pub(crate) fn stamp_run(run: &str, event_json: &str) -> String {
-    let mut out = String::with_capacity(event_json.len() + run.len() + 10);
-    out.push_str("{\"run\":");
-    push_json_str(&mut out, run);
-    out.push(',');
-    out.push_str(&event_json[1..]);
-    out
-}
-
-/// The `trace_meta` record heading a run's trace: capacity and how many
-/// events the ring buffer evicted (0 means the trace is complete).
-fn trace_meta_line(run: &str, t: &Trace) -> String {
-    stamp_run(
-        run,
-        &vitis_sim::trace::event_to_json(&TraceEvent::TraceMeta {
-            capacity: t.capacity() as u64,
-            recorded: t.total_recorded(),
-            evicted: t.evicted(),
-        }),
-    )
-}
-
-fn render_metrics_line(
-    run: &str,
-    scale: &crate::scale::Scale,
-    phases: &[(&'static str, f64)],
-    samples: &[RoundSample],
-    stats: &PubSubStats,
-    perf: &PerfSample,
-) -> String {
-    let mut o = String::with_capacity(512);
-    o.push_str("{\"type\":\"run\",\"run\":");
-    push_json_str(&mut o, run);
-    o.push_str(&format!(
-        ",\"nodes\":{},\"topics\":{},\"seed\":{}",
-        scale.nodes, scale.topics, scale.seed
-    ));
-    let c = &perf.counters;
-    o.push_str(&format!(
-        ",\"perf\":{{\"queue_hwm\":{},\"activations\":{{\"start\":{},\"round\":{},\
-         \"message\":{},\"stop\":{}}},\"sched\":{{\"batches\":{},\"overflow\":{}}},\
-         \"footprint_bytes\":{}}}",
-        c.queue_hwm,
-        c.activations_start,
-        c.activations_round,
-        c.activations_message,
-        c.activations_stop,
-        c.sched_batches,
-        c.sched_overflow,
-        perf.footprint_bytes
-    ));
-    o.push_str(",\"phase_ms\":{");
-    for (i, (name, ms)) in phases.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        push_json_str(&mut o, name);
-        o.push(':');
-        push_f64(&mut o, *ms);
-    }
-    o.push_str("},\"stats\":{");
-    o.push_str(&format!(
-        "\"published\":{},\"expected\":{},\"delivered\":{},",
-        stats.published, stats.expected, stats.delivered
-    ));
-    o.push_str("\"hit_ratio\":");
-    push_f64(&mut o, stats.hit_ratio);
-    o.push_str(",\"mean_hops\":");
-    push_f64(&mut o, stats.mean_hops);
-    o.push_str(&format!(",\"max_hops\":{},", stats.max_hops));
-    o.push_str(&format!(
-        "\"useful_msgs\":{},\"relay_msgs\":{},",
-        stats.useful_msgs, stats.relay_msgs
-    ));
-    o.push_str("\"overhead_pct\":");
-    push_f64(&mut o, stats.overhead_pct);
-    o.push_str(",\"mean_latency_ticks\":");
-    push_f64(&mut o, stats.mean_latency_ticks);
-    o.push_str(&format!(",\"max_latency_ticks\":{},", stats.max_latency_ticks));
-    o.push_str("\"control_bytes_per_round\":");
-    push_f64(&mut o, stats.control_bytes_per_round);
-    o.push_str(&format!(
-        ",\"control_sent\":{},\"data_sent\":{},",
-        stats.control_sent, stats.data_sent
-    ));
-    o.push_str("\"traffic_by_kind\":[");
-    for (i, k) in stats.traffic_by_kind.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        o.push_str("{\"kind\":");
-        push_json_str(&mut o, &k.kind);
-        o.push_str(",\"class\":");
-        push_json_str(&mut o, &k.class);
-        o.push_str(&format!(",\"sent\":{},\"delivered\":{}}}", k.sent, k.delivered));
-    }
-    o.push_str("]},\"samples\":[");
-    for (i, s) in samples.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        o.push_str(&format!("{{\"round\":{},\"now\":{},", s.round, s.now));
-        o.push_str("\"hit_ratio\":");
-        push_f64(&mut o, s.hit_ratio);
-        o.push_str(",\"overhead_pct\":");
-        push_f64(&mut o, s.overhead_pct);
-        o.push_str(&format!(
-            ",\"delivered\":{},\"expected\":{}}}",
-            s.delivered, s.expected
-        ));
-    }
-    o.push_str("]}");
-    o
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vitis_sim::record::{parse_line, to_json};
 
     #[test]
-    fn stamp_run_produces_valid_prefixed_object() {
+    fn run_stamp_leads_the_object_and_readers_skip_it() {
         let ev = TraceEvent::Round {
             round: 3,
             now: 90,
             alive: 10,
         };
-        let line = stamp_run("fig6/vitis#0", &vitis_sim::trace::event_to_json(&ev));
-        assert!(line.starts_with("{\"run\":\"fig6/vitis#0\","));
-        // The run field is extra; the trace parser must still accept it.
-        assert_eq!(vitis_sim::trace::parse_event(&line), Ok(ev));
+        let line = to_json(Some("fig6/vitis#0"), &ev);
+        assert!(line.starts_with("{\"run\":\"fig6/vitis#0\",\"type\":\"round\","));
+        assert_eq!(parse_line(&line), Ok((Some("fig6/vitis#0".to_string()), ev)));
+    }
+
+    fn run_record(phases: &[(&'static str, f64)], samples: Vec<Sample>) -> RunRecord {
+        let scale = crate::scale::Scale::quick();
+        RunRecord {
+            run: "t/x#1".to_string(),
+            nodes: scale.nodes as u64,
+            topics: scale.topics as u64,
+            seed: scale.seed,
+            perf: PerfSample::new(&EngineCounters::default(), 0),
+            phase_ms: phases.iter().map(|&(name, ms)| (name.into(), ms)).collect(),
+            stats: PubSubStats::default(),
+            samples,
+        }
     }
 
     #[test]
     fn metrics_line_is_well_formed() {
-        let scale = crate::scale::Scale::quick();
-        let stats = PubSubStats {
-            hit_ratio: f64::NAN, // must render as null, not break JSON
-            ..PubSubStats::default()
-        };
-        let line = render_metrics_line(
-            "t/x#1",
-            &scale,
+        let mut rec = run_record(
             &[("build", 1.5), ("measure", 2.0)],
-            &[RoundSample {
+            vec![Sample {
                 round: 1,
                 now: 30,
                 hit_ratio: 0.5,
@@ -515,12 +468,10 @@ mod tests {
                 delivered: 5,
                 expected: 10,
             }],
-            &stats,
-            &PerfSample {
-                counters: EngineCounters::default(),
-                footprint_bytes: 0,
-            },
         );
+        rec.stats.hit_ratio = f64::NAN; // must render as null, not break JSON
+        let line = to_json(None, &rec);
+        assert!(line.starts_with("{\"type\":\"run\",\"run\":\"t/x#1\",\"nodes\":"));
         assert!(line.contains("\"phase_ms\":{\"build\":1.5,\"measure\":2}"));
         assert!(line.contains("\"hit_ratio\":null"));
         assert!(line.contains("\"samples\":[{\"round\":1,"));
@@ -529,10 +480,9 @@ mod tests {
 
     #[test]
     fn perf_object_renders_deterministic_integers() {
-        let scale = crate::scale::Scale::quick();
-        let stats = PubSubStats::default();
-        let perf = PerfSample {
-            counters: EngineCounters {
+        let mut rec = run_record(&[], Vec::new());
+        rec.perf = PerfSample::new(
+            &EngineCounters {
                 queue_hwm: 7,
                 activations_start: 4,
                 activations_round: 40,
@@ -541,10 +491,9 @@ mod tests {
                 sched_batches: 9,
                 sched_overflow: 2,
             },
-            footprint_bytes: 2048,
-        };
-        let line = render_metrics_line("t/x#2", &scale, &[], &[], &stats, &perf);
-        assert!(line.contains(
+            2048,
+        );
+        assert!(to_json(None, &rec).contains(
             "\"perf\":{\"queue_hwm\":7,\"activations\":{\"start\":4,\"round\":40,\
              \"message\":12,\"stop\":1},\"sched\":{\"batches\":9,\"overflow\":2},\
              \"footprint_bytes\":2048}"
@@ -556,8 +505,8 @@ mod tests {
     fn golden_records() -> String {
         use std::borrow::Cow;
         use vitis::monitor::KindStat;
-        use vitis_sim::perf::{mem_jsonl_line, span_jsonl_line, MemSnapshot, SpanStat};
-        use vitis_sim::trace::{event_to_json, HealthProbe, TopoProbe, TrafficClass};
+        use vitis_sim::perf::{MemSnapshot, SpanRecord, SpanStat};
+        use vitis_sim::trace::{HealthProbe, TopoProbe, TrafficClass};
         let events = vec![
             TraceEvent::Round {
                 round: 3,
@@ -608,20 +557,24 @@ mod tests {
                 },
             },
             TraceEvent::Sample {
-                round: 4,
-                now: 256,
-                hit_ratio: 0.96875,
-                overhead_pct: 12.5,
-                delivered: 31,
-                expected: 32,
+                sample: Sample {
+                    round: 4,
+                    now: 256,
+                    hit_ratio: 0.96875,
+                    overhead_pct: 12.5,
+                    delivered: 31,
+                    expected: 32,
+                },
             },
             TraceEvent::Sample {
-                round: 1,
-                now: 64,
-                hit_ratio: f64::NAN,
-                overhead_pct: f64::INFINITY,
-                delivered: 0,
-                expected: 0,
+                sample: Sample {
+                    round: 1,
+                    now: 64,
+                    hit_ratio: f64::NAN,
+                    overhead_pct: f64::INFINITY,
+                    delivered: 0,
+                    expected: 0,
+                },
             },
             TraceEvent::Phase {
                 name: Cow::Borrowed("warmup"),
@@ -729,22 +682,25 @@ mod tests {
                 evicted: 746808,
             },
         ];
-        let mut lines: Vec<String> = events.iter().map(event_to_json).collect();
+        let mut lines: Vec<String> = events.iter().map(|ev| to_json(None, ev)).collect();
 
         // What `RunCtx::finish` heads and fills a run's trace with.
         let mut ring = Trace::new(2);
         for ev in &events[..3] {
             ring.record(ev.clone());
         }
-        lines.push(trace_meta_line("fig6/vitis-low-rt25#7", &ring));
-        for ev in ring.events() {
-            lines.push(stamp_run("fig6/vitis-low-rt25#7", &event_to_json(ev)));
-        }
-        lines.push(stamp_run("we\"ird\\run\n#0", &event_to_json(&events[0])));
+        let run = Some("fig6/vitis-low-rt25#7");
+        let meta = TraceEvent::TraceMeta {
+            capacity: ring.capacity() as u64,
+            recorded: ring.total_recorded(),
+            evicted: ring.evicted(),
+        };
+        lines.push(to_json(run, &meta));
+        lines.extend(ring.events().map(|ev| to_json(run, ev)));
+        lines.push(to_json(Some("we\"ird\\run\n#0"), &events[0]));
 
         // The `run` record of `--metrics-out`.
-        let mut scale = crate::scale::Scale::quick();
-        scale.seed = 42;
+        let scale = crate::scale::Scale::quick();
         let kind = |kind: &str, class: &str, sent, delivered| KindStat {
             kind: kind.to_string(),
             class: class.to_string(),
@@ -771,7 +727,7 @@ mod tests {
                 kind("notification", "data", 11851, 11833),
             ],
         };
-        let sample = |round, now, hit_ratio, delivered| RoundSample {
+        let sample = |round, now, hit_ratio, delivered| Sample {
             round,
             now,
             hit_ratio,
@@ -779,53 +735,56 @@ mod tests {
             delivered,
             expected: 1000 * round,
         };
-        let perf = PerfSample {
-            counters: EngineCounters {
-                queue_hwm: 5366,
-                activations_start: 400,
-                activations_round: 32000,
-                activations_message: 1067532,
-                activations_stop: 1,
-                sched_batches: 33450,
-                sched_overflow: 12,
-            },
-            footprint_bytes: 739008,
+        let counters = EngineCounters {
+            queue_hwm: 5366,
+            activations_start: 400,
+            activations_round: 32000,
+            activations_message: 1067532,
+            activations_stop: 1,
+            sched_batches: 33450,
+            sched_overflow: 12,
         };
-        lines.push(render_metrics_line(
-            "fig6/vitis-low-rt25#7",
-            &scale,
-            &[("build", 41.25), ("warmup", 612.5), ("measure", 130.75), ("drain", 95.0)],
-            &[sample(1, 1830, 0.40625, 410), sample(2, 1860, 0.859375, 1720)],
-            &stats,
-            &perf,
+        let phases = [("build", 41.25), ("warmup", 612.5), ("measure", 130.75), ("drain", 95.0)];
+        lines.push(to_json(
+            None,
+            &RunRecord {
+                run: "fig6/vitis-low-rt25#7".to_string(),
+                nodes: scale.nodes as u64,
+                topics: scale.topics as u64,
+                seed: scale.seed,
+                perf: PerfSample::new(&counters, 739008),
+                phase_ms: phases.iter().map(|&(name, ms)| (name.into(), ms)).collect(),
+                stats,
+                samples: vec![sample(1, 1830, 0.40625, 410), sample(2, 1860, 0.859375, 1720)],
+            },
         ));
-        lines.push(render_metrics_line(
-            "t/empty#0",
-            &scale,
-            &[],
-            &[],
-            &PubSubStats::default(),
-            &PerfSample {
-                counters: EngineCounters::default(),
-                footprint_bytes: 0,
+        lines.push(to_json(
+            None,
+            &RunRecord {
+                run: "t/empty#0".to_string(),
+                ..run_record(&[], Vec::new())
             },
         ));
 
         // `--perf-out`.
-        let span = SpanStat {
-            count: 30,
-            total_ns: 12_000_000_000,
-            min_ns: 3,
-            max_ns: 9,
-            self_ns: 80,
+        let span = SpanRecord {
+            path: "scale.point;measure.warmup".to_string(),
+            stat: SpanStat {
+                count: 30,
+                total_ns: 12_000_000_000,
+                min_ns: 3,
+                max_ns: 9,
+                self_ns: 80,
+            },
         };
-        lines.push(span_jsonl_line("scale.point;measure.warmup", &span));
-        lines.push(mem_jsonl_line(&MemSnapshot {
+        lines.push(to_json(None, &span));
+        let mem = MemSnapshot {
             counting: true,
             live_bytes: 1024,
             peak_bytes: 4096,
             allocations: 17,
-        }));
+        };
+        lines.push(to_json(None, &mem));
 
         let mut text = lines.join("\n");
         text.push('\n');
@@ -837,33 +796,60 @@ mod tests {
         text
     }
 
-    /// The fence of the record table: every writer renders the golden
-    /// values to the committed bytes.
+    /// The fence of the record table: the one writer renders the golden
+    /// values to the bytes the hand-written writers of PR 19 rendered them
+    /// to, and the one reader reads every line back to a value that
+    /// renders to the same bytes (which also covers the NaN that no `==`
+    /// would).
     #[test]
-    fn records_render_to_the_committed_golden_bytes() {
+    fn records_render_to_the_committed_golden_bytes_and_read_back() {
+        use vitis_sim::perf::{MemSnapshot, SpanRecord};
+        use vitis_sim::record::{parse_value, read_record, Value};
         let path = concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../../tests/golden/records_v1.jsonl"
         );
-        let got = golden_records();
-        if std::env::var_os("UPDATE_GOLDEN").is_some() {
-            std::fs::write(path, &got).unwrap();
-        }
         let want = std::fs::read_to_string(path).expect("tests/golden/records_v1.jsonl");
-        assert_eq!(got, want);
+        assert_eq!(golden_records(), want);
+
+        let (records, bench) = want.split_at(want.find("{\"schema\"").expect("BENCH document"));
+        for line in records.lines() {
+            let o = parse_value(line).unwrap_or_else(|| panic!("not JSON: {line}"));
+            let run = o.get("run").and_then(Value::as_str);
+            let back = match o.get("type").and_then(Value::as_str) {
+                Some("run") => to_json(None, &read_record::<RunRecord>(&o).unwrap()),
+                Some("span") => to_json(None, &read_record::<SpanRecord>(&o).unwrap()),
+                Some("mem") => to_json(None, &read_record::<MemSnapshot>(&o).unwrap()),
+                _ => to_json(run, &read_record::<TraceEvent>(&o).unwrap()),
+            };
+            assert_eq!(back, line);
+        }
+        let entries = crate::benchfmt::parse(bench).unwrap();
+        assert_eq!(entries.len(), 2);
+        assert_eq!(crate::benchfmt::render(&entries), bench);
     }
 
     #[test]
     fn file_sink_streams_whole_flushed_lines() {
         let path = std::env::temp_dir().join(format!("obs_sink_test_{}.jsonl", std::process::id()));
         let path_s = path.to_str().unwrap().to_string();
-        let sink: Sink = Mutex::new(Some(FileSink::create(&path_s).unwrap()));
-        push_batch(&sink, ["{\"a\":1}".to_string(), "{\"b\":2}".to_string()]);
+        let sink = Sink(Mutex::new(None));
+        sink.open(&path_s).unwrap();
+        let mut batch = Batch::default();
+        for round in [1, 2] {
+            let (now, alive) = (64 * round, 10);
+            batch.push(None, &TraceEvent::Round { round, now, alive });
+        }
+        sink.submit(&batch);
         // Lines are durable immediately — read back without dropping the
         // sink, as a killed process would leave them.
         let on_disk = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(on_disk, "{\"a\":1}\n{\"b\":2}\n");
-        assert_eq!(file_status(&sink), Some((path_s, 2)));
+        assert_eq!(
+            on_disk,
+            "{\"type\":\"round\",\"round\":1,\"now\":64,\"alive\":10}\n\
+             {\"type\":\"round\",\"round\":2,\"now\":128,\"alive\":10}\n"
+        );
+        assert_eq!(sink.status(), Some((path_s, 2)));
         std::fs::remove_file(&path).ok();
     }
 
@@ -889,7 +875,7 @@ mod tests {
         let sys = vitis::system::random_system(10, 4, 2, 1);
         let stats = ctx.finish(&crate::scale::Scale::quick(), &sys);
         assert_eq!(stats.published, 0);
-        assert_eq!(Obs::global().metrics_file_status(), None);
-        assert_eq!(Obs::global().trace_file_status(), None);
+        assert_eq!(Obs::global().metrics.status(), None);
+        assert_eq!(Obs::global().trace.status(), None);
     }
 }

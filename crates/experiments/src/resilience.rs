@@ -16,15 +16,13 @@ use crate::report::{Figure, Series};
 use crate::runner::{par_indexed, synthetic_params};
 use crate::scale::Scale;
 use vitis::monitor::{LossReason, PubSubStats, ReconvergenceTracker};
-use vitis::runtime::TOPO_SAMPLE_TOPICS;
 use vitis::system::{PubSub, SystemParams};
 use vitis::topic::TopicId;
-use vitis::topo::{probe, TopoProbe};
 use vitis_baselines::System;
 use vitis_sim::antientropy::AeConfig;
 use vitis_sim::fault::{FaultEpisode, FaultPlan, Span};
 use vitis_sim::time::SimTime;
-use vitis_sim::trace::{event_to_json, TraceEvent};
+use vitis_sim::trace::TraceEvent;
 use vitis_workloads::Correlation;
 
 /// Timeline and sweep parameters, all in rounds (tick spans derive from
@@ -123,39 +121,19 @@ pub struct ResilienceOutcome {
     pub repair_msgs: u64,
 }
 
-/// Per-round overlay-health series of one resilience run: structural
-/// probes ([`vitis::topo::probe`]) taken after every window round, in
-/// the `topo` record schema of docs/METRICS.md §10. Correlates the
-/// hit-ratio collapse during a partition with the structural decay that
-/// causes it (fragmenting components, aging views, dangling relays).
-pub struct TopoTrack {
-    enabled: bool,
-    period: u64,
-    /// `(round, now, probe)` samples in round order.
-    pub samples: Vec<(u64, u64, TopoProbe)>,
-}
+/// Per-round overlay-health series of one resilience run: one `topo`
+/// record ([`vitis::topo::sample`], docs/METRICS.md §10) after every
+/// window round. Correlates the hit-ratio collapse during a partition
+/// with the structural decay that causes it (fragmenting components,
+/// aging views, dangling relays). `None` keeps no series and takes no
+/// snapshots: the sweep only pays for them when the metrics sink wants
+/// the series (or a test collects it directly).
+pub type TopoSeries = Option<Vec<TraceEvent>>;
 
-impl TopoTrack {
-    /// A collector; when `enabled` is false, [`TopoTrack::sample`] is
-    /// free, so the sweep only pays for snapshots when the metrics sink
-    /// wants the series (or a test collects it directly).
-    pub fn new(enabled: bool, round_period: u64) -> Self {
-        TopoTrack {
-            enabled,
-            period: round_period.max(1),
-            samples: Vec::new(),
-        }
-    }
-
-    /// Snapshot and probe the overlay now (a no-op when disabled).
-    pub fn sample(&mut self, sys: &dyn PubSub) {
-        if !self.enabled {
-            return;
-        }
-        let snap = sys.overlay_snapshot();
-        let now = snap.now;
-        self.samples
-            .push((now / self.period, now, probe(&snap, TOPO_SAMPLE_TOPICS)));
+/// Snapshot the overlay now into `series`, if one is kept.
+fn sample_topo(series: &mut TopoSeries, sys: &dyn PubSub, round_period: u64) {
+    if let Some(samples) = series {
+        samples.push(vitis::topo::sample(&sys.overlay_snapshot(), round_period));
     }
 }
 
@@ -179,13 +157,14 @@ fn window_stats(
     plan: &ResiliencePlan,
     topics: usize,
     topic_cursor: &mut u32,
-    topo: &mut TopoTrack,
+    round_period: u64,
+    topo: &mut TopoSeries,
 ) -> PubSubStats {
     sys.reset_metrics();
     publish_window(sys, plan, topics, topic_cursor);
     for _ in 0..plan.window_rounds {
         sys.run_rounds(1);
-        topo.sample(sys);
+        sample_topo(topo, sys, round_period);
     }
     sys.stats()
 }
@@ -209,15 +188,15 @@ pub fn run_system(
     scale: &Scale,
     severity: f64,
     round_period: u64,
-    topo: &mut TopoTrack,
+    topo: &mut TopoSeries,
 ) -> ResilienceOutcome {
     let mut cursor = 0u32;
     let mut repair_msgs = 0u64;
     sys.run_rounds(plan.warmup_rounds);
-    topo.sample(sys); // pre-fault structural baseline
+    sample_topo(topo, sys, round_period); // pre-fault structural baseline
     let mut baseline = 0.0;
     for _ in 0..plan.baseline_windows {
-        let s = window_stats(sys, plan, scale.topics, &mut cursor, topo);
+        let s = window_stats(sys, plan, scale.topics, &mut cursor, round_period, topo);
         baseline += s.hit_ratio;
         repair_msgs += ae_sent(&s);
     }
@@ -232,7 +211,7 @@ pub fn run_system(
         publish_window(sys, plan, scale.topics, &mut cursor);
         for _ in 0..plan.window_rounds {
             sys.run_rounds(1);
-            topo.sample(sys);
+            sample_topo(topo, sys, round_period);
         }
     }
     let episode = sys.stats().hit_ratio;
@@ -240,7 +219,7 @@ pub fn run_system(
     // fault-time losses.
     for _ in 0..plan.repair_grace_rounds {
         sys.run_rounds(1);
-        topo.sample(sys);
+        sample_topo(topo, sys, round_period);
     }
     let fault_net_losses = sys
         .loss_report()
@@ -255,7 +234,7 @@ pub fn run_system(
     let mut tracker = ReconvergenceTracker::new(baseline, heal, plan.tolerance);
     let mut last = episode;
     for _ in 0..plan.recovery_windows {
-        let s = window_stats(sys, plan, scale.topics, &mut cursor, topo);
+        let s = window_stats(sys, plan, scale.topics, &mut cursor, round_period, topo);
         last = s.hit_ratio;
         repair_msgs += ae_sent(&s);
         tracker.observe(sys.now(), last);
@@ -307,34 +286,22 @@ pub fn run_point(
     }
     let mut sys = system.build(params);
     ctx.phase("build");
-    let mut topo = TopoTrack::new(Obs::global().metrics_on(), period);
+    let mut topo: TopoSeries = Obs::global().metrics.is_open().then(Vec::new);
     let outcome = run_system(sys.as_mut(), plan, scale, severity, period, &mut topo);
     ctx.phase("run");
-    if !topo.samples.is_empty() {
-        // The overlay-health series goes through the metrics sink (the
-        // resilience sweep runs without a trace sink), one stamped
-        // `topo` record per sampled round.
-        Obs::global().push_metrics_lines(topo.samples.iter().map(|&(round, now, probe)| {
-            crate::obs::stamp_run(
-                &ctx.run,
-                &event_to_json(&TraceEvent::TopoSample { round, now, probe }),
-            )
-        }));
-    }
+    // The overlay-health series goes through the metrics sink (the
+    // resilience sweep runs without a trace sink), one stamped `topo`
+    // record per sampled round.
+    topo.into_iter().flatten().for_each(|sample| ctx.record(sample));
     // The reconvergence record: `rounds` stays `null` for runs that never
     // re-entered the band, so downstream analysis can tell "never
     // recovered" from "recovered slowly" (no sentinel values).
-    if Obs::global().metrics_on() {
-        Obs::global().push_metrics_lines(std::iter::once(crate::obs::stamp_run(
-            &ctx.run,
-            &event_to_json(&TraceEvent::Reconv {
-                system: system.name().into(),
-                severity_pct: (100.0 * severity).round() as u32,
-                repair,
-                rounds: outcome.recovery_rounds.map(|r| r.round() as u64),
-            }),
-        )));
-    }
+    ctx.record(TraceEvent::Reconv {
+        system: system.name().into(),
+        severity_pct: (100.0 * severity).round() as u32,
+        repair,
+        rounds: outcome.recovery_rounds.map(|r| r.round() as u64),
+    });
     ctx.finish(scale, &*sys);
     outcome
 }
@@ -449,6 +416,7 @@ pub fn run(scale: &Scale, repair: bool) -> Vec<Figure> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vitis::topo::TopoProbe;
 
     #[test]
     fn fault_plan_scales_with_severity() {
@@ -508,24 +476,32 @@ mod tests {
         let period = params.round_period.ticks();
         params.faults = plan.fault_plan(severity, sc.nodes, period);
         let mut sys = System::Vitis.build(params);
-        let mut topo = TopoTrack::new(true, period);
+        let mut topo: TopoSeries = Some(Vec::new());
         run_system(sys.as_mut(), &plan, &sc, severity, period, &mut topo);
         for _ in 0..4 {
             sys.run_rounds(3);
-            topo.sample(sys.as_ref());
+            sample_topo(&mut topo, sys.as_ref(), period);
         }
+        // `(round, now, probe)` of each sample.
+        let samples: Vec<(u64, u64, TopoProbe)> = topo
+            .unwrap()
+            .into_iter()
+            .map(|ev| match ev {
+                TraceEvent::TopoSample { round, now, probe } => (round, now, probe),
+                other => panic!("not a topo record: {other:?}"),
+            })
+            .collect();
 
         let ep_start = plan.warmup_rounds + plan.baseline_windows * plan.window_rounds;
         let ep_end = ep_start + plan.episode_windows * plan.window_rounds;
-        assert!(topo.samples.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(samples.windows(2).all(|w| w[0].0 < w[1].0));
         let age = |s: &(u64, u64, TopoProbe)| s.2.mean_view_age.unwrap_or(0.0);
-        let pre: Vec<_> = topo.samples.iter().filter(|s| s.0 <= ep_start).collect();
-        let during: Vec<_> = topo
-            .samples
+        let pre: Vec<_> = samples.iter().filter(|s| s.0 <= ep_start).collect();
+        let during: Vec<_> = samples
             .iter()
             .filter(|s| s.0 > ep_start && s.0 <= ep_end)
             .collect();
-        let after: Vec<_> = topo.samples.iter().filter(|s| s.0 > ep_end).collect();
+        let after: Vec<_> = samples.iter().filter(|s| s.0 > ep_end).collect();
         assert!(!pre.is_empty() && !during.is_empty() && !after.is_empty());
 
         // Gossip-layer decay: views starve while the partition blocks
@@ -548,8 +524,7 @@ mod tests {
         // violations surge through the episode and the repair churn just
         // after the heal, then clear as refreshes re-install both ends.
         let pre_viol = pre.iter().map(|s| s.2.violations).max().unwrap();
-        let decay_viol = topo
-            .samples
+        let decay_viol = samples
             .iter()
             .filter(|s| s.0 > ep_start)
             .map(|s| s.2.violations)

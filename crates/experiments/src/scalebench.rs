@@ -20,11 +20,9 @@ use crate::benchfmt::BenchEntry;
 use crate::obs::Obs;
 use crate::runner::{measure_obs, synthetic_params, PhaseMs, PublishPlan};
 use crate::scale::Scale;
-use std::io::Write;
 use std::time::Instant;
 use vitis_baselines::System;
 use vitis_sim::perf;
-use vitis_sim::trace::Trace;
 use vitis_workloads::Correlation;
 
 /// The full node-count trajectory. Entries above `max_nodes` are skipped
@@ -127,16 +125,12 @@ pub fn plan_for(nodes: usize, seed: u64) -> Scale {
 }
 
 /// Run point `index` of the sweep: one system at one node count, through
-/// the same [`measure_obs`] window as every figure. With `trace_out`, the
-/// point records into a fresh event trace and streams it out the moment
-/// the point completes, so nothing is double-buffered and an aborted
-/// sweep keeps every finished point's events.
-fn bench_point(
-    system: System,
-    scale: &Scale,
-    index: usize,
-    trace_out: Option<&mut (dyn Write + '_)>,
-) -> BenchPoint {
+/// the same [`measure_obs`] window as every figure, under the run id
+/// `scale/<system>-<nodes>#<index>` — so with `--trace-out` or
+/// `--metrics-out` the point's records leave through [`Obs`]'s sinks the
+/// moment it completes, stamped and headed by `trace_meta` like any other
+/// run's, and an aborted sweep keeps every finished point's records.
+pub fn bench_point(system: System, scale: &Scale, index: usize) -> BenchPoint {
     let _span = perf::span("scale.point");
     perf::reset_mem_peak();
 
@@ -147,17 +141,8 @@ fn bench_point(
         let _span = perf::span("scale.build");
         system.build(params)
     };
-    let trace = trace_out.map(|w| (w, Trace::shared(Obs::global().trace_capacity())));
-    if let Some((_, t)) = &trace {
-        sys.install_trace(t.clone());
-    }
     let (stats, ms) = measure_obs(sys.as_mut(), scale, PublishPlan::RoundRobin, ctx);
     let peak_bytes = perf::mem_snapshot().peak_bytes;
-    if let Some((w, t)) = trace {
-        if let Err(e) = t.borrow().write_jsonl(w) {
-            eprintln!("warning: trace stream failed: {e}");
-        }
-    }
 
     let window_secs = (ms.measure + ms.drain) / 1e3;
     BenchPoint {
@@ -182,14 +167,12 @@ fn bench_point(
 /// frontier plan (logged per rung — nothing is skipped silently).
 ///
 /// `budget_secs` (when given) caps total wall-clock: once spent, the
-/// remaining rungs are skipped with a log line. Progress goes to stderr;
-/// each point's event trace streams to `trace_out` (when given) as the
-/// point completes, and `on_point` sees every finished point.
+/// remaining rungs are skipped with a log line. Progress goes to stderr,
+/// and `on_point` sees every finished point.
 pub fn run_sweep(
     max_nodes: usize,
     seed: u64,
     budget_secs: Option<u64>,
-    mut trace_out: Option<&mut (dyn Write + '_)>,
     mut on_point: impl FnMut(&BenchPoint),
 ) -> Vec<BenchEntry> {
     let started = Instant::now();
@@ -225,7 +208,7 @@ pub fn run_sweep(
         };
         for &system in systems {
             eprintln!("scale: {} @ {nodes} nodes...", system.name());
-            let point = bench_point(system, &scale, index, trace_out.as_deref_mut());
+            let point = bench_point(system, &scale, index);
             index += 1;
             on_point(&point);
             entries.extend(point.entries());
@@ -257,7 +240,7 @@ mod tests {
             s.events = 30;
             s
         };
-        let point = bench_point(System::Vitis, &scale, 0, None);
+        let point = bench_point(System::Vitis, &scale, 0);
         assert_eq!(point.nodes, 200);
         assert!(point.delivered > 0, "toy sweep must deliver events");
         assert!(point.deliveries_per_sec > 0.0);
@@ -306,7 +289,7 @@ mod tests {
 
     #[test]
     fn zero_budget_skips_every_rung() {
-        let entries = run_sweep(10_000, 42, Some(0), None, |_| {
+        let entries = run_sweep(10_000, 42, Some(0), |_| {
             panic!("no point should run under a zero budget")
         });
         assert!(entries.is_empty());

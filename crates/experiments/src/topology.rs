@@ -3,8 +3,9 @@
 //! Runs one fixed-seed system, samples [`vitis::topo`] snapshots every
 //! few rounds, and exports three artifacts:
 //!
-//! * a JSONL time series of `topo` records (the same schema the runtime
-//!   sampler emits into event traces — docs/METRICS.md §10);
+//! * a JSONL time series of `topo` records (built by the function the
+//!   runtime sampler records into event traces with,
+//!   [`vitis::topo::sample`] — docs/METRICS.md §10);
 //! * an optional Graphviz DOT rendering of the final overlay (per-kind
 //!   links solid, relay paths dashed, rendezvous nodes double-circled);
 //! * an end-of-run invariant audit summary with node/topic provenance.
@@ -17,10 +18,9 @@ use std::fmt::Write as _;
 
 use crate::runner::synthetic_params;
 use crate::scale::Scale;
-use vitis::runtime::TOPO_SAMPLE_TOPICS;
-use vitis::topo::{analyze, audit, OverlaySnapshot, TopoMetrics, Violation};
+use vitis::topo::{analyze, audit, OverlaySnapshot, TopoMetrics, Violation, TOPO_SAMPLE_TOPICS};
 use vitis_baselines::System;
-use vitis_sim::trace::{event_to_json, TraceEvent};
+use vitis_sim::trace::TraceEvent;
 use vitis_workloads::Correlation;
 
 /// Options of one `topology` invocation (paths and strictness are
@@ -47,8 +47,8 @@ impl Default for TopologyOpts {
 
 /// Everything one `topology` run produces.
 pub struct TopologyRun {
-    /// One `topo` JSONL line per sample, in round order.
-    pub jsonl: Vec<String>,
+    /// One `topo` record per sample, in round order.
+    pub samples: Vec<TraceEvent>,
     /// Structural metrics of the final snapshot.
     pub final_metrics: TopoMetrics,
     /// Invariant violations found in the final snapshot.
@@ -62,14 +62,14 @@ pub struct TopologyRun {
 /// Build, warm up, and sample one system; audit the final snapshot.
 pub fn run(scale: &Scale, opts: &TopologyOpts) -> TopologyRun {
     let params = synthetic_params(scale, Correlation::High);
+    let period = params.round_period.ticks();
     let mut sys = opts.system.build(params);
     sys.run_rounds(scale.warmup_rounds);
 
     let every = opts.every.max(1);
-    let mut jsonl = Vec::new();
     let mut round = scale.warmup_rounds;
     let mut snap = sys.overlay_snapshot();
-    push_sample(&mut jsonl, round, &snap);
+    let mut samples = vec![vitis::topo::sample(&snap, period)];
     let mut sampled = 0;
     while sampled < opts.rounds {
         let step = every.min(opts.rounds - sampled);
@@ -77,7 +77,7 @@ pub fn run(scale: &Scale, opts: &TopologyOpts) -> TopologyRun {
         sampled += step;
         round += step;
         snap = sys.overlay_snapshot();
-        push_sample(&mut jsonl, round, &snap);
+        samples.push(vitis::topo::sample(&snap, period));
     }
 
     let final_metrics = analyze(&snap, TOPO_SAMPLE_TOPICS);
@@ -86,27 +86,17 @@ pub fn run(scale: &Scale, opts: &TopologyOpts) -> TopologyRun {
     let summary = render_summary(
         opts.system,
         round,
-        jsonl.len(),
+        samples.len(),
         &final_metrics,
         &violations,
     );
     TopologyRun {
-        jsonl,
+        samples,
         final_metrics,
         violations,
         dot,
         summary,
     }
-}
-
-/// Append one `topo` record for `snap` (schema: docs/METRICS.md §10).
-fn push_sample(out: &mut Vec<String>, round: u64, snap: &OverlaySnapshot) {
-    let probe = vitis::topo::probe(snap, TOPO_SAMPLE_TOPICS);
-    out.push(event_to_json(&TraceEvent::TopoSample {
-        round,
-        now: snap.now,
-        probe,
-    }));
 }
 
 /// Render the final snapshot as deterministic Graphviz DOT. Overlay
@@ -241,14 +231,14 @@ mod tests {
             "unexpected violations:\n{}",
             a.summary
         );
-        assert_eq!(a.jsonl.len(), 3); // warmup snapshot + 2 sampled
-        assert!(a.jsonl[0].starts_with("{\"type\":\"topo\""));
-        // Every line round-trips through the trace parser.
-        for line in &a.jsonl {
-            vitis_sim::trace::parse_event(line).expect("topo line parses");
-        }
+        // Warmup snapshot + 2 sampled, numbered by the rounds run so far.
+        let rounds = a.samples.iter().map(|s| match s {
+            TraceEvent::TopoSample { round, .. } => *round,
+            other => panic!("not a topo record: {other:?}"),
+        });
+        assert_eq!(rounds.collect::<Vec<_>>(), [30, 35, 40]);
         let b = run(&sc, &opts);
-        assert_eq!(a.jsonl, b.jsonl, "topology JSONL must be bit-identical");
+        assert_eq!(a.samples, b.samples, "topology series must be bit-identical");
         assert_eq!(a.dot, b.dot, "DOT export must be bit-identical");
     }
 

@@ -137,32 +137,6 @@ impl Graph {
         }
         dist
     }
-
-    /// Eccentricity of `src` within `subset`: the maximum finite BFS
-    /// distance. A diameter estimate for a component is the eccentricity
-    /// from an extremal vertex (double-sweep lower bound).
-    pub fn eccentricity_within(&self, src: u32, subset: &[u32]) -> u32 {
-        self.bfs_hops(src, Some(subset))
-            .into_iter()
-            .flatten()
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Double-sweep diameter lower bound of the component `comp` (exact on
-    /// trees, a good estimate on gossip graphs).
-    pub fn diameter_estimate(&self, comp: &[u32]) -> u32 {
-        let Some(&start) = comp.first() else {
-            return 0;
-        };
-        let d1 = self.bfs_hops(start, Some(comp));
-        let far = comp
-            .iter()
-            .copied()
-            .max_by_key(|&v| d1[v as usize].unwrap_or(0))
-            .unwrap_or(start);
-        self.eccentricity_within(far, comp)
-    }
 }
 
 #[cfg(test)]
@@ -214,16 +188,6 @@ mod tests {
         let g = path_graph(3);
         let d = g.bfs_hops(1, Some(&[0, 2]));
         assert!(d.iter().all(|x| x.is_none()));
-    }
-
-    #[test]
-    fn diameter_of_path_is_exact() {
-        let g = path_graph(7);
-        let comp: Vec<u32> = (0..7).collect();
-        assert_eq!(g.diameter_estimate(&comp), 6);
-        assert_eq!(g.eccentricity_within(3, &comp), 3);
-        assert_eq!(g.diameter_estimate(&[]), 0);
-        assert_eq!(g.diameter_estimate(&[2]), 0);
     }
 
     #[test]

@@ -42,6 +42,7 @@ pub mod metrics;
 pub mod network;
 pub mod perf;
 pub mod protocol;
+pub mod record;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -62,6 +63,6 @@ pub mod prelude {
     pub use crate::protocol::{Context, Protocol, StopReason};
     pub use crate::time::{Duration, SimTime};
     pub use crate::trace::{
-        HealthProbe, KindTraffic, MsgTag, Trace, TraceEvent, TraceHandle, TrafficClass,
+        HealthProbe, KindTraffic, MsgTag, Sample, Trace, TraceEvent, TraceHandle, TrafficClass,
     };
 }

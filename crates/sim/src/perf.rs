@@ -25,13 +25,13 @@
 //!
 //! Wall-clock never feeds simulation state: enabling or disabling any
 //! layer here leaves fixed-seed runs bit-identical (the golden tests
-//! assert this). Export helpers render spans as flat JSONL records and as
+//! assert this). Spans export as [`SpanRecord`]s and memory as a
+//! [`MemSnapshot`] through the record codec ([`mod@crate::record`]), and as
 //! flamegraph-compatible folded lines (`path self_ns`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{LazyLock, Mutex};
 use std::time::Instant;
@@ -57,20 +57,33 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Aggregated statistics of one span path.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SpanStat {
-    /// Times the span was entered.
-    pub count: u64,
-    /// Total wall-clock nanoseconds, children included.
-    pub total_ns: u64,
-    /// Shortest single occurrence in nanoseconds.
-    pub min_ns: u64,
-    /// Longest single occurrence in nanoseconds.
-    pub max_ns: u64,
-    /// Nanoseconds spent in this span *excluding* child spans (the value
-    /// flamegraphs want).
-    pub self_ns: u64,
+crate::record! {
+    /// Aggregated statistics of one span path.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct SpanStat {
+        /// Times the span was entered.
+        pub count: u64,
+        /// Total wall-clock nanoseconds, children included.
+        pub total_ns: u64,
+        /// Shortest single occurrence in nanoseconds.
+        pub min_ns: u64,
+        /// Longest single occurrence in nanoseconds.
+        pub max_ns: u64,
+        /// Nanoseconds spent in this span *excluding* child spans (the value
+        /// flamegraphs want).
+        pub self_ns: u64,
+    }
+}
+
+crate::record! {
+    /// One span of a `--perf-out` file (schema: `docs/METRICS.md` §9).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct SpanRecord = "span" {
+        /// The `;`-joined folded path.
+        pub path: String,
+        /// Its aggregate.
+        pub stat: SpanStat [flat],
+    }
 }
 
 impl SpanStat {
@@ -215,20 +228,6 @@ pub fn reset_spans() {
         .clear();
 }
 
-/// Render one span as a flat JSONL perf record (schema:
-/// `docs/METRICS.md` §9).
-pub fn span_jsonl_line(path: &str, s: &SpanStat) -> String {
-    let mut o = String::with_capacity(128);
-    o.push_str("{\"type\":\"span\",\"path\":");
-    crate::trace::push_json_str(&mut o, path);
-    let _ = write!(
-        o,
-        ",\"count\":{},\"total_ns\":{},\"min_ns\":{},\"max_ns\":{},\"self_ns\":{}}}",
-        s.count, s.total_ns, s.min_ns, s.max_ns, s.self_ns
-    );
-    o
-}
-
 /// Render one span as a flamegraph folded-stack line: the `;`-joined
 /// path, a space, and the span's **self** nanoseconds (so parent and
 /// child time is never double-counted when collapsed).
@@ -347,19 +346,22 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTING_ALLOC: CountingAlloc = CountingAlloc;
 
-/// A point-in-time view of the counting allocator.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MemSnapshot {
-    /// Whether the counting allocator is compiled in (`perf-alloc`
-    /// feature); all fields are zero when it is not.
-    pub counting: bool,
-    /// Bytes currently allocated and not yet freed.
-    pub live_bytes: u64,
-    /// Highest `live_bytes` observed since process start or the last
-    /// [`reset_mem_peak`].
-    pub peak_bytes: u64,
-    /// Allocation calls (alloc/alloc_zeroed, plus one per realloc).
-    pub allocations: u64,
+crate::record! {
+    /// A point-in-time view of the counting allocator; the last record of
+    /// a `--perf-out` file.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct MemSnapshot = "mem" {
+        /// Whether the counting allocator is compiled in (`perf-alloc`
+        /// feature); all fields are zero when it is not.
+        pub counting: bool,
+        /// Bytes currently allocated and not yet freed.
+        pub live_bytes: u64,
+        /// Highest `live_bytes` observed since process start or the last
+        /// [`reset_mem_peak`].
+        pub peak_bytes: u64,
+        /// Allocation calls (alloc/alloc_zeroed, plus one per realloc).
+        pub allocations: u64,
+    }
 }
 
 /// Read the allocator counters. Zeroes (with `counting == false`) unless
@@ -377,14 +379,6 @@ pub fn mem_snapshot() -> MemSnapshot {
 /// attribution (e.g. one sweep point at a time) is possible.
 pub fn reset_mem_peak() {
     MEM_PEAK.store(MEM_LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
-}
-
-/// Render a memory snapshot as a flat JSONL perf record.
-pub fn mem_jsonl_line(m: &MemSnapshot) -> String {
-    format!(
-        "{{\"type\":\"mem\",\"counting\":{},\"live_bytes\":{},\"peak_bytes\":{},\"allocations\":{}}}",
-        m.counting, m.live_bytes, m.peak_bytes, m.allocations
-    )
 }
 
 #[cfg(test)]
@@ -478,20 +472,24 @@ mod tests {
 
     #[test]
     fn jsonl_and_folded_rendering() {
-        let s = SpanStat {
+        use crate::record::to_json;
+        let stat = SpanStat {
             count: 2,
             total_ns: 300,
             min_ns: 100,
             max_ns: 200,
             self_ns: 250,
         };
-        let line = span_jsonl_line("a;b", &s);
+        assert_eq!(folded_line("a;b", &stat), "a;b 250");
+        let span = SpanRecord {
+            path: "a;b".to_string(),
+            stat,
+        };
         assert_eq!(
-            line,
+            to_json(None, &span),
             "{\"type\":\"span\",\"path\":\"a;b\",\"count\":2,\"total_ns\":300,\
              \"min_ns\":100,\"max_ns\":200,\"self_ns\":250}"
         );
-        assert_eq!(folded_line("a;b", &s), "a;b 250");
         let m = MemSnapshot {
             counting: false,
             live_bytes: 1,
@@ -499,7 +497,7 @@ mod tests {
             allocations: 3,
         };
         assert_eq!(
-            mem_jsonl_line(&m),
+            to_json(None, &m),
             "{\"type\":\"mem\",\"counting\":false,\"live_bytes\":1,\"peak_bytes\":2,\"allocations\":3}"
         );
     }
