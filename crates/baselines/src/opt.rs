@@ -147,6 +147,15 @@ impl OptNode {
         self.ps.payload()
     }
 
+    /// The heap bytes this node owns beyond its inline state, one call per
+    /// owner (see `VitisNode::heap_bytes`). The requests-in-flight set is
+    /// emptied every round and not counted.
+    pub fn heap_bytes(&self, mut owner: impl FnMut(&'static str, u64)) {
+        owner("substrate", self.ps.heap_bytes());
+        owner("links", self.links.heap_bytes());
+        owner("dissemination", self.dissem.heap_bytes());
+    }
+
     /// Current degree (established connections).
     pub fn degree(&self) -> usize {
         self.links.len()

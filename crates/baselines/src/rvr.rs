@@ -166,6 +166,14 @@ impl RvrNode {
         self.net.rt()
     }
 
+    /// The heap bytes this node owns beyond its inline state, one call per
+    /// owner (see `VitisNode::heap_bytes`).
+    pub fn heap_bytes(&self, mut owner: impl FnMut(&'static str, u64)) {
+        owner("substrate", self.net.heap_bytes());
+        owner("relay", self.tree.heap_bytes());
+        owner("dissemination", self.dissem.heap_bytes());
+    }
+
     /// The per-topic tree soft state.
     pub fn tree_table(&self) -> &RelayTable {
         &self.tree

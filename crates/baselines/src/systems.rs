@@ -110,6 +110,10 @@ impl PubSubProtocol for RvrProtocol {
         node.routing_table().len()
     }
 
+    fn node_heap_bytes(node: &RvrNode, owner: impl FnMut(&'static str, u64)) {
+        node.heap_bytes(owner);
+    }
+
     fn for_each_neighbor(node: &RvrNode, mut f: impl FnMut(NodeIdx)) {
         for e in node.routing_table().iter() {
             f(e.addr);
@@ -226,6 +230,10 @@ impl PubSubProtocol for OptProtocol {
 
     fn degree(node: &OptNode) -> usize {
         node.degree()
+    }
+
+    fn node_heap_bytes(node: &OptNode, owner: impl FnMut(&'static str, u64)) {
+        node.heap_bytes(owner);
     }
 
     fn for_each_neighbor(node: &OptNode, mut f: impl FnMut(NodeIdx)) {

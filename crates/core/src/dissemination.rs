@@ -20,6 +20,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use vitis_sim::antientropy::{AeConfig, AntiEntropy};
 use vitis_sim::event::NodeIdx;
+use vitis_sim::perf::hash_table_bytes;
 use vitis_sim::protocol::Context;
 use vitis_sim::time::SimTime;
 
@@ -92,6 +93,16 @@ impl Dissemination {
     /// Replace the anti-entropy configuration (drops any cached state).
     pub fn set_repair(&mut self, cfg: AeConfig) {
         self.ae = AntiEntropy::new(cfg);
+    }
+
+    /// Heap bytes of the dedup set, the target buffer and the repair
+    /// layer's tables. Hop paths behind cached copies are shared with the
+    /// copies in flight and not counted.
+    pub fn heap_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        hash_table_bytes(self.seen.capacity(), size_of::<EventId>())
+            + (self.targets.capacity() * size_of::<NodeIdx>()) as u64
+            + self.ae.heap_bytes()
     }
 
     /// The node's monitor handle, for accounting the node does itself

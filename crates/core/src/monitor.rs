@@ -22,6 +22,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use vitis_sim::event::NodeIdx;
 use vitis_sim::metrics::Summary;
+use vitis_sim::perf::hash_table_bytes;
 use vitis_sim::time::SimTime;
 use vitis_sim::trace::{KindTraffic, TraceEvent, TraceHandle, TrafficClass};
 
@@ -36,11 +37,12 @@ pub struct EventId(pub u64);
 ///
 /// The handle is one thin pointer on purpose, at the price of a second
 /// allocation per path (the `Arc`, then the vector's buffer). A path rides
-/// in every `Notification`, every notification in flight is an event in the
-/// engine's queue, and the queue is most of a data-plane run's memory:
-/// `Arc<[NodeIdx]>` — one allocation, but a 16-byte handle — grew every
-/// message of all three systems from 32 to 40 bytes and measured +13 % peak
-/// RSS and +4 % `cpu_s` on the benchmark's `publish_1k` (DESIGN §14).
+/// in every `Notification` and every notification in flight is an event in
+/// the engine's queue: `Arc<[NodeIdx]>` — one allocation, but a 16-byte
+/// handle — grew every message of all three systems from 32 to 40 bytes
+/// and measured +4 % `cpu_s` on the benchmark's `publish_1k` (and +13 %
+/// peak RSS while queue buckets still kept their busiest tick's capacity;
+/// DESIGN §14).
 ///
 /// The path is forensic metadata only — it never influences routing and
 /// does not count toward wire-size accounting (see `docs/METRICS.md` §6).
@@ -413,6 +415,32 @@ impl Monitor {
             .inner
             .lock()
             .expect("a monitor writer panicked mid-update")
+    }
+
+    /// Heap bytes of the window's event records (expected sets and
+    /// delivery tables included) and the per-slot traffic counters, as
+    /// Σ capacity × element size.
+    pub fn heap_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        let inner = self.lock();
+        let records: u64 = inner
+            .events
+            .iter()
+            .map(|e| {
+                (e.expected.capacity() * size_of::<NodeIdx>()) as u64
+                    + hash_table_bytes(
+                        e.delivered.capacity(),
+                        size_of::<(NodeIdx, (u32, SimTime))>(),
+                    )
+            })
+            .sum();
+        let counters = inner.useful_rx.capacity()
+            + inner.relay_rx.capacity()
+            + inner.control_tx_bytes.capacity()
+            + inner.control_rounds.capacity();
+        records
+            + (inner.events.capacity() * size_of::<EventRecord>() + counters * size_of::<u64>())
+                as u64
     }
 
     /// Register a published event with its ground-truth expected subscriber

@@ -23,6 +23,7 @@ use vitis_overlay::rt::{HybridRt, RtParams};
 use vitis_overlay::substrate::{Sampler, Substrate};
 use vitis_sim::antientropy::{AeConfig, AntiEntropy};
 use vitis_sim::event::NodeIdx;
+use vitis_sim::perf::hash_table_bytes;
 use vitis_sim::prelude::{Context, MsgTag, Protocol, StopReason};
 use vitis_sim::rng::mix64;
 
@@ -181,6 +182,40 @@ impl VitisNode {
     /// The relay soft state (for snapshots and tests).
     pub fn relay_table(&self) -> &RelayTable {
         &self.relays
+    }
+
+    /// The heap bytes this node owns beyond its inline state, one call per
+    /// owner, each Σ capacity × element size. `gateway` is the election
+    /// state: own proposals, advertisements (own and remembered), reverse
+    /// links and unacknowledged publishes. Subscription sets are shared
+    /// handles whose bytes belong to the workload.
+    pub fn heap_bytes(&self, mut owner: impl FnMut(&'static str, u64)) {
+        use std::mem::size_of;
+        let proposal = size_of::<(TopicId, Proposal)>();
+        owner("substrate", self.net.heap_bytes());
+        owner("relay", self.relays.heap_bytes());
+        owner("dissemination", self.dissem.heap_bytes());
+        owner(
+            "memo",
+            (self.utility_memo.capacity() * size_of::<MemoEntry>()) as u64,
+        );
+        // An advertisement is one allocation shared by its advertiser, the
+        // neighbors remembering it and the heartbeats in flight: each
+        // holder reports its share, so a superseded copy that only
+        // neighbors still hold is counted too, and none twice.
+        let share = |a: &Arc<Vec<(TopicId, Proposal)>>| {
+            (a.capacity() * proposal / Arc::strong_count(a)) as u64
+        };
+        let adverts: u64 = self.nbr_proposals.values().map(|n| share(&n.props)).sum();
+        owner(
+            "gateway",
+            (self.proposals.capacity() * proposal) as u64
+                + share(&self.advert)
+                + adverts
+                + self.nbr_proposals.heap_bytes()
+                + self.reverse.heap_bytes()
+                + hash_table_bytes(self.pending_pubs.capacity(), size_of::<EventId>()),
+        );
     }
 
     /// Number of live reverse links (peers holding us in their tables).

@@ -95,6 +95,13 @@ impl RelayTable {
         self.entries.entry_or_default(topic)
     }
 
+    /// Heap bytes of the entry array and every entry's downstream list, as
+    /// Σ capacity × element size.
+    pub fn heap_bytes(&self) -> u64 {
+        let links: usize = self.entries.values().map(|e| e.downstream.capacity()).sum();
+        self.entries.heap_bytes() + (links * std::mem::size_of::<(NodeIdx, u16)>()) as u64
+    }
+
     /// The entry for `topic`, if any.
     pub fn get(&self, topic: TopicId) -> Option<&RelayEntry> {
         self.entries.get(&topic)

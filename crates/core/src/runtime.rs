@@ -116,12 +116,19 @@ pub trait PubSub {
     /// wall-clock span profiler.
     fn perf_counters(&self) -> vitis_sim::perf::EngineCounters;
 
-    /// Structural estimate of the live nodes' memory footprint in bytes:
-    /// per-node state size plus a protocol-specific heap estimate (see
-    /// [`PubSubProtocol::node_heap_bytes`]). An estimate for cross-system
-    /// comparison, not an allocator measurement — pair with the
-    /// `perf-alloc` feature for the latter.
-    fn footprint_estimate(&self) -> u64;
+    /// The system's heap bytes by owner, each Σ capacity × element size:
+    /// `slots` (the engine's slot table, i.e. every node's inline state),
+    /// `queue` (the calendar queue), `monitor`, then what the nodes own
+    /// beyond their inline state, summed per component over online nodes
+    /// (see [`PubSubProtocol::node_heap_bytes`]). Read off the containers,
+    /// not the allocator; a test under the `perf-alloc` feature holds the
+    /// sum within 1.5× of the allocator's live bytes.
+    fn footprint(&self) -> Vec<(&'static str, u64)>;
+
+    /// The sum of [`PubSub::footprint`].
+    fn footprint_estimate(&self) -> u64 {
+        self.footprint().iter().map(|&(_, bytes)| bytes).sum()
+    }
 
     /// Export a dense structural snapshot of the current overlay: every
     /// online node's per-kind links, relay entries and gateway beliefs
@@ -193,13 +200,11 @@ pub trait PubSubProtocol: Sized {
         (None, None)
     }
 
-    /// Estimated heap bytes held by one node beyond `size_of::<Node>()`.
-    /// The default charges a flat per-link cost covering a routing-table
-    /// entry (id, address, subscription digest, age); override when a
-    /// design keeps materially more per-node heap state.
-    fn node_heap_bytes(node: &Self::Node) -> u64 {
-        Self::degree(node) as u64 * 96
-    }
+    /// Report the heap bytes `node` owns beyond `size_of::<Node>()`: one
+    /// `owner(name, bytes)` call per component, each the component's own
+    /// `heap_bytes()` (Σ capacity × element size). The names become the
+    /// `mem/<owner>_bytes` rows of the `scale` ladder.
+    fn node_heap_bytes(node: &Self::Node, owner: impl FnMut(&'static str, u64));
 
     /// Export one node's structural state (links, relay entries, gateway
     /// beliefs) for the topology snapshot. `idx` is the node's engine
@@ -641,12 +646,21 @@ impl<P: PubSubProtocol> PubSub for SystemRuntime<P> {
         self.engine.perf_counters()
     }
 
-    fn footprint_estimate(&self) -> u64 {
-        let fixed = std::mem::size_of::<P::Node>() as u64;
-        self.engine
-            .alive_nodes()
-            .map(|(_, n)| fixed + P::node_heap_bytes(n))
-            .sum()
+    fn footprint(&self) -> Vec<(&'static str, u64)> {
+        let mut owners = vec![
+            ("slots", self.engine.heap_bytes()),
+            ("queue", self.engine.queue_bytes()),
+            ("monitor", self.monitor.heap_bytes()),
+        ];
+        for (_, node) in self.engine.alive_nodes() {
+            P::node_heap_bytes(node, |owner, bytes| {
+                match owners.iter_mut().find(|(name, _)| *name == owner) {
+                    Some((_, sum)) => *sum += bytes,
+                    None => owners.push((owner, bytes)),
+                }
+            });
+        }
+        owners
     }
 
     fn overlay_snapshot(&self) -> crate::topo::OverlaySnapshot {

@@ -48,6 +48,12 @@ impl<K: Ord + Copy, V> SmallMap<K, V> {
         SmallMap::default()
     }
 
+    /// Heap bytes of the entry array (capacity × entry size); what a value
+    /// owns on the heap is the caller's to add.
+    pub fn heap_bytes(&self) -> u64 {
+        (self.entries.capacity() * std::mem::size_of::<(K, V)>()) as u64
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.entries.len()

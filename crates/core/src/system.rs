@@ -249,6 +249,10 @@ impl PubSubProtocol for VitisProtocol {
         node.routing_table().len()
     }
 
+    fn node_heap_bytes(node: &VitisNode, owner: impl FnMut(&'static str, u64)) {
+        node.heap_bytes(owner);
+    }
+
     fn for_each_neighbor(node: &VitisNode, mut f: impl FnMut(NodeIdx)) {
         for e in node.routing_table().iter() {
             f(e.addr);

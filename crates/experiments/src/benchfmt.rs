@@ -14,9 +14,9 @@
 //! ```
 //!
 //! Units carry the comparison direction for [`crate::benchfmt`]'s
-//! consumers (`bench-diff`): time units (`ms`/`us`/`ns`) are
+//! consumers (`bench-diff`): time units (`ms`/`us`/`ns`) and `bytes` are
 //! lower-is-better, `per_sec` is higher-is-better, and everything else
-//! (`bytes`, `count`, `ratio`) is informational context that never gates.
+//! (`count`, `ratio`) is informational context that never gates.
 
 use vitis_sim::record::{parse_line, write_record};
 
@@ -52,18 +52,18 @@ impl BenchEntry {
 /// How `bench-diff` treats a unit when comparing two files.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Direction {
-    /// Smaller is better (time units): gate on increases.
+    /// Smaller is better (time units, bytes): gate on increases.
     LowerIsBetter,
     /// Larger is better (throughput): gate on decreases.
     HigherIsBetter,
-    /// Context only (bytes, counts, ratios): never gates.
+    /// Context only (counts, ratios): never gates.
     Informational,
 }
 
 /// The comparison direction a unit implies.
 pub fn direction_of(unit: &str) -> Direction {
     match unit {
-        "ms" | "us" | "ns" => Direction::LowerIsBetter,
+        "ms" | "us" | "ns" | "bytes" => Direction::LowerIsBetter,
         "per_sec" => Direction::HigherIsBetter,
         _ => Direction::Informational,
     }
@@ -149,8 +149,9 @@ mod tests {
         assert_eq!(direction_of("ms"), Direction::LowerIsBetter);
         assert_eq!(direction_of("us"), Direction::LowerIsBetter);
         assert_eq!(direction_of("per_sec"), Direction::HigherIsBetter);
-        assert_eq!(direction_of("bytes"), Direction::Informational);
+        assert_eq!(direction_of("bytes"), Direction::LowerIsBetter);
         assert_eq!(direction_of("count"), Direction::Informational);
+        assert_eq!(direction_of("ratio"), Direction::Informational);
     }
 
     /// Fence for the parser: every `docs/results/BENCH_*.json` listed in

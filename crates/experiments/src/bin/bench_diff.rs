@@ -7,10 +7,10 @@
 //! Every metric name present in **both** files is compared; names unique
 //! to one side are listed but never gate (the ladder may legitimately
 //! grow or shrink with `--max-nodes`). The unit decides the direction:
-//! time units (`ms`/`us`/`ns`) regress when the current value rises more
-//! than the tolerance above baseline, `per_sec` regresses when it falls
-//! more than the tolerance below, and informational units (`bytes`,
-//! `count`, `ratio`) are printed for context only. Exit status 1 when any
+//! time units (`ms`/`us`/`ns`) and `bytes` regress when the current value
+//! rises more than the tolerance above baseline, `per_sec` regresses when
+//! it falls more than the tolerance below, and informational units
+//! (`count`, `ratio`) are printed for context only. Exit status 1 when any
 //! gated metric regressed, 2 on usage or parse errors — and 2 when the
 //! files have no gated metric in common, so a gate pointed at the wrong
 //! file (or at a successor whose names all changed) fails instead of
@@ -129,8 +129,8 @@ fn usage(err: &str) -> ExitCode {
     eprintln!(
         "usage: bench-diff BASELINE.json CURRENT.json [--tolerance PCT]\n\
          \tCompares vitis-bench-v1 files (from `vitis-experiments scale` or\n\
-         \t`meso_timing`). Time units gate on increases, per_sec on decreases,\n\
-         \tbytes/count/ratio are informational. Default tolerance: 25%.\n\
+         \t`meso_timing`). Time units and bytes gate on increases, per_sec on\n\
+         \tdecreases, count/ratio are informational. Default tolerance: 25%.\n\
          \tExit 1 on regression, 2 on bad input (including two files with no\n\
          \tgated metric in common)."
     );

@@ -49,8 +49,12 @@ pub struct BenchPoint {
     pub ms: PhaseMs,
     /// Allocator peak since the point started (0 without `perf-alloc`).
     pub peak_bytes: u64,
-    /// Structural per-node footprint estimate at the end of the run.
-    pub footprint_bytes: u64,
+    /// Allocator live bytes at the end of the run, less what was live
+    /// before the system was built (0 without `perf-alloc`).
+    pub live_bytes: u64,
+    /// The system's structural footprint by owner at the end of the run
+    /// ([`vitis::system::PubSub::footprint`]).
+    pub footprint: Vec<(&'static str, u64)>,
     /// Deliveries achieved in the window.
     pub delivered: u64,
     /// Deliveries per wall-clock second over measure + drain.
@@ -60,25 +64,33 @@ pub struct BenchPoint {
 }
 
 impl BenchPoint {
-    /// Flatten into BENCH entries named `scale/{system}/{nodes}/...`;
-    /// `peak_bytes` only when the counting allocator measured one.
+    /// Flatten into BENCH entries named `scale/{system}/{nodes}/...`:
+    /// `footprint_bytes` is the sum of the `mem/{owner}_bytes` rows, and
+    /// `peak_bytes` / `live_bytes` appear only when the counting allocator
+    /// measured them.
     pub fn entries(&self) -> Vec<BenchEntry> {
+        let footprint: u64 = self.footprint.iter().map(|&(_, bytes)| bytes).sum();
+        let name = |metric: &str| format!("scale/{}/{}/{metric}", self.system, self.nodes);
         let mut rows = vec![
             ("build_ms", self.ms.build, "ms"),
             ("warmup_ms", self.ms.warmup, "ms"),
             ("measure_ms", self.ms.measure, "ms"),
             ("drain_ms", self.ms.drain, "ms"),
             ("deliveries_per_sec", self.deliveries_per_sec, "per_sec"),
-            ("footprint_bytes", self.footprint_bytes as f64, "bytes"),
+            ("footprint_bytes", footprint as f64, "bytes"),
             ("delivered", self.delivered as f64, "count"),
             ("hit_ratio", self.hit_ratio, "ratio"),
         ];
         if self.peak_bytes > 0 {
             rows.push(("peak_bytes", self.peak_bytes as f64, "bytes"));
+            rows.push(("live_bytes", self.live_bytes as f64, "bytes"));
         }
-        let name = |metric| format!("scale/{}/{}/{metric}", self.system, self.nodes);
+        let split = self.footprint.iter().map(|&(owner, bytes)| {
+            BenchEntry::new(name(&format!("mem/{owner}_bytes")), bytes as f64, "bytes")
+        });
         rows.into_iter()
             .map(|(metric, value, unit)| BenchEntry::new(name(metric), value, unit))
+            .chain(split)
             .collect()
     }
 }
@@ -137,20 +149,22 @@ pub fn bench_point(system: System, scale: &Scale, index: usize) -> BenchPoint {
     let label = format!("{}-{}", system.name(), scale.nodes);
     let ctx = Obs::global().start("scale", &label, index);
     let params = synthetic_params(scale, Correlation::High);
+    let live_before = perf::mem_snapshot().live_bytes;
     let mut sys = {
         let _span = perf::span("scale.build");
         system.build(params)
     };
     let (stats, ms) = measure_obs(sys.as_mut(), scale, PublishPlan::RoundRobin, ctx);
-    let peak_bytes = perf::mem_snapshot().peak_bytes;
+    let mem = perf::mem_snapshot();
 
     let window_secs = (ms.measure + ms.drain) / 1e3;
     BenchPoint {
         system: system.name(),
         nodes: scale.nodes,
         ms,
-        peak_bytes,
-        footprint_bytes: sys.footprint_estimate(),
+        peak_bytes: mem.peak_bytes,
+        live_bytes: mem.live_bytes.saturating_sub(live_before),
+        footprint: sys.footprint(),
         delivered: stats.delivered,
         deliveries_per_sec: if window_secs > 0.0 {
             stats.delivered as f64 / window_secs
@@ -244,17 +258,27 @@ mod tests {
         assert_eq!(point.nodes, 200);
         assert!(point.delivered > 0, "toy sweep must deliver events");
         assert!(point.deliveries_per_sec > 0.0);
-        assert!(point.footprint_bytes > 0);
         let entries = point.entries();
         let names: Vec<&str> = entries.iter().map(|e| e.name.as_str()).collect();
         assert!(names.contains(&"scale/vitis/200/measure_ms"));
         assert!(names.contains(&"scale/vitis/200/deliveries_per_sec"));
-        assert!(names.contains(&"scale/vitis/200/footprint_bytes"));
-        // peak_bytes appears only when the counting allocator is active.
-        assert_eq!(
-            names.contains(&"scale/vitis/200/peak_bytes"),
-            cfg!(feature = "perf-alloc")
-        );
+        // The split names every owner and sums to the footprint row.
+        let value = |name: &str| entries.iter().find(|e| e.name == name).map(|e| e.value);
+        let split: f64 = entries
+            .iter()
+            .filter(|e| e.name.starts_with("scale/vitis/200/mem/"))
+            .map(|e| e.value)
+            .sum();
+        assert!(split > 0.0);
+        assert_eq!(value("scale/vitis/200/footprint_bytes"), Some(split));
+        for owner in ["slots", "queue", "monitor", "substrate", "relay", "gateway"] {
+            let row = format!("scale/vitis/200/mem/{owner}_bytes");
+            assert!(value(&row).is_some_and(|b| b > 0.0), "{row}");
+        }
+        // The allocator's rows appear only when it is counting.
+        for row in ["scale/vitis/200/peak_bytes", "scale/vitis/200/live_bytes"] {
+            assert_eq!(names.contains(&row), cfg!(feature = "perf-alloc"), "{row}");
+        }
     }
 
     #[test]

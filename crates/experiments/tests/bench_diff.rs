@@ -58,3 +58,25 @@ fn a_shared_row_within_tolerance_passes() {
     );
     assert_eq!(exit_code(&a, &b), Some(0));
 }
+
+#[test]
+fn a_peak_bytes_row_grown_past_tolerance_fails_the_gate() {
+    let rows = |peak: f64| {
+        [
+            BenchEntry::new("scale/vitis/2000/warmup_ms", 100.0, "ms"),
+            BenchEntry::new("scale/vitis/2000/peak_bytes", peak, "bytes"),
+            // Counts never gate, whatever they do.
+            BenchEntry::new("scale/vitis/2000/delivered", peak, "count"),
+        ]
+    };
+    let grown = bench_file("bytes_grown", &rows(65e6));
+    assert_eq!(
+        exit_code(&bench_file("bytes_a", &rows(50e6)), &grown),
+        Some(1)
+    );
+    let flat = bench_file("bytes_flat", &rows(55e6));
+    assert_eq!(
+        exit_code(&bench_file("bytes_b", &rows(50e6)), &flat),
+        Some(0)
+    );
+}

@@ -65,6 +65,11 @@ impl<P: Clone> Newscast<P> {
         }
     }
 
+    /// Heap bytes of the view.
+    pub fn heap_bytes(&self) -> u64 {
+        self.view.heap_bytes()
+    }
+
     fn buffer(&self, self_entry: &Entry<P>) -> Vec<Entry<P>> {
         let mut buf = self.view.to_vec();
         buf.push(self_entry.refreshed(self_entry.payload.clone()));

@@ -88,6 +88,12 @@ impl<P: Clone> HybridRt<P> {
         }
     }
 
+    /// Heap bytes of the small-world and friend lists (the ring neighbors
+    /// are inline), as Σ capacity × descriptor size.
+    pub fn heap_bytes(&self) -> u64 {
+        ((self.sw.capacity() + self.friends.capacity()) * std::mem::size_of::<Entry<P>>()) as u64
+    }
+
     /// All entries with their link kind.
     pub fn iter_kinds(&self) -> impl Iterator<Item = (LinkKind, &Entry<P>)> {
         self.succ

@@ -75,6 +75,14 @@ impl<P: Clone> Sampler<P> {
         self.me.payload = payload;
     }
 
+    /// Heap bytes of the view and the unconsumed bootstrap contacts, as
+    /// Σ capacity × descriptor size. A payload's own heap (a shared
+    /// subscription set) belongs to whoever made it.
+    pub fn heap_bytes(&self) -> u64 {
+        self.view.heap_bytes()
+            + (self.bootstrap.capacity() * std::mem::size_of::<Entry<P>>()) as u64
+    }
+
     /// The current sample of known peers.
     pub fn sample(&self) -> &[Entry<P>] {
         self.view.sample()
@@ -138,6 +146,12 @@ impl<P: Clone> Substrate<P> {
             params,
             age_threshold,
         }
+    }
+
+    /// Heap bytes of the sampler and the routing table, as Σ capacity ×
+    /// descriptor size.
+    pub fn heap_bytes(&self) -> u64 {
+        self.ps.heap_bytes() + self.rt.heap_bytes()
     }
 
     /// The current routing table.

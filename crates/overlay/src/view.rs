@@ -25,6 +25,11 @@ impl<P: Clone> View<P> {
         }
     }
 
+    /// Heap bytes of the descriptor array (capacity × descriptor size).
+    pub fn heap_bytes(&self) -> u64 {
+        (self.entries.capacity() * std::mem::size_of::<Entry<P>>()) as u64
+    }
+
     /// The view's capacity.
     pub fn capacity(&self) -> usize {
         self.capacity

@@ -153,6 +153,20 @@ impl<P: Clone> AntiEntropy<P> {
         }
     }
 
+    /// Heap bytes of the cache and the pull table, as Σ capacity × element
+    /// size. Heap state behind a cached payload is the caller's to add.
+    pub fn heap_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        let advertisers: usize = self
+            .wants
+            .iter()
+            .map(|(_, w)| w.advertisers.capacity())
+            .sum();
+        (self.cache.capacity() * size_of::<(u64, Cached<P>)>()
+            + self.wants.capacity() * size_of::<(u64, Want)>()
+            + advertisers * size_of::<NodeIdx>()) as u64
+    }
+
     /// Whether the layer is active.
     pub fn enabled(&self) -> bool {
         self.cfg.enabled

@@ -108,8 +108,6 @@ pub struct Engine<P: Protocol, N: NetworkModel = ConstantLatency> {
     /// queue length when updating the depth high-water mark, so batch
     /// draining reports the same `queue_hwm` a one-pop-at-a-time loop would.
     pending_virtual: u64,
-    /// Reusable scratch buffer for batch draining.
-    batch_buf: Vec<Ev<P::Msg>>,
 }
 
 impl<P: Protocol> Engine<P, ConstantLatency> {
@@ -137,7 +135,6 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
             trace: None,
             net_drops: Vec::new(),
             pending_virtual: 0,
-            batch_buf: Vec::new(),
         }
     }
 
@@ -231,6 +228,22 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
         c.sched_batches = self.queue.batches_popped();
         c.sched_overflow = self.queue.overflow_pushes();
         c
+    }
+
+    /// Heap bytes of the slot table (every node's inline state and RNG,
+    /// alive or not) and the scratch buffers, as Σ capacity × element size.
+    /// What a node owns beyond its inline state is the protocol's to report.
+    pub fn heap_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        (self.slots.capacity() * size_of::<Slot<P>>()
+            + self.effects_buf.capacity() * size_of::<Effect<P::Msg>>()
+            + self.net_drops.capacity() * size_of::<(u64, u32)>()) as u64
+    }
+
+    /// Heap bytes of the event queue: its ring and bucket capacity. Heap
+    /// state *behind* a pending message (a buffer, a hop path) is not counted.
+    pub fn queue_bytes(&self) -> u64 {
+        self.queue.heap_bytes()
     }
 
     /// Push an event and keep the queue-depth high-water mark current.
@@ -413,27 +426,25 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
     /// a `t` in the past runs nothing and leaves `now()` where it was, so a
     /// later [`Engine::inject`] cannot schedule below the queue's floor.
     ///
-    /// Events are drained in dense per-timestamp batches from the calendar
-    /// queue (one bucket grab per distinct tick instead of one heap pop per
-    /// event); handling order is identical to a one-at-a-time loop.
+    /// Events leave the calendar queue in dense per-timestamp batches (one
+    /// bucket handed over per distinct tick instead of one heap pop per
+    /// event, and freed once handled); handling order is identical to a
+    /// one-at-a-time loop.
     pub fn run_until(&mut self, t: SimTime) {
         let _span = crate::perf::span("engine.run_until");
-        let mut batch = std::mem::take(&mut self.batch_buf);
         while let Some(et) = self.queue.peek_time() {
             if et > t {
                 break;
             }
-            batch.clear();
-            let time = self.queue.pop_batch(&mut batch).expect("peeked event vanished");
+            let (time, batch) = self.queue.pop_batch().expect("peeked event vanished");
             debug_assert!(time >= self.now, "event queue went backwards");
             self.now = time;
             self.pending_virtual = batch.len() as u64;
-            for ev in batch.drain(..) {
+            for ev in batch {
                 self.pending_virtual -= 1;
                 self.handle_event(ev);
             }
         }
-        self.batch_buf = batch;
         self.now = self.now.max(t);
     }
 
@@ -814,10 +825,10 @@ mod tests {
         assert_eq!(eng.node(a).unwrap().got, 1);
     }
 
-    /// The queue holds one `Ev` per message in flight, and its retained
-    /// bucket capacity is most of a data-plane run's memory: the engine may
-    /// add the two endpoint slots to a message and nothing else (the
-    /// variant tag must keep riding in the message's own niche or padding).
+    /// The queue holds one `Ev` per message in flight — the unit
+    /// [`Engine::queue_bytes`] counts in: the engine may add the two
+    /// endpoint slots to a message and nothing else (the variant tag must
+    /// keep riding in the message's own niche or padding).
     #[test]
     fn an_event_is_its_message_plus_eight_bytes() {
         use std::mem::size_of;

@@ -5,9 +5,9 @@
 //! * `EventQueue` — the production scheduler: a bucketed **calendar queue**
 //!   with a ring of one-tick buckets plus an overflow list for far-future
 //!   events. Pops are O(1) amortized, and a whole timestamp's worth of
-//!   events can be drained in one dense pass (`EventQueue::pop_batch`),
-//!   which is what lets the engine execute gossip rounds batch-wise instead
-//!   of one heap pop per message.
+//!   events leaves in one move (`EventQueue::pop_batch` hands the bucket's
+//!   vector out), which is what lets the engine execute gossip rounds
+//!   batch-wise instead of one heap pop per message.
 //! * `HeapQueue` — the original binary min-heap, compiled only under
 //!   `cfg(test)` as the reference implementation for differential tests
 //!   (the CI smoke job asserts both schedulers produce identical event
@@ -41,9 +41,13 @@
 //!   redistribution happens at the exact pop where the floor first crosses
 //!   `T - RING`, so it lands in the (necessarily empty) bucket before any
 //!   direct push at `T` and FIFO order equals push order.
+//! * **A drained bucket owns no memory** — `pop_batch` gives the bucket's
+//!   vector away as the batch and leaves an unallocated one behind, so the
+//!   ring's capacity is what is *pending*, rounded up by `Vec` growth, not
+//!   the busiest tick each of its 1 024 buckets ever hosted.
 
 use crate::time::SimTime;
-use std::cell::Cell;
+use std::{cell::Cell, mem::size_of};
 #[cfg(test)]
 use std::{cmp::Ordering, collections::BinaryHeap};
 
@@ -262,19 +266,19 @@ impl<E> EventQueue<E> {
         Some((SimTime(t), event))
     }
 
-    /// Drain *all* events at the earliest pending timestamp into `out`
-    /// (in insertion order) and return that timestamp. Events pushed at the
-    /// same timestamp while the batch is being processed form the next
-    /// batch — exactly the order a one-at-a-time heap would produce.
-    pub fn pop_batch(&mut self, out: &mut Vec<E>) -> Option<SimTime> {
+    /// Take *all* events at the earliest pending timestamp (in insertion
+    /// order), with that timestamp: the bucket's own vector, moved out.
+    /// Events pushed at the same timestamp while the batch is being
+    /// processed form the next batch — the order a one-at-a-time heap gives.
+    pub fn pop_batch(&mut self) -> Option<(SimTime, Vec<E>)> {
         let t = self.peek_time()?.0;
         self.advance_floor(t);
         let i = (t % RING as u64) as usize;
         debug_assert!(!self.buckets[i].is_empty() && self.bucket_time[i] == t);
-        self.len -= self.buckets[i].len();
-        out.append(&mut self.buckets[i]);
+        let batch = std::mem::take(&mut self.buckets[i]);
+        self.len -= batch.len();
         self.batches_popped += 1;
-        Some(SimTime(t))
+        Some((SimTime(t), batch))
     }
 
     /// Number of pending events.
@@ -285,6 +289,16 @@ impl<E> EventQueue<E> {
     #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Heap bytes the queue owns: Σ capacity × element size over the ring,
+    /// its buckets and the overflow list.
+    pub fn heap_bytes(&self) -> u64 {
+        let slots: usize = self.buckets.iter().map(Vec::capacity).sum();
+        (slots * size_of::<E>()
+            + self.buckets.capacity() * size_of::<Vec<E>>()
+            + self.bucket_time.capacity() * size_of::<u64>()
+            + self.overflow.capacity() * size_of::<(u64, E)>()) as u64
     }
 
     /// How many batch drains ([`EventQueue::pop_batch`]) have run.
@@ -338,12 +352,13 @@ impl<E> HeapQueue<E> {
 
     /// Drain all events at the earliest pending timestamp, mirroring
     /// [`EventQueue::pop_batch`].
-    pub fn pop_batch(&mut self, out: &mut Vec<E>) -> Option<SimTime> {
+    pub fn pop_batch(&mut self) -> Option<(SimTime, Vec<E>)> {
         let t = self.peek_time()?;
+        let mut batch = Vec::new();
         while self.peek_time() == Some(t) {
-            out.push(self.pop().expect("peeked event vanished").1);
+            batch.push(self.pop().expect("peeked event vanished").1);
         }
-        Some(t)
+        Some((t, batch))
     }
 
     /// Number of pending events.
@@ -351,7 +366,6 @@ impl<E> HeapQueue<E> {
         self.heap.len()
     }
 
-    #[allow(dead_code)]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
@@ -413,19 +427,50 @@ mod tests {
         q.push(SimTime(2), "a");
         q.push(SimTime(2), "b");
         q.push(SimTime(2), "c");
-        let mut out = Vec::new();
-        assert_eq!(q.pop_batch(&mut out), Some(SimTime(2)));
-        assert_eq!(out, vec!["a", "b", "c"]);
-        out.clear();
+        assert_eq!(q.pop_batch(), Some((SimTime(2), vec!["a", "b", "c"])));
         // Same-tick pushes during batch processing form the next batch.
         q.push(SimTime(2), "late");
-        assert_eq!(q.pop_batch(&mut out), Some(SimTime(2)));
-        assert_eq!(out, vec!["late"]);
-        out.clear();
-        assert_eq!(q.pop_batch(&mut out), Some(SimTime(4)));
-        assert_eq!(out, vec!["x"]);
+        assert_eq!(q.pop_batch(), Some((SimTime(2), vec!["late"])));
+        assert_eq!(q.pop_batch(), Some((SimTime(4), vec!["x"])));
         assert!(q.is_empty());
+        assert_eq!(q.pop_batch(), None);
         assert_eq!(q.batches_popped(), 3);
+    }
+
+    #[test]
+    fn queue_capacity_follows_what_is_pending() {
+        // A gossip run in miniature: every tick a burst of ≈ 3 000 events
+        // lands one tick ahead (messages) and 30 land 64 ticks ahead
+        // (re-armed round ticks), so ≈ 5 000 events are pending at any time
+        // while every bucket of the ring hosts a full burst twice over.
+        let mut q = EventQueue::new();
+        let mut rng = Lcg(0xb0c4e7);
+        q.push(SimTime(1), 0u64);
+        for _ in 0..2000 {
+            // The batch is dropped here, as the engine drops it once handled.
+            let t = q.pop_batch().expect("the schedule re-arms itself").0;
+            let drained = (t.0 % RING as u64) as usize;
+            assert_eq!(
+                q.buckets[drained].capacity(),
+                0,
+                "a drained bucket owns no memory"
+            );
+            for id in 0..2500 + rng.next() % 1000 {
+                q.push(SimTime(t.0 + 1), id);
+            }
+            for id in 0..30 {
+                q.push(SimTime(t.0 + 64), id);
+            }
+        }
+        assert!(q.len() > 4000, "pending {}", q.len());
+        let ring = RING * (size_of::<Vec<u64>>() + size_of::<u64>());
+        let budget = (4 * q.len() + 64) * size_of::<u64>() + ring;
+        assert!(
+            q.heap_bytes() <= budget as u64,
+            "{} B held for {} pending events (budget {budget} B)",
+            q.heap_bytes(),
+            q.len()
+        );
     }
 
     #[test]
@@ -467,9 +512,10 @@ mod tests {
         // Now floor = target - r + 10 > target - RING: "parked" has been
         // redistributed. A direct push at the same tick must pop after it.
         q.push(SimTime(target), "direct");
-        let mut out = Vec::new();
-        assert_eq!(q.pop_batch(&mut out), Some(SimTime(target)));
-        assert_eq!(out, vec!["parked", "direct"]);
+        assert_eq!(
+            q.pop_batch(),
+            Some((SimTime(target), vec!["parked", "direct"]))
+        );
     }
 
     #[test]
@@ -511,8 +557,6 @@ mod tests {
         let mut next_id = 0u64;
         let mut cal_out: Vec<(u64, u64)> = Vec::new();
         let mut heap_out: Vec<(u64, u64)> = Vec::new();
-        let mut cal_batch = Vec::new();
-        let mut heap_batch = Vec::new();
 
         for step in 0..5000 {
             let op = rng.next() % 10;
@@ -538,16 +582,13 @@ mod tests {
                 }
             } else {
                 // Batch drain of one timestamp.
-                cal_batch.clear();
-                heap_batch.clear();
-                let ta = cal.pop_batch(&mut cal_batch);
-                let tb = heap.pop_batch(&mut heap_batch);
-                assert_eq!(ta, tb, "batch time diverged at step {step}");
-                assert_eq!(cal_batch, heap_batch, "batch diverged at step {step}");
-                if let Some(t) = ta {
+                let a = cal.pop_batch();
+                let b = heap.pop_batch();
+                assert_eq!(a, b, "batch diverged at step {step}");
+                if let Some((t, batch)) = a {
                     clock = t.0;
-                    cal_out.extend(cal_batch.iter().map(|&id| (t.0, id)));
-                    heap_out.extend(heap_batch.iter().map(|&id| (t.0, id)));
+                    cal_out.extend(batch.iter().map(|&id| (t.0, id)));
+                    heap_out.extend(batch.iter().map(|&id| (t.0, id)));
                 }
             }
             assert_eq!(cal.len(), heap.len(), "len diverged at step {step}");

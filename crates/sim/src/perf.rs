@@ -381,6 +381,19 @@ pub fn reset_mem_peak() {
     MEM_PEAK.store(MEM_LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
 }
 
+/// Heap bytes of a std hash table with room for `capacity` entries of
+/// `entry` bytes each: a power-of-two bucket array at load factor 7/8, one
+/// control byte per bucket and a trailing control group. For the
+/// structural `heap_bytes()` reports, which read containers and not the
+/// allocator.
+pub fn hash_table_bytes(capacity: usize, entry: usize) -> u64 {
+    if capacity == 0 {
+        return 0;
+    }
+    let buckets = (capacity * 8 / 7).next_power_of_two();
+    (buckets * (entry + 1) + 16) as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

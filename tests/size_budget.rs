@@ -1,14 +1,17 @@
 //! Size budgets for the types the simulator holds by the million.
 //!
 //! **Messages.** Every message in flight is one event in the engine's
-//! calendar queue, and the queue's buckets keep the capacity of their
-//! busiest tick — on a data-plane run that is most of the process. Eight
-//! bytes more per message (a fat `Arc<[NodeIdx]>` path handle in
-//! `Notification`, tried in PR 15) measured +13 % peak RSS and +4 % `cpu_s`
-//! on the benchmark's `publish_1k`. A new field in a message variant must
-//! fit the 24 payload bytes the largest variants already use, or go behind
-//! the variant's existing `Arc`. The engine's own 8 bytes per event are
-//! pinned in `vitis_sim::engine`'s tests.
+//! calendar queue, and the queue moves every one of them twice: into a
+//! bucket and out with its batch. Eight bytes more per message (a fat
+//! `Arc<[NodeIdx]>` path handle in `Notification`, tried in PR 15) measured
+//! +4 % `cpu_s` on the benchmark's `publish_1k` — and +13 % peak RSS while
+//! the buckets still kept the capacity of their busiest tick; since PR 23 a
+//! drained bucket owns no memory and the queue is a few hundred bytes per
+//! node (`mem/queue_bytes` on the `scale` ladder), so the budget now guards
+//! time and cache lines rather than residency. A new field in a message
+//! variant must fit the 24 payload bytes the largest variants already use,
+//! or go behind the variant's existing `Arc`. The engine's own 8 bytes per
+//! event are pinned in `vitis_sim::engine`'s tests.
 //!
 //! **Nodes.** Dispatch runs handlers on the node in place, so an
 //! activation's cost does not depend on the node's size (`meso_timing`'s
