@@ -190,7 +190,7 @@ impl RvrNode {
         from: Option<NodeIdx>,
         hops: u32,
     ) {
-        let entry = self.tree.entry(topic);
+        let mut entry = self.tree.entry(topic);
         if let Some(from) = from {
             entry.refresh_downstream(from);
         }

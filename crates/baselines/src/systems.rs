@@ -71,6 +71,11 @@ impl PubSubProtocol for RvrProtocol {
     const BOOT_SALT: u64 = u64::MAX - 1;
 
     fn from_params(params: &SystemParams) -> Self {
+        // The tree table is Vitis's relay table, so `relay_ttl` is held to
+        // the same byte-age bound.
+        if let Err(e) = params.cfg.validate() {
+            panic!("invalid VitisConfig: {e}");
+        }
         RvrProtocol {
             cfg: Arc::new(RvrConfig {
                 rt_size: params.cfg.rt_size,

@@ -86,22 +86,27 @@ impl VitisConfig {
         self.rt_size.saturating_sub(2 + self.k_sw)
     }
 
-    /// Validate invariants; call after manual construction.
-    ///
-    /// # Panics
-    /// Panics if the table cannot hold the two ring links, or trivially
-    /// invalid values are set.
-    pub fn validate(&self) {
-        assert!(self.rt_size >= 3, "rt_size must hold ring links + 1");
-        assert!(self.est_n >= 2, "est_n must be at least 2");
-        assert!(self.d_max_hops >= 1, "d_max_hops must be at least 1");
-        assert!(self.sampling_view >= 1, "sampling view must be non-empty");
-        assert!(self.max_lookup_hops >= 1, "lookups need at least one hop");
-        assert!(self.max_event_hops >= 1, "events need at least one hop");
-        assert!(
-            self.publish_retries == 0 || self.publish_ack_timeout >= 1,
-            "retries need a positive ack timeout"
-        );
+    /// Validate invariants; call after manual construction. Fails if the
+    /// table cannot hold the two ring links, a relay link could never
+    /// expire, or trivially invalid values are set.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let checks = [
+            (self.rt_size >= 3, ConfigError::RtSize),
+            (self.est_n >= 2, ConfigError::EstN),
+            (self.d_max_hops >= 1, ConfigError::DMaxHops),
+            (self.relay_ttl < 255, ConfigError::RelayTtl),
+            (self.sampling_view >= 1, ConfigError::SamplingView),
+            (self.max_lookup_hops >= 1, ConfigError::MaxLookupHops),
+            (self.max_event_hops >= 1, ConfigError::MaxEventHops),
+            (
+                self.publish_retries == 0 || self.publish_ack_timeout >= 1,
+                ConfigError::AckTimeout,
+            ),
+        ];
+        match checks.into_iter().find(|(ok, _)| !ok) {
+            Some((_, err)) => Err(err),
+            None => Ok(()),
+        }
     }
 
     /// The Figure 4 sweep: fix `rt_size`, dedicate 2 entries to the ring and
@@ -113,6 +118,45 @@ impl VitisConfig {
     }
 }
 
+/// Why a [`VitisConfig`] was rejected by [`VitisConfig::validate`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ConfigError {
+    /// `rt_size` below 3: no room for the two ring links and one more.
+    RtSize,
+    /// `est_n` below 2.
+    EstN,
+    /// `d_max_hops` of 0.
+    DMaxHops,
+    /// `relay_ttl` of 255 or more: relay link ages are bytes that saturate
+    /// at 255, so such a link would never expire.
+    RelayTtl,
+    /// An empty peer-sampling view.
+    SamplingView,
+    /// `max_lookup_hops` of 0.
+    MaxLookupHops,
+    /// `max_event_hops` of 0.
+    MaxEventHops,
+    /// Publish retries with a zero acknowledgment timeout.
+    AckTimeout,
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            ConfigError::RtSize => "rt_size must hold ring links + 1",
+            ConfigError::EstN => "est_n must be at least 2",
+            ConfigError::DMaxHops => "d_max_hops must be at least 1",
+            ConfigError::RelayTtl => "relay_ttl must be below 255",
+            ConfigError::SamplingView => "sampling view must be non-empty",
+            ConfigError::MaxLookupHops => "lookups need at least one hop",
+            ConfigError::MaxEventHops => "events need at least one hop",
+            ConfigError::AckTimeout => "retries need a positive ack timeout",
+        })
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,7 +164,7 @@ mod tests {
     #[test]
     fn defaults_match_paper() {
         let c = VitisConfig::default();
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
         assert_eq!(c.rt_size, 15);
         assert_eq!(c.k_sw, 1);
         assert_eq!(c.d_max_hops, 5);
@@ -144,12 +188,39 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rt_size")]
-    fn tiny_table_rejected() {
+    fn each_invalid_value_is_rejected_with_its_own_error() {
+        type Set = fn(&mut VitisConfig);
+        let cases: [(Set, ConfigError); 9] = [
+            (|c| c.rt_size = 2, ConfigError::RtSize),
+            (|c| c.est_n = 1, ConfigError::EstN),
+            (|c| c.d_max_hops = 0, ConfigError::DMaxHops),
+            (|c| c.relay_ttl = 255, ConfigError::RelayTtl),
+            (|c| c.relay_ttl = u16::MAX, ConfigError::RelayTtl),
+            (|c| c.sampling_view = 0, ConfigError::SamplingView),
+            (|c| c.max_lookup_hops = 0, ConfigError::MaxLookupHops),
+            (|c| c.max_event_hops = 0, ConfigError::MaxEventHops),
+            (
+                |c| (c.publish_retries, c.publish_ack_timeout) = (1, 0),
+                ConfigError::AckTimeout,
+            ),
+        ];
+        for (set, err) in cases {
+            let mut c = VitisConfig::default();
+            set(&mut c);
+            assert_eq!(c.validate(), Err(err), "{err}");
+        }
+        assert_eq!(
+            ConfigError::RtSize.to_string(),
+            "rt_size must hold ring links + 1"
+        );
+    }
+
+    #[test]
+    fn the_largest_relay_ttl_a_byte_age_can_expire_is_accepted() {
         let c = VitisConfig {
-            rt_size: 2,
+            relay_ttl: 254,
             ..Default::default()
         };
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
     }
 }

@@ -416,7 +416,7 @@ impl VitisNode {
         from: Option<NodeIdx>,
         hops: u32,
     ) {
-        let entry = self.relays.entry(topic);
+        let mut entry = self.relays.entry(topic);
         if let Some(from) = from {
             entry.refresh_downstream(from);
             if hops >= self.cfg.max_lookup_hops {

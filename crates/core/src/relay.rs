@@ -2,7 +2,7 @@
 //!
 //! A relay path is the greedy lookup path from a cluster gateway to the
 //! topic's rendezvous node. Every node on the path — subscriber or not —
-//! installs a [`RelayEntry`]: one *upstream* link pointing toward the
+//! installs a relay entry: one *upstream* link pointing toward the
 //! rendezvous and any number of *downstream* links pointing back toward the
 //! gateways whose lookups passed through. Notifications travel up to the
 //! rendezvous and back down every other branch, which is what stitches the
@@ -11,55 +11,149 @@
 //! The state is soft: gateways re-issue their lookups every round, each pass
 //! refreshes the links it uses, and anything unrefreshed for `ttl` rounds is
 //! dropped — this is how the structure heals around churn.
+//!
+//! # Layout
+//!
+//! The relay table is the per-node owner that grows with N (DESIGN §12), so
+//! it is laid out for bytes. One node's table is two arrays, both sorted by
+//! topic:
+//!
+//! * one [`RelaySlot`] of 16 bytes per entry: the topic, the upstream link
+//!   as a `NodeIdx` with a sentinel for "none", the *first* downstream link
+//!   inline, a byte-sized age for each, and the rendezvous claim;
+//! * one [`SpilledLink`] of 12 bytes per further downstream link, in a
+//!   table-wide array that holds every entry's second and later links,
+//!   grouped by topic and in insertion order within a topic.
+//!
+//! An entry with at most one downstream link owns no allocation of its own,
+//! and the table costs two allocations however many entries it holds.
+//!
+//! **Promotion.** When an entry's inline downstream link expires or its
+//! peer is removed, the entry's first surviving spilled link moves inline.
+//! The downstream order is therefore insertion order at all times, which
+//! matters because it is [`RelayTable::fanout_into`]'s order and so event
+//! order.
+//!
+//! Ages saturate at 255. A TTL of 255 or more could never expire a link,
+//! which is why `VitisConfig::validate` rejects one.
+//!
+//! [`RelayEntry`] is a borrowed read view of one entry;
+//! [`RelayTable::entry`] hands out a [`RelayEntryMut`] write handle.
 
 use crate::topic::TopicId;
-use crate::smallmap::SmallMap;
+use std::mem::size_of;
+use std::ops::Range;
 use vitis_sim::event::NodeIdx;
 
-/// Per-topic relay state at one node.
-#[derive(Clone, Debug, Default)]
-pub struct RelayEntry {
-    /// Next hop toward the rendezvous, with its freshness age. `None` at the
-    /// rendezvous node itself.
-    upstream: Option<(NodeIdx, u16)>,
-    /// Links back toward gateways, with freshness ages.
-    downstream: Vec<(NodeIdx, u16)>,
-    /// Whether this node currently believes it is the topic's rendezvous.
-    rendezvous: bool,
+/// No link: a slot's upstream at the rendezvous or before the first route,
+/// its downstream before the first refresh. Engine slots are dense from
+/// zero, so no node has this index.
+const NONE: NodeIdx = NodeIdx(u32::MAX);
+
+fn link(n: NodeIdx) -> Option<NodeIdx> {
+    (n != NONE).then_some(n)
 }
 
-impl RelayEntry {
+/// One relay entry as the table stores it.
+#[derive(Clone, Copy, Debug)]
+pub struct RelaySlot {
+    topic: TopicId,
+    /// Next hop toward the rendezvous, or [`NONE`].
+    up: NodeIdx,
+    /// The first downstream link, or [`NONE`]; when it is `NONE` the entry
+    /// has no spilled links either.
+    down: NodeIdx,
+    up_age: u8,
+    down_age: u8,
+    /// Whether this node currently believes it is the topic's rendezvous.
+    rendezvous: bool,
+    /// Whether the entry has links in [`RelayTable::spilled`].
+    spilled: bool,
+}
+
+/// An entry's second or later downstream link.
+#[derive(Clone, Copy, Debug)]
+pub struct SpilledLink {
+    topic: TopicId,
+    node: NodeIdx,
+    age: u8,
+}
+
+/// Where `topic`'s spilled links sit in `spilled`: an empty range at their
+/// insertion point if it has none.
+fn spill_range(spilled: &[SpilledLink], topic: TopicId) -> Range<usize> {
+    let start = spilled.partition_point(|l| l.topic < topic);
+    let run = spilled[start..].iter().take_while(|l| l.topic == topic);
+    start..start + run.count()
+}
+
+/// One topic's relay state at one node, borrowed from its table.
+#[derive(Clone, Copy, Debug)]
+pub struct RelayEntry<'a> {
+    slot: &'a RelaySlot,
+    spilled: &'a [SpilledLink],
+}
+
+impl<'a> RelayEntry<'a> {
     /// The upstream next hop, if any.
-    pub fn upstream(&self) -> Option<NodeIdx> {
-        self.upstream.map(|(n, _)| n)
+    pub fn upstream(self) -> Option<NodeIdx> {
+        link(self.slot.up)
     }
 
-    /// The downstream links.
-    pub fn downstreams(&self) -> impl Iterator<Item = NodeIdx> + '_ {
-        self.downstream.iter().map(|&(n, _)| n)
+    /// The downstream links, in insertion order.
+    pub fn downstreams(self) -> impl Iterator<Item = NodeIdx> + 'a {
+        self.downstream_links().map(|(n, _)| n)
     }
 
     /// Whether this node is the rendezvous for the topic.
-    pub fn is_rendezvous(&self) -> bool {
-        self.rendezvous
+    pub fn is_rendezvous(self) -> bool {
+        self.slot.rendezvous
     }
 
     /// Freshness age of the upstream link, if one exists.
-    pub fn upstream_age(&self) -> Option<u16> {
-        self.upstream.map(|(_, age)| age)
+    pub fn upstream_age(self) -> Option<u16> {
+        self.upstream().map(|_| self.slot.up_age.into())
     }
 
-    /// The downstream links with their freshness ages.
-    pub fn downstream_links(&self) -> impl Iterator<Item = (NodeIdx, u16)> + '_ {
-        self.downstream.iter().copied()
+    /// The downstream links with their freshness ages, in insertion order.
+    pub fn downstream_links(self) -> impl Iterator<Item = (NodeIdx, u16)> + 'a {
+        let first = link(self.slot.down).map(|n| (n, self.slot.down_age.into()));
+        let rest = self.spilled.iter().map(|l| (l.node, l.age.into()));
+        first.into_iter().chain(rest)
     }
+}
 
+/// Write access to one entry of a [`RelayTable`], from
+/// [`RelayTable::entry`].
+pub struct RelayEntryMut<'a> {
+    table: &'a mut RelayTable,
+    i: usize,
+}
+
+impl RelayEntryMut<'_> {
     /// A relay request arrived from `from` (a gateway or an earlier path
     /// node): install the downstream link, or reset its age.
     pub fn refresh_downstream(&mut self, from: NodeIdx) {
-        match self.downstream.iter_mut().find(|(n, _)| *n == from) {
-            Some(link) => link.1 = 0,
-            None => self.downstream.push((from, 0)),
+        debug_assert_ne!(from, NONE);
+        let RelayTable { slots, spilled } = &mut *self.table;
+        let slot = &mut slots[self.i];
+        if slot.down == NONE || slot.down == from {
+            slot.down = from;
+            slot.down_age = 0;
+            return;
+        }
+        let range = spill_range(spilled, slot.topic);
+        match spilled[range.clone()].iter_mut().find(|l| l.node == from) {
+            Some(l) => l.age = 0,
+            None => {
+                let link = SpilledLink {
+                    topic: slot.topic,
+                    node: from,
+                    age: 0,
+                };
+                spilled.insert(range.end, link);
+                slot.spilled = true;
+            }
         }
     }
 
@@ -69,15 +163,22 @@ impl RelayEntry {
     /// means no neighbor is closer to `hash(topic)`: the lookup terminated
     /// here, so this node is the rendezvous and has no upstream.
     pub fn route(&mut self, next: Option<NodeIdx>) {
-        self.upstream = next.map(|n| (n, 0));
-        self.rendezvous = next.is_none();
+        debug_assert_ne!(next, Some(NONE));
+        let slot = &mut self.table.slots[self.i];
+        slot.up = next.unwrap_or(NONE);
+        slot.up_age = 0;
+        slot.rendezvous = next.is_none();
     }
 }
 
 /// All relay entries held by one node.
 #[derive(Clone, Debug, Default)]
 pub struct RelayTable {
-    entries: SmallMap<TopicId, RelayEntry>,
+    /// One slot per entry, sorted by topic.
+    slots: Vec<RelaySlot>,
+    /// Every entry's second and later downstream links, sorted by topic and
+    /// in insertion order within a topic.
+    spilled: Vec<SpilledLink>,
 }
 
 impl RelayTable {
@@ -86,40 +187,66 @@ impl RelayTable {
         RelayTable::default()
     }
 
-    /// The entry for `topic`, created empty if absent — the one key search
-    /// of a relay hop. The lookup step then works on the entry in hand:
-    /// [`RelayEntry::refresh_downstream`] for the link the request arrived
-    /// over, the greedy next-hop scan, and [`RelayEntry::route`] with its
-    /// outcome.
-    pub fn entry(&mut self, topic: TopicId) -> &mut RelayEntry {
-        self.entries.entry_or_default(topic)
+    fn pos(&self, topic: TopicId) -> Result<usize, usize> {
+        self.slots.binary_search_by_key(&topic, |s| s.topic)
     }
 
-    /// Heap bytes of the entry array and every entry's downstream list, as
+    fn view<'a>(&'a self, slot: &'a RelaySlot) -> RelayEntry<'a> {
+        let spilled = if slot.spilled {
+            &self.spilled[spill_range(&self.spilled, slot.topic)]
+        } else {
+            &[]
+        };
+        RelayEntry { slot, spilled }
+    }
+
+    /// The entry for `topic`, created empty if absent — the one key search
+    /// of a relay hop. The lookup step then works on the entry in hand:
+    /// [`RelayEntryMut::refresh_downstream`] for the link the request
+    /// arrived over, the greedy next-hop scan, and [`RelayEntryMut::route`]
+    /// with its outcome.
+    pub fn entry(&mut self, topic: TopicId) -> RelayEntryMut<'_> {
+        let i = self.pos(topic).unwrap_or_else(|i| {
+            let slot = RelaySlot {
+                topic,
+                up: NONE,
+                down: NONE,
+                up_age: 0,
+                down_age: 0,
+                rendezvous: false,
+                spilled: false,
+            };
+            self.slots.insert(i, slot);
+            i
+        });
+        RelayEntryMut { table: self, i }
+    }
+
+    /// Heap bytes of the slot array and the spilled-link array, as
     /// Σ capacity × element size.
     pub fn heap_bytes(&self) -> u64 {
-        let links: usize = self.entries.values().map(|e| e.downstream.capacity()).sum();
-        self.entries.heap_bytes() + (links * std::mem::size_of::<(NodeIdx, u16)>()) as u64
+        let slots = self.slots.capacity() * size_of::<RelaySlot>();
+        (slots + self.spilled.capacity() * size_of::<SpilledLink>()) as u64
     }
 
     /// The entry for `topic`, if any.
-    pub fn get(&self, topic: TopicId) -> Option<&RelayEntry> {
-        self.entries.get(&topic)
+    pub fn get(&self, topic: TopicId) -> Option<RelayEntry<'_>> {
+        self.pos(topic).ok().map(|i| self.view(&self.slots[i]))
     }
 
     /// Whether this node holds relay state for `topic`.
     pub fn has(&self, topic: TopicId) -> bool {
-        self.entries.contains_key(&topic)
+        self.pos(topic).is_ok()
     }
 
     /// Number of topics with relay state here.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
     }
 
     /// Append the forwarding fan-out for a notification on `topic` arriving
@@ -128,11 +255,10 @@ impl RelayTable {
     /// caller's own targets). Appends nothing if this node has no relay
     /// state for the topic. Allocates only when `out` must grow.
     pub fn fanout_into(&self, topic: TopicId, from: Option<NodeIdx>, out: &mut Vec<NodeIdx>) {
-        let Some(e) = self.entries.get(&topic) else {
+        let Some(e) = self.get(topic) else {
             return;
         };
-        let links = e.upstream.iter().chain(&e.downstream);
-        for &(link, _) in links {
+        for link in e.upstream().into_iter().chain(e.downstreams()) {
             if Some(link) != from && !out.contains(&link) {
                 out.push(link);
             }
@@ -147,15 +273,15 @@ impl RelayTable {
         out
     }
 
-    /// Age all links by one round.
+    /// Age all links by one round. The ages of absent links are never
+    /// read, so every age is bumped.
     pub fn tick(&mut self) {
-        for e in self.entries.values_mut() {
-            if let Some((_, age)) = &mut e.upstream {
-                *age = age.saturating_add(1);
-            }
-            for (_, age) in &mut e.downstream {
-                *age = age.saturating_add(1);
-            }
+        for s in &mut self.slots {
+            s.up_age = s.up_age.saturating_add(1);
+            s.down_age = s.down_age.saturating_add(1);
+        }
+        for l in &mut self.spilled {
+            l.age = l.age.saturating_add(1);
         }
     }
 
@@ -163,34 +289,60 @@ impl RelayTable {
     /// with no links at all. A linkless rendezvous claim is dropped too: the
     /// next lookup that terminates here re-creates it for free.
     pub fn expire(&mut self, ttl: u16) {
-        self.entries.retain(|_, e| {
-            if e.upstream.is_some_and(|(_, age)| age > ttl) {
-                e.upstream = None;
-            }
-            e.downstream.retain(|&(_, age)| age <= ttl);
-            e.upstream.is_some() || !e.downstream.is_empty()
-        });
+        self.retain_links(|_, age| u16::from(age) <= ttl);
     }
 
     /// Remove a failed neighbor from every entry.
     pub fn remove_peer(&mut self, peer: NodeIdx) {
-        self.entries.retain(|_, e| {
-            if e.upstream.is_some_and(|(n, _)| n == peer) {
-                e.upstream = None;
-            }
-            e.downstream.retain(|&(n, _)| n != peer);
-            e.upstream.is_some() || !e.downstream.is_empty()
-        });
+        self.retain_links(|n, _| n != peer);
     }
 
-    /// Topics with active relay state (for metrics/tests).
-    pub fn topics(&self) -> impl Iterator<Item = TopicId> + '_ {
-        self.entries.keys().copied()
+    /// Keep the links `keep(peer, age)` accepts, promoting an entry's first
+    /// surviving spilled link when its inline one goes, and drop entries
+    /// left with no link. One pass over both arrays, in place: both are in
+    /// topic order, so each slot's spilled links are the next run of
+    /// `spilled`.
+    fn retain_links(&mut self, keep: impl Fn(NodeIdx, u8) -> bool) {
+        let RelayTable { slots, spilled } = self;
+        let (mut kept, mut read, mut write) = (0, 0, 0);
+        for i in 0..slots.len() {
+            let mut s = slots[i];
+            if s.up != NONE && !keep(s.up, s.up_age) {
+                s.up = NONE;
+            }
+            if s.down != NONE && !keep(s.down, s.down_age) {
+                s.down = NONE;
+            }
+            if s.spilled {
+                let first = write;
+                while read < spilled.len() && spilled[read].topic == s.topic {
+                    let l = spilled[read];
+                    read += 1;
+                    if !keep(l.node, l.age) {
+                        continue;
+                    }
+                    if s.down == NONE {
+                        (s.down, s.down_age) = (l.node, l.age);
+                    } else {
+                        spilled[write] = l;
+                        write += 1;
+                    }
+                }
+                s.spilled = write > first;
+            }
+            if s.up != NONE || s.down != NONE {
+                slots[kept] = s;
+                kept += 1;
+            }
+        }
+        debug_assert_eq!(read, spilled.len(), "a spilled link without its slot");
+        slots.truncate(kept);
+        spilled.truncate(write);
     }
 
     /// Every entry with its topic, in topic order (for telemetry exports).
-    pub fn entries(&self) -> impl Iterator<Item = (TopicId, &RelayEntry)> + '_ {
-        self.entries.iter().map(|(&t, e)| (t, e))
+    pub fn entries(&self) -> impl Iterator<Item = (TopicId, RelayEntry<'_>)> + '_ {
+        self.slots.iter().map(|s| (s.topic, self.view(s)))
     }
 }
 
@@ -266,6 +418,45 @@ mod tests {
         rt.expire(2);
         let e = rt.get(T).unwrap();
         assert_eq!(e.downstreams().collect::<Vec<_>>(), vec![n(2)]);
+    }
+
+    #[test]
+    fn expired_first_link_is_replaced_by_the_next_in_order() {
+        const T2: TopicId = TopicId(7);
+        let mut rt = RelayTable::new();
+        // A neighbouring topic's spilled links sit on both sides of T's.
+        rt.entry(TopicId(1)).refresh_downstream(n(20));
+        rt.entry(TopicId(1)).refresh_downstream(n(21));
+        rt.entry(T).refresh_downstream(n(1));
+        rt.tick();
+        rt.entry(T).refresh_downstream(n(2));
+        rt.entry(T).refresh_downstream(n(3));
+        rt.entry(T).refresh_downstream(n(4));
+        rt.entry(T2).refresh_downstream(n(30));
+        rt.entry(T2).refresh_downstream(n(31));
+        rt.tick();
+        rt.entry(T).refresh_downstream(n(3));
+        rt.entry(TopicId(1)).refresh_downstream(n(20));
+        rt.entry(TopicId(1)).refresh_downstream(n(21));
+        rt.entry(T2).refresh_downstream(n(30));
+        rt.entry(T2).refresh_downstream(n(31));
+        // n1 is two rounds old, n2 and n4 one, n3 was just refreshed.
+        rt.expire(1);
+        let e = rt.get(T).unwrap();
+        let links: Vec<_> = e.downstream_links().collect();
+        assert_eq!(links, vec![(n(2), 1), (n(3), 0), (n(4), 1)]);
+        // A new link still goes last, and the promoted link goes the same
+        // way when its turn comes.
+        rt.entry(T).refresh_downstream(n(5));
+        rt.remove_peer(n(2));
+        let links: Vec<_> = rt.get(T).unwrap().downstream_links().collect();
+        assert_eq!(links, vec![(n(3), 0), (n(4), 1), (n(5), 0)]);
+        assert_eq!(rt.fanout(T, None), vec![n(3), n(4), n(5)]);
+        // Neighbouring topics kept their links and their order.
+        let other: Vec<_> = rt.get(TopicId(1)).unwrap().downstreams().collect();
+        assert_eq!(other, vec![n(20), n(21)]);
+        let other: Vec<_> = rt.get(T2).unwrap().downstreams().collect();
+        assert_eq!(other, vec![n(30), n(31)]);
     }
 
     #[test]

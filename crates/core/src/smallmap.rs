@@ -1,14 +1,10 @@
 //! A compact sorted-vector map for per-node hot state.
 //!
-//! Vitis nodes hold many small maps — per-neighbor advertisement caches and
-//! reverse-link tables (bounded by the view size, < 32 entries) and the
-//! relay table, which is not that small: one entry per topic whose relay
-//! path crosses the node. Weighted by lookups (the big tables are the busy
-//! ones) it averages 111 entries on the benchmark's `gossip_2k`, 47 on
-//! `publish_1k` and 18 on `churn_repair_300`; per node and round, ≈ 90 and
-//! ≈ 45 on the first two. A `BTreeMap` spends a heap allocation per node
-//! (or per leaf) and chases pointers on every lookup; at N = 100k–1M nodes
-//! that dominates the round loop's cache behavior.
+//! Nodes hold small maps keyed by neighbor: Vitis's per-neighbor
+//! advertisement caches and reverse-link tables (bounded by the view size,
+//! < 32 entries) and OPT's link table. A `BTreeMap` spends a heap
+//! allocation per node (or per leaf) and chases pointers on every lookup;
+//! at N = 100k–1M nodes that dominates the round loop's cache behavior.
 //! [`SmallMap`] stores the entries as a single `Vec<(K, V)>` kept sorted by
 //! key: lookups are a binary search over one contiguous allocation,
 //! iteration is a linear scan in ascending key order — the *same*
@@ -16,19 +12,19 @@
 //! the other is behavior- and golden-trace-preserving.
 //!
 //! The API mirrors the `BTreeMap` subset the node code uses (`get`,
-//! `insert`, `remove`, `retain`, `iter`, `keys`, `values_mut`, …) with one
-//! deviation: instead of the full `Entry` API there is
-//! [`SmallMap::entry_or_default`], covering the only entry pattern the
-//! callers need.
+//! `insert`, `remove`, `retain`, `iter`, `keys`, `values_mut`, …). The
+//! relay table, the one keyed map that grows with N, has a layout of its
+//! own (`crate::relay`).
 
 /// A map backed by a `Vec<(K, V)>` sorted by `K`.
 ///
 /// Insertions and removals are `O(n)` shifts — the right trade for the
 /// read-mostly maps in per-node state, where the contiguous layout wins on
 /// every lookup and scan. A lookup's cost is its first, cold probe into the
-/// entry array, not the search: a hash index over the relay table moved
-/// that miss to the next access instead of removing it (DESIGN §14), so
-/// callers on a hot path look a key up once and keep the entry.
+/// entry array, not the search: a hash index over the relay table (then a
+/// `SmallMap`) moved that miss to the next access instead of removing it
+/// (DESIGN §14), so callers on a hot path look a key up once and keep the
+/// entry.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SmallMap<K, V> {
     entries: Vec<(K, V)>,
@@ -103,22 +99,6 @@ impl<K: Ord + Copy, V> SmallMap<K, V> {
             Ok(i) => Some(self.entries.remove(i).1),
             Err(_) => None,
         }
-    }
-
-    /// The value for `key`, inserting `V::default()` first if absent —
-    /// the `entry(key).or_default()` pattern.
-    pub fn entry_or_default(&mut self, key: K) -> &mut V
-    where
-        V: Default,
-    {
-        let i = match self.pos(&key) {
-            Ok(i) => i,
-            Err(i) => {
-                self.entries.insert(i, (key, V::default()));
-                i
-            }
-        };
-        &mut self.entries[i].1
     }
 
     /// Keep only the entries for which `f` returns true, preserving order.
@@ -225,7 +205,12 @@ mod tests {
                     assert_eq!(small.contains_key(&k), tree.contains_key(&k));
                 }
                 _ => {
-                    *small.entry_or_default(k) += 1;
+                    match small.get_mut(&k) {
+                        Some(v) => *v += 1,
+                        None => {
+                            small.insert(k, 1);
+                        }
+                    }
                     *tree.entry(k).or_default() += 1;
                 }
             }
@@ -240,11 +225,11 @@ mod tests {
     }
 
     #[test]
-    fn entry_or_default_and_values_mut() {
+    fn get_mut_and_values_mut_update_in_place() {
         let mut m: SmallMap<u8, Vec<u8>> = SmallMap::new();
-        m.entry_or_default(2).push(20);
-        m.entry_or_default(1).push(10);
-        m.entry_or_default(2).push(21);
+        m.insert(2, vec![20]);
+        m.insert(1, vec![10]);
+        m.get_mut(&2).unwrap().push(21);
         assert_eq!(m.get(&2), Some(&vec![20, 21]));
         for v in m.values_mut() {
             v.push(99);

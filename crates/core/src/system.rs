@@ -215,7 +215,9 @@ impl PubSubProtocol for VitisProtocol {
     const BOOT_SALT: u64 = u64::MAX;
 
     fn from_params(params: &SystemParams) -> Self {
-        params.cfg.validate();
+        if let Err(e) = params.cfg.validate() {
+            panic!("invalid VitisConfig: {e}");
+        }
         VitisProtocol {
             cfg: Arc::new(params.cfg.clone()),
             repair: params.repair.clone(),

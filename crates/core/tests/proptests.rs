@@ -186,10 +186,15 @@ proptest! {
     /// A relay hop on the one entry it looked up leaves the table the old
     /// `add_downstream` → `set_upstream` / `mark_rendezvous` sequence left,
     /// whatever ageing, expiry and peer removal happen in between.
-    /// Each op is `(kind, topic, a, b)`.
+    /// Each op is `(kind, topic, a, b)`. Eight topics and eleven peers make
+    /// entries with several downstream links side by side in the table, so
+    /// spilling, promotion of the next link when the first expires or its
+    /// peer goes, and removal of a middle link all happen next to other
+    /// topics' links. Fewer than 255 ops keep every age below the point
+    /// where the table's byte ages saturate.
     #[test]
     fn single_lookup_relay_hop_equals_the_three_lookup_sequence(
-        ops in proptest::collection::vec((0u32..7, 0u32..4, 0u32..8, 0u32..8), 0..120),
+        ops in proptest::collection::vec((0u32..7, 0u32..8, 0u32..12, 0u32..12), 0..200),
     ) {
         let mut rt = RelayTable::new();
         let mut model = ThreeLookupTable::default();
@@ -203,7 +208,7 @@ proptest! {
                     let capped = kind == 3 && from.is_some();
                     let next = (b > 0).then_some(b);
 
-                    let entry = rt.entry(TopicId(topic));
+                    let mut entry = rt.entry(TopicId(topic));
                     if let Some(from) = from {
                         entry.refresh_downstream(NodeIdx(from));
                     }

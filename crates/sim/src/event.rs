@@ -122,7 +122,9 @@ pub(crate) struct EventQueue<E> {
     /// `RING` one-tick buckets; `buckets[t % RING]` holds the events at
     /// absolute tick `t` for `t ∈ [floor, floor + RING)`, in push order.
     buckets: Vec<Vec<E>>,
-    /// Absolute tick stored in each bucket (valid while non-empty).
+    /// Absolute tick stored in each bucket (valid while non-empty). Only
+    /// the bucket-purity checks read it, so only debug builds keep it.
+    #[cfg(debug_assertions)]
     bucket_time: Vec<u64>,
     /// `(tick, event)` scheduled at or beyond `floor + RING` at push time,
     /// in push order. Redistributed into the ring when the floor advances.
@@ -143,6 +145,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             buckets: (0..RING).map(|_| Vec::new()).collect(),
+            #[cfg(debug_assertions)]
             bucket_time: vec![0; RING],
             overflow: Vec::new(),
             overflow_min: u64::MAX,
@@ -175,14 +178,8 @@ impl<E> EventQueue<E> {
                 self.hint.set(off);
             }
             let i = (t % RING as u64) as usize;
-            debug_assert!(
-                self.buckets[i].is_empty() || self.bucket_time[i] == t,
-                "bucket purity violated: bucket {} holds t={}, pushing t={}",
-                i,
-                self.bucket_time[i],
-                t
-            );
-            self.bucket_time[i] = t;
+            #[cfg(debug_assertions)]
+            self.stamp(i, t);
             self.buckets[i].push(event);
         }
     }
@@ -209,7 +206,8 @@ impl<E> EventQueue<E> {
             let i = ((self.floor + off) % RING as u64) as usize;
             if !self.buckets[i].is_empty() {
                 self.hint.set(off);
-                debug_assert_eq!(self.bucket_time[i], self.floor + off);
+                #[cfg(debug_assertions)]
+                assert_eq!(self.bucket_time[i], self.floor + off);
                 return Some(self.floor + off);
             }
             off += 1;
@@ -239,11 +237,8 @@ impl<E> EventQueue<E> {
         for (t, event) in drained {
             if t < horizon {
                 let i = (t % RING as u64) as usize;
-                debug_assert!(
-                    self.buckets[i].is_empty() || self.bucket_time[i] == t,
-                    "bucket purity violated during redistribution"
-                );
-                self.bucket_time[i] = t;
+                #[cfg(debug_assertions)]
+                self.stamp(i, t);
                 self.buckets[i].push(event);
             } else {
                 min = min.min(t);
@@ -253,6 +248,18 @@ impl<E> EventQueue<E> {
         self.overflow_min = min;
     }
 
+    /// Debug builds: check that bucket `i` is empty or already holds tick
+    /// `t` (bucket purity), and record `t` as its tick.
+    #[cfg(debug_assertions)]
+    fn stamp(&mut self, i: usize, t: u64) {
+        assert!(
+            self.buckets[i].is_empty() || self.bucket_time[i] == t,
+            "bucket purity violated: bucket {i} holds t={}, pushing t={t}",
+            self.bucket_time[i],
+        );
+        self.bucket_time[i] = t;
+    }
+
     /// Pop the earliest pending event. The engine drains by batch; tests
     /// use this to check single-event order against the heap oracle.
     #[cfg(test)]
@@ -260,7 +267,8 @@ impl<E> EventQueue<E> {
         let t = self.peek_time()?.0;
         self.advance_floor(t);
         let i = (t % RING as u64) as usize;
-        debug_assert!(!self.buckets[i].is_empty() && self.bucket_time[i] == t);
+        #[cfg(debug_assertions)]
+        assert!(!self.buckets[i].is_empty() && self.bucket_time[i] == t);
         let event = self.buckets[i].remove(0);
         self.len -= 1;
         Some((SimTime(t), event))
@@ -274,7 +282,8 @@ impl<E> EventQueue<E> {
         let t = self.peek_time()?.0;
         self.advance_floor(t);
         let i = (t % RING as u64) as usize;
-        debug_assert!(!self.buckets[i].is_empty() && self.bucket_time[i] == t);
+        #[cfg(debug_assertions)]
+        assert!(!self.buckets[i].is_empty() && self.bucket_time[i] == t);
         let batch = std::mem::take(&mut self.buckets[i]);
         self.len -= batch.len();
         self.batches_popped += 1;
@@ -292,12 +301,11 @@ impl<E> EventQueue<E> {
     }
 
     /// Heap bytes the queue owns: Σ capacity × element size over the ring,
-    /// its buckets and the overflow list.
+    /// its buckets and the overflow list (not the debug builds' ticks).
     pub fn heap_bytes(&self) -> u64 {
         let slots: usize = self.buckets.iter().map(Vec::capacity).sum();
         (slots * size_of::<E>()
             + self.buckets.capacity() * size_of::<Vec<E>>()
-            + self.bucket_time.capacity() * size_of::<u64>()
             + self.overflow.capacity() * size_of::<(u64, E)>()) as u64
     }
 
