@@ -15,12 +15,9 @@ use crate::monitor::{EventId, HopPath, Monitor};
 use crate::msg::Notification;
 use crate::topic::{Subs, TopicId};
 use rand::rngs::SmallRng;
-use std::collections::HashSet;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use vitis_sim::antientropy::{AeConfig, AntiEntropy};
 use vitis_sim::event::NodeIdx;
-use vitis_sim::perf::hash_table_bytes;
 use vitis_sim::protocol::Context;
 use vitis_sim::time::SimTime;
 
@@ -37,29 +34,73 @@ pub struct RepairRound {
     pub digest_targets: Vec<NodeIdx>,
 }
 
-/// Hasher of the forwarding-dedup set: one multiplication by an odd
-/// constant. [`EventId`]s are dense counters the monitor hands out, never
-/// input from outside the program, so SipHash's collision resistance buys
-/// nothing here and its per-process key only costs; the product spreads
-/// consecutive ids over both the low bits (the table's bucket index) and
-/// the high bits (its control tags). The set is probed, never iterated, so
-/// the hash cannot reach any simulated outcome.
+/// The forwarding-dedup set: one bit per event id, from the lowest id the
+/// node has seen (rounded down to a 64-bit word) to the highest.
+///
+/// [`EventId`]s are the dense counters [`Monitor::register_event`] hands
+/// out, so a node's ids lie in one range of the run's counters and a bit
+/// per id of that range is the whole set: an exact answer, where a hash
+/// set spent 10–21 bytes per id it held. The span grows at either end as ids arrive (a copy of an older
+/// event can arrive after a newer one), by half its length or to the new
+/// id, whichever is further, so its heap bytes stay below
+/// 2 × ((highest − lowest) / 64 + 1) × 8 B. The set is probed, never
+/// iterated.
 #[derive(Default)]
-struct EventIdHasher(u64);
+struct SeenSet {
+    /// Word index (`id / 64`) of `words[0]`.
+    first_word: u64,
+    words: Vec<u64>,
+}
 
-impl Hasher for EventIdHasher {
-    fn write_u64(&mut self, id: u64) {
-        self.0 = (self.0 ^ id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+impl SeenSet {
+    /// Whether `id` was inserted.
+    fn contains(&self, id: EventId) -> bool {
+        let Some(i) = (id.0 >> 6).checked_sub(self.first_word) else {
+            return false;
+        };
+        self.words
+            .get(i as usize)
+            .is_some_and(|w| w & (1u64 << (id.0 & 63)) != 0)
     }
 
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
+    /// Add `id`; `false` if it was already there.
+    fn insert(&mut self, id: EventId) -> bool {
+        let word = id.0 >> 6;
+        if self.words.is_empty() {
+            self.first_word = word;
+        }
+        if word < self.first_word {
+            let gap = (self.first_word - word) as usize;
+            let len = self.words.len();
+            self.grow_to(len + gap);
+            self.words.resize(len + gap, 0);
+            self.words.copy_within(..len, gap);
+            self.words[..gap].fill(0);
+            self.first_word = word;
+        }
+        let i = (word - self.first_word) as usize;
+        if i >= self.words.len() {
+            self.grow_to(i + 1);
+            self.words.resize(i + 1, 0);
+        }
+        let bit = 1u64 << (id.0 & 63);
+        let fresh = self.words[i] & bit == 0;
+        self.words[i] |= bit;
+        fresh
+    }
+
+    /// Reserve room for `len` words: at least half as many again as are
+    /// held, so a span that creeps one word at a time reallocates
+    /// O(log span) times, and never more than that or `len`.
+    fn grow_to(&mut self, len: usize) {
+        let held = self.words.len();
+        if len > self.words.capacity() {
+            self.words.reserve_exact(len.max(held + held / 2) - held);
         }
     }
 
-    fn finish(&self) -> u64 {
-        self.0
+    fn heap_bytes(&self) -> u64 {
+        (self.words.capacity() * std::mem::size_of::<u64>()) as u64
     }
 }
 
@@ -67,7 +108,7 @@ impl Hasher for EventIdHasher {
 pub struct Dissemination {
     monitor: Monitor,
     /// Events already processed (forwarding dedup).
-    seen: HashSet<EventId, BuildHasherDefault<EventIdHasher>>,
+    seen: SeenSet,
     /// The targets of the notification being forwarded; kept between calls
     /// so steady-state forwarding allocates nothing.
     targets: Vec<NodeIdx>,
@@ -83,7 +124,7 @@ impl Dissemination {
     pub fn new(monitor: Monitor) -> Self {
         Dissemination {
             monitor,
-            seen: HashSet::default(),
+            seen: SeenSet::default(),
             targets: Vec::new(),
             ae: AntiEntropy::new(AeConfig::default()),
             round: 0,
@@ -99,9 +140,8 @@ impl Dissemination {
     /// layer's tables. Hop paths behind cached copies are shared with the
     /// copies in flight and not counted.
     pub fn heap_bytes(&self) -> u64 {
-        use std::mem::size_of;
-        hash_table_bytes(self.seen.capacity(), size_of::<EventId>())
-            + (self.targets.capacity() * size_of::<NodeIdx>()) as u64
+        self.seen.heap_bytes()
+            + (self.targets.capacity() * std::mem::size_of::<NodeIdx>()) as u64
             + self.ae.heap_bytes()
     }
 
@@ -271,7 +311,7 @@ impl Dissemination {
             entries,
             self.round,
             |t| subs.contains(TopicId(t)),
-            |e| seen.contains(&EventId(e)),
+            |e| seen.contains(EventId(e)),
         )
     }
 
@@ -314,6 +354,56 @@ mod tests {
             topic: T,
             hops,
             path: HopPath::origin(NodeIdx(0)),
+        }
+    }
+
+    /// The bitmap against a hash set: ids in a dense window with gaps,
+    /// repeats, ids below the first one inserted (the span grows downward)
+    /// and ids far above it, with probes in between; and the span bound on
+    /// its bytes after every insert.
+    #[test]
+    fn seen_set_answers_like_a_hash_set_within_its_span_bound() {
+        use std::collections::HashSet;
+        for seed in 0..200 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (mut set, mut model) = (SeenSet::default(), HashSet::new());
+            let mut inserted: Vec<u64> = Vec::new();
+            let start = rng.gen_range(0..1_000_000u64);
+            let (mut lo, mut hi) = (u64::MAX, 0);
+            for _ in 0..rng.gen_range(1..300) {
+                let id = match rng.gen_range(0..10) {
+                    0 => start.saturating_sub(rng.gen_range(1..5_000)),
+                    1 => start + rng.gen_range(5_000..50_000),
+                    2 | 3 if !inserted.is_empty() => inserted[rng.gen_range(0..inserted.len())],
+                    _ => start + rng.gen_range(0..512),
+                };
+                let probe = id.saturating_add_signed(rng.gen_range(-100..100));
+                assert_eq!(
+                    set.contains(EventId(probe)),
+                    model.contains(&probe),
+                    "seed {seed}: probe {probe}"
+                );
+                assert_eq!(
+                    set.insert(EventId(id)),
+                    model.insert(id),
+                    "seed {seed}: insert {id}"
+                );
+                inserted.push(id);
+                (lo, hi) = (lo.min(id), hi.max(id));
+                let bound = 2 * ((hi - lo) / 64 + 1) * 8;
+                assert!(
+                    set.heap_bytes() <= bound,
+                    "seed {seed}: {} B over the span bound {bound} B",
+                    set.heap_bytes()
+                );
+            }
+            for &id in &inserted {
+                assert!(set.contains(EventId(id)), "seed {seed}: lost {id}");
+            }
+            for _ in 0..500 {
+                let probe = rng.gen_range(lo.saturating_sub(200)..hi + 200);
+                assert_eq!(set.contains(EventId(probe)), model.contains(&probe));
+            }
         }
     }
 

@@ -17,12 +17,10 @@
 
 use crate::topic::TopicId;
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use vitis_sim::event::NodeIdx;
 use vitis_sim::metrics::Summary;
-use vitis_sim::perf::hash_table_bytes;
 use vitis_sim::time::SimTime;
 use vitis_sim::trace::{KindTraffic, TraceEvent, TraceHandle, TrafficClass};
 
@@ -255,14 +253,66 @@ impl ReconvergenceTracker {
     }
 }
 
+/// What the monitor keeps of one expected subscriber's arrivals of one
+/// event: the fewest hops and the earliest time over every copy counted,
+/// two independent minima (a later copy may have come a shorter way). One
+/// per expected subscriber of every event in the window that has had a
+/// delivery, so its size is pinned (`tests/size_budget.rs`).
+#[derive(Clone, Copy, Debug)]
+pub struct DeliverySlot {
+    hops: u32,
+    at: SimTime,
+}
+
+impl DeliverySlot {
+    /// No copy yet. Both fields are the largest value, so the first
+    /// arrival's minima are its own hops and time; no copy arrives at
+    /// [`SimTime::MAX`], the end of time.
+    const NOT_YET: DeliverySlot = DeliverySlot {
+        hops: u32::MAX,
+        at: SimTime::MAX,
+    };
+
+    fn is_delivered(&self) -> bool {
+        self.at != SimTime::MAX
+    }
+}
+
+/// One published event of the window.
+///
+/// The delivery table is parallel to `expected`: `delivered[i]` is what
+/// arrived at `expected[i]`. It is allocated at the event's first delivery
+/// (an event nobody received costs nothing) and holds 16 bytes per expected
+/// subscriber from then on, so a delivery is the binary search of
+/// `expected` that filters out unexpected nodes, then one slot write.
 #[derive(Clone, Debug)]
 struct EventRecord {
     topic: TopicId,
+    /// Slots of `delivered` that are not [`DeliverySlot::NOT_YET`].
+    delivered_count: u32,
     published_at: SimTime,
     /// Sorted subscriber slots expected to receive the event.
     expected: Vec<NodeIdx>,
-    /// slot -> (best hop count, earliest arrival time) observed.
-    delivered: HashMap<NodeIdx, (u32, SimTime)>,
+    /// Parallel to `expected`; empty until the first delivery.
+    delivered: Vec<DeliverySlot>,
+}
+
+impl EventRecord {
+    /// The expected subscribers a copy has reached, in slot order.
+    fn delivered_nodes(&self) -> impl Iterator<Item = NodeIdx> + '_ {
+        self.expected
+            .iter()
+            .zip(&self.delivered)
+            .filter(|(_, d)| d.is_delivered())
+            .map(|(&n, _)| n)
+    }
+
+    /// Whether the subscriber at `expected[i]` has received the event.
+    fn is_delivered(&self, i: usize) -> bool {
+        self.delivered
+            .get(i)
+            .is_some_and(DeliverySlot::is_delivered)
+    }
 }
 
 #[derive(Debug, Default)]
@@ -427,11 +477,8 @@ impl Monitor {
             .events
             .iter()
             .map(|e| {
-                (e.expected.capacity() * size_of::<NodeIdx>()) as u64
-                    + hash_table_bytes(
-                        e.delivered.capacity(),
-                        size_of::<(NodeIdx, (u32, SimTime))>(),
-                    )
+                (e.expected.capacity() * size_of::<NodeIdx>()
+                    + e.delivered.capacity() * size_of::<DeliverySlot>()) as u64
             })
             .sum();
         let counters = inner.useful_rx.capacity()
@@ -460,7 +507,8 @@ impl Monitor {
             topic,
             published_at,
             expected,
-            delivered: HashMap::new(),
+            delivered: Vec::new(),
+            delivered_count: 0,
         });
         id
     }
@@ -517,19 +565,19 @@ impl Monitor {
         let Some(rec) = inner.record_of(event) else {
             return;
         };
-        if rec.expected.binary_search(&node).is_err() {
+        let Ok(i) = rec.expected.binary_search(&node) else {
             return;
+        };
+        if rec.delivered.is_empty() {
+            rec.delivered = vec![DeliverySlot::NOT_YET; rec.expected.len()];
         }
-        let first = !rec.delivered.contains_key(&node);
+        let slot = &mut rec.delivered[i];
+        let first = !slot.is_delivered();
+        slot.hops = slot.hops.min(hops);
+        slot.at = slot.at.min(now);
         let published_at = rec.published_at;
-        rec.delivered
-            .entry(node)
-            .and_modify(|(h, t)| {
-                *h = (*h).min(hops);
-                *t = (*t).min(now);
-            })
-            .or_insert((hops, now));
         if first {
+            rec.delivered_count += 1;
             // A repair-recovered first arrival is a distinct delivery
             // class: counted (it shrinks the loss gap and its `LossReason`
             // attribution) and flagged in the forensics record. Duplicate
@@ -647,22 +695,18 @@ impl Monitor {
             let mut report = LossReport::default();
             for (i, rec) in inner.events.iter().enumerate() {
                 report.expected += rec.expected.len() as u64;
-                report.delivered += rec.delivered.len() as u64;
-                let missing: Vec<NodeIdx> = rec
-                    .expected
-                    .iter()
-                    .filter(|n| !rec.delivered.contains_key(n))
-                    .copied()
-                    .collect();
-                if missing.is_empty() {
+                report.delivered += u64::from(rec.delivered_count);
+                if rec.delivered_count as usize == rec.expected.len() {
                     continue;
                 }
-                let mut delivered: Vec<NodeIdx> = rec.delivered.keys().copied().collect();
-                delivered.sort_unstable();
+                let missing: Vec<NodeIdx> = (rec.expected.iter().enumerate())
+                    .filter(|&(j, _)| !rec.is_delivered(j))
+                    .map(|(_, &n)| n)
+                    .collect();
                 misses.push(Miss {
                     event: EventId(inner.first_id + i as u64),
                     topic: rec.topic,
-                    delivered,
+                    delivered: rec.delivered_nodes().collect(),
                     missing,
                 });
             }
@@ -721,7 +765,7 @@ impl Monitor {
     pub fn event_progress(&self, event: EventId) -> Option<(usize, usize)> {
         self.lock()
             .record_of(event)
-            .map(|r| (r.expected.len(), r.delivered.len()))
+            .map(|r| (r.expected.len(), r.delivered_count as usize))
     }
 
     /// Aggregate metrics over everything recorded since the last reset.
@@ -735,15 +779,11 @@ impl Monitor {
         let mut max_latency = 0u64;
         for rec in &inner.events {
             expected += rec.expected.len() as u64;
-            delivered += rec.delivered.len() as u64;
-            // Iterate in sorted node order (expected is sorted and
-            // delivered ⊆ expected) so the streaming means accumulate in
-            // a deterministic order — hash-map iteration order would make
-            // the float stats differ bit-wise between identical runs.
-            for node in &rec.expected {
-                let Some(&(h, at)) = rec.delivered.get(node) else {
-                    continue;
-                };
+            delivered += u64::from(rec.delivered_count);
+            // In sorted node order, so the streaming means accumulate in
+            // the same order in every run and the float stats are
+            // bit-stable.
+            for &DeliverySlot { hops: h, at } in rec.delivered.iter().filter(|d| d.is_delivered()) {
                 hops.record(h as f64);
                 max_hops = max_hops.max(h);
                 let lat = at.since(rec.published_at).ticks();
@@ -1196,5 +1236,170 @@ mod bandwidth_tests {
         assert!((s.control_bytes_per_round - 400.0 / 3.0).abs() < 1e-9);
         m.reset();
         assert_eq!(m.snapshot().control_bytes_per_round, 0.0);
+    }
+}
+
+/// The delivery table held to the map it replaced: per event, a
+/// `BTreeMap<NodeIdx, (fewest hops, earliest time)>` over expected nodes.
+#[cfg(test)]
+mod delivery_table_tests {
+    use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
+
+    struct ModelEvent {
+        id: EventId,
+        published_at: SimTime,
+        /// Sorted, deduplicated.
+        expected: Vec<NodeIdx>,
+        delivered: BTreeMap<NodeIdx, (u32, SimTime)>,
+    }
+
+    impl ModelEvent {
+        fn missing(&self) -> impl Iterator<Item = NodeIdx> + '_ {
+            (self.expected.iter().copied()).filter(|n| !self.delivered.contains_key(n))
+        }
+    }
+
+    fn classify(event: EventId, sub: NodeIdx) -> LossReason {
+        LossReason::ALL[((event.0 + u64::from(sub.0)) % 7) as usize]
+    }
+
+    /// Every reading of `m` equals the model's: `snapshot()` field by
+    /// field with the means bit-equal, `event_progress` for the window and
+    /// for ids reset away, `recovered_deliveries`, and `attribute_losses`'
+    /// delivered / missing lists and per-reason sums.
+    fn check(m: &Monitor, window: &[ModelEvent], gone: &[EventId], recovered: u64) {
+        let (mut hops, mut latency) = (Summary::new(), Summary::new());
+        let (mut expected, mut delivered, mut max_hops, mut max_latency) = (0, 0, 0, 0);
+        for ev in window {
+            expected += ev.expected.len() as u64;
+            delivered += ev.delivered.len() as u64;
+            for &(h, at) in ev.delivered.values() {
+                let lat = at.since(ev.published_at).ticks();
+                hops.record(h as f64);
+                latency.record(lat as f64);
+                (max_hops, max_latency) = (max_hops.max(h), max_latency.max(lat));
+            }
+            let progress = (ev.expected.len(), ev.delivered.len());
+            assert_eq!(m.event_progress(ev.id), Some(progress));
+        }
+        for &id in gone {
+            assert_eq!(m.event_progress(id), None, "{id:?} was reset away");
+        }
+        let s = m.snapshot();
+        assert_eq!(
+            (s.published, s.expected, s.delivered),
+            (window.len() as u64, expected, delivered)
+        );
+        assert_eq!((s.max_hops, s.max_latency_ticks), (max_hops, max_latency));
+        let hit_ratio = if expected == 0 {
+            1.0
+        } else {
+            delivered as f64 / expected as f64
+        };
+        assert_eq!(s.hit_ratio.to_bits(), hit_ratio.to_bits());
+        assert_eq!(s.mean_hops.to_bits(), hops.mean().to_bits());
+        assert_eq!(s.mean_latency_ticks.to_bits(), latency.mean().to_bits());
+        assert_eq!(m.recovered_deliveries(), recovered);
+
+        let mut misses = Vec::new();
+        let report = m.attribute_losses(SimTime(0), |miss| {
+            let ev = window.iter().find(|e| e.id == miss.event).unwrap();
+            let sorted: Vec<NodeIdx> = ev.delivered.keys().copied().collect();
+            assert_eq!(miss.delivered, &sorted[..]);
+            misses.push((miss.event, miss.subscriber));
+            classify(miss.event, miss.subscriber)
+        });
+        let want: Vec<(EventId, NodeIdx)> = (window.iter())
+            .flat_map(|ev| ev.missing().map(move |n| (ev.id, n)))
+            .collect();
+        assert_eq!(misses, want);
+        assert_eq!((report.expected, report.delivered), (expected, delivered));
+        for r in LossReason::ALL {
+            let n = want.iter().filter(|&&(e, sub)| classify(e, sub) == r);
+            assert_eq!(report.count(r), n.count() as u64, "{r:?}");
+        }
+    }
+
+    #[test]
+    fn delivery_table_matches_the_map_it_replaced() {
+        for seed in 0..100 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let m = Monitor::new();
+            let (mut window, mut gone, mut recovered) = (Vec::<ModelEvent>::new(), vec![], 0);
+            for _ in 0..rng.gen_range(1..150) {
+                match rng.gen_range(0..20) {
+                    0 => {
+                        m.reset();
+                        gone.extend(window.drain(..).map(|e| e.id));
+                    }
+                    1..=3 => {
+                        let len = rng.gen_range(0..12);
+                        let nodes: Vec<NodeIdx> =
+                            (0..len).map(|_| NodeIdx(rng.gen_range(0..16))).collect();
+                        let published_at = SimTime(rng.gen_range(0..50));
+                        let id = m.register_event(TopicId(0), published_at, nodes.clone());
+                        let mut expected = nodes;
+                        expected.sort_unstable();
+                        expected.dedup();
+                        let delivered = BTreeMap::new();
+                        window.push(ModelEvent {
+                            id,
+                            published_at,
+                            expected,
+                            delivered,
+                        });
+                    }
+                    _ => {
+                        // Mostly an event of the window; sometimes one reset
+                        // away, or an id never handed out.
+                        let event = match rng.gen_range(0..10) {
+                            0 if !gone.is_empty() => gone[rng.gen_range(0..gone.len())],
+                            1 => EventId(1_000_000 + rng.gen_range(0..10)),
+                            _ if !window.is_empty() => window[rng.gen_range(0..window.len())].id,
+                            _ => continue,
+                        };
+                        // 16 candidate nodes, some never expected.
+                        let node = NodeIdx(rng.gen_range(0..16));
+                        let (hops, now) = (rng.gen_range(1..10), SimTime(rng.gen_range(50..200)));
+                        let path = HopPath::default();
+                        let is_recovery = rng.gen_range(0..5) == 0;
+                        if is_recovery {
+                            m.record_delivery_recovered(event, node, hops, now, &path);
+                        } else {
+                            m.record_delivery_traced(event, node, hops, now, &path);
+                        }
+                        let Some(ev) = window.iter_mut().find(|e| e.id == event) else {
+                            continue;
+                        };
+                        if ev.expected.binary_search(&node).is_err() {
+                            continue;
+                        }
+                        if !ev.delivered.contains_key(&node) {
+                            recovered += u64::from(is_recovery);
+                        }
+                        (ev.delivered.entry(node))
+                            .and_modify(|(h, t)| (*h, *t) = ((*h).min(hops), (*t).min(now)))
+                            .or_insert((hops, now));
+                    }
+                }
+                check(&m, &window, &gone, recovered);
+            }
+        }
+    }
+
+    #[test]
+    fn fewest_hops_and_earliest_time_are_independent_minima() {
+        let m = Monitor::new();
+        let e = m.register_event(TopicId(0), SimTime(100), vec![NodeIdx(1), NodeIdx(2)]);
+        // Fewer hops but later, then more hops but earlier.
+        m.record_delivery(e, NodeIdx(2), 5, SimTime(120));
+        m.record_delivery(e, NodeIdx(2), 3, SimTime(150));
+        m.record_delivery(e, NodeIdx(2), 7, SimTime(110));
+        let s = m.snapshot();
+        assert_eq!((s.delivered, s.max_hops, s.max_latency_ticks), (1, 3, 10));
+        assert_eq!(m.event_progress(e), Some((2, 1)));
     }
 }

@@ -282,6 +282,7 @@ impl<P: PubSubProtocol> SystemRuntime<P> {
             topo_every: None,
             next_topo: SimTime::default(),
         };
+        sys.engine.reserve_nodes(n);
         for logical in 0..n as u32 {
             let node = sys.make_node(logical);
             let slot = sys.engine.add_node(node);

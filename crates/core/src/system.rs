@@ -353,6 +353,14 @@ mod tests {
     }
 
     #[test]
+    fn slot_table_is_built_to_size() {
+        for n in [150, 257] {
+            let sys = random_system(n, 10, 3, 1);
+            assert_eq!(sys.engine().slot_capacity(), n, "no growth slack");
+        }
+    }
+
+    #[test]
     fn ring_converges() {
         let mut sys = random_system(150, 20, 4, 3);
         sys.run_rounds(40);

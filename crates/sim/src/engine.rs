@@ -264,6 +264,18 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
         self.slots.len()
     }
 
+    /// Make room for exactly `n` more nodes, so a network built to a known
+    /// size holds no growth slack in its slot table: the table doubling
+    /// its way to N kept up to 1.63× the slots it used.
+    pub fn reserve_nodes(&mut self, n: usize) {
+        self.slots.reserve_exact(n);
+    }
+
+    /// Slots the table has room for without reallocating.
+    pub fn slot_capacity(&self) -> usize {
+        self.slots.capacity()
+    }
+
     /// Number of currently alive nodes.
     pub fn alive_count(&self) -> usize {
         self.slots.iter().filter(|s| s.proto.is_some()).count()

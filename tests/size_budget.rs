@@ -23,7 +23,7 @@
 #![cfg(target_pointer_width = "64")]
 
 use std::mem::size_of;
-use vitis::monitor::Monitor;
+use vitis::monitor::{DeliverySlot, Monitor};
 use vitis::msg::{Notification, VitisMsg};
 use vitis::node::{MemoEntry, VitisNode};
 use vitis::relay::{RelaySlot, SpilledLink};
@@ -66,4 +66,11 @@ fn a_relay_entry_is_sixteen_bytes() {
     // the one per-node owner that grows with N (DESIGN §12).
     within::<RelaySlot>(16);
     within::<SpilledLink>(12);
+}
+
+#[test]
+fn a_delivery_slot_is_sixteen_bytes() {
+    // One slot per expected subscriber of every event in the monitor's
+    // window, allocated at the event's first delivery (DESIGN §12).
+    within::<DeliverySlot>(16);
 }
