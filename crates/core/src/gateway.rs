@@ -14,7 +14,14 @@ use vitis_overlay::id::Id;
 use vitis_sim::event::NodeIdx;
 
 /// A gateway proposal as gossiped inside a cluster.
+///
+/// 20 bytes at 4-byte alignment, so a `(TopicId, Proposal)` pair in an
+/// advertisement is the 24 bytes `msg::wire::profile_bytes` charges: every
+/// node holds its neighbors' advertisements, and the natural layout
+/// padded each pair to 32. Proposals are always copied, never borrowed by
+/// field.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[repr(C, packed(4))]
 pub struct Proposal {
     /// Ring id of the proposed gateway.
     pub gw_id: Id,

@@ -27,21 +27,67 @@ use vitis_sim::perf::hash_table_bytes;
 use vitis_sim::prelude::{Context, MsgTag, Protocol, StopReason};
 use vitis_sim::rng::mix64;
 
-/// State of a reverse link (a neighbor relationship initiated by the peer).
-struct ReverseLink {
-    subs: Subs,
-    age: u16,
+/// What a node remembers of one neighbor (routing-table or reverse): the
+/// gateway proposals it last advertised and, while it is a *reverse link* —
+/// a peer that heartbeats us without our holding it — the subscriptions
+/// that heartbeat carried. One heartbeat writes both, so every reverse link
+/// has an advertisement. Public only for `tests/size_budget.rs`.
+pub struct Neighbor {
+    /// The neighbor's latest advertised proposals, ascending by topic.
+    advert: Arc<Vec<(TopicId, Proposal)>>,
+    /// The reverse link's subscriptions; `None` when the neighbor is not
+    /// one (it is in our table, or its link aged out).
+    link: Option<Subs>,
+    /// Rounds since the advertising heartbeat. Only read with gateway
+    /// failover on: stale advertisements past the failure-detection
+    /// threshold are then excluded from elections, so a silent (crashed,
+    /// frozen or partitioned-away) gateway loses its electorate within
+    /// `age_threshold` rounds instead of whenever its descriptor expires.
+    advert_age: u16,
+    /// Rounds since the reverse link's last heartbeat.
+    link_age: u16,
 }
 
-/// A neighbor's latest advertised gateway proposals plus the rounds elapsed
-/// since the advertising heartbeat. The age only matters when gateway
-/// failover is enabled: stale advertisements past the failure-detection
-/// threshold are then excluded from elections, so a silent (crashed, frozen
-/// or partitioned-away) gateway loses its electorate within `age_threshold`
-/// rounds instead of whenever its descriptor finally expires.
-struct NbrProposals {
-    props: Arc<Vec<(TopicId, Proposal)>>,
-    age: u16,
+/// The reverse links of a neighbor table, ascending by address.
+fn reverse_links(nbrs: &SmallMap<NodeIdx, Neighbor>) -> impl Iterator<Item = (NodeIdx, &Subs)> {
+    nbrs.iter()
+        .filter_map(|(a, n)| n.link.as_ref().map(|subs| (*a, subs)))
+}
+
+/// The flood's overlay targets for a `topic` notification that came from
+/// `came_from`: interested routing-table neighbors in table order, then
+/// interested reverse links the table lacks, ascending. Links are
+/// connections: flood across reverse links too, or weakly connected
+/// cluster pockets never hear the event.
+fn flood_targets(
+    rt: &HybridRt<Subs>,
+    nbrs: &SmallMap<NodeIdx, Neighbor>,
+    topic: TopicId,
+    came_from: Option<NodeIdx>,
+    targets: &mut Vec<NodeIdx>,
+) {
+    for e in rt.iter() {
+        if e.payload.contains(topic) && Some(e.addr) != came_from {
+            targets.push(e.addr);
+        }
+    }
+    for (addr, subs) in reverse_links(nbrs) {
+        if subs.contains(topic) && Some(addr) != came_from && !targets.contains(&addr) {
+            targets.push(addr);
+        }
+    }
+}
+
+/// The anti-entropy repair layer's connection set: table entries in table
+/// order, then reverse links the table lacks, ascending.
+fn repair_neighbors(rt: &HybridRt<Subs>, nbrs: &SmallMap<NodeIdx, Neighbor>) -> Vec<NodeIdx> {
+    let mut out = rt.addrs();
+    for (a, _) in reverse_links(nbrs) {
+        if !out.contains(&a) {
+            out.push(a);
+        }
+    }
+    out
 }
 
 /// How many T-Man merges a remembered Equation 1 result answers for,
@@ -80,11 +126,10 @@ pub struct VitisNode {
     /// Newscast view (as in the paper's evaluation), the bounded hybrid
     /// routing table and its failure detector.
     net: Substrate<Subs>,
-    /// Own gateway proposal per subscribed topic, ascending by topic
-    /// (recomputed each round).
-    proposals: Vec<(TopicId, Proposal)>,
-    /// The proposals as last advertised; sent again while `proposals`
-    /// still equals it, so an unchanged heartbeat allocates nothing.
+    /// Own gateway proposal per subscribed topic, ascending by topic: what
+    /// the last election found, and what every heartbeat advertises. An
+    /// election that finds the same list keeps this allocation, so an
+    /// unchanged heartbeat allocates nothing.
     advert: Arc<Vec<(TopicId, Proposal)>>,
     /// Equation 1 results of the last [`MEMO_WINDOW`] T-Man merges, one
     /// per peer, ascending by address. An entry answers only for a
@@ -95,14 +140,12 @@ pub struct VitisNode {
     utility_memo: Vec<MemoEntry>,
     /// T-Man merges run so far: the clock of `utility_memo`.
     merges: u32,
-    /// Latest proposals advertised by each neighbor (routing-table or
-    /// reverse), with staleness for the failover path.
-    nbr_proposals: SmallMap<NodeIdx, NbrProposals>,
-    /// Reverse links: nodes that hold *us* in their routing table, learned
-    /// from their heartbeats. Overlay links are connections — flooding and
-    /// gateway election must see them from both ends, or weakly-connected
-    /// cluster pockets become unreachable.
-    reverse: SmallMap<NodeIdx, ReverseLink>,
+    /// Every neighbor whose advertisement is remembered, with its reverse
+    /// link if it is one. Reverse links are nodes that hold *us* in their
+    /// routing table, learned from their heartbeats. Overlay links are
+    /// connections — flooding and gateway election must see them from both
+    /// ends, or weakly-connected cluster pockets become unreachable.
+    nbrs: SmallMap<NodeIdx, Neighbor>,
     /// Relay-path soft state.
     relays: RelayTable,
     /// Events this node published that still await a gateway/relay-holder
@@ -136,12 +179,10 @@ impl VitisNode {
             net: Substrate::new(sampler, params, cfg.age_threshold),
             cfg,
             rates,
-            proposals: Vec::new(),
             advert: Arc::new(Vec::new()),
             utility_memo: Vec::new(),
             merges: 0,
-            nbr_proposals: SmallMap::new(),
-            reverse: SmallMap::new(),
+            nbrs: SmallMap::new(),
             relays: RelayTable::new(),
             pending_pubs: HashSet::new(),
             dissem: Dissemination::new(monitor),
@@ -186,9 +227,9 @@ impl VitisNode {
 
     /// The heap bytes this node owns beyond its inline state, one call per
     /// owner, each Σ capacity × element size. `gateway` is the election
-    /// state: own proposals, advertisements (own and remembered), reverse
-    /// links and unacknowledged publishes. Subscription sets are shared
-    /// handles whose bytes belong to the workload.
+    /// state: advertisements (own and remembered), the neighbor table and
+    /// unacknowledged publishes. Subscription sets are shared handles
+    /// whose bytes belong to the workload.
     pub fn heap_bytes(&self, mut owner: impl FnMut(&'static str, u64)) {
         use std::mem::size_of;
         let proposal = size_of::<(TopicId, Proposal)>();
@@ -206,21 +247,19 @@ impl VitisNode {
         let share = |a: &Arc<Vec<(TopicId, Proposal)>>| {
             (a.capacity() * proposal / Arc::strong_count(a)) as u64
         };
-        let adverts: u64 = self.nbr_proposals.values().map(|n| share(&n.props)).sum();
+        let adverts: u64 = self.nbrs.values().map(|n| share(&n.advert)).sum();
         owner(
             "gateway",
-            (self.proposals.capacity() * proposal) as u64
-                + share(&self.advert)
+            share(&self.advert)
                 + adverts
-                + self.nbr_proposals.heap_bytes()
-                + self.reverse.heap_bytes()
+                + self.nbrs.heap_bytes()
                 + hash_table_bytes(self.pending_pubs.capacity(), size_of::<EventId>()),
         );
     }
 
     /// Number of live reverse links (peers holding us in their tables).
     pub fn reverse_degree(&self) -> usize {
-        self.reverse.len()
+        reverse_links(&self.nbrs).count()
     }
 
     /// Whether this node currently believes it is a gateway for `topic`.
@@ -231,16 +270,20 @@ impl VitisNode {
 
     /// The node's current proposal for `topic`, if subscribed.
     pub fn proposal(&self, topic: TopicId) -> Option<&Proposal> {
-        self.proposals
+        self.advert
             .binary_search_by_key(&topic, |(t, _)| *t)
             .ok()
-            .map(|i| &self.proposals[i].1)
+            .map(|i| &self.advert[i].1)
     }
 
     /// Replace this node's subscriptions (subscribe/unsubscribe API). The
-    /// change propagates with the next profile heartbeat.
+    /// node stops proposing for dropped topics at once; the change
+    /// propagates with the next profile heartbeat.
     pub fn set_subscriptions(&mut self, subs: Subs) {
-        self.proposals.retain(|(t, _)| subs.contains(*t));
+        if self.advert.iter().any(|(t, _)| !subs.contains(*t)) {
+            let kept = self.advert.iter().filter(|(t, _)| subs.contains(*t));
+            self.advert = Arc::new(kept.copied().collect());
+        }
         self.net.set_payload(subs);
         // Every remembered utility was computed against the old set.
         self.utility_memo.clear();
@@ -296,9 +339,9 @@ impl VitisNode {
                 mix64(e.addr.0 as u64 ^ salt) as f64
             })
         };
-        let (rt, reverse) = (self.net.rt(), &self.reverse);
-        self.nbr_proposals
-            .retain(|addr, _| rt.contains(*addr) || reverse.contains_key(addr));
+        let rt = self.net.rt();
+        self.nbrs
+            .retain(|addr, n| rt.contains(*addr) || n.link.is_some());
         out
     }
 
@@ -333,8 +376,54 @@ impl VitisNode {
         self.utility_memo = memo;
     }
 
+    /// Algorithm 7: refresh the sender's entry and remember its proposals
+    /// for the next election step. A sender we do not hold ourselves is a
+    /// *reverse* neighbor (the connection's other end) — track it for
+    /// flooding and election, and offer it to the ring-repair check.
+    fn on_profile(&mut self, from: NodeIdx, pm: ProfileMsg) {
+        debug_assert!(ascending_by_topic(&pm.proposals));
+        let in_table = self.net.on_heartbeat(from, pm.id, &pm.subs);
+        let nbr = Neighbor {
+            advert: pm.proposals,
+            link: (!in_table).then_some(pm.subs),
+            advert_age: 0,
+            link_age: 0,
+        };
+        self.nbrs.insert(from, nbr);
+    }
+
+    /// The failure-detection step: expire stale table entries, forgetting
+    /// the advertisements and relay links of those that are not reverse
+    /// links too; then age the reverse links, forgetting a neighbor whose
+    /// link expires outside the table; and, with failover on, age every
+    /// remembered advertisement (a heartbeat resets it).
+    fn detect_failures(&mut self) {
+        for dead in self.net.detect_failures() {
+            if self.nbrs.get(&dead).is_some_and(|n| n.link.is_none()) {
+                self.nbrs.remove(&dead);
+            }
+            self.relays.remove_peer(dead);
+        }
+        let (thr, failover) = (self.cfg.age_threshold, self.cfg.gateway_failover);
+        let rt = self.net.rt();
+        self.nbrs.retain(|addr, n| {
+            if failover {
+                n.advert_age = n.advert_age.saturating_add(1);
+            }
+            if n.link.is_some() {
+                n.link_age = n.link_age.saturating_add(1);
+                if n.link_age > thr {
+                    n.link = None;
+                    return rt.contains(*addr);
+                }
+            }
+            true
+        });
+    }
+
     /// Recompute the gateway proposal for every subscribed topic from the
-    /// neighbors' latest advertisements (Algorithm 5).
+    /// neighbors' latest advertisements (Algorithm 5), and make it the
+    /// advertisement unless it equals the current one.
     ///
     /// Neighbor-major: the connection set (table entries, then reverse
     /// links not in the table) is walked once, and each neighbor's
@@ -345,33 +434,33 @@ impl VitisNode {
     fn elect(&mut self) {
         let (addr, subs) = (self.net.addr(), self.net.payload());
         let own = Proposal::self_proposal(addr, self.net.id());
-        let mut props = std::mem::take(&mut self.proposals);
-        props.clear();
+        let mut props = Vec::with_capacity(subs.len());
         props.extend(subs.iter().map(|t| (t, own)));
         // Ablation: no election — every subscriber acts as its own
         // gateway, Scribe-style.
         if self.cfg.gateway_election {
-            let (rt, reverse) = (self.net.rt(), &self.reverse);
-            let connected = |a: NodeIdx| rt.contains(a) || reverse.contains_key(&a);
-            let table = rt.iter().map(|e| (e.addr, &e.payload));
-            let reverse_only = reverse
-                .iter()
-                .filter(|(a, _)| !rt.contains(**a))
-                .map(|(a, l)| (*a, &l.subs));
+            let (rt, nbrs) = (self.net.rt(), &self.nbrs);
+            let connected =
+                |a: NodeIdx| rt.contains(a) || nbrs.get(&a).is_some_and(|n| n.link.is_some());
+            let table = rt.iter().map(|e| (e.addr, &e.payload, nbrs.get(&e.addr)));
+            let reverse_only = nbrs.iter().filter_map(|(a, n)| match &n.link {
+                Some(subs) if !rt.contains(*a) => Some((*a, subs, Some(n))),
+                _ => None,
+            });
             // With failover on, advertisements older than the failure-
             // detection threshold have lost their vote: the advertiser
             // has gone silent, so whatever gateway it endorsed may be
             // gone too, and the election re-runs without it.
             let failover = self.cfg.gateway_failover;
             let thr = self.cfg.age_threshold;
-            for (nbr, nbr_subs) in table.chain(reverse_only) {
-                let Some(np) = self.nbr_proposals.get(&nbr) else {
+            for (nbr, nbr_subs, n) in table.chain(reverse_only) {
+                let Some(n) = n else {
                     continue;
                 };
-                if failover && np.age > thr {
+                if failover && n.advert_age > thr {
                     continue;
                 }
-                let mut advertised = np.props.iter().peekable();
+                let mut advertised = n.advert.iter().peekable();
                 subs.for_each_common(nbr_subs, |i, topic| {
                     while advertised.next_if(|(t, _)| *t < topic).is_some() {}
                     if let Some((_, new)) = advertised.next_if(|(t, _)| *t == topic) {
@@ -388,15 +477,17 @@ impl VitisNode {
                 });
             }
         }
-        self.proposals = props;
+        if *self.advert != props {
+            self.advert = Arc::new(props);
+        }
     }
 
     /// Gateway election, then a relay-path refresh wherever this node
     /// elects itself.
     fn update_profile(&mut self, ctx: &mut Context<'_, VitisMsg>) {
         self.elect();
-        for i in 0..self.proposals.len() {
-            let (topic, prop) = self.proposals[i];
+        for i in 0..self.advert.len() {
+            let (topic, prop) = self.advert[i];
             if prop.gw_addr == self.net.addr() {
                 self.relay_hop(ctx, topic, None, 0);
             }
@@ -441,24 +532,10 @@ impl VitisNode {
         notif: Notification,
     ) {
         let topic = notif.topic;
-        let (rt, reverse, relays) = (self.net.rt(), &self.reverse, &self.relays);
+        let (rt, nbrs, relays) = (self.net.rt(), &self.nbrs, &self.relays);
         self.dissem
             .send_copies(ctx, notif, VitisMsg::Notification, |targets| {
-                for e in rt.iter() {
-                    if e.payload.contains(topic) && Some(e.addr) != came_from {
-                        targets.push(e.addr);
-                    }
-                }
-                // Links are connections: flood across reverse links too, or
-                // weakly connected cluster pockets never hear the event.
-                for (&addr, link) in reverse {
-                    if link.subs.contains(topic)
-                        && Some(addr) != came_from
-                        && !targets.contains(&addr)
-                    {
-                        targets.push(addr);
-                    }
-                }
+                flood_targets(rt, nbrs, topic, came_from, targets);
                 relays.fanout_into(topic, came_from, targets);
             });
     }
@@ -627,31 +704,7 @@ impl Protocol for VitisNode {
 
         // 3. Failure detection: age and expire stale neighbors (forward and
         //    reverse).
-        for dead in self.net.detect_failures() {
-            if !self.reverse.contains_key(&dead) {
-                self.nbr_proposals.remove(&dead);
-            }
-            self.relays.remove_peer(dead);
-        }
-        let thr = self.cfg.age_threshold;
-        let rt = self.net.rt();
-        let nbr_proposals = &mut self.nbr_proposals;
-        self.reverse.retain(|addr, link| {
-            link.age = link.age.saturating_add(1);
-            let keep = link.age <= thr;
-            if !keep && !rt.contains(*addr) {
-                nbr_proposals.remove(addr);
-            }
-            keep
-        });
-
-        // Failover only: remembered proposal advertisements age alongside
-        // the neighbors that sent them (reset on each heartbeat).
-        if self.cfg.gateway_failover {
-            for np in self.nbr_proposals.values_mut() {
-                np.age = np.age.saturating_add(1);
-            }
-        }
+        self.detect_failures();
 
         // 4. Relay soft state ages out unless refreshed below.
         self.relays.tick();
@@ -661,9 +714,6 @@ impl Protocol for VitisNode {
         self.update_profile(ctx);
 
         // 6. Profile heartbeat to every neighbor (Algorithm 6).
-        if *self.advert != self.proposals {
-            self.advert = Arc::new(self.proposals.clone());
-        }
         debug_assert!(ascending_by_topic(&self.advert));
         let pm = ProfileMsg {
             id: self.net.id(),
@@ -679,19 +729,10 @@ impl Protocol for VitisNode {
         //    the connection set (table plus reverse links). Entirely inert
         //    — no sends, no RNG draws — unless the layer is enabled, so
         //    default runs stay bit-identical.
-        let (rt, reverse) = (self.net.rt(), &self.reverse);
-        let repair = self.dissem.round_step(
-            || {
-                let mut nbrs = rt.addrs();
-                for (&a, _) in reverse {
-                    if !nbrs.contains(&a) {
-                        nbrs.push(a);
-                    }
-                }
-                nbrs
-            },
-            ctx.rng,
-        );
+        let (rt, nbrs) = (self.net.rt(), &self.nbrs);
+        let repair = self
+            .dissem
+            .round_step(|| repair_neighbors(rt, nbrs), ctx.rng);
         for (target, ids) in repair.pulls {
             self.send_control(ctx, target, VitisMsg::AeWant(ids));
         }
@@ -718,30 +759,7 @@ impl Protocol for VitisNode {
             VitisMsg::RtResp(buf) => {
                 self.ranked_merge(|net, sticky, rank| net.merge(buf, sticky, rank, ctx.rng));
             }
-            VitisMsg::Profile(pm) => {
-                // Algorithm 7: refresh the sender's entry and remember its
-                // proposals for the next election step. A sender we do not
-                // hold ourselves is a *reverse* neighbor (the connection's
-                // other end) — track it for flooding and election, and
-                // offer it to the ring-repair check.
-                if self.net.on_heartbeat(from, pm.id, &pm.subs) {
-                    self.reverse.remove(&from);
-                } else {
-                    let link = ReverseLink {
-                        subs: pm.subs,
-                        age: 0,
-                    };
-                    self.reverse.insert(from, link);
-                }
-                debug_assert!(ascending_by_topic(&pm.proposals));
-                self.nbr_proposals.insert(
-                    from,
-                    NbrProposals {
-                        props: pm.proposals,
-                        age: 0,
-                    },
-                );
-            }
+            VitisMsg::Profile(pm) => self.on_profile(from, pm),
             VitisMsg::RelayRequest { topic, hops } => {
                 self.relay_hop(ctx, topic, Some(from), hops);
             }
@@ -887,14 +905,65 @@ mod tests {
     fn set_subscriptions_updates_proposals() {
         let (mut eng, _) = build_net(32, |_| vec![0, 1], 2, small_cfg());
         eng.run_rounds(15);
-        let victim = NodeIdx(3);
+        // A node that is a gateway for the topic it drops: it stops
+        // believing so at once, not at its next election.
+        let (victim, _) = eng
+            .alive_nodes()
+            .find(|(_, n)| n.is_gateway(TopicId(0)))
+            .expect("topic 0 has a gateway");
         let node = eng.node_mut(victim).unwrap();
+        let kept = *node.proposal(TopicId(1)).unwrap();
         node.set_subscriptions(Arc::new(crate::topic::TopicSet::from_iter([1u32])));
         assert!(node.proposal(TopicId(0)).is_none());
+        assert!(!node.is_gateway(TopicId(0)));
+        assert_eq!(node.proposal(TopicId(1)), Some(&kept));
+        assert_eq!(*node.advert, vec![(TopicId(1), kept)]);
         eng.run_rounds(3);
         let node = eng.node(victim).unwrap();
         assert!(!node.subscriptions().contains(TopicId(0)));
         assert!(node.proposal(TopicId(1)).is_some());
+    }
+
+    /// The advertisement is the node's one copy of its election: a round
+    /// whose election finds the same list keeps the allocation, and every
+    /// heartbeat carries it — a neighbor that heard this node since its
+    /// own last round holds the very handle the node holds.
+    #[test]
+    fn heartbeats_carry_the_advert_an_unchanged_election_keeps() {
+        let cfg = VitisConfig {
+            gateway_failover: true,
+            ..small_cfg()
+        };
+        let (mut eng, _) = build_net(48, |i| vec![(i % 3) as u32, 3], 4, cfg);
+        eng.run_rounds(20);
+        let before: Vec<(NodeIdx, Advert)> = eng
+            .alive_nodes()
+            .map(|(i, n)| (i, n.advert.clone()))
+            .collect();
+        eng.run_rounds(1);
+        let (mut kept, mut carried) = (0, 0);
+        for (i, old) in &before {
+            let node = eng.node(*i).unwrap();
+            if *node.advert == **old {
+                assert!(Arc::ptr_eq(&node.advert, old), "node {i:?}");
+                kept += 1;
+            }
+            for (from, nbr) in node.nbrs.iter() {
+                // With failover on, a heartbeat since the holder's last
+                // round is one at age 0; it came from the sender's latest
+                // round, which is the sender's current advertisement.
+                if nbr.advert_age == 0 {
+                    let sender = eng.node(*from).unwrap();
+                    assert!(Arc::ptr_eq(&nbr.advert, &sender.advert), "{from:?} → {i:?}");
+                    carried += 1;
+                }
+            }
+        }
+        assert!(
+            kept > 24,
+            "most elections are settled after 20 rounds: {kept}"
+        );
+        assert!(carried > 100, "{carried} fresh heartbeats checked");
     }
 
     fn subs_of(topics: &[u32]) -> Subs {
@@ -915,10 +984,135 @@ mod tests {
         node
     }
 
-    /// The election as it was before the neighbor-major pass: per topic,
-    /// the interested neighbors in connection-set order, each looked up in
-    /// its advertisement, folded by `revise_proposal`.
-    fn elect_topic_major(node: &VitisNode) -> Vec<(TopicId, Proposal)> {
+    type Advert = Arc<Vec<(TopicId, Proposal)>>;
+
+    /// The neighbor state as the two maps the one table replaced, under
+    /// their rules: remembered advertisements with their ages, and reverse
+    /// links with theirs. Each path that drops an advertisement spares the
+    /// keys of a reverse link.
+    #[derive(Default)]
+    struct TwoMaps {
+        nbr_proposals: std::collections::BTreeMap<NodeIdx, (Advert, u16)>,
+        reverse: std::collections::BTreeMap<NodeIdx, (Subs, u16)>,
+    }
+
+    impl TwoMaps {
+        /// A heartbeat from `from`, which the table held (`in_table`) or not.
+        fn heartbeat(&mut self, from: NodeIdx, in_table: bool, subs: Subs, advert: Advert) {
+            if in_table {
+                self.reverse.remove(&from);
+            } else {
+                self.reverse.insert(from, (subs, 0));
+            }
+            self.nbr_proposals.insert(from, (advert, 0));
+        }
+
+        /// The pruning after a merge left the table `rt`.
+        fn merged(&mut self, rt: &HybridRt<Subs>) {
+            let reverse = &self.reverse;
+            self.nbr_proposals
+                .retain(|addr, _| rt.contains(*addr) || reverse.contains_key(addr));
+        }
+
+        /// The failure-detection step that expired `dead` and left `rt`.
+        fn failures(&mut self, dead: &[NodeIdx], rt: &HybridRt<Subs>, cfg: &VitisConfig) {
+            for d in dead {
+                if !self.reverse.contains_key(d) {
+                    self.nbr_proposals.remove(d);
+                }
+            }
+            let nbr_proposals = &mut self.nbr_proposals;
+            self.reverse.retain(|addr, (_, age)| {
+                *age = age.saturating_add(1);
+                let keep = *age <= cfg.age_threshold;
+                if !keep && !rt.contains(*addr) {
+                    nbr_proposals.remove(addr);
+                }
+                keep
+            });
+            if cfg.gateway_failover {
+                for (_, age) in nbr_proposals.values_mut() {
+                    *age = age.saturating_add(1);
+                }
+            }
+        }
+
+        /// The one table holding the same state.
+        fn table(&self) -> SmallMap<NodeIdx, Neighbor> {
+            assert!(self
+                .reverse
+                .keys()
+                .all(|a| self.nbr_proposals.contains_key(a)));
+            let nbr = |(a, (advert, age)): (&NodeIdx, &(Advert, u16))| {
+                let link = self.reverse.get(a);
+                let n = Neighbor {
+                    advert: advert.clone(),
+                    link: link.map(|(subs, _)| subs.clone()),
+                    advert_age: *age,
+                    link_age: link.map_or(0, |(_, age)| *age),
+                };
+                (*a, n)
+            };
+            self.nbr_proposals.iter().map(nbr).collect()
+        }
+
+        /// Whether `nbrs` holds exactly this state, handle for handle.
+        fn matches(&self, nbrs: &SmallMap<NodeIdx, Neighbor>) -> bool {
+            nbrs.len() == self.nbr_proposals.len()
+                && nbrs
+                    .iter()
+                    .zip(&self.nbr_proposals)
+                    .all(|((a, n), (b, m))| {
+                        let link = self.reverse.get(b);
+                        a == b
+                            && Arc::ptr_eq(&n.advert, &m.0)
+                            && n.advert_age == m.1
+                            && match (&n.link, link) {
+                                (Some(s), Some((t, age))) => {
+                                    Arc::ptr_eq(s, t) && n.link_age == *age
+                                }
+                                (None, None) => true,
+                                _ => false,
+                            }
+                    })
+        }
+
+        /// The flood's overlay targets as the two maps chose them.
+        fn flood_targets(
+            &self,
+            rt: &HybridRt<Subs>,
+            topic: TopicId,
+            came_from: Option<NodeIdx>,
+        ) -> Vec<NodeIdx> {
+            let mut targets: Vec<NodeIdx> = rt
+                .iter()
+                .filter(|e| e.payload.contains(topic) && Some(e.addr) != came_from)
+                .map(|e| e.addr)
+                .collect();
+            for (&addr, (subs, _)) in &self.reverse {
+                if subs.contains(topic) && Some(addr) != came_from && !targets.contains(&addr) {
+                    targets.push(addr);
+                }
+            }
+            targets
+        }
+
+        /// The repair layer's connection set as the two maps gave it.
+        fn repair_neighbors(&self, rt: &HybridRt<Subs>) -> Vec<NodeIdx> {
+            let mut nbrs = rt.addrs();
+            for &a in self.reverse.keys() {
+                if !nbrs.contains(&a) {
+                    nbrs.push(a);
+                }
+            }
+            nbrs
+        }
+    }
+
+    /// The election as it was before the neighbor-major pass, over the two
+    /// maps: per topic, the interested neighbors in connection-set order,
+    /// each looked up in its advertisement, folded by `revise_proposal`.
+    fn elect_topic_major(node: &VitisNode, maps: &TwoMaps) -> Vec<(TopicId, Proposal)> {
         let failover = node.cfg.gateway_failover;
         let thr = node.cfg.age_threshold;
         let rt = node.net.rt();
@@ -929,16 +1123,16 @@ mod tests {
                     .iter()
                     .filter(|e| e.payload.contains(topic))
                     .map(|e| e.addr);
-                let rev_nbrs = node
+                let rev_nbrs = maps
                     .reverse
                     .iter()
-                    .filter(|(a, l)| l.subs.contains(topic) && !rt.contains(**a))
+                    .filter(|(a, (subs, _))| subs.contains(topic) && !rt.contains(**a))
                     .map(|(a, _)| *a);
                 let with_props = rt_nbrs.chain(rev_nbrs).filter_map(|addr| {
-                    node.nbr_proposals
+                    maps.nbr_proposals
                         .get(&addr)
-                        .filter(|np| !failover || np.age <= thr)
-                        .and_then(|np| np.props.iter().find(|(t, _)| *t == topic))
+                        .filter(|(_, age)| !failover || *age <= thr)
+                        .and_then(|(advert, _)| advert.iter().find(|(t, _)| *t == topic))
                         .map(|(_, p)| (addr, p))
                 });
                 let prop = crate::gateway::revise_proposal(
@@ -947,7 +1141,7 @@ mod tests {
                     topic,
                     node.cfg.d_max_hops,
                     with_props,
-                    |a| rt.contains(a) || node.reverse.contains_key(&a),
+                    |a| rt.contains(a) || maps.reverse.contains_key(&a),
                 );
                 (topic, prop)
             })
@@ -955,27 +1149,65 @@ mod tests {
     }
 
     const TOPICS: u32 = 10;
+    /// Peer addresses are drawn from `1..POOL`.
+    const POOL: u32 = 24;
 
-    /// Random connection state: a table, reverse links (some shadowing
-    /// table entries), and advertisements of every age whose topics need
-    /// not match the advertiser's descriptor and whose parents range over
-    /// self, the advertiser, table members and strangers.
-    fn randomize_connections(node: &mut VitisNode, two_node_ring: bool, rng: &mut SmallRng) {
+    /// Few topics: several neighbors vote on each topic and tie, so the
+    /// election's result depends on the fold order.
+    fn random_subs(rng: &mut SmallRng) -> Subs {
         use rand::Rng;
-        const POOL: u32 = 24;
-        // Few topics, gateways and hop counts: several neighbors vote on
-        // each topic and tie, so the result depends on the fold order.
-        let random_subs = |rng: &mut SmallRng| {
-            let n = rng.gen_range(0..12);
-            let topics: Vec<u32> = (0..n).map(|_| rng.gen_range(0..TOPICS)).collect();
-            subs_of(&topics)
-        };
-        let entry = |addr: u32, rng: &mut SmallRng| Entry {
+        let n = rng.gen_range(0..12);
+        let topics: Vec<u32> = (0..n).map(|_| rng.gen_range(0..TOPICS)).collect();
+        subs_of(&topics)
+    }
+
+    /// An advertisement by `addr` for `topics`, with few gateways and hop
+    /// counts, and parents ranging over self (node 0), the advertiser,
+    /// table members and strangers.
+    fn random_advert(addr: u32, topics: &Subs, rng: &mut SmallRng) -> Advert {
+        use rand::Rng;
+        let props = topics
+            .iter()
+            .map(|t| {
+                let gw = rng.gen_range(0..4);
+                let prop = Proposal {
+                    gw_id: Id::of_node(gw as u64),
+                    gw_addr: NodeIdx(gw),
+                    parent: NodeIdx(match rng.gen_range(0..6) {
+                        0 => 0,
+                        1 | 2 => rng.gen_range(1..POOL + 8),
+                        _ => addr,
+                    }),
+                    hops: rng.gen_range(0..5),
+                };
+                (t, prop)
+            })
+            .collect();
+        Arc::new(props)
+    }
+
+    fn random_entry(addr: u32, rng: &mut SmallRng) -> Entry<Subs> {
+        use rand::Rng;
+        Entry {
             addr: NodeIdx(addr),
             id: Id::of_node(addr as u64),
             age: rng.gen_range(0..4),
             payload: random_subs(rng),
-        };
+        }
+    }
+
+    /// Random connection state: a table, reverse links (some shadowing
+    /// table entries), and advertisements of every age whose topics need
+    /// not match the advertiser's descriptor. Every reverse link has an
+    /// advertisement, as one heartbeat writes both; other peers may not.
+    /// Installed in the node and returned as the two maps.
+    fn randomize_connections(
+        node: &mut VitisNode,
+        two_node_ring: bool,
+        rng: &mut SmallRng,
+    ) -> TwoMaps {
+        use rand::Rng;
+        let entry = random_entry;
         let mut order: Vec<u32> = (1..POOL).collect();
         for i in (1..order.len()).rev() {
             order.swap(i, rng.gen_range(0..=i));
@@ -995,56 +1227,34 @@ mod tests {
             }
         }
         *node.net.rt_mut() = rt;
-        node.reverse = SmallMap::new();
+        let mut maps = TwoMaps::default();
         for _ in 0..rng.gen_range(0..8) {
-            let link = ReverseLink {
-                subs: random_subs(rng),
-                age: 0,
-            };
-            node.reverse.insert(NodeIdx(rng.gen_range(1..POOL)), link);
+            let addr = NodeIdx(rng.gen_range(1..POOL));
+            maps.reverse
+                .insert(addr, (random_subs(rng), rng.gen_range(0..4)));
         }
-        node.nbr_proposals = SmallMap::new();
         let thr = node.cfg.age_threshold;
         for addr in 1..POOL {
-            if rng.gen_bool(0.2) {
+            if !maps.reverse.contains_key(&NodeIdx(addr)) && rng.gen_bool(0.2) {
                 continue;
             }
             let topics = if rng.gen_bool(0.5) {
                 // Usually an advertiser proposes for what its descriptor
                 // says it subscribes to …
                 let in_rt = node.net.rt().iter().find(|e| e.addr.0 == addr);
-                let in_rev = node.reverse.get(&NodeIdx(addr)).map(|l| &l.subs);
+                let in_rev = maps.reverse.get(&NodeIdx(addr)).map(|(subs, _)| subs);
                 in_rt.map(|e| &e.payload).or(in_rev).cloned()
             } else {
                 None
             }
             // … but a stale descriptor can disagree with the advert.
             .unwrap_or_else(|| random_subs(rng));
-            let props = topics
-                .iter()
-                .map(|t| {
-                    let gw = rng.gen_range(0..4);
-                    let prop = Proposal {
-                        gw_id: Id::of_node(gw as u64),
-                        gw_addr: NodeIdx(gw),
-                        parent: NodeIdx(match rng.gen_range(0..6) {
-                            0 => 0,
-                            1 | 2 => rng.gen_range(1..POOL + 8),
-                            _ => addr,
-                        }),
-                        hops: rng.gen_range(0..5),
-                    };
-                    (t, prop)
-                })
-                .collect();
-            node.nbr_proposals.insert(
-                NodeIdx(addr),
-                NbrProposals {
-                    props: Arc::new(props),
-                    age: rng.gen_range(0..=2 * thr),
-                },
-            );
+            let advert = random_advert(addr, &topics, rng);
+            let age = rng.gen_range(0..=2 * thr);
+            maps.nbr_proposals.insert(NodeIdx(addr), (advert, age));
         }
+        node.nbrs = maps.table();
+        maps
     }
 
     #[test]
@@ -1062,35 +1272,183 @@ mod tests {
                 .map(|_| rng.gen_range(0..TOPICS))
                 .collect();
             let mut node = lone_node(&own, cfg);
-            randomize_connections(&mut node, case % 5 == 0, &mut rng);
-            let expected = elect_topic_major(&node);
+            let maps = randomize_connections(&mut node, case % 5 == 0, &mut rng);
+            let expected = elect_topic_major(&node, &maps);
             node.elect();
-            assert_eq!(node.proposals, expected, "case {case}");
+            assert_eq!(*node.advert, expected, "case {case}");
+            // The same result again is the same advertisement.
+            let advert = node.advert.clone();
+            node.elect();
+            assert!(Arc::ptr_eq(&advert, &node.advert), "case {case}");
 
             let thr = node.cfg.age_threshold;
             adopted += expected
                 .iter()
                 .filter(|(_, p)| p.gw_addr != node.net.addr())
                 .count();
-            stale_votes += node.nbr_proposals.values().filter(|n| n.age > thr).count();
+            stale_votes += node.nbrs.values().filter(|n| n.advert_age > thr).count();
             in_table_parents += node
-                .nbr_proposals
+                .nbrs
                 .values()
-                .flat_map(|n| n.props.iter())
+                .flat_map(|n| n.advert.iter())
                 .filter(|(_, p)| node.net.rt().contains(p.parent))
                 .count();
             // With failover off, a stale advertisement still votes: ageing
             // every advert past the threshold must not change the result.
             if !failover {
-                for np in node.nbr_proposals.values_mut() {
-                    np.age = thr + 1;
+                for n in node.nbrs.values_mut() {
+                    n.advert_age = thr + 1;
                 }
                 node.elect();
-                assert_eq!(node.proposals, expected, "case {case}, aged");
+                assert_eq!(*node.advert, expected, "case {case}, aged");
             }
         }
         assert!(adopted > 300, "the cases must adopt foreign gateways");
         assert!(stale_votes > 300 && in_table_parents > 300);
+    }
+
+    /// The one neighbor table against the two maps it replaced, driven by
+    /// random sequences of the steps that write them: heartbeats from table
+    /// and non-table peers, merges that add and drop peers, failure
+    /// detection of peers with and without a reverse link, and the ageing
+    /// of reverse links and (with failover) advertisements. After every
+    /// step the election, the flood's targets for a random topic, the
+    /// repair layer's connection set and the reverse degree must agree,
+    /// and the table must hold the maps' state handle for handle.
+    #[test]
+    fn the_neighbor_table_follows_the_two_map_rules() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(2024);
+        // Coverage: heartbeats from table / non-table peers, merges that
+        // forgot a remembered peer, deaths with / without a reverse link,
+        // reverse links expired in / out of the table.
+        let mut seen = [0usize; 7];
+        for case in 0..400 {
+            let cfg = VitisConfig {
+                gateway_failover: case % 2 == 0,
+                ..VitisConfig::default()
+            };
+            let own: Vec<u32> = (0..rng.gen_range(1..10))
+                .map(|_| rng.gen_range(0..TOPICS))
+                .collect();
+            let mut node = lone_node(&own, cfg.clone());
+            let mut maps = randomize_connections(&mut node, case % 7 == 0, &mut rng);
+            for step in 0..60 {
+                let rt_addrs = node.net.rt().addrs();
+                match rng.gen_range(0..7) {
+                    // A heartbeat, from a table peer or from anyone.
+                    k @ (0 | 1) => {
+                        let from = if k == 0 && !rt_addrs.is_empty() {
+                            rt_addrs[rng.gen_range(0..rt_addrs.len())]
+                        } else {
+                            NodeIdx(rng.gen_range(1..POOL + 4))
+                        };
+                        let in_table = rt_addrs.contains(&from);
+                        seen[usize::from(!in_table)] += 1;
+                        let subs = random_subs(&mut rng);
+                        let advert = random_advert(from.0, &subs, &mut rng);
+                        let pm = ProfileMsg {
+                            id: Id::of_node(from.0 as u64),
+                            subs: subs.clone(),
+                            proposals: advert.clone(),
+                        };
+                        node.on_profile(from, pm);
+                        maps.heartbeat(from, in_table, subs, advert);
+                    }
+                    // A T-Man merge of fresh descriptors.
+                    2 => {
+                        let incoming = (0..rng.gen_range(0..6))
+                            .map(|_| random_entry(rng.gen_range(1..POOL + 4), &mut rng))
+                            .collect();
+                        merge(&mut node, incoming, &mut rng);
+                        let before = maps.nbr_proposals.len();
+                        maps.merged(node.net.rt());
+                        seen[2] += usize::from(maps.nbr_proposals.len() < before);
+                    }
+                    // A merge that drops table peers.
+                    3 => {
+                        let drop: Vec<NodeIdx> = rt_addrs
+                            .iter()
+                            .copied()
+                            .filter(|_| rng.gen_bool(0.3))
+                            .collect();
+                        node.ranked_merge(|net, _, _| {
+                            for &d in &drop {
+                                net.rt_mut().remove(d);
+                            }
+                        });
+                        let before = maps.nbr_proposals.len();
+                        maps.merged(node.net.rt());
+                        seen[2] += usize::from(maps.nbr_proposals.len() < before);
+                    }
+                    // A failure-detection step, first making a table peer
+                    // with (or without) a reverse link due to expire.
+                    k => {
+                        if k == 4 {
+                            let with_link = rng.gen_bool(0.5);
+                            let due: Vec<NodeIdx> = rt_addrs
+                                .iter()
+                                .copied()
+                                .filter(|a| maps.reverse.contains_key(a) == with_link)
+                                .collect();
+                            if !due.is_empty() {
+                                let victim = due[rng.gen_range(0..due.len())];
+                                let rt = node.net.rt_mut();
+                                for e in [&mut rt.succ, &mut rt.pred].into_iter().flatten() {
+                                    if e.addr == victim {
+                                        e.age = cfg.age_threshold;
+                                    }
+                                }
+                                for e in rt.sw.iter_mut().chain(rt.friends.iter_mut()) {
+                                    if e.addr == victim {
+                                        e.age = cfg.age_threshold;
+                                    }
+                                }
+                            }
+                        }
+                        // What the detector expires: every slot past the
+                        // threshold once aged. A peer can hold two slots
+                        // and outlive one of them.
+                        let dead: Vec<NodeIdx> = (node.net.rt().iter())
+                            .filter(|e| e.age >= cfg.age_threshold)
+                            .map(|e| e.addr)
+                            .collect();
+                        node.detect_failures();
+                        let rt = node.net.rt();
+                        for d in &dead {
+                            seen[3 + usize::from(maps.reverse.contains_key(d))] += 1;
+                        }
+                        for (a, (_, age)) in &maps.reverse {
+                            if *age == cfg.age_threshold {
+                                seen[5 + usize::from(rt.contains(*a))] += 1;
+                            }
+                        }
+                        maps.failures(&dead, rt, &cfg);
+                    }
+                }
+                let at = format!("case {case}, step {step}");
+                assert!(maps.matches(&node.nbrs), "{at}");
+                let expected = elect_topic_major(&node, &maps);
+                node.elect();
+                assert_eq!(*node.advert, expected, "{at}");
+                let topic = TopicId(rng.gen_range(0..TOPICS));
+                let came_from = rng.gen_bool(0.5).then(|| NodeIdx(rng.gen_range(1..POOL)));
+                let mut targets = Vec::new();
+                flood_targets(node.net.rt(), &node.nbrs, topic, came_from, &mut targets);
+                let rt = node.net.rt();
+                assert_eq!(targets, maps.flood_targets(rt, topic, came_from), "{at}");
+                assert_eq!(
+                    repair_neighbors(rt, &node.nbrs),
+                    maps.repair_neighbors(rt),
+                    "{at}"
+                );
+                assert_eq!(node.reverse_degree(), maps.reverse.len(), "{at}");
+            }
+        }
+        assert!(
+            seen.iter().all(|&n| n > 50),
+            "every rule exercised: {seen:?}"
+        );
     }
 
     #[test]
@@ -1099,7 +1457,7 @@ mod tests {
         node.elect();
         let own = Proposal::self_proposal(node.net.addr(), node.net.id());
         assert_eq!(
-            node.proposals,
+            *node.advert,
             vec![(TopicId(1), own), (TopicId(2), own), (TopicId(3), own)]
         );
         let cfg = VitisConfig {
@@ -1109,7 +1467,7 @@ mod tests {
         let mut node = lone_node(&[1, 2], cfg);
         randomize_connections(&mut node, false, &mut rand::SeedableRng::seed_from_u64(1));
         node.elect();
-        assert!(node.proposals.iter().all(|(_, p)| *p == own));
+        assert!(node.advert.iter().all(|(_, p)| *p == own));
     }
 
     /// Peers 1 (successor) and 2 (predecessor) take the ring slots; peers

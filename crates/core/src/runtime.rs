@@ -322,7 +322,7 @@ impl<P: PubSubProtocol> SystemRuntime<P> {
     // The engine has one executor, so there is nothing to switch. Kept only
     // because `benchmark/src/workloads.rs:492` still calls it and that file
     // is editable only by a `[benchmark]`-scoped PR; delete this line
-    // together with that call (ROADMAP item 4).
+    // together with that call (ROADMAP item 8).
     #[doc(hidden)]
     pub fn set_parallel_rounds(&mut self, _on: bool) {}
 

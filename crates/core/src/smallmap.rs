@@ -1,7 +1,7 @@
 //! A compact sorted-vector map for per-node hot state.
 //!
-//! Nodes hold small maps keyed by neighbor: Vitis's per-neighbor
-//! advertisement caches and reverse-link tables (bounded by the view size,
+//! Nodes hold small maps keyed by neighbor: Vitis's neighbor table of
+//! remembered advertisements and reverse links (bounded by the view size,
 //! < 32 entries) and OPT's link table. A `BTreeMap` spends a heap
 //! allocation per node (or per leaf) and chases pointers on every lookup;
 //! at N = 100k–1M nodes that dominates the round loop's cache behavior.
@@ -102,8 +102,16 @@ impl<K: Ord + Copy, V> SmallMap<K, V> {
     }
 
     /// Keep only the entries for which `f` returns true, preserving order.
+    /// A retain that leaves the map less than half full gives capacity
+    /// back, to half again its length, so capacity stays at most
+    /// 2 × len + 4 after every retain: a map that once held many entries
+    /// does not keep their bytes.
     pub fn retain<F: FnMut(&K, &mut V) -> bool>(&mut self, mut f: F) {
         self.entries.retain_mut(|(k, v)| f(k, v));
+        let len = self.entries.len();
+        if self.entries.capacity() > 2 * len + 4 {
+            self.entries.shrink_to(len + len / 2);
+        }
     }
 
     /// Entries in ascending key order.
@@ -215,8 +223,20 @@ mod tests {
                 }
             }
             if step % 97 == 0 {
-                small.retain(|k, _| k % 3 != 0);
-                tree.retain(|k, _| k % 3 != 0);
+                // Every third retain empties most of the map, so the
+                // capacity bound is exercised after a shrink too.
+                let keep = |k: &u16| {
+                    if step % 3 == 0 {
+                        k.is_multiple_of(8)
+                    } else {
+                        !k.is_multiple_of(3)
+                    }
+                };
+                small.retain(|k, _| keep(k));
+                tree.retain(|k, _| keep(k));
+                let (len, cap) = (small.len(), small.entries.capacity());
+                assert!(cap <= 2 * len + 4, "capacity {cap} for {len} entries");
+                assert!(small.iter().eq(tree.iter()), "step {step}");
             }
         }
         let a: Vec<(u16, u64)> = small.iter().map(|(&k, &v)| (k, v)).collect();

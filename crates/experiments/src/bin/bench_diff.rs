@@ -1,19 +1,25 @@
-//! Compare two BENCH files (`vitis-bench-v1`) and gate on regressions.
+//! Compare BENCH files (`vitis-bench-v1`) and gate on regressions.
 //!
 //! ```text
-//! bench-diff BASELINE.json CURRENT.json [--tolerance PCT]
+//! bench-diff BASELINE.json... CURRENT.json [--tolerance PCT]
 //! ```
 //!
-//! Every metric name present in **both** files is compared; names unique
-//! to one side are listed but never gate (the ladder may legitimately
-//! grow or shrink with `--max-nodes`). The unit decides the direction:
-//! time units (`ms`/`us`/`ns`) and `bytes` regress when the current value
-//! rises more than the tolerance above baseline, `per_sec` regresses when
-//! it falls more than the tolerance below, and informational units
-//! (`count`, `ratio`) are printed for context only. Exit status 1 when any
-//! gated metric regressed, 2 on usage or parse errors — and 2 when the
-//! files have no gated metric in common, so a gate pointed at the wrong
-//! file (or at a successor whose names all changed) fails instead of
+//! The last file is the current one; the files before it are baselines,
+//! oldest first. A row is compared when the current file and a baseline
+//! both name it; names unique to one side are listed but never gate (the
+//! ladder may legitimately grow or shrink with `--max-nodes`). The unit
+//! decides the direction and the reference:
+//! - time units (`ms`/`us`/`ns`) regress when the current value rises more
+//!   than the tolerance above the newest baseline's, and `per_sec` when it
+//!   falls more than the tolerance below it;
+//! - `bytes` regress when the current value rises more than the tolerance
+//!   above the *lowest* value any baseline holds for the row, so bytes
+//!   cannot creep up by less than a tolerance per baseline;
+//! - informational units (`count`, `ratio`) are printed for context only.
+//!
+//! Exit status 1 when any gated row regressed, 2 on usage or parse
+//! errors — and 2 when no gated row was compared, so a gate pointed at the
+//! wrong file (or at a successor whose names all changed) fails instead of
 //! passing on nothing.
 //!
 //! Wall-clock benchmarks are noisy; the default tolerance is 25%, wide
@@ -41,37 +47,71 @@ fn main() -> ExitCode {
             other => return usage(&format!("unexpected argument: {other}")),
         }
     }
-    let [baseline_path, current_path] = files[..] else {
-        return usage("need exactly two BENCH files: baseline and current");
+    let Some((current_path, baseline_paths)) = files
+        .split_last()
+        .filter(|(_, baselines)| !baselines.is_empty())
+    else {
+        return usage("need BENCH files: one or more baselines, then the current one");
     };
-    let baseline = match load(baseline_path) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("error: {baseline_path}: {e}");
-            return ExitCode::from(2);
+    let mut loaded = Vec::with_capacity(files.len());
+    for path in &files {
+        match load(path) {
+            Ok(e) => loaded.push(e),
+            Err(e) => {
+                eprintln!("error: {path}: {e}");
+                return ExitCode::from(2);
+            }
         }
-    };
-    let current = match load(current_path) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("error: {current_path}: {e}");
-            return ExitCode::from(2);
+    }
+    let current = loaded.pop().expect("the current file was loaded last");
+    let baselines = loaded;
+    let newest = baselines.len() - 1;
+
+    // The rows to judge: the newest baseline's, then any bytes row only an
+    // older baseline holds.
+    let mut rows: Vec<&BenchEntry> = baselines[newest].iter().collect();
+    for b in baselines.iter().flatten() {
+        if b.unit == "bytes" && !rows.iter().any(|r| r.name == b.name) {
+            rows.push(b);
         }
-    };
+    }
 
     let mut regressions = 0usize;
     let mut compared = 0usize;
-    println!("# bench-diff: {baseline_path} -> {current_path} (tolerance {tolerance}%)");
-    for b in &baseline {
+    let names = baseline_paths
+        .iter()
+        .map(|p| p.as_str())
+        .collect::<Vec<_>>()
+        .join(", ");
+    println!(
+        "# bench-diff: {names} -> {current_path} (tolerance {tolerance}%; bytes against the lowest baseline)"
+    );
+    for b in rows {
         let Some(c) = current.iter().find(|c| c.name == b.name) else {
             println!("  only-in-baseline  {}", b.name);
             continue;
         };
-        if !b.value.is_finite() || !c.value.is_finite() || b.value == 0.0 {
-            println!("  skip              {} (non-finite or zero baseline)", b.name);
+        // A bytes row's reference is the lowest value on record, with the
+        // newest baseline that holds it; any other row's is the newest
+        // baseline's.
+        let (base, from) = if b.unit == "bytes" {
+            let values = baselines.iter().enumerate().filter_map(|(i, file)| {
+                let v = file.iter().find(|e| e.name == b.name)?.value;
+                v.is_finite().then_some((v, i))
+            });
+            let lowest = values.reduce(|low, v| if v.0 <= low.0 { v } else { low });
+            lowest.unwrap_or((f64::NAN, newest))
+        } else {
+            (b.value, newest)
+        };
+        if !base.is_finite() || !c.value.is_finite() || base == 0.0 {
+            println!(
+                "  skip              {} (non-finite or zero baseline)",
+                b.name
+            );
             continue;
         }
-        let delta_pct = (c.value - b.value) / b.value * 100.0;
+        let delta_pct = (c.value - base) / base * 100.0;
         let verdict = match benchfmt::direction_of(&b.unit) {
             Direction::Informational => "info",
             Direction::LowerIsBetter => {
@@ -93,20 +133,25 @@ fn main() -> ExitCode {
                 }
             }
         };
+        let older = if from == newest {
+            String::new()
+        } else {
+            format!(" [lowest: {}]", baseline_paths[from])
+        };
         println!(
-            "  {verdict:<17} {} {:.6} -> {:.6} {} ({delta_pct:+.1}%)",
-            b.name, b.value, c.value, b.unit
+            "  {verdict:<17} {} {base:.6} -> {:.6} {} ({delta_pct:+.1}%){older}",
+            b.name, c.value, b.unit
         );
     }
     for c in &current {
-        if !baseline.iter().any(|b| b.name == c.name) {
+        if !baselines.iter().flatten().any(|b| b.name == c.name) {
             println!("  only-in-current   {}", c.name);
         }
     }
     println!("# {compared} gated metrics compared, {regressions} regressed");
     if compared == 0 {
         eprintln!(
-            "error: {baseline_path} and {current_path} share no gated metric: nothing was compared"
+            "error: {current_path} shares no gated metric with {names}: nothing was compared"
         );
         return ExitCode::from(2);
     }
@@ -127,12 +172,14 @@ fn usage(err: &str) -> ExitCode {
         eprintln!("error: {err}\n");
     }
     eprintln!(
-        "usage: bench-diff BASELINE.json CURRENT.json [--tolerance PCT]\n\
+        "usage: bench-diff BASELINE.json... CURRENT.json [--tolerance PCT]\n\
          \tCompares vitis-bench-v1 files (from `vitis-experiments scale` or\n\
-         \t`meso_timing`). Time units and bytes gate on increases, per_sec on\n\
-         \tdecreases, count/ratio are informational. Default tolerance: 25%.\n\
-         \tExit 1 on regression, 2 on bad input (including two files with no\n\
-         \tgated metric in common)."
+         \t`meso_timing`); the last file is the current one, the others are\n\
+         \tbaselines, oldest first. Time units gate on increases and per_sec\n\
+         \ton decreases against the newest baseline; bytes gate on increases\n\
+         \tagainst the lowest baseline value; count/ratio are informational.\n\
+         \tDefault tolerance: 25%. Exit 1 on regression, 2 on bad input\n\
+         \t(including files with no gated metric in common)."
     );
     if err.is_empty() {
         ExitCode::SUCCESS

@@ -23,13 +23,16 @@
 #![cfg(target_pointer_width = "64")]
 
 use std::mem::size_of;
+use vitis::gateway::Proposal;
 use vitis::monitor::{DeliverySlot, Monitor};
 use vitis::msg::{Notification, VitisMsg};
-use vitis::node::{MemoEntry, VitisNode};
+use vitis::node::{MemoEntry, Neighbor, VitisNode};
 use vitis::relay::{RelaySlot, SpilledLink};
+use vitis::topic::TopicId;
 use vitis_baselines::opt::OptMsg;
 use vitis_baselines::rvr::RvrMsg;
 use vitis_baselines::{OptNode, RvrNode};
+use vitis_sim::event::NodeIdx;
 
 fn within<T>(budget: usize) {
     let (name, size) = (std::any::type_name::<T>(), size_of::<T>());
@@ -50,8 +53,10 @@ fn nodes_fit_their_cache_line_budget() {
     // Both relay-table nodes grew by one `Vec` header (24 B) when the
     // table became two arrays, for −18.5 % `peak_rss_kb_per_node` on
     // `gossip_2k` (34.1 → 27.8 kB) and −11 % on `baselines` (RVR's tree
-    // table; 24.9 → 22.2 kB), medians of ten pairs.
-    within::<VitisNode>(576 + 24);
+    // table; 24.9 → 22.2 kB), medians of ten pairs. Vitis's shrank by a
+    // `Vec` and a `SmallMap` header (48 B) when its own proposals moved
+    // into its advertisement and its two neighbor maps became one.
+    within::<VitisNode>(576 + 24 - 48);
     // A node retains ≈ 60 remembered Equation 1 results (DESIGN §14, "The
     // T-Man merge"): eight bytes more per entry is half a kilobyte a node.
     within::<MemoEntry>(24);
@@ -66,6 +71,16 @@ fn a_relay_entry_is_sixteen_bytes() {
     // the one per-node owner that grows with N (DESIGN §12).
     within::<RelaySlot>(16);
     within::<SpilledLink>(12);
+}
+
+#[test]
+fn the_election_state_is_what_the_wire_charges() {
+    // Every node remembers each neighbor's advertisement: one pair per
+    // proposed topic, the 24 bytes `wire::profile_bytes` charges (the
+    // natural layout padded it to 32). One neighbor-table entry holds the
+    // advertisement's handle, the reverse link's and their two ages.
+    within::<(TopicId, Proposal)>(24);
+    within::<(NodeIdx, Neighbor)>(32);
 }
 
 #[test]
