@@ -26,5 +26,5 @@ pub mod rvr;
 pub mod systems;
 
 pub use opt::{OptConfig, OptNode};
-pub use rvr::{RvrConfig, RvrNode};
+pub use rvr::RvrNode;
 pub use systems::{OptProtocol, OptSystem, RvrProtocol, RvrSystem, System};

@@ -156,14 +156,9 @@ impl OptNode {
         owner("dissemination", self.dissem.heap_bytes());
     }
 
-    /// Current degree (established connections).
-    pub fn degree(&self) -> usize {
-        self.links.len()
-    }
-
-    /// Connected neighbor addresses.
-    pub fn neighbor_addrs(&self) -> Vec<NodeIdx> {
-        self.links.keys().copied().collect()
+    /// Connected neighbor addresses, in link-table order.
+    pub fn neighbors(&self) -> impl Iterator<Item = NodeIdx> + '_ {
+        self.links.keys().copied()
     }
 
     /// How many established links share `topic` with us.
@@ -428,10 +423,10 @@ mod tests {
         let mut asym = 0;
         let mut total = 0;
         for (idx, n) in eng.alive_nodes() {
-            for peer in n.neighbor_addrs() {
+            for peer in n.neighbors() {
                 total += 1;
                 let other = eng.node(peer).unwrap();
-                if !other.neighbor_addrs().contains(&idx) {
+                if !other.neighbors().any(|p| p == idx) {
                     asym += 1;
                 }
             }
@@ -477,7 +472,8 @@ mod tests {
         let (mut eng, _) = build_net(40, |i| vec![(i % 8) as u32], cfg);
         eng.run_rounds(30);
         for (_, n) in eng.alive_nodes() {
-            assert!(n.degree() <= 6, "degree {}", n.degree());
+            let degree = n.neighbors().count();
+            assert!(degree <= 6, "degree {degree}");
         }
     }
 

@@ -12,6 +12,7 @@
 //! overhead Vitis's clustering removes.
 
 use std::sync::Arc;
+use vitis::config::VitisConfig;
 use vitis::dissemination::Dissemination;
 use vitis::monitor::{EventId, Monitor};
 use vitis::msg::Notification;
@@ -25,37 +26,6 @@ use vitis_overlay::substrate::{Sampler, Substrate};
 use vitis_sim::antientropy::{AeConfig, AntiEntropy};
 use vitis_sim::event::NodeIdx;
 use vitis_sim::prelude::{Context, MsgTag, Protocol, StopReason};
-
-/// RVR node configuration.
-#[derive(Clone, Debug)]
-pub struct RvrConfig {
-    /// Fixed node degree (routing-table size). All slots beyond the two
-    /// ring links hold small-world links.
-    pub rt_size: usize,
-    /// Estimated network size for the harmonic draw.
-    pub est_n: usize,
-    /// Failure-detection age threshold in rounds.
-    pub age_threshold: u16,
-    /// Tree soft-state TTL in rounds.
-    pub tree_ttl: u16,
-    /// Peer-sampling view capacity.
-    pub sampling_view: usize,
-    /// Safety cap on lookup path length.
-    pub max_lookup_hops: u32,
-}
-
-impl Default for RvrConfig {
-    fn default() -> Self {
-        RvrConfig {
-            rt_size: 15,
-            est_n: 10_000,
-            age_threshold: 5,
-            tree_ttl: 3,
-            sampling_view: 15,
-            max_lookup_hops: 128,
-        }
-    }
-}
 
 /// RVR wire protocol.
 #[derive(Clone, Debug)]
@@ -100,7 +70,11 @@ pub enum RvrMsg {
 
 /// An RVR peer.
 pub struct RvrNode {
-    cfg: Arc<RvrConfig>,
+    /// The Vitis configuration RVR is built from. RVR reads `rt_size` (its
+    /// fixed degree, every slot beyond the two ring links a small-world
+    /// link), `est_n`, `age_threshold`, `relay_ttl` (the tree soft-state
+    /// TTL), `sampling_view` and `max_lookup_hops`.
+    cfg: Arc<VitisConfig>,
     /// Membership substrate, the same one Vitis runs on. The subscriptions
     /// ride in the descriptors but no merge ever ranks by them.
     net: Substrate<Subs>,
@@ -119,7 +93,7 @@ impl RvrNode {
     pub fn new(
         id: Id,
         subs: Subs,
-        cfg: Arc<RvrConfig>,
+        cfg: Arc<VitisConfig>,
         monitor: Monitor,
         bootstrap: Vec<Entry<Subs>>,
     ) -> Self {
@@ -272,7 +246,7 @@ impl Protocol for RvrNode {
 
         // Tree soft state decays unless refreshed by the joins below.
         self.tree.tick();
-        self.tree.expire(self.cfg.tree_ttl);
+        self.tree.expire(self.cfg.relay_ttl);
 
         // Every subscriber re-joins every subscribed tree each round
         // (Scribe keep-alive).
@@ -363,9 +337,9 @@ mod tests {
     use vitis_sim::time::Duration;
 
     fn build_net(n: usize, subs_of: impl Fn(usize) -> Vec<u32>) -> (Engine<RvrNode>, Monitor) {
-        let cfg = Arc::new(RvrConfig {
+        let cfg = Arc::new(VitisConfig {
             est_n: 64,
-            ..RvrConfig::default()
+            ..VitisConfig::default()
         });
         let monitor = Monitor::new();
         let mut eng = Engine::new(EngineConfig {

@@ -4,18 +4,17 @@
 //! experiment harness can swap systems freely.
 
 use crate::opt::{OptConfig, OptMsg, OptNode};
-use crate::rvr::{RvrConfig, RvrMsg, RvrNode};
-use std::collections::HashMap;
+use crate::rvr::{RvrMsg, RvrNode};
 use std::sync::Arc;
-use vitis::monitor::{EventId, LossReason, LossReport, MissContext, Monitor};
-use vitis::runtime::{hybrid_rt_probe, reached_component, PubSubProtocol, SystemRuntime};
+use vitis::config::VitisConfig;
+use vitis::monitor::{EventId, LossReason, MissContext, Monitor};
+use vitis::runtime::{LossView, PubSubProtocol, Reach, SystemRuntime};
 use vitis::system::{PubSub, SystemParams, VitisSystem};
 use vitis::topic::{RateTable, Subs, TopicId};
 use vitis::topo::{NodeTopo, RelayTopo, TopoLink};
 use vitis_overlay::entry::Entry;
 use vitis_overlay::id::Id;
 use vitis_sim::antientropy::AeConfig;
-use vitis_sim::event::NodeIdx;
 
 /// A complete RVR (Scribe-equivalent) network behind the uniform
 /// [`vitis::system::PubSub`] API.
@@ -23,45 +22,31 @@ pub type RvrSystem = SystemRuntime<RvrProtocol>;
 
 /// The RVR adapter: subscription-oblivious small-world tables and a
 /// rendezvous multicast tree per topic. Built from the same parameters
-/// as a Vitis system; only `rt_size`, `est_n`, `age_threshold` and the
-/// sampling view are used (RVR has no friends, gateways or relay radius).
+/// as a Vitis system; only `rt_size`, `est_n`, `age_threshold`,
+/// `relay_ttl` (the tree TTL), the sampling view and `max_lookup_hops` are
+/// used (RVR has no friends, gateways or relay radius).
 pub struct RvrProtocol {
-    cfg: Arc<RvrConfig>,
+    cfg: Arc<VitisConfig>,
     repair: AeConfig,
 }
 
-impl RvrProtocol {
-    /// Classify one missed `(event, subscriber)` pair against the tree
-    /// state. `comps` are the connected components of the *whole* alive
-    /// overlay (RVR trees route through non-subscribers), and
-    /// `rendezvous_claims` the number of nodes claiming the topic's root.
-    fn classify_miss(
-        rt: &SystemRuntime<Self>,
-        comps: &[Vec<u32>],
-        rendezvous_claims: usize,
-        miss: &MissContext<'_>,
-    ) -> LossReason {
-        if let Some(reason) = rt.transport_loss(miss) {
-            return reason;
-        }
-        let Some((_, true)) = reached_component(comps, miss) else {
-            // The event never reached this partition of the overlay.
-            return LossReason::PartitionedCluster;
-        };
-        let has_tree_state = rt
-            .engine()
-            .node(miss.subscriber)
-            .is_some_and(|n| n.tree_table().has(miss.topic));
-        if !has_tree_state {
-            // The subscriber's join path never installed (or let expire)
-            // its tree soft state — the RVR analogue of a broken relay.
-            return LossReason::RelayBroken;
-        }
-        match rendezvous_claims {
+/// RVR's verdict on a miss no transport cause explains, from the facts
+/// [`LossView`] gathers: whether the event reached the subscriber's
+/// component of the *whole* online overlay (trees route through
+/// non-subscribers), whether the subscriber holds tree state for the
+/// topic, and how many nodes claim the topic's root.
+fn rvr_miss_reason(reach: Reach, tree_state: bool, claims: usize) -> LossReason {
+    match (reach, tree_state) {
+        // The event never reached this partition of the overlay.
+        (Reach::Outside | Reach::Unreached, _) => LossReason::PartitionedCluster,
+        // The subscriber's join path never installed (or let expire) its
+        // tree soft state — the RVR analogue of a broken relay.
+        (Reach::Reached, false) => LossReason::RelayBroken,
+        (Reach::Reached, true) => match claims {
             0 => LossReason::RelayBroken,     // no root: joins never terminated
             1 => LossReason::IncompleteFlood, // tree exists but fanout stopped short
             _ => LossReason::RingMisroute,    // conflicting roots split the tree
-        }
+        },
     }
 }
 
@@ -70,6 +55,8 @@ impl PubSubProtocol for RvrProtocol {
 
     const BOOT_SALT: u64 = u64::MAX - 1;
 
+    const RING: bool = true;
+
     fn from_params(params: &SystemParams) -> Self {
         // The tree table is Vitis's relay table, so `relay_ttl` is held to
         // the same byte-age bound.
@@ -77,14 +64,7 @@ impl PubSubProtocol for RvrProtocol {
             panic!("invalid VitisConfig: {e}");
         }
         RvrProtocol {
-            cfg: Arc::new(RvrConfig {
-                rt_size: params.cfg.rt_size,
-                est_n: params.cfg.est_n,
-                age_threshold: params.cfg.age_threshold,
-                tree_ttl: params.cfg.relay_ttl,
-                sampling_view: params.cfg.sampling_view,
-                max_lookup_hops: params.cfg.max_lookup_hops,
-            }),
+            cfg: Arc::new(params.cfg.clone()),
             repair: params.repair.clone(),
         }
     }
@@ -111,64 +91,34 @@ impl PubSubProtocol for RvrProtocol {
         (node.ring_id(), node.subscriptions().clone())
     }
 
-    fn degree(node: &RvrNode) -> usize {
-        node.routing_table().len()
-    }
-
     fn node_heap_bytes(node: &RvrNode, owner: impl FnMut(&'static str, u64)) {
         node.heap_bytes(owner);
     }
 
-    fn for_each_neighbor(node: &RvrNode, mut f: impl FnMut(NodeIdx)) {
-        for e in node.routing_table().iter() {
-            f(e.addr);
-        }
+    fn for_each_link(node: &RvrNode, f: impl FnMut(TopoLink)) {
+        TopoLink::of_table(node.routing_table()).for_each(f);
     }
 
     fn publish_cmd(event: EventId, topic: TopicId) -> RvrMsg {
         RvrMsg::PublishCmd { event, topic }
     }
 
-    fn loss_report(rt: &SystemRuntime<Self>) -> LossReport {
-        let graph = rt.overlay_graph();
-        let engine = rt.engine();
-        let alive: Vec<u32> = engine.alive_indices().into_iter().map(|i| i.0).collect();
-        let comps = graph.components_within(&alive);
-        // Rendezvous-claim counts, lazily computed once per topic.
-        let mut rdv_by_topic: HashMap<TopicId, usize> = HashMap::new();
-        rt.monitor().attribute_losses(engine.now(), |miss| {
-            let rdv = *rdv_by_topic.entry(miss.topic).or_insert_with(|| {
-                engine
-                    .alive_nodes()
-                    .filter(|(_, n)| {
-                        n.tree_table()
-                            .get(miss.topic)
-                            .is_some_and(|e| e.is_rendezvous())
-                    })
-                    .count()
-            });
-            Self::classify_miss(rt, &comps, rdv, miss)
-        })
+    fn classify_miss(view: &mut LossView<'_, Self>, miss: &MissContext<'_>) -> LossReason {
+        let reach = view.overlay_reach(miss);
+        let tree_state = view
+            .engine()
+            .node(miss.subscriber)
+            .is_some_and(|n| n.tree_table().has(miss.topic));
+        let claims = view.rendezvous_claims(miss.topic, RvrNode::tree_table);
+        rvr_miss_reason(reach, tree_state, claims)
     }
 
-    fn structure_probe(rt: &SystemRuntime<Self>) -> (Option<f64>, Option<f64>) {
-        let (ring, age) = hybrid_rt_probe(rt, |n| n.routing_table());
-        (Some(ring), age)
-    }
-
-    fn node_topo(&self, idx: NodeIdx, node: &RvrNode) -> NodeTopo {
-        NodeTopo {
-            node: idx,
-            ring_id: node.ring_id(),
-            subs: node.subscriptions().iter().collect(),
-            links: TopoLink::of_table(node.routing_table()),
-            relays: RelayTopo::of_table(node.tree_table()),
-            // RVR has no gateway election: subscribers join the tree
-            // directly, so there is no believed-gateway view to export.
-            gateway_view: Vec::new(),
-            view_bound: Some(self.cfg.rt_size),
-            relay_ttl: Some(self.cfg.tree_ttl),
-        }
+    fn node_topo(&self, node: &RvrNode, topo: &mut NodeTopo) {
+        // RVR has no gateway election: subscribers join the tree directly,
+        // so there is no believed-gateway view to export.
+        topo.relays = RelayTopo::of_table(node.tree_table());
+        topo.view_bound = Some(self.cfg.rt_size);
+        topo.relay_ttl = Some(self.cfg.relay_ttl);
     }
 }
 
@@ -195,10 +145,24 @@ impl OptProtocol {
     }
 }
 
+/// OPT's verdict on a miss no transport cause explains. OPT has no
+/// structure beyond the per-topic subgraphs, so a miss is either a flood
+/// that stopped short inside the reached cluster or a subgraph partition
+/// the flood could not cross.
+fn opt_miss_reason(reach: Reach) -> LossReason {
+    match reach {
+        Reach::Reached => LossReason::IncompleteFlood,
+        Reach::Outside | Reach::Unreached => LossReason::PartitionedCluster,
+    }
+}
+
 impl PubSubProtocol for OptProtocol {
     type Node = OptNode;
 
     const BOOT_SALT: u64 = u64::MAX - 2;
+
+    // No ring, and its links carry no age.
+    const RING: bool = false;
 
     fn from_params(params: &SystemParams) -> Self {
         let mut p = OptProtocol::with_config(OptConfig {
@@ -233,68 +197,31 @@ impl PubSubProtocol for OptProtocol {
         (node.ring_id(), node.subscriptions().clone())
     }
 
-    fn degree(node: &OptNode) -> usize {
-        node.degree()
-    }
-
     fn node_heap_bytes(node: &OptNode, owner: impl FnMut(&'static str, u64)) {
         node.heap_bytes(owner);
     }
 
-    fn for_each_neighbor(node: &OptNode, mut f: impl FnMut(NodeIdx)) {
-        for peer in node.neighbor_addrs() {
-            f(peer);
-        }
+    fn for_each_link(node: &OptNode, f: impl FnMut(TopoLink)) {
+        node.neighbors()
+            .map(|peer| TopoLink {
+                peer,
+                kind: "mesh",
+                age: None,
+            })
+            .for_each(f);
     }
 
     fn publish_cmd(event: EventId, topic: TopicId) -> OptMsg {
         OptMsg::PublishCmd { event, topic }
     }
 
-    fn loss_report(rt: &SystemRuntime<Self>) -> LossReport {
-        // OPT has no structure beyond the per-topic subgraphs, so every
-        // miss is either churn, a subgraph partition the flood could not
-        // cross, or a flood that stopped short inside a reached component.
-        let graph = rt.overlay_graph();
-        let engine = rt.engine();
-        let mut comps_by_topic: HashMap<TopicId, Vec<Vec<u32>>> = HashMap::new();
-        rt.monitor().attribute_losses(engine.now(), |miss| {
-            if let Some(reason) = rt.transport_loss(miss) {
-                return reason;
-            }
-            let comps = comps_by_topic
-                .entry(miss.topic)
-                .or_insert_with(|| graph.components_within(&rt.alive_subscribers(miss.topic)));
-            match reached_component(comps, miss) {
-                Some((_, true)) => LossReason::IncompleteFlood,
-                _ => LossReason::PartitionedCluster,
-            }
-        })
+    fn classify_miss(view: &mut LossView<'_, Self>, miss: &MissContext<'_>) -> LossReason {
+        opt_miss_reason(view.cluster(miss).0)
     }
 
-    // structure_probe: the default `(None, None)` — OPT keeps no ring and
-    // its link set carries no age.
-
-    fn node_topo(&self, idx: NodeIdx, node: &OptNode) -> NodeTopo {
-        NodeTopo {
-            node: idx,
-            ring_id: node.ring_id(),
-            subs: node.subscriptions().iter().collect(),
-            links: node
-                .neighbor_addrs()
-                .into_iter()
-                .map(|peer| TopoLink {
-                    peer,
-                    kind: "mesh",
-                    age: None,
-                })
-                .collect(),
-            // OPT floods per-topic subgraphs: no relay state, no gateways.
-            relays: Vec::new(),
-            gateway_view: Vec::new(),
-            view_bound: self.cfg.max_degree,
-            relay_ttl: None,
-        }
+    fn node_topo(&self, _node: &OptNode, topo: &mut NodeTopo) {
+        // OPT floods per-topic subgraphs: no relay state, no gateways.
+        topo.view_bound = self.cfg.max_degree;
     }
 }
 
@@ -444,7 +371,8 @@ mod tests {
         let mut sys = OptSystem::new(params);
         sys.run_rounds(40);
         for (_, n) in sys.engine().alive_nodes() {
-            assert!(n.degree() <= 15, "degree {} exceeds cap", n.degree());
+            let degree = n.neighbors().count();
+            assert!(degree <= 15, "degree {degree} exceeds cap");
         }
     }
 
@@ -561,6 +489,54 @@ mod tests {
         let params = random_params(120, 12, 4, 53);
         check(&mut RvrSystem::new(params.clone()), "rvr");
         check(&mut OptSystem::new(params), "opt");
+    }
+
+    /// Every branch of the two baselines' structural classifiers; the
+    /// transport step adds `subscriber_churned` and `network` to each.
+    #[test]
+    fn miss_reason_tables() {
+        use LossReason::*;
+        use Reach::*;
+        let rvr = [
+            // (reach over the whole overlay, subscriber tree state, root claims)
+            ((Outside, true, 1), PartitionedCluster),
+            ((Unreached, true, 1), PartitionedCluster),
+            ((Reached, false, 1), RelayBroken),
+            ((Reached, true, 0), RelayBroken),
+            ((Reached, true, 1), IncompleteFlood),
+            ((Reached, true, 2), RingMisroute),
+        ];
+        for ((reach, tree_state, claims), want) in rvr {
+            let got = rvr_miss_reason(reach, tree_state, claims);
+            assert_eq!(got, want, "rvr: {reach:?} {tree_state} {claims}");
+        }
+        let opt = [
+            (Outside, PartitionedCluster),
+            (Unreached, PartitionedCluster),
+            (Reached, IncompleteFlood),
+        ];
+        for (reach, want) in opt {
+            assert_eq!(opt_miss_reason(reach), want, "opt: {reach:?}");
+        }
+        let distinct = |rows: &[LossReason]| {
+            LossReason::ALL
+                .into_iter()
+                .filter(|r| rows.contains(r))
+                .collect()
+        };
+        let rvr_reasons: Vec<LossReason> = distinct(&rvr.map(|(_, r)| r));
+        let opt_reasons: Vec<LossReason> = distinct(&opt.map(|(_, r)| r));
+        // RVR elects no gateways, so it never returns `no_gateway`.
+        assert_eq!(
+            rvr_reasons,
+            [
+                RelayBroken,
+                RingMisroute,
+                PartitionedCluster,
+                IncompleteFlood
+            ]
+        );
+        assert_eq!(opt_reasons, [PartitionedCluster, IncompleteFlood]);
     }
 
     #[test]

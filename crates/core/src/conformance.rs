@@ -155,27 +155,36 @@ pub fn check_perf_surface(sys: &mut impl PubSub, name: &str) {
     sys.set_online(0, true);
 }
 
-/// `alive_count` and `mean_degree` are views of engine state, not
-/// independent bookkeeping: both must agree with a direct engine scan.
+/// `alive_count` and the structural readers are views of engine state,
+/// not independent bookkeeping: the alive count mirrors the engine, and
+/// the degree distribution, `mean_degree`, the topology snapshot's links
+/// and the overlay graph all read the same links.
 pub fn check_agrees_with_engine<P: PubSubProtocol>(sys: &SystemRuntime<P>, name: &str) {
     assert_eq!(
         sys.alive_count(),
         sys.engine().alive_count(),
         "{name}: alive_count mirrors the engine"
     );
-    let (sum, count) = sys
-        .engine()
-        .alive_nodes()
-        .fold((0usize, 0usize), |(s, c), (_, n)| (s + P::degree(n), c + 1));
-    let expect = if count == 0 { 0.0 } else { sum as f64 / count as f64 };
+    let snapshot = sys.overlay_snapshot();
+    let degrees: Vec<u64> = snapshot
+        .nodes
+        .iter()
+        .map(|n| n.links.len() as u64)
+        .collect();
+    assert_eq!(
+        sys.degree_distribution(),
+        degrees,
+        "{name}: one degree per alive node, its snapshot link count"
+    );
+    let expect = degrees.iter().sum::<u64>() as f64 / degrees.len() as f64;
     assert_eq!(
         sys.mean_degree().to_bits(),
         expect.to_bits(),
         "{name}: mean_degree is the engine-wide degree mean"
     );
     assert_eq!(
-        sys.alive_count(),
-        sys.degree_distribution().len(),
-        "{name}: one degree sample per alive node"
+        sys.overlay_graph().num_edges(),
+        snapshot.overlay_graph().num_edges(),
+        "{name}: the overlay graph is the snapshot's graph"
     );
 }

@@ -4,22 +4,19 @@
 //!
 //! The driver trait ([`PubSub`]) and the runtime that implements it live
 //! in [`crate::runtime`]; this module contributes only what is specific
-//! to Vitis — node construction, overlay accessors, rendezvous-aware
+//! to Vitis — node construction, its link visitor, rendezvous-aware
 //! loss classification — plus the parameter types the baselines reuse.
 
 use crate::config::VitisConfig;
-use crate::harness::Workload;
-use crate::monitor::{EventId, LossReason, LossReport, Monitor};
+use crate::monitor::{EventId, LossReason, MissContext, Monitor};
 use crate::msg::VitisMsg;
 use crate::node::VitisNode;
-use crate::runtime::{hybrid_rt_probe, reached_component, PubSubProtocol, SystemRuntime};
+use crate::runtime::{LossView, PubSubProtocol, Reach, SystemRuntime};
 use crate::topic::{RateTable, Subs, TopicId, TopicSet};
 use crate::topo::{NodeTopo, RelayTopo, TopoLink};
 use rand::Rng;
-use std::collections::HashMap;
 use std::sync::Arc;
 use vitis_overlay::entry::Entry;
-use vitis_overlay::graph::Graph;
 use vitis_overlay::id::Id;
 use vitis_sim::antientropy::AeConfig;
 use vitis_sim::event::NodeIdx;
@@ -28,33 +25,6 @@ use vitis_sim::rng::{domain, stream_rng};
 use vitis_sim::time::Duration;
 
 pub use crate::runtime::PubSub;
-
-/// Subscriber-cluster statistics over up to four evenly spaced sample
-/// topics: `(component count, largest component)`. Shared by the health
-/// probes of all three systems.
-pub fn cluster_probe(
-    graph: &Graph,
-    workload: &Workload,
-    alive: impl Fn(u32) -> bool,
-) -> (u64, u64) {
-    let n = workload.num_topics();
-    let step = (n / 4).max(1);
-    let mut clusters = 0u64;
-    let mut largest = 0u64;
-    for t in (0..n).step_by(step).take(4) {
-        let subs: Vec<u32> = workload
-            .subscribers(TopicId(t as u32))
-            .iter()
-            .copied()
-            .filter(|&s| alive(s))
-            .collect();
-        for c in graph.components_within(&subs) {
-            clusters += 1;
-            largest = largest.max(c.len() as u64);
-        }
-    }
-    (clusters, largest)
-}
 
 /// The network model a system runs over.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -154,8 +124,8 @@ impl SystemParams {
 /// A complete Vitis network behind the uniform [`PubSub`] API.
 pub type VitisSystem = SystemRuntime<VitisProtocol>;
 
-/// The Vitis adapter for [`SystemRuntime`]: hybrid-overlay nodes,
-/// rendezvous-aware loss classification, ring + view-age structure probe.
+/// The Vitis adapter for [`SystemRuntime`]: hybrid-overlay nodes and
+/// rendezvous-aware loss classification.
 pub struct VitisProtocol {
     cfg: Arc<VitisConfig>,
     repair: AeConfig,
@@ -166,46 +136,27 @@ impl VitisProtocol {
     pub fn config(&self) -> &Arc<VitisConfig> {
         &self.cfg
     }
+}
 
-    /// Classify one missed `(event, subscriber)` pair against the current
-    /// overlay structure. `comps` are the alive-subscriber components of
-    /// the miss's topic, `rendezvous_claims` the number of nodes claiming
-    /// the topic's rendezvous relay.
-    fn classify_miss(
-        rt: &SystemRuntime<Self>,
-        comps: &[Vec<u32>],
-        rendezvous_claims: usize,
-        miss: &crate::monitor::MissContext<'_>,
-    ) -> LossReason {
-        if let Some(reason) = rt.transport_loss(miss) {
-            return reason;
-        }
-        let Some((comp, reached)) = reached_component(comps, miss) else {
-            // Alive but outside the ground truth: treat as disconnected.
-            return LossReason::PartitionedCluster;
-        };
-        if reached {
-            // The event reached this connected cluster but forwarding
-            // stopped before covering it.
-            return LossReason::IncompleteFlood;
-        }
-        let engine = rt.engine();
-        let gateways: Vec<&VitisNode> = comp
-            .iter()
-            .filter_map(|&x| engine.node(NodeIdx(x)))
-            .filter(|n| n.is_gateway(miss.topic))
-            .collect();
-        if gateways.is_empty() {
-            return LossReason::NoGateway;
-        }
-        if !gateways.iter().any(|g| g.relay_table().has(miss.topic)) {
-            return LossReason::RelayBroken;
-        }
-        match rendezvous_claims {
+/// Vitis's verdict on a miss no transport cause explains, from the facts
+/// [`LossView`] gathers: whether the event reached the subscriber's
+/// cluster, how many cluster members believe themselves the topic's
+/// gateway, how many of those hold relay state for it, and how many nodes
+/// claim the topic's rendezvous.
+fn miss_reason(reach: Reach, gateways: usize, relayed: usize, claims: usize) -> LossReason {
+    match reach {
+        // Alive but outside the ground truth: treat as disconnected.
+        Reach::Outside => LossReason::PartitionedCluster,
+        // The event reached this connected cluster but forwarding stopped
+        // before covering it.
+        Reach::Reached => LossReason::IncompleteFlood,
+        Reach::Unreached if gateways == 0 => LossReason::NoGateway,
+        Reach::Unreached if relayed == 0 => LossReason::RelayBroken,
+        Reach::Unreached => match claims {
             0 => LossReason::RelayBroken, // relay chain never terminated
             1 => LossReason::PartitionedCluster,
             _ => LossReason::RingMisroute, // conflicting rendezvous points
-        }
+        },
     }
 }
 
@@ -213,6 +164,8 @@ impl PubSubProtocol for VitisProtocol {
     type Node = VitisNode;
 
     const BOOT_SALT: u64 = u64::MAX;
+
+    const RING: bool = true;
 
     fn from_params(params: &SystemParams) -> Self {
         if let Err(e) = params.cfg.validate() {
@@ -247,69 +200,41 @@ impl PubSubProtocol for VitisProtocol {
         (node.ring_id(), node.subscriptions().clone())
     }
 
-    fn degree(node: &VitisNode) -> usize {
-        node.routing_table().len()
-    }
-
     fn node_heap_bytes(node: &VitisNode, owner: impl FnMut(&'static str, u64)) {
         node.heap_bytes(owner);
     }
 
-    fn for_each_neighbor(node: &VitisNode, mut f: impl FnMut(NodeIdx)) {
-        for e in node.routing_table().iter() {
-            f(e.addr);
-        }
+    fn for_each_link(node: &VitisNode, f: impl FnMut(TopoLink)) {
+        TopoLink::of_table(node.routing_table()).for_each(f);
     }
 
     fn publish_cmd(event: EventId, topic: TopicId) -> VitisMsg {
         VitisMsg::PublishCmd { event, topic }
     }
 
-    fn loss_report(rt: &SystemRuntime<Self>) -> LossReport {
-        let graph = rt.overlay_graph();
-        let engine = rt.engine();
-        // Lazily computed per-topic state, shared across the misses of a
-        // topic: alive-subscriber components and rendezvous-claim counts.
-        let mut comps_by_topic: HashMap<TopicId, Vec<Vec<u32>>> = HashMap::new();
-        let mut rdv_by_topic: HashMap<TopicId, usize> = HashMap::new();
-        rt.monitor().attribute_losses(engine.now(), |miss| {
-            let comps = comps_by_topic
-                .entry(miss.topic)
-                .or_insert_with(|| graph.components_within(&rt.alive_subscribers(miss.topic)));
-            let rdv = *rdv_by_topic.entry(miss.topic).or_insert_with(|| {
-                engine
-                    .alive_nodes()
-                    .filter(|(_, n)| {
-                        n.relay_table()
-                            .get(miss.topic)
-                            .is_some_and(|e| e.is_rendezvous())
-                    })
-                    .count()
-            });
-            Self::classify_miss(rt, comps, rdv, miss)
-        })
-    }
-
-    fn structure_probe(rt: &SystemRuntime<Self>) -> (Option<f64>, Option<f64>) {
-        let (ring, age) = hybrid_rt_probe(rt, |n| n.routing_table());
-        (Some(ring), age)
-    }
-
-    fn node_topo(&self, idx: NodeIdx, node: &VitisNode) -> NodeTopo {
-        NodeTopo {
-            node: idx,
-            ring_id: node.ring_id(),
-            subs: node.subscriptions().iter().collect(),
-            links: TopoLink::of_table(node.routing_table()),
-            relays: RelayTopo::of_table(node.relay_table()),
-            gateway_view: node
-                .subscriptions()
-                .iter()
-                .filter_map(|t| node.proposal(t).map(|p| (t, p.gw_addr)))
-                .collect(),
-            view_bound: Some(self.cfg.rt_size),
-            relay_ttl: Some(self.cfg.relay_ttl),
+    fn classify_miss(view: &mut LossView<'_, Self>, miss: &MissContext<'_>) -> LossReason {
+        let (topic, engine) = (miss.topic, view.engine());
+        let (reach, cluster) = view.cluster(miss);
+        let (mut gateways, mut relayed) = (0, 0);
+        for &x in cluster {
+            if let Some(n) = engine.node(NodeIdx(x)).filter(|n| n.is_gateway(topic)) {
+                gateways += 1;
+                relayed += usize::from(n.relay_table().has(topic));
+            }
         }
+        let claims = view.rendezvous_claims(topic, VitisNode::relay_table);
+        miss_reason(reach, gateways, relayed, claims)
+    }
+
+    fn node_topo(&self, node: &VitisNode, topo: &mut NodeTopo) {
+        topo.relays = RelayTopo::of_table(node.relay_table());
+        topo.gateway_view = node
+            .subscriptions()
+            .iter()
+            .filter_map(|t| node.proposal(t).map(|p| (t, p.gw_addr)))
+            .collect();
+        topo.view_bound = Some(self.cfg.rt_size);
+        topo.relay_ttl = Some(self.cfg.relay_ttl);
     }
 }
 
@@ -460,7 +385,15 @@ mod tests {
     #[test]
     fn loss_report_counts_sum_to_missed_pairs() {
         use vitis_sim::trace::{Trace, TraceEvent};
-        let mut sys = random_system(150, 15, 4, 23);
+        let mut rng = stream_rng(23, domain::WORKLOAD, 1);
+        let subscriptions: Vec<TopicSet> = (0..150)
+            .map(|_| TopicSet::from_iter((0..4).map(|_| rng.gen_range(0..15u32))))
+            .collect();
+        let mut params = SystemParams::new(subscriptions, 15);
+        params.seed = 23;
+        // Lossy links, so the transport step runs with drops on record.
+        params.network = NetworkSpec::LossyConstant(1, 0.05);
+        let mut sys = VitisSystem::new(params);
         let trace = Trace::shared(1 << 16);
         sys.install_trace(trace.clone());
         sys.run_rounds(25);
@@ -486,13 +419,46 @@ mod tests {
             "crashed subscribers should be attributed to churn: {:?}",
             report.by_reason
         );
-        // Each miss produced exactly one drop_event forensics record.
-        let drops = trace
-            .borrow()
-            .events()
-            .filter(|ev| matches!(ev, TraceEvent::DropEvent { .. }))
-            .count() as u64;
+        assert!(!sys.engine().network_event_drops().is_empty());
+        // Each miss produced exactly one drop_event forensics record, and
+        // a miss is churn exactly when its subscriber is offline.
+        let mut drops = 0u64;
+        for ev in trace.borrow().events() {
+            if let TraceEvent::DropEvent { node, reason, .. } = ev {
+                drops += 1;
+                let offline = !sys.engine().is_alive(NodeIdx(*node));
+                assert_eq!(reason == "subscriber_churned", offline, "{node}: {reason}");
+            }
+        }
         assert_eq!(drops, report.missed());
+    }
+
+    /// Every branch of the structural classifier. With the transport step's
+    /// `subscriber_churned` and `network`, these rows reach every reason.
+    #[test]
+    fn miss_reason_table() {
+        use LossReason::*;
+        use Reach::*;
+        let table = [
+            // (reach, gateways, relayed gateways, rendezvous claims)
+            ((Outside, 0, 0, 0), PartitionedCluster),
+            ((Reached, 0, 0, 0), IncompleteFlood),
+            ((Reached, 3, 1, 2), IncompleteFlood),
+            ((Unreached, 0, 0, 1), NoGateway),
+            ((Unreached, 2, 0, 1), RelayBroken),
+            ((Unreached, 2, 1, 0), RelayBroken),
+            ((Unreached, 2, 1, 1), PartitionedCluster),
+            ((Unreached, 1, 1, 2), RingMisroute),
+        ];
+        for ((reach, gateways, relayed, claims), want) in table {
+            let got = miss_reason(reach, gateways, relayed, claims);
+            assert_eq!(got, want, "{reach:?} {gateways} {relayed} {claims}");
+        }
+        let mut reached: Vec<LossReason> = table.iter().map(|&(_, r)| r).collect();
+        reached.extend([SubscriberChurned, Network]);
+        for reason in LossReason::ALL {
+            assert!(reached.contains(&reason), "{reason:?} unreached");
+        }
     }
 
     #[test]

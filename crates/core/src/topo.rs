@@ -49,15 +49,14 @@ pub struct TopoLink {
 }
 
 impl TopoLink {
-    /// Every entry of a hybrid routing table, with its link kind and age.
-    pub fn of_table<P: Clone>(rt: &HybridRt<P>) -> Vec<TopoLink> {
-        rt.iter_kinds()
-            .map(|(kind, e)| TopoLink {
-                peer: e.addr,
-                kind: kind.as_str(),
-                age: Some(e.age),
-            })
-            .collect()
+    /// Every entry of a hybrid routing table, with its link kind and age,
+    /// in successor / predecessor / small-world / friend order.
+    pub fn of_table<P: Clone>(rt: &HybridRt<P>) -> impl Iterator<Item = TopoLink> + '_ {
+        rt.iter_kinds().map(|(kind, e)| TopoLink {
+            peer: e.addr,
+            kind: kind.as_str(),
+            age: Some(e.age),
+        })
     }
 }
 

@@ -51,10 +51,11 @@ pub fn ring_accuracy(nodes: &[(Id, Option<Id>)]) -> f64 {
     let mut ids: Vec<Id> = nodes.iter().map(|&(id, _)| id).collect();
     ids.sort();
     let true_succ = |id: Id| -> Id {
-        // Next id in sorted order, wrapping.
-        match ids.iter().position(|&x| x == id) {
-            Some(i) => ids[(i + 1) % ids.len()],
-            None => id,
+        // Next id in sorted order after the first copy of `id`, wrapping.
+        let i = ids.partition_point(|&x| x < id);
+        match ids.get(i) {
+            Some(&x) if x == id => ids[(i + 1) % ids.len()],
+            _ => id,
         }
     };
     let correct = nodes
@@ -120,5 +121,13 @@ mod tests {
         ];
         assert!((ring_accuracy(&broken) - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(ring_accuracy(&[]), 1.0);
+        // Duplicate ids: each copy's true successor is the id after the
+        // first copy in sorted order, here the other copy.
+        let dup = vec![
+            (Id(10), Some(Id(10))),
+            (Id(10), Some(Id(20))),
+            (Id(20), Some(Id(10))),
+        ];
+        assert!((ring_accuracy(&dup) - 2.0 / 3.0).abs() < 1e-12);
     }
 }
