@@ -1679,7 +1679,7 @@ mod tests {
         );
         eng.run_rounds(20);
         // Unsubscribe everyone: gateways stop refreshing, relays must decay.
-        let idxs = eng.alive_indices();
+        let idxs: Vec<NodeIdx> = eng.alive_nodes().map(|(i, _)| i).collect();
         for i in idxs {
             let node = eng.node_mut(i).unwrap();
             node.set_subscriptions(Arc::new(crate::topic::TopicSet::new()));

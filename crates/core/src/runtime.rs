@@ -29,7 +29,7 @@ use crate::system::SystemParams;
 use crate::topic::{RateTable, Subs, TopicId, TopicSet};
 use crate::topo::{NodeTopo, OverlaySnapshot, TopoLink};
 use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
+use rand::Rng;
 use std::collections::HashMap;
 use std::sync::Arc;
 use vitis_overlay::entry::Entry;
@@ -215,6 +215,10 @@ pub trait PubSubProtocol: Sized {
     fn node_topo(&self, node: &Self::Node, topo: &mut NodeTopo);
 }
 
+/// Bootstrap contacts handed to each joining node (Algorithm 1's
+/// bootstrap-server reply).
+const BOOTSTRAP_CONTACTS: usize = 5;
+
 /// A complete network of one publish/subscribe design: engine, nodes,
 /// workload ground truth and metrics behind the uniform [`PubSub`] API.
 ///
@@ -231,7 +235,6 @@ pub struct SystemRuntime<P: PubSubProtocol> {
     /// (partition, loss, latency) live inside the network model instead.
     fault_driver: FaultDriver,
     boot_rng: SmallRng,
-    bootstrap_contacts: usize,
     /// Periodic topology-sampling interval in rounds; `None` (default)
     /// disables the sampler entirely.
     topo_every: Option<u64>,
@@ -281,7 +284,6 @@ impl<P: PubSubProtocol> SystemRuntime<P> {
             protocol,
             fault_driver: FaultDriver::new(&params.faults),
             boot_rng,
-            bootstrap_contacts: params.bootstrap_contacts,
             topo_every: None,
             next_topo: SimTime::default(),
         };
@@ -307,19 +309,25 @@ impl<P: PubSubProtocol> SystemRuntime<P> {
     }
 
     /// Sample bootstrap contacts among currently online nodes (the
-    /// bootstrap-server emulation of Algorithm 1).
+    /// bootstrap-server emulation of Algorithm 1): a uniform random set of
+    /// `min(BOOTSTRAP_CONTACTS, online)` distinct online nodes, in draw
+    /// order. Slots are drawn uniformly and offline or repeated ones are
+    /// rejected, so a join costs O(slots / online) draws instead of a pass
+    /// over every slot.
     fn bootstrap_entries(&mut self) -> Vec<Entry<Subs>> {
-        let mut alive: Vec<NodeIdx> = self.engine.alive_indices();
-        alive.shuffle(&mut self.boot_rng);
-        alive
-            .into_iter()
-            .take(self.bootstrap_contacts)
-            .map(|slot| {
-                let node = self.engine.node(slot).expect("sampled alive node");
-                let (id, subs) = P::describe(node);
-                Entry::fresh(slot, id, subs)
-            })
-            .collect()
+        let want = BOOTSTRAP_CONTACTS.min(self.engine.alive_count());
+        let slots = self.engine.num_slots();
+        let mut picked: Vec<Entry<Subs>> = Vec::with_capacity(want);
+        while picked.len() < want {
+            let slot = NodeIdx(self.boot_rng.gen_range(0..slots) as u32);
+            if let Some(node) = self.engine.node(slot) {
+                if picked.iter().all(|e| e.addr != slot) {
+                    let (id, subs) = P::describe(node);
+                    picked.push(Entry::fresh(slot, id, subs));
+                }
+            }
+        }
+        picked
     }
 
     // The engine has one executor, so there is nothing to switch. Kept only
@@ -816,5 +824,101 @@ impl<P: PubSubProtocol> PubSub for SystemRuntime<P> {
             clusters: Some(clusters),
             largest_cluster: Some(largest),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::system::{random_system, VitisSystem};
+
+    /// The slots of one bootstrap reply, after checking that they are
+    /// distinct, online and `min(BOOTSTRAP_CONTACTS, online)` many.
+    fn contacts(sys: &mut VitisSystem) -> Vec<u32> {
+        let slots: Vec<u32> = sys.bootstrap_entries().iter().map(|e| e.addr.0).collect();
+        assert_eq!(
+            slots.len(),
+            BOOTSTRAP_CONTACTS.min(sys.engine.alive_count())
+        );
+        assert!(slots.iter().all(|&s| sys.engine.is_alive(NodeIdx(s))));
+        let mut distinct = slots.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), slots.len(), "repeated contact in {slots:?}");
+        slots
+    }
+
+    #[test]
+    fn bootstrap_contacts_are_distinct_online_and_capped() {
+        let mut sys = random_system(300, 20, 3, 7);
+        for _ in 0..100 {
+            contacts(&mut sys);
+        }
+        // One node online among 1 000 slots: a churn rejoin must find it.
+        let mut sys = random_system(1000, 20, 3, 7);
+        for logical in 1..1000 {
+            sys.set_online(logical, false);
+        }
+        assert_eq!(contacts(&mut sys), vec![0]);
+        sys.set_online(500, true);
+        assert_eq!(sys.alive_count(), 2);
+        // Nobody online: the reply is empty and a joiner still starts.
+        sys.set_online(0, false);
+        sys.set_online(500, false);
+        assert!(contacts(&mut sys).is_empty());
+        sys.set_online(0, true);
+        assert_eq!(sys.alive_count(), 1);
+    }
+
+    /// The χ² statistic of `counts` against one flat expectation.
+    fn chi2(counts: impl Iterator<Item = u64>, expected: f64) -> f64 {
+        counts
+            .map(|c| (c as f64 - expected).powi(2) / expected)
+            .sum()
+    }
+
+    /// The χ² critical value at p ≈ 0.001 for `df` degrees of freedom, by
+    /// the Wilson–Hilferty approximation.
+    fn chi2_critical(df: f64) -> f64 {
+        let v = 2.0 / (9.0 * df);
+        df * (1.0 - v + 3.09 * v.sqrt()).powi(3)
+    }
+
+    /// Each reply is a uniform 5-subset of the 12 online nodes of a
+    /// 20-slot network (all C(12, 5) = 792 subsets alike), and its first
+    /// contact is uniform over the 12: the order is random too.
+    #[test]
+    fn bootstrap_contacts_are_a_uniform_subset_in_random_order() {
+        const DRAWS: u64 = 40_000;
+        const SUBSETS: usize = 792;
+        let mut sys = random_system(20, 5, 2, 3);
+        // The first and last slots stay online, so a draw range off by
+        // one at either end shows up as subsets never drawn.
+        for logical in [1, 4, 6, 9, 11, 14, 16, 18] {
+            sys.set_online(logical, false);
+        }
+        assert_eq!(sys.alive_count(), 12);
+        let mut by_subset: HashMap<u32, u64> = HashMap::new();
+        let mut first = [0u64; 20];
+        for _ in 0..DRAWS {
+            let slots = contacts(&mut sys);
+            first[slots[0] as usize] += 1;
+            let mask = slots.iter().fold(0u32, |m, &s| m | 1 << s);
+            *by_subset.entry(mask).or_default() += 1;
+        }
+        assert_eq!(by_subset.len(), SUBSETS, "a 5-subset was never drawn");
+        let subset_chi2 = chi2(by_subset.into_values(), DRAWS as f64 / SUBSETS as f64);
+        let crit = chi2_critical((SUBSETS - 1) as f64);
+        assert!(
+            subset_chi2 < crit,
+            "subsets: χ² {subset_chi2:.1} ≥ {crit:.1}"
+        );
+        let online = (0..20u32).filter(|&s| sys.engine.is_alive(NodeIdx(s)));
+        let first_chi2 = chi2(online.map(|s| first[s as usize]), DRAWS as f64 / 12.0);
+        let crit = chi2_critical(11.0);
+        assert!(
+            first_chi2 < crit,
+            "first contact: χ² {first_chi2:.1} ≥ {crit:.1}"
+        );
     }
 }

@@ -78,8 +78,6 @@ pub struct SystemParams {
     pub rates: RateTable,
     /// Gossip round period in ticks.
     pub round_period: Duration,
-    /// Bootstrap contacts handed to each joining node.
-    pub bootstrap_contacts: usize,
     /// Join grace before a node is counted in expected-delivery sets.
     pub grace: Duration,
     /// The network model (latency/loss) messages travel over.
@@ -112,7 +110,6 @@ impl SystemParams {
             num_topics,
             rates,
             round_period: Duration(64),
-            bootstrap_contacts: 5,
             grace: Duration(0),
             network: NetworkSpec::default(),
             faults: FaultPlan::empty(),

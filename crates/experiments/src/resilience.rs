@@ -463,12 +463,17 @@ mod tests {
         }
     }
 
-    /// The overlay-health series must show structural decay while the
-    /// partition is up and recovery after it heals — the correlate of
-    /// the hit-ratio dip the sweep reports.
-    #[test]
-    fn overlay_health_series_shows_fragmentation_and_recovery() {
-        let mut sc = Scale::proportional(150, 19);
+    /// Overlay-health readings of one severity-0.4 partition run at
+    /// `seed`: the mean view age (peak before the episode, peak during
+    /// it, last sample) and the dangling-relay count (peak before the
+    /// episode, peak from its start on, last sample).
+    struct HealthReadings {
+        age: [f64; 3],
+        violations: [u64; 3],
+    }
+
+    fn health_readings(seed: u64) -> HealthReadings {
+        let mut sc = Scale::proportional(150, seed);
         sc.warmup_rounds = 25;
         let plan = ResiliencePlan::for_scale(&sc);
         let severity = 0.4;
@@ -482,59 +487,76 @@ mod tests {
             sys.run_rounds(3);
             sample_topo(&mut topo, sys.as_ref(), period);
         }
-        // `(round, now, probe)` of each sample.
-        let samples: Vec<(u64, u64, TopoProbe)> = topo
+        // `(round, probe)` of each sample.
+        let samples: Vec<(u64, TopoProbe)> = topo
             .unwrap()
             .into_iter()
             .map(|ev| match ev {
-                TraceEvent::TopoSample { round, now, probe } => (round, now, probe),
+                TraceEvent::TopoSample { round, probe, .. } => (round, probe),
                 other => panic!("not a topo record: {other:?}"),
             })
             .collect();
-
+        assert!(samples.windows(2).all(|w| w[0].0 < w[1].0));
         let ep_start = plan.warmup_rounds + plan.baseline_windows * plan.window_rounds;
         let ep_end = ep_start + plan.episode_windows * plan.window_rounds;
-        assert!(samples.windows(2).all(|w| w[0].0 < w[1].0));
-        let age = |s: &(u64, u64, TopoProbe)| s.2.mean_view_age.unwrap_or(0.0);
         let pre: Vec<_> = samples.iter().filter(|s| s.0 <= ep_start).collect();
         let during: Vec<_> = samples
             .iter()
             .filter(|s| s.0 > ep_start && s.0 <= ep_end)
             .collect();
-        let after: Vec<_> = samples.iter().filter(|s| s.0 > ep_end).collect();
-        assert!(!pre.is_empty() && !during.is_empty() && !after.is_empty());
+        let from_start: Vec<_> = samples.iter().filter(|s| s.0 > ep_start).collect();
+        let (last_round, last) = samples.last().expect("a topo sample");
+        assert!(!pre.is_empty() && !during.is_empty() && *last_round > ep_end);
+        let age = |s: &&(u64, TopoProbe)| s.1.mean_view_age.unwrap_or(0.0);
+        let peak_age = |v: &[&(u64, TopoProbe)]| v.iter().map(age).fold(0.0, f64::max);
+        let peak_viol = |v: &[&(u64, TopoProbe)]| v.iter().map(|s| s.1.violations).max().unwrap();
+        HealthReadings {
+            age: [
+                peak_age(&pre),
+                peak_age(&during),
+                last.mean_view_age.unwrap_or(0.0),
+            ],
+            violations: [peak_viol(&pre), peak_viol(&from_start), last.violations],
+        }
+    }
 
-        // Gossip-layer decay: views starve while the partition blocks
-        // refreshes, so the mean view age spikes during the episode...
-        let pre_age = pre.iter().map(|s| age(s)).fold(0.0, f64::max);
-        let ep_age = during.iter().map(|s| age(s)).fold(0.0, f64::max);
-        assert!(
-            ep_age > 1.5 * pre_age,
-            "no view-age decay: episode {ep_age} vs pre-fault {pre_age}"
-        );
-        // ...and returns to the pre-fault regime after the heal.
-        let final_age = age(after.last().unwrap());
-        assert!(
-            final_age < 1.5 * pre_age,
-            "view age did not recover: {final_age} vs pre-fault {pre_age}"
-        );
-
+    /// The overlay-health series must show structural decay while the
+    /// partition is up and recovery after it heals — the correlate of
+    /// the hit-ratio dip the sweep reports. View age is checked per seed;
+    /// the dangling-relay count is summed over seeds 19–22, because one
+    /// seed's peak is a handful of entries (6–16 over seeds 15–26 with
+    /// uniformly shuffled bootstrap lists, 4–20 with slot-rejection
+    /// sampling; 0 before the fault on every seed with both).
+    #[test]
+    fn overlay_health_series_shows_fragmentation_and_recovery() {
+        let mut viol = [0u64; 3];
+        for seed in 19..=22 {
+            let r = health_readings(seed);
+            let [pre_age, ep_age, final_age] = r.age;
+            // Gossip-layer decay: views starve while the partition blocks
+            // refreshes, so the mean view age spikes during the episode...
+            assert!(
+                ep_age > 1.5 * pre_age,
+                "seed {seed}: no view-age decay: episode {ep_age} vs pre-fault {pre_age}"
+            );
+            // ...and returns to the pre-fault regime after the heal.
+            assert!(
+                final_age < 1.5 * pre_age,
+                "seed {seed}: view age did not recover: {final_age} vs pre-fault {pre_age}"
+            );
+            for (sum, v) in viol.iter_mut().zip(r.violations) {
+                *sum += v;
+            }
+        }
         // Relay-layer decay: backlinks expire (relay_ttl) while locally
         // refreshed upstream beliefs persist, so dangling-relay audit
         // violations surge through the episode and the repair churn just
         // after the heal, then clear as refreshes re-install both ends.
-        let pre_viol = pre.iter().map(|s| s.2.violations).max().unwrap();
-        let decay_viol = samples
-            .iter()
-            .filter(|s| s.0 > ep_start)
-            .map(|s| s.2.violations)
-            .max()
-            .unwrap();
+        let [pre_viol, decay_viol, final_viol] = viol;
         assert!(
             decay_viol > 3 * pre_viol.max(1),
             "no relay decay: peak {decay_viol} vs pre-fault {pre_viol}"
         );
-        let final_viol = after.last().unwrap().2.violations;
         assert!(
             final_viol < decay_viol / 4,
             "relay damage did not heal: {final_viol} vs peak {decay_viol}"

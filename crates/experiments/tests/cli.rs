@@ -44,8 +44,8 @@ fn zero_nodes_is_a_usage_error_in_every_simulating_subcommand() {
 }
 
 /// A slice of the committed figure transcript (fig4 fig6 fig7 fig10 and
-/// the ablations at 100 nodes, generated at PR 19's parent commit): the
-/// job tables must print what the hand-rolled sweeps printed.
+/// the ablations at 100 nodes, seed 42): the job tables must print what
+/// the committed golden holds, byte for byte.
 #[test]
 fn figure_slice_matches_the_committed_transcript() {
     let golden = concat!(

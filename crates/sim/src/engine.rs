@@ -92,6 +92,9 @@ pub struct Engine<P: Protocol, N: NetworkModel = ConstantLatency> {
     cfg: EngineConfig,
     network: N,
     slots: Vec<Slot<P>>,
+    /// Slots holding a node (frozen ones included), kept in step with
+    /// every `proto` write so counting the online population is O(1).
+    alive: usize,
     queue: EventQueue<Ev<P::Msg>>,
     now: SimTime,
     engine_rng: SmallRng,
@@ -125,6 +128,7 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
             cfg,
             network,
             slots: Vec::new(),
+            alive: 0,
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             engine_rng,
@@ -276,9 +280,10 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
         self.slots.capacity()
     }
 
-    /// Number of currently alive nodes.
+    /// Number of currently alive nodes, frozen ones included.
+    #[inline]
     pub fn alive_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.proto.is_some()).count()
+        self.alive
     }
 
     /// Whether the node in `idx` is alive.
@@ -319,11 +324,6 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
             .filter_map(|(i, s)| s.proto.as_ref().map(|p| (NodeIdx(i as u32), p)))
     }
 
-    /// Indices of all alive nodes, in slot order.
-    pub fn alive_indices(&self) -> Vec<NodeIdx> {
-        self.alive_nodes().map(|(i, _)| i).collect()
-    }
-
     /// Inject a message into `to` from outside the protocol flow — harness
     /// stimuli such as a publish command. Delivered one tick from now with
     /// `from == to`, like a self-timer.
@@ -350,6 +350,7 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
             joined_at: self.now,
             frozen: false,
         });
+        self.alive += 1;
         self.trace_record(TraceEvent::Join {
             now: self.now.0,
             node: idx.0,
@@ -371,6 +372,7 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
         slot.proto = Some(proto);
         slot.joined_at = self.now;
         slot.frozen = false;
+        self.alive += 1;
         self.trace_record(TraceEvent::Join {
             now: self.now.0,
             node: idx.0,
@@ -431,6 +433,7 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
         });
         self.dispatch(idx, DispatchKind::Stop(reason));
         self.slots[idx.index()].proto = None;
+        self.alive -= 1;
     }
 
     /// Run the simulation until simulated time `t` (inclusive of events at
@@ -1152,6 +1155,48 @@ mod tests {
         assert_eq!(eng.node(b).unwrap().rounds, 2, "thawed node resumes ticking");
     }
 
+    /// The online counter is kept in step by `add_node`, `rejoin_node` and
+    /// `remove_node`; whatever order they come in, with freezes, no-op
+    /// removals and rounds between them, it must equal a slot scan.
+    #[test]
+    fn alive_count_matches_a_slot_scan_under_random_lifecycles() {
+        use rand::SeedableRng;
+        for seed in 0..16 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut eng = Engine::new(cfg());
+            let mut frozen = 0;
+            for step in 0..400 {
+                let idx = NodeIdx(rng.gen_range(0..eng.num_slots().max(1) as u32));
+                match rng.gen_range(0..4) {
+                    0 => {
+                        eng.add_node(pp(Some(NodeIdx(0))));
+                    }
+                    1 if idx.index() < eng.num_slots() && !eng.is_alive(idx) => {
+                        eng.rejoin_node(idx, pp(Some(NodeIdx(0))));
+                    }
+                    2 => {
+                        let reason = if rng.gen_bool(0.5) {
+                            StopReason::Crash
+                        } else {
+                            StopReason::Leave
+                        };
+                        eng.remove_node(idx, reason);
+                    }
+                    _ => {
+                        eng.set_frozen(idx, rng.gen_bool(0.5));
+                        frozen += usize::from(eng.is_frozen(idx));
+                    }
+                }
+                if step % 40 == 0 {
+                    eng.run_for(Duration(5));
+                }
+                let scan = eng.alive_nodes().count();
+                assert_eq!(eng.alive_count(), scan, "seed {seed}, step {step}");
+            }
+            assert!(frozen > 0, "seed {seed}: no step froze a node");
+        }
+    }
+
     #[test]
     fn alive_iteration_skips_dead_slots() {
         let mut eng = Engine::new(cfg());
@@ -1159,7 +1204,7 @@ mod tests {
         let b = eng.add_node(pp(None));
         let c = eng.add_node(pp(None));
         eng.remove_node(b, StopReason::Leave);
-        let alive = eng.alive_indices();
+        let alive: Vec<NodeIdx> = eng.alive_nodes().map(|(i, _)| i).collect();
         assert_eq!(alive, vec![a, c]);
         assert_eq!(eng.alive_count(), 2);
         assert_eq!(eng.num_slots(), 3);

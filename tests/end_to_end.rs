@@ -36,38 +36,59 @@ fn warm_and_publish(sys: &mut dyn PubSub, topics: usize) -> PubSubStats {
     sys.stats()
 }
 
-/// The paper's central comparison, end to end: full delivery for Vitis and
-/// RVR, Vitis's overhead a fraction of RVR's, OPT with zero overhead but
-/// incomplete delivery under a degree bound.
+/// The paper's central comparison, end to end, over seeds 1–10. On every
+/// seed: full delivery for Vitis, its overhead a fraction of RVR's over
+/// fewer hops, and OPT with zero overhead but incomplete delivery under a
+/// degree bound. RVR's full delivery is a rate, not a per-seed fact: its
+/// hit ratio is above 0.99 on 6 of the 10 seeds with uniformly shuffled
+/// bootstrap lists and on all 10 with slot-rejection sampling, and above
+/// 0.98 on every seed with both (ROADMAP item 4).
 #[test]
 fn three_system_comparison_matches_paper_shape() {
     let n = 500;
-    let p = params(Correlation::High, n, 3);
-    let topics = p.num_topics;
+    let mut rvr_hits = Vec::new();
+    for seed in 1..=10 {
+        let p = params(Correlation::High, n, seed);
+        let topics = p.num_topics;
 
-    let mut vitis = VitisSystem::new(p.clone());
-    let vs = warm_and_publish(&mut vitis, topics);
-    let mut rvr = RvrSystem::new(p.clone());
-    let rs = warm_and_publish(&mut rvr, topics);
-    let mut opt = OptSystem::new(p);
-    let os = warm_and_publish(&mut opt, topics);
+        let mut vitis = VitisSystem::new(p.clone());
+        let vs = warm_and_publish(&mut vitis, topics);
+        let mut rvr = RvrSystem::new(p.clone());
+        let rs = warm_and_publish(&mut rvr, topics);
+        let mut opt = OptSystem::new(p);
+        let os = warm_and_publish(&mut opt, topics);
 
-    assert!(vs.hit_ratio > 0.99, "vitis hit {}", vs.hit_ratio);
-    assert!(rs.hit_ratio > 0.99, "rvr hit {}", rs.hit_ratio);
+        assert!(
+            vs.hit_ratio > 0.99,
+            "seed {seed}: vitis hit {}",
+            vs.hit_ratio
+        );
+        assert!(
+            vs.overhead_pct < rs.overhead_pct / 2.0,
+            "seed {seed}: vitis {}% vs rvr {}%",
+            vs.overhead_pct,
+            rs.overhead_pct
+        );
+        assert_eq!(os.relay_msgs, 0);
+        assert!(
+            os.hit_ratio < vs.hit_ratio,
+            "seed {seed}: opt {}",
+            os.hit_ratio
+        );
+        assert!(
+            vs.mean_hops < rs.mean_hops,
+            "seed {seed}: vitis {} hops vs rvr {}",
+            vs.mean_hops,
+            rs.mean_hops
+        );
+        rvr_hits.push(rs.hit_ratio);
+    }
+    let full = rvr_hits.iter().filter(|&&h| h > 0.99).count();
     assert!(
-        vs.overhead_pct < rs.overhead_pct / 2.0,
-        "vitis {}% vs rvr {}%",
-        vs.overhead_pct,
-        rs.overhead_pct
+        full >= 6,
+        "rvr hit > 0.99 on {full} of 10 seeds: {rvr_hits:?}"
     );
-    assert_eq!(os.relay_msgs, 0);
-    assert!(os.hit_ratio < vs.hit_ratio, "opt {}", os.hit_ratio);
-    assert!(
-        vs.mean_hops < rs.mean_hops,
-        "vitis {} hops vs rvr {}",
-        vs.mean_hops,
-        rs.mean_hops
-    );
+    assert!(rvr_hits.iter().all(|&h| h > 0.98), "rvr hits {rvr_hits:?}");
 }
 
 /// Correlation ordering: high-correlation subscriptions produce less relay

@@ -52,7 +52,7 @@ fn all_lookups_agree_on_the_rendezvous() {
     };
     let all_ids: Vec<Id> = engine.alive_nodes().map(|(_, n)| n.ring_id()).collect();
 
-    let sources: Vec<NodeIdx> = engine.alive_indices().into_iter().step_by(17).collect();
+    let sources: Vec<NodeIdx> = engine.alive_nodes().map(|(i, _)| i).step_by(17).collect();
     for t in (0..sys.workload().num_topics() as u32).step_by(13) {
         let target = TopicId(t).ring_id();
         let truly_closest = {
