@@ -10,13 +10,12 @@
 //! (Figure 10), while the unbounded variant needs arbitrarily large degrees
 //! (Figure 11).
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use vitis::dissemination::Dissemination;
 use vitis::monitor::{EventId, Monitor};
 use vitis::msg::Notification;
 use vitis::smallmap::SmallMap;
-use vitis::topic::{Subs, TopicId};
+use vitis::topic::{Subs, TopicId, TopicSet};
 use vitis_overlay::entry::Entry;
 use vitis_overlay::id::Id;
 use vitis_overlay::substrate::Sampler;
@@ -98,8 +97,9 @@ pub struct OptNode {
     ps: Sampler<Subs>,
     links: SmallMap<NodeIdx, Link>,
     /// Requests in flight this round (counted against the degree bound so
-    /// bursts cannot overshoot it).
-    pending: BTreeSet<NodeIdx>,
+    /// bursts cannot overshoot it): this round's picks, at most
+    /// `requests_per_round` distinct addresses.
+    pending: Vec<NodeIdx>,
     /// Dedup, delivery accounting and the anti-entropy repair layer (inert
     /// unless enabled via [`OptNode::with_repair`]); owns the node's
     /// monitor handle.
@@ -120,7 +120,7 @@ impl OptNode {
             ps: Sampler::new(id, subs, cfg.sampling_view, bootstrap),
             cfg,
             links: SmallMap::new(),
-            pending: BTreeSet::new(),
+            pending: Vec::new(),
             dissem: Dissemination::new(monitor),
         }
     }
@@ -148,8 +148,8 @@ impl OptNode {
     }
 
     /// The heap bytes this node owns beyond its inline state, one call per
-    /// owner (see `VitisNode::heap_bytes`). The requests-in-flight set is
-    /// emptied every round and not counted.
+    /// owner (see `VitisNode::heap_bytes`). The requests in flight, at most
+    /// `requests_per_round` addresses, are not counted.
     pub fn heap_bytes(&self, mut owner: impl FnMut(&'static str, u64)) {
         owner("substrate", self.ps.heap_bytes());
         owner("links", self.links.heap_bytes());
@@ -161,77 +161,15 @@ impl OptNode {
         self.links.keys().copied()
     }
 
-    /// How many established links share `topic` with us.
-    pub fn topic_coverage(&self, topic: TopicId) -> usize {
-        self.links
-            .values()
-            .filter(|l| l.subs.contains(topic))
-            .count()
-    }
-
     fn at_capacity(&self) -> bool {
         self.cfg
             .max_degree
             .is_some_and(|cap| self.links.len() + self.pending.len() >= cap)
     }
 
-    /// Greedy coverage selection: candidates ranked by how many still
-    /// under-covered topics they would cover; returns up to
-    /// `requests_per_round` picks with positive gain.
-    fn pick_connect_targets(&self) -> Vec<NodeIdx> {
-        let mut deficit: BTreeMap<TopicId, isize> = BTreeMap::new();
-        for t in self.ps.payload().iter() {
-            let have = self.topic_coverage(t) as isize;
-            let want = self.cfg.coverage as isize;
-            if have < want {
-                deficit.insert(t, want - have);
-            }
-        }
-        if deficit.is_empty() {
-            return Vec::new();
-        }
-        let mut picks = Vec::new();
-        let mut candidates: Vec<&Entry<Subs>> = self
-            .ps
-            .sample()
-            .iter()
-            .filter(|e| {
-                e.addr != self.ps.addr()
-                    && !self.links.contains_key(&e.addr)
-                    && !self.pending.contains(&e.addr)
-            })
-            .collect();
-        let mut budget = self.cfg.requests_per_round;
-        if let Some(cap) = self.cfg.max_degree {
-            budget = budget.min(cap.saturating_sub(self.links.len() + self.pending.len()));
-        }
-        while picks.len() < budget {
-            let mut best: Option<(usize, isize)> = None;
-            for (i, c) in candidates.iter().enumerate() {
-                let gain: isize = c
-                    .payload
-                    .iter()
-                    .filter(|t| deficit.get(t).copied().unwrap_or(0) > 0)
-                    .count() as isize;
-                if gain > 0 && best.is_none_or(|(_, bg)| gain > bg) {
-                    best = Some((i, gain));
-                }
-            }
-            let Some((i, _)) = best else { break };
-            let chosen = candidates.swap_remove(i);
-            for t in chosen.payload.iter() {
-                if let Some(d) = deficit.get_mut(&t) {
-                    *d -= 1;
-                }
-            }
-            picks.push(chosen.addr);
-        }
-        picks
-    }
-
     fn add_link(&mut self, peer: NodeIdx, subs: Subs) {
         self.links.insert(peer, Link { subs, age: 0 });
-        self.pending.remove(&peer);
+        self.pending.retain(|&p| p != peer);
     }
 
     /// Send `notif` to every link that shares its topic except the one it
@@ -249,6 +187,74 @@ impl OptNode {
             }
         }
     }
+}
+
+/// Greedy coverage selection: candidates from `sample` ranked by how many
+/// of `own`'s still under-covered topics they would cover; returns up to
+/// `requests_per_round` picks with positive gain, in pick order, within
+/// the degree bound. Ties go to the first candidate in sample order, and a
+/// pick is `swap_remove`d from the candidates.
+///
+/// One merge per link counts coverage, and one merge per candidate lists
+/// the topics it shares with `own` that start under-covered, as indices
+/// into `own`. Deficits only fall, so no other shared topic can ever add
+/// gain, and each pick re-scores candidates from these short lists.
+fn pick_connect_targets(
+    cfg: &OptConfig,
+    me: NodeIdx,
+    own: &TopicSet,
+    links: &SmallMap<NodeIdx, Link>,
+    sample: &[Entry<Subs>],
+) -> Vec<NodeIdx> {
+    let mut budget = cfg.requests_per_round;
+    if let Some(cap) = cfg.max_degree {
+        budget = budget.min(cap.saturating_sub(links.len()));
+    }
+    if budget == 0 {
+        return Vec::new();
+    }
+    // deficit[i]: links own topic i still wants; ≤ 0 once covered.
+    let mut deficit = vec![cfg.coverage as isize; own.len()];
+    for l in links.values() {
+        own.for_each_common(&l.subs, |i, _| deficit[i] -= 1);
+    }
+    if deficit.iter().all(|&d| d <= 0) {
+        return Vec::new();
+    }
+    let mut shared = Vec::new();
+    let mut candidates = Vec::new();
+    for e in sample {
+        if e.addr == me || links.contains_key(&e.addr) {
+            continue;
+        }
+        let start = shared.len();
+        own.for_each_common(&e.payload, |i, _| {
+            if deficit[i] > 0 {
+                shared.push(i);
+            }
+        });
+        candidates.push((e.addr, start..shared.len()));
+    }
+    let mut picks = Vec::new();
+    while picks.len() < budget {
+        let mut best: Option<(usize, usize)> = None;
+        for (k, (_, topics)) in candidates.iter().enumerate() {
+            let gain = shared[topics.clone()]
+                .iter()
+                .filter(|&&i| deficit[i] > 0)
+                .count();
+            if gain > 0 && best.is_none_or(|(_, bg)| gain > bg) {
+                best = Some((k, gain));
+            }
+        }
+        let Some((k, _)) = best else { break };
+        let (addr, topics) = candidates.swap_remove(k);
+        for &i in &shared[topics] {
+            deficit[i] -= 1;
+        }
+        picks.push(addr);
+    }
+    picks
 }
 
 impl Protocol for OptNode {
@@ -294,16 +300,22 @@ impl Protocol for OptNode {
             l.age = l.age.saturating_add(1);
             l.age <= thr
         });
-        self.pending.clear();
 
-        // Greedy coverage repair.
-        for target in self.pick_connect_targets() {
-            self.pending.insert(target);
+        // Greedy coverage repair; last round's requests are no longer in
+        // flight.
+        self.pending = pick_connect_targets(
+            &self.cfg,
+            self.ps.addr(),
+            self.ps.payload(),
+            &self.links,
+            self.ps.sample(),
+        );
+        for &target in &self.pending {
             ctx.send(target, OptMsg::ConnectReq(self.ps.payload().clone()));
         }
 
         // Heartbeats.
-        for peer in self.links.keys().copied().collect::<Vec<_>>() {
+        for &peer in self.links.keys() {
             ctx.send(peer, OptMsg::Heartbeat(self.ps.payload().clone()));
         }
 
@@ -388,7 +400,6 @@ impl Protocol for OptNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vitis::topic::TopicSet;
     use vitis_sim::engine::{Engine, EngineConfig};
     use vitis_sim::time::Duration;
 
@@ -452,7 +463,8 @@ mod tests {
         for (_, n) in eng.alive_nodes() {
             for t in n.subscriptions().iter() {
                 total += 1;
-                if n.topic_coverage(t) >= 2 {
+                let have = n.links.values().filter(|l| l.subs.contains(t)).count();
+                if have >= 2 {
                     covered += 1;
                 }
             }
@@ -494,5 +506,154 @@ mod tests {
         let s = monitor.snapshot();
         assert_eq!(s.relay_msgs, 0, "OPT must never relay");
         assert!(s.useful_msgs > 0);
+    }
+
+    /// The coverage repair as it was before it became linear merges, kept
+    /// as the oracle: a tree of deficits keyed by topic, one binary search
+    /// per link and own topic, and one tree lookup per candidate topic at
+    /// every pick. It also filtered candidates and the budget by the
+    /// requests in flight, which are always empty when it runs, so those
+    /// reads are left out.
+    fn btree_picks(
+        cfg: &OptConfig,
+        me: NodeIdx,
+        own: &TopicSet,
+        links: &SmallMap<NodeIdx, Link>,
+        sample: &[Entry<Subs>],
+    ) -> Vec<NodeIdx> {
+        use std::collections::BTreeMap;
+        let mut deficit: BTreeMap<TopicId, isize> = BTreeMap::new();
+        for t in own.iter() {
+            let have = links.values().filter(|l| l.subs.contains(t)).count() as isize;
+            let want = cfg.coverage as isize;
+            if have < want {
+                deficit.insert(t, want - have);
+            }
+        }
+        if deficit.is_empty() {
+            return Vec::new();
+        }
+        let mut picks = Vec::new();
+        let mut candidates: Vec<&Entry<Subs>> = sample
+            .iter()
+            .filter(|e| e.addr != me && !links.contains_key(&e.addr))
+            .collect();
+        let mut budget = cfg.requests_per_round;
+        if let Some(cap) = cfg.max_degree {
+            budget = budget.min(cap.saturating_sub(links.len()));
+        }
+        while picks.len() < budget {
+            let mut best: Option<(usize, isize)> = None;
+            for (i, c) in candidates.iter().enumerate() {
+                let gain: isize = c
+                    .payload
+                    .iter()
+                    .filter(|t| deficit.get(t).copied().unwrap_or(0) > 0)
+                    .count() as isize;
+                if gain > 0 && best.is_none_or(|(_, bg)| gain > bg) {
+                    best = Some((i, gain));
+                }
+            }
+            let Some((i, _)) = best else { break };
+            let chosen = candidates.swap_remove(i);
+            for t in chosen.payload.iter() {
+                if let Some(d) = deficit.get_mut(&t) {
+                    *d -= 1;
+                }
+            }
+            picks.push(chosen.addr);
+        }
+        picks
+    }
+
+    fn entry(addr: u32, topics: &[u32]) -> Entry<Subs> {
+        let subs = Arc::new(TopicSet::from_iter(topics.iter().copied()));
+        Entry::fresh(NodeIdx(addr), Id::of_node(addr as u64), subs)
+    }
+
+    fn link_table(links: &[(u32, &[u32])]) -> SmallMap<NodeIdx, Link> {
+        let mut table = SmallMap::new();
+        for &(addr, topics) in links {
+            let subs = Arc::new(TopicSet::from_iter(topics.iter().copied()));
+            table.insert(NodeIdx(addr), Link { subs, age: 0 });
+        }
+        table
+    }
+
+    fn repair_cfg(coverage: usize, max_degree: Option<usize>, requests: usize) -> OptConfig {
+        OptConfig {
+            coverage,
+            max_degree,
+            requests_per_round: requests,
+            ..OptConfig::default()
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(1024))]
+
+        /// The linear-merge repair picks the oracle's candidates in the
+        /// oracle's order. Topics come from a small universe, so deficits,
+        /// zero-gain candidates and ties in gain are common; addresses
+        /// overlap between self, links and the sample.
+        #[test]
+        fn picks_match_the_btree_oracle(
+            me in 0u32..24,
+            own in proptest::collection::vec(0u32..20, 0..16),
+            links in proptest::collection::vec(
+                (0u32..24, proptest::collection::vec(0u32..20, 0..8)),
+                0..12,
+            ),
+            sample in proptest::collection::vec(
+                (0u32..24, proptest::collection::vec(0u32..20, 0..8)),
+                0..16,
+            ),
+            coverage in 0usize..4,
+            max_degree in proptest::option::of(0usize..14),
+            requests in 0usize..5,
+        ) {
+            let cfg = repair_cfg(coverage, max_degree, requests);
+            let own = TopicSet::from_iter(own);
+            let links: Vec<(u32, &[u32])> =
+                links.iter().map(|(a, t)| (*a, t.as_slice())).collect();
+            let links = link_table(&links);
+            let sample: Vec<Entry<Subs>> = sample.iter().map(|(a, t)| entry(*a, t)).collect();
+            let me = NodeIdx(me);
+            proptest::prop_assert_eq!(
+                pick_connect_targets(&cfg, me, &own, &links, &sample),
+                btree_picks(&cfg, me, &own, &links, &sample)
+            );
+        }
+    }
+
+    #[test]
+    fn ties_go_to_the_first_candidate_in_sample_order() {
+        // Every candidate covers one missing topic. The first wins; its
+        // `swap_remove` moves the last candidate to the front, which then
+        // wins the next tie.
+        let cfg = repair_cfg(1, Some(15), 3);
+        let own = TopicSet::from_iter([1, 2, 3]);
+        let links = link_table(&[]);
+        let sample = [entry(7, &[1]), entry(8, &[2]), entry(9, &[3])];
+        let picks = pick_connect_targets(&cfg, NodeIdx(0), &own, &links, &sample);
+        assert_eq!(picks, [NodeIdx(7), NodeIdx(9), NodeIdx(8)]);
+        assert_eq!(picks, btree_picks(&cfg, NodeIdx(0), &own, &links, &sample));
+    }
+
+    #[test]
+    fn a_node_at_its_degree_cap_makes_no_picks() {
+        // Two links cover none of the node's topics, and the candidates
+        // would, but the cap is two.
+        let cfg = repair_cfg(2, Some(2), 3);
+        let own = TopicSet::from_iter([1, 2]);
+        let links = link_table(&[(3, &[5]), (4, &[6])]);
+        let sample = [entry(7, &[1, 2]), entry(8, &[1])];
+        assert!(pick_connect_targets(&cfg, NodeIdx(0), &own, &links, &sample).is_empty());
+        assert!(btree_picks(&cfg, NodeIdx(0), &own, &links, &sample).is_empty());
+        let uncapped = repair_cfg(2, Some(3), 3);
+        assert_eq!(
+            pick_connect_targets(&uncapped, NodeIdx(0), &own, &links, &sample),
+            [NodeIdx(7)]
+        );
     }
 }
