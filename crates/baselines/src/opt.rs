@@ -1,7 +1,7 @@
 //! OPT — the unstructured overlay-per-topic baseline.
 //!
 //! A SpiderCast-equivalent: every node tries to keep at least
-//! `coverage` connected neighbors *per subscribed topic*, exploiting
+//! [`COVERAGE`] connected neighbors *per subscribed topic*, exploiting
 //! subscription correlation so one link can cover many topics. Links are
 //! symmetric connections negotiated with a request/accept handshake and
 //! kept alive by heartbeats. Events flood the per-topic subgraph, so there
@@ -23,30 +23,28 @@ use vitis_sim::antientropy::{AeConfig, AntiEntropy};
 use vitis_sim::event::NodeIdx;
 use vitis_sim::prelude::{Context, MsgTag, Protocol, StopReason};
 
-/// OPT node configuration.
+/// Desired connected neighbors per subscribed topic (SpiderCast's
+/// coverage parameter; the paper's comparison uses small values).
+pub const COVERAGE: usize = 2;
+
+/// New connection requests issued per round (limits link churn).
+pub const REQUESTS_PER_ROUND: usize = 3;
+
+/// OPT node configuration: the degree bound Figures 10 and 11 vary, and the
+/// failure-detection threshold it shares with the Vitis configuration.
 #[derive(Clone, Debug)]
 pub struct OptConfig {
-    /// Desired connected neighbors per subscribed topic (SpiderCast's
-    /// coverage parameter; the paper's comparison uses small values).
-    pub coverage: usize,
     /// Maximum total degree, or `None` for the unbounded variant.
     pub max_degree: Option<usize>,
-    /// New connection requests issued per round (limits link churn).
-    pub requests_per_round: usize,
     /// Failure-detection age threshold in rounds.
     pub age_threshold: u16,
-    /// Peer-sampling view capacity.
-    pub sampling_view: usize,
 }
 
 impl Default for OptConfig {
     fn default() -> Self {
         OptConfig {
-            coverage: 2,
             max_degree: Some(15),
-            requests_per_round: 3,
             age_threshold: 5,
-            sampling_view: 15,
         }
     }
 }
@@ -98,7 +96,7 @@ pub struct OptNode {
     links: SmallMap<NodeIdx, Link>,
     /// Requests in flight this round (counted against the degree bound so
     /// bursts cannot overshoot it): this round's picks, at most
-    /// `requests_per_round` distinct addresses.
+    /// [`REQUESTS_PER_ROUND`] distinct addresses.
     pending: Vec<NodeIdx>,
     /// Dedup, delivery accounting and the anti-entropy repair layer (inert
     /// unless enabled via [`OptNode::with_repair`]); owns the node's
@@ -117,7 +115,7 @@ impl OptNode {
         bootstrap: Vec<Entry<Subs>>,
     ) -> Self {
         OptNode {
-            ps: Sampler::new(id, subs, cfg.sampling_view, bootstrap),
+            ps: Sampler::new(id, subs, bootstrap),
             cfg,
             links: SmallMap::new(),
             pending: Vec::new(),
@@ -149,7 +147,7 @@ impl OptNode {
 
     /// The heap bytes this node owns beyond its inline state, one call per
     /// owner (see `VitisNode::heap_bytes`). The requests in flight, at most
-    /// `requests_per_round` addresses, are not counted.
+    /// [`REQUESTS_PER_ROUND`] addresses, are not counted.
     pub fn heap_bytes(&self, mut owner: impl FnMut(&'static str, u64)) {
         owner("substrate", self.ps.heap_bytes());
         owner("links", self.links.heap_bytes());
@@ -190,9 +188,9 @@ impl OptNode {
 }
 
 /// Greedy coverage selection: candidates from `sample` ranked by how many
-/// of `own`'s still under-covered topics they would cover; returns up to
-/// `requests_per_round` picks with positive gain, in pick order, within
-/// the degree bound. Ties go to the first candidate in sample order, and a
+/// of `own`'s topics with fewer than `coverage` links they would cover;
+/// returns up to `requests` picks with positive gain, in pick order, within
+/// the degree bound `max_degree`. Ties go to the first candidate in sample order, and a
 /// pick is `swap_remove`d from the candidates.
 ///
 /// One merge per link counts coverage, and one merge per candidate lists
@@ -200,21 +198,23 @@ impl OptNode {
 /// into `own`. Deficits only fall, so no other shared topic can ever add
 /// gain, and each pick re-scores candidates from these short lists.
 fn pick_connect_targets(
-    cfg: &OptConfig,
+    coverage: usize,
+    requests: usize,
+    max_degree: Option<usize>,
     me: NodeIdx,
     own: &TopicSet,
     links: &SmallMap<NodeIdx, Link>,
     sample: &[Entry<Subs>],
 ) -> Vec<NodeIdx> {
-    let mut budget = cfg.requests_per_round;
-    if let Some(cap) = cfg.max_degree {
+    let mut budget = requests;
+    if let Some(cap) = max_degree {
         budget = budget.min(cap.saturating_sub(links.len()));
     }
     if budget == 0 {
         return Vec::new();
     }
     // deficit[i]: links own topic i still wants; ≤ 0 once covered.
-    let mut deficit = vec![cfg.coverage as isize; own.len()];
+    let mut deficit = vec![coverage as isize; own.len()];
     for l in links.values() {
         own.for_each_common(&l.subs, |i, _| deficit[i] -= 1);
     }
@@ -304,7 +304,9 @@ impl Protocol for OptNode {
         // Greedy coverage repair; last round's requests are no longer in
         // flight.
         self.pending = pick_connect_targets(
-            &self.cfg,
+            COVERAGE,
+            REQUESTS_PER_ROUND,
+            self.cfg.max_degree,
             self.ps.addr(),
             self.ps.payload(),
             &self.links,
@@ -464,7 +466,7 @@ mod tests {
             for t in n.subscriptions().iter() {
                 total += 1;
                 let have = n.links.values().filter(|l| l.subs.contains(t)).count();
-                if have >= 2 {
+                if have >= COVERAGE {
                     covered += 1;
                 }
             }
@@ -515,7 +517,9 @@ mod tests {
     /// requests in flight, which are always empty when it runs, so those
     /// reads are left out.
     fn btree_picks(
-        cfg: &OptConfig,
+        coverage: usize,
+        requests: usize,
+        max_degree: Option<usize>,
         me: NodeIdx,
         own: &TopicSet,
         links: &SmallMap<NodeIdx, Link>,
@@ -525,7 +529,7 @@ mod tests {
         let mut deficit: BTreeMap<TopicId, isize> = BTreeMap::new();
         for t in own.iter() {
             let have = links.values().filter(|l| l.subs.contains(t)).count() as isize;
-            let want = cfg.coverage as isize;
+            let want = coverage as isize;
             if have < want {
                 deficit.insert(t, want - have);
             }
@@ -538,8 +542,8 @@ mod tests {
             .iter()
             .filter(|e| e.addr != me && !links.contains_key(&e.addr))
             .collect();
-        let mut budget = cfg.requests_per_round;
-        if let Some(cap) = cfg.max_degree {
+        let mut budget = requests;
+        if let Some(cap) = max_degree {
             budget = budget.min(cap.saturating_sub(links.len()));
         }
         while picks.len() < budget {
@@ -580,15 +584,6 @@ mod tests {
         table
     }
 
-    fn repair_cfg(coverage: usize, max_degree: Option<usize>, requests: usize) -> OptConfig {
-        OptConfig {
-            coverage,
-            max_degree,
-            requests_per_round: requests,
-            ..OptConfig::default()
-        }
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(1024))]
 
@@ -612,7 +607,6 @@ mod tests {
             max_degree in proptest::option::of(0usize..14),
             requests in 0usize..5,
         ) {
-            let cfg = repair_cfg(coverage, max_degree, requests);
             let own = TopicSet::from_iter(own);
             let links: Vec<(u32, &[u32])> =
                 links.iter().map(|(a, t)| (*a, t.as_slice())).collect();
@@ -620,8 +614,8 @@ mod tests {
             let sample: Vec<Entry<Subs>> = sample.iter().map(|(a, t)| entry(*a, t)).collect();
             let me = NodeIdx(me);
             proptest::prop_assert_eq!(
-                pick_connect_targets(&cfg, me, &own, &links, &sample),
-                btree_picks(&cfg, me, &own, &links, &sample)
+                pick_connect_targets(coverage, requests, max_degree, me, &own, &links, &sample),
+                btree_picks(coverage, requests, max_degree, me, &own, &links, &sample)
             );
         }
     }
@@ -631,28 +625,28 @@ mod tests {
         // Every candidate covers one missing topic. The first wins; its
         // `swap_remove` moves the last candidate to the front, which then
         // wins the next tie.
-        let cfg = repair_cfg(1, Some(15), 3);
         let own = TopicSet::from_iter([1, 2, 3]);
         let links = link_table(&[]);
         let sample = [entry(7, &[1]), entry(8, &[2]), entry(9, &[3])];
-        let picks = pick_connect_targets(&cfg, NodeIdx(0), &own, &links, &sample);
+        let picks = pick_connect_targets(1, 3, Some(15), NodeIdx(0), &own, &links, &sample);
         assert_eq!(picks, [NodeIdx(7), NodeIdx(9), NodeIdx(8)]);
-        assert_eq!(picks, btree_picks(&cfg, NodeIdx(0), &own, &links, &sample));
+        assert_eq!(
+            picks,
+            btree_picks(1, 3, Some(15), NodeIdx(0), &own, &links, &sample)
+        );
     }
 
     #[test]
     fn a_node_at_its_degree_cap_makes_no_picks() {
         // Two links cover none of the node's topics, and the candidates
         // would, but the cap is two.
-        let cfg = repair_cfg(2, Some(2), 3);
         let own = TopicSet::from_iter([1, 2]);
         let links = link_table(&[(3, &[5]), (4, &[6])]);
         let sample = [entry(7, &[1, 2]), entry(8, &[1])];
-        assert!(pick_connect_targets(&cfg, NodeIdx(0), &own, &links, &sample).is_empty());
-        assert!(btree_picks(&cfg, NodeIdx(0), &own, &links, &sample).is_empty());
-        let uncapped = repair_cfg(2, Some(3), 3);
+        assert!(pick_connect_targets(2, 3, Some(2), NodeIdx(0), &own, &links, &sample).is_empty());
+        assert!(btree_picks(2, 3, Some(2), NodeIdx(0), &own, &links, &sample).is_empty());
         assert_eq!(
-            pick_connect_targets(&uncapped, NodeIdx(0), &own, &links, &sample),
+            pick_connect_targets(2, 3, Some(3), NodeIdx(0), &own, &links, &sample),
             [NodeIdx(7)]
         );
     }

@@ -16,11 +16,11 @@ use vitis::config::VitisConfig;
 use vitis::dissemination::Dissemination;
 use vitis::monitor::{EventId, Monitor};
 use vitis::msg::Notification;
-use vitis::relay::RelayTable;
+use vitis::relay::{RelayTable, RELAY_TTL};
 use vitis::topic::{Subs, TopicId};
 use vitis_overlay::entry::Entry;
 use vitis_overlay::id::Id;
-use vitis_overlay::routing::next_hop;
+use vitis_overlay::routing::{next_hop, MAX_LOOKUP_HOPS};
 use vitis_overlay::rt::{HybridRt, RtParams};
 use vitis_overlay::substrate::{Sampler, Substrate};
 use vitis_sim::antientropy::{AeConfig, AntiEntropy};
@@ -68,13 +68,9 @@ pub enum RvrMsg {
     AePush(Notification),
 }
 
-/// An RVR peer.
+/// An RVR peer. Its tree soft state expires after [`RELAY_TTL`] rounds
+/// and a join travels at most [`MAX_LOOKUP_HOPS`] hops.
 pub struct RvrNode {
-    /// The Vitis configuration RVR is built from. RVR reads `rt_size` (its
-    /// fixed degree, every slot beyond the two ring links a small-world
-    /// link), `est_n`, `age_threshold`, `relay_ttl` (the tree soft-state
-    /// TTL), `sampling_view` and `max_lookup_hops`.
-    cfg: Arc<VitisConfig>,
     /// Membership substrate, the same one Vitis runs on. The subscriptions
     /// ride in the descriptors but no merge ever ranks by them.
     net: Substrate<Subs>,
@@ -89,11 +85,13 @@ pub struct RvrNode {
 
 impl RvrNode {
     /// Create a node with the given ring id, subscriptions and bootstrap
-    /// contacts.
+    /// contacts. Of the Vitis configuration RVR reads `rt_size` (its fixed
+    /// degree, every slot beyond the two ring links a small-world link),
+    /// `est_n` and `age_threshold`.
     pub fn new(
         id: Id,
         subs: Subs,
-        cfg: Arc<VitisConfig>,
+        cfg: &VitisConfig,
         monitor: Monitor,
         bootstrap: Vec<Entry<Subs>>,
     ) -> Self {
@@ -104,10 +102,9 @@ impl RvrNode {
             k_sw: cfg.rt_size.saturating_sub(2),
             est_n: cfg.est_n,
         };
-        let sampler = Sampler::new(id, subs, cfg.sampling_view, bootstrap);
+        let sampler = Sampler::new(id, subs, bootstrap);
         RvrNode {
             net: Substrate::new(sampler, params, cfg.age_threshold),
-            cfg,
             tree: RelayTable::new(),
             dissem: Dissemination::new(monitor),
         }
@@ -172,7 +169,7 @@ impl RvrNode {
         let next = next_hop(self.net.id(), topic.ring_id(), table);
         entry.route(next);
         if let Some(next) = next {
-            if hops < self.cfg.max_lookup_hops {
+            if hops < MAX_LOOKUP_HOPS {
                 let hops = hops + 1;
                 ctx.send(next, RvrMsg::Join { topic, hops });
             }
@@ -246,7 +243,7 @@ impl Protocol for RvrNode {
 
         // Tree soft state decays unless refreshed by the joins below.
         self.tree.tick();
-        self.tree.expire(self.cfg.relay_ttl);
+        self.tree.expire(RELAY_TTL);
 
         // Every subscriber re-joins every subscribed tree each round
         // (Scribe keep-alive).
@@ -337,10 +334,10 @@ mod tests {
     use vitis_sim::time::Duration;
 
     fn build_net(n: usize, subs_of: impl Fn(usize) -> Vec<u32>) -> (Engine<RvrNode>, Monitor) {
-        let cfg = Arc::new(VitisConfig {
+        let cfg = VitisConfig {
             est_n: 64,
             ..VitisConfig::default()
-        });
+        };
         let monitor = Monitor::new();
         let mut eng = Engine::new(EngineConfig {
             seed: 9,
@@ -352,7 +349,7 @@ mod tests {
             let subs: Subs = Arc::new(TopicSet::from_iter(subs_of(i)));
             let id = Id::of_node(i as u64);
             let boot: Vec<Entry<Subs>> = directory.iter().rev().take(4).cloned().collect();
-            let node = RvrNode::new(id, subs.clone(), cfg.clone(), monitor.clone(), boot);
+            let node = RvrNode::new(id, subs.clone(), &cfg, monitor.clone(), boot);
             let slot = eng.add_node(node);
             directory.push(Entry::fresh(slot, id, subs));
         }

@@ -8,6 +8,7 @@ use crate::rvr::{RvrMsg, RvrNode};
 use std::sync::Arc;
 use vitis::config::VitisConfig;
 use vitis::monitor::{EventId, LossReason, MissContext, Monitor};
+use vitis::relay::RELAY_TTL;
 use vitis::runtime::{LossView, PubSubProtocol, Reach, SystemRuntime};
 use vitis::system::{PubSub, SystemParams, VitisSystem};
 use vitis::topic::{RateTable, Subs, TopicId};
@@ -22,11 +23,11 @@ pub type RvrSystem = SystemRuntime<RvrProtocol>;
 
 /// The RVR adapter: subscription-oblivious small-world tables and a
 /// rendezvous multicast tree per topic. Built from the same parameters
-/// as a Vitis system; only `rt_size`, `est_n`, `age_threshold`,
-/// `relay_ttl` (the tree TTL), the sampling view and `max_lookup_hops` are
-/// used (RVR has no friends, gateways or relay radius).
+/// as a Vitis system; only `rt_size`, `est_n` and `age_threshold` are
+/// used (RVR has no friends, gateways or relay radius). The tree TTL is
+/// [`vitis::relay::RELAY_TTL`], as for Vitis's relay paths.
 pub struct RvrProtocol {
-    cfg: Arc<VitisConfig>,
+    cfg: VitisConfig,
     repair: AeConfig,
 }
 
@@ -58,13 +59,13 @@ impl PubSubProtocol for RvrProtocol {
     const RING: bool = true;
 
     fn from_params(params: &SystemParams) -> Self {
-        // The tree table is Vitis's relay table, so `relay_ttl` is held to
-        // the same byte-age bound.
+        // RVR's table holds the two ring links and draws small-world links
+        // from `est_n`, which the Vitis rules bound.
         if let Err(e) = params.cfg.validate() {
             panic!("invalid VitisConfig: {e}");
         }
         RvrProtocol {
-            cfg: Arc::new(params.cfg.clone()),
+            cfg: params.cfg.clone(),
             repair: params.repair.clone(),
         }
     }
@@ -80,7 +81,7 @@ impl PubSubProtocol for RvrProtocol {
         RvrNode::new(
             Id::of_node(logical as u64),
             subs,
-            self.cfg.clone(),
+            &self.cfg,
             monitor.clone(),
             bootstrap,
         )
@@ -118,7 +119,7 @@ impl PubSubProtocol for RvrProtocol {
         // so there is no believed-gateway view to export.
         topo.relays = RelayTopo::of_table(node.tree_table());
         topo.view_bound = Some(self.cfg.rt_size);
-        topo.relay_ttl = Some(self.cfg.relay_ttl);
+        topo.relay_ttl = Some(RELAY_TTL);
     }
 }
 
@@ -167,9 +168,7 @@ impl PubSubProtocol for OptProtocol {
     fn from_params(params: &SystemParams) -> Self {
         let mut p = OptProtocol::with_config(OptConfig {
             max_degree: Some(params.cfg.rt_size),
-            sampling_view: params.cfg.sampling_view,
             age_threshold: params.cfg.age_threshold,
-            ..OptConfig::default()
         });
         p.repair = params.repair.clone();
         p

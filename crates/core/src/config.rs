@@ -1,9 +1,28 @@
 //! Vitis protocol configuration.
 
-/// All tunables of a Vitis node. Defaults mirror the paper's experimental
-/// settings (Section IV-A): routing-table size 15, `k = 3` small-world links
-/// counting the two ring links (so one extra sw-neighbor), gateway radius
-/// `d = 5`.
+/// The settable values of a Vitis node. Defaults mirror the paper's
+/// experimental settings (Section IV-A): routing-table size 15, `k = 3`
+/// small-world links counting the two ring links (so one extra
+/// sw-neighbor), gateway radius `d = 5`.
+///
+/// A value is a field only where some experiment, workload or harness sets
+/// or reads it:
+///
+/// * `rt_size` and `k_sw`: Figures 4, 6 and 10 vary the table size and its
+///   split between friends and small-world links;
+/// * `gateway_election` and `utility_selection`: the two Vitis ablations;
+/// * `est_n`: set to the network size by every runner;
+/// * `publish_retries`, `publish_ack_timeout`, `max_event_hops` and
+///   `gateway_failover`: the fault-hardening switches the resilience runs
+///   and the churn workload turn on;
+/// * `d_max_hops` and `age_threshold`: read by the benchmark's kernel
+///   replays.
+///
+/// Every other value is one constant next to its reader:
+/// [`crate::relay::RELAY_TTL`], [`vitis_overlay::substrate::SAMPLING_VIEW`],
+/// [`vitis_overlay::routing::MAX_LOOKUP_HOPS`],
+/// [`crate::node::PUBLISH_BACKOFF_CAP`], and the anti-entropy layer's sizes
+/// in [`vitis_sim::antientropy`].
 #[derive(Clone, Debug)]
 pub struct VitisConfig {
     /// Bounded routing-table size (node degree bound). Paper default: 15.
@@ -20,12 +39,6 @@ pub struct VitisConfig {
     /// Routing-table entries older than this many rounds are expired
     /// (failure-detection threshold of Algorithm 6).
     pub age_threshold: u16,
-    /// Relay-path soft state expires after this many rounds without refresh.
-    pub relay_ttl: u16,
-    /// Peer-sampling view capacity.
-    pub sampling_view: usize,
-    /// Safety cap on greedy-lookup path length.
-    pub max_lookup_hops: u32,
     /// Ablation: when false, gateway election is disabled and *every*
     /// subscriber builds its own relay path (Scribe-like behaviour inside
     /// Vitis — isolates the contribution of Algorithm 5).
@@ -41,10 +54,9 @@ pub struct VitisConfig {
     /// entirely — the fault-free path is bit-identical to earlier builds.
     pub publish_retries: u32,
     /// Ticks a publisher waits for the first acknowledgment before its
-    /// first retry; subsequent retries double the wait.
+    /// first retry; subsequent retries double the wait, up to
+    /// [`crate::node::PUBLISH_BACKOFF_CAP`].
     pub publish_ack_timeout: u64,
-    /// Upper bound on the exponential retry backoff, in ticks.
-    pub publish_backoff_cap: u64,
     /// Fault hardening: TTL bound on notification forwarding. Copies that
     /// have travelled this many hops are still delivered locally but no
     /// longer forwarded, so traffic trapped by a partition dies out
@@ -66,14 +78,10 @@ impl Default for VitisConfig {
             d_max_hops: 5,
             est_n: 10_000,
             age_threshold: 5,
-            relay_ttl: 5,
-            sampling_view: 15,
-            max_lookup_hops: 128,
             gateway_election: true,
             utility_selection: true,
             publish_retries: 0,
             publish_ack_timeout: 96,
-            publish_backoff_cap: 512,
             max_event_hops: u32::MAX,
             gateway_failover: false,
         }
@@ -87,16 +95,13 @@ impl VitisConfig {
     }
 
     /// Validate invariants; call after manual construction. Fails if the
-    /// table cannot hold the two ring links, a relay link could never
-    /// expire, or trivially invalid values are set.
+    /// table cannot hold the two ring links or trivially invalid values are
+    /// set.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let checks = [
             (self.rt_size >= 3, ConfigError::RtSize),
             (self.est_n >= 2, ConfigError::EstN),
             (self.d_max_hops >= 1, ConfigError::DMaxHops),
-            (self.relay_ttl < 255, ConfigError::RelayTtl),
-            (self.sampling_view >= 1, ConfigError::SamplingView),
-            (self.max_lookup_hops >= 1, ConfigError::MaxLookupHops),
             (self.max_event_hops >= 1, ConfigError::MaxEventHops),
             (
                 self.publish_retries == 0 || self.publish_ack_timeout >= 1,
@@ -127,13 +132,6 @@ pub enum ConfigError {
     EstN,
     /// `d_max_hops` of 0.
     DMaxHops,
-    /// `relay_ttl` of 255 or more: relay link ages are bytes that saturate
-    /// at 255, so such a link would never expire.
-    RelayTtl,
-    /// An empty peer-sampling view.
-    SamplingView,
-    /// `max_lookup_hops` of 0.
-    MaxLookupHops,
     /// `max_event_hops` of 0.
     MaxEventHops,
     /// Publish retries with a zero acknowledgment timeout.
@@ -146,9 +144,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::RtSize => "rt_size must hold ring links + 1",
             ConfigError::EstN => "est_n must be at least 2",
             ConfigError::DMaxHops => "d_max_hops must be at least 1",
-            ConfigError::RelayTtl => "relay_ttl must be below 255",
-            ConfigError::SamplingView => "sampling view must be non-empty",
-            ConfigError::MaxLookupHops => "lookups need at least one hop",
             ConfigError::MaxEventHops => "events need at least one hop",
             ConfigError::AckTimeout => "retries need a positive ack timeout",
         })
@@ -190,14 +185,10 @@ mod tests {
     #[test]
     fn each_invalid_value_is_rejected_with_its_own_error() {
         type Set = fn(&mut VitisConfig);
-        let cases: [(Set, ConfigError); 9] = [
+        let cases: [(Set, ConfigError); 5] = [
             (|c| c.rt_size = 2, ConfigError::RtSize),
             (|c| c.est_n = 1, ConfigError::EstN),
             (|c| c.d_max_hops = 0, ConfigError::DMaxHops),
-            (|c| c.relay_ttl = 255, ConfigError::RelayTtl),
-            (|c| c.relay_ttl = u16::MAX, ConfigError::RelayTtl),
-            (|c| c.sampling_view = 0, ConfigError::SamplingView),
-            (|c| c.max_lookup_hops = 0, ConfigError::MaxLookupHops),
             (|c| c.max_event_hops = 0, ConfigError::MaxEventHops),
             (
                 |c| (c.publish_retries, c.publish_ack_timeout) = (1, 0),
@@ -213,14 +204,5 @@ mod tests {
             ConfigError::RtSize.to_string(),
             "rt_size must hold ring links + 1"
         );
-    }
-
-    #[test]
-    fn the_largest_relay_ttl_a_byte_age_can_expire_is_accepted() {
-        let c = VitisConfig {
-            relay_ttl: 254,
-            ..Default::default()
-        };
-        assert_eq!(c.validate(), Ok(()));
     }
 }

@@ -28,7 +28,7 @@ pub struct RepairRound {
     /// Pull retries due this round, as `(advertiser, missing event ids)`.
     pub pulls: Vec<(NodeIdx, Vec<u64>)>,
     /// The `(event id, topic)` digest to gossip; `None` when the layer is
-    /// off, idle or off-cadence.
+    /// off or idle.
     pub digest: Option<Arc<Vec<(u64, u32)>>>,
     /// The neighbors sampled to receive the digest.
     pub digest_targets: Vec<NodeIdx>,
@@ -115,7 +115,7 @@ pub struct Dissemination {
     /// Anti-entropy repair layer. Default-off: inert (no sends, no RNG
     /// draws) unless enabled via [`Dissemination::set_repair`].
     ae: AntiEntropy<Notification>,
-    /// Gossip rounds executed; stamps cache entries and paces digests.
+    /// Gossip rounds executed; stamps cache entries and paces pulls.
     round: u64,
 }
 
@@ -333,6 +333,7 @@ mod tests {
     use super::*;
     use crate::topic::TopicSet;
     use rand::{Rng, SeedableRng};
+    use vitis_sim::antientropy::DIGEST_FANOUT;
 
     const T: TopicId = TopicId(3);
     const ME: NodeIdx = NodeIdx(1);
@@ -493,6 +494,6 @@ mod tests {
         let out = d.round_step(|| (10..20).map(NodeIdx).collect(), &mut rng);
         let entries = out.digest.expect("cached event is advertised");
         assert_eq!(*entries, vec![(event.0, T.0)]);
-        assert_eq!(out.digest_targets.len(), AeConfig::on().digest_fanout);
+        assert_eq!(out.digest_targets.len(), DIGEST_FANOUT);
     }
 }

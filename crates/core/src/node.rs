@@ -9,7 +9,7 @@ use crate::dissemination::Dissemination;
 use crate::gateway::{revise_step, Proposal};
 use crate::monitor::{EventId, HopPath, Monitor};
 use crate::msg::{wire, Notification, ProfileMsg, VitisMsg};
-use crate::relay::RelayTable;
+use crate::relay::{RelayTable, RELAY_TTL};
 use crate::smallmap::SmallMap;
 use crate::topic::{RateTable, Subs, TopicId};
 use crate::utility::utility;
@@ -18,7 +18,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use vitis_overlay::entry::Entry;
 use vitis_overlay::id::Id;
-use vitis_overlay::routing::next_hop;
+use vitis_overlay::routing::{next_hop, MAX_LOOKUP_HOPS};
 use vitis_overlay::rt::{HybridRt, RtParams};
 use vitis_overlay::substrate::{Sampler, Substrate};
 use vitis_sim::antientropy::{AeConfig, AntiEntropy};
@@ -102,6 +102,10 @@ fn repair_neighbors(rt: &HybridRt<Subs>, nbrs: &SmallMap<NodeIdx, Neighbor>) -> 
 /// this memo on one of three seeds, and 8 is past it.
 const MEMO_WINDOW: u32 = 6;
 
+/// Upper bound, in ticks, on a publisher's doubling retry backoff
+/// ([`VitisConfig::publish_ack_timeout`] doubled per retry).
+pub const PUBLISH_BACKOFF_CAP: u64 = 512;
+
 /// One remembered Equation 1 result: what `peer` scored while advertising
 /// the subscription handle `subs`. Public only for `tests/size_budget.rs`.
 pub struct MemoEntry {
@@ -174,7 +178,7 @@ impl VitisNode {
             k_sw: cfg.k_sw,
             est_n: cfg.est_n,
         };
-        let sampler = Sampler::new(id, subs, cfg.sampling_view, bootstrap);
+        let sampler = Sampler::new(id, subs, bootstrap);
         VitisNode {
             net: Substrate::new(sampler, params, cfg.age_threshold),
             cfg,
@@ -510,7 +514,7 @@ impl VitisNode {
         let mut entry = self.relays.entry(topic);
         if let Some(from) = from {
             entry.refresh_downstream(from);
-            if hops >= self.cfg.max_lookup_hops {
+            if hops >= MAX_LOOKUP_HOPS {
                 return;
             }
         }
@@ -611,7 +615,7 @@ impl VitisNode {
                 .publish_ack_timeout
                 .checked_shl(attempt)
                 .unwrap_or(u64::MAX)
-                .min(self.cfg.publish_backoff_cap);
+                .min(PUBLISH_BACKOFF_CAP);
             ctx.timer(
                 vitis_sim::time::Duration(delay),
                 VitisMsg::RetryPublish {
@@ -708,7 +712,7 @@ impl Protocol for VitisNode {
 
         // 4. Relay soft state ages out unless refreshed below.
         self.relays.tick();
-        self.relays.expire(self.cfg.relay_ttl);
+        self.relays.expire(RELAY_TTL);
 
         // 5. Gateway election + relay refresh (Algorithm 5).
         self.update_profile(ctx);

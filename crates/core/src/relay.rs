@@ -35,7 +35,7 @@
 //! order.
 //!
 //! Ages saturate at 255. A TTL of 255 or more could never expire a link,
-//! which is why `VitisConfig::validate` rejects one.
+//! which is why [`RELAY_TTL`] is held below 255 at compile time.
 //!
 //! [`RelayEntry`] is a borrowed read view of one entry;
 //! [`RelayTable::entry`] hands out a [`RelayEntryMut`] write handle.
@@ -49,6 +49,14 @@ use vitis_sim::event::NodeIdx;
 /// its downstream before the first refresh. Engine slots are dense from
 /// zero, so no node has this index.
 const NONE: NodeIdx = NodeIdx(u32::MAX);
+
+/// Rounds a relay link (and an RVR tree link) survives without a refresh:
+/// the `ttl` Vitis and RVR pass to [`RelayTable::expire`].
+pub const RELAY_TTL: u16 = 5;
+
+// Byte-sized ages saturate at 255, so a link could never outlive a TTL of
+// 255 or more.
+const _: () = assert!(RELAY_TTL < 255);
 
 fn link(n: NodeIdx) -> Option<NodeIdx> {
     (n != NONE).then_some(n)

@@ -11,6 +11,7 @@ use crate::config::VitisConfig;
 use crate::monitor::{EventId, LossReason, MissContext, Monitor};
 use crate::msg::VitisMsg;
 use crate::node::VitisNode;
+use crate::relay::RELAY_TTL;
 use crate::runtime::{LossView, PubSubProtocol, Reach, SystemRuntime};
 use crate::topic::{RateTable, Subs, TopicId, TopicSet};
 use crate::topo::{NodeTopo, RelayTopo, TopoLink};
@@ -231,7 +232,7 @@ impl PubSubProtocol for VitisProtocol {
             .filter_map(|t| node.proposal(t).map(|p| (t, p.gw_addr)))
             .collect();
         topo.view_bound = Some(self.cfg.rt_size);
-        topo.relay_ttl = Some(self.cfg.relay_ttl);
+        topo.relay_ttl = Some(RELAY_TTL);
     }
 }
 

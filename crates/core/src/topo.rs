@@ -112,9 +112,9 @@ pub struct NodeTopo {
     pub gateway_view: Vec<(TopicId, NodeIdx)>,
     /// Configured view-size bound, `None` for unbounded overlays.
     pub view_bound: Option<usize>,
-    /// Configured relay soft-state TTL, `None` for overlays without
-    /// relay state. A link whose age has reached the TTL is in its final
-    /// round before collection, so the auditor treats it as already dead.
+    /// Relay soft-state TTL, `None` for overlays without relay state. A
+    /// link whose age has reached the TTL is in its final round before
+    /// collection, so the auditor treats it as already dead.
     pub relay_ttl: Option<u16>,
 }
 

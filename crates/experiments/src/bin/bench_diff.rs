@@ -173,8 +173,8 @@ fn usage(err: &str) -> ExitCode {
     }
     eprintln!(
         "usage: bench-diff BASELINE.json... CURRENT.json [--tolerance PCT]\n\
-         \tCompares vitis-bench-v1 files (from `vitis-experiments scale` or\n\
-         \t`meso_timing`); the last file is the current one, the others are\n\
+         \tCompares vitis-bench-v1 files (from `vitis-experiments scale`);\n\
+         \tthe last file is the current one, the others are\n\
          \tbaselines, oldest first. Time units gate on increases and per_sec\n\
          \ton decreases against the newest baseline; bytes gate on increases\n\
          \tagainst the lowest baseline value; count/ratio are informational.\n\

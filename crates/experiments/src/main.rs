@@ -257,8 +257,9 @@ fn report_sinks() {
     }
     if let Some(dropped) = vitis_sim::antientropy::exhausted_pull_status() {
         eprintln!(
-            "warning: anti-entropy gave up on {dropped} pull(s) after exhausting \
-             their retry budget (raise pull_retries or cache_rounds)"
+            "warning: anti-entropy gave up on {dropped} pull(s) after the fixed \
+             retry budget of {} attempts",
+            vitis_sim::antientropy::PULL_RETRIES
         );
     }
 }

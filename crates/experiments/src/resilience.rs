@@ -548,7 +548,7 @@ mod tests {
                 *sum += v;
             }
         }
-        // Relay-layer decay: backlinks expire (relay_ttl) while locally
+        // Relay-layer decay: backlinks expire (RELAY_TTL) while locally
         // refreshed upstream beliefs persist, so dangling-relay audit
         // violations surge through the episode and the repair churn just
         // after the heal, then clear as refreshes re-install both ends.

@@ -260,7 +260,7 @@ mod tests {
                 System::Opt => assert!(r.violations.is_empty(), "opt violations:\n{}", r.summary),
                 // RVR's hop-capped joins install an upstream belief
                 // without ever sending the join onward (`join_hop`
-                // sets upstream even at max_lookup_hops), so the
+                // sets upstream even at MAX_LOOKUP_HOPS), so the
                 // auditor legitimately reports dangling upstream links
                 // — and must report nothing else.
                 System::Rvr => assert!(

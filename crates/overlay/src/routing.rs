@@ -10,6 +10,11 @@
 use crate::id::Id;
 use vitis_sim::event::NodeIdx;
 
+/// Safety cap on the hops of a lookup the protocols forward one
+/// [`next_hop`] at a time (Vitis's relay requests, RVR's joins): a request
+/// that has taken this many hops is not forwarded again.
+pub const MAX_LOOKUP_HOPS: u32 = 128;
+
 /// Greedy next hop: among `neighbors`, the one strictly ring-closer to
 /// `target` than `self_id`; `None` means this node is locally closest (the
 /// rendezvous for `target`, once the ring has converged). Ties break by

@@ -22,6 +22,9 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use vitis_sim::event::NodeIdx;
 
+/// Descriptors in a node's peer-sampling view, for every node type.
+pub const SAMPLING_VIEW: usize = 15;
+
 /// Identity, advertised payload and the peer-sampling view of one node.
 pub struct Sampler<P> {
     /// This node's own descriptor, always at age 0: ring id, advertised
@@ -35,11 +38,12 @@ pub struct Sampler<P> {
 }
 
 impl<P: Clone> Sampler<P> {
-    /// A not-yet-started sampler with a view of `view_size` descriptors.
-    pub fn new(id: Id, payload: P, view_size: usize, bootstrap: Vec<Entry<P>>) -> Self {
+    /// A not-yet-started sampler with a view of [`SAMPLING_VIEW`]
+    /// descriptors.
+    pub fn new(id: Id, payload: P, bootstrap: Vec<Entry<P>>) -> Self {
         Sampler {
             me: Entry::fresh(NodeIdx(u32::MAX), id, payload),
-            view: Newscast::new(view_size),
+            view: Newscast::new(SAMPLING_VIEW),
             bootstrap,
         }
     }
@@ -296,7 +300,7 @@ mod tests {
             k_sw,
             est_n: 64,
         };
-        let mut s = Substrate::new(Sampler::new(Id(1000), 7, 8, bootstrap), params, THRESHOLD);
+        let mut s = Substrate::new(Sampler::new(Id(1000), 7, bootstrap), params, THRESHOLD);
         s.start(NodeIdx(0));
         s
     }
@@ -507,7 +511,7 @@ mod tests {
             let boot = (i.saturating_sub(4)..i)
                 .map(|j| e(j, Id::of_node(u64::from(j)).0, 0, j % 4))
                 .collect();
-            let sampler = Sampler::new(Id::of_node(u64::from(i)), i % 4, 15, boot);
+            let sampler = Sampler::new(Id::of_node(u64::from(i)), i % 4, boot);
             let mut s = Substrate::new(sampler, params, THRESHOLD);
             let contacts = s.start(NodeIdx(i));
             s.merge(contacts, true, |c| rank(i % 4, c), &mut rng);

@@ -31,51 +31,39 @@ pub const DIGEST_ENTRY_BYTES: u64 = 12;
 /// Nominal wire bytes of one pulled event id.
 pub const WANT_ID_BYTES: u64 = 8;
 
-/// Configuration of the anti-entropy layer. Default-off: the zero-cost
-/// configuration changes no observable behavior of the owning protocol.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Rounds a cached event stays servable before aging out.
+pub const CACHE_ROUNDS: u64 = 30;
+
+/// Maximum cached events; the oldest entries evict first.
+pub const CACHE_EVENTS: usize = 512;
+
+/// Neighbors sampled per digest round.
+pub const DIGEST_FANOUT: usize = 2;
+
+/// Maximum entries per digest (the newest cached events win).
+pub const DIGEST_ENTRIES: usize = 64;
+
+/// Pull attempts per missing event before giving up.
+pub const PULL_RETRIES: u32 = 3;
+
+/// Base backoff between pull attempts, in rounds (doubles per attempt,
+/// capped at 32×).
+pub const BACKOFF_ROUNDS: u64 = 2;
+
+/// Configuration of the anti-entropy layer: whether it runs. Its sizes and
+/// retry budget are the constants above, and a digest goes out every
+/// round. Default-off: the zero-cost configuration changes no observable
+/// behavior of the owning protocol.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AeConfig {
     /// Master switch. Off by default; when off, every call is a no-op.
     pub enabled: bool,
-    /// Rounds a cached event stays servable before aging out.
-    pub cache_rounds: u16,
-    /// Maximum cached events; the oldest entries evict first.
-    pub cache_events: usize,
-    /// Neighbors sampled per digest round.
-    pub digest_fanout: usize,
-    /// Rounds between digest emissions (1 = every round).
-    pub digest_every: u16,
-    /// Maximum entries per digest (the newest cached events win).
-    pub digest_entries: usize,
-    /// Pull attempts per missing event before giving up.
-    pub pull_retries: u32,
-    /// Base backoff between pull attempts, in rounds (doubles per
-    /// attempt, capped).
-    pub backoff_rounds: u16,
-}
-
-impl Default for AeConfig {
-    fn default() -> Self {
-        AeConfig {
-            enabled: false,
-            cache_rounds: 30,
-            cache_events: 512,
-            digest_fanout: 2,
-            digest_every: 1,
-            digest_entries: 64,
-            pull_retries: 3,
-            backoff_rounds: 2,
-        }
-    }
 }
 
 impl AeConfig {
-    /// The default parameters with the layer switched on.
+    /// The layer switched on.
     pub fn on() -> Self {
-        AeConfig {
-            enabled: true,
-            ..AeConfig::default()
-        }
+        AeConfig { enabled: true }
     }
 }
 
@@ -122,23 +110,22 @@ pub fn exhausted_pull_status() -> Option<u64> {
     (n > 0).then_some(n)
 }
 
-/// Backoff, in rounds, before the attempt *after* number `attempts`: the
-/// base doubles per attempt, capped at 32×.
-fn backoff(base_rounds: u16, attempts: u32) -> u64 {
-    let sh = attempts.saturating_sub(1).min(5);
-    (base_rounds.max(1) as u64) << sh
+/// Backoff, in rounds, before the attempt *after* number `attempts`:
+/// [`BACKOFF_ROUNDS`] doubling per attempt, capped at 32×.
+fn backoff(attempts: u32) -> u64 {
+    BACKOFF_ROUNDS << attempts.saturating_sub(1).min(5)
 }
 
 /// Per-node anti-entropy state machine. `P` is the protocol's re-servable
 /// payload (typically its notification message body).
 #[derive(Clone, Debug)]
 pub struct AntiEntropy<P> {
-    cfg: AeConfig,
+    enabled: bool,
     /// Recently seen events, ascending by event id.
     cache: Vec<(u64, Cached<P>)>,
     /// Outstanding pulls, ascending by event id.
     wants: Vec<(u64, Want)>,
-    /// Pulls this node abandoned after `pull_retries` attempts.
+    /// Pulls this node abandoned after [`PULL_RETRIES`] attempts.
     exhausted: u64,
 }
 
@@ -146,7 +133,7 @@ impl<P: Clone> AntiEntropy<P> {
     /// A fresh state machine.
     pub fn new(cfg: AeConfig) -> Self {
         AntiEntropy {
-            cfg,
+            enabled: cfg.enabled,
             cache: Vec::new(),
             wants: Vec::new(),
             exhausted: 0,
@@ -169,12 +156,7 @@ impl<P: Clone> AntiEntropy<P> {
 
     /// Whether the layer is active.
     pub fn enabled(&self) -> bool {
-        self.cfg.enabled
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &AeConfig {
-        &self.cfg
+        self.enabled
     }
 
     /// Record that this node now holds `event` (seen via normal
@@ -182,7 +164,7 @@ impl<P: Clone> AntiEntropy<P> {
     /// re-serving and drop any outstanding pull for it. Evicts the oldest
     /// entry when the cache is full.
     pub fn insert(&mut self, event: u64, topic: u32, payload: P, round: u64) {
-        if !self.cfg.enabled {
+        if !self.enabled {
             return;
         }
         self.satisfy(event);
@@ -200,7 +182,7 @@ impl<P: Clone> AntiEntropy<P> {
                 },
             ),
         );
-        if self.cache.len() > self.cfg.cache_events {
+        if self.cache.len() > CACHE_EVENTS {
             // Evict the oldest entry (lowest born round, then lowest id —
             // both deterministic).
             let victim = self
@@ -228,26 +210,22 @@ impl<P: Clone> AntiEntropy<P> {
 
     /// Round upkeep: age out cache entries past their TTL.
     pub fn tick(&mut self, round: u64) {
-        if !self.cfg.enabled {
+        if !self.enabled {
             return;
         }
-        let ttl = self.cfg.cache_rounds as u64;
         self.cache
-            .retain(|(_, c)| round.saturating_sub(c.born) <= ttl);
+            .retain(|(_, c)| round.saturating_sub(c.born) <= CACHE_ROUNDS);
     }
 
     /// The digest to gossip this round: `(event, topic)` pairs for the
-    /// newest cached events (ascending by id), or `None` when the layer
-    /// is off, the cache is empty, or this round is off-cadence.
-    pub fn digest(&self, round: u64) -> Option<Vec<(u64, u32)>> {
-        if !self.cfg.enabled || self.cache.is_empty() {
+    /// newest [`DIGEST_ENTRIES`] cached events (ascending by id), or `None`
+    /// when the layer is off or the cache is empty. A digest goes out every
+    /// round, so the round number does not change the answer.
+    pub fn digest(&self, _round: u64) -> Option<Vec<(u64, u32)>> {
+        if !self.enabled || self.cache.is_empty() {
             return None;
         }
-        let every = self.cfg.digest_every.max(1) as u64;
-        if !round.is_multiple_of(every) {
-            return None;
-        }
-        let skip = self.cache.len().saturating_sub(self.cfg.digest_entries);
+        let skip = self.cache.len().saturating_sub(DIGEST_ENTRIES);
         Some(
             self.cache[skip..]
                 .iter()
@@ -256,13 +234,13 @@ impl<P: Clone> AntiEntropy<P> {
         )
     }
 
-    /// Sample up to `digest_fanout` distinct digest targets from
+    /// Sample up to [`DIGEST_FANOUT`] distinct digest targets from
     /// `neighbors` (a deterministic partial shuffle on the caller's RNG
     /// stream). Call only when [`AntiEntropy::digest`] returned work, so
     /// a disabled or idle layer consumes no randomness.
     pub fn pick_targets(&self, neighbors: &[NodeIdx], rng: &mut impl Rng) -> Vec<NodeIdx> {
         let mut pool: Vec<NodeIdx> = neighbors.to_vec();
-        let k = self.cfg.digest_fanout.min(pool.len());
+        let k = DIGEST_FANOUT.min(pool.len());
         for i in 0..k {
             let j = rng.gen_range(i..pool.len());
             pool.swap(i, j);
@@ -284,7 +262,7 @@ impl<P: Clone> AntiEntropy<P> {
         mut interested: impl FnMut(u32) -> bool,
         mut have: impl FnMut(u64) -> bool,
     ) -> Vec<u64> {
-        if !self.cfg.enabled {
+        if !self.enabled {
             return Vec::new();
         }
         let mut fresh = Vec::new();
@@ -307,7 +285,7 @@ impl<P: Clone> AntiEntropy<P> {
                             Want {
                                 advertisers: vec![from],
                                 attempts: 1,
-                                due: round + backoff(self.cfg.backoff_rounds, 1),
+                                due: round + backoff(1),
                             },
                         ),
                     );
@@ -324,23 +302,22 @@ impl<P: Clone> AntiEntropy<P> {
     /// the first exhaustion in the whole process emits a rate-limited
     /// warning (totals available via [`exhausted_pull_status`]).
     pub fn due_pulls(&mut self, round: u64) -> Vec<(NodeIdx, Vec<u64>)> {
-        if !self.cfg.enabled || self.wants.is_empty() {
+        if !self.enabled || self.wants.is_empty() {
             return Vec::new();
         }
-        let (retries, base) = (self.cfg.pull_retries, self.cfg.backoff_rounds);
         let mut asks: Vec<(NodeIdx, Vec<u64>)> = Vec::new();
         let mut dropped = 0u64;
         self.wants.retain_mut(|(event, w)| {
             if w.due > round {
                 return true;
             }
-            if w.attempts >= retries {
+            if w.attempts >= PULL_RETRIES {
                 dropped += 1;
                 return false;
             }
             let target = w.advertisers[w.attempts as usize % w.advertisers.len()];
             w.attempts += 1;
-            w.due = round + backoff(base, w.attempts);
+            w.due = round + backoff(w.attempts);
             match asks.binary_search_by_key(&target, |(t, _)| *t) {
                 Ok(i) => asks[i].1.push(*event),
                 Err(i) => asks.insert(i, (target, vec![*event])),
@@ -421,48 +398,41 @@ mod tests {
 
     #[test]
     fn cache_ages_out_and_pull_after_expiry_serves_nothing() {
-        let cfg = AeConfig {
-            cache_rounds: 3,
-            ..on()
-        };
-        let mut ae: AntiEntropy<&str> = AntiEntropy::new(cfg);
+        let mut ae: AntiEntropy<&str> = AntiEntropy::new(on());
         ae.insert(7, 2, "payload", 10);
         assert_eq!(ae.serve(&[7]).len(), 1);
-        ae.tick(13);
+        ae.tick(10 + CACHE_ROUNDS);
         assert_eq!(ae.serve(&[7]).len(), 1, "at TTL boundary still served");
-        ae.tick(14);
+        ae.tick(11 + CACHE_ROUNDS);
         assert!(ae.serve(&[7]).is_empty(), "aged-out entry no longer served");
         assert_eq!(ae.cached(), 0);
     }
 
     #[test]
     fn cache_capacity_evicts_oldest_first() {
-        let cfg = AeConfig {
-            cache_events: 2,
-            ..on()
-        };
-        let mut ae: AntiEntropy<u8> = AntiEntropy::new(cfg);
-        ae.insert(1, 0, 1, 1);
-        ae.insert(2, 0, 2, 2);
-        ae.insert(3, 0, 3, 3);
-        assert_eq!(ae.cached(), 2);
-        assert!(!ae.holds(1), "oldest entry evicted");
-        assert!(ae.holds(2) && ae.holds(3));
+        let mut ae: AntiEntropy<u8> = AntiEntropy::new(on());
+        // Ids descend as rounds ascend, so the oldest entry is the highest
+        // id: eviction goes by age, not by id.
+        let last = CACHE_EVENTS as u64 + 1;
+        for round in 1..=last {
+            ae.insert(last + 1 - round, 0, 0, round);
+        }
+        assert_eq!(ae.cached(), CACHE_EVENTS);
+        assert!(!ae.holds(last), "oldest entry evicted");
+        assert!(ae.holds(last - 1) && ae.holds(1));
     }
 
     #[test]
-    fn digest_carries_newest_entries_on_cadence() {
-        let cfg = AeConfig {
-            digest_entries: 2,
-            digest_every: 2,
-            ..on()
-        };
-        let mut ae: AntiEntropy<u8> = AntiEntropy::new(cfg);
-        for e in 1..=4 {
+    fn digest_carries_the_newest_entries_every_round() {
+        let mut ae: AntiEntropy<u8> = AntiEntropy::new(on());
+        assert_eq!(ae.digest(1), None, "nothing cached");
+        let last = DIGEST_ENTRIES as u64 + 2;
+        for e in 1..=last {
             ae.insert(e, e as u32 * 10, 0, e);
         }
-        assert_eq!(ae.digest(3), None, "off-cadence round");
-        assert_eq!(ae.digest(4), Some(vec![(3, 30), (4, 40)]));
+        let newest: Vec<(u64, u32)> = (3..=last).map(|e| (e, e as u32 * 10)).collect();
+        assert_eq!(ae.digest(last), Some(newest.clone()));
+        assert_eq!(ae.digest(last + 1), Some(newest), "no off-cadence round");
     }
 
     #[test]
@@ -486,22 +456,19 @@ mod tests {
 
     #[test]
     fn retries_rotate_advertisers_and_back_off() {
-        let cfg = AeConfig {
-            pull_retries: 3,
-            backoff_rounds: 2,
-            ..on()
-        };
-        let mut ae: AntiEntropy<u8> = AntiEntropy::new(cfg);
+        let mut ae: AntiEntropy<u8> = AntiEntropy::new(on());
+        // The digest from the first advertiser is the first attempt.
         ae.on_digest(n(1), &[(42, 0)], 0, |_| true, |_| false);
         ae.on_digest(n(2), &[(42, 0)], 0, |_| true, |_| false);
-        // First retry due at round 2, asks the second advertiser.
-        assert!(ae.due_pulls(1).is_empty(), "not due yet");
-        let asks = ae.due_pulls(2);
-        assert_eq!(asks, vec![(n(2), vec![42])]);
-        // Second retry backs off twice as far and rotates back.
-        assert!(ae.due_pulls(4).is_empty());
-        assert_eq!(ae.due_pulls(6), vec![(n(1), vec![42])]);
-        // Budget (3 attempts) spent: the next due pass abandons the want.
+        // Retry k asks the advertisers in rotation, starting with the
+        // second, and each backs off twice as far as the one before.
+        let mut due = BACKOFF_ROUNDS;
+        for k in 1..PULL_RETRIES {
+            assert!(ae.due_pulls(due - 1).is_empty(), "not due yet");
+            assert_eq!(ae.due_pulls(due), vec![(n(k % 2 + 1), vec![42])]);
+            due += BACKOFF_ROUNDS << k;
+        }
+        // Budget spent: the next due pass abandons the want.
         let before = EXHAUSTED_PULLS.load(Ordering::Relaxed);
         assert!(ae.due_pulls(100).is_empty());
         assert_eq!(ae.pending(), 0);
@@ -512,14 +479,11 @@ mod tests {
 
     #[test]
     fn due_pulls_group_per_target_in_ascending_order() {
-        let mut ae: AntiEntropy<u8> = AntiEntropy::new(AeConfig {
-            backoff_rounds: 1,
-            ..on()
-        });
+        let mut ae: AntiEntropy<u8> = AntiEntropy::new(on());
         ae.on_digest(n(5), &[(10, 0)], 0, |_| true, |_| false);
         ae.on_digest(n(3), &[(11, 0)], 0, |_| true, |_| false);
         ae.on_digest(n(5), &[(12, 0)], 0, |_| true, |_| false);
-        let asks = ae.due_pulls(1);
+        let asks = ae.due_pulls(BACKOFF_ROUNDS);
         assert_eq!(asks, vec![(n(3), vec![11]), (n(5), vec![10, 12])]);
     }
 
@@ -535,20 +499,18 @@ mod tests {
 
     #[test]
     fn target_sampling_is_deterministic_and_bounded() {
-        let ae: AntiEntropy<u8> = AntiEntropy::new(AeConfig {
-            digest_fanout: 2,
-            ..on()
-        });
+        let ae: AntiEntropy<u8> = AntiEntropy::new(on());
         let nbrs: Vec<NodeIdx> = (0..10).map(NodeIdx).collect();
         let pick = |seed: u64| {
             let mut rng = SmallRng::seed_from_u64(seed);
             ae.pick_targets(&nbrs, &mut rng)
         };
         assert_eq!(pick(7), pick(7), "same stream, same sample");
-        assert_eq!(pick(7).len(), 2);
+        assert_eq!(pick(7).len(), DIGEST_FANOUT);
         let mut one = pick(7);
+        one.sort();
         one.dedup();
-        assert_eq!(one.len(), 2, "targets are distinct");
+        assert_eq!(one.len(), DIGEST_FANOUT, "targets are distinct");
         assert_eq!(
             ae.pick_targets(&nbrs[..1], &mut SmallRng::seed_from_u64(1))
                 .len(),

@@ -904,6 +904,54 @@ mod tests {
     }
 
     #[test]
+    fn handlers_run_on_the_node_in_its_slot() {
+        // `dispatch` lends every handler the protocol where its slot holds
+        // it. Moving the node out and back around the call would make each
+        // activation cost a copy of the node's state, and would show here
+        // as a handler running at an address other than its slot's.
+        type Log = std::rc::Rc<std::cell::RefCell<Vec<(NodeIdx, usize)>>>;
+        struct Where(Log);
+        impl Where {
+            fn note(&self, ctx: &Context<'_, ()>) {
+                let addr = self as *const Where as usize;
+                self.0.borrow_mut().push((ctx.self_idx, addr));
+            }
+        }
+        impl Protocol for Where {
+            type Msg = ();
+            fn on_start(&mut self, ctx: &mut Context<'_, ()>) {
+                self.note(ctx);
+            }
+            fn on_round(&mut self, ctx: &mut Context<'_, ()>) {
+                self.note(ctx);
+                ctx.send(ctx.self_idx, ());
+            }
+            fn on_message(&mut self, ctx: &mut Context<'_, ()>, _: NodeIdx, _: ()) {
+                self.note(ctx);
+            }
+            fn on_stop(&mut self, ctx: &mut Context<'_, ()>, _: StopReason) {
+                self.note(ctx);
+            }
+        }
+
+        let log = Log::default();
+        let mut eng = Engine::new(cfg());
+        // `on_start` runs inside `add_node`: the slots must not move after.
+        eng.reserve_nodes(3);
+        let nodes: Vec<NodeIdx> = (0..3).map(|_| eng.add_node(Where(log.clone()))).collect();
+        eng.run_rounds(4);
+        let slot_addr = |eng: &Engine<Where>, idx| eng.node(idx).unwrap() as *const Where as usize;
+        let slots: Vec<usize> = nodes.iter().map(|&i| slot_addr(&eng, i)).collect();
+        eng.remove_node(nodes[1], StopReason::Leave);
+        let log = log.borrow();
+        // Per node: a start, rounds and their messages; one stop.
+        assert!(log.len() > 3 * 3, "{} activations", log.len());
+        for &(idx, addr) in log.iter() {
+            assert_eq!(addr, slots[idx.index()], "{idx} ran away from its slot");
+        }
+    }
+
+    #[test]
     fn run_until_sets_clock_even_without_events() {
         let mut eng: Engine<PingPong> = Engine::new(cfg());
         eng.run_until(SimTime(1000));

@@ -14,8 +14,8 @@
 //! event are pinned in `vitis_sim::engine`'s tests.
 //!
 //! **Nodes.** Dispatch runs handlers on the node in place, so an
-//! activation's cost does not depend on the node's size (`meso_timing`'s
-//! dispatch case measures that). What is left is memory: N of them are
+//! activation's cost does not depend on the node's size (a test in
+//! `vitis_sim::engine` pins that). What is left is memory: N of them are
 //! resident, and a handler touches one cache line per 64 bytes of the fields
 //! it reads. The budgets are the PR 18 sizes rounded up to a cache line;
 //! raise one knowingly, with the `peak_rss_kb_per_node` rows beside it.
@@ -32,6 +32,7 @@ use vitis::topic::TopicId;
 use vitis_baselines::opt::OptMsg;
 use vitis_baselines::rvr::RvrMsg;
 use vitis_baselines::{OptNode, RvrNode};
+use vitis_sim::antientropy::AntiEntropy;
 use vitis_sim::event::NodeIdx;
 
 fn within<T>(budget: usize) {
@@ -62,6 +63,15 @@ fn nodes_fit_their_cache_line_budget() {
     within::<MemoEntry>(24);
     within::<RvrNode>(448 + 24);
     within::<OptNode>(320);
+}
+
+#[test]
+fn the_repair_layer_is_its_two_tables() {
+    // Every node of all three systems holds one inside its
+    // `Dissemination`, on or off: a switch, the cache, the pull table and
+    // a counter. Its sizes and retry budget are constants, not a copy of a
+    // configuration per node.
+    within::<AntiEntropy<Notification>>(64);
 }
 
 #[test]
