@@ -10,7 +10,7 @@
 //! (Figure 10), while the unbounded variant needs arbitrarily large degrees
 //! (Figure 11).
 
-use std::sync::Arc;
+use std::rc::Rc;
 use vitis::dissemination::Dissemination;
 use vitis::monitor::{EventId, Monitor};
 use vitis::msg::Notification;
@@ -73,7 +73,7 @@ pub enum OptMsg {
     },
     /// Anti-entropy digest (IHAVE): `(event id, topic)` pairs the sender
     /// holds in its repair cache. Only sent when repair is enabled.
-    AeDigest(Arc<Vec<(u64, u32)>>),
+    AeDigest(Rc<Vec<(u64, u32)>>),
     /// Anti-entropy pull request (IWANT): missing event ids.
     AeWant(Vec<u64>),
     /// Anti-entropy recovery push answering an [`OptMsg::AeWant`]; its hop
@@ -88,7 +88,7 @@ struct Link {
 
 /// An OPT peer.
 pub struct OptNode {
-    cfg: Arc<OptConfig>,
+    cfg: Rc<OptConfig>,
     /// The sampling half of the membership substrate: identity, the
     /// advertised subscriptions and the Newscast view that feeds candidate
     /// discovery. OPT negotiates its own links, so no routing table.
@@ -110,7 +110,7 @@ impl OptNode {
     pub fn new(
         id: Id,
         subs: Subs,
-        cfg: Arc<OptConfig>,
+        cfg: Rc<OptConfig>,
         monitor: Monitor,
         bootstrap: Vec<Entry<Subs>>,
     ) -> Self {
@@ -410,7 +410,7 @@ mod tests {
         subs_of: impl Fn(usize) -> Vec<u32>,
         cfg: OptConfig,
     ) -> (Engine<OptNode>, Monitor) {
-        let cfg = Arc::new(cfg);
+        let cfg = Rc::new(cfg);
         let monitor = Monitor::new();
         let mut eng = Engine::new(EngineConfig {
             seed: 13,
@@ -419,7 +419,7 @@ mod tests {
         });
         let mut directory: Vec<Entry<Subs>> = Vec::new();
         for i in 0..n {
-            let subs: Subs = Arc::new(TopicSet::from_iter(subs_of(i)));
+            let subs: Subs = Subs::new(TopicSet::from_iter(subs_of(i)));
             let id = Id::of_node(i as u64);
             let boot: Vec<Entry<Subs>> = directory.iter().rev().take(4).cloned().collect();
             let node = OptNode::new(id, subs.clone(), cfg.clone(), monitor.clone(), boot);
@@ -571,14 +571,14 @@ mod tests {
     }
 
     fn entry(addr: u32, topics: &[u32]) -> Entry<Subs> {
-        let subs = Arc::new(TopicSet::from_iter(topics.iter().copied()));
+        let subs = Subs::new(TopicSet::from_iter(topics.iter().copied()));
         Entry::fresh(NodeIdx(addr), Id::of_node(addr as u64), subs)
     }
 
     fn link_table(links: &[(u32, &[u32])]) -> SmallMap<NodeIdx, Link> {
         let mut table = SmallMap::new();
         for &(addr, topics) in links {
-            let subs = Arc::new(TopicSet::from_iter(topics.iter().copied()));
+            let subs = Subs::new(TopicSet::from_iter(topics.iter().copied()));
             table.insert(NodeIdx(addr), Link { subs, age: 0 });
         }
         table

@@ -11,7 +11,7 @@
 //! non-subscriber on a path is pure relay traffic, which is exactly the
 //! overhead Vitis's clustering removes.
 
-use std::sync::Arc;
+use std::rc::Rc;
 use vitis::config::VitisConfig;
 use vitis::dissemination::Dissemination;
 use vitis::monitor::{EventId, Monitor};
@@ -60,7 +60,7 @@ pub enum RvrMsg {
     },
     /// Anti-entropy digest (IHAVE): `(event id, topic)` pairs the sender
     /// holds in its repair cache. Only sent when repair is enabled.
-    AeDigest(Arc<Vec<(u64, u32)>>),
+    AeDigest(Rc<Vec<(u64, u32)>>),
     /// Anti-entropy pull request (IWANT): missing event ids.
     AeWant(Vec<u64>),
     /// Anti-entropy recovery push answering an [`RvrMsg::AeWant`]; its hop
@@ -346,7 +346,7 @@ mod tests {
         });
         let mut directory: Vec<Entry<Subs>> = Vec::new();
         for i in 0..n {
-            let subs: Subs = Arc::new(TopicSet::from_iter(subs_of(i)));
+            let subs: Subs = Subs::new(TopicSet::from_iter(subs_of(i)));
             let id = Id::of_node(i as u64);
             let boot: Vec<Entry<Subs>> = directory.iter().rev().take(4).cloned().collect();
             let node = RvrNode::new(id, subs.clone(), &cfg, monitor.clone(), boot);

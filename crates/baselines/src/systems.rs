@@ -5,6 +5,7 @@
 
 use crate::opt::{OptConfig, OptMsg, OptNode};
 use crate::rvr::{RvrMsg, RvrNode};
+use std::rc::Rc;
 use std::sync::Arc;
 use vitis::config::VitisConfig;
 use vitis::monitor::{EventId, LossReason, MissContext, Monitor};
@@ -130,7 +131,7 @@ pub type OptSystem = SystemRuntime<OptProtocol>;
 /// The OPT adapter: correlation-aware overlay-per-topic links, flooding
 /// within each topic subgraph, no structured routing at all.
 pub struct OptProtocol {
-    cfg: Arc<OptConfig>,
+    cfg: Rc<OptConfig>,
     repair: AeConfig,
 }
 
@@ -140,7 +141,7 @@ impl OptProtocol {
     /// [`SystemRuntime::with_protocol`].
     pub fn with_config(cfg: OptConfig) -> Self {
         OptProtocol {
-            cfg: Arc::new(cfg),
+            cfg: Rc::new(cfg),
             repair: AeConfig::default(),
         }
     }

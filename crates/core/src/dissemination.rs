@@ -15,7 +15,7 @@ use crate::monitor::{EventId, HopPath, Monitor};
 use crate::msg::Notification;
 use crate::topic::{Subs, TopicId};
 use rand::rngs::SmallRng;
-use std::sync::Arc;
+use std::rc::Rc;
 use vitis_sim::antientropy::{AeConfig, AntiEntropy};
 use vitis_sim::event::NodeIdx;
 use vitis_sim::protocol::Context;
@@ -29,7 +29,7 @@ pub struct RepairRound {
     pub pulls: Vec<(NodeIdx, Vec<u64>)>,
     /// The `(event id, topic)` digest to gossip; `None` when the layer is
     /// off or idle.
-    pub digest: Option<Arc<Vec<(u64, u32)>>>,
+    pub digest: Option<Rc<Vec<(u64, u32)>>>,
     /// The neighbors sampled to receive the digest.
     pub digest_targets: Vec<NodeIdx>,
 }
@@ -297,7 +297,7 @@ impl Dissemination {
         };
         if let Some(entries) = self.ae.digest(self.round) {
             out.digest_targets = self.ae.pick_targets(&neighbors(), rng);
-            out.digest = Some(Arc::new(entries));
+            out.digest = Some(Rc::new(entries));
         }
         out
     }
@@ -346,7 +346,7 @@ mod tests {
         let event = monitor.register_event(T, SimTime(0), vec![ME]);
         let mut d = Dissemination::new(monitor.clone());
         d.set_repair(AeConfig::on());
-        (d, Arc::new(TopicSet::from_iter([T.0])), monitor, event)
+        (d, Subs::new(TopicSet::from_iter([T.0])), monitor, event)
     }
 
     fn copy(event: EventId, hops: u32) -> Notification {

@@ -17,6 +17,8 @@ use vitis_sim::time::{Duration, SimTime};
 pub struct Workload {
     subs: Vec<Subs>,
     topic_subscribers: Vec<Vec<u32>>,
+    /// An `Arc`, not an `Rc`, because [`Workload::rates`] hands the handle
+    /// out and the benchmark's replays store it as one.
     rates: Arc<RateTable>,
     cum_rates: Vec<f64>,
     grace: Duration,
@@ -99,7 +101,7 @@ impl Workload {
             assert!((t.0 as usize) < self.topic_subscribers.len());
             self.topic_subscribers[t.0 as usize].push(logical);
         }
-        self.subs[logical as usize] = Arc::new(new_subs);
+        self.subs[logical as usize] = Subs::new(new_subs);
     }
 
     /// Draw a topic with probability proportional to its publication rate

@@ -12,13 +12,14 @@
 //! * **Propagation delay** — hops from publisher to subscriber, averaged
 //!   over achieved deliveries.
 //!
-//! A [`Monitor`] is a cheap `Arc` handle cloned into every node of a system;
-//! every handle writes straight into the one shared state, in call order.
+//! A [`Monitor`] is a cheap `Rc<RefCell>` handle cloned into every node of
+//! a system; every handle writes straight into the one shared state, in
+//! call order, on the thread that drives the system's engine.
 
 use crate::topic::TopicId;
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::cell::RefCell;
+use std::rc::Rc;
 use vitis_sim::event::NodeIdx;
 use vitis_sim::metrics::Summary;
 use vitis_sim::time::SimTime;
@@ -30,13 +31,13 @@ pub struct EventId(pub u64);
 
 /// Causal hop-path provenance carried inside dissemination messages: the
 /// engine slots an event copy has visited, publisher first. Backed by a
-/// shared `Arc` so fanning a notification out to `k` neighbors clones a
+/// shared `Rc` so fanning a notification out to `k` neighbors clones a
 /// pointer, not the path; [`HopPath::extend`] allocates once per hop.
 ///
 /// The handle is one thin pointer on purpose, at the price of a second
-/// allocation per path (the `Arc`, then the vector's buffer). A path rides
+/// allocation per path (the `Rc`, then the vector's buffer). A path rides
 /// in every `Notification` and every notification in flight is an event in
-/// the engine's queue: `Arc<[NodeIdx]>` — one allocation, but a 16-byte
+/// the engine's queue: `Rc<[NodeIdx]>` — one allocation, but a 16-byte
 /// handle — grew every message of all three systems from 32 to 40 bytes
 /// and measured +4 % `cpu_s` on the benchmark's `publish_1k` (and +13 %
 /// peak RSS while queue buckets still kept their busiest tick's capacity;
@@ -45,12 +46,12 @@ pub struct EventId(pub u64);
 /// The path is forensic metadata only — it never influences routing and
 /// does not count toward wire-size accounting (see `docs/METRICS.md` §6).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct HopPath(Arc<Vec<NodeIdx>>);
+pub struct HopPath(Rc<Vec<NodeIdx>>);
 
 impl HopPath {
     /// A path starting (and ending) at the publisher.
     pub fn origin(node: NodeIdx) -> Self {
-        HopPath(Arc::new(vec![node]))
+        HopPath(Rc::new(vec![node]))
     }
 
     /// The path with `node` appended (a copy; the original is unchanged).
@@ -58,7 +59,7 @@ impl HopPath {
         let mut v = Vec::with_capacity(self.0.len() + 1);
         v.extend_from_slice(&self.0);
         v.push(node);
-        HopPath(Arc::new(v))
+        HopPath(Rc::new(v))
     }
 
     /// Visited slots, publisher first.
@@ -437,22 +438,10 @@ impl PubSubStats {
     }
 }
 
-/// What every handle of one monitor shares.
-#[derive(Debug, Default)]
-struct Shared {
-    inner: Mutex<MonitorInner>,
-    /// Whether `inner.trace` is installed, readable without the lock so
-    /// forensics-only writes cost nothing in untraced runs. Written only by
-    /// [`Monitor::set_trace`], while it holds the lock.
-    tracing: AtomicBool,
-}
-
 /// Shared monitor handle: one pointer. Cloning shares the underlying
 /// accounting state.
 #[derive(Clone, Debug, Default)]
-pub struct Monitor {
-    shared: Arc<Shared>,
-}
+pub struct Monitor(Rc<RefCell<MonitorInner>>);
 
 impl Monitor {
     /// A fresh monitor.
@@ -460,19 +449,12 @@ impl Monitor {
         Monitor::default()
     }
 
-    fn lock(&self) -> MutexGuard<'_, MonitorInner> {
-        self.shared
-            .inner
-            .lock()
-            .expect("a monitor writer panicked mid-update")
-    }
-
     /// Heap bytes of the window's event records (expected sets and
     /// delivery tables included) and the per-slot traffic counters, as
     /// Σ capacity × element size.
     pub fn heap_bytes(&self) -> u64 {
         use std::mem::size_of;
-        let inner = self.lock();
+        let inner = self.0.borrow();
         let records: u64 = inner
             .events
             .iter()
@@ -501,7 +483,7 @@ impl Monitor {
     ) -> EventId {
         expected.sort_unstable();
         expected.dedup();
-        let mut inner = self.lock();
+        let mut inner = self.0.borrow_mut();
         let id = EventId(inner.first_id + inner.events.len() as u64);
         inner.events.push(EventRecord {
             topic,
@@ -561,7 +543,7 @@ impl Monitor {
         path: &HopPath,
         recovered: bool,
     ) {
-        let mut inner = self.lock();
+        let mut inner = self.0.borrow_mut();
         let Some(rec) = inner.record_of(event) else {
             return;
         };
@@ -603,27 +585,21 @@ impl Monitor {
     /// anti-entropy repair layer (process lifetime of this monitor, never
     /// reset by metrics windows — callers diff across windows).
     pub fn recovered_deliveries(&self) -> u64 {
-        self.lock().recovered_deliveries
+        self.0.borrow().recovered_deliveries
     }
 
     /// Install (or, with `None`, remove) the forensics trace sink. Systems
     /// wire this alongside their engine trace so causal records land in
     /// the same ring buffer as transport events.
     pub fn set_trace(&self, trace: Option<TraceHandle>) {
-        let mut inner = self.lock();
-        // Release pairs with the Acquire load in `record_forward`; the
-        // handle itself is published by the mutex.
-        self.shared
-            .tracing
-            .store(trace.is_some(), Ordering::Release);
-        inner.trace = trace;
+        self.0.borrow_mut().trace = trace;
     }
 
     /// Emit the `pub_event` forensics record for a freshly registered
     /// event: the root of its delivery tree. Call right after
     /// [`Monitor::register_event`], once the publisher is known.
     pub fn trace_publish(&self, event: EventId, publisher: NodeIdx) {
-        let mut inner = self.lock();
+        let mut inner = self.0.borrow_mut();
         let Some(rec) = inner.record_of(event) else {
             return;
         };
@@ -644,9 +620,8 @@ impl Monitor {
     }
 
     /// Emit one `fwd` forensics record: `from` handed a copy of `event` to
-    /// `to` carrying hop count `hop`. No-op — no lock taken — unless a
-    /// trace is installed, so protocols call it unconditionally on their
-    /// forwarding paths.
+    /// `to` carrying hop count `hop`. No-op unless a trace is installed, so
+    /// protocols call it unconditionally on their forwarding paths.
     pub fn record_forward(
         &self,
         event: EventId,
@@ -655,10 +630,7 @@ impl Monitor {
         hop: u32,
         now: SimTime,
     ) {
-        if !self.shared.tracing.load(Ordering::Acquire) {
-            return;
-        }
-        if let Some(trace) = &self.lock().trace {
+        if let Some(trace) = &self.0.borrow().trace {
             trace.borrow_mut().record(TraceEvent::Fwd {
                 now: now.ticks(),
                 event: event.0,
@@ -690,7 +662,7 @@ impl Monitor {
             missing: Vec<NodeIdx>,
         }
         let (misses, trace, mut report) = {
-            let inner = self.lock();
+            let inner = self.0.borrow();
             let mut misses = Vec::new();
             let mut report = LossReport::default();
             for (i, rec) in inner.events.iter().enumerate() {
@@ -740,19 +712,19 @@ impl Monitor {
     /// Account control-plane bytes sent by `node` (gossip buffers,
     /// heartbeats, relay lookups, exchange replies).
     pub fn record_control_tx(&self, node: NodeIdx, bytes: u64) {
-        bump(&mut self.lock().control_tx_bytes, node, bytes);
+        bump(&mut self.0.borrow_mut().control_tx_bytes, node, bytes);
     }
 
     /// Mark one gossip round executed at `node`; the per-round control
     /// bandwidth statistic divides recorded bytes by recorded rounds.
     pub fn record_control_round(&self, node: NodeIdx) {
-        bump(&mut self.lock().control_rounds, node, 1);
+        bump(&mut self.0.borrow_mut().control_rounds, node, 1);
     }
 
     /// Account one received data-plane message at `node`; `useful` is true
     /// iff the receiver is subscribed to the message's topic.
     pub fn record_data_rx(&self, node: NodeIdx, useful: bool) {
-        let mut inner = self.lock();
+        let mut inner = self.0.borrow_mut();
         let counts = if useful {
             &mut inner.useful_rx
         } else {
@@ -763,14 +735,15 @@ impl Monitor {
 
     /// Expected and delivered counts of a single event.
     pub fn event_progress(&self, event: EventId) -> Option<(usize, usize)> {
-        self.lock()
+        self.0
+            .borrow_mut()
             .record_of(event)
             .map(|r| (r.expected.len(), r.delivered_count as usize))
     }
 
     /// Aggregate metrics over everything recorded since the last reset.
     pub fn snapshot(&self) -> PubSubStats {
-        let inner = self.lock();
+        let inner = self.0.borrow();
         let mut expected = 0u64;
         let mut delivered = 0u64;
         let mut hops = Summary::new();
@@ -830,7 +803,7 @@ impl Monitor {
     /// Per-node traffic overhead in percent, for every slot that received at
     /// least `min_msgs` data-plane messages (Figure 5's distribution).
     pub fn per_node_overhead(&self, min_msgs: u64) -> Vec<(NodeIdx, f64)> {
-        let inner = self.lock();
+        let inner = self.0.borrow();
         let n = inner.useful_rx.len().max(inner.relay_rx.len());
         let mut out = Vec::new();
         for i in 0..n {
@@ -847,7 +820,7 @@ impl Monitor {
     /// Forget all events and traffic (end of a warmup phase, or the start
     /// of a new measurement window in the churn experiment).
     pub fn reset(&self) {
-        let mut inner = self.lock();
+        let mut inner = self.0.borrow_mut();
         inner.first_id += inner.events.len() as u64;
         inner.events.clear();
         inner.useful_rx.clear();
@@ -1135,6 +1108,25 @@ mod forensics_tests {
         assert_eq!(report.missed(), 0);
         let total: u64 = report.by_reason.iter().map(|(_, c)| c).sum();
         assert_eq!(total, 0);
+    }
+
+    /// `classify` may read and write the monitor it runs under: no borrow
+    /// of the shared state is held while it runs.
+    #[test]
+    fn attribute_losses_lets_classify_use_the_monitor() {
+        let m = Monitor::new();
+        m.set_trace(Some(Trace::shared(16)));
+        let e = m.register_event(TopicId(0), SimTime(0), vec![n(1), n(2)]);
+        m.record_delivery(e, n(1), 1, SimTime(5));
+        let handle = m.clone();
+        let report = m.attribute_losses(SimTime(9), |miss| {
+            assert_eq!(handle.event_progress(miss.event), Some((2, 1)));
+            assert_eq!(handle.snapshot().delivered, 1);
+            handle.record_data_rx(miss.subscriber, false);
+            LossReason::IncompleteFlood
+        });
+        assert_eq!(report.count(LossReason::IncompleteFlood), 1);
+        assert_eq!(m.snapshot().relay_msgs, 1);
     }
 
     #[test]

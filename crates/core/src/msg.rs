@@ -3,7 +3,7 @@
 use crate::gateway::Proposal;
 use crate::monitor::{EventId, HopPath};
 use crate::topic::{Subs, TopicId};
-use std::sync::Arc;
+use std::rc::Rc;
 use vitis_overlay::entry::Entry;
 
 /// A published-event notification as it travels the overlay. The paper
@@ -24,7 +24,7 @@ pub struct Notification {
 }
 
 /// The periodic profile/heartbeat message (Algorithm 6): the sender's
-/// subscriptions plus its current gateway proposals, shared via `Arc` so the
+/// subscriptions plus its current gateway proposals, shared via `Rc` so the
 /// per-neighbor fan-out clones are free.
 #[derive(Clone, Debug)]
 pub struct ProfileMsg {
@@ -38,7 +38,7 @@ pub struct ProfileMsg {
     /// ascending by topic, no duplicates — the receiver's election merges
     /// this list against two sorted subscription sets in one pass, and a
     /// list out of order would silently lose votes.
-    pub proposals: Arc<Vec<(TopicId, Proposal)>>,
+    pub proposals: Rc<Vec<(TopicId, Proposal)>>,
 }
 
 /// All messages exchanged by Vitis nodes.
@@ -90,10 +90,10 @@ pub enum VitisMsg {
         attempt: u32,
     },
     /// Anti-entropy digest (IHAVE): `(event id, topic)` pairs the sender
-    /// holds in its repair cache. Shared via `Arc` so the per-target
+    /// holds in its repair cache. Shared via `Rc` so the per-target
     /// fan-out clones are free. Only sent when the repair layer is
     /// enabled.
-    AeDigest(Arc<Vec<(u64, u32)>>),
+    AeDigest(Rc<Vec<(u64, u32)>>),
     /// Anti-entropy pull request (IWANT): event ids the sender is missing
     /// and asks the receiver to re-serve from its cache.
     AeWant(Vec<u64>),
@@ -168,7 +168,7 @@ mod tests {
         Entry::fresh(
             NodeIdx(1),
             Id(5),
-            Arc::new(TopicSet::from_iter(0..n_topics)),
+            Subs::new(TopicSet::from_iter(0..n_topics)),
         )
     }
 
@@ -180,8 +180,8 @@ mod tests {
         assert_eq!(wire::buffer_bytes(&buf), (14 + 40) + (14 + 80));
         let pm = ProfileMsg {
             id: Id(1),
-            subs: Arc::new(TopicSet::from_iter(0..3)),
-            proposals: Arc::new(vec![(
+            subs: Subs::new(TopicSet::from_iter(0..3)),
+            proposals: Rc::new(vec![(
                 TopicId(0),
                 Proposal::self_proposal(NodeIdx(0), Id(0)),
             )]),

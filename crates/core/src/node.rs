@@ -15,6 +15,7 @@ use crate::topic::{RateTable, Subs, TopicId};
 use crate::utility::utility;
 use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
+use std::rc::Rc;
 use std::sync::Arc;
 use vitis_overlay::entry::Entry;
 use vitis_overlay::id::Id;
@@ -34,7 +35,7 @@ use vitis_sim::rng::mix64;
 /// has an advertisement. Public only for `tests/size_budget.rs`.
 pub struct Neighbor {
     /// The neighbor's latest advertised proposals, ascending by topic.
-    advert: Arc<Vec<(TopicId, Proposal)>>,
+    advert: Rc<Vec<(TopicId, Proposal)>>,
     /// The reverse link's subscriptions; `None` when the neighbor is not
     /// one (it is in our table, or its link aged out).
     link: Option<Subs>,
@@ -124,7 +125,7 @@ fn ascending_by_topic(props: &[(TopicId, Proposal)]) -> bool {
 /// A Vitis peer. Construct with [`VitisNode::new`] and hand to the engine;
 /// the [`crate::system::VitisSystem`] wrapper does this for whole networks.
 pub struct VitisNode {
-    cfg: Arc<VitisConfig>,
+    cfg: Rc<VitisConfig>,
     rates: Arc<RateTable>,
     /// Membership substrate: identity, the advertised subscriptions, the
     /// Newscast view (as in the paper's evaluation), the bounded hybrid
@@ -134,7 +135,7 @@ pub struct VitisNode {
     /// the last election found, and what every heartbeat advertises. An
     /// election that finds the same list keeps this allocation, so an
     /// unchanged heartbeat allocates nothing.
-    advert: Arc<Vec<(TopicId, Proposal)>>,
+    advert: Rc<Vec<(TopicId, Proposal)>>,
     /// Equation 1 results of the last [`MEMO_WINDOW`] T-Man merges, one
     /// per peer, ascending by address. An entry answers only for a
     /// candidate carrying the *same* handle (`Arc::ptr_eq`): holding the
@@ -168,7 +169,7 @@ impl VitisNode {
     pub fn new(
         id: Id,
         subs: Subs,
-        cfg: Arc<VitisConfig>,
+        cfg: Rc<VitisConfig>,
         rates: Arc<RateTable>,
         monitor: Monitor,
         bootstrap: Vec<Entry<Subs>>,
@@ -183,7 +184,7 @@ impl VitisNode {
             net: Substrate::new(sampler, params, cfg.age_threshold),
             cfg,
             rates,
-            advert: Arc::new(Vec::new()),
+            advert: Rc::new(Vec::new()),
             utility_memo: Vec::new(),
             merges: 0,
             nbrs: SmallMap::new(),
@@ -248,8 +249,8 @@ impl VitisNode {
         // neighbors remembering it and the heartbeats in flight: each
         // holder reports its share, so a superseded copy that only
         // neighbors still hold is counted too, and none twice.
-        let share = |a: &Arc<Vec<(TopicId, Proposal)>>| {
-            (a.capacity() * proposal / Arc::strong_count(a)) as u64
+        let share = |a: &Rc<Vec<(TopicId, Proposal)>>| {
+            (a.capacity() * proposal / Rc::strong_count(a)) as u64
         };
         let adverts: u64 = self.nbrs.values().map(|n| share(&n.advert)).sum();
         owner(
@@ -286,7 +287,7 @@ impl VitisNode {
     pub fn set_subscriptions(&mut self, subs: Subs) {
         if self.advert.iter().any(|(t, _)| !subs.contains(*t)) {
             let kept = self.advert.iter().filter(|(t, _)| subs.contains(*t));
-            self.advert = Arc::new(kept.copied().collect());
+            self.advert = Rc::new(kept.copied().collect());
         }
         self.net.set_payload(subs);
         // Every remembered utility was computed against the old set.
@@ -482,7 +483,7 @@ impl VitisNode {
             }
         }
         if *self.advert != props {
-            self.advert = Arc::new(props);
+            self.advert = Rc::new(props);
         }
     }
 
@@ -818,7 +819,7 @@ mod tests {
         topics: usize,
         cfg: VitisConfig,
     ) -> (Engine<VitisNode>, Monitor) {
-        let cfg = Arc::new(cfg);
+        let cfg = Rc::new(cfg);
         let rates = Arc::new(crate::topic::RateTable::uniform(topics));
         let monitor = Monitor::new();
         let mut eng = Engine::new(EngineConfig {
@@ -949,7 +950,7 @@ mod tests {
         for (i, old) in &before {
             let node = eng.node(*i).unwrap();
             if *node.advert == **old {
-                assert!(Arc::ptr_eq(&node.advert, old), "node {i:?}");
+                assert!(Rc::ptr_eq(&node.advert, old), "node {i:?}");
                 kept += 1;
             }
             for (from, nbr) in node.nbrs.iter() {
@@ -958,7 +959,7 @@ mod tests {
                 // round, which is the sender's current advertisement.
                 if nbr.advert_age == 0 {
                     let sender = eng.node(*from).unwrap();
-                    assert!(Arc::ptr_eq(&nbr.advert, &sender.advert), "{from:?} → {i:?}");
+                    assert!(Rc::ptr_eq(&nbr.advert, &sender.advert), "{from:?} → {i:?}");
                     carried += 1;
                 }
             }
@@ -979,7 +980,7 @@ mod tests {
         let mut node = VitisNode::new(
             Id(1 << 40),
             subs_of(subs),
-            Arc::new(cfg),
+            Rc::new(cfg),
             Arc::new(crate::topic::RateTable::uniform(64)),
             Monitor::new(),
             Vec::new(),
@@ -988,7 +989,7 @@ mod tests {
         node
     }
 
-    type Advert = Arc<Vec<(TopicId, Proposal)>>;
+    type Advert = Rc<Vec<(TopicId, Proposal)>>;
 
     /// The neighbor state as the two maps the one table replaced, under
     /// their rules: remembered advertisements with their ages, and reverse
@@ -1069,7 +1070,7 @@ mod tests {
                     .all(|((a, n), (b, m))| {
                         let link = self.reverse.get(b);
                         a == b
-                            && Arc::ptr_eq(&n.advert, &m.0)
+                            && Rc::ptr_eq(&n.advert, &m.0)
                             && n.advert_age == m.1
                             && match (&n.link, link) {
                                 (Some(s), Some((t, age))) => {
@@ -1187,7 +1188,7 @@ mod tests {
                 (t, prop)
             })
             .collect();
-        Arc::new(props)
+        Rc::new(props)
     }
 
     fn random_entry(addr: u32, rng: &mut SmallRng) -> Entry<Subs> {
@@ -1283,7 +1284,7 @@ mod tests {
             // The same result again is the same advertisement.
             let advert = node.advert.clone();
             node.elect();
-            assert!(Arc::ptr_eq(&advert, &node.advert), "case {case}");
+            assert!(Rc::ptr_eq(&advert, &node.advert), "case {case}");
 
             let thr = node.cfg.age_threshold;
             adopted += expected

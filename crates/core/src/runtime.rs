@@ -831,6 +831,7 @@ impl<P: PubSubProtocol> PubSub for SystemRuntime<P> {
 mod tests {
     use super::*;
     use crate::system::{random_system, VitisSystem};
+    use vitis_sim::fault::{FaultEpisode, FaultPlan, Span};
 
     /// The slots of one bootstrap reply, after checking that they are
     /// distinct, online and `min(BOOTSTRAP_CONTACTS, online)` many.
@@ -920,5 +921,82 @@ mod tests {
             first_chi2 < crit,
             "first contact: χ² {first_chi2:.1} ≥ {crit:.1}"
         );
+    }
+
+    /// `n` online nodes on one topic, with `episodes` scheduled: the
+    /// fault-plan-plus-`set_online` path a churn replay takes.
+    fn faulted_system(n: usize, episodes: Vec<FaultEpisode>) -> VitisSystem {
+        let mut params = SystemParams::new(vec![TopicSet::from_iter([0u32]); n], 1);
+        params.faults = FaultPlan::new(episodes).unwrap();
+        VitisSystem::new(params)
+    }
+
+    /// A correlated crash kills a node whose churn leave is still pending:
+    /// the later leave finds the slot already dead and is a no-op, leaving
+    /// the plan exhausted and the population consistent.
+    #[test]
+    fn correlated_crash_with_pending_churn_leave_is_idempotent() {
+        let mut sys = faulted_system(
+            3,
+            vec![FaultEpisode::CorrelatedCrash {
+                nodes: vec![0, 1],
+                at: SimTime(30),
+            }],
+        );
+        sys.run_ticks(40);
+        assert!(!sys.engine.is_alive(NodeIdx(0)), "crashed before its leave");
+        assert!(!sys.engine.is_alive(NodeIdx(1)));
+        assert_eq!(sys.alive_count(), 1);
+        // The pending leave at t=50 lands on the already-dead slot.
+        sys.run_ticks(10);
+        sys.set_online(0, false);
+        sys.run_ticks(50);
+        assert_eq!(sys.fault_driver.next_time(), None);
+        assert_eq!(sys.alive_count(), 1);
+        assert!(sys.engine.is_alive(NodeIdx(2)));
+    }
+
+    /// A node leaves and rejoins on the same tick while a freeze episode
+    /// spans it, and an unrelated node joins on that tick too. The rejoin
+    /// lands in the same slot with the frozen flag cleared (a fresh
+    /// incarnation is a new process), and the episode-end thaw is a no-op.
+    #[test]
+    fn same_tick_churn_under_an_active_freeze() {
+        let mut sys = faulted_system(
+            2,
+            vec![FaultEpisode::Freeze {
+                nodes: vec![0],
+                span: Span::new(10, 40),
+            }],
+        );
+        // Node 1's first join is at t=20.
+        sys.set_online(1, false);
+        sys.run_ticks(15);
+        assert!(
+            sys.engine.is_frozen(NodeIdx(0)),
+            "freeze active before the churn"
+        );
+        sys.run_ticks(5);
+        sys.set_online(0, false);
+        sys.set_online(0, true);
+        sys.set_online(1, true);
+        sys.run_ticks(5);
+        assert!(
+            sys.engine.is_alive(NodeIdx(0)),
+            "rejoined into its old slot"
+        );
+        assert_eq!(sys.engine.num_slots(), 2, "rejoins reuse their slots");
+        assert!(
+            !sys.engine.is_frozen(NodeIdx(0)),
+            "rejoin clears the frozen flag: the new incarnation is a new process"
+        );
+        assert!(
+            sys.engine.is_alive(NodeIdx(1)),
+            "same-tick join of another node"
+        );
+        sys.run_ticks(75);
+        assert_eq!(sys.fault_driver.next_time(), None);
+        assert_eq!(sys.alive_count(), 2);
+        assert!(!sys.engine.is_frozen(NodeIdx(0)));
     }
 }

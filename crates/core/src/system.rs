@@ -16,6 +16,7 @@ use crate::runtime::{LossView, PubSubProtocol, Reach, SystemRuntime};
 use crate::topic::{RateTable, Subs, TopicId, TopicSet};
 use crate::topo::{NodeTopo, RelayTopo, TopoLink};
 use rand::Rng;
+use std::rc::Rc;
 use std::sync::Arc;
 use vitis_overlay::entry::Entry;
 use vitis_overlay::id::Id;
@@ -97,7 +98,7 @@ pub struct SystemParams {
 impl SystemParams {
     /// Sensible defaults around a subscription assignment.
     pub fn new(subscriptions: Vec<TopicSet>, num_topics: usize) -> Self {
-        let subscriptions: Vec<Subs> = subscriptions.into_iter().map(Arc::new).collect();
+        let subscriptions: Vec<Subs> = subscriptions.into_iter().map(Subs::new).collect();
         let n = subscriptions.len();
         let rates = RateTable::uniform(num_topics);
         let cfg = VitisConfig {
@@ -125,13 +126,13 @@ pub type VitisSystem = SystemRuntime<VitisProtocol>;
 /// The Vitis adapter for [`SystemRuntime`]: hybrid-overlay nodes and
 /// rendezvous-aware loss classification.
 pub struct VitisProtocol {
-    cfg: Arc<VitisConfig>,
+    cfg: Rc<VitisConfig>,
     repair: AeConfig,
 }
 
 impl VitisProtocol {
     /// The shared protocol configuration.
-    pub fn config(&self) -> &Arc<VitisConfig> {
+    pub fn config(&self) -> &Rc<VitisConfig> {
         &self.cfg
     }
 }
@@ -170,7 +171,7 @@ impl PubSubProtocol for VitisProtocol {
             panic!("invalid VitisConfig: {e}");
         }
         VitisProtocol {
-            cfg: Arc::new(params.cfg.clone()),
+            cfg: Rc::new(params.cfg.clone()),
             repair: params.repair.clone(),
         }
     }

@@ -150,6 +150,10 @@ impl FromIterator<u32> for TopicSet {
 }
 
 /// Shared, immutable subscription set as carried in gossip descriptors.
+///
+/// An `Arc`, not an `Rc`: [`crate::system::SystemParams`] holds these
+/// handles and is sent to the sweep runner's worker threads, where each
+/// worker builds and runs its own system.
 pub type Subs = Arc<TopicSet>;
 
 /// Per-topic publication rates, the `rate(t)` of Equation 1. The paper's

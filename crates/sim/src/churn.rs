@@ -1,14 +1,9 @@
-//! Churn schedules and the driver that applies them to an engine.
+//! Churn schedules: time-ordered join/leave events over logical node
+//! identities.
 //!
-//! A churn *trace* is a time-ordered list of join/leave events over logical
-//! node identities. The driver maps logical identities to engine slots,
-//! constructs fresh protocol state through a caller-provided factory at each
-//! (re-)join, and interleaves trace application with simulation progress.
+//! A system applies a trace itself, one event at a time through its
+//! `set_online`, stepping its clock to each event's timestamp in between.
 
-use crate::engine::Engine;
-use crate::event::NodeIdx;
-use crate::network::NetworkModel;
-use crate::protocol::{Protocol, StopReason};
 use crate::time::SimTime;
 
 /// The direction of a churn event.
@@ -16,7 +11,7 @@ use crate::time::SimTime;
 pub enum ChurnKind {
     /// The node comes online.
     Join,
-    /// The node goes offline. The driver applies this as a crash (no goodbye
+    /// The node goes offline. Systems apply this as a crash (no goodbye
     /// protocol), matching measurement traces where departures are silent.
     Leave,
 }
@@ -126,97 +121,9 @@ impl ChurnTrace {
     }
 }
 
-/// Applies a [`ChurnTrace`] to an engine, constructing protocol state on each
-/// join via the factory and crash-removing on each leave.
-pub struct ChurnDriver {
-    trace: ChurnTrace,
-    cursor: usize,
-    /// logical node -> engine slot (assigned at first join).
-    slot_of: Vec<Option<NodeIdx>>,
-}
-
-impl ChurnDriver {
-    /// Wrap a trace for application.
-    pub fn new(trace: ChurnTrace) -> Self {
-        let n = trace.num_logical_nodes() as usize;
-        ChurnDriver {
-            trace,
-            cursor: 0,
-            slot_of: vec![None; n],
-        }
-    }
-
-    /// The engine slot currently (or last) used by a logical node.
-    pub fn slot_of(&self, logical: u32) -> Option<NodeIdx> {
-        self.slot_of.get(logical as usize).copied().flatten()
-    }
-
-    /// Whether every trace event has been applied.
-    pub fn finished(&self) -> bool {
-        self.cursor >= self.trace.events().len()
-    }
-
-    /// Time of the next unapplied event.
-    pub fn next_time(&self) -> Option<SimTime> {
-        self.trace.events().get(self.cursor).map(|e| e.time)
-    }
-
-    /// Advance the engine to `until`, applying every trace event on the way
-    /// at its exact timestamp. `factory(logical, slot_hint)` builds protocol
-    /// state for a join; `slot_hint` is the previously used slot for re-joins.
-    pub fn run_until<P, N, F>(&mut self, eng: &mut Engine<P, N>, until: SimTime, mut factory: F)
-    where
-        P: Protocol,
-        N: NetworkModel,
-        F: FnMut(u32, Option<NodeIdx>) -> P,
-    {
-        loop {
-            let next = self.trace.events().get(self.cursor).copied();
-            match next {
-                Some(e) if e.time <= until => {
-                    eng.run_until(e.time);
-                    self.apply(eng, e, &mut factory);
-                    self.cursor += 1;
-                }
-                _ => break,
-            }
-        }
-        eng.run_until(until);
-    }
-
-    fn apply<P, N, F>(&mut self, eng: &mut Engine<P, N>, e: ChurnEvent, factory: &mut F)
-    where
-        P: Protocol,
-        N: NetworkModel,
-        F: FnMut(u32, Option<NodeIdx>) -> P,
-    {
-        match e.kind {
-            ChurnKind::Join => {
-                let prev = self.slot_of[e.node as usize];
-                let proto = factory(e.node, prev);
-                match prev {
-                    Some(slot) => eng.rejoin_node(slot, proto),
-                    None => {
-                        let slot = eng.add_node(proto);
-                        self.slot_of[e.node as usize] = Some(slot);
-                    }
-                }
-            }
-            ChurnKind::Leave => {
-                if let Some(slot) = self.slot_of[e.node as usize] {
-                    eng.remove_node(slot, StopReason::Crash);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineConfig;
-    use crate::protocol::Context;
-    use crate::time::Duration;
 
     fn ev(t: u64, n: u32, kind: ChurnKind) -> ChurnEvent {
         ChurnEvent {
@@ -265,48 +172,5 @@ mod tests {
         assert_eq!(tr.online_at(SimTime(2)), 2);
         assert_eq!(tr.online_at(SimTime(6)), 1);
         assert_eq!(tr.online_at(SimTime(10)), 2);
-    }
-
-    struct Nop;
-    impl Protocol for Nop {
-        type Msg = ();
-        fn on_start(&mut self, _: &mut Context<'_, ()>) {}
-        fn on_round(&mut self, _: &mut Context<'_, ()>) {}
-        fn on_message(&mut self, _: &mut Context<'_, ()>, _: NodeIdx, _: ()) {}
-    }
-
-    #[test]
-    fn driver_applies_trace_and_reuses_slots() {
-        let tr = ChurnTrace::new(vec![
-            ev(10, 0, ChurnKind::Join),
-            ev(20, 1, ChurnKind::Join),
-            ev(30, 0, ChurnKind::Leave),
-            ev(40, 0, ChurnKind::Join),
-        ])
-        .unwrap();
-        let mut eng: Engine<Nop> = Engine::new(EngineConfig {
-            seed: 3,
-            round_period: Duration(8),
-            desynchronize_rounds: true,
-        });
-        let mut drv = ChurnDriver::new(tr);
-        let mut joins = 0;
-        drv.run_until(&mut eng, SimTime(25), |_, _| {
-            joins += 1;
-            Nop
-        });
-        assert_eq!(joins, 2);
-        assert_eq!(eng.alive_count(), 2);
-        let slot0 = drv.slot_of(0).unwrap();
-        drv.run_until(&mut eng, SimTime(100), |_, prev| {
-            joins += 1;
-            assert_eq!(prev, Some(slot0));
-            Nop
-        });
-        assert_eq!(joins, 3);
-        assert!(drv.finished());
-        assert_eq!(eng.alive_count(), 2);
-        assert_eq!(eng.num_slots(), 2, "rejoin must reuse the slot");
-        assert_eq!(eng.now(), SimTime(100));
     }
 }

@@ -9,11 +9,9 @@
 //!   message, keyed on the send-time clock the engine threads into every
 //!   latency call.
 //! * [`FaultDriver`] applies the **node** episodes —
-//!   [`FaultEpisode::CorrelatedCrash`] and [`FaultEpisode::Freeze`] — by
-//!   stepping the engine to each action's exact timestamp, exactly like
-//!   [`crate::churn::ChurnDriver`] does for churn traces (the two compose:
-//!   interleave their `next_time()` cursors, or use the driver's
-//!   [`FaultDriver::apply_due`] after any engine step).
+//!   [`FaultEpisode::CorrelatedCrash`] and [`FaultEpisode::Freeze`] — at
+//!   each action's exact timestamp: its owner steps the engine to
+//!   [`FaultDriver::next_time`] and calls [`FaultDriver::apply_due`].
 //!
 //! Determinism: an empty plan consumes no randomness and delegates every
 //! call unchanged, so a faulted run with no episodes is bit-identical to an
@@ -380,10 +378,9 @@ enum NodeAction {
 
 /// Applies the node episodes ([`FaultEpisode::CorrelatedCrash`],
 /// [`FaultEpisode::Freeze`]) of a plan to an engine at their exact
-/// timestamps. Mirrors [`crate::churn::ChurnDriver`]'s cursor interface so
-/// the two can be interleaved by stepping to whichever `next_time()` comes
-/// first (crashes are idempotent against churn-driven leaves: an offline
-/// slot is skipped).
+/// timestamps: step the engine to [`FaultDriver::next_time`], then call
+/// [`FaultDriver::apply_due`]. Crashes are idempotent against churn-driven
+/// leaves: an offline slot is skipped.
 pub struct FaultDriver {
     actions: Vec<(SimTime, NodeAction)>,
     cursor: usize,
@@ -414,19 +411,13 @@ impl FaultDriver {
         FaultDriver { actions, cursor: 0 }
     }
 
-    /// Whether every node action has been applied.
-    pub fn finished(&self) -> bool {
-        self.cursor >= self.actions.len()
-    }
-
     /// Time of the next unapplied action.
     pub fn next_time(&self) -> Option<SimTime> {
         self.actions.get(self.cursor).map(|(t, _)| *t)
     }
 
     /// Apply every action with `time <= eng.now()` without advancing the
-    /// clock — for composing with other drivers that already stepped the
-    /// engine.
+    /// clock.
     pub fn apply_due<P: Protocol, N: NetworkModel>(&mut self, eng: &mut Engine<P, N>) {
         while let Some(&(t, action)) = self.actions.get(self.cursor) {
             if t > eng.now() {
@@ -435,24 +426,6 @@ impl FaultDriver {
             Self::apply(eng, action);
             self.cursor += 1;
         }
-    }
-
-    /// Advance the engine to `until`, applying every node action on the way
-    /// at its exact timestamp.
-    pub fn run_until<P: Protocol, N: NetworkModel>(
-        &mut self,
-        eng: &mut Engine<P, N>,
-        until: SimTime,
-    ) {
-        while let Some(&(t, action)) = self.actions.get(self.cursor) {
-            if t > until {
-                break;
-            }
-            eng.run_until(t);
-            Self::apply(eng, action);
-            self.cursor += 1;
-        }
-        eng.run_until(until);
     }
 
     fn apply<P: Protocol, N: NetworkModel>(eng: &mut Engine<P, N>, action: NodeAction) {
@@ -631,6 +604,16 @@ mod tests {
         })
     }
 
+    /// Step `eng` to `until` the way a system's runtime does: run to each
+    /// due action's timestamp and apply it there, then run on to `until`.
+    fn advance(eng: &mut Engine<Nop>, drv: &mut FaultDriver, until: SimTime) {
+        while let Some(t) = drv.next_time().filter(|&t| t <= until) {
+            eng.run_until(t);
+            drv.apply_due(eng);
+        }
+        eng.run_until(until);
+    }
+
     #[test]
     fn driver_applies_crash_and_freeze_at_exact_times() {
         let plan = FaultPlan::new(vec![
@@ -650,15 +633,15 @@ mod tests {
         }
         let mut drv = FaultDriver::new(&plan);
         assert_eq!(drv.next_time(), Some(SimTime(10)));
-        drv.run_until(&mut eng, SimTime(20));
+        advance(&mut eng, &mut drv, SimTime(20));
         assert!(eng.is_frozen(NodeIdx(2)));
         assert_eq!(eng.alive_count(), 3);
-        drv.run_until(&mut eng, SimTime(35));
+        advance(&mut eng, &mut drv, SimTime(35));
         assert!(!eng.is_alive(NodeIdx(0)));
         assert!(!eng.is_alive(NodeIdx(1)));
         assert!(eng.is_frozen(NodeIdx(2)));
-        drv.run_until(&mut eng, SimTime(100));
-        assert!(drv.finished());
+        advance(&mut eng, &mut drv, SimTime(100));
+        assert_eq!(drv.next_time(), None);
         assert!(!eng.is_frozen(NodeIdx(2)));
         assert!(eng.is_alive(NodeIdx(2)));
     }
@@ -675,8 +658,8 @@ mod tests {
         eng.remove_node(a, StopReason::Crash);
         let mut drv = FaultDriver::new(&plan);
         // Slot 0 already offline, slot 5 never existed: both are no-ops.
-        drv.run_until(&mut eng, SimTime(50));
-        assert!(drv.finished());
+        advance(&mut eng, &mut drv, SimTime(50));
+        assert_eq!(drv.next_time(), None);
         assert_eq!(eng.alive_count(), 0);
     }
 
@@ -697,7 +680,7 @@ mod tests {
         eng.run_until(SimTime(15));
         drv.apply_due(&mut eng);
         assert!(!eng.is_frozen(NodeIdx(0)));
-        assert!(drv.finished());
+        assert_eq!(drv.next_time(), None);
     }
 
     #[test]
@@ -776,109 +759,5 @@ mod tests {
             scope: LossScope::All,
         }];
         assert!(FaultPlan::try_from(bad).is_err());
-    }
-
-    /// Interleave a churn driver and a fault driver on one engine: apply
-    /// whichever fires next, churn first on ties (the runtime convention).
-    fn drive_both(
-        eng: &mut Engine<Nop>,
-        churn: &mut crate::churn::ChurnDriver,
-        fault: &mut FaultDriver,
-        until: SimTime,
-    ) {
-        loop {
-            let next = [churn.next_time(), fault.next_time()]
-                .into_iter()
-                .flatten()
-                .min();
-            match next {
-                Some(t) if t <= until => {
-                    churn.run_until(eng, t, |_, _| Nop);
-                    fault.apply_due(eng);
-                }
-                _ => break,
-            }
-        }
-        churn.run_until(eng, until, |_, _| Nop);
-        fault.apply_due(eng);
-    }
-
-    /// A correlated crash kills a node whose churn `Leave` is still pending:
-    /// the later leave must find the slot already dead and no-op, leaving
-    /// both drivers finished and the population consistent.
-    #[test]
-    fn correlated_crash_with_pending_churn_leave_is_idempotent() {
-        use crate::churn::{ChurnDriver, ChurnEvent, ChurnKind, ChurnTrace};
-        let ev = |t: u64, node: u32, kind: ChurnKind| ChurnEvent {
-            time: SimTime(t),
-            node,
-            kind,
-        };
-        let trace = ChurnTrace::new(vec![
-            ev(0, 0, ChurnKind::Join),
-            ev(0, 1, ChurnKind::Join),
-            ev(0, 2, ChurnKind::Join),
-            ev(50, 0, ChurnKind::Leave),
-        ])
-        .unwrap();
-        let plan = FaultPlan::new(vec![FaultEpisode::CorrelatedCrash {
-            nodes: vec![0, 1],
-            at: SimTime(30),
-        }])
-        .unwrap();
-        let mut eng = engine();
-        let mut churn = ChurnDriver::new(trace);
-        let mut fault = FaultDriver::new(&plan);
-        drive_both(&mut eng, &mut churn, &mut fault, SimTime(40));
-        assert!(!eng.is_alive(NodeIdx(0)), "crashed before its leave");
-        assert!(!eng.is_alive(NodeIdx(1)));
-        assert_eq!(eng.alive_count(), 1);
-        // The pending leave at t=50 lands on the already-dead slot.
-        drive_both(&mut eng, &mut churn, &mut fault, SimTime(100));
-        assert!(fault.finished());
-        assert_eq!(eng.alive_count(), 1);
-        assert!(eng.is_alive(NodeIdx(2)));
-    }
-
-    /// A node leaves and rejoins on the same tick while a freeze episode
-    /// spans it, and an unrelated node joins on that tick too. The rejoin
-    /// lands in the same slot with the frozen flag cleared (a fresh
-    /// incarnation is a new process), and the episode-end thaw is a no-op.
-    #[test]
-    fn same_tick_churn_under_an_active_freeze() {
-        use crate::churn::{ChurnDriver, ChurnEvent, ChurnKind, ChurnTrace};
-        let ev = |t: u64, node: u32, kind: ChurnKind| ChurnEvent {
-            time: SimTime(t),
-            node,
-            kind,
-        };
-        let trace = ChurnTrace::new(vec![
-            ev(0, 0, ChurnKind::Join),
-            ev(20, 0, ChurnKind::Leave),
-            ev(20, 0, ChurnKind::Join),
-            ev(20, 1, ChurnKind::Join),
-        ])
-        .unwrap();
-        let plan = FaultPlan::new(vec![FaultEpisode::Freeze {
-            nodes: vec![0],
-            span: Span::new(10, 40),
-        }])
-        .unwrap();
-        let mut eng = engine();
-        let mut churn = ChurnDriver::new(trace);
-        let mut fault = FaultDriver::new(&plan);
-        drive_both(&mut eng, &mut churn, &mut fault, SimTime(15));
-        assert!(eng.is_frozen(NodeIdx(0)), "freeze active before the churn");
-        drive_both(&mut eng, &mut churn, &mut fault, SimTime(25));
-        assert!(eng.is_alive(NodeIdx(0)), "rejoined into its old slot");
-        assert!(
-            !eng.is_frozen(NodeIdx(0)),
-            "rejoin clears the frozen flag: the new incarnation is a new process"
-        );
-        assert!(eng.is_alive(NodeIdx(1)), "same-tick join of another node");
-        drive_both(&mut eng, &mut churn, &mut fault, SimTime(100));
-        assert!(fault.finished());
-        assert_eq!(eng.alive_count(), 2);
-        assert!(!eng.is_frozen(NodeIdx(0)));
     }
 }

@@ -51,7 +51,7 @@ pub mod trace;
 /// Convenience re-exports for protocol implementations and harnesses.
 pub mod prelude {
     pub use crate::antientropy::{AeConfig, AntiEntropy};
-    pub use crate::churn::{ChurnDriver, ChurnEvent, ChurnKind, ChurnTrace};
+    pub use crate::churn::{ChurnEvent, ChurnKind, ChurnTrace};
     pub use crate::engine::{Engine, EngineConfig, EngineStats};
     pub use crate::event::NodeIdx;
     pub use crate::fault::{

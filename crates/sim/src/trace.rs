@@ -31,8 +31,9 @@
 pub use crate::record::{push_f64, push_json_str};
 use crate::record::{write_record, Field, Value};
 use std::borrow::Cow;
+use std::cell::{Ref, RefCell, RefMut};
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// Which plane a message belongs to: protocol maintenance (gossip,
 /// heartbeats, lookups) or event dissemination.
@@ -479,23 +480,20 @@ crate::record! {
 /// Shared handle to a [`Trace`]; the engine and the harness both record
 /// into the same buffer.
 ///
-/// Backed by `Arc<Mutex>` so a traced system is `Send`; every recording
-/// happens on the thread that drives the engine, so the lock is
-/// uncontended (whether `Rc<RefCell>` would pay is ROADMAP item 4's
-/// follow-up). The `borrow`/`borrow_mut` method names are kept from the
-/// earlier `Rc<RefCell>` handle.
+/// Backed by `Rc<RefCell>`: a traced system lives and records on the one
+/// thread that drives its engine.
 #[derive(Clone, Debug)]
-pub struct TraceHandle(Arc<Mutex<Trace>>);
+pub struct TraceHandle(Rc<RefCell<Trace>>);
 
 impl TraceHandle {
-    /// Lock the trace for reading.
-    pub fn borrow(&self) -> std::sync::MutexGuard<'_, Trace> {
-        self.0.lock().expect("trace lock poisoned")
+    /// Borrow the trace for reading.
+    pub fn borrow(&self) -> Ref<'_, Trace> {
+        self.0.borrow()
     }
 
-    /// Lock the trace for writing.
-    pub fn borrow_mut(&self) -> std::sync::MutexGuard<'_, Trace> {
-        self.0.lock().expect("trace lock poisoned")
+    /// Borrow the trace for writing.
+    pub fn borrow_mut(&self) -> RefMut<'_, Trace> {
+        self.0.borrow_mut()
     }
 }
 
@@ -528,7 +526,7 @@ impl Trace {
     /// A shared handle around a fresh trace (what systems install into
     /// their engine).
     pub fn shared(capacity: usize) -> TraceHandle {
-        TraceHandle(Arc::new(Mutex::new(Trace::new(capacity))))
+        TraceHandle(Rc::new(RefCell::new(Trace::new(capacity))))
     }
 
     /// Whether per-message events are recorded (on by default). Round,
