@@ -115,8 +115,7 @@ pub trait PubSub {
     fn health_probe(&self) -> HealthProbe;
 
     /// Deterministic engine-side perf counters (queue high-water mark,
-    /// per-phase node activations). Always available; independent of the
-    /// wall-clock span profiler.
+    /// per-phase node activations). Always available.
     fn perf_counters(&self) -> vitis_sim::perf::EngineCounters;
 
     /// The system's heap bytes by owner, each Σ capacity × element size:
@@ -333,7 +332,7 @@ impl<P: PubSubProtocol> SystemRuntime<P> {
     // The engine has one executor, so there is nothing to switch. Kept only
     // because `benchmark/src/workloads.rs:492` still calls it and that file
     // is editable only by a `[benchmark]`-scoped PR; delete this line
-    // together with that call (ROADMAP item 8).
+    // together with that call (ROADMAP item 5(b)).
     #[doc(hidden)]
     pub fn set_parallel_rounds(&mut self, _on: bool) {}
 
@@ -455,7 +454,6 @@ impl<P: PubSubProtocol> SystemRuntime<P> {
     /// Publish from an explicit node (must be online). Returns the event
     /// id.
     pub fn publish_from(&mut self, publisher: u32, topic: TopicId) -> Option<EventId> {
-        let _span = vitis_sim::perf::span("system.publish");
         if !self.engine.is_alive(NodeIdx(publisher)) {
             return None;
         }
@@ -649,7 +647,6 @@ impl<P: PubSubProtocol> SystemRuntime<P> {
 
 impl<P: PubSubProtocol> PubSub for SystemRuntime<P> {
     fn run_rounds(&mut self, n: u64) {
-        let _span = vitis_sim::perf::span("system.run_rounds");
         let target = self.engine.now() + Duration(self.engine.round_period().ticks() * n);
         self.advance_to(target);
     }

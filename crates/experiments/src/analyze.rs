@@ -13,7 +13,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use crate::obs::RunRecord;
 use vitis_sim::metrics::Histogram;
-use vitis_sim::perf::{MemSnapshot, SpanRecord};
 use vitis_sim::record::{parse_value, read_record, ParseError, Value};
 use vitis_sim::trace::TraceEvent;
 
@@ -81,17 +80,9 @@ pub struct TraceFile {
     /// Lines that failed to parse as a record of any sink.
     pub skipped: u64,
     /// Well-formed records that carry no forensic payload (round
-    /// boundaries, samples, health probes, ... and the records of the
-    /// other sinks: `run`, `span`, `mem`).
+    /// boundaries, samples, health probes, ... and `--metrics-out`'s
+    /// `run` records).
     pub other_events: u64,
-}
-
-/// Whether `o` is a well-formed record of a sink other than the trace:
-/// `--metrics-out`'s `run`, or `--perf-out`'s `span` / `mem`.
-fn is_metrics_or_perf_record(o: &Value) -> bool {
-    read_record::<RunRecord>(o).is_ok()
-        || read_record::<SpanRecord>(o).is_ok()
-        || read_record::<MemSnapshot>(o).is_ok()
 }
 
 /// Parse a JSONL dump — a trace, or any other file this binary writes —
@@ -109,7 +100,8 @@ pub fn parse_trace(text: &str) -> TraceFile {
         let o = parse_value(line).unwrap_or(Value::Null);
         let ev = match read_record::<TraceEvent>(&o) {
             Ok(ev) => ev,
-            Err(ParseError::UnknownType(_)) if is_metrics_or_perf_record(&o) => {
+            // A well-formed `run` record of `--metrics-out`.
+            Err(ParseError::UnknownType(_)) if read_record::<RunRecord>(&o).is_ok() => {
                 tf.other_events += 1;
                 continue;
             }
@@ -430,8 +422,8 @@ mod tests {
         .to_string()
     }
 
-    /// A `run` record as `--metrics-out` writes it, a `span` and a `mem`
-    /// as `--perf-out` does, and a `run` line cut short by a crash.
+    /// A `run` record as `--metrics-out` writes it, and the same line cut
+    /// short by a crash.
     fn other_sinks_lines() -> String {
         use vitis_sim::record::to_json;
         let run = RunRecord {
@@ -444,14 +436,9 @@ mod tests {
             stats: Default::default(),
             samples: Default::default(),
         };
-        let span = SpanRecord {
-            path: "a;b".to_string(),
-            stat: Default::default(),
-        };
         let run = to_json(None, &run);
         let cut = &run[..run.len() / 2];
-        let (span, mem) = (to_json(None, &span), to_json(None, &MemSnapshot::default()));
-        format!("{run}\n{span}\n{mem}\n{cut}\n")
+        format!("{run}\n{cut}\n")
     }
 
     #[test]
@@ -460,12 +447,12 @@ mod tests {
         assert_eq!(tf.lines, 10);
         assert_eq!(tf.skipped, 1);
         assert_eq!(tf.other_events, 1);
-        // The records of the other sinks are known, not unparsable; a
+        // The metrics sink's `run` record is known, not unparsable; a
         // truncated one still is, and neither is fatal.
         let tf = parse_trace(&(sample_trace().to_string() + &other_sinks_lines()));
-        assert_eq!(tf.lines, 14);
+        assert_eq!(tf.lines, 12);
         assert_eq!(tf.skipped, 2);
-        assert_eq!(tf.other_events, 4);
+        assert_eq!(tf.other_events, 2);
         let rf = &tf.runs["fig6/vitis#0"];
         assert_eq!(rf.meta, Some((100, 9, 0)));
         let e = &rf.events[&1];

@@ -9,10 +9,8 @@
 //! streams the per-run event traces (round boundaries, churn, messages,
 //! health probes, and the delivery forensics records that `analyze`
 //! reads back). Records hit disk as each run finishes, so an aborted
-//! sweep still leaves valid partial files. `--perf-out` enables the span
-//! profiler and writes its aggregate (plus memory accounting) as JSONL,
-//! with a flamegraph-compatible `FILE.folded` companion. All schemas are
-//! documented in `docs/METRICS.md`.
+//! sweep still leaves valid partial files. All schemas are documented in
+//! `docs/METRICS.md`.
 
 use std::num::{NonZeroU64, NonZeroUsize};
 use std::process::ExitCode;
@@ -103,7 +101,7 @@ impl ScaleOpts {
     }
 }
 
-/// The `--metrics-out / --trace-out / --trace-capacity / --perf-out` block
+/// The `--metrics-out / --trace-out / --trace-capacity` block
 /// of the subcommands that run `measure_obs`: the figure runner and
 /// `scale`.
 #[derive(Default)]
@@ -111,7 +109,6 @@ struct SinkOpts {
     metrics_out: Option<String>,
     trace_out: Option<String>,
     trace_capacity: Option<NonZeroUsize>,
-    perf_out: Option<String>,
 }
 
 impl SinkOpts {
@@ -122,7 +119,6 @@ impl SinkOpts {
             "--metrics-out" => self.metrics_out = Some(args.value(flag)?),
             "--trace-out" => self.trace_out = Some(args.value(flag)?),
             "--trace-capacity" => self.trace_capacity = Some(args.value(flag)?),
-            "--perf-out" => self.perf_out = Some(args.value(flag)?),
             _ => return Ok(false),
         }
         Ok(true)
@@ -207,7 +203,8 @@ fn run_figures(mut args: Args) -> Result<(), Stop> {
             }
         }
     }
-    close_sinks(&sinks)
+    report_sinks();
+    Ok(())
 }
 
 /// Open the sinks that were asked for, before the first run starts.
@@ -222,15 +219,7 @@ fn open_sinks(sinks: &SinkOpts) -> Result<(), Stop> {
     if let Some(capacity) = sinks.trace_capacity {
         obs.set_trace_capacity(capacity.get());
     }
-    perf::set_enabled(sinks.perf_out.is_some());
     Ok(())
-}
-
-/// After the last run: report what the sinks wrote, and write the
-/// `--perf-out` report if one was asked for.
-fn close_sinks(sinks: &SinkOpts) -> Result<(), Stop> {
-    report_sinks();
-    sinks.perf_out.as_deref().map_or(Ok(()), write_perf_report)
 }
 
 /// Write `batch` as the JSONL file `path`.
@@ -262,27 +251,6 @@ fn report_sinks() {
             vitis_sim::antientropy::PULL_RETRIES
         );
     }
-}
-
-/// Write the span profiler's aggregate and the memory accounting snapshot
-/// as JSONL to `path`, plus a flamegraph-compatible folded-stack
-/// companion at `path.folded` (`flamegraph.pl FILE.folded > out.svg`).
-fn write_perf_report(path: &str) -> Result<(), Stop> {
-    let spans = perf::take_spans();
-    let count = spans.len();
-    let folded_path = format!("{path}.folded");
-    let mut batch = Batch::default();
-    let mut folded = String::new();
-    for (path, stat) in spans {
-        folded.push_str(&perf::folded_line(&path, &stat));
-        folded.push('\n');
-        batch.push(None, &perf::SpanRecord { path, stat });
-    }
-    batch.push(None, &perf::mem_snapshot());
-    write_jsonl(path, &batch)?;
-    std::fs::write(&folded_path, folded).map_err(|e| io_failed("write", &folded_path, e))?;
-    eprintln!("wrote {count} span aggregates to {path} (folded stacks: {folded_path})");
-    Ok(())
 }
 
 /// The `scale` subcommand: sweep the node-count ladder across all three
@@ -332,7 +300,8 @@ fn run_scale(mut args: Args) -> Result<(), Stop> {
     let text = vitis_experiments::benchfmt::render(&entries);
     std::fs::write(&out, text).map_err(|e| io_failed("write", &out, e))?;
     eprintln!("wrote {} BENCH entries to {out}", entries.len());
-    close_sinks(&sinks)
+    report_sinks();
+    Ok(())
 }
 
 /// The `resilience` subcommand: sweep partition-episode severity across
@@ -460,7 +429,6 @@ const USAGE: &str = "\
 usage: vitis-experiments [fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 clusters headline ablations | all]
 \t[--nodes N] [--seed S] [--replicas R] [--paper | --quick]
 \t[--metrics-out FILE.jsonl] [--trace-out FILE.jsonl] [--trace-capacity N]
-\t[--perf-out FILE.jsonl] (span profiler + memory accounting; also writes FILE.jsonl.folded)
 \t(schema: docs/METRICS.md)
 
 \tvitis-experiments analyze TRACE.jsonl [--dot FILE.dot]
@@ -478,8 +446,8 @@ usage: vitis-experiments [fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 cluste
 \t --strict exits nonzero on any audit violation)
 
 \tvitis-experiments scale [--max-nodes N] [--budget-secs B] [--seed S] [--out BENCH.json]
-\t\t[--metrics-out FILE.jsonl] [--trace-out FILE.jsonl] [--trace-capacity N] [--perf-out FILE.jsonl]
+\t\t[--metrics-out FILE.jsonl] [--trace-out FILE.jsonl] [--trace-capacity N]
 \t(node-count ladder 2k..100k across vitis/rvr/opt; BENCH schema in docs/METRICS.md §9.
-\t the four sink options are the figure runner's: each point is the run scale/<system>-<nodes>#<index>;
+\t the three sink options are the figure runner's: each point is the run scale/<system>-<nodes>#<index>;
 \t build with --features perf-alloc for allocator peak-memory entries;
 \t compare two BENCH files with the bench-diff binary)";

@@ -10,10 +10,9 @@
 //! always in unit tests) every recording call is a cheap no-op.
 //!
 //! [`FileSink`] is the one thing in this crate that opens and writes a
-//! JSONL file — these two sinks, `--perf-out` and `topology --out` — and
-//! every line it writes is a record of the one table
-//! ([`mod@vitis_sim::record`]): the trace's [`TraceEvent`]s, the
-//! [`RunRecord`] declared here, the perf module's spans and memory.
+//! JSONL file — these two sinks and `topology --out` — and every line it
+//! writes is a record of the one table ([`mod@vitis_sim::record`]): the
+//! trace's [`TraceEvent`]s and the [`RunRecord`] declared here.
 //!
 //! The schema of every record is documented in `docs/METRICS.md`.
 
@@ -304,7 +303,9 @@ impl RunCtx {
 
     /// Close the current wall-clock phase under `name` and return its
     /// length: milliseconds since the previous phase boundary, or since
-    /// [`Obs::start`]. Timed even when nothing is being collected.
+    /// [`Obs::start`]. Timed even when nothing is being collected. This is
+    /// the harness's one wall clock: `phase_ms`, the trace's `phase`
+    /// events and the scale ladder's per-phase rows all come from here.
     pub fn phase(&mut self, name: &'static str) -> f64 {
         let elapsed = self.last_phase.elapsed().as_secs_f64() * 1e3;
         self.last_phase = Instant::now();
@@ -505,7 +506,6 @@ mod tests {
     fn golden_records() -> String {
         use std::borrow::Cow;
         use vitis::monitor::KindStat;
-        use vitis_sim::perf::{MemSnapshot, SpanRecord, SpanStat};
         use vitis_sim::trace::{HealthProbe, TopoProbe, TrafficClass};
         let events = vec![
             TraceEvent::Round {
@@ -766,26 +766,6 @@ mod tests {
             },
         ));
 
-        // `--perf-out`.
-        let span = SpanRecord {
-            path: "scale.point;measure.warmup".to_string(),
-            stat: SpanStat {
-                count: 30,
-                total_ns: 12_000_000_000,
-                min_ns: 3,
-                max_ns: 9,
-                self_ns: 80,
-            },
-        };
-        lines.push(to_json(None, &span));
-        let mem = MemSnapshot {
-            counting: true,
-            live_bytes: 1024,
-            peak_bytes: 4096,
-            allocations: 17,
-        };
-        lines.push(to_json(None, &mem));
-
         let mut text = lines.join("\n");
         text.push('\n');
         // A BENCH document: header, two entries, trailer.
@@ -803,7 +783,6 @@ mod tests {
     /// would).
     #[test]
     fn records_render_to_the_committed_golden_bytes_and_read_back() {
-        use vitis_sim::perf::{MemSnapshot, SpanRecord};
         use vitis_sim::record::{parse_value, read_record, Value};
         let path = concat!(
             env!("CARGO_MANIFEST_DIR"),
@@ -818,8 +797,6 @@ mod tests {
             let run = o.get("run").and_then(Value::as_str);
             let back = match o.get("type").and_then(Value::as_str) {
                 Some("run") => to_json(None, &read_record::<RunRecord>(&o).unwrap()),
-                Some("span") => to_json(None, &read_record::<SpanRecord>(&o).unwrap()),
-                Some("mem") => to_json(None, &read_record::<MemSnapshot>(&o).unwrap()),
                 _ => to_json(run, &read_record::<TraceEvent>(&o).unwrap()),
             };
             assert_eq!(back, line);

@@ -78,44 +78,35 @@ pub fn measure_obs(
 ) -> (PubSubStats, PhaseMs) {
     let build = ctx.phase("build");
     ctx.install_trace(sys);
-    {
-        let _span = vitis_sim::perf::span("measure.warmup");
-        sys.run_rounds(scale.warmup_rounds);
-    }
+    sys.run_rounds(scale.warmup_rounds);
     let warmup = ctx.phase("warmup");
     sys.reset_metrics();
     let chunk = (scale.events / 10).max(1);
     let mut published = 0usize;
     let mut topic_cursor = 0u32;
     let mut round = 0u64;
-    {
-        let _span = vitis_sim::perf::span("measure.publish_window");
-        while published < scale.events {
-            for _ in 0..chunk.min(scale.events - published) {
-                match plan {
-                    PublishPlan::RoundRobin => {
-                        sys.publish(TopicId(topic_cursor));
-                        topic_cursor = (topic_cursor + 1) % scale.topics as u32;
-                    }
-                    PublishPlan::RateWeighted => {
-                        sys.publish_weighted();
-                    }
+    while published < scale.events {
+        for _ in 0..chunk.min(scale.events - published) {
+            match plan {
+                PublishPlan::RoundRobin => {
+                    sys.publish(TopicId(topic_cursor));
+                    topic_cursor = (topic_cursor + 1) % scale.topics as u32;
                 }
-                published += 1;
+                PublishPlan::RateWeighted => {
+                    sys.publish_weighted();
+                }
             }
-            sys.run_rounds(1);
-            round += 1;
-            ctx.sample(round, &*sys);
+            published += 1;
         }
+        sys.run_rounds(1);
+        round += 1;
+        ctx.sample(round, &*sys);
     }
     let measure = ctx.phase("measure");
-    {
-        let _span = vitis_sim::perf::span("measure.drain");
-        for _ in 0..scale.drain_rounds {
-            sys.run_rounds(1);
-            round += 1;
-            ctx.sample(round, &*sys);
-        }
+    for _ in 0..scale.drain_rounds {
+        sys.run_rounds(1);
+        round += 1;
+        ctx.sample(round, &*sys);
     }
     let drain = ctx.phase("drain");
     if ctx.has_trace() {

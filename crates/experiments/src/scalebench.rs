@@ -143,17 +143,13 @@ pub fn plan_for(nodes: usize, seed: u64) -> Scale {
 /// moment it completes, stamped and headed by `trace_meta` like any other
 /// run's, and an aborted sweep keeps every finished point's records.
 pub fn bench_point(system: System, scale: &Scale, index: usize) -> BenchPoint {
-    let _span = perf::span("scale.point");
     perf::reset_mem_peak();
 
     let label = format!("{}-{}", system.name(), scale.nodes);
     let ctx = Obs::global().start("scale", &label, index);
     let params = synthetic_params(scale, Correlation::High);
     let live_before = perf::mem_snapshot().live_bytes;
-    let mut sys = {
-        let _span = perf::span("scale.build");
-        system.build(params)
-    };
+    let mut sys = system.build(params);
     let (stats, ms) = measure_obs(sys.as_mut(), scale, PublishPlan::RoundRobin, ctx);
     let mem = perf::mem_snapshot();
 

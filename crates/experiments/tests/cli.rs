@@ -41,6 +41,10 @@ fn zero_nodes_is_a_usage_error_in_every_simulating_subcommand() {
     }
     assert_usage_error(&["topology", "--system", "scribe"], "\"scribe\"");
     assert_usage_error(&["fig6", "--seed"], "--seed");
+    for sub in [&[][..], &["scale"]] {
+        let args = [sub, &["--perf-out", "x"]].concat();
+        assert_usage_error(&args, "--perf-out");
+    }
 }
 
 /// A slice of the committed figure transcript (fig4 fig6 fig7 fig10 and

@@ -16,7 +16,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use vitis_experiments::benchfmt::BenchEntry;
 use vitis_experiments::obs::RunRecord;
-use vitis_sim::perf::{MemSnapshot, SpanRecord};
 use vitis_sim::record::{parse_value, Record, Value};
 use vitis_sim::trace::TraceEvent;
 
@@ -28,8 +27,6 @@ fn table() -> BTreeMap<&'static str, Vec<String>> {
     [
         TraceEvent::schema(),
         RunRecord::schema(),
-        SpanRecord::schema(),
-        MemSnapshot::schema(),
         BenchEntry::schema(),
     ]
     .into_iter()

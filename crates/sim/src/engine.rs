@@ -224,7 +224,7 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
 
     /// Cumulative performance counters (queue-depth high-water mark,
     /// per-kind protocol activations, scheduler batch/overflow counts).
-    /// Deterministic — unlike wall-clock spans, these are safe to embed in
+    /// Deterministic — unlike wall-clock timers, these are safe to embed in
     /// reproducible artifacts.
     #[inline]
     pub fn perf_counters(&self) -> crate::perf::EngineCounters {
@@ -446,7 +446,6 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
     /// event, and freed once handled); handling order is identical to a
     /// one-at-a-time loop.
     pub fn run_until(&mut self, t: SimTime) {
-        let _span = crate::perf::span("engine.run_until");
         while let Some(et) = self.queue.peek_time() {
             if et > t {
                 break;

@@ -59,7 +59,7 @@ pub mod prelude {
     };
     pub use crate::metrics::{Histogram, Summary};
     pub use crate::network::{ConstantLatency, Lossy, NetworkModel, UniformLatency};
-    pub use crate::perf::{EngineCounters, MemSnapshot, SpanStat};
+    pub use crate::perf::{EngineCounters, MemSnapshot};
     pub use crate::protocol::{Context, Protocol, StopReason};
     pub use crate::time::{Duration, SimTime};
     pub use crate::trace::{

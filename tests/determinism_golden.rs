@@ -47,28 +47,6 @@ fn opt_fixed_seed_run_is_bit_identical() {
     check_golden("opt", &run_scenario(&mut sys));
 }
 
-/// Perf instrumentation must be invisible to the simulation: running the
-/// same scenario with the span profiler enabled (and under the
-/// `perf-alloc` counting allocator, when built with that feature) yields
-/// the same bytes as the checked-in golden. Wall-clock observation never
-/// feeds simulation state.
-#[test]
-fn vitis_golden_is_byte_identical_with_profiling_on() {
-    vitis_sim::perf::set_enabled(true);
-    let mut sys = VitisSystem::new(golden_params());
-    let got = run_scenario(&mut sys);
-    vitis_sim::perf::set_enabled(false);
-    check_golden("vitis", &got);
-    // The profiler actually observed the run it did not perturb.
-    let spans = vitis_sim::perf::take_spans();
-    assert!(
-        spans
-            .iter()
-            .any(|(p, s)| p.ends_with("engine.run_until") && s.count > 0),
-        "enabled profiler must record engine spans"
-    );
-}
-
 /// The faulted counterpart: the same scenario under a fixed fault plan
 /// exercising every episode kind, with the Vitis hardening knobs on
 /// (publisher retries, bounded TTL, gateway failover). Pins the entire
