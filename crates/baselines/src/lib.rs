@@ -20,6 +20,7 @@
 //! the evaluation (Vitis included) as one value that builds any of them.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod opt;
 pub mod rvr;

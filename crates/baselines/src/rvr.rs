@@ -220,6 +220,14 @@ impl Protocol for RvrNode {
         }
     }
 
+    /// A join hop starts with a search of the tree table; warm its first
+    /// probes, as Vitis does for its relay requests.
+    fn prefetch(&self, msg: Option<&RvrMsg>) {
+        if let Some(RvrMsg::Join { .. }) = msg {
+            self.tree.prefetch();
+        }
+    }
+
     fn on_start(&mut self, ctx: &mut Context<'_, RvrMsg>) {
         let contacts = self.net.start(ctx.self_idx);
         self.net.merge(contacts, false, |_| 0.0, ctx.rng);

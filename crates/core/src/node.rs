@@ -663,6 +663,15 @@ impl Protocol for VitisNode {
         }
     }
 
+    /// A relay request's hop starts with a search of the relay table, the
+    /// handler's cold miss on `gossip_2k`; warm its first probes. The other
+    /// kinds' first reads measured no gain from a hint (DESIGN §14).
+    fn prefetch(&self, msg: Option<&VitisMsg>) {
+        if let Some(VitisMsg::RelayRequest { .. }) = msg {
+            self.relays.prefetch();
+        }
+    }
+
     fn on_start(&mut self, ctx: &mut Context<'_, VitisMsg>) {
         let contacts = self.net.start(ctx.self_idx);
         // Seed the routing table immediately so the first rounds can gossip.

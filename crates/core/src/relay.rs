@@ -230,6 +230,24 @@ impl RelayTable {
         RelayEntryMut { table: self, i }
     }
 
+    /// Prefetch the first two levels of a topic search (the slots at n/2,
+    /// n/4 and 3n/4) in the slot array and in the spilled-link array: the
+    /// cold probes [`RelayTable::entry`] and its spilled-link lookup start
+    /// with, warmed while other handlers run. Reads only the two vectors'
+    /// headers.
+    pub fn prefetch(&self) {
+        fn probes<T>(v: &[T]) {
+            let n = v.len();
+            for i in [n / 2, n / 4, 3 * n / 4] {
+                if let Some(x) = v.get(i) {
+                    vitis_sim::perf::prefetch(x);
+                }
+            }
+        }
+        probes(&self.slots);
+        probes(&self.spilled);
+    }
+
     /// Heap bytes of the slot array and the spilled-link array, as
     /// Σ capacity × element size.
     pub fn heap_bytes(&self) -> u64 {

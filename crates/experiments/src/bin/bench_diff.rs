@@ -25,6 +25,8 @@
 //! Wall-clock benchmarks are noisy; the default tolerance is 25%, wide
 //! enough that CI only trips on structural slowdowns.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 use vitis_experiments::benchfmt::{self, BenchEntry, Direction};
 

@@ -39,6 +39,7 @@
 //! --nodes 2000` (use `--paper` for the full 10 000-node setting).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod ablations;
 pub mod analyze;

@@ -12,6 +12,8 @@
 //! sweep still leaves valid partial files. All schemas are documented in
 //! `docs/METRICS.md`.
 
+#![forbid(unsafe_code)]
+
 use std::num::{NonZeroU64, NonZeroUsize};
 use std::process::ExitCode;
 use std::str::FromStr;

@@ -16,6 +16,7 @@
 //! * static [`graph`] analysis (topic clusters, hop counts, degrees).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod entry;
 pub mod graph;

@@ -32,6 +32,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// `unsafe` is confined to `perf`: the counting allocator and the prefetch
+// hint, each allowed where it stands.
+#![deny(unsafe_code)]
 
 pub mod antientropy;
 pub mod churn;

@@ -1,5 +1,6 @@
-//! Low-overhead performance telemetry: engine activity counters and
-//! allocator-level memory accounting.
+//! Low-overhead performance telemetry — engine activity counters and
+//! allocator-level memory accounting — and the cache-prefetch hint the
+//! engine's batch loop issues.
 //!
 //! This module answers "where does simulator *memory* go, and how busy was
 //! the engine" — the complement of [`crate::trace`], which records what
@@ -19,7 +20,11 @@
 //!   without any allocator hook.
 //!
 //! Neither layer feeds simulation state: building with or without
-//! `perf-alloc` leaves fixed-seed runs bit-identical.
+//! `perf-alloc` leaves fixed-seed runs bit-identical. Nor does
+//! [`prefetch`], which only tells the CPU which cache line is wanted next.
+//!
+//! This module holds the crate's only `unsafe` code: the allocator wrapper
+//! and the prefetch instruction.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -97,6 +102,7 @@ fn note_dealloc(size: usize) {
 
 // SAFETY: delegates every operation to `System`, only adding relaxed
 // atomic accounting; the layout contracts are forwarded unchanged.
+#[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = unsafe { System.alloc(layout) };
@@ -160,6 +166,38 @@ pub fn mem_snapshot() -> MemSnapshot {
 /// attribution (e.g. one sweep point at a time) is possible.
 pub fn reset_mem_peak() {
     MEM_PEAK.store(MEM_LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
+}
+
+// ---------------------------------------------------------------------------
+// Cache prefetch
+// ---------------------------------------------------------------------------
+
+/// Ask the CPU to pull the cache line holding `ptr` into L1. A hint only:
+/// it never faults, whatever `ptr` is, and changes nothing a program can
+/// observe but its timing. A no-op off x86_64.
+#[inline(always)]
+pub fn prefetch<T>(ptr: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    #[allow(unsafe_code)]
+    // SAFETY: `prefetcht0` reads no memory architecturally and cannot fault
+    // on any address, mapped or not; SSE is part of the x86_64 baseline.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(ptr.cast::<i8>());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = ptr;
+}
+
+/// [`prefetch`] every 64-byte cache line that `bytes` bytes from `ptr`
+/// touch.
+#[inline(always)]
+pub fn prefetch_range<T>(ptr: *const T, bytes: usize) {
+    let skew = ptr as usize % 64;
+    let first_line = ptr.cast::<u8>().wrapping_sub(skew);
+    for off in (0..bytes + skew).step_by(64) {
+        prefetch(first_line.wrapping_add(off));
+    }
 }
 
 /// Heap bytes of a std hash table with room for `capacity` entries of

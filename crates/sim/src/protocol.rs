@@ -67,6 +67,17 @@ pub trait Protocol: Sized {
     fn event_of(_msg: &Self::Msg) -> Option<u64> {
         None
     }
+
+    /// A look-ahead hint: this node will be activated a few events from now
+    /// in the current batch, by `msg` (`None` for a round tick). An
+    /// implementation may issue [`crate::perf::prefetch`] for the memory
+    /// that activation's handler will search first, so the miss overlaps
+    /// the handlers still to run before it. It is a hint: the engine calls
+    /// it only for a node it is about to activate, but may skip it. It must
+    /// be cheap, a handful of prefetches, and read only: it takes `&self`
+    /// and no context or RNG, so it cannot change a run's results. The
+    /// default does nothing.
+    fn prefetch(&self, _msg: Option<&Self::Msg>) {}
 }
 
 /// An output requested by a protocol handler, applied by the engine after the

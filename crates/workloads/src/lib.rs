@@ -19,6 +19,7 @@
 //! behaviours the experiments exercise.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod rates;
 pub mod skype;

@@ -16,6 +16,7 @@
 //! paper-vs-measured results.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use vitis;
 pub use vitis_baselines;

@@ -16,10 +16,13 @@
 //! **Nodes.** Dispatch runs handlers on the node in place, so an
 //! activation's cost does not depend on the node's size (a test in
 //! `vitis_sim::engine` pins that). What is left is memory: N of them are
-//! resident, and a handler touches one cache line per 64 bytes of the fields
-//! it reads. The budgets are the PR 18 sizes rounded up to a cache line;
-//! raise one knowingly, with the `peak_rss_kb_per_node` rows beside it.
-//! Every node holds one `Monitor` handle, which is one pointer.
+//! resident. The engine prefetches an activation's whole slot a few events
+//! before it runs, so the cache lines a handler reads are mostly warm, and
+//! node size costs ⌈size/64⌉ prefetch instructions per activation, not
+//! as many misses. The budgets are the sizes the compact layout reached
+//! (DESIGN §12), rounded up to a cache line; raise one knowingly, with
+//! the `peak_rss_kb_per_node` rows beside it. Every node holds one
+//! `Monitor` handle, which is one pointer.
 #![cfg(target_pointer_width = "64")]
 
 use std::mem::size_of;
