@@ -113,8 +113,8 @@ pub enum LossReason {
     /// early, or a forwarding gap).
     IncompleteFlood,
     /// The network itself dropped a copy addressed to this subscriber
-    /// (lossy link, partition, freeze suppression) and no other copy
-    /// arrived — classified from the engine's transit-drop record.
+    /// (loss burst, partition) and no other copy arrived — classified
+    /// from the engine's transit-drop record.
     Network,
 }
 

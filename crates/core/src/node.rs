@@ -41,8 +41,8 @@ pub struct Neighbor {
     link: Option<Subs>,
     /// Rounds since the advertising heartbeat. Only read with gateway
     /// failover on: stale advertisements past the failure-detection
-    /// threshold are then excluded from elections, so a silent (crashed,
-    /// frozen or partitioned-away) gateway loses its electorate within
+    /// threshold are then excluded from elections, so a silent (crashed or
+    /// partitioned-away) gateway loses its electorate within
     /// `age_threshold` rounds instead of whenever its descriptor expires.
     advert_age: u16,
     /// Rounds since the reverse link's last heartbeat.

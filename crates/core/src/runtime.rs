@@ -38,7 +38,7 @@ use vitis_overlay::id::Id;
 use vitis_overlay::rt::LinkKind;
 use vitis_sim::engine::{Engine, EngineConfig};
 use vitis_sim::event::NodeIdx;
-use vitis_sim::fault::{FaultDriver, FaultedNetwork};
+use vitis_sim::fault::FaultedNetwork;
 use vitis_sim::network::DynNetworkModel;
 use vitis_sim::prelude::StopReason;
 use vitis_sim::protocol::Protocol;
@@ -71,9 +71,7 @@ pub trait PubSub {
     /// repair layer rather than the protocol's own dissemination.
     /// Cumulative over the system's lifetime (never reset); zero whenever
     /// repair is disabled.
-    fn recovered_deliveries(&self) -> u64 {
-        0
-    }
+    fn recovered_deliveries(&self) -> u64;
 
     /// Clear the measurement window (end of warmup).
     fn reset_metrics(&mut self);
@@ -229,10 +227,6 @@ pub struct SystemRuntime<P: PubSubProtocol> {
     pub(crate) monitor: Monitor,
     pub(crate) workload: Workload,
     pub(crate) protocol: P,
-    /// Applies the plan's crash/freeze episodes at their exact timestamps
-    /// whenever the runtime advances the engine. Link-level episodes
-    /// (partition, loss, latency) live inside the network model instead.
-    fault_driver: FaultDriver,
     boot_rng: SmallRng,
     /// Periodic topology-sampling interval in rounds; `None` (default)
     /// disables the sampler entirely.
@@ -281,7 +275,6 @@ impl<P: PubSubProtocol> SystemRuntime<P> {
             monitor,
             workload,
             protocol,
-            fault_driver: FaultDriver::new(&params.faults),
             boot_rng,
             topo_every: None,
             next_topo: SimTime::default(),
@@ -344,13 +337,6 @@ impl<P: PubSubProtocol> SystemRuntime<P> {
     /// The shared monitor (e.g. for custom event registration in tests).
     pub fn monitor(&self) -> &Monitor {
         &self.monitor
-    }
-
-    /// First-arrival deliveries that came in through the anti-entropy
-    /// repair layer rather than the protocol's own dissemination. Zero
-    /// whenever repair is disabled.
-    pub fn recovered_deliveries(&self) -> u64 {
-        self.monitor.recovered_deliveries()
     }
 
     /// The underlying engine (read access for snapshots).
@@ -577,28 +563,16 @@ impl<'a, P: PubSubProtocol> LossView<'a, P> {
 }
 
 impl<P: PubSubProtocol> SystemRuntime<P> {
-    /// Advance to `target`, applying scheduled crash/freeze fault actions
-    /// and due topology samples at their exact timestamps on the way.
-    /// With an empty plan and sampling off this is exactly
+    /// Advance to `target`, taking due topology samples at their exact
+    /// timestamps on the way. With sampling off this is exactly
     /// `engine.run_until(target)`.
     fn advance_to(&mut self, target: SimTime) {
-        loop {
-            let next_fault = self.fault_driver.next_time().filter(|&t| t <= target);
-            let next_topo = self
-                .topo_every
-                .map(|_| self.next_topo)
-                .filter(|&t| t <= target);
-            let Some(stop) = [next_fault, next_topo].into_iter().flatten().min() else {
-                break;
-            };
-            self.engine.run_until(stop);
-            if next_fault == Some(stop) {
-                self.fault_driver.apply_due(&mut self.engine);
-            }
-            if next_topo == Some(stop) {
+        if let Some(every) = self.topo_every {
+            let step = Duration(self.engine.round_period().ticks() * every);
+            while self.next_topo <= target {
+                self.engine.run_until(self.next_topo);
                 self.record_topo_sample();
-                let every = self.topo_every.expect("sampling enabled");
-                self.next_topo = stop + Duration(self.engine.round_period().ticks() * every);
+                self.next_topo += step;
             }
         }
         self.engine.run_until(target);
@@ -676,7 +650,7 @@ impl<P: PubSubProtocol> PubSub for SystemRuntime<P> {
     }
 
     fn recovered_deliveries(&self) -> u64 {
-        SystemRuntime::recovered_deliveries(self)
+        self.monitor.recovered_deliveries()
     }
 
     fn reset_metrics(&mut self) {
@@ -748,8 +722,8 @@ impl<P: PubSubProtocol> PubSub for SystemRuntime<P> {
         self.monitor.attribute_losses(self.engine.now(), |miss| {
             // Every system's transport step, decided before any structure
             // is read: the subscriber has gone, or a copy addressed to it
-            // died in transit (lossy link, partition or freeze) and no
-            // later copy made it.
+            // died in transit (loss burst or partition) and no later copy
+            // made it.
             if !self.engine.is_alive(miss.subscriber) {
                 LossReason::SubscriberChurned
             } else if drops
@@ -828,7 +802,6 @@ impl<P: PubSubProtocol> PubSub for SystemRuntime<P> {
 mod tests {
     use super::*;
     use crate::system::{random_system, VitisSystem};
-    use vitis_sim::fault::{FaultEpisode, FaultPlan, Span};
 
     /// The slots of one bootstrap reply, after checking that they are
     /// distinct, online and `min(BOOTSTRAP_CONTACTS, online)` many.
@@ -918,82 +891,5 @@ mod tests {
             first_chi2 < crit,
             "first contact: χ² {first_chi2:.1} ≥ {crit:.1}"
         );
-    }
-
-    /// `n` online nodes on one topic, with `episodes` scheduled: the
-    /// fault-plan-plus-`set_online` path a churn replay takes.
-    fn faulted_system(n: usize, episodes: Vec<FaultEpisode>) -> VitisSystem {
-        let mut params = SystemParams::new(vec![TopicSet::from_iter([0u32]); n], 1);
-        params.faults = FaultPlan::new(episodes).unwrap();
-        VitisSystem::new(params)
-    }
-
-    /// A correlated crash kills a node whose churn leave is still pending:
-    /// the later leave finds the slot already dead and is a no-op, leaving
-    /// the plan exhausted and the population consistent.
-    #[test]
-    fn correlated_crash_with_pending_churn_leave_is_idempotent() {
-        let mut sys = faulted_system(
-            3,
-            vec![FaultEpisode::CorrelatedCrash {
-                nodes: vec![0, 1],
-                at: SimTime(30),
-            }],
-        );
-        sys.run_ticks(40);
-        assert!(!sys.engine.is_alive(NodeIdx(0)), "crashed before its leave");
-        assert!(!sys.engine.is_alive(NodeIdx(1)));
-        assert_eq!(sys.alive_count(), 1);
-        // The pending leave at t=50 lands on the already-dead slot.
-        sys.run_ticks(10);
-        sys.set_online(0, false);
-        sys.run_ticks(50);
-        assert_eq!(sys.fault_driver.next_time(), None);
-        assert_eq!(sys.alive_count(), 1);
-        assert!(sys.engine.is_alive(NodeIdx(2)));
-    }
-
-    /// A node leaves and rejoins on the same tick while a freeze episode
-    /// spans it, and an unrelated node joins on that tick too. The rejoin
-    /// lands in the same slot with the frozen flag cleared (a fresh
-    /// incarnation is a new process), and the episode-end thaw is a no-op.
-    #[test]
-    fn same_tick_churn_under_an_active_freeze() {
-        let mut sys = faulted_system(
-            2,
-            vec![FaultEpisode::Freeze {
-                nodes: vec![0],
-                span: Span::new(10, 40),
-            }],
-        );
-        // Node 1's first join is at t=20.
-        sys.set_online(1, false);
-        sys.run_ticks(15);
-        assert!(
-            sys.engine.is_frozen(NodeIdx(0)),
-            "freeze active before the churn"
-        );
-        sys.run_ticks(5);
-        sys.set_online(0, false);
-        sys.set_online(0, true);
-        sys.set_online(1, true);
-        sys.run_ticks(5);
-        assert!(
-            sys.engine.is_alive(NodeIdx(0)),
-            "rejoined into its old slot"
-        );
-        assert_eq!(sys.engine.num_slots(), 2, "rejoins reuse their slots");
-        assert!(
-            !sys.engine.is_frozen(NodeIdx(0)),
-            "rejoin clears the frozen flag: the new incarnation is a new process"
-        );
-        assert!(
-            sys.engine.is_alive(NodeIdx(1)),
-            "same-tick join of another node"
-        );
-        sys.run_ticks(75);
-        assert_eq!(sys.fault_driver.next_time(), None);
-        assert_eq!(sys.alive_count(), 2);
-        assert!(!sys.engine.is_frozen(NodeIdx(0)));
     }
 }

@@ -35,8 +35,6 @@ pub enum NetworkSpec {
     Constant(u64),
     /// Uniform latency in `[min, max]` ticks.
     Uniform(u64, u64),
-    /// Constant latency plus independent per-message loss probability.
-    LossyConstant(u64, f64),
 }
 
 impl Default for NetworkSpec {
@@ -48,14 +46,10 @@ impl Default for NetworkSpec {
 impl NetworkSpec {
     /// Materialize the boxed model for an engine.
     pub fn build(self) -> vitis_sim::network::DynNetworkModel {
-        use vitis_sim::network::{ConstantLatency, Lossy, UniformLatency};
+        use vitis_sim::network::{ConstantLatency, UniformLatency};
         match self {
             NetworkSpec::Constant(d) => Box::new(ConstantLatency(Duration(d))),
             NetworkSpec::Uniform(min, max) => Box::new(UniformLatency { min, max }),
-            NetworkSpec::LossyConstant(d, loss) => Box::new(Lossy {
-                inner: ConstantLatency(Duration(d)),
-                loss,
-            }),
         }
     }
 }
@@ -82,11 +76,11 @@ pub struct SystemParams {
     pub round_period: Duration,
     /// Join grace before a node is counted in expected-delivery sets.
     pub grace: Duration,
-    /// The network model (latency/loss) messages travel over.
+    /// The latency model messages travel over (loss comes from `faults`).
     pub network: NetworkSpec,
-    /// Scheduled fault episodes applied on top of the network model and,
-    /// for crash/freeze episodes, to the engine's node population. The
-    /// empty plan (default) is bit-identical to a fault-free run.
+    /// Scheduled message-loss episodes applied on top of the network
+    /// model. The empty plan (default) is bit-identical to a fault-free
+    /// run. Nodes go down through churn (`PubSub::set_online`), not here.
     pub faults: FaultPlan,
     /// Anti-entropy repair layer (digest exchange + pull recovery),
     /// threaded into every node of whichever protocol runs on these
@@ -252,6 +246,7 @@ pub fn random_system(n: usize, topics: usize, subs_per_node: usize, seed: u64) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vitis_sim::fault::{FaultEpisode, LossScope, Span};
 
     /// Converged static network: every event reaches every subscriber.
     #[test]
@@ -390,8 +385,13 @@ mod tests {
             .collect();
         let mut params = SystemParams::new(subscriptions, 15);
         params.seed = 23;
-        // Lossy links, so the transport step runs with drops on record.
-        params.network = NetworkSpec::LossyConstant(1, 0.05);
+        // Loss on every link, so the transport step runs with drops on record.
+        params.faults = FaultPlan::new(vec![FaultEpisode::LossBurst {
+            prob: 0.05,
+            span: Span::new(0, u64::MAX),
+            scope: LossScope::All,
+        }])
+        .unwrap();
         let mut sys = VitisSystem::new(params);
         let trace = Trace::shared(1 << 16);
         sys.install_trace(trace.clone());

@@ -28,13 +28,6 @@ impl std::fmt::Display for Id {
 }
 
 impl Id {
-    /// Hash an arbitrary 64-bit key into the identifier space (the globally
-    /// known hash function).
-    #[inline]
-    pub fn hash_key(key: u64) -> Id {
-        Id(mix64(key))
-    }
-
     /// The rendezvous identifier of a topic: `hash(t)`.
     ///
     /// Topics and nodes share the space, so this uses the same hash with a
@@ -123,7 +116,7 @@ mod tests {
         // Crude uniformity probe: mean of hashed values near the midpoint.
         let n = 10_000u64;
         let mean = (0..n)
-            .map(|k| Id::hash_key(k).0 as u128)
+            .map(|k| Id::of_node(k).0 as u128)
             .sum::<u128>()
             / n as u128;
         let mid = (u64::MAX / 2) as u128;

@@ -50,10 +50,6 @@ struct Slot<P: Protocol> {
     rng: SmallRng,
     incarnation: u32,
     joined_at: SimTime,
-    /// Frozen: alive but silent (fault injection). A frozen node executes
-    /// no rounds and receives nothing; its pending ticks keep rescheduling
-    /// so it resumes when thawed.
-    frozen: bool,
 }
 
 enum Ev<M> {
@@ -106,7 +102,8 @@ pub struct EngineStats {
     pub messages_to_dead: u64,
     /// Messages the network model dropped in transit (loss, partitions).
     pub messages_lost: u64,
-    /// Messages suppressed because the destination was frozen.
+    /// Always 0. Kept only because the repo benchmark reads it and hashes
+    /// it into every `sim_digest`; no engine path suppresses a message.
     pub messages_suppressed: u64,
     /// Round ticks executed.
     pub rounds_executed: u64,
@@ -118,8 +115,8 @@ pub struct Engine<P: Protocol, N: NetworkModel = ConstantLatency> {
     cfg: EngineConfig,
     network: N,
     slots: Vec<Slot<P>>,
-    /// Slots holding a node (frozen ones included), kept in step with
-    /// every `proto` write so counting the online population is O(1).
+    /// Slots holding a node, kept in step with every `proto` write so
+    /// counting the online population is O(1).
     alive: usize,
     queue: EventQueue<Ev<P::Msg>>,
     now: SimTime,
@@ -130,8 +127,8 @@ pub struct Engine<P: Protocol, N: NetworkModel = ConstantLatency> {
     ledger: TrafficLedger,
     trace: Option<TraceHandle>,
     /// `(event id, destination slot)` of event-bearing messages the network
-    /// dropped or freeze suppressed since the last traffic-window reset
-    /// (see [`Protocol::event_of`]). Feeds network-loss attribution.
+    /// dropped since the last traffic-window reset (see
+    /// [`Protocol::event_of`]). Feeds network-loss attribution.
     net_drops: Vec<(u64, u32)>,
     /// Events popped in the current batch but not yet handled. Added to the
     /// queue length when updating the depth high-water mark, so batch
@@ -200,9 +197,9 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
     }
 
     /// `(event id, destination slot)` pairs of event-bearing messages lost
-    /// to the network (or freeze suppression) since the last window reset.
-    /// Ordered by drop time; a pair may repeat if several copies addressed
-    /// to the same node were dropped.
+    /// to the network since the last window reset. Ordered by drop time; a
+    /// pair may repeat if several copies addressed to the same node were
+    /// dropped.
     pub fn network_event_drops(&self) -> &[(u64, u32)] {
         &self.net_drops
     }
@@ -305,7 +302,7 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
         self.slots.capacity()
     }
 
-    /// Number of currently alive nodes, frozen ones included.
+    /// Number of currently alive nodes.
     #[inline]
     pub fn alive_count(&self) -> usize {
         self.alive
@@ -373,7 +370,6 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
             rng: node_rng,
             incarnation: 0,
             joined_at: self.now,
-            frozen: false,
         });
         self.alive += 1;
         self.trace_record(TraceEvent::Join {
@@ -396,7 +392,6 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
         slot.rng = rng::node_rng(self.cfg.seed, idx.0, slot.incarnation);
         slot.proto = Some(proto);
         slot.joined_at = self.now;
-        slot.frozen = false;
         self.alive += 1;
         self.trace_record(TraceEvent::Join {
             now: self.now.0,
@@ -421,27 +416,6 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
                 incarnation: inc,
             },
         );
-    }
-
-    /// Freeze or thaw the node in `idx` (fault injection: alive but
-    /// silent). While frozen the node executes no rounds and receives no
-    /// messages — inbound deliveries are suppressed and counted, and its
-    /// round ticks keep rescheduling so it resumes where it left off when
-    /// thawed. No-op on dead or out-of-range slots (the flag clears on
-    /// rejoin anyway).
-    pub fn set_frozen(&mut self, idx: NodeIdx, frozen: bool) {
-        if let Some(slot) = self.slots.get_mut(idx.index()) {
-            if slot.proto.is_some() {
-                slot.frozen = frozen;
-            }
-        }
-    }
-
-    /// Whether the node in `idx` is alive and currently frozen.
-    pub fn is_frozen(&self, idx: NodeIdx) -> bool {
-        self.slots
-            .get(idx.index())
-            .is_some_and(|s| s.proto.is_some() && s.frozen)
     }
 
     /// Stop the node in `idx`. With [`StopReason::Leave`] the protocol's
@@ -508,14 +482,14 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
     }
 
     /// Pass `ev`'s node its [`Protocol::prefetch`] hint if `ev` will
-    /// activate it: the node is alive and not frozen, and a tick is of its
-    /// current incarnation (the conditions [`Engine::handle_event`]
-    /// dispatches on; no handler can change them within a batch).
+    /// activate it: the node is alive, and a tick is of its current
+    /// incarnation (the conditions [`Engine::handle_event`] dispatches on;
+    /// no handler can change them within a batch).
     fn hint(&self, ev: &Ev<P::Msg>) {
         let Some(slot) = self.slots.get(ev.node().index()) else {
             return;
         };
-        let (Some(proto), false) = (&slot.proto, slot.frozen) else {
+        let Some(proto) = &slot.proto else {
             return;
         };
         match ev {
@@ -546,12 +520,7 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
                     .slots
                     .get(to.index())
                     .is_some_and(|s| s.proto.is_some());
-                if alive && self.slots[to.index()].frozen {
-                    // Frozen destination: the message is lost as if the
-                    // node's link went dark (alive but silent).
-                    self.stats.messages_suppressed += 1;
-                    self.record_net_drop(from, to, &msg);
-                } else if alive {
+                if alive {
                     self.stats.messages_delivered += 1;
                     let tag = P::classify(&msg);
                     self.ledger.record_deliver(tag);
@@ -573,12 +542,8 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
                     .get(node.index())
                     .is_some_and(|s| s.proto.is_some() && s.incarnation == incarnation);
                 if alive {
-                    if !self.slots[node.index()].frozen {
-                        self.stats.rounds_executed += 1;
-                        self.dispatch(node, DispatchKind::Round);
-                    }
-                    // Frozen nodes skip the round but keep the tick chain
-                    // alive so they resume when thawed.
+                    self.stats.rounds_executed += 1;
+                    self.dispatch(node, DispatchKind::Round);
                     self.push_event(
                         self.now + self.cfg.round_period,
                         Ev::RoundTick { node, incarnation },
@@ -588,9 +553,8 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
         }
     }
 
-    /// Account for a message lost in transit (network drop or freeze
-    /// suppression): remember its event id for loss attribution and emit a
-    /// `net_drop` trace record.
+    /// Account for a message the network dropped in transit: remember its
+    /// event id for loss attribution and emit a `net_drop` trace record.
     fn record_net_drop(&mut self, from: NodeIdx, to: NodeIdx, msg: &P::Msg) {
         let event = P::event_of(msg);
         if let Some(ev) = event {
@@ -1081,11 +1045,10 @@ mod tests {
     }
 
     /// `n` lockstep chatters for six rounds. With `churn`, after two rounds
-    /// the last slot crashes for good (deliveries to a dead slot), the one
-    /// before it freezes for two rounds, and the one before that leaves and
-    /// rejoins mid-period, so its old incarnation's tick goes stale. Ticks
-    /// run in slot order, so all three sit past `HINT_AHEAD` in their tick
-    /// batches.
+    /// the last slot crashes for good (deliveries to a dead slot), and the
+    /// one before it leaves and rejoins mid-period, so its old
+    /// incarnation's tick goes stale. Ticks run in slot order, so both sit
+    /// past `HINT_AHEAD` in their tick batches.
     fn lookahead_scenario<P: Protocol<Msg = u64>>(
         n: u32,
         fanout: u32,
@@ -1110,23 +1073,20 @@ mod tests {
             eng.add_node(node(i));
         }
         eng.run_rounds(2);
-        let (dead, frozen, rejoined) = (NodeIdx(n - 1), NodeIdx(n - 2), n - 3);
+        let (dead, rejoined) = (NodeIdx(n - 1), n - 2);
         if churn {
             eng.remove_node(dead, StopReason::Crash);
-            eng.set_frozen(frozen, true);
             eng.remove_node(NodeIdx(rejoined), StopReason::Leave);
             eng.run_for(Duration(5));
             eng.rejoin_node(NodeIdx(rejoined), node(rejoined));
         }
-        eng.run_rounds(2);
-        eng.set_frozen(frozen, false);
-        eng.run_rounds(2);
+        eng.run_rounds(4);
         log.take()
     }
 
     /// `(nodes, fanout, churn)`: every batch shorter than both look-ahead
     /// distances; tick batches between the two; batches longer than both,
-    /// without and with dead, frozen and stale destinations.
+    /// without and with dead and stale destinations.
     const LOOKAHEAD_CASES: [(u32, u32, bool); 4] = [
         (HINT_AHEAD as u32 - 1, 1, false),
         ((HINT_AHEAD + SLOT_AHEAD) as u32 / 2, 1, false),
@@ -1377,10 +1337,11 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    /// Freeze the busiest receiver, crash it, rejoin it, under a jittered
-    /// network with a trace installed; returns every observable output:
-    /// stats, perf counters, per-node protocol state and the trace's JSONL.
-    fn freeze_crash_rejoin_scenario(
+    /// Crash the busiest receiver and rejoin it later, and crash and rejoin
+    /// another node on one tick, under a jittered network with a trace
+    /// installed; returns every observable output: stats, perf counters,
+    /// per-node protocol state and the trace's JSONL.
+    fn crash_rejoin_scenario(
     ) -> (EngineStats, crate::perf::EngineCounters, Vec<(u32, u32)>, String) {
         use crate::network::UniformLatency;
         use crate::trace::Trace;
@@ -1389,18 +1350,20 @@ mod tests {
         eng.set_trace(trace.clone());
         let a = eng.add_node(pp(Some(NodeIdx(1))));
         let b = eng.add_node(pp(Some(a)));
-        for _ in 0..4 {
+        let c = eng.add_node(pp(Some(a)));
+        for _ in 0..3 {
             eng.add_node(pp(Some(a)));
         }
         for i in 0..12 {
             eng.run_for(Duration(16));
-            // Freeze the busiest receiver (suppressed deliveries + frozen
-            // ticks), crash it (to-dead + stale ticks), then rejoin it.
+            // Crash and rejoin `c` on one tick: its old incarnation's
+            // pending tick goes stale. Crash the busiest receiver (to-dead
+            // deliveries) and rejoin it two periods later.
             if i == 3 {
-                eng.set_frozen(b, true);
+                eng.remove_node(c, StopReason::Crash);
+                eng.rejoin_node(c, pp(Some(a)));
             }
             if i == 6 {
-                eng.set_frozen(b, false);
                 eng.remove_node(b, StopReason::Crash);
             }
             if i == 8 {
@@ -1416,24 +1379,25 @@ mod tests {
     }
 
     #[test]
-    fn freeze_crash_rejoin_scenario_is_deterministic_and_reaches_every_arm() {
-        let x = freeze_crash_rejoin_scenario();
-        let y = freeze_crash_rejoin_scenario();
+    fn crash_rejoin_scenario_is_deterministic_and_reaches_every_arm() {
+        let x = crash_rejoin_scenario();
+        let y = crash_rejoin_scenario();
         assert_eq!(x.0, y.0, "engine stats diverged");
         assert_eq!(x.1, y.1, "perf counters diverged");
         assert_eq!(x.2, y.2, "node states diverged");
         assert_eq!(x.3, y.3, "trace streams diverged");
         // The scenario must actually exercise the tricky arms.
-        assert!(x.0.messages_suppressed > 0, "no suppressed deliveries");
         assert!(x.0.messages_to_dead > 0, "no to-dead deliveries");
+        // `c` rejoined with 8 periods to go and ticks once per period; a
+        // stale tick of its old incarnation that ran would add rounds.
+        assert_eq!(x.2[2].0, 8, "a stale tick reached the new incarnation");
     }
 
     #[test]
-    fn frozen_ticks_survive_far_future_rescheduling() {
+    fn long_period_ticks_overflow_and_fire_once_per_period() {
         // A round period longer than the calendar ring (1024 ticks) makes
-        // every tick reschedule — including a frozen node's keep-alive
-        // tick — land in the overflow list; the freeze flag must still
-        // suppress rounds and thawing must resume them.
+        // every tick reschedule land in the overflow list; each node must
+        // still run exactly one round per period.
         let mut eng = Engine::new(EngineConfig {
             seed: 3,
             round_period: Duration(1500),
@@ -1441,49 +1405,40 @@ mod tests {
         });
         let a = eng.add_node(pp(None));
         let b = eng.add_node(pp(None));
-        eng.set_frozen(b, true);
         eng.run_for(Duration(1500 * 4));
         assert_eq!(eng.node(a).unwrap().rounds, 4);
-        assert_eq!(eng.node(b).unwrap().rounds, 0);
+        assert_eq!(eng.node(b).unwrap().rounds, 4);
         assert!(
             eng.perf_counters().sched_overflow > 0,
             "long-period ticks must exercise the overflow path"
         );
-        eng.set_frozen(b, false);
-        eng.run_for(Duration(1500 * 2));
-        assert_eq!(eng.node(b).unwrap().rounds, 2, "thawed node resumes ticking");
     }
 
     /// The online counter is kept in step by `add_node`, `rejoin_node` and
-    /// `remove_node`; whatever order they come in, with freezes, no-op
-    /// removals and rounds between them, it must equal a slot scan.
+    /// `remove_node`; whatever order they come in, with no-op removals and
+    /// rounds between them, it must equal a slot scan.
     #[test]
     fn alive_count_matches_a_slot_scan_under_random_lifecycles() {
         use rand::SeedableRng;
         for seed in 0..16 {
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut eng = Engine::new(cfg());
-            let mut frozen = 0;
             for step in 0..400 {
                 let idx = NodeIdx(rng.gen_range(0..eng.num_slots().max(1) as u32));
-                match rng.gen_range(0..4) {
+                match rng.gen_range(0..3) {
                     0 => {
                         eng.add_node(pp(Some(NodeIdx(0))));
                     }
                     1 if idx.index() < eng.num_slots() && !eng.is_alive(idx) => {
                         eng.rejoin_node(idx, pp(Some(NodeIdx(0))));
                     }
-                    2 => {
+                    _ => {
                         let reason = if rng.gen_bool(0.5) {
                             StopReason::Crash
                         } else {
                             StopReason::Leave
                         };
                         eng.remove_node(idx, reason);
-                    }
-                    _ => {
-                        eng.set_frozen(idx, rng.gen_bool(0.5));
-                        frozen += usize::from(eng.is_frozen(idx));
                     }
                 }
                 if step % 40 == 0 {
@@ -1492,7 +1447,6 @@ mod tests {
                 let scan = eng.alive_nodes().count();
                 assert_eq!(eng.alive_count(), scan, "seed {seed}, step {step}");
             }
-            assert!(frozen > 0, "seed {seed}: no step froze a node");
         }
     }
 

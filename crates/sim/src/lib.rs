@@ -58,10 +58,10 @@ pub mod prelude {
     pub use crate::engine::{Engine, EngineConfig, EngineStats};
     pub use crate::event::NodeIdx;
     pub use crate::fault::{
-        FaultDriver, FaultEpisode, FaultPlan, FaultPlanError, FaultedNetwork, LossScope, Span,
+        FaultEpisode, FaultPlan, FaultPlanError, FaultedNetwork, LossScope, Span,
     };
     pub use crate::metrics::{Histogram, Summary};
-    pub use crate::network::{ConstantLatency, Lossy, NetworkModel, UniformLatency};
+    pub use crate::network::{ConstantLatency, NetworkModel, UniformLatency};
     pub use crate::perf::{EngineCounters, MemSnapshot};
     pub use crate::protocol::{Context, Protocol, StopReason};
     pub use crate::time::{Duration, SimTime};

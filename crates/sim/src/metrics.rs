@@ -88,24 +88,6 @@ impl Summary {
             self.max
         }
     }
-
-    /// Merge another summary into this one (parallel Welford combine).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = (self.n + other.n) as f64;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.n as f64 / n;
-        self.m2 += other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// A histogram over `[0, upper)` with `bins` equal-width bins plus an
@@ -231,23 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = Summary::new();
-        whole.record_all(xs.iter().copied());
-        let mut left = Summary::new();
-        left.record_all(xs[..37].iter().copied());
-        let mut right = Summary::new();
-        right.record_all(xs[37..].iter().copied());
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(left.min(), whole.min());
-        assert_eq!(left.max(), whole.max());
-    }
-
-    #[test]
     fn summary_single_sample_has_zero_variance() {
         let mut s = Summary::new();
         s.record(3.5);
@@ -257,24 +222,6 @@ mod tests {
         assert_eq!(s.std_dev(), 0.0);
         assert_eq!(s.min(), 3.5);
         assert_eq!(s.max(), 3.5);
-    }
-
-    #[test]
-    fn summary_merge_with_empty_is_identity_both_ways() {
-        let mut filled = Summary::new();
-        filled.record_all([1.0, 2.0, 3.0]);
-        let snapshot = filled;
-        filled.merge(&Summary::new());
-        assert_eq!(filled.count(), snapshot.count());
-        assert_eq!(filled.mean(), snapshot.mean());
-        assert_eq!(filled.variance(), snapshot.variance());
-
-        let mut empty = Summary::new();
-        empty.merge(&snapshot);
-        assert_eq!(empty.count(), 3);
-        assert_eq!(empty.mean(), 2.0);
-        assert_eq!(empty.min(), 1.0);
-        assert_eq!(empty.max(), 3.0);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The network model: per-message latency and loss.
 //!
 //! The paper's evaluation counts hops rather than wall-clock delay, so the
-//! default model is a constant one-tick latency. Jittered and lossy models
-//! are provided for robustness experiments and tests, and
-//! [`crate::fault::FaultedNetwork`] wraps any model with a time-driven
-//! fault schedule — which is why every model receives the current
-//! [`SimTime`] per call.
+//! default model is a constant one-tick latency. A jittered model is
+//! provided for robustness experiments and tests. Loss is not a model of
+//! its own: [`crate::fault::FaultedNetwork`] wraps any model with a
+//! time-driven fault schedule — which is why every model receives the
+//! current [`SimTime`] per call.
 
 use crate::event::NodeIdx;
 use crate::time::{Duration, SimTime};
@@ -67,35 +67,9 @@ impl NetworkModel for UniformLatency {
     }
 }
 
-/// Wraps another model and drops each message independently with probability
-/// `loss`.
-#[derive(Clone, Copy, Debug)]
-pub struct Lossy<M> {
-    /// The underlying latency model for delivered messages.
-    pub inner: M,
-    /// Per-message independent drop probability in `[0, 1]`.
-    pub loss: f64,
-}
-
-impl<M: NetworkModel> NetworkModel for Lossy<M> {
-    #[inline]
-    fn latency(
-        &self,
-        now: SimTime,
-        from: NodeIdx,
-        to: NodeIdx,
-        rng: &mut SmallRng,
-    ) -> Option<Duration> {
-        if rng.gen::<f64>() < self.loss {
-            None
-        } else {
-            self.inner.latency(now, from, to, rng)
-        }
-    }
-}
-
-/// A boxed, dynamically dispatched network model, for configs assembled at
-/// runtime (the experiment harness picks models from CLI flags).
+/// A boxed, dynamically dispatched network model, for a model chosen at
+/// runtime: a system's `NetworkSpec`, wrapped in a `FaultedNetwork` when
+/// its fault plan is not empty.
 pub type DynNetworkModel = Box<dyn NetworkModel>;
 
 impl NetworkModel for DynNetworkModel {
@@ -141,33 +115,6 @@ mod tests {
         for _ in 0..1000 {
             let d = m.latency(T0, NodeIdx(0), NodeIdx(1), &mut r).unwrap();
             assert!((2..=6).contains(&d.ticks()));
-        }
-    }
-
-    #[test]
-    fn lossy_drops_roughly_at_rate() {
-        let m = Lossy {
-            inner: ConstantLatency::default(),
-            loss: 0.25,
-        };
-        let mut r = rng();
-        let n = 10_000;
-        let dropped = (0..n)
-            .filter(|_| m.latency(T0, NodeIdx(0), NodeIdx(1), &mut r).is_none())
-            .count();
-        let rate = dropped as f64 / n as f64;
-        assert!((rate - 0.25).abs() < 0.02, "rate = {rate}");
-    }
-
-    #[test]
-    fn lossy_zero_never_drops() {
-        let m = Lossy {
-            inner: ConstantLatency::default(),
-            loss: 0.0,
-        };
-        let mut r = rng();
-        for _ in 0..100 {
-            assert!(m.latency(T0, NodeIdx(0), NodeIdx(1), &mut r).is_some());
         }
     }
 

@@ -60,10 +60,10 @@ pub trait Protocol: Sized {
 
     /// The published-event id a data-plane message carries, if any. Like
     /// [`Protocol::classify`], an associated function used by the engine —
-    /// here to attribute messages lost in transit (network drops, freeze
-    /// suppression) to the event they carried, feeding `net_drop` trace
-    /// records and network-loss attribution. The default says "no event";
-    /// protocols whose messages carry event notifications should override.
+    /// here to attribute messages the network drops in transit to the
+    /// event they carried, feeding `net_drop` trace records and
+    /// network-loss attribution. The default says "no event"; protocols
+    /// whose messages carry event notifications should override.
     fn event_of(_msg: &Self::Msg) -> Option<u64> {
         None
     }

@@ -32,27 +32,6 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     }
 }
 
-/// Empirical complementary CDF: for each distinct value `x` (ascending),
-/// the fraction of observations `>= x`. Useful for log-log degree plots.
-pub fn ccdf(xs: &[u64]) -> Vec<(u64, f64)> {
-    if xs.is_empty() {
-        return Vec::new();
-    }
-    let mut v = xs.to_vec();
-    v.sort_unstable();
-    let n = v.len() as f64;
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < v.len() {
-        let x = v[i];
-        out.push((x, (v.len() - i) as f64 / n));
-        while i < v.len() && v[i] == x {
-            i += 1;
-        }
-    }
-    out
-}
-
 /// Frequency table: `(value, count)` for each distinct value, ascending.
 /// This is the raw series of the paper's Figure 8 (degree vs frequency).
 pub fn frequency(xs: &[u64]) -> Vec<(u64, u64)> {
@@ -175,18 +154,6 @@ mod tests {
         assert_eq!(percentile(&xs, 100.0), 4.0);
         assert!((percentile(&xs, 50.0) - 2.5).abs() < 1e-12);
         assert!(percentile(&[], 50.0).is_nan());
-    }
-
-    #[test]
-    fn ccdf_is_monotone_and_starts_at_one() {
-        let xs = [1u64, 1, 2, 5, 5, 5];
-        let c = ccdf(&xs);
-        assert_eq!(c[0], (1, 1.0));
-        assert_eq!(c.last().unwrap().0, 5);
-        assert!((c.last().unwrap().1 - 0.5).abs() < 1e-12);
-        for w in c.windows(2) {
-            assert!(w[0].1 > w[1].1);
-        }
     }
 
     #[test]

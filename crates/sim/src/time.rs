@@ -22,12 +22,6 @@ impl SimTime {
     /// The largest representable time; used as an "infinite" horizon.
     pub const MAX: SimTime = SimTime(u64::MAX);
 
-    /// Construct from a raw tick count.
-    #[inline]
-    pub const fn from_ticks(ticks: u64) -> Self {
-        SimTime(ticks)
-    }
-
     /// The raw tick count.
     #[inline]
     pub const fn ticks(self) -> u64 {
@@ -61,12 +55,6 @@ pub struct Duration(pub u64);
 impl Duration {
     /// A zero-length span.
     pub const ZERO: Duration = Duration(0);
-
-    /// Construct from a raw tick count.
-    #[inline]
-    pub const fn from_ticks(ticks: u64) -> Self {
-        Duration(ticks)
-    }
 
     /// The raw tick count.
     #[inline]

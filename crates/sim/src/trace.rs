@@ -409,11 +409,11 @@ crate::record! {
             recovered: bool [when_set],
         },
         /// A message was lost in transit: the network model dropped it
-        /// (loss, partition) or freeze suppression swallowed it. Distinct from
-        /// [`TraceEvent::DropEvent`], which records a *missed delivery* after
-        /// attribution — one lost copy does not imply a miss (another copy may
-        /// still arrive), so these are never counted against the
-        /// expected-minus-delivered balance.
+        /// (loss burst, partition). Distinct from [`TraceEvent::DropEvent`],
+        /// which records a *missed delivery* after attribution — one lost
+        /// copy does not imply a miss (another copy may still arrive), so
+        /// these are never counted against the expected-minus-delivered
+        /// balance.
         NetDrop = "net_drop" {
             /// Simulated time in ticks (send time).
             now: u64,

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use vitis_sim::churn::{ChurnEvent, ChurnKind, ChurnTrace};
 use vitis_sim::metrics::{Histogram, Summary};
 use vitis_sim::rng::{derive_seed, mix64};
-use vitis_sim::stats::{ccdf, frequency, percentile, Zipf};
+use vitis_sim::stats::{frequency, percentile, Zipf};
 use vitis_sim::time::SimTime;
 
 proptest! {
@@ -20,26 +20,6 @@ proptest! {
         prop_assert_eq!(s.max(), xs.iter().copied().fold(f64::NEG_INFINITY, f64::max));
         prop_assert!(s.min() <= s.mean() && s.mean() <= s.max());
         prop_assert!(s.variance() >= 0.0);
-    }
-
-    /// Merging two summaries equals one pass over the concatenation.
-    #[test]
-    fn summary_merge_associative(
-        xs in proptest::collection::vec(-1e3f64..1e3, 0..100),
-        ys in proptest::collection::vec(-1e3f64..1e3, 0..100),
-    ) {
-        let mut a = Summary::new();
-        a.record_all(xs.iter().copied());
-        let mut b = Summary::new();
-        b.record_all(ys.iter().copied());
-        a.merge(&b);
-        let mut whole = Summary::new();
-        whole.record_all(xs.iter().chain(ys.iter()).copied());
-        prop_assert_eq!(a.count(), whole.count());
-        if whole.count() > 0 {
-            prop_assert!((a.mean() - whole.mean()).abs() < 1e-9);
-            prop_assert!((a.variance() - whole.variance()).abs() < 1e-6);
-        }
     }
 
     /// Histograms conserve observations.
@@ -70,17 +50,6 @@ proptest! {
         prop_assert!(a <= b + 1e-9);
         prop_assert!(percentile(&xs, 0.0) <= a + 1e-9);
         prop_assert!(b <= percentile(&xs, 100.0) + 1e-9);
-    }
-
-    /// CCDF starts at 1 for the minimum and is strictly decreasing.
-    #[test]
-    fn ccdf_shape(xs in proptest::collection::vec(0u64..1000, 1..100)) {
-        let c = ccdf(&xs);
-        prop_assert!((c[0].1 - 1.0).abs() < 1e-12);
-        for w in c.windows(2) {
-            prop_assert!(w[0].0 < w[1].0);
-            prop_assert!(w[0].1 > w[1].1);
-        }
     }
 
     /// Frequency table counts sum to the number of observations.

@@ -10,7 +10,6 @@ use vitis::topic::{TopicId, TopicSet};
 use vitis_sim::antientropy::AeConfig;
 use vitis_sim::fault::{FaultEpisode, FaultPlan, LossScope, Span};
 use vitis_sim::rng::{domain, stream_rng};
-use vitis_sim::time::SimTime;
 use vitis_sim::trace::Trace;
 
 pub const NODES: usize = 100;
@@ -28,17 +27,13 @@ pub fn golden_params() -> SystemParams {
     p
 }
 
-/// [`golden_params`] plus a fixed [`FaultPlan`] exercising every episode
-/// kind, with the Vitis hardening knobs on (publisher retries, bounded
+/// [`golden_params`] plus a fixed [`FaultPlan`] exercising both episode
+/// kinds, with the Vitis hardening knobs on (publisher retries, bounded
 /// TTL, gateway failover).
 pub fn faulted_params() -> SystemParams {
     let mut p = golden_params();
     let period = p.round_period.ticks();
     p.faults = FaultPlan::new(vec![
-        FaultEpisode::LatencySpike {
-            factor: 4.0,
-            span: Span::new(8 * period, 12 * period),
-        },
         FaultEpisode::LossBurst {
             prob: 0.3,
             span: Span::new(20 * period, 23 * period),
@@ -47,14 +42,6 @@ pub fn faulted_params() -> SystemParams {
         FaultEpisode::Partition {
             groups: vec![(50..70).collect()],
             span: Span::new(21 * period, 24 * period),
-        },
-        FaultEpisode::Freeze {
-            nodes: vec![30, 31, 32],
-            span: Span::new(22 * period, 25 * period),
-        },
-        FaultEpisode::CorrelatedCrash {
-            nodes: vec![40, 41],
-            at: SimTime(22 * period),
         },
     ])
     .expect("golden fault plan is valid");

@@ -48,11 +48,11 @@ fn opt_fixed_seed_run_is_bit_identical() {
 }
 
 /// The faulted counterpart: the same scenario under a fixed fault plan
-/// exercising every episode kind, with the Vitis hardening knobs on
+/// exercising both episode kinds, with the Vitis hardening knobs on
 /// (publisher retries, bounded TTL, gateway failover). Pins the entire
-/// fault-injection path — the time-aware network wrapper, the engine-side
-/// fault driver, net-drop tracing, and `LossReason::Network` attribution —
-/// to a bit-exact snapshot.
+/// fault-injection path — the time-aware network wrapper, net-drop
+/// tracing, and `LossReason::Network` attribution — to a bit-exact
+/// snapshot.
 #[test]
 fn vitis_faulted_fixed_seed_run_is_bit_identical() {
     let mut sys = VitisSystem::new(faulted_params());

@@ -3,6 +3,7 @@
 
 use vitis::prelude::*;
 use vitis_baselines::{OptConfig, OptProtocol, OptSystem, RvrSystem};
+use vitis_sim::fault::{FaultEpisode, FaultPlan, LossScope, Span};
 use vitis_workloads::{Correlation, SubscriptionModel};
 
 fn params(corr: Correlation, n: usize, seed: u64) -> SystemParams {
@@ -208,7 +209,12 @@ fn extensions_survive_hostile_settings() {
 
     // 5% message loss.
     let mut p = base.clone();
-    p.network = NetworkSpec::LossyConstant(1, 0.05);
+    p.faults = FaultPlan::new(vec![FaultEpisode::LossBurst {
+        prob: 0.05,
+        span: Span::new(0, u64::MAX),
+        scope: LossScope::All,
+    }])
+    .expect("valid fault plan");
     let mut sys = VitisSystem::new(p);
     let s = warm_and_publish(&mut sys, topics);
     assert!(s.hit_ratio > 0.93, "lossy: hit {}", s.hit_ratio);

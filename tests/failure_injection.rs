@@ -4,9 +4,9 @@
 
 use vitis::monitor::LossReason;
 use vitis::prelude::*;
-use vitis::system::NetworkSpec;
 use vitis_baselines::{OptSystem, RvrSystem};
 use vitis_sim::event::NodeIdx;
+use vitis_sim::fault::{FaultEpisode, FaultPlan, LossScope, Span};
 use vitis_workloads::{Correlation, SubscriptionModel};
 
 fn system(n: usize, seed: u64) -> VitisSystem {
@@ -154,7 +154,12 @@ fn lossy_network_misses_attribute_to_network() {
         .collect();
     let mut params = SystemParams::new(subs, model.num_topics);
     params.seed = 3;
-    params.network = NetworkSpec::LossyConstant(1, 0.25);
+    params.faults = FaultPlan::new(vec![FaultEpisode::LossBurst {
+        prob: 0.25,
+        span: Span::new(0, u64::MAX),
+        scope: LossScope::All,
+    }])
+    .expect("valid fault plan");
     let mut systems: Vec<(&str, Box<dyn PubSub>)> = vec![
         ("vitis", Box::new(VitisSystem::new(params.clone()))),
         ("rvr", Box::new(RvrSystem::new(params.clone()))),
