@@ -216,7 +216,7 @@ fn pick_connect_targets(
     // deficit[i]: links own topic i still wants; ≤ 0 once covered.
     let mut deficit = vec![coverage as isize; own.len()];
     for l in links.values() {
-        own.for_each_common(&l.subs, |i, _| deficit[i] -= 1);
+        own.for_each_common(&l.subs, |i, _, _| deficit[i] -= 1);
     }
     if deficit.iter().all(|&d| d <= 0) {
         return Vec::new();
@@ -228,7 +228,7 @@ fn pick_connect_targets(
             continue;
         }
         let start = shared.len();
-        own.for_each_common(&e.payload, |i, _| {
+        own.for_each_common(&e.payload, |i, _, _| {
             if deficit[i] > 0 {
                 shared.push(i);
             }

@@ -50,6 +50,12 @@ impl Proposal {
 /// proposal `prop` for a topic whose rendezvous id is `target` — the body
 /// of Algorithm 5's loop. Folding the interested neighbors of a topic
 /// through this, in order, from the self-proposal is [`revise_proposal`].
+///
+/// Adoption is decided before the loop-avoidance guards: the guards only
+/// veto, and they are pure, so the order does not change the result — but
+/// most proposals a settled election sees are not adoptable, and
+/// `rt_contains` is a table scan. Ring distances are compared only when
+/// the gateway ids differ: a proposal for the same id is never closer.
 pub fn revise_step(
     prop: &mut Proposal,
     self_addr: NodeIdx,
@@ -59,31 +65,30 @@ pub fn revise_step(
     new: &Proposal,
     rt_contains: impl Fn(NodeIdx) -> bool,
 ) {
+    let shorter = new.gw_addr == prop.gw_addr && new.hops + 1 < prop.hops;
+    let adopt = shorter
+        || (new.gw_id.0 != prop.gw_id.0 && new.hops + 1 < d_max && {
+            let current_dist = target.ring_distance(prop.gw_id);
+            let new_dist = target.ring_distance(new.gw_id);
+            new_dist < current_dist || (new_dist == current_dist && new.gw_id.0 < prop.gw_id.0)
+        });
+    if !adopt {
+        return;
+    }
     // Loop avoidance: never adopt a proposal that was itself adopted
     // from us, and otherwise require the neighbor to be the proposal's
     // origin-adjacent parent or the parent to be outside our table
     // (Algorithm 5 line 7, plus the self-parent guard the pseudocode
     // leaves implicit).
-    if new.parent == self_addr {
+    if new.parent == self_addr || (new.parent != nbr && rt_contains(new.parent)) {
         return;
     }
-    if new.parent != nbr && rt_contains(new.parent) {
-        return;
-    }
-    let current_dist = target.ring_distance(prop.gw_id);
-    let new_dist = target.ring_distance(new.gw_id);
-    let closer =
-        new_dist < current_dist || (new_dist == current_dist && new.gw_id.0 < prop.gw_id.0);
-    let adopt = (closer && new.hops + 1 < d_max)
-        || (new.gw_addr == prop.gw_addr && new.hops + 1 < prop.hops);
-    if adopt {
-        *prop = Proposal {
-            gw_id: new.gw_id,
-            gw_addr: new.gw_addr,
-            parent: nbr,
-            hops: new.hops + 1,
-        };
-    }
+    *prop = Proposal {
+        gw_id: new.gw_id,
+        gw_addr: new.gw_addr,
+        parent: nbr,
+        hops: new.hops + 1,
+    };
 }
 
 /// One revision of Algorithm 5 for a single topic.
@@ -231,6 +236,110 @@ mod tests {
         assert_eq!(p.gw_addr, n(9));
         assert_eq!(p.hops, 1);
         assert_eq!(p.parent, n(6));
+    }
+
+    /// The guard-first step the adoption-first `revise_step` replaced,
+    /// kept as the reference it must match.
+    fn revise_step_guard_first(
+        prop: &mut Proposal,
+        self_addr: NodeIdx,
+        target: Id,
+        d_max: u32,
+        nbr: NodeIdx,
+        new: &Proposal,
+        rt_contains: impl Fn(NodeIdx) -> bool,
+    ) {
+        if new.parent == self_addr {
+            return;
+        }
+        if new.parent != nbr && rt_contains(new.parent) {
+            return;
+        }
+        let current_dist = target.ring_distance(prop.gw_id);
+        let new_dist = target.ring_distance(new.gw_id);
+        let closer =
+            new_dist < current_dist || (new_dist == current_dist && new.gw_id.0 < prop.gw_id.0);
+        let adopt = (closer && new.hops + 1 < d_max)
+            || (new.gw_addr == prop.gw_addr && new.hops + 1 < prop.hops);
+        if adopt {
+            *prop = Proposal {
+                gw_id: new.gw_id,
+                gw_addr: new.gw_addr,
+                parent: nbr,
+                hops: new.hops + 1,
+            };
+        }
+    }
+
+    /// Random folds through both steps from the same start: parents that
+    /// are self, the neighbor, a connected node or a stranger; gateway ids
+    /// equal to the running proposal's or not, including an id shared by
+    /// two addresses and two ids equally far from the target; hop counts
+    /// on both sides of the radius and of the running proposal's.
+    #[test]
+    fn adoption_first_equals_the_guard_first_step() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(38);
+        let me = n(0);
+        // Nodes 1..=4 are neighbors, 5..=8 connected, 9.. strangers.
+        let connected = |x: NodeIdx| (1..=8).contains(&x.0);
+        let target = topic().ring_id();
+        // Offsets 30 and -30 are equally far from the target.
+        let ids = [
+            id_at(10),
+            id_at(30),
+            Id(target.0.wrapping_sub(30)),
+            id_at(90),
+            id_at(500),
+        ];
+        // [parent kind][same gateway id][adopted]
+        let mut seen = [[[0usize; 2]; 2]; 4];
+        for _ in 0..4000 {
+            let d_max = rng.gen_range(1..7);
+            let start = Proposal {
+                gw_id: ids[rng.gen_range(0..ids.len())],
+                gw_addr: n(rng.gen_range(0..12)),
+                parent: n(rng.gen_range(0..12)),
+                hops: rng.gen_range(0..8),
+            };
+            let (mut a, mut b) = (start, start);
+            for _ in 0..rng.gen_range(1..6) {
+                let nbr = n(rng.gen_range(1..=4));
+                let kind = rng.gen_range(0..4);
+                let parent = match kind {
+                    0 => me,
+                    1 => nbr,
+                    2 => n(rng.gen_range(5..=8)),
+                    _ => n(rng.gen_range(9..12)),
+                };
+                let mut new = Proposal {
+                    gw_id: ids[rng.gen_range(0..ids.len())],
+                    gw_addr: n(rng.gen_range(0..12)),
+                    parent,
+                    hops: rng.gen_range(0..8),
+                };
+                if rng.gen_bool(0.4) {
+                    new.gw_id = a.gw_id;
+                }
+                if rng.gen_bool(0.6) {
+                    new.gw_addr = a.gw_addr;
+                }
+                let before = a;
+                revise_step(&mut a, me, target, d_max, nbr, &new, connected);
+                revise_step_guard_first(&mut b, me, target, d_max, nbr, &new, connected);
+                assert_eq!(a, b, "{before:?} + {new:?} from {nbr:?}, d {d_max}");
+                let same = new.gw_id.0 == before.gw_id.0;
+                seen[kind][usize::from(same)][usize::from(a != before)] += 1;
+            }
+        }
+        // Every parent kind and id relation is met, and a proposal from
+        // the neighbor or a stranger is adopted for either id relation.
+        for (kind, by_id) in seen.iter().enumerate() {
+            for counts in by_id {
+                assert!(counts[0] > 50, "{seen:?}");
+                assert!(kind == 0 || kind == 2 || counts[1] > 50, "{seen:?}");
+            }
+        }
     }
 
     /// Simulate proposal convergence on a path cluster a–b–c–d–e where `a`

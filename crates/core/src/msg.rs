@@ -34,10 +34,14 @@ pub struct ProfileMsg {
     pub id: vitis_overlay::id::Id,
     /// The sender's subscription set.
     pub subs: Subs,
-    /// The sender's gateway proposal per subscribed topic. Invariant:
-    /// ascending by topic, no duplicates — the receiver's election merges
-    /// this list against two sorted subscription sets in one pass, and a
-    /// list out of order would silently lose votes.
+    /// The sender's gateway proposal per subscribed topic. Invariant: one
+    /// proposal for each topic of `subs`, in its order — so ascending by
+    /// topic without duplicates. It holds by construction: a heartbeat
+    /// is sent right after the election that built the list from `subs`.
+    /// The receiver caches where the topics it shares with `subs` sit and,
+    /// while later heartbeats carry the same `subs` handle, reads their
+    /// proposals at those positions; a list that broke the invariant would
+    /// silently fold the wrong votes. Both ends `debug_assert!` it.
     pub proposals: Rc<Vec<(TopicId, Proposal)>>,
 }
 

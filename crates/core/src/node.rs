@@ -11,7 +11,7 @@ use crate::monitor::{EventId, HopPath, Monitor};
 use crate::msg::{wire, Notification, ProfileMsg, VitisMsg};
 use crate::relay::{RelayTable, RELAY_TTL};
 use crate::smallmap::SmallMap;
-use crate::topic::{RateTable, Subs, TopicId};
+use crate::topic::{RateTable, Subs, TopicId, TopicSet};
 use crate::utility::utility;
 use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
@@ -29,16 +29,24 @@ use vitis_sim::prelude::{Context, MsgTag, Protocol, StopReason};
 use vitis_sim::rng::mix64;
 
 /// What a node remembers of one neighbor (routing-table or reverse): the
-/// gateway proposals it last advertised and, while it is a *reverse link* —
-/// a peer that heartbeats us without our holding it — the subscriptions
-/// that heartbeat carried. One heartbeat writes both, so every reverse link
-/// has an advertisement. Public only for `tests/size_budget.rs`.
+/// subscriptions and gateway proposals its last heartbeat carried, the
+/// topics it shares with us, and whether it is a *reverse link* — a peer
+/// that heartbeats us without our holding it. One heartbeat writes all of
+/// it, so every reverse link has an advertisement. Public only for
+/// `tests/size_budget.rs`.
 pub struct Neighbor {
-    /// The neighbor's latest advertised proposals, ascending by topic.
+    /// The neighbor's latest advertised proposals: one per topic of
+    /// `subs`, in its order (the [`ProfileMsg::proposals`] invariant).
     advert: Rc<Vec<(TopicId, Proposal)>>,
-    /// The reverse link's subscriptions; `None` when the neighbor is not
-    /// one (it is in our table, or its link aged out).
-    link: Option<Subs>,
+    /// The subscriptions the advertising heartbeat carried; a reverse
+    /// link's flood and election read its topics from here.
+    subs: Subs,
+    /// `(own index, advert index)` of every topic both our subscriptions
+    /// and `subs` name, ascending: what the election folds. Computed when a
+    /// heartbeat brings a handle we do not hold (`Arc::ptr_eq`) and when
+    /// our own subscriptions change; while the handle stays, the topics at
+    /// those positions stay too.
+    common: Box<[(u16, u16)]>,
     /// Rounds since the advertising heartbeat. Only read with gateway
     /// failover on: stale advertisements past the failure-detection
     /// threshold are then excluded from elections, so a silent (crashed or
@@ -47,12 +55,30 @@ pub struct Neighbor {
     advert_age: u16,
     /// Rounds since the reverse link's last heartbeat.
     link_age: u16,
+    /// Whether the neighbor is a reverse link; false when it is in our
+    /// table, or its link aged out.
+    link: bool,
 }
 
 /// The reverse links of a neighbor table, ascending by address.
 fn reverse_links(nbrs: &SmallMap<NodeIdx, Neighbor>) -> impl Iterator<Item = (NodeIdx, &Subs)> {
     nbrs.iter()
-        .filter_map(|(a, n)| n.link.as_ref().map(|subs| (*a, subs)))
+        .filter_map(|(a, n)| n.link.then_some((*a, &n.subs)))
+}
+
+/// The topics `own` and a heartbeat's `subs` both name, as `(index in
+/// own, index in subs)` pairs, ascending, in one exact-size allocation.
+///
+/// # Panics
+/// Panics if a common topic sits past index 65 535 in either set: the
+/// pairs are `u16` to keep the cache at 4 bytes a topic, and a truncated
+/// index would silently fold the wrong proposal. The widest set any
+/// workload builds is 2 000 topics (the Twitter model).
+fn common_topics(own: &TopicSet, subs: &TopicSet) -> Box<[(u16, u16)]> {
+    let narrow = |i: usize| u16::try_from(i).expect("a subscription set past 65 536 topics");
+    let mut pairs = Vec::with_capacity(own.len().min(subs.len()));
+    own.for_each_common(subs, |i, j, _| pairs.push((narrow(i), narrow(j))));
+    pairs.into_boxed_slice()
 }
 
 /// The flood's overlay targets for a `topic` notification that came from
@@ -117,9 +143,10 @@ pub struct MemoEntry {
     utility: f64,
 }
 
-/// The [`ProfileMsg::proposals`] invariant the election's merge relies on.
-fn ascending_by_topic(props: &[(TopicId, Proposal)]) -> bool {
-    props.windows(2).all(|w| w[0].0 < w[1].0)
+/// The [`ProfileMsg::proposals`] invariant the election's cached pairs
+/// rely on: one proposal per topic of `subs`, in its order.
+fn proposes_for_its_subscriptions(pm: &ProfileMsg) -> bool {
+    pm.proposals.iter().map(|(t, _)| *t).eq(pm.subs.iter())
 }
 
 /// A Vitis peer. Construct with [`VitisNode::new`] and hand to the engine;
@@ -232,9 +259,10 @@ impl VitisNode {
 
     /// The heap bytes this node owns beyond its inline state, one call per
     /// owner, each Σ capacity × element size. `gateway` is the election
-    /// state: advertisements (own and remembered), the neighbor table and
-    /// unacknowledged publishes. Subscription sets are shared handles
-    /// whose bytes belong to the workload.
+    /// state: advertisements (own and remembered), the neighbor table with
+    /// each neighbor's common-topic pairs, and unacknowledged publishes.
+    /// Subscription sets are shared handles whose bytes belong to the
+    /// workload.
     pub fn heap_bytes(&self, mut owner: impl FnMut(&'static str, u64)) {
         use std::mem::size_of;
         let proposal = size_of::<(TopicId, Proposal)>();
@@ -252,7 +280,12 @@ impl VitisNode {
         let share = |a: &Rc<Vec<(TopicId, Proposal)>>| {
             (a.capacity() * proposal / Rc::strong_count(a)) as u64
         };
-        let adverts: u64 = self.nbrs.values().map(|n| share(&n.advert)).sum();
+        let pair = size_of::<(u16, u16)>();
+        let adverts: u64 = self
+            .nbrs
+            .values()
+            .map(|n| share(&n.advert) + (n.common.len() * pair) as u64)
+            .sum();
         owner(
             "gateway",
             share(&self.advert)
@@ -288,6 +321,10 @@ impl VitisNode {
         if self.advert.iter().any(|(t, _)| !subs.contains(*t)) {
             let kept = self.advert.iter().filter(|(t, _)| subs.contains(*t));
             self.advert = Rc::new(kept.copied().collect());
+        }
+        // Every cached pair indexes the old set.
+        for n in self.nbrs.values_mut() {
+            n.common = common_topics(&subs, &n.subs);
         }
         self.net.set_payload(subs);
         // Every remembered utility was computed against the old set.
@@ -345,8 +382,7 @@ impl VitisNode {
             })
         };
         let rt = self.net.rt();
-        self.nbrs
-            .retain(|addr, n| rt.contains(*addr) || n.link.is_some());
+        self.nbrs.retain(|addr, n| rt.contains(*addr) || n.link);
         out
     }
 
@@ -386,15 +422,29 @@ impl VitisNode {
     /// *reverse* neighbor (the connection's other end) — track it for
     /// flooding and election, and offer it to the ring-repair check.
     fn on_profile(&mut self, from: NodeIdx, pm: ProfileMsg) {
-        debug_assert!(ascending_by_topic(&pm.proposals));
+        debug_assert!(proposes_for_its_subscriptions(&pm));
         let in_table = self.net.on_heartbeat(from, pm.id, &pm.subs);
-        let nbr = Neighbor {
-            advert: pm.proposals,
-            link: (!in_table).then_some(pm.subs),
-            advert_age: 0,
-            link_age: 0,
-        };
-        self.nbrs.insert(from, nbr);
+        let own = self.net.payload();
+        if let Some(n) = self.nbrs.get_mut(&from) {
+            if !Arc::ptr_eq(&n.subs, &pm.subs) {
+                n.common = common_topics(own, &pm.subs);
+                n.subs = pm.subs;
+            }
+            n.advert = pm.proposals;
+            n.advert_age = 0;
+            n.link_age = 0;
+            n.link = !in_table;
+        } else {
+            let nbr = Neighbor {
+                common: common_topics(own, &pm.subs),
+                advert: pm.proposals,
+                subs: pm.subs,
+                advert_age: 0,
+                link_age: 0,
+                link: !in_table,
+            };
+            self.nbrs.insert(from, nbr);
+        }
     }
 
     /// The failure-detection step: expire stale table entries, forgetting
@@ -404,7 +454,7 @@ impl VitisNode {
     /// remembered advertisement (a heartbeat resets it).
     fn detect_failures(&mut self) {
         for dead in self.net.detect_failures() {
-            if self.nbrs.get(&dead).is_some_and(|n| n.link.is_none()) {
+            if self.nbrs.get(&dead).is_some_and(|n| !n.link) {
                 self.nbrs.remove(&dead);
             }
             self.relays.remove_peer(dead);
@@ -415,10 +465,10 @@ impl VitisNode {
             if failover {
                 n.advert_age = n.advert_age.saturating_add(1);
             }
-            if n.link.is_some() {
+            if n.link {
                 n.link_age = n.link_age.saturating_add(1);
                 if n.link_age > thr {
-                    n.link = None;
+                    n.link = false;
                     return rt.contains(*addr);
                 }
             }
@@ -433,9 +483,12 @@ impl VitisNode {
     /// Neighbor-major: the connection set (table entries, then reverse
     /// links not in the table) is walked once, and each neighbor's
     /// advertisement is folded into every topic that we, its descriptor
-    /// and the advertisement all name, by one merge of the three sorted
-    /// lists. A topic still meets its interested neighbors in connection-
-    /// set order, so each topic's fold is the one `revise_proposal` makes.
+    /// and the advertisement all name. The neighbor's cached common-topic
+    /// pairs are that set whenever the descriptor is the heartbeat's own
+    /// handle; a descriptor under another handle (the neighbor
+    /// resubscribed) votes only on the pairs it also names. A topic still
+    /// meets its interested neighbors in connection-set order, so each
+    /// topic's fold is the one `revise_proposal` makes.
     fn elect(&mut self) {
         let (addr, subs) = (self.net.addr(), self.net.payload());
         let own = Proposal::self_proposal(addr, self.net.id());
@@ -445,41 +498,36 @@ impl VitisNode {
         // gateway, Scribe-style.
         if self.cfg.gateway_election {
             let (rt, nbrs) = (self.net.rt(), &self.nbrs);
-            let connected =
-                |a: NodeIdx| rt.contains(a) || nbrs.get(&a).is_some_and(|n| n.link.is_some());
+            let connected = |a: NodeIdx| rt.contains(a) || nbrs.get(&a).is_some_and(|n| n.link);
             let table = rt.iter().map(|e| (e.addr, &e.payload, nbrs.get(&e.addr)));
-            let reverse_only = nbrs.iter().filter_map(|(a, n)| match &n.link {
-                Some(subs) if !rt.contains(*a) => Some((*a, subs, Some(n))),
-                _ => None,
-            });
+            let reverse_only = nbrs
+                .iter()
+                .filter(|(a, n)| n.link && !rt.contains(**a))
+                .map(|(a, n)| (*a, &n.subs, Some(n)));
+            let targets: Vec<Id> = subs.iter().map(TopicId::ring_id).collect();
             // With failover on, advertisements older than the failure-
             // detection threshold have lost their vote: the advertiser
             // has gone silent, so whatever gateway it endorsed may be
             // gone too, and the election re-runs without it.
             let failover = self.cfg.gateway_failover;
-            let thr = self.cfg.age_threshold;
-            for (nbr, nbr_subs, n) in table.chain(reverse_only) {
+            let (thr, d_max) = (self.cfg.age_threshold, self.cfg.d_max_hops);
+            for (nbr, descriptor, n) in table.chain(reverse_only) {
                 let Some(n) = n else {
                     continue;
                 };
                 if failover && n.advert_age > thr {
                     continue;
                 }
-                let mut advertised = n.advert.iter().peekable();
-                subs.for_each_common(nbr_subs, |i, topic| {
-                    while advertised.next_if(|(t, _)| *t < topic).is_some() {}
-                    if let Some((_, new)) = advertised.next_if(|(t, _)| *t == topic) {
-                        revise_step(
-                            &mut props[i].1,
-                            addr,
-                            topic.ring_id(),
-                            self.cfg.d_max_hops,
-                            nbr,
-                            new,
-                            connected,
-                        );
+                let narrow = !Arc::ptr_eq(descriptor, &n.subs);
+                for &(i, j) in n.common.iter() {
+                    let (i, j) = (usize::from(i), usize::from(j));
+                    let (topic, prop) = &mut props[i];
+                    if narrow && !descriptor.contains(*topic) {
+                        continue;
                     }
-                });
+                    let new = &n.advert[j].1;
+                    revise_step(prop, addr, targets[i], d_max, nbr, new, connected);
+                }
             }
         }
         if *self.advert != props {
@@ -728,12 +776,12 @@ impl Protocol for VitisNode {
         self.update_profile(ctx);
 
         // 6. Profile heartbeat to every neighbor (Algorithm 6).
-        debug_assert!(ascending_by_topic(&self.advert));
         let pm = ProfileMsg {
             id: self.net.id(),
             subs: self.net.payload().clone(),
             proposals: self.advert.clone(),
         };
+        debug_assert!(proposes_for_its_subscriptions(&pm));
         for e in self.net.rt().iter() {
             self.send_control(ctx, e.addr, VitisMsg::Profile(pm.clone()));
         }
@@ -1001,12 +1049,13 @@ mod tests {
     type Advert = Rc<Vec<(TopicId, Proposal)>>;
 
     /// The neighbor state as the two maps the one table replaced, under
-    /// their rules: remembered advertisements with their ages, and reverse
-    /// links with theirs. Each path that drops an advertisement spares the
-    /// keys of a reverse link.
+    /// their rules: remembered advertisements with the subscriptions their
+    /// heartbeat carried and their ages, and reverse links with theirs.
+    /// Each path that drops an advertisement spares the keys of a reverse
+    /// link.
     #[derive(Default)]
     struct TwoMaps {
-        nbr_proposals: std::collections::BTreeMap<NodeIdx, (Advert, u16)>,
+        nbr_proposals: std::collections::BTreeMap<NodeIdx, (Advert, Subs, u16)>,
         reverse: std::collections::BTreeMap<NodeIdx, (Subs, u16)>,
     }
 
@@ -1016,9 +1065,9 @@ mod tests {
             if in_table {
                 self.reverse.remove(&from);
             } else {
-                self.reverse.insert(from, (subs, 0));
+                self.reverse.insert(from, (subs.clone(), 0));
             }
-            self.nbr_proposals.insert(from, (advert, 0));
+            self.nbr_proposals.insert(from, (advert, subs, 0));
         }
 
         /// The pruning after a merge left the table `rt`.
@@ -1045,28 +1094,32 @@ mod tests {
                 keep
             });
             if cfg.gateway_failover {
-                for (_, age) in nbr_proposals.values_mut() {
+                for (_, _, age) in nbr_proposals.values_mut() {
                     *age = age.saturating_add(1);
                 }
             }
         }
 
-        /// The one table holding the same state.
-        fn table(&self) -> SmallMap<NodeIdx, Neighbor> {
+        /// The one table holding the same state, for a node subscribed to
+        /// `own`. A reverse link's subscriptions are its heartbeat's.
+        fn table(&self, own: &TopicSet) -> SmallMap<NodeIdx, Neighbor> {
+            let nbr = |(a, (advert, subs, age)): (&NodeIdx, &(Advert, Subs, u16))| {
+                let link = self.reverse.get(a);
+                assert!(link.is_none_or(|(s, _)| Arc::ptr_eq(s, subs)));
+                let n = Neighbor {
+                    advert: advert.clone(),
+                    subs: subs.clone(),
+                    common: common_topics(own, subs),
+                    advert_age: *age,
+                    link_age: link.map_or(0, |(_, age)| *age),
+                    link: link.is_some(),
+                };
+                (*a, n)
+            };
             assert!(self
                 .reverse
                 .keys()
                 .all(|a| self.nbr_proposals.contains_key(a)));
-            let nbr = |(a, (advert, age)): (&NodeIdx, &(Advert, u16))| {
-                let link = self.reverse.get(a);
-                let n = Neighbor {
-                    advert: advert.clone(),
-                    link: link.map(|(subs, _)| subs.clone()),
-                    advert_age: *age,
-                    link_age: link.map_or(0, |(_, age)| *age),
-                };
-                (*a, n)
-            };
             self.nbr_proposals.iter().map(nbr).collect()
         }
 
@@ -1080,13 +1133,13 @@ mod tests {
                         let link = self.reverse.get(b);
                         a == b
                             && Rc::ptr_eq(&n.advert, &m.0)
-                            && n.advert_age == m.1
-                            && match (&n.link, link) {
-                                (Some(s), Some((t, age))) => {
-                                    Arc::ptr_eq(s, t) && n.link_age == *age
+                            && Arc::ptr_eq(&n.subs, &m.1)
+                            && n.advert_age == m.2
+                            && match link {
+                                Some((t, age)) => {
+                                    n.link && Arc::ptr_eq(&n.subs, t) && n.link_age == *age
                                 }
-                                (None, None) => true,
-                                _ => false,
+                                None => !n.link,
                             }
                     })
         }
@@ -1145,8 +1198,8 @@ mod tests {
                 let with_props = rt_nbrs.chain(rev_nbrs).filter_map(|addr| {
                     maps.nbr_proposals
                         .get(&addr)
-                        .filter(|(_, age)| !failover || *age <= thr)
-                        .and_then(|(advert, _)| advert.iter().find(|(t, _)| *t == topic))
+                        .filter(|(_, _, age)| !failover || *age <= thr)
+                        .and_then(|(advert, _, _)| advert.iter().find(|(t, _)| *t == topic))
                         .map(|(_, p)| (addr, p))
                 });
                 let prop = crate::gateway::revise_proposal(
@@ -1211,10 +1264,12 @@ mod tests {
     }
 
     /// Random connection state: a table, reverse links (some shadowing
-    /// table entries), and advertisements of every age whose topics need
-    /// not match the advertiser's descriptor. Every reverse link has an
-    /// advertisement, as one heartbeat writes both; other peers may not.
-    /// Installed in the node and returned as the two maps.
+    /// table entries), and advertisements of every age, each built over
+    /// the subscriptions its heartbeat carried — which need not be the
+    /// advertiser's descriptor in our table. Every reverse link has an
+    /// advertisement under its own subscriptions, as one heartbeat writes
+    /// both; other peers may not. Installed in the node and returned as
+    /// the two maps.
     fn randomize_connections(
         node: &mut VitisNode,
         two_node_ring: bool,
@@ -1249,25 +1304,26 @@ mod tests {
         }
         let thr = node.cfg.age_threshold;
         for addr in 1..POOL {
-            if !maps.reverse.contains_key(&NodeIdx(addr)) && rng.gen_bool(0.2) {
+            let in_rev = maps.reverse.get(&NodeIdx(addr)).map(|(subs, _)| subs);
+            if in_rev.is_none() && rng.gen_bool(0.2) {
                 continue;
             }
-            let topics = if rng.gen_bool(0.5) {
-                // Usually an advertiser proposes for what its descriptor
-                // says it subscribes to …
-                let in_rt = node.net.rt().iter().find(|e| e.addr.0 == addr);
-                let in_rev = maps.reverse.get(&NodeIdx(addr)).map(|(subs, _)| subs);
-                in_rt.map(|e| &e.payload).or(in_rev).cloned()
-            } else {
-                None
-            }
-            // … but a stale descriptor can disagree with the advert.
-            .unwrap_or_else(|| random_subs(rng));
+            let topics = in_rev
+                .or_else(|| {
+                    // Usually an advertiser's heartbeat carries what its
+                    // descriptor in our table says it subscribes to …
+                    let in_rt = node.net.rt().iter().find(|e| e.addr.0 == addr);
+                    in_rt.map(|e| &e.payload).filter(|_| rng.gen_bool(0.5))
+                })
+                .cloned()
+                // … but a stale descriptor can disagree with it.
+                .unwrap_or_else(|| random_subs(rng));
             let advert = random_advert(addr, &topics, rng);
             let age = rng.gen_range(0..=2 * thr);
-            maps.nbr_proposals.insert(NodeIdx(addr), (advert, age));
+            maps.nbr_proposals
+                .insert(NodeIdx(addr), (advert, topics, age));
         }
-        node.nbrs = maps.table();
+        node.nbrs = maps.table(node.subscriptions());
         maps
     }
 
@@ -1276,6 +1332,8 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(99);
         let (mut adopted, mut stale_votes, mut in_table_parents) = (0, 0, 0);
+        // Votes the narrowing to a stale descriptor's topics withholds.
+        let mut narrowed = 0;
         for case in 0..600 {
             let failover = case % 2 == 0;
             let cfg = VitisConfig {
@@ -1288,6 +1346,18 @@ mod tests {
             let mut node = lone_node(&own, cfg);
             let maps = randomize_connections(&mut node, case % 5 == 0, &mut rng);
             let expected = elect_topic_major(&node, &maps);
+            let thr = node.cfg.age_threshold;
+            let topics: Vec<TopicId> = node.subscriptions().iter().collect();
+            for e in node.net.rt().iter() {
+                let Some(n) = node.nbrs.get(&e.addr) else {
+                    continue;
+                };
+                if Arc::ptr_eq(&e.payload, &n.subs) || (failover && n.advert_age > thr) {
+                    continue;
+                }
+                let withheld = n.common.iter().map(|&(i, _)| topics[usize::from(i)]);
+                narrowed += withheld.filter(|t| !e.payload.contains(*t)).count();
+            }
             node.elect();
             assert_eq!(*node.advert, expected, "case {case}");
             // The same result again is the same advertisement.
@@ -1295,7 +1365,6 @@ mod tests {
             node.elect();
             assert!(Rc::ptr_eq(&advert, &node.advert), "case {case}");
 
-            let thr = node.cfg.age_threshold;
             adopted += expected
                 .iter()
                 .filter(|(_, p)| p.gw_addr != node.net.addr())
@@ -1319,24 +1388,32 @@ mod tests {
         }
         assert!(adopted > 300, "the cases must adopt foreign gateways");
         assert!(stale_votes > 300 && in_table_parents > 300);
+        assert!(
+            narrowed > 300,
+            "stale descriptors narrowed {narrowed} votes"
+        );
     }
 
     /// The one neighbor table against the two maps it replaced, driven by
     /// random sequences of the steps that write them: heartbeats from table
-    /// and non-table peers, merges that add and drop peers, failure
-    /// detection of peers with and without a reverse link, and the ageing
-    /// of reverse links and (with failover) advertisements. After every
-    /// step the election, the flood's targets for a random topic, the
-    /// repair layer's connection set and the reverse degree must agree,
-    /// and the table must hold the maps' state handle for handle.
+    /// and non-table peers, under a new subscription handle or the one the
+    /// last heartbeat carried, merges that add and drop peers, failure
+    /// detection of peers with and without a reverse link, the ageing of
+    /// reverse links and (with failover) advertisements, and the node's own
+    /// resubscription. After every step the election, the flood's targets
+    /// for a random topic, the repair layer's connection set and the
+    /// reverse degree must agree, the table must hold the maps' state
+    /// handle for handle, and every neighbor's cached pairs must be the
+    /// common topics of our subscriptions and its heartbeat's.
     #[test]
     fn the_neighbor_table_follows_the_two_map_rules() {
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(2024);
         // Coverage: heartbeats from table / non-table peers, merges that
         // forgot a remembered peer, deaths with / without a reverse link,
-        // reverse links expired in / out of the table.
-        let mut seen = [0usize; 7];
+        // reverse links expired in / out of the table, heartbeats under a
+        // kept handle, resubscriptions.
+        let mut seen = [0usize; 9];
         for case in 0..400 {
             let cfg = VitisConfig {
                 gateway_failover: case % 2 == 0,
@@ -1349,7 +1426,7 @@ mod tests {
             let mut maps = randomize_connections(&mut node, case % 7 == 0, &mut rng);
             for step in 0..60 {
                 let rt_addrs = node.net.rt().addrs();
-                match rng.gen_range(0..7) {
+                match rng.gen_range(0..8) {
                     // A heartbeat, from a table peer or from anyone.
                     k @ (0 | 1) => {
                         let from = if k == 0 && !rt_addrs.is_empty() {
@@ -1359,7 +1436,12 @@ mod tests {
                         };
                         let in_table = rt_addrs.contains(&from);
                         seen[usize::from(!in_table)] += 1;
-                        let subs = random_subs(&mut rng);
+                        // The sender's subscriptions, often unchanged
+                        // since its last heartbeat.
+                        let last = maps.nbr_proposals.get(&from).map(|(_, subs, _)| subs);
+                        let kept = last.filter(|_| rng.gen_bool(0.6)).cloned();
+                        seen[7] += usize::from(kept.is_some());
+                        let subs = kept.unwrap_or_else(|| random_subs(&mut rng));
                         let advert = random_advert(from.0, &subs, &mut rng);
                         let pm = ProfileMsg {
                             id: Id::of_node(from.0 as u64),
@@ -1394,6 +1476,11 @@ mod tests {
                         let before = maps.nbr_proposals.len();
                         maps.merged(node.net.rt());
                         seen[2] += usize::from(maps.nbr_proposals.len() < before);
+                    }
+                    // The node resubscribes.
+                    7 => {
+                        node.set_subscriptions(random_subs(&mut rng));
+                        seen[8] += 1;
                     }
                     // A failure-detection step, first making a table peer
                     // with (or without) a reverse link due to expire.
@@ -1442,6 +1529,13 @@ mod tests {
                 }
                 let at = format!("case {case}, step {step}");
                 assert!(maps.matches(&node.nbrs), "{at}");
+                for n in node.nbrs.values() {
+                    let mut fresh = Vec::new();
+                    node.subscriptions().for_each_common(&n.subs, |i, j, _| {
+                        fresh.push((u16::try_from(i).unwrap(), u16::try_from(j).unwrap()));
+                    });
+                    assert_eq!(*n.common, *fresh, "{at}");
+                }
                 let expected = elect_topic_major(&node, &maps);
                 node.elect();
                 assert_eq!(*node.advert, expected, "{at}");

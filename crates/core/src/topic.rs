@@ -88,15 +88,15 @@ impl TopicSet {
         self.topics.iter().map(|&t| TopicId(t))
     }
 
-    /// Call `f(index in self, topic)` for every topic in both sets, in
-    /// ascending order (linear merge).
-    pub fn for_each_common(&self, other: &TopicSet, mut f: impl FnMut(usize, TopicId)) {
+    /// Call `f(index in self, index in other, topic)` for every topic in
+    /// both sets, in ascending order (linear merge).
+    pub fn for_each_common(&self, other: &TopicSet, mut f: impl FnMut(usize, usize, TopicId)) {
         let (a, b) = (&self.topics[..], &other.topics[..]);
         let (mut i, mut j) = (0, 0);
         while i < a.len() && j < b.len() {
             let (x, y) = (a[i], b[j]);
             if x == y {
-                f(i, TopicId(x));
+                f(i, j, TopicId(x));
             }
             i += (x <= y) as usize;
             j += (y <= x) as usize;
@@ -106,7 +106,7 @@ impl TopicSet {
     /// Size of the intersection with `other`.
     pub fn intersection_len(&self, other: &TopicSet) -> usize {
         let mut n = 0;
-        self.for_each_common(other, |_, _| n += 1);
+        self.for_each_common(other, |_, _, _| n += 1);
         n
     }
 
@@ -343,9 +343,16 @@ mod tests {
     fn for_each_common_visits_the_intersection_in_order() {
         let a = ts(&[1, 4, 6, 9, 12]);
         let mut seen = Vec::new();
-        a.for_each_common(&ts(&[0, 4, 5, 9, 12, 13]), |i, t| seen.push((i, t.0)));
-        assert_eq!(seen, vec![(1, 4), (3, 9), (4, 12)]);
-        a.for_each_common(&ts(&[]), |_, _| panic!("empty intersection"));
+        let b = ts(&[0, 4, 5, 9, 12, 13]);
+        a.for_each_common(&b, |i, j, t| seen.push((i, j, t.0)));
+        assert_eq!(seen, vec![(1, 1, 4), (3, 3, 9), (4, 4, 12)]);
+        seen.clear();
+        b.for_each_common(&a, |i, j, t| seen.push((i, j, t.0)));
+        assert_eq!(seen, vec![(1, 1, 4), (3, 3, 9), (4, 4, 12)]);
+        seen.clear();
+        ts(&[2, 9, 40]).for_each_common(&ts(&[1, 2, 3, 4, 40]), |i, j, t| seen.push((i, j, t.0)));
+        assert_eq!(seen, vec![(0, 1, 2), (2, 4, 40)]);
+        a.for_each_common(&ts(&[]), |_, _, _| panic!("empty intersection"));
     }
 
     #[test]
