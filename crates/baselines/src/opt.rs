@@ -61,7 +61,7 @@ pub enum OptMsg {
     /// Connection accept carrying the accepter's subscriptions.
     ConnectAck(Subs),
     /// Liveness heartbeat between connected neighbors.
-    Heartbeat(Subs),
+    Heartbeat,
     /// Data-plane event notification flooding the topic subgraph.
     Notif(Notification),
     /// Harness stimulus: publish `event` on `topic` from this node.
@@ -266,7 +266,7 @@ impl Protocol for OptNode {
             OptMsg::PsResp(_) => MsgTag::control("ps_resp"),
             OptMsg::ConnectReq(..) => MsgTag::control("connect_req"),
             OptMsg::ConnectAck(..) => MsgTag::control("connect_ack"),
-            OptMsg::Heartbeat(_) => MsgTag::control("heartbeat"),
+            OptMsg::Heartbeat => MsgTag::control("heartbeat"),
             OptMsg::Notif(_) => MsgTag::data("notification"),
             OptMsg::PublishCmd { .. } => MsgTag::data("publish_cmd"),
             OptMsg::AeDigest(_) => MsgTag::control("ae_digest"),
@@ -318,7 +318,7 @@ impl Protocol for OptNode {
 
         // Heartbeats.
         for &peer in self.links.keys() {
-            ctx.send(peer, OptMsg::Heartbeat(self.ps.payload().clone()));
+            ctx.send(peer, OptMsg::Heartbeat);
         }
 
         // Anti-entropy repair. Entirely inert — no sends, no RNG draws —
@@ -357,10 +357,9 @@ impl Protocol for OptNode {
             OptMsg::ConnectAck(subs) => {
                 self.add_link(from, subs);
             }
-            OptMsg::Heartbeat(subs) => {
+            OptMsg::Heartbeat => {
                 if let Some(l) = self.links.get_mut(&from) {
                     l.age = 0;
-                    l.subs = subs;
                 }
             }
             OptMsg::Notif(notif) => {

@@ -40,7 +40,7 @@ pub struct RvrProtocol {
 fn rvr_miss_reason(reach: Reach, tree_state: bool, claims: usize) -> LossReason {
     match (reach, tree_state) {
         // The event never reached this partition of the overlay.
-        (Reach::Outside | Reach::Unreached, _) => LossReason::PartitionedCluster,
+        (Reach::Unreached, _) => LossReason::PartitionedCluster,
         // The subscriber's join path never installed (or let expire) its
         // tree soft state — the RVR analogue of a broken relay.
         (Reach::Reached, false) => LossReason::RelayBroken,
@@ -154,7 +154,7 @@ impl OptProtocol {
 fn opt_miss_reason(reach: Reach) -> LossReason {
     match reach {
         Reach::Reached => LossReason::IncompleteFlood,
-        Reach::Outside | Reach::Unreached => LossReason::PartitionedCluster,
+        Reach::Unreached => LossReason::PartitionedCluster,
     }
 }
 
@@ -510,7 +510,6 @@ mod tests {
         use Reach::*;
         let rvr = [
             // (reach over the whole overlay, subscriber tree state, root claims)
-            ((Outside, true, 1), PartitionedCluster),
             ((Unreached, true, 1), PartitionedCluster),
             ((Reached, false, 1), RelayBroken),
             ((Reached, true, 0), RelayBroken),
@@ -521,11 +520,7 @@ mod tests {
             let got = rvr_miss_reason(reach, tree_state, claims);
             assert_eq!(got, want, "rvr: {reach:?} {tree_state} {claims}");
         }
-        let opt = [
-            (Outside, PartitionedCluster),
-            (Unreached, PartitionedCluster),
-            (Reached, IncompleteFlood),
-        ];
+        let opt = [(Unreached, PartitionedCluster), (Reached, IncompleteFlood)];
         for (reach, want) in opt {
             assert_eq!(opt_miss_reason(reach), want, "opt: {reach:?}");
         }

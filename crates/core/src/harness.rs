@@ -3,7 +3,7 @@
 //! ground-truth subscriber sets, publisher choice, rate-weighted topic
 //! draws, and the join-grace rule for expected deliveries.
 
-use crate::topic::{RateTable, Subs, TopicId, TopicSet};
+use crate::topic::{RateTable, Subs, TopicId};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::sync::Arc;
@@ -14,6 +14,14 @@ use vitis_sim::time::{Duration, SimTime};
 /// Ground-truth subscription state and publish-scheduling helpers. Logical
 /// node ids coincide with engine slots (systems allocate slots in logical
 /// order and re-join into the same slot).
+///
+/// A logical node's subscriptions are fixed for the run: its [`Subs`]
+/// handle is made here, once, and every node built for it — at start and
+/// at each rejoin — advertises that same `Arc`, so every descriptor and
+/// heartbeat naming the node carries it too. Routing tables and OPT's
+/// links keep the handle a peer first brought, and the Vitis caches keyed
+/// on a peer (the Equation 1 memo, the election's common-topic pairs)
+/// `debug_assert!` that it is the one they were computed from.
 pub struct Workload {
     subs: Vec<Subs>,
     topic_subscribers: Vec<Vec<u32>>,
@@ -27,8 +35,9 @@ pub struct Workload {
 
 impl Workload {
     /// Build from per-node subscription sets over `num_topics` topics.
-    /// Accepts owned [`TopicSet`]s or already-interned [`Subs`] handles
-    /// (the latter avoids re-allocating shared subscription storage).
+    /// Accepts owned [`TopicSet`](crate::topic::TopicSet)s or
+    /// already-interned [`Subs`] handles (the latter avoids re-allocating
+    /// shared subscription storage).
     ///
     /// # Panics
     /// Panics if a subscription references a topic `>= num_topics`.
@@ -91,19 +100,6 @@ impl Workload {
         &self.topic_subscribers[topic.0 as usize]
     }
 
-    /// Replace a node's subscriptions (drives dynamic-subscription tests).
-    pub fn resubscribe(&mut self, logical: u32, new_subs: TopicSet) {
-        let old = self.subs[logical as usize].clone();
-        for t in old.iter() {
-            self.topic_subscribers[t.0 as usize].retain(|&s| s != logical);
-        }
-        for t in new_subs.iter() {
-            assert!((t.0 as usize) < self.topic_subscribers.len());
-            self.topic_subscribers[t.0 as usize].push(logical);
-        }
-        self.subs[logical as usize] = Subs::new(new_subs);
-    }
-
     /// Draw a topic with probability proportional to its publication rate
     /// (uniform if all rates are zero).
     pub fn draw_topic(&mut self) -> TopicId {
@@ -161,6 +157,7 @@ impl Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topic::TopicSet;
 
     fn ts(v: &[u32]) -> TopicSet {
         TopicSet::from_iter(v.iter().copied())
@@ -241,16 +238,6 @@ mod tests {
             seen.insert(w.draw_topic().0);
         }
         assert_eq!(seen.len(), 4);
-    }
-
-    #[test]
-    fn resubscribe_rewires_index() {
-        let mut w = workload();
-        w.resubscribe(0, ts(&[2]));
-        assert_eq!(w.subscribers(TopicId(0)), &[2]);
-        assert_eq!(w.subscribers(TopicId(1)), &[1]);
-        assert_eq!(w.subscribers(TopicId(2)), &[2, 0]);
-        assert!(w.subs_of(0).contains(TopicId(2)));
     }
 
     #[test]

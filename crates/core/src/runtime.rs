@@ -26,7 +26,7 @@ use crate::harness::Workload;
 use crate::monitor::{EventId, LossReason, LossReport, MissContext, Monitor, PubSubStats};
 use crate::relay::RelayTable;
 use crate::system::SystemParams;
-use crate::topic::{RateTable, Subs, TopicId, TopicSet};
+use crate::topic::{RateTable, Subs, TopicId};
 use crate::topo::{NodeTopo, OverlaySnapshot, TopoLink};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -456,28 +456,10 @@ impl<P: PubSubProtocol> SystemRuntime<P> {
     }
 }
 
-/// Vitis-specific surface: operations that need the node type's own API
-/// (dynamic resubscription, ring diagnostics).
-impl SystemRuntime<crate::system::VitisProtocol> {
-    /// Replace the subscriptions of an online node at runtime; the change
-    /// is reflected both in the delivery ground truth and in the node's
-    /// next profile heartbeat.
-    pub fn resubscribe(&mut self, logical: u32, new_subs: TopicSet) {
-        self.workload.resubscribe(logical, new_subs);
-        let subs = self.workload.subs_of(logical).clone();
-        if let Some(node) = self.engine.node_mut(NodeIdx(logical)) {
-            node.set_subscriptions(subs);
-        }
-    }
-}
-
 /// Where a missed subscriber sits relative to the copies of its event,
 /// within a set of connected components.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Reach {
-    /// The subscriber is online but in no component (resubscribed after
-    /// the publish, or otherwise outside the ground truth).
-    Outside,
     /// No member of the subscriber's component received the event.
     Unreached,
     /// Some member of the subscriber's component received the event.
@@ -485,12 +467,17 @@ pub enum Reach {
 }
 
 impl Reach {
-    /// The component of `comps` holding the missed subscriber (empty when
-    /// [`Reach::Outside`]) and whether the event reached it.
+    /// The component of `comps` holding the missed subscriber and whether
+    /// the event reached it.
+    ///
+    /// # Panics
+    /// Panics if no component holds the subscriber: a miss is classified
+    /// only while its subscriber is online, and a subscriber stays one.
     fn of<'c>(comps: &'c [Vec<u32>], miss: &MissContext<'_>) -> (Reach, &'c [u32]) {
-        let Some(comp) = comps.iter().find(|c| c.contains(&miss.subscriber.0)) else {
-            return (Reach::Outside, &[]);
-        };
+        let comp = comps
+            .iter()
+            .find(|c| c.contains(&miss.subscriber.0))
+            .expect("an online subscriber lies in one of the components");
         let reached = comp
             .iter()
             .any(|&x| miss.delivered.binary_search(&NodeIdx(x)).is_ok());

@@ -138,8 +138,6 @@ impl VitisProtocol {
 /// claim the topic's rendezvous.
 fn miss_reason(reach: Reach, gateways: usize, relayed: usize, claims: usize) -> LossReason {
     match reach {
-        // Alive but outside the ground truth: treat as disconnected.
-        Reach::Outside => LossReason::PartitionedCluster,
         // The event reached this connected cluster but forwarding stopped
         // before covering it.
         Reach::Reached => LossReason::IncompleteFlood,
@@ -440,7 +438,6 @@ mod tests {
         use Reach::*;
         let table = [
             // (reach, gateways, relayed gateways, rendezvous claims)
-            ((Outside, 0, 0, 0), PartitionedCluster),
             ((Reached, 0, 0, 0), IncompleteFlood),
             ((Reached, 3, 1, 2), IncompleteFlood),
             ((Unreached, 0, 0, 1), NoGateway),

@@ -25,6 +25,7 @@ impl std::fmt::Display for TopicId {
 ///
 /// Kept sorted so that membership is a binary search and set operations are
 /// linear merges — these run in the innermost loop of friend selection.
+/// Immutable once built.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TopicSet {
     topics: Vec<u32>,
@@ -59,28 +60,6 @@ impl TopicSet {
     #[inline]
     pub fn contains(&self, t: TopicId) -> bool {
         self.topics.binary_search(&t.0).is_ok()
-    }
-
-    /// Add a topic (subscribe). Returns false if already present.
-    pub fn insert(&mut self, t: TopicId) -> bool {
-        match self.topics.binary_search(&t.0) {
-            Ok(_) => false,
-            Err(pos) => {
-                self.topics.insert(pos, t.0);
-                true
-            }
-        }
-    }
-
-    /// Remove a topic (unsubscribe). Returns false if absent.
-    pub fn remove(&mut self, t: TopicId) -> bool {
-        match self.topics.binary_search(&t.0) {
-            Ok(pos) => {
-                self.topics.remove(pos);
-                true
-            }
-            Err(_) => false,
-        }
     }
 
     /// Iterate the topics in ascending order.
@@ -224,16 +203,11 @@ mod tests {
     }
 
     #[test]
-    fn insert_remove_contains() {
-        let mut s = ts(&[2, 4]);
-        assert!(s.contains(TopicId(2)));
-        assert!(!s.contains(TopicId(3)));
-        assert!(s.insert(TopicId(3)));
-        assert!(!s.insert(TopicId(3)));
-        assert!(s.contains(TopicId(3)));
-        assert!(s.remove(TopicId(2)));
-        assert!(!s.remove(TopicId(2)));
-        assert_eq!(s.len(), 2);
+    fn contains_finds_exactly_the_members() {
+        let s = ts(&[4, 2]);
+        assert!(s.contains(TopicId(2)) && s.contains(TopicId(4)));
+        assert!(!s.contains(TopicId(3)) && !s.contains(TopicId(5)));
+        assert!(!TopicSet::new().contains(TopicId(0)));
     }
 
     #[test]

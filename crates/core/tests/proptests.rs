@@ -85,22 +85,35 @@ fn fanout_before(rt: &RelayTable, topic: TopicId, from: Option<NodeIdx>) -> Vec<
 }
 
 proptest! {
-    /// TopicSet behaves like a reference BTreeSet under insert/remove.
+    /// A TopicSet built by `from_iter` behaves like a reference BTreeSet of
+    /// the same ids: membership, ascending iteration, length, and the
+    /// positions `for_each_common` reports.
     #[test]
-    fn topicset_matches_btreeset(ops in proptest::collection::vec((any::<bool>(), 0u32..40), 0..100)) {
-        let mut set = TopicSet::new();
-        let mut reference = BTreeSet::new();
-        for &(insert, t) in &ops {
-            if insert {
-                prop_assert_eq!(set.insert(TopicId(t)), reference.insert(t));
-            } else {
-                prop_assert_eq!(set.remove(TopicId(t)), reference.remove(&t));
-            }
-        }
+    fn topicset_matches_btreeset(
+        a in proptest::collection::vec(0u32..40, 0..60),
+        b in proptest::collection::vec(0u32..40, 0..60),
+    ) {
+        let (set, other) = (TopicSet::from_iter(a.clone()), TopicSet::from_iter(b.clone()));
+        let reference: BTreeSet<u32> = a.into_iter().collect();
+        let other_ref: BTreeSet<u32> = b.into_iter().collect();
         prop_assert_eq!(set.len(), reference.len());
         let got: Vec<u32> = set.iter().map(|t| t.0).collect();
-        let want: Vec<u32> = reference.into_iter().collect();
-        prop_assert_eq!(got, want);
+        let ids: Vec<u32> = reference.iter().copied().collect();
+        prop_assert_eq!(&got, &ids);
+        for t in 0..41 {
+            prop_assert_eq!(set.contains(TopicId(t)), reference.contains(&t));
+        }
+        let mut common = Vec::new();
+        set.for_each_common(&other, |i, j, t| common.push((i, j, t.0)));
+        let other_ids: Vec<u32> = other_ref.iter().copied().collect();
+        let want: Vec<(usize, usize, u32)> = reference
+            .intersection(&other_ref)
+            .map(|t| {
+                let i = ids.binary_search(t).unwrap();
+                (i, other_ids.binary_search(t).unwrap(), *t)
+            })
+            .collect();
+        prop_assert_eq!(common, want);
     }
 
     /// Intersection size via merge equals the reference computation.

@@ -33,15 +33,14 @@ impl<P> Entry<P> {
             payload,
         }
     }
+}
 
-    /// Copy with age reset to zero and a new payload (used when a node
-    /// advertises itself).
-    pub fn refreshed(&self, payload: P) -> Self {
+impl<P: Clone> Entry<P> {
+    /// Copy with age reset to zero (used when a node advertises itself).
+    pub fn refreshed(&self) -> Self {
         Entry {
-            addr: self.addr,
-            id: self.id,
             age: 0,
-            payload,
+            ..self.clone()
         }
     }
 }
@@ -140,9 +139,7 @@ mod tests {
 
     #[test]
     fn refreshed_resets_age() {
-        let x = e(4, 9).refreshed(7);
-        assert_eq!(x.age, 0);
-        assert_eq!(x.payload, 7);
-        assert_eq!(x.addr, NodeIdx(4));
+        let x = e(4, 9).refreshed();
+        assert_eq!(x, Entry { age: 0, ..e(4, 9) });
     }
 }

@@ -72,7 +72,7 @@ impl<P: Clone> Newscast<P> {
 
     fn buffer(&self, self_entry: &Entry<P>) -> Vec<Entry<P>> {
         let mut buf = self.view.to_vec();
-        buf.push(self_entry.refreshed(self_entry.payload.clone()));
+        buf.push(self_entry.refreshed());
         buf
     }
 }

@@ -202,9 +202,9 @@ impl<P: Clone> HybridRt<P> {
         removed
     }
 
-    /// Reset the age of `addr` to zero and replace its payload (receipt of
-    /// a heartbeat/profile message, Algorithm 7). Returns true if present.
-    pub fn refresh(&mut self, addr: NodeIdx, payload: &P) -> bool {
+    /// Reset the age of `addr` to zero (receipt of a heartbeat/profile
+    /// message, Algorithm 7). Returns true if present.
+    pub fn refresh(&mut self, addr: NodeIdx) -> bool {
         let mut found = false;
         for e in self
             .succ
@@ -215,7 +215,6 @@ impl<P: Clone> HybridRt<P> {
         {
             if e.addr == addr {
                 e.age = 0;
-                e.payload = payload.clone();
                 found = true;
             }
         }
@@ -375,7 +374,7 @@ pub fn build_exchange_buffer<P: Clone>(
 ) -> Vec<Entry<P>> {
     let mut buf = rt.to_vec();
     merge_dedup(&mut buf, sample);
-    merge_dedup_owned(&mut buf, [self_entry.refreshed(self_entry.payload.clone())]);
+    merge_dedup_owned(&mut buf, [self_entry.refreshed()]);
     buf
 }
 
@@ -470,12 +469,12 @@ mod tests {
         }
         // Refresh one neighbor; expire the rest at max_age 2.
         let keep = rt.addrs()[0];
-        assert!(rt.refresh(keep, &9.0));
+        assert!(rt.refresh(keep));
         let removed = rt.expire(2);
         assert_eq!(removed.len(), n0 - 1);
         assert_eq!(rt.len(), 1);
         assert!(rt.contains(keep));
-        assert!(!rt.refresh(NodeIdx(1234), &0.0));
+        assert!(!rt.refresh(NodeIdx(1234)));
     }
 
     #[test]

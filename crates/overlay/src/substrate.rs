@@ -74,11 +74,6 @@ impl<P: Clone> Sampler<P> {
         &self.me.payload
     }
 
-    /// Replace the advertised payload; it spreads with the next exchanges.
-    pub fn set_payload(&mut self, payload: P) {
-        self.me.payload = payload;
-    }
-
     /// Heap bytes of the view and the unconsumed bootstrap contacts, as
     /// Σ capacity × descriptor size. A payload's own heap (a shared
     /// subscription set) belongs to whoever made it.
@@ -251,11 +246,11 @@ impl<P: Clone> Substrate<P> {
         reply
     }
 
-    /// A heartbeat arrived from `from`: refresh its table entry (age and
-    /// payload) and return true, or — for a peer the table does not hold —
-    /// offer it to notify-style ring repair and return false.
+    /// A heartbeat arrived from `from`: reset its table entry's age and
+    /// return true, or — for a peer the table does not hold — offer it and
+    /// its `payload` to notify-style ring repair and return false.
     pub fn on_heartbeat(&mut self, from: NodeIdx, id: Id, payload: &P) -> bool {
-        let known = self.rt.refresh(from, payload);
+        let known = self.rt.refresh(from);
         if !known {
             self.rt
                 .adopt_ring_candidate(self.ps.me.id, from, id, payload);
@@ -345,7 +340,7 @@ mod tests {
         assert_eq!(s.rt().len(), 3);
         // Peer 1 keeps heartbeating; the others fall silent.
         for _ in 0..THRESHOLD {
-            assert!(s.on_heartbeat(NodeIdx(1), Id(1100), &9));
+            assert!(s.on_heartbeat(NodeIdx(1), Id(1100), &0));
             assert_eq!(s.detect_failures(), Vec::<NodeIdx>::new());
         }
         let mut dead = s.detect_failures();
@@ -353,7 +348,6 @@ mod tests {
         assert_eq!(dead, vec![NodeIdx(2), NodeIdx(3)]);
         assert_eq!(s.detect_failures(), Vec::<NodeIdx>::new(), "reported once");
         assert_eq!(s.rt().addrs(), vec![NodeIdx(1)]);
-        assert_eq!(s.rt().succ.as_ref().unwrap().payload, 9);
         // Gone from the sampling view too: the view never aged here, so
         // only the detector's feedback can have removed them, and a merge
         // with nothing new cannot bring them back.

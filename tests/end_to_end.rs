@@ -1,8 +1,10 @@
 //! Cross-crate integration tests: workloads → systems → metrics, driving
 //! the same pipeline as the experiment harness.
 
+use std::sync::Arc;
 use vitis::prelude::*;
-use vitis_baselines::{OptConfig, OptProtocol, OptSystem, RvrSystem};
+use vitis_baselines::{OptConfig, OptProtocol, OptSystem, RvrNode, RvrSystem};
+use vitis_overlay::rt::HybridRt;
 use vitis_sim::fault::{FaultEpisode, FaultPlan, LossScope, Span};
 use vitis_workloads::{Correlation, SubscriptionModel};
 
@@ -122,23 +124,6 @@ fn whole_pipeline_is_deterministic() {
     assert_eq!(run(), run());
 }
 
-/// Unsubscription propagates: after a node empties its subscriptions it
-/// stops being counted and stops receiving as a subscriber.
-#[test]
-fn resubscription_changes_ground_truth() {
-    let mut sys = VitisSystem::new(params(Correlation::Low, 300, 13));
-    sys.run_rounds(40);
-    let topic = TopicId(0);
-    let victims: Vec<u32> = sys.workload().subscribers(topic).to_vec();
-    assert!(!victims.is_empty());
-    // There is at least one subscriber; the publish targets the rest.
-    sys.reset_metrics();
-    sys.publish(topic);
-    sys.run_rounds(6);
-    let before = sys.stats().expected;
-    assert!(before > 0);
-}
-
 /// Churn storm: drop a third of the network at once, heal, verify recovery;
 /// then a mass rejoin (flash crowd), heal, verify again.
 #[test]
@@ -170,6 +155,62 @@ fn flash_crowd_recovery() {
     let s = sys.stats();
     assert!(s.hit_ratio > 0.97, "after flash crowd: {}", s.hit_ratio);
     assert_eq!(sys.alive_count(), n);
+}
+
+/// Runs `flash_crowd_recovery`'s churn schedule on `sys` (warm up, crash a
+/// third of the nodes, rejoin them) and checks after each phase that every
+/// online node advertises its logical node's own subscription handle and
+/// that every descriptor in its routing table carries the handle of the
+/// node it names.
+fn handles_stay_through_churn<P: PubSubProtocol>(
+    mut sys: SystemRuntime<P>,
+    own: impl Fn(&P::Node) -> &Subs,
+    table: impl Fn(&P::Node) -> &HybridRt<Subs>,
+) {
+    let check = |sys: &SystemRuntime<P>| {
+        let workload = sys.workload();
+        let mut descriptors = 0;
+        for (idx, node) in sys.engine().alive_nodes() {
+            assert!(Arc::ptr_eq(own(node), workload.subs_of(idx.0)), "{idx:?}");
+            for e in table(node).iter() {
+                let want = workload.subs_of(e.addr.0);
+                assert!(
+                    Arc::ptr_eq(&e.payload, want),
+                    "{idx:?} describes {:?}",
+                    e.addr
+                );
+                descriptors += 1;
+            }
+        }
+        assert!(descriptors > 0);
+    };
+    let third = sys.alive_count() as u32 / 3;
+    sys.run_rounds(50);
+    check(&sys);
+    for logical in 0..third {
+        sys.set_online(logical, false);
+    }
+    sys.run_rounds(20);
+    check(&sys);
+    for logical in 0..third {
+        sys.set_online(logical, true);
+    }
+    sys.run_rounds(20);
+    check(&sys);
+}
+
+/// A logical node's subscription handle is the workload's for the whole
+/// run, across crashes and rejoins: the invariant behind every cache keyed
+/// on a peer (the Equation 1 memo, the election's common-topic pairs) and
+/// behind heartbeats that only re-age a table entry. Checked for both
+/// ring-based systems.
+#[test]
+fn subscription_handles_stay_the_workloads_through_churn() {
+    let p = params(Correlation::Low, 450, 17);
+    let vitis = VitisSystem::new(p.clone());
+    handles_stay_through_churn(vitis, VitisNode::subscriptions, VitisNode::routing_table);
+    let rvr = RvrSystem::new(p);
+    handles_stay_through_churn(rvr, RvrNode::subscriptions, RvrNode::routing_table);
 }
 
 /// OPT's degree/coverage trade-off end to end: unbounded beats bounded on
@@ -225,30 +266,6 @@ fn extensions_survive_hostile_settings() {
     let mut sys = VitisSystem::new(p);
     let s = warm_and_publish(&mut sys, topics);
     assert!(s.hit_ratio > 0.97, "jitter: hit {}", s.hit_ratio);
-}
-
-/// Runtime resubscription through the system API changes both ground truth
-/// and routing behavior.
-#[test]
-fn runtime_resubscription_end_to_end() {
-    let mut sys = VitisSystem::new(params(Correlation::Low, 300, 37));
-    sys.run_rounds(45);
-    let topic = TopicId(0);
-    let old_subs: Vec<u32> = sys.workload().subscribers(topic).to_vec();
-    assert!(!old_subs.is_empty());
-    // Everyone abandons topic 0 except one stubborn subscriber.
-    for &s in &old_subs[1..] {
-        let mut t = sys.workload().subs_of(s).as_ref().clone();
-        t.remove(topic);
-        sys.resubscribe(s, t);
-    }
-    sys.run_rounds(10);
-    assert_eq!(sys.workload().subscribers(topic).len(), 1);
-    sys.reset_metrics();
-    // Publishing now expects nobody (single subscriber is the publisher).
-    sys.publish(topic);
-    sys.run_rounds(4);
-    assert_eq!(sys.stats().expected, 0);
 }
 
 /// Control-plane bandwidth is bounded per node per round and the latency
