@@ -220,11 +220,11 @@ impl Protocol for RvrNode {
         }
     }
 
-    /// A join hop starts with a search of the tree table; warm its first
-    /// probes, as Vitis does for its relay requests.
+    /// A join hop starts with a search of the tree table; warm the lines
+    /// the search for its topic reads, as Vitis does for its relay requests.
     fn prefetch(&self, msg: Option<&RvrMsg>) {
-        if let Some(RvrMsg::Join { .. }) = msg {
-            self.tree.prefetch();
+        if let Some(&RvrMsg::Join { topic, .. }) = msg {
+            self.tree.prefetch(topic);
         }
     }
 

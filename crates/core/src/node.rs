@@ -687,11 +687,12 @@ impl Protocol for VitisNode {
     }
 
     /// A relay request's hop starts with a search of the relay table, the
-    /// handler's cold miss on `gossip_2k`; warm its first probes. The other
-    /// kinds' first reads measured no gain from a hint (DESIGN §14).
+    /// handler's cold miss on `gossip_2k`; warm the lines the search for its
+    /// topic reads. The other kinds' first reads measured no gain from a
+    /// hint (DESIGN §14).
     fn prefetch(&self, msg: Option<&VitisMsg>) {
-        if let Some(VitisMsg::RelayRequest { .. }) = msg {
-            self.relays.prefetch();
+        if let Some(&VitisMsg::RelayRequest { topic, .. }) = msg {
+            self.relays.prefetch(topic);
         }
     }
 

@@ -28,6 +28,15 @@
 //! An entry with at most one downstream link owns no allocation of its own,
 //! and the table costs two allocations however many entries it holds.
 //!
+//! **Fences.** Beside each array the table keeps, inline, the topics at
+//! positions k·n/([`FENCES`] + 1) for k = 1..=[`FENCES`] (`u32::MAX` for a
+//! position past the end): 2 × 32 bytes. A search counts the fences at or
+//! below its topic and searches only the block between two of them, about
+//! a ninth of the array, so [`RelayTable::prefetch`] knows before a relay
+//! hop runs exactly which cache lines its searches will read. The fences
+//! are rebuilt wherever an array changes shape: an entry's creation, a
+//! link's spill and [`RelayTable::expire`] / [`RelayTable::remove_peer`].
+//!
 //! **Promotion.** When an entry's inline downstream link expires or its
 //! peer is removed, the entry's first surviving spilled link moves inline.
 //! The downstream order is therefore insertion order at all times, which
@@ -41,7 +50,7 @@
 //! [`RelayTable::entry`] hands out a [`RelayEntryMut`] write handle.
 
 use crate::topic::TopicId;
-use std::mem::size_of;
+use std::mem::{size_of, size_of_val};
 use std::ops::Range;
 use vitis_sim::event::NodeIdx;
 
@@ -87,10 +96,63 @@ pub struct SpilledLink {
     age: u8,
 }
 
+/// Fences per array of a [`RelayTable`] (see "Fences" in the module
+/// documentation).
+pub const FENCES: usize = 8;
+
+/// The topics at positions k·n/([`FENCES`] + 1), k = 1..=[`FENCES`], of a
+/// sorted n-element array; `u32::MAX` for a position past its end.
+#[derive(Clone, Copy, Debug)]
+struct Fences([u32; FENCES]);
+
+impl Default for Fences {
+    fn default() -> Self {
+        Fences([u32::MAX; FENCES])
+    }
+}
+
+impl Fences {
+    fn of<T>(v: &[T], key: impl Fn(&T) -> TopicId) -> Self {
+        let n = v.len();
+        let at = |k: usize| {
+            v.get((k + 1) * n / (FENCES + 1))
+                .map_or(u32::MAX, |x| key(x).0)
+        };
+        Fences(std::array::from_fn(at))
+    }
+
+    /// The block of an `n`-element array that follows the fences `below`
+    /// accepts: with b of them, positions b·n/(F + 1) .. (b + 1)·n/(F + 1).
+    /// `below` must accept a prefix of the fences.
+    fn block(&self, n: usize, below: impl Fn(u32) -> bool) -> Range<usize> {
+        let b = self.0.iter().filter(|&&f| below(f)).count();
+        b * n / (FENCES + 1)..(b + 1) * n / (FENCES + 1)
+    }
+}
+
+/// Whether debug builds check the fenced searches for `topic` against a
+/// search of the whole array. Every eighth topic: checking every search
+/// made the debug `cargo test --workspace` 13 % slower (167 → 189 s,
+/// medians of three runs a side on a 2-core x86_64 host).
+fn checked(topic: TopicId) -> bool {
+    topic.0.is_multiple_of(8)
+}
+
+/// The block of `spilled` that holds the first link whose topic is at least
+/// `topic`, or whose end is that link's position.
+fn spill_block(fences: &Fences, n: usize, topic: TopicId) -> Range<usize> {
+    fences.block(n, |f| f < topic.0)
+}
+
 /// Where `topic`'s spilled links sit in `spilled`: an empty range at their
 /// insertion point if it has none.
-fn spill_range(spilled: &[SpilledLink], topic: TopicId) -> Range<usize> {
-    let start = spilled.partition_point(|l| l.topic < topic);
+fn spill_range(spilled: &[SpilledLink], fences: &Fences, topic: TopicId) -> Range<usize> {
+    let block = spill_block(fences, spilled.len(), topic);
+    let start = block.start + spilled[block].partition_point(|l| l.topic < topic);
+    debug_assert!(
+        !checked(topic) || start == spilled.partition_point(|l| l.topic < topic),
+        "fenced spilled-link search for {topic:?}"
+    );
     let run = spilled[start..].iter().take_while(|l| l.topic == topic);
     start..start + run.count()
 }
@@ -143,14 +205,19 @@ impl RelayEntryMut<'_> {
     /// node): install the downstream link, or reset its age.
     pub fn refresh_downstream(&mut self, from: NodeIdx) {
         debug_assert_ne!(from, NONE);
-        let RelayTable { slots, spilled } = &mut *self.table;
+        let RelayTable {
+            slots,
+            spilled,
+            spill_fences,
+            ..
+        } = &mut *self.table;
         let slot = &mut slots[self.i];
         if slot.down == NONE || slot.down == from {
             slot.down = from;
             slot.down_age = 0;
             return;
         }
-        let range = spill_range(spilled, slot.topic);
+        let range = spill_range(spilled, spill_fences, slot.topic);
         match spilled[range.clone()].iter_mut().find(|l| l.node == from) {
             Some(l) => l.age = 0,
             None => {
@@ -160,6 +227,7 @@ impl RelayEntryMut<'_> {
                     age: 0,
                 };
                 spilled.insert(range.end, link);
+                *spill_fences = Fences::of(spilled, |l| l.topic);
                 slot.spilled = true;
             }
         }
@@ -187,6 +255,10 @@ pub struct RelayTable {
     /// Every entry's second and later downstream links, sorted by topic and
     /// in insertion order within a topic.
     spilled: Vec<SpilledLink>,
+    /// `slots`' fences.
+    slot_fences: Fences,
+    /// `spilled`'s fences.
+    spill_fences: Fences,
 }
 
 impl RelayTable {
@@ -195,13 +267,31 @@ impl RelayTable {
         RelayTable::default()
     }
 
+    /// The block of `slots` that holds `topic`, or whose end is its
+    /// insertion point.
+    fn slot_block(&self, topic: TopicId) -> Range<usize> {
+        self.slot_fences.block(self.slots.len(), |f| f <= topic.0)
+    }
+
+    /// `topic`'s position in `slots`, or its insertion point. The keys are
+    /// unique, so the block's answer is the whole array's.
     fn pos(&self, topic: TopicId) -> Result<usize, usize> {
-        self.slots.binary_search_by_key(&topic, |s| s.topic)
+        let block = self.slot_block(topic);
+        let start = block.start;
+        let found = self.slots[block]
+            .binary_search_by_key(&topic, |s| s.topic)
+            .map(|i| start + i)
+            .map_err(|i| start + i);
+        debug_assert!(
+            !checked(topic) || found == self.slots.binary_search_by_key(&topic, |s| s.topic),
+            "fenced slot search for {topic:?}"
+        );
+        found
     }
 
     fn view<'a>(&'a self, slot: &'a RelaySlot) -> RelayEntry<'a> {
         let spilled = if slot.spilled {
-            &self.spilled[spill_range(&self.spilled, slot.topic)]
+            &self.spilled[spill_range(&self.spilled, &self.spill_fences, slot.topic)]
         } else {
             &[]
         };
@@ -225,27 +315,34 @@ impl RelayTable {
                 spilled: false,
             };
             self.slots.insert(i, slot);
+            self.slot_fences = Fences::of(&self.slots, |s| s.topic);
             i
         });
         RelayEntryMut { table: self, i }
     }
 
-    /// Prefetch the first two levels of a topic search (the slots at n/2,
-    /// n/4 and 3n/4) in the slot array and in the spilled-link array: the
-    /// cold probes [`RelayTable::entry`] and its spilled-link lookup start
-    /// with, warmed while other handlers run. Reads only the two vectors'
-    /// headers.
-    pub fn prefetch(&self) {
-        fn probes<T>(v: &[T]) {
-            let n = v.len();
-            for i in [n / 2, n / 4, 3 * n / 4] {
-                if let Some(x) = v.get(i) {
-                    vitis_sim::perf::prefetch(x);
-                }
-            }
+    /// Prefetch every cache line a search for `topic` reads: its block of
+    /// slots, and its block of spilled links with the link after it (the
+    /// first a run count past the block reads). The cold lines
+    /// [`RelayTable::entry`] and its spilled-link lookup would miss on,
+    /// warmed while other handlers run. Reads only the vectors' headers and
+    /// the inline fences.
+    pub fn prefetch(&self, topic: TopicId) {
+        fn lines<T>(block: &[T]) {
+            vitis_sim::perf::prefetch_range(block.as_ptr(), size_of_val(block));
         }
-        probes(&self.slots);
-        probes(&self.spilled);
+        let (slots, spilled) = self.search_blocks(topic);
+        lines(slots);
+        lines(spilled);
+    }
+
+    /// The parts of the two arrays that [`RelayTable::prefetch`] warms for
+    /// `topic`.
+    fn search_blocks(&self, topic: TopicId) -> (&[RelaySlot], &[SpilledLink]) {
+        let n = self.spilled.len();
+        let spill = spill_block(&self.spill_fences, n, topic);
+        let spill = spill.start..n.min(spill.end + 1);
+        (&self.slots[self.slot_block(topic)], &self.spilled[spill])
     }
 
     /// Heap bytes of the slot array and the spilled-link array, as
@@ -329,7 +426,12 @@ impl RelayTable {
     /// topic order, so each slot's spilled links are the next run of
     /// `spilled`.
     fn retain_links(&mut self, keep: impl Fn(NodeIdx, u8) -> bool) {
-        let RelayTable { slots, spilled } = self;
+        let RelayTable {
+            slots,
+            spilled,
+            slot_fences,
+            spill_fences,
+        } = self;
         let (mut kept, mut read, mut write) = (0, 0, 0);
         for i in 0..slots.len() {
             let mut s = slots[i];
@@ -364,6 +466,8 @@ impl RelayTable {
         debug_assert_eq!(read, spilled.len(), "a spilled link without its slot");
         slots.truncate(kept);
         spilled.truncate(write);
+        *slot_fences = Fences::of(slots, |s| s.topic);
+        *spill_fences = Fences::of(spilled, |l| l.topic);
     }
 
     /// Every entry with its topic, in topic order (for telemetry exports).
@@ -583,5 +687,216 @@ mod tests {
         rt.entry(TopicId(5)).refresh_downstream(n(1));
         let order: Vec<TopicId> = rt.entries().map(|(t, _)| t).collect();
         assert_eq!(order, vec![TopicId(2), TopicId(5), TopicId(9)]);
+    }
+
+    /// The fence-free twin of a [`RelayTable`]: its entries in topic order,
+    /// each with its links in insertion order, found by a search of the
+    /// whole vector.
+    #[derive(Default)]
+    struct Plain(Vec<PlainEntry>);
+
+    #[derive(Debug, PartialEq)]
+    struct PlainEntry {
+        topic: TopicId,
+        up: Option<(NodeIdx, u16)>,
+        rendezvous: bool,
+        down: Vec<(NodeIdx, u16)>,
+    }
+
+    impl Plain {
+        fn entry(&mut self, topic: TopicId) -> &mut PlainEntry {
+            let i = self.0.binary_search_by_key(&topic, |e| e.topic);
+            let i = i.unwrap_or_else(|i| {
+                let e = PlainEntry {
+                    topic,
+                    up: None,
+                    rendezvous: false,
+                    down: Vec::new(),
+                };
+                self.0.insert(i, e);
+                i
+            });
+            &mut self.0[i]
+        }
+
+        fn refresh_downstream(&mut self, topic: TopicId, from: NodeIdx) {
+            let e = self.entry(topic);
+            match e.down.iter_mut().find(|(n, _)| *n == from) {
+                Some(link) => link.1 = 0,
+                None => e.down.push((from, 0)),
+            }
+        }
+
+        fn route(&mut self, topic: TopicId, next: Option<NodeIdx>) {
+            let e = self.entry(topic);
+            e.up = next.map(|n| (n, 0));
+            e.rendezvous = next.is_none();
+        }
+
+        fn tick(&mut self) {
+            for e in &mut self.0 {
+                for (_, age) in e.up.iter_mut().chain(&mut e.down) {
+                    *age = (*age + 1).min(255);
+                }
+            }
+        }
+
+        fn retain_links(&mut self, keep: impl Fn(NodeIdx, u16) -> bool) {
+            for e in &mut self.0 {
+                e.up = e.up.filter(|&(n, age)| keep(n, age));
+                e.down.retain(|&(n, age)| keep(n, age));
+            }
+            self.0.retain(|e| e.up.is_some() || !e.down.is_empty());
+        }
+    }
+
+    fn observe(rt: &RelayTable) -> Vec<PlainEntry> {
+        let entry = |(topic, e): (TopicId, RelayEntry<'_>)| PlainEntry {
+            topic,
+            up: e.upstream().zip(e.upstream_age()),
+            rendezvous: e.is_rendezvous(),
+            down: e.downstream_links().collect(),
+        };
+        rt.entries().map(entry).collect()
+    }
+
+    /// The fenced searches for `topic` against whole-array ones.
+    fn assert_searches_agree(rt: &RelayTable, topic: TopicId) {
+        let plain = rt.slots.binary_search_by_key(&topic, |s| s.topic);
+        assert_eq!(rt.pos(topic), plain, "slot search for {topic:?}");
+        let start = rt.spilled.partition_point(|l| l.topic < topic);
+        let end = rt.spilled.partition_point(|l| l.topic <= topic);
+        let fenced = spill_range(&rt.spilled, &rt.spill_fences, topic);
+        assert_eq!(fenced, start..end, "spilled search for {topic:?}");
+    }
+
+    /// Whether a run of equal spilled topics spans one of the fences.
+    fn a_run_crosses_a_fence(spilled: &[SpilledLink]) -> bool {
+        let n = spilled.len();
+        (1..=FENCES)
+            .map(|k| k * n / (FENCES + 1))
+            .any(|p| p > 0 && p < n && spilled[p - 1].topic == spilled[p].topic)
+    }
+
+    #[test]
+    fn fenced_searches_equal_whole_array_searches() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        // Sizes each array was seen at: 0, 1, 2..=FENCES, more.
+        let bucket = |n: usize| match n {
+            0 => 0,
+            1 => 1,
+            n if n <= FENCES => 2,
+            _ => 3,
+        };
+        let mut sizes = [[0u32; 4]; 2];
+        let (mut crossing_runs, mut extreme_keys) = (0, 0);
+        for case in 0..300 {
+            let mut rng = SmallRng::seed_from_u64(case);
+            // Few distinct topics keep some tables at most FENCES long;
+            // few nodes make long runs of one topic's spilled links.
+            let topics = rng.gen_range(1..24u32);
+            let nodes = rng.gen_range(2..16u32);
+            let topic = |k: u32| match k {
+                0 => TopicId(0),
+                k if k == topics - 1 => TopicId(u32::MAX),
+                k => TopicId(k * 1000),
+            };
+            let (mut rt, mut twin) = (RelayTable::new(), Plain::default());
+            for _ in 0..rng.gen_range(0..400) {
+                let t = topic(rng.gen_range(0..topics));
+                let node = n(rng.gen_range(0..nodes));
+                match rng.gen_range(0..100) {
+                    0..=44 => {
+                        rt.entry(t).refresh_downstream(node);
+                        twin.refresh_downstream(t, node);
+                    }
+                    45..=69 => {
+                        let next = (rng.gen_range(0..5) > 0).then_some(node);
+                        rt.entry(t).route(next);
+                        twin.route(t, next);
+                    }
+                    70..=84 => {
+                        rt.tick();
+                        twin.tick();
+                    }
+                    85..=93 => {
+                        let ttl = rng.gen_range(0..8);
+                        rt.expire(ttl);
+                        twin.retain_links(|_, age| age <= ttl);
+                    }
+                    _ => {
+                        rt.remove_peer(node);
+                        twin.retain_links(|n, _| n != node);
+                    }
+                }
+                assert_eq!(observe(&rt), twin.0, "case {case}");
+                assert_eq!(rt.slot_fences.0, Fences::of(&rt.slots, |s| s.topic).0);
+                assert_eq!(rt.spill_fences.0, Fences::of(&rt.spilled, |l| l.topic).0);
+                let held = [0, u32::MAX].map(TopicId);
+                extreme_keys += held.iter().all(|&t| rt.has(t)) as u32;
+                crossing_runs += a_run_crosses_a_fence(&rt.spilled) as u32;
+                sizes[0][bucket(rt.slots.len())] += 1;
+                sizes[1][bucket(rt.spilled.len())] += 1;
+                for k in 0..topics {
+                    assert_searches_agree(&rt, topic(k));
+                    assert_searches_agree(&rt, TopicId(k * 1000 + 500));
+                }
+                assert_searches_agree(&rt, TopicId(1));
+                assert_searches_agree(&rt, TopicId(u32::MAX - 1));
+            }
+        }
+        for (array, seen) in ["slots", "spilled"].iter().zip(sizes) {
+            assert!(seen.iter().all(|&c| c > 0), "{array} sizes {seen:?}");
+        }
+        assert!(crossing_runs > 0, "no run of spilled links crossed a fence");
+        assert!(
+            extreme_keys > 0,
+            "topics 0 and u32::MAX never held together"
+        );
+    }
+
+    #[test]
+    fn prefetch_reads_only_in_bounds_blocks() {
+        fn inside<T>(part: &[T], whole: &[T]) -> bool {
+            let (p, w) = (part.as_ptr_range(), whole.as_ptr_range());
+            part.is_empty() || (w.start <= p.start && p.end <= w.end)
+        }
+        // Each topic with two downstream links: one inline, one spilled.
+        let table = |topics: &[u32]| {
+            let mut rt = RelayTable::new();
+            for &t in topics {
+                rt.entry(TopicId(t)).refresh_downstream(n(1));
+                rt.entry(TopicId(t)).refresh_downstream(n(2));
+            }
+            rt
+        };
+        let below_fences: Vec<u32> = (0..=FENCES as u32).collect();
+        let up_to_max: Vec<u32> = (1..=FENCES as u32).chain([u32::MAX]).collect();
+        let tables = [
+            table(&[]),
+            table(&[5]),
+            table(&[u32::MAX]),
+            table(&below_fences),
+            table(&up_to_max),
+        ];
+        for rt in &tables {
+            let probes = rt
+                .entries()
+                .map(|(t, _)| t)
+                .chain([TopicId(0), TopicId(u32::MAX)]);
+            for topic in probes {
+                rt.prefetch(topic);
+                let (slots, spilled) = rt.search_blocks(topic);
+                assert!(inside(slots, &rt.slots) && inside(spilled, &rt.spilled));
+                assert!(slots.len() <= rt.len().div_ceil(FENCES + 1));
+                if rt.has(topic) {
+                    assert!(slots.iter().any(|s| s.topic == topic), "{topic:?}");
+                    assert!(spilled.iter().any(|l| l.topic == topic), "{topic:?}");
+                }
+            }
+        }
+        assert_eq!(tables[0].search_blocks(TopicId(u32::MAX)).0.len(), 0);
+        assert_eq!(tables[0].search_blocks(TopicId(u32::MAX)).1.len(), 0);
+        assert_eq!(tables[3].len(), FENCES + 1);
     }
 }

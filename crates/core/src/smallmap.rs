@@ -25,8 +25,9 @@
 /// `SmallMap`) moved that miss to the next access instead of removing it
 /// (DESIGN §14), so callers on a hot path look a key up once and keep the
 /// entry. Hiding the miss is what pays: the relay table, searched once per
-/// relay hop, has its first probes prefetched a few events before the hop
-/// runs (`RelayTable::prefetch`, from the engine's look-ahead hint). The
+/// relay hop, has the block its search reads prefetched a few events before
+/// the hop runs (`RelayTable::prefetch`, from the engine's look-ahead hint,
+/// which fences in the table's arrays make exact). The
 /// neighbor map, prefetched the same way for profile messages, measured no
 /// faster (DESIGN §14).
 #[derive(Clone, Debug, PartialEq, Eq)]
