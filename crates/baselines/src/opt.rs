@@ -21,7 +21,7 @@ use vitis_overlay::id::Id;
 use vitis_overlay::substrate::Sampler;
 use vitis_sim::antientropy::{AeConfig, AntiEntropy};
 use vitis_sim::event::NodeIdx;
-use vitis_sim::prelude::{Context, MsgTag, Protocol, StopReason};
+use vitis_sim::prelude::{Context, MsgTag, Protocol};
 
 /// Desired connected neighbors per subscribed topic (SpiderCast's
 /// coverage parameter; the paper's comparison uses small values).
@@ -99,19 +99,20 @@ pub struct OptNode {
     /// [`REQUESTS_PER_ROUND`] distinct addresses.
     pending: Vec<NodeIdx>,
     /// Dedup, delivery accounting and the anti-entropy repair layer (inert
-    /// unless enabled via [`OptNode::with_repair`]); owns the node's
-    /// monitor handle.
+    /// unless the `repair` argument of [`OptNode::new`] enables it); owns
+    /// the node's monitor handle.
     dissem: Dissemination,
 }
 
 impl OptNode {
-    /// Create a node with the given ring id, subscriptions and bootstrap
-    /// contacts.
+    /// Create a node with the given ring id, subscriptions, anti-entropy
+    /// configuration and bootstrap contacts.
     pub fn new(
         id: Id,
         subs: Subs,
         cfg: Rc<OptConfig>,
         monitor: Monitor,
+        repair: AeConfig,
         bootstrap: Vec<Entry<Subs>>,
     ) -> Self {
         OptNode {
@@ -119,15 +120,8 @@ impl OptNode {
             cfg,
             links: SmallMap::new(),
             pending: Vec::new(),
-            dissem: Dissemination::new(monitor),
+            dissem: Dissemination::new(monitor, repair),
         }
-    }
-
-    /// Replace the anti-entropy configuration (builder style). Pass
-    /// [`AeConfig::on`] to enable digest-exchange repair.
-    pub fn with_repair(mut self, cfg: AeConfig) -> Self {
-        self.dissem.set_repair(cfg);
-        self
     }
 
     /// The anti-entropy repair layer (read access for tests).
@@ -394,8 +388,6 @@ impl Protocol for OptNode {
             }
         }
     }
-
-    fn on_stop(&mut self, _ctx: &mut Context<'_, OptMsg>, _reason: StopReason) {}
 }
 
 #[cfg(test)]
@@ -421,7 +413,14 @@ mod tests {
             let subs: Subs = Subs::new(TopicSet::from_iter(subs_of(i)));
             let id = Id::of_node(i as u64);
             let boot: Vec<Entry<Subs>> = directory.iter().rev().take(4).cloned().collect();
-            let node = OptNode::new(id, subs.clone(), cfg.clone(), monitor.clone(), boot);
+            let node = OptNode::new(
+                id,
+                subs.clone(),
+                cfg.clone(),
+                monitor.clone(),
+                AeConfig::default(),
+                boot,
+            );
             let slot = eng.add_node(node);
             directory.push(Entry::fresh(slot, id, subs));
         }

@@ -25,7 +25,7 @@ use vitis_overlay::rt::{HybridRt, RtParams};
 use vitis_overlay::substrate::{Sampler, Substrate};
 use vitis_sim::antientropy::{AeConfig, AntiEntropy};
 use vitis_sim::event::NodeIdx;
-use vitis_sim::prelude::{Context, MsgTag, Protocol, StopReason};
+use vitis_sim::prelude::{Context, MsgTag, Protocol};
 
 /// RVR wire protocol.
 #[derive(Clone, Debug)]
@@ -78,14 +78,14 @@ pub struct RvrNode {
     /// paths: upstream = parent toward rendezvous, downstream = children).
     tree: RelayTable,
     /// Dedup, delivery accounting and the anti-entropy repair layer (inert
-    /// unless enabled via [`RvrNode::with_repair`]); owns the node's
-    /// monitor handle.
+    /// unless the `repair` argument of [`RvrNode::new`] enables it); owns
+    /// the node's monitor handle.
     dissem: Dissemination,
 }
 
 impl RvrNode {
-    /// Create a node with the given ring id, subscriptions and bootstrap
-    /// contacts. Of the Vitis configuration RVR reads `rt_size` (its fixed
+    /// Create a node with the given ring id, subscriptions, anti-entropy
+    /// configuration and bootstrap contacts. Of the Vitis configuration RVR reads `rt_size` (its fixed
     /// degree, every slot beyond the two ring links a small-world link),
     /// `est_n` and `age_threshold`.
     pub fn new(
@@ -93,6 +93,7 @@ impl RvrNode {
         subs: Subs,
         cfg: &VitisConfig,
         monitor: Monitor,
+        repair: AeConfig,
         bootstrap: Vec<Entry<Subs>>,
     ) -> Self {
         let params = RtParams {
@@ -106,15 +107,8 @@ impl RvrNode {
         RvrNode {
             net: Substrate::new(sampler, params, cfg.age_threshold),
             tree: RelayTable::new(),
-            dissem: Dissemination::new(monitor),
+            dissem: Dissemination::new(monitor, repair),
         }
-    }
-
-    /// Replace the anti-entropy configuration (builder style). Pass
-    /// [`AeConfig::on`] to enable digest-exchange repair.
-    pub fn with_repair(mut self, cfg: AeConfig) -> Self {
-        self.dissem.set_repair(cfg);
-        self
     }
 
     /// The anti-entropy repair layer (read access for tests).
@@ -330,8 +324,6 @@ impl Protocol for RvrNode {
             }
         }
     }
-
-    fn on_stop(&mut self, _ctx: &mut Context<'_, RvrMsg>, _reason: StopReason) {}
 }
 
 #[cfg(test)]
@@ -357,7 +349,14 @@ mod tests {
             let subs: Subs = Subs::new(TopicSet::from_iter(subs_of(i)));
             let id = Id::of_node(i as u64);
             let boot: Vec<Entry<Subs>> = directory.iter().rev().take(4).cloned().collect();
-            let node = RvrNode::new(id, subs.clone(), &cfg, monitor.clone(), boot);
+            let node = RvrNode::new(
+                id,
+                subs.clone(),
+                &cfg,
+                monitor.clone(),
+                AeConfig::default(),
+                boot,
+            );
             let slot = eng.add_node(node);
             directory.push(Entry::fresh(slot, id, subs));
         }

@@ -84,9 +84,9 @@ impl PubSubProtocol for RvrProtocol {
             subs,
             &self.cfg,
             monitor.clone(),
+            self.repair.clone(),
             bootstrap,
         )
-        .with_repair(self.repair.clone())
     }
 
     fn describe(node: &RvrNode) -> (Id, Subs) {
@@ -188,9 +188,9 @@ impl PubSubProtocol for OptProtocol {
             subs,
             self.cfg.clone(),
             monitor.clone(),
+            self.repair.clone(),
             bootstrap,
         )
-        .with_repair(self.repair.clone())
     }
 
     fn describe(node: &OptNode) -> (Id, Subs) {

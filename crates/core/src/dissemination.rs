@@ -113,27 +113,23 @@ pub struct Dissemination {
     /// so steady-state forwarding allocates nothing.
     targets: Vec<NodeIdx>,
     /// Anti-entropy repair layer. Default-off: inert (no sends, no RNG
-    /// draws) unless enabled via [`Dissemination::set_repair`].
+    /// draws) unless its [`AeConfig`] enables it.
     ae: AntiEntropy<Notification>,
     /// Gossip rounds executed; stamps cache entries and paces pulls.
     round: u64,
 }
 
 impl Dissemination {
-    /// A fresh component writing to `monitor`, with repair off.
-    pub fn new(monitor: Monitor) -> Self {
+    /// A fresh component writing to `monitor`, with the anti-entropy
+    /// layer configured by `repair`.
+    pub fn new(monitor: Monitor, repair: AeConfig) -> Self {
         Dissemination {
             monitor,
             seen: SeenSet::default(),
             targets: Vec::new(),
-            ae: AntiEntropy::new(AeConfig::default()),
+            ae: AntiEntropy::new(repair),
             round: 0,
         }
-    }
-
-    /// Replace the anti-entropy configuration (drops any cached state).
-    pub fn set_repair(&mut self, cfg: AeConfig) {
-        self.ae = AntiEntropy::new(cfg);
     }
 
     /// Heap bytes of the dedup set, the target buffer and the repair
@@ -344,8 +340,7 @@ mod tests {
     fn setup() -> (Dissemination, Subs, Monitor, EventId) {
         let monitor = Monitor::new();
         let event = monitor.register_event(T, SimTime(0), vec![ME]);
-        let mut d = Dissemination::new(monitor.clone());
-        d.set_repair(AeConfig::on());
+        let d = Dissemination::new(monitor.clone(), AeConfig::on());
         (d, Subs::new(TopicSet::from_iter([T.0])), monitor, event)
     }
 
@@ -472,16 +467,15 @@ mod tests {
 
     #[test]
     fn round_step_is_inert_until_there_is_a_digest_to_gossip() {
-        let (mut d, _, _, event) = setup();
-        d.set_repair(AeConfig::default());
+        let (mut d, _, monitor, event) = setup();
+        let mut off = Dissemination::new(monitor, AeConfig::default());
         let mut rng = SmallRng::seed_from_u64(7);
         let mut untouched = rng.clone();
-        d.publish(ME, event, T);
-        let out = d.round_step(|| panic!("neighbors must not be built"), &mut rng);
+        off.publish(ME, event, T);
+        let out = off.round_step(|| panic!("neighbors must not be built"), &mut rng);
         assert!(out.pulls.is_empty() && out.digest.is_none());
-        assert_eq!(d.round(), 1, "the round still counts");
+        assert_eq!(off.round(), 1, "the round still counts");
         // Enabled but with nothing cached is just as quiet.
-        d.set_repair(AeConfig::on());
         let out = d.round_step(|| panic!("neighbors must not be built"), &mut rng);
         assert!(out.digest.is_none());
         assert_eq!(

@@ -64,13 +64,11 @@ pub mod prelude {
     pub use crate::gateway::Proposal;
     pub use crate::harness::Workload;
     pub use crate::monitor::{EventId, Monitor, PubSubStats};
-    pub use crate::smallmap::SmallMap;
     pub use crate::msg::{Notification, ProfileMsg, VitisMsg};
     pub use crate::node::VitisNode;
     pub use crate::runtime::{PubSubProtocol, SystemRuntime};
-    pub use crate::system::{
-        random_system, NetworkSpec, PubSub, SystemParams, VitisProtocol, VitisSystem,
-    };
+    pub use crate::smallmap::SmallMap;
+    pub use crate::system::{random_system, PubSub, SystemParams, VitisProtocol, VitisSystem};
     pub use crate::topic::{RateTable, Subs, TopicId, TopicSet};
     pub use crate::utility::utility;
 }

@@ -331,10 +331,10 @@ struct MonitorInner {
     useful_rx: Vec<u64>,
     /// Per-slot received data-plane messages for unsubscribed topics.
     relay_rx: Vec<u64>,
-    /// Control-plane bytes sent, per slot (gossip, heartbeats, lookups).
-    control_tx_bytes: Vec<u64>,
-    /// Rounds worth of control traffic observed, per slot.
-    control_rounds: Vec<u64>,
+    /// Control-plane bytes sent by all nodes (gossip, heartbeats, lookups).
+    control_tx_bytes: u64,
+    /// Gossip rounds executed by all nodes.
+    control_rounds: u64,
     /// First arrivals that came through the anti-entropy repair layer
     /// (monitor lifetime; not reset with metrics windows).
     recovered_deliveries: u64,
@@ -463,10 +463,7 @@ impl Monitor {
                     + e.delivered.capacity() * size_of::<DeliverySlot>()) as u64
             })
             .sum();
-        let counters = inner.useful_rx.capacity()
-            + inner.relay_rx.capacity()
-            + inner.control_tx_bytes.capacity()
-            + inner.control_rounds.capacity();
+        let counters = inner.useful_rx.capacity() + inner.relay_rx.capacity();
         records
             + (inner.events.capacity() * size_of::<EventRecord>() + counters * size_of::<u64>())
                 as u64
@@ -710,15 +707,18 @@ impl Monitor {
     }
 
     /// Account control-plane bytes sent by `node` (gossip buffers,
-    /// heartbeats, relay lookups, exchange replies).
-    pub fn record_control_tx(&self, node: NodeIdx, bytes: u64) {
-        bump(&mut self.0.borrow_mut().control_tx_bytes, node, bytes);
+    /// heartbeats, relay lookups, exchange replies). Only the total over
+    /// all nodes is kept: the snapshot reads no per-node figure. `node`
+    /// stays only because `benchmark/src/replay.rs` passes it (ROADMAP
+    /// item 5(b)).
+    pub fn record_control_tx(&self, _node: NodeIdx, bytes: u64) {
+        self.0.borrow_mut().control_tx_bytes += bytes;
     }
 
-    /// Mark one gossip round executed at `node`; the per-round control
+    /// Mark one gossip round executed by some node; the per-round control
     /// bandwidth statistic divides recorded bytes by recorded rounds.
-    pub fn record_control_round(&self, node: NodeIdx) {
-        bump(&mut self.0.borrow_mut().control_rounds, node, 1);
+    pub fn record_control_round(&self) {
+        self.0.borrow_mut().control_rounds += 1;
     }
 
     /// Account one received data-plane message at `node`; `useful` is true
@@ -764,8 +764,7 @@ impl Monitor {
                 max_latency = max_latency.max(lat);
             }
         }
-        let ctl_bytes: u64 = inner.control_tx_bytes.iter().sum();
-        let ctl_rounds: u64 = inner.control_rounds.iter().sum();
+        let (ctl_bytes, ctl_rounds) = (inner.control_tx_bytes, inner.control_rounds);
         let useful: u64 = inner.useful_rx.iter().sum();
         let relay: u64 = inner.relay_rx.iter().sum();
         let total = useful + relay;
@@ -825,8 +824,8 @@ impl Monitor {
         inner.events.clear();
         inner.useful_rx.clear();
         inner.relay_rx.clear();
-        inner.control_tx_bytes.clear();
-        inner.control_rounds.clear();
+        inner.control_tx_bytes = 0;
+        inner.control_rounds = 0;
     }
 }
 
@@ -1219,11 +1218,11 @@ mod bandwidth_tests {
     #[test]
     fn control_bandwidth_is_bytes_per_round() {
         let m = Monitor::new();
-        m.record_control_round(NodeIdx(0));
+        m.record_control_round();
         m.record_control_tx(NodeIdx(0), 300);
-        m.record_control_round(NodeIdx(0));
+        m.record_control_round();
         m.record_control_tx(NodeIdx(0), 100);
-        m.record_control_round(NodeIdx(1));
+        m.record_control_round();
         let s = m.snapshot();
         assert!((s.control_bytes_per_round - 400.0 / 3.0).abs() < 1e-9);
         m.reset();

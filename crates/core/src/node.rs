@@ -25,7 +25,7 @@ use vitis_overlay::substrate::{Sampler, Substrate};
 use vitis_sim::antientropy::{AeConfig, AntiEntropy};
 use vitis_sim::event::NodeIdx;
 use vitis_sim::perf::hash_table_bytes;
-use vitis_sim::prelude::{Context, MsgTag, Protocol, StopReason};
+use vitis_sim::prelude::{Context, MsgTag, Protocol};
 use vitis_sim::rng::mix64;
 
 /// What a node remembers of one neighbor (routing-table or reverse): the
@@ -178,21 +178,23 @@ pub struct VitisNode {
     /// acknowledgment. Empty unless `publish_retries > 0`.
     pending_pubs: HashSet<EventId>,
     /// What happens to a notification here: dedup, delivery accounting and
-    /// the anti-entropy repair layer (default-off; see
-    /// [`VitisNode::with_repair`]). Owns the node's monitor handle and the
-    /// round counter.
+    /// the anti-entropy repair layer (default-off; set by the `repair`
+    /// argument of [`VitisNode::new`]). Owns the node's monitor handle and
+    /// the round counter.
     dissem: Dissemination,
 }
 
 impl VitisNode {
-    /// Create a node with the given ring id, subscriptions and bootstrap
-    /// contacts. The engine address is learnt at `on_start`.
+    /// Create a node with the given ring id, subscriptions, anti-entropy
+    /// configuration and bootstrap contacts. The engine address is learnt
+    /// at `on_start`.
     pub fn new(
         id: Id,
         subs: Subs,
         cfg: Rc<VitisConfig>,
         rates: Arc<RateTable>,
         monitor: Monitor,
+        repair: AeConfig,
         bootstrap: Vec<Entry<Subs>>,
     ) -> Self {
         let params = RtParams {
@@ -211,15 +213,8 @@ impl VitisNode {
             nbrs: SmallMap::new(),
             relays: RelayTable::new(),
             pending_pubs: HashSet::new(),
-            dissem: Dissemination::new(monitor),
+            dissem: Dissemination::new(monitor, repair),
         }
-    }
-
-    /// Configure the anti-entropy repair layer (builder-style; the
-    /// default configuration keeps it off and inert).
-    pub fn with_repair(mut self, cfg: AeConfig) -> Self {
-        self.dissem.set_repair(cfg);
-        self
     }
 
     /// The anti-entropy repair state (tests/telemetry).
@@ -703,7 +698,7 @@ impl Protocol for VitisNode {
     }
 
     fn on_round(&mut self, ctx: &mut Context<'_, VitisMsg>) {
-        self.monitor().record_control_round(self.net.addr());
+        self.monitor().record_control_round();
 
         // 1. Peer sampling exchange.
         if let Some((partner, buf)) = self.net.sampling_round(ctx.rng) {
@@ -834,8 +829,6 @@ impl Protocol for VitisNode {
             }
         }
     }
-
-    fn on_stop(&mut self, _ctx: &mut Context<'_, VitisMsg>, _reason: StopReason) {}
 }
 
 #[cfg(test)]
@@ -871,6 +864,7 @@ mod tests {
                 cfg.clone(),
                 rates.clone(),
                 monitor.clone(),
+                AeConfig::default(),
                 boot,
             );
             let slot = eng.add_node(node);
@@ -993,6 +987,7 @@ mod tests {
             Rc::new(cfg),
             Arc::new(crate::topic::RateTable::uniform(64)),
             Monitor::new(),
+            AeConfig::default(),
             Vec::new(),
         );
         node.net.start(NodeIdx(0));
@@ -1676,7 +1671,7 @@ mod tests {
         // Crash every subscriber: gateways stop refreshing, relays must
         // decay at the non-subscribers that remain.
         for i in 0..16 {
-            eng.remove_node(NodeIdx(i), StopReason::Crash);
+            eng.remove_node(NodeIdx(i));
         }
         eng.run_rounds(12);
         let holders = eng

@@ -39,8 +39,7 @@ use vitis_overlay::rt::LinkKind;
 use vitis_sim::engine::{Engine, EngineConfig};
 use vitis_sim::event::NodeIdx;
 use vitis_sim::fault::FaultedNetwork;
-use vitis_sim::network::DynNetworkModel;
-use vitis_sim::prelude::StopReason;
+use vitis_sim::network::ConstantLatency;
 use vitis_sim::protocol::Protocol;
 use vitis_sim::rng::{domain, stream_rng};
 use vitis_sim::time::{Duration, SimTime};
@@ -223,7 +222,7 @@ const BOOTSTRAP_CONTACTS: usize = 5;
 /// [`PubSubProtocol::from_params`]) or [`SystemRuntime::with_protocol`]
 /// (explicit adapter state, e.g. OPT's unbounded-degree variant).
 pub struct SystemRuntime<P: PubSubProtocol> {
-    pub(crate) engine: Engine<P::Node, DynNetworkModel>,
+    pub(crate) engine: Engine<P::Node, FaultedNetwork<ConstantLatency>>,
     pub(crate) monitor: Monitor,
     pub(crate) workload: Workload,
     pub(crate) protocol: P,
@@ -253,14 +252,10 @@ impl<P: PubSubProtocol> SystemRuntime<P> {
             params.grace,
             params.seed,
         );
-        let network: DynNetworkModel = if params.faults.is_empty() {
-            params.network.build()
-        } else {
-            Box::new(FaultedNetwork::new(
-                params.network.build(),
-                params.faults.clone(),
-            ))
-        };
+        // One network type for every run: the empty plan draws nothing and
+        // returns the one-tick latency, so a fault-free run needs no path of
+        // its own.
+        let network = FaultedNetwork::new(ConstantLatency::default(), params.faults);
         let engine = Engine::with_network(
             EngineConfig {
                 seed: params.seed,
@@ -340,7 +335,7 @@ impl<P: PubSubProtocol> SystemRuntime<P> {
     }
 
     /// The underlying engine (read access for snapshots).
-    pub fn engine(&self) -> &Engine<P::Node, DynNetworkModel> {
+    pub fn engine(&self) -> &Engine<P::Node, FaultedNetwork<ConstantLatency>> {
         &self.engine
     }
 
@@ -504,7 +499,7 @@ pub struct LossView<'a, P: PubSubProtocol> {
 
 impl<'a, P: PubSubProtocol> LossView<'a, P> {
     /// The engine the facts are read from.
-    pub fn engine(&self) -> &'a Engine<P::Node, DynNetworkModel> {
+    pub fn engine(&self) -> &'a Engine<P::Node, FaultedNetwork<ConstantLatency>> {
         &self.rt.engine
     }
 
@@ -665,7 +660,7 @@ impl<P: PubSubProtocol> PubSub for SystemRuntime<P> {
                     assert_eq!(got, slot, "logical ids must join in order");
                 }
             }
-            (true, false) => self.engine.remove_node(slot, StopReason::Crash),
+            (true, false) => self.engine.remove_node(slot),
             _ => {}
         }
     }

@@ -28,13 +28,14 @@ use vitis_sim::time::Duration;
 
 pub use crate::runtime::PubSub;
 
-/// The network model a system runs over.
+/// A constant per-message latency in ticks. Every system runs on the
+/// one-tick default (`SystemRuntime` builds it itself); this type is kept
+/// only because `benchmark/src/replay.rs` builds
+/// `NetworkSpec::default().build()` (ROADMAP item 5(b)).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum NetworkSpec {
     /// Constant per-message latency in ticks.
     Constant(u64),
-    /// Uniform latency in `[min, max]` ticks.
-    Uniform(u64, u64),
 }
 
 impl Default for NetworkSpec {
@@ -44,13 +45,10 @@ impl Default for NetworkSpec {
 }
 
 impl NetworkSpec {
-    /// Materialize the boxed model for an engine.
-    pub fn build(self) -> vitis_sim::network::DynNetworkModel {
-        use vitis_sim::network::{ConstantLatency, UniformLatency};
-        match self {
-            NetworkSpec::Constant(d) => Box::new(ConstantLatency(Duration(d))),
-            NetworkSpec::Uniform(min, max) => Box::new(UniformLatency { min, max }),
-        }
+    /// The latency model for an engine.
+    pub fn build(self) -> vitis_sim::network::ConstantLatency {
+        let NetworkSpec::Constant(d) = self;
+        vitis_sim::network::ConstantLatency(Duration(d))
     }
 }
 
@@ -76,11 +74,10 @@ pub struct SystemParams {
     pub round_period: Duration,
     /// Join grace before a node is counted in expected-delivery sets.
     pub grace: Duration,
-    /// The latency model messages travel over (loss comes from `faults`).
-    pub network: NetworkSpec,
-    /// Scheduled message-loss episodes applied on top of the network
-    /// model. The empty plan (default) is bit-identical to a fault-free
-    /// run. Nodes go down through churn (`PubSub::set_online`), not here.
+    /// Scheduled message-loss episodes applied on top of the one-tick
+    /// latency every message takes. The empty plan (default) draws
+    /// nothing. Nodes go down through churn (`PubSub::set_online`), not
+    /// here.
     pub faults: FaultPlan,
     /// Anti-entropy repair layer (digest exchange + pull recovery),
     /// threaded into every node of whichever protocol runs on these
@@ -107,7 +104,6 @@ impl SystemParams {
             rates,
             round_period: Duration(64),
             grace: Duration(0),
-            network: NetworkSpec::default(),
             faults: FaultPlan::empty(),
             repair: AeConfig::default(),
         }
@@ -182,9 +178,9 @@ impl PubSubProtocol for VitisProtocol {
             self.cfg.clone(),
             rates.clone(),
             monitor.clone(),
+            self.repair.clone(),
             bootstrap,
         )
-        .with_repair(self.repair.clone())
     }
 
     fn describe(node: &VitisNode) -> (Id, Subs) {

@@ -518,11 +518,7 @@ mod tests {
                 node: 17,
                 rejoin: false,
             },
-            TraceEvent::Leave {
-                now: 900,
-                node: 3,
-                crash: true,
-            },
+            TraceEvent::Leave { now: 900, node: 3 },
             TraceEvent::MsgSend {
                 now: 12,
                 from: 1,

@@ -14,7 +14,7 @@
 
 use crate::event::{EventQueue, NodeIdx};
 use crate::network::{ConstantLatency, NetworkModel};
-use crate::protocol::{Context, Effect, Protocol, StopReason};
+use crate::protocol::{Context, Effect, Protocol};
 use crate::rng;
 use crate::time::{Duration, SimTime};
 use crate::trace::{KindTraffic, TraceEvent, TraceHandle, TrafficLedger};
@@ -418,19 +418,18 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
         );
     }
 
-    /// Stop the node in `idx`. With [`StopReason::Leave`] the protocol's
-    /// `on_stop` effects (goodbye messages) are applied; with
-    /// [`StopReason::Crash`] they are discarded.
-    pub fn remove_node(&mut self, idx: NodeIdx, reason: StopReason) {
+    /// Take the node in `idx` down. This is the one way a node goes down:
+    /// a crash, so no handler runs and messages already sent to the slot
+    /// arrive at a dead node. A no-op for an empty slot.
+    pub fn remove_node(&mut self, idx: NodeIdx) {
         if !self.is_alive(idx) {
             return;
         }
         self.trace_record(TraceEvent::Leave {
             now: self.now.0,
             node: idx.0,
-            crash: reason == StopReason::Crash,
         });
-        self.dispatch(idx, DispatchKind::Stop(reason));
+        self.counters.activations_stop += 1;
         self.slots[idx.index()].proto = None;
         self.alive -= 1;
     }
@@ -583,9 +582,7 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
             DispatchKind::Start => self.counters.activations_start += 1,
             DispatchKind::Round => self.counters.activations_round += 1,
             DispatchKind::Message { .. } => self.counters.activations_message += 1,
-            DispatchKind::Stop(_) => self.counters.activations_stop += 1,
         }
-        let discard_effects = matches!(kind, DispatchKind::Stop(StopReason::Crash));
         let mut effects = std::mem::take(&mut self.effects_buf);
         effects.clear();
         let mut ctx = Context::new(idx, self.now, &mut slot.rng, &mut effects);
@@ -593,13 +590,8 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
             DispatchKind::Start => proto.on_start(&mut ctx),
             DispatchKind::Round => proto.on_round(&mut ctx),
             DispatchKind::Message { from, msg } => proto.on_message(&mut ctx, from, msg),
-            DispatchKind::Stop(reason) => proto.on_stop(&mut ctx, reason),
         }
-        if discard_effects {
-            effects.clear();
-        } else {
-            self.apply_effects(idx, &mut effects);
-        }
+        self.apply_effects(idx, &mut effects);
         self.effects_buf = effects;
     }
 
@@ -655,7 +647,6 @@ enum DispatchKind<M> {
     Start,
     Round,
     Message { from: NodeIdx, msg: M },
-    Stop(StopReason),
 }
 
 #[cfg(test)]
@@ -776,7 +767,7 @@ mod tests {
         let b = NodeIdx(1);
         let a = eng.add_node(pp(Some(b)));
         eng.add_node(pp(None));
-        eng.remove_node(b, StopReason::Crash);
+        eng.remove_node(b);
         assert!(!eng.is_alive(b));
         eng.run_rounds(3);
         assert!(eng.stats().messages_to_dead > 0);
@@ -790,7 +781,7 @@ mod tests {
         let a = eng.add_node(pp(Some(b)));
         eng.add_node(pp(Some(a)));
         eng.run_rounds(2);
-        eng.remove_node(b, StopReason::Leave);
+        eng.remove_node(b);
         eng.run_rounds(2);
         eng.rejoin_node(b, pp(Some(a)));
         eng.run_rounds(3);
@@ -830,44 +821,6 @@ mod tests {
         assert!(eng.node(a).unwrap().fired);
     }
 
-    #[test]
-    fn crash_discards_on_stop_effects() {
-        struct Goodbye {
-            peer: Option<NodeIdx>,
-            got: u32,
-        }
-        #[derive(Clone)]
-        struct Bye;
-        impl Protocol for Goodbye {
-            type Msg = Bye;
-            fn on_start(&mut self, _: &mut Context<'_, Bye>) {}
-            fn on_round(&mut self, _: &mut Context<'_, Bye>) {}
-            fn on_message(&mut self, _: &mut Context<'_, Bye>, _: NodeIdx, _: Bye) {
-                self.got += 1;
-            }
-            fn on_stop(&mut self, ctx: &mut Context<'_, Bye>, _: StopReason) {
-                if let Some(p) = self.peer {
-                    ctx.send(p, Bye);
-                }
-            }
-        }
-        let mut eng: Engine<Goodbye> = Engine::new(cfg());
-        let a = eng.add_node(Goodbye { peer: None, got: 0 });
-        let b = eng.add_node(Goodbye {
-            peer: Some(a),
-            got: 0,
-        });
-        let c = eng.add_node(Goodbye {
-            peer: Some(a),
-            got: 0,
-        });
-        eng.remove_node(b, StopReason::Crash);
-        eng.remove_node(c, StopReason::Leave);
-        eng.run_for(Duration(4));
-        // Only the graceful leaver's goodbye arrives.
-        assert_eq!(eng.node(a).unwrap().got, 1);
-    }
-
     /// The queue holds one `Ev` per message in flight — the unit
     /// [`Engine::queue_bytes`] counts in: the engine may add the two
     /// endpoint slots to a message and nothing else (the variant tag must
@@ -890,7 +843,7 @@ mod tests {
     fn dispatch_to_a_dead_slot_is_a_no_op() {
         let mut eng = Engine::new(cfg());
         let a = eng.add_node(pp(None));
-        eng.remove_node(a, StopReason::Crash);
+        eng.remove_node(a);
         let (stats, counters) = (eng.stats(), eng.perf_counters());
         // `remove_node` guards on aliveness itself, so go underneath it:
         // every kind of activation of the vacated slot must do nothing.
@@ -903,7 +856,6 @@ mod tests {
                 msg: PpMsg::Ping(1),
             },
         );
-        eng.dispatch(a, DispatchKind::Stop(StopReason::Leave));
         assert_eq!(eng.stats(), stats);
         assert_eq!(eng.perf_counters(), counters);
         assert!(eng.node(a).is_none() && !eng.is_alive(a));
@@ -957,9 +909,6 @@ mod tests {
             fn on_message(&mut self, ctx: &mut Context<'_, ()>, _: NodeIdx, _: ()) {
                 self.note(ctx);
             }
-            fn on_stop(&mut self, ctx: &mut Context<'_, ()>, _: StopReason) {
-                self.note(ctx);
-            }
         }
 
         let log = Log::default();
@@ -970,9 +919,9 @@ mod tests {
         eng.run_rounds(4);
         let slot_addr = |eng: &Engine<Where>, idx| eng.node(idx).unwrap() as *const Where as usize;
         let slots: Vec<usize> = nodes.iter().map(|&i| slot_addr(&eng, i)).collect();
-        eng.remove_node(nodes[1], StopReason::Leave);
+        eng.remove_node(nodes[1]);
         let log = log.borrow();
-        // Per node: a start, rounds and their messages; one stop.
+        // Per node: a start, rounds and their messages.
         assert!(log.len() > 3 * 3, "{} activations", log.len());
         for &(idx, addr) in log.iter() {
             assert_eq!(addr, slots[idx.index()], "{idx} ran away from its slot");
@@ -1046,7 +995,7 @@ mod tests {
 
     /// `n` lockstep chatters for six rounds. With `churn`, after two rounds
     /// the last slot crashes for good (deliveries to a dead slot), and the
-    /// one before it leaves and rejoins mid-period, so its old
+    /// one before it goes down and rejoins mid-period, so its old
     /// incarnation's tick goes stale. Ticks run in slot order, so both sit
     /// past `HINT_AHEAD` in their tick batches.
     fn lookahead_scenario<P: Protocol<Msg = u64>>(
@@ -1075,8 +1024,8 @@ mod tests {
         eng.run_rounds(2);
         let (dead, rejoined) = (NodeIdx(n - 1), n - 2);
         if churn {
-            eng.remove_node(dead, StopReason::Crash);
-            eng.remove_node(NodeIdx(rejoined), StopReason::Leave);
+            eng.remove_node(dead);
+            eng.remove_node(NodeIdx(rejoined));
             eng.run_for(Duration(5));
             eng.rejoin_node(NodeIdx(rejoined), node(rejoined));
         }
@@ -1241,7 +1190,7 @@ mod tests {
         let a = eng.add_node(pp(Some(b)));
         eng.add_node(pp(Some(a)));
         eng.run_rounds(3);
-        eng.remove_node(b, StopReason::Crash);
+        eng.remove_node(b);
         eng.rejoin_node(b, pp(None));
         let t = trace.borrow();
         let mut joins = 0;
@@ -1253,10 +1202,7 @@ mod tests {
             match ev {
                 TraceEvent::Join { rejoin: false, .. } => joins += 1,
                 TraceEvent::Join { rejoin: true, .. } => rejoins += 1,
-                TraceEvent::Leave { crash, .. } => {
-                    assert!(crash);
-                    leaves += 1;
-                }
+                TraceEvent::Leave { .. } => leaves += 1,
                 TraceEvent::MsgSend { .. } => sends += 1,
                 TraceEvent::MsgDeliver { .. } => delivers += 1,
                 _ => {}
@@ -1320,7 +1266,7 @@ mod tests {
         // Two ticks plus at most one in-flight ping and one pong.
         assert!(c.queue_hwm >= 3 && c.queue_hwm <= 4, "hwm {}", c.queue_hwm);
 
-        eng.remove_node(b, StopReason::Leave);
+        eng.remove_node(b);
         assert_eq!(eng.perf_counters().activations_stop, 1);
     }
 
@@ -1337,15 +1283,31 @@ mod tests {
         assert_eq!(run(), run());
     }
 
+    /// Latency drawn uniformly from 1..=5 ticks on the engine's stream: a
+    /// variable-latency network, which no system run uses, so the
+    /// scenario below still reorders deliveries.
+    struct Jitter;
+
+    impl NetworkModel for Jitter {
+        fn latency(
+            &self,
+            _: SimTime,
+            _: NodeIdx,
+            _: NodeIdx,
+            rng: &mut SmallRng,
+        ) -> Option<Duration> {
+            Some(Duration(rng.gen_range(1..=5)))
+        }
+    }
+
     /// Crash the busiest receiver and rejoin it later, and crash and rejoin
     /// another node on one tick, under a jittered network with a trace
     /// installed; returns every observable output: stats, perf counters,
     /// per-node protocol state and the trace's JSONL.
     fn crash_rejoin_scenario(
     ) -> (EngineStats, crate::perf::EngineCounters, Vec<(u32, u32)>, String) {
-        use crate::network::UniformLatency;
         use crate::trace::Trace;
-        let mut eng = Engine::with_network(cfg(), UniformLatency { min: 1, max: 5 });
+        let mut eng = Engine::with_network(cfg(), Jitter);
         let trace = Trace::shared(1 << 14);
         eng.set_trace(trace.clone());
         let a = eng.add_node(pp(Some(NodeIdx(1))));
@@ -1360,11 +1322,11 @@ mod tests {
             // pending tick goes stale. Crash the busiest receiver (to-dead
             // deliveries) and rejoin it two periods later.
             if i == 3 {
-                eng.remove_node(c, StopReason::Crash);
+                eng.remove_node(c);
                 eng.rejoin_node(c, pp(Some(a)));
             }
             if i == 6 {
-                eng.remove_node(b, StopReason::Crash);
+                eng.remove_node(b);
             }
             if i == 8 {
                 eng.rejoin_node(b, pp(Some(a)));
@@ -1432,14 +1394,7 @@ mod tests {
                     1 if idx.index() < eng.num_slots() && !eng.is_alive(idx) => {
                         eng.rejoin_node(idx, pp(Some(NodeIdx(0))));
                     }
-                    _ => {
-                        let reason = if rng.gen_bool(0.5) {
-                            StopReason::Crash
-                        } else {
-                            StopReason::Leave
-                        };
-                        eng.remove_node(idx, reason);
-                    }
+                    _ => eng.remove_node(idx),
                 }
                 if step % 40 == 0 {
                     eng.run_for(Duration(5));
@@ -1456,7 +1411,7 @@ mod tests {
         let a = eng.add_node(pp(None));
         let b = eng.add_node(pp(None));
         let c = eng.add_node(pp(None));
-        eng.remove_node(b, StopReason::Leave);
+        eng.remove_node(b);
         let alive: Vec<NodeIdx> = eng.alive_nodes().map(|(i, _)| i).collect();
         assert_eq!(alive, vec![a, c]);
         assert_eq!(eng.alive_count(), 2);

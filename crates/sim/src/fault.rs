@@ -280,6 +280,23 @@ mod tests {
         assert_eq!(r1.gen::<u64>(), r2.gen::<u64>());
     }
 
+    /// The runtime runs every system on `FaultedNetwork<ConstantLatency>`,
+    /// a fault-free one with the empty plan. That must be the one-tick
+    /// latency on every call and leave the engine's stream untouched.
+    #[test]
+    fn empty_plan_over_the_default_latency_draws_nothing() {
+        let net = FaultedNetwork::new(ConstantLatency::default(), FaultPlan::empty());
+        let (mut used, mut twin) = (rng(), rng());
+        for i in 0..4096u32 {
+            let (from, to) = (NodeIdx(i % 97), NodeIdx(i % 89));
+            assert_eq!(
+                net.latency(SimTime(u64::from(i)), from, to, &mut used),
+                Some(Duration(1))
+            );
+        }
+        assert_eq!(used.gen::<u64>(), twin.gen::<u64>());
+    }
+
     #[test]
     fn plan_validates_and_sorts() {
         let plan = FaultPlan::new(vec![

@@ -61,9 +61,9 @@ pub mod prelude {
         FaultEpisode, FaultPlan, FaultPlanError, FaultedNetwork, LossScope, Span,
     };
     pub use crate::metrics::{Histogram, Summary};
-    pub use crate::network::{ConstantLatency, NetworkModel, UniformLatency};
+    pub use crate::network::{ConstantLatency, NetworkModel};
     pub use crate::perf::{EngineCounters, MemSnapshot};
-    pub use crate::protocol::{Context, Protocol, StopReason};
+    pub use crate::protocol::{Context, Protocol};
     pub use crate::time::{Duration, SimTime};
     pub use crate::trace::{
         HealthProbe, KindTraffic, MsgTag, Sample, Trace, TraceEvent, TraceHandle, TrafficClass,

@@ -52,7 +52,7 @@ pub struct EngineCounters {
     pub activations_round: u64,
     /// `on_message` activations (messages dispatched into a protocol).
     pub activations_message: u64,
-    /// `on_stop` activations (leaves and crashes).
+    /// Node removals (`Engine::remove_node`); no handler runs.
     pub activations_stop: u64,
     /// Dense batch drains executed by the calendar-queue scheduler (one
     /// per distinct timestamp with pending events). `total_activations /

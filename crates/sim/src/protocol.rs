@@ -2,8 +2,9 @@
 //! it may ask the engine to do.
 //!
 //! A protocol is a per-node state machine driven by three kinds of input:
-//! periodic round ticks (the gossip heartbeat), incoming messages, and
-//! lifecycle transitions. All outputs go through [`Context`], which buffers
+//! its start, periodic round ticks (the gossip heartbeat) and incoming
+//! messages. A node goes down one way, as a crash: the engine drops it
+//! without running a handler. All outputs go through [`Context`], which buffers
 //! *effects* (sends, timers) that the engine applies after the handler
 //! returns — this keeps handlers pure with respect to the rest of the
 //! network and makes runs reproducible.
@@ -12,18 +13,6 @@ use crate::event::NodeIdx;
 use crate::time::{Duration, SimTime};
 use crate::trace::MsgTag;
 use rand::rngs::SmallRng;
-
-/// Why a node is being stopped.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum StopReason {
-    /// Graceful departure: the node knows it is leaving (protocols may send
-    /// goodbye messages from `on_stop`).
-    Leave,
-    /// Crash failure: the node vanishes without executing `on_stop` logic
-    /// (the engine still calls `on_stop` so protocols can release external
-    /// resources, but any emitted sends are discarded).
-    Crash,
-}
 
 /// A per-node protocol implementation.
 ///
@@ -43,10 +32,6 @@ pub trait Protocol: Sized {
 
     /// Called when a message addressed to this node is delivered.
     fn on_message(&mut self, ctx: &mut Context<'_, Self::Msg>, from: NodeIdx, msg: Self::Msg);
-
-    /// Called when the node stops. For [`StopReason::Crash`], any sends
-    /// emitted here are discarded by the engine.
-    fn on_stop(&mut self, _ctx: &mut Context<'_, Self::Msg>, _reason: StopReason) {}
 
     /// Classify a message for traffic accounting and tracing: a stable
     /// kind name plus its control/data plane. An associated function (no

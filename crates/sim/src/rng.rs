@@ -43,7 +43,7 @@ pub fn derive_seed(master: u64, domain: u64, index: u64) -> u64 {
 
 /// Stream-domain constants used by the engine and the protocol crates.
 pub mod domain {
-    /// The engine's own stream (latency jitter, round-order shuffles).
+    /// The engine's own stream (round phases, loss-burst draws).
     pub const ENGINE: u64 = 1;
     /// Per-node protocol streams (indexed by slot and incarnation).
     pub const NODE: u64 = 2;

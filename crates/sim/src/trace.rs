@@ -301,15 +301,12 @@ crate::record! {
             /// True when re-entering a previously vacated slot.
             rejoin: bool,
         },
-        /// A node went offline.
+        /// A node went offline (a crash: the one way a node goes down).
         Leave = "leave" {
             /// Simulated time in ticks.
             now: u64,
             /// Engine slot of the node.
             node: u32,
-            /// True for a crash (no goodbye effects), false for a graceful
-            /// leave.
-            crash: bool,
         },
         /// A protocol message was handed to the network.
         MsgSend = "msg_send" {
@@ -619,11 +616,7 @@ mod tests {
                 node: 17,
                 rejoin: false,
             },
-            TraceEvent::Leave {
-                now: 900,
-                node: 3,
-                crash: true,
-            },
+            TraceEvent::Leave { now: 900, node: 3 },
             TraceEvent::MsgSend {
                 now: 12,
                 from: 1,

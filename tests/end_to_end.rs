@@ -239,17 +239,12 @@ fn opt_trades_degree_for_coverage() {
     assert!(unbounded.mean_degree() > bounded.mean_degree());
 }
 
-/// Robustness extensions beyond the paper's evaluation: message loss and
-/// latency jitter keep delivery near-complete.
+/// Robustness beyond the paper's evaluation: 5 % message loss keeps
+/// delivery near-complete.
 #[test]
 fn extensions_survive_hostile_settings() {
-    use vitis::system::NetworkSpec;
-
-    let base = params(Correlation::Low, 300, 31);
-    let topics = base.num_topics;
-
-    // 5% message loss.
-    let mut p = base.clone();
+    let mut p = params(Correlation::Low, 300, 31);
+    let topics = p.num_topics;
     p.faults = FaultPlan::new(vec![FaultEpisode::LossBurst {
         prob: 0.05,
         span: Span::new(0, u64::MAX),
@@ -259,13 +254,6 @@ fn extensions_survive_hostile_settings() {
     let mut sys = VitisSystem::new(p);
     let s = warm_and_publish(&mut sys, topics);
     assert!(s.hit_ratio > 0.93, "lossy: hit {}", s.hit_ratio);
-
-    // Jittered latency.
-    let mut p = base;
-    p.network = NetworkSpec::Uniform(1, 8);
-    let mut sys = VitisSystem::new(p);
-    let s = warm_and_publish(&mut sys, topics);
-    assert!(s.hit_ratio > 0.97, "jitter: hit {}", s.hit_ratio);
 }
 
 /// Control-plane bandwidth is bounded per node per round and the latency
