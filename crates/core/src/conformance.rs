@@ -134,7 +134,10 @@ pub fn check_perf_surface(sys: &mut impl PubSub, name: &str) {
         before.activations_start as usize >= sys.alive_count(),
         "{name}: every alive node was started at least once"
     );
-    assert!(before.queue_hwm > 0, "{name}: round scheduling fills the queue");
+    assert!(
+        before.queue_hwm > 0,
+        "{name}: round scheduling fills the queue"
+    );
     sys.run_rounds(2);
     let after = sys.perf_counters();
     assert!(

@@ -151,14 +151,7 @@ mod tests {
             parent: n(5), // origin-adjacent
             hops: 0,
         };
-        let p = revise_proposal(
-            n(0),
-            id_at(100),
-            topic(),
-            5,
-            [(n(5), &better)],
-            |_| false,
-        );
+        let p = revise_proposal(n(0), id_at(100), topic(), 5, [(n(5), &better)], |_| false);
         assert_eq!(p.gw_addr, n(5));
         assert_eq!(p.parent, n(5));
         assert_eq!(p.hops, 1);
@@ -411,6 +404,11 @@ mod tests {
         assert_ne!(props[3].gw_addr, addrs[0]);
         assert_ne!(props[4].gw_addr, addrs[0]);
         // At least one extra gateway emerges among the far nodes.
-        assert!(props[3].gw_addr == addrs[3] || props[4].gw_addr == addrs[4] || props[3].gw_addr == addrs[4] || props[4].gw_addr == addrs[3]);
+        assert!(
+            props[3].gw_addr == addrs[3]
+                || props[4].gw_addr == addrs[4]
+                || props[3].gw_addr == addrs[4]
+                || props[4].gw_addr == addrs[3]
+        );
     }
 }

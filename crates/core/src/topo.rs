@@ -220,11 +220,7 @@ fn walk_upstream(snap: &OverlaySnapshot, topic: TopicId, start: NodeIdx) -> Opti
         if !seen.insert(cur) {
             return None; // cycle
         }
-        let entry = snap
-            .node(cur)?
-            .relays
-            .iter()
-            .find(|r| r.topic == topic)?;
+        let entry = snap.node(cur)?.relays.iter().find(|r| r.topic == topic)?;
         if entry.rendezvous {
             return Some((hops, cur));
         }
@@ -289,7 +285,10 @@ pub fn analyze(snap: &OverlaySnapshot, max_topics: usize) -> TopoMetrics {
             }
             for peer in r.upstream.iter().chain(r.downstream.iter()) {
                 if snap.is_alive(*peer) {
-                    relay_edges.entry(r.topic).or_default().push((n.node.0, peer.0));
+                    relay_edges
+                        .entry(r.topic)
+                        .or_default()
+                        .push((n.node.0, peer.0));
                 } else {
                     m.probe.dead_links += 1;
                 }
@@ -363,7 +362,10 @@ pub fn analyze(snap: &OverlaySnapshot, max_topics: usize) -> TopoMetrics {
         // gateway vs. the overlay-graph BFS distance to the rendezvous.
         let mut gateways: Vec<NodeIdx> = Vec::new();
         for n in &snap.nodes {
-            if n.gateway_view.iter().any(|&(gt, gw)| gt == t && gw == n.node) {
+            if n.gateway_view
+                .iter()
+                .any(|&(gt, gw)| gt == t && gw == n.node)
+            {
                 gateways.push(n.node);
             }
         }
@@ -466,8 +468,7 @@ pub fn audit(snap: &OverlaySnapshot) -> Vec<Violation> {
                             .iter()
                             .find(|pr| pr.topic == r.topic)
                             .is_some_and(|pr| pr.downstream.contains(&n.node));
-                        let past_grace =
-                            r.upstream_age.is_none_or(|a| a >= RELAY_SYMMETRY_GRACE);
+                        let past_grace = r.upstream_age.is_none_or(|a| a >= RELAY_SYMMETRY_GRACE);
                         let expiring = n
                             .relay_ttl
                             .zip(r.upstream_age)

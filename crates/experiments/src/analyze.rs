@@ -9,9 +9,9 @@
 //!
 //! The record schema is documented in `docs/METRICS.md` §7.
 
+use crate::obs::RunRecord;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
-use crate::obs::RunRecord;
 use vitis_sim::metrics::Histogram;
 use vitis_sim::record::{parse_value, read_record, ParseError, Value};
 use vitis_sim::trace::TraceEvent;

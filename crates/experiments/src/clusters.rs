@@ -70,9 +70,7 @@ pub fn cluster_stats(scale: &Scale, corr: Correlation) -> ClusterStats {
         let rel = sys
             .engine()
             .alive_nodes()
-            .filter(|(_, n)| {
-                n.relay_table().has(topic) && !n.subscriptions().contains(topic)
-            })
+            .filter(|(_, n)| n.relay_table().has(topic) && !n.subscriptions().contains(topic))
             .count();
         relays.record(rel as f64);
     }

@@ -68,11 +68,7 @@ pub fn run(scale: &Scale) -> Figure {
     for b in 0..max_bucket {
         let lo = b * bucket;
         let hi = lo + bucket;
-        let c = stats
-            .degrees
-            .iter()
-            .filter(|&&d| d >= lo && d < hi)
-            .count();
+        let c = stats.degrees.iter().filter(|&&d| d >= lo && d < hi).count();
         points.push((lo as f64, c as f64 / n));
     }
     fig.push_series(Series::new("OPT", points));

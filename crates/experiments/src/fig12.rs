@@ -196,7 +196,9 @@ pub fn run(scale: &Scale) -> Vec<Figure> {
     hit.note(format!(
         "flash crowd at hour {fc}; paper: RVR dips to ~87%, Vitis worst case ~99%"
     ));
-    overhead.note("paper: RVR's overhead drops at the flash crowd (broken trees), Vitis's rises slightly");
+    overhead.note(
+        "paper: RVR's overhead drops at the flash crowd (broken trees), Vitis's rises slightly",
+    );
     delay.note("paper: delay roughly flat in moderate churn, higher after the flash crowd (bigger network)");
     vec![hit, overhead, delay]
 }

@@ -46,7 +46,6 @@ pub mod analyze;
 pub mod benchfmt;
 pub mod clusters;
 pub mod fig10;
-pub mod headline;
 pub mod fig11;
 pub mod fig12;
 pub mod fig4;
@@ -54,6 +53,7 @@ pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod fig8_9;
+pub mod headline;
 pub mod obs;
 pub mod report;
 pub mod resilience;

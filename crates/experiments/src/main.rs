@@ -213,10 +213,14 @@ fn run_figures(mut args: Args) -> Result<(), Stop> {
 fn open_sinks(sinks: &SinkOpts) -> Result<(), Stop> {
     let obs = Obs::global();
     if let Some(path) = &sinks.metrics_out {
-        obs.metrics.open(path).map_err(|e| io_failed("open", path, e))?;
+        obs.metrics
+            .open(path)
+            .map_err(|e| io_failed("open", path, e))?;
     }
     if let Some(path) = &sinks.trace_out {
-        obs.trace.open(path).map_err(|e| io_failed("open", path, e))?;
+        obs.trace
+            .open(path)
+            .map_err(|e| io_failed("open", path, e))?;
     }
     if let Some(capacity) = sinks.trace_capacity {
         obs.set_trace_capacity(capacity.get());

@@ -440,7 +440,10 @@ mod tests {
         };
         let line = to_json(Some("fig6/vitis#0"), &ev);
         assert!(line.starts_with("{\"run\":\"fig6/vitis#0\",\"type\":\"round\","));
-        assert_eq!(parse_line(&line), Ok((Some("fig6/vitis#0".to_string()), ev)));
+        assert_eq!(
+            parse_line(&line),
+            Ok((Some("fig6/vitis#0".to_string()), ev))
+        );
     }
 
     fn run_record(phases: &[(&'static str, f64)], samples: Vec<Sample>) -> RunRecord {
@@ -740,7 +743,12 @@ mod tests {
             sched_batches: 33450,
             sched_overflow: 12,
         };
-        let phases = [("build", 41.25), ("warmup", 612.5), ("measure", 130.75), ("drain", 95.0)];
+        let phases = [
+            ("build", 41.25),
+            ("warmup", 612.5),
+            ("measure", 130.75),
+            ("drain", 95.0),
+        ];
         lines.push(to_json(
             None,
             &RunRecord {
@@ -751,7 +759,10 @@ mod tests {
                 perf: PerfSample::new(&counters, 739008),
                 phase_ms: phases.iter().map(|&(name, ms)| (name.into(), ms)).collect(),
                 stats,
-                samples: vec![sample(1, 1830, 0.40625, 410), sample(2, 1860, 0.859375, 1720)],
+                samples: vec![
+                    sample(1, 1830, 0.40625, 410),
+                    sample(2, 1860, 0.859375, 1720),
+                ],
             },
         ));
         lines.push(to_json(

@@ -292,7 +292,9 @@ pub fn run_point(
     // The overlay-health series goes through the metrics sink (the
     // resilience sweep runs without a trace sink), one stamped `topo`
     // record per sampled round.
-    topo.into_iter().flatten().for_each(|sample| ctx.record(sample));
+    topo.into_iter()
+        .flatten()
+        .for_each(|sample| ctx.record(sample));
     // The reconvergence record: `rounds` stays `null` for runs that never
     // re-entered the band, so downstream analysis can tell "never
     // recovered" from "recovered slowly" (no sentinel values).

@@ -300,9 +300,15 @@ mod tests {
             (30, 200, 8)
         );
         let mid = plan_for(50_000, 42);
-        assert_eq!((mid.warmup_rounds, mid.events, mid.drain_rounds), (10, 100, 4));
+        assert_eq!(
+            (mid.warmup_rounds, mid.events, mid.drain_rounds),
+            (10, 100, 4)
+        );
         let big = plan_for(500_000, 42);
-        assert_eq!((big.warmup_rounds, big.events, big.drain_rounds), (5, 50, 3));
+        assert_eq!(
+            (big.warmup_rounds, big.events, big.drain_rounds),
+            (5, 50, 3)
+        );
         // Proportional workload shape is preserved at every tier.
         assert_eq!(big.nodes, 500_000);
     }

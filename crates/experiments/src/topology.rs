@@ -166,8 +166,7 @@ fn render_summary(
         "  nodes {}  links {}  mean view age {}",
         p.nodes,
         p.links,
-        p.mean_view_age
-            .map_or("n/a".into(), |a| format!("{a:.2}")),
+        p.mean_view_age.map_or("n/a".into(), |a| format!("{a:.2}")),
     );
     let _ = writeln!(
         s,
@@ -238,7 +237,10 @@ mod tests {
         });
         assert_eq!(rounds.collect::<Vec<_>>(), [30, 35, 40]);
         let b = run(&sc, &opts);
-        assert_eq!(a.samples, b.samples, "topology series must be bit-identical");
+        assert_eq!(
+            a.samples, b.samples,
+            "topology series must be bit-identical"
+        );
         assert_eq!(a.dot, b.dot, "DOT export must be bit-identical");
     }
 

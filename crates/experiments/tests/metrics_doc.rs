@@ -88,7 +88,10 @@ fn metrics_md_names_every_field_of_every_record_and_no_other() {
         }
         for path in &named {
             // An empty array shows its key, not what its elements hold.
-            if !fields.iter().any(|f| f == path || f.starts_with(&format!("{path}[]."))) {
+            if !fields
+                .iter()
+                .any(|f| f == path || f.starts_with(&format!("{path}[].")))
+            {
                 problems.push(format!("example of {tag:?} names unknown field {path:?}"));
             }
         }
@@ -139,7 +142,10 @@ fn metrics_md_names_every_field_of_every_record_and_no_other() {
             };
             for name in names {
                 // A row may name a nested member as a whole (`stats`, `samples`).
-                let within = |f: &String| f.strip_prefix(name).is_some_and(|r| r.starts_with(['.', '[']));
+                let within = |f: &String| {
+                    f.strip_prefix(name)
+                        .is_some_and(|r| r.starts_with(['.', '[']))
+                };
                 if !fields.iter().any(|f| f == name || within(f)) {
                     problems.push(format!("row of {tag:?} names unknown field {name:?}"));
                 }
@@ -155,5 +161,9 @@ fn metrics_md_names_every_field_of_every_record_and_no_other() {
             }
         }
     }
-    assert!(problems.is_empty(), "docs/METRICS.md:\n{}", problems.join("\n"));
+    assert!(
+        problems.is_empty(),
+        "docs/METRICS.md:\n{}",
+        problems.join("\n")
+    );
 }

@@ -40,7 +40,9 @@ fn a_scale_point_trace_is_stamped_headed_and_overflow_checked() {
             "unstamped line: {line}"
         );
     }
-    let (runs, evicted) = obs.trace_overflow_status().expect("the overflow is accounted");
+    let (runs, evicted) = obs
+        .trace_overflow_status()
+        .expect("the overflow is accounted");
     assert_eq!(runs, 1);
     assert!(evicted > 0);
 }

@@ -38,7 +38,10 @@ impl Graph {
             return;
         }
         let (ai, bi) = (a as usize, b as usize);
-        assert!(ai < self.adj.len() && bi < self.adj.len(), "vertex out of range");
+        assert!(
+            ai < self.adj.len() && bi < self.adj.len(),
+            "vertex out of range"
+        );
         if !self.adj[ai].contains(&b) {
             self.adj[ai].push(b);
             self.adj[bi].push(a);
@@ -73,7 +76,9 @@ impl Graph {
     pub fn degrees(&self, subset: Option<&[u32]>) -> Vec<u64> {
         match subset {
             Some(vs) => vs.iter().map(|&v| self.degree(v) as u64).collect(),
-            None => (0..self.len() as u32).map(|v| self.degree(v) as u64).collect(),
+            None => (0..self.len() as u32)
+                .map(|v| self.degree(v) as u64)
+                .collect(),
         }
     }
 

@@ -30,8 +30,11 @@ pub trait PeerSampling<P: Clone> {
 
     /// Begin an exchange: pick a partner and build the buffer to send.
     /// Returns `None` while the view is empty.
-    fn initiate(&mut self, self_entry: &Entry<P>, rng: &mut SmallRng)
-        -> Option<(NodeIdx, Vec<Entry<P>>)>;
+    fn initiate(
+        &mut self,
+        self_entry: &Entry<P>,
+        rng: &mut SmallRng,
+    ) -> Option<(NodeIdx, Vec<Entry<P>>)>;
 
     /// Handle an incoming exchange request: return the reply buffer and
     /// merge the received one.
@@ -191,7 +194,8 @@ mod tests {
                     svcs[i].initiate(&se, &mut r)
                 } {
                     let se_to = selfs[to.index()].clone();
-                    let reply = svcs[to.index()].on_request(&se_to, NodeIdx(i as u32), &buf, &mut r);
+                    let reply =
+                        svcs[to.index()].on_request(&se_to, NodeIdx(i as u32), &buf, &mut r);
                     svcs[i].on_response(NodeIdx(i as u32), &reply);
                 }
             }

@@ -22,10 +22,7 @@ pub fn find_predecessor<P>(self_id: Id, candidates: &[Entry<P>]) -> Option<usize
     best_by_distance(candidates, |e| e.id.distance_cw(self_id))
 }
 
-fn best_by_distance<P>(
-    candidates: &[Entry<P>],
-    dist: impl Fn(&Entry<P>) -> u64,
-) -> Option<usize> {
+fn best_by_distance<P>(candidates: &[Entry<P>], dist: impl Fn(&Entry<P>) -> u64) -> Option<usize> {
     let mut best: Option<(usize, u64, u32)> = None;
     for (i, e) in candidates.iter().enumerate() {
         let d = dist(e);

@@ -414,7 +414,16 @@ mod tests {
             .map(|i| e(i, (i as u64 + 1) * 500, i as f64))
             .collect();
         let mut rng = SmallRng::seed_from_u64(2);
-        let rt = select_neighbors(NodeIdx(99), self_id, &params(8, 2), cands, &[], &[], |x| x.payload, &mut rng);
+        let rt = select_neighbors(
+            NodeIdx(99),
+            self_id,
+            &params(8, 2),
+            cands,
+            &[],
+            &[],
+            |x| x.payload,
+            &mut rng,
+        );
         // succ = id 1500 (addr 2), pred = id 500 (addr 0).
         assert_eq!(rt.succ.as_ref().unwrap().id, Id(1500));
         assert_eq!(rt.pred.as_ref().unwrap().id, Id(500));
@@ -439,7 +448,16 @@ mod tests {
     fn selection_excludes_self() {
         let mut rng = SmallRng::seed_from_u64(2);
         let cands = vec![e(7, 70, 1.0), e(1, 10, 1.0)];
-        let rt = select_neighbors(NodeIdx(7), Id(70), &params(4, 0), cands, &[], &[], |x| x.payload, &mut rng);
+        let rt = select_neighbors(
+            NodeIdx(7),
+            Id(70),
+            &params(4, 0),
+            cands,
+            &[],
+            &[],
+            |x| x.payload,
+            &mut rng,
+        );
         assert!(!rt.contains(NodeIdx(7)));
         // The self-descriptor is dropped, so only node 1 remains; it fills
         // the successor slot and nothing is left for the predecessor.
@@ -451,7 +469,16 @@ mod tests {
     fn zero_utility_and_full_sw_is_structured_table() {
         let mut rng = SmallRng::seed_from_u64(5);
         let cands: Vec<Entry<f64>> = (0..30).map(|i| e(i, (i as u64) << 40, 0.0)).collect();
-        let rt = select_neighbors(NodeIdx(99), Id(123), &params(8, 6), cands, &[], &[], |_| 0.0, &mut rng);
+        let rt = select_neighbors(
+            NodeIdx(99),
+            Id(123),
+            &params(8, 6),
+            cands,
+            &[],
+            &[],
+            |_| 0.0,
+            &mut rng,
+        );
         assert!(rt.friends.is_empty());
         assert_eq!(rt.sw.len(), 6);
         assert!(rt.succ.is_some() && rt.pred.is_some());
@@ -461,8 +488,16 @@ mod tests {
     fn aging_refresh_expire_cycle() {
         let mut rng = SmallRng::seed_from_u64(5);
         let cands: Vec<Entry<f64>> = (0..6).map(|i| e(i, (i as u64 + 1) * 100, 1.0)).collect();
-        let mut rt =
-            select_neighbors(NodeIdx(99), Id(250), &params(6, 1), cands, &[], &[], |x| x.payload, &mut rng);
+        let mut rt = select_neighbors(
+            NodeIdx(99),
+            Id(250),
+            &params(6, 1),
+            cands,
+            &[],
+            &[],
+            |x| x.payload,
+            &mut rng,
+        );
         let n0 = rt.len();
         for _ in 0..3 {
             rt.age_all();

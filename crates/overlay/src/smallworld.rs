@@ -146,9 +146,6 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(1);
         let cands = vec![entry(0)];
         assert_eq!(select_sw_neighbor(Id(0), &cands, 100, &mut rng), None);
-        assert_eq!(
-            select_sw_neighbor::<(), _>(Id(0), &[], 100, &mut rng),
-            None
-        );
+        assert_eq!(select_sw_neighbor::<(), _>(Id(0), &[], 100, &mut rng), None);
     }
 }

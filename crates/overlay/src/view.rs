@@ -68,8 +68,7 @@ impl<P: Clone> View<P> {
         merge_dedup(&mut self.entries, incoming);
         self.entries.retain(|e| e.addr != self_addr);
         if self.entries.len() > self.capacity {
-            self.entries
-                .sort_by_key(|e| (e.age, e.addr.0));
+            self.entries.sort_by_key(|e| (e.age, e.addr.0));
             self.entries.truncate(self.capacity);
         }
     }

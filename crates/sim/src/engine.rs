@@ -350,14 +350,7 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
     /// stimuli such as a publish command. Delivered one tick from now with
     /// `from == to`, like a self-timer.
     pub fn inject(&mut self, to: NodeIdx, msg: P::Msg) {
-        self.push_event(
-            self.now + Duration(1),
-            Ev::Deliver {
-                to,
-                from: to,
-                msg,
-            },
-        );
+        self.push_event(self.now + Duration(1), Ev::Deliver { to, from: to, msg });
     }
 
     /// Add a new node in a fresh slot; runs `on_start` immediately and
@@ -612,17 +605,11 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
                         kind: std::borrow::Cow::Borrowed(tag.kind),
                         class: tag.class,
                     });
-                    if let Some(lat) =
-                        self.network.latency(self.now, idx, to, &mut self.engine_rng)
+                    if let Some(lat) = self
+                        .network
+                        .latency(self.now, idx, to, &mut self.engine_rng)
                     {
-                        self.push_event(
-                            self.now + lat,
-                            Ev::Deliver {
-                                to,
-                                from: idx,
-                                msg,
-                            },
-                        );
+                        self.push_event(self.now + lat, Ev::Deliver { to, from: idx, msg });
                     } else {
                         self.stats.messages_lost += 1;
                         self.record_net_drop(idx, to, &msg);
@@ -754,9 +741,7 @@ mod tests {
                 eng.add_node(pp(None));
             }
             eng.run_for(Duration(8));
-            eng.alive_nodes()
-                .map(|(_, p)| p.rounds)
-                .collect::<Vec<_>>()
+            eng.alive_nodes().map(|(_, p)| p.rounds).collect::<Vec<_>>()
         };
         assert_ne!(run(1), run(999));
     }
@@ -960,20 +945,26 @@ mod tests {
         type Msg = u64;
         fn on_start(&mut self, _: &mut Context<'_, u64>) {}
         fn on_round(&mut self, ctx: &mut Context<'_, u64>) {
-            self.log.borrow_mut().push(Seen::Run(self.me, None, ctx.now));
+            self.log
+                .borrow_mut()
+                .push(Seen::Run(self.me, None, ctx.now));
             for _ in 0..self.fanout {
                 let to = NodeIdx(ctx.rng.gen_range(0..self.slots));
                 self.send(ctx, to);
             }
         }
         fn on_message(&mut self, ctx: &mut Context<'_, u64>, from: NodeIdx, id: u64) {
-            self.log.borrow_mut().push(Seen::Run(self.me, Some(id), ctx.now));
+            self.log
+                .borrow_mut()
+                .push(Seen::Run(self.me, Some(id), ctx.now));
             if id.is_multiple_of(2) {
                 self.send(ctx, from);
             }
         }
         fn prefetch(&self, msg: Option<&u64>) {
-            self.log.borrow_mut().push(Seen::Hint(self.me, msg.copied()));
+            self.log
+                .borrow_mut()
+                .push(Seen::Hint(self.me, msg.copied()));
         }
     }
 
@@ -1177,7 +1168,10 @@ mod tests {
         assert_eq!(control, ping.sent);
         assert_eq!(data, pong.sent);
         eng.reset_kind_traffic();
-        assert!(eng.kind_traffic().iter().all(|k| k.sent == 0 && k.delivered == 0));
+        assert!(eng
+            .kind_traffic()
+            .iter()
+            .all(|k| k.sent == 0 && k.delivered == 0));
     }
 
     #[test]
@@ -1227,9 +1221,10 @@ mod tests {
         eng.add_node(pp(None));
         eng.run_rounds(3);
         let t = trace.borrow();
-        assert!(t
-            .events()
-            .all(|e| !matches!(e, TraceEvent::MsgSend { .. } | TraceEvent::MsgDeliver { .. })));
+        assert!(t.events().all(|e| !matches!(
+            e,
+            TraceEvent::MsgSend { .. } | TraceEvent::MsgDeliver { .. }
+        )));
         assert!(t.events().any(|e| matches!(e, TraceEvent::Join { .. })));
     }
 
@@ -1304,8 +1299,12 @@ mod tests {
     /// another node on one tick, under a jittered network with a trace
     /// installed; returns every observable output: stats, perf counters,
     /// per-node protocol state and the trace's JSONL.
-    fn crash_rejoin_scenario(
-    ) -> (EngineStats, crate::perf::EngineCounters, Vec<(u32, u32)>, String) {
+    fn crash_rejoin_scenario() -> (
+        EngineStats,
+        crate::perf::EngineCounters,
+        Vec<(u32, u32)>,
+        String,
+    ) {
         use crate::trace::Trace;
         let mut eng = Engine::with_network(cfg(), Jitter);
         let trace = Trace::shared(1 << 14);

@@ -358,12 +358,22 @@ mod tests {
         let mut r = rng();
         // Inside the span: cross-group drops, intra-group passes, and the
         // implicit rest-group (slot 9) is cut from both listed groups.
-        assert!(net.latency(SimTime(15), NodeIdx(0), NodeIdx(2), &mut r).is_none());
-        assert!(net.latency(SimTime(15), NodeIdx(0), NodeIdx(1), &mut r).is_some());
-        assert!(net.latency(SimTime(15), NodeIdx(9), NodeIdx(0), &mut r).is_none());
+        assert!(net
+            .latency(SimTime(15), NodeIdx(0), NodeIdx(2), &mut r)
+            .is_none());
+        assert!(net
+            .latency(SimTime(15), NodeIdx(0), NodeIdx(1), &mut r)
+            .is_some());
+        assert!(net
+            .latency(SimTime(15), NodeIdx(9), NodeIdx(0), &mut r)
+            .is_none());
         // Outside the span: everything passes.
-        assert!(net.latency(SimTime(9), NodeIdx(0), NodeIdx(2), &mut r).is_some());
-        assert!(net.latency(SimTime(20), NodeIdx(0), NodeIdx(2), &mut r).is_some());
+        assert!(net
+            .latency(SimTime(9), NodeIdx(0), NodeIdx(2), &mut r)
+            .is_some());
+        assert!(net
+            .latency(SimTime(20), NodeIdx(0), NodeIdx(2), &mut r)
+            .is_some());
     }
 
     #[test]
@@ -378,7 +388,10 @@ mod tests {
         let mut r = rng();
         let n = 10_000;
         let dropped = (0..n)
-            .filter(|_| net.latency(SimTime(5), NodeIdx(7), NodeIdx(1), &mut r).is_none())
+            .filter(|_| {
+                net.latency(SimTime(5), NodeIdx(7), NodeIdx(1), &mut r)
+                    .is_none()
+            })
             .count();
         let rate = dropped as f64 / n as f64;
         assert!((rate - 0.5).abs() < 0.03, "rate = {rate}");
@@ -386,7 +399,9 @@ mod tests {
         let mut r1 = rng();
         let mut r2 = rng();
         for _ in 0..100 {
-            assert!(net.latency(SimTime(5), NodeIdx(1), NodeIdx(2), &mut r1).is_some());
+            assert!(net
+                .latency(SimTime(5), NodeIdx(1), NodeIdx(2), &mut r1)
+                .is_some());
         }
         assert_eq!(r1.gen::<u64>(), r2.gen::<u64>());
     }

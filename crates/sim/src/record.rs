@@ -630,7 +630,10 @@ mod tests {
             line,
             r#"{"run":"r#0","type":"whole","x":7,"y":0.5,"inner":{"y":null},"parts":[{"y":1},{"y":null}],"by_name":{"a b":1.5},"flag":true}"#
         );
-        assert_eq!(parse_line(&line), Ok((Some("r#0".to_string()), whole(true))));
+        assert_eq!(
+            parse_line(&line),
+            Ok((Some("r#0".to_string()), whole(true)))
+        );
         // Unset, the marked field is neither written nor missed.
         let line = to_json(None, &whole(false));
         assert!(line.ends_with(r#""by_name":{"a b":1.5}}"#), "{line}");
@@ -667,7 +670,10 @@ mod tests {
         let o = parse_value(r#"{"x":1}"#).unwrap();
         assert_eq!(read_record::<Whole>(&o), Err(ParseError::MissingType));
         // One without a tag reads under any, and errors name the field.
-        assert_eq!(read_record(&o), Err::<Part, _>(ParseError::MissingField("y")));
+        assert_eq!(
+            read_record(&o),
+            Err::<Part, _>(ParseError::MissingField("y"))
+        );
         let o = parse_value(r#"{"type":"whole","y":"high"}"#).unwrap();
         assert_eq!(read_record(&o), Err::<Part, _>(ParseError::BadValue("y")));
     }
@@ -675,16 +681,45 @@ mod tests {
     #[test]
     fn the_reader_accepts_nested_values_and_nothing_but_json() {
         use Value::{Arr, Bool, Null, Num, Obj, Str};
-        let v = parse_value(" { \"a\" : [ 1 , -2.5e3 , true , null , [ ] , { } ] , \"b\" : \"x\" } ");
-        let a = Arr(vec![Num(1.0), Num(-2500.0), Bool(true), Null, Arr(vec![]), Obj(vec![])]);
-        assert_eq!(v, Some(Obj(vec![("a".to_string(), a), ("b".to_string(), Str("x".to_string()))])));
+        let v =
+            parse_value(" { \"a\" : [ 1 , -2.5e3 , true , null , [ ] , { } ] , \"b\" : \"x\" } ");
+        let a = Arr(vec![
+            Num(1.0),
+            Num(-2500.0),
+            Bool(true),
+            Null,
+            Arr(vec![]),
+            Obj(vec![]),
+        ]);
+        assert_eq!(
+            v,
+            Some(Obj(vec![
+                ("a".to_string(), a),
+                ("b".to_string(), Str("x".to_string()))
+            ]))
+        );
         assert_eq!(
             parse_value(r#""q\" b\\ s\/ \n\t\r\b\f \u00e9\u0001 é""#),
             Some(Str("q\" b\\ s/ \n\t\r\u{8}\u{c} \u{e9}\u{1} é".to_string()))
         );
         let malformed = [
-            "", "{", "[1,", "[1,]", "{\"a\"}", "{\"a\":}", "{a:1}", "[1 2]", "1 2", "tru", "\"open",
-            "\"\\x\"", "\"\\u12\"", "\"\\u+123\"", "\"\\ud800\"", "{\"a\":1}}", "nul",
+            "",
+            "{",
+            "[1,",
+            "[1,]",
+            "{\"a\"}",
+            "{\"a\":}",
+            "{a:1}",
+            "[1 2]",
+            "1 2",
+            "tru",
+            "\"open",
+            "\"\\x\"",
+            "\"\\u12\"",
+            "\"\\u+123\"",
+            "\"\\ud800\"",
+            "{\"a\":1}}",
+            "nul",
         ];
         for text in malformed {
             assert_eq!(parse_value(text), None, "{text:?}");

@@ -4,8 +4,8 @@
 //! exponent α from 0.3 (near-uniform) to 3 (a single hot topic dominates)
 //! and shows Vitis adapts its clustering to the hot topics.
 
-use vitis_sim::rng::{domain, stream_rng};
 use rand::seq::SliceRandom;
+use vitis_sim::rng::{domain, stream_rng};
 
 /// Uniform rate 1 for every topic (the default outside Figure 7).
 pub fn uniform_rates(num_topics: usize) -> Vec<f64> {
@@ -92,7 +92,10 @@ mod tests {
             .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
             .unwrap()
             .0;
-        assert_ne!(hottest, hottest2, "different seeds place hot topics differently");
+        assert_ne!(
+            hottest, hottest2,
+            "different seeds place hot topics differently"
+        );
     }
 
     #[test]

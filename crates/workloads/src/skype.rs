@@ -135,7 +135,9 @@ impl SkypeModel {
         let u2: f64 = rng.gen();
         let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
         let mu = self.median_session_hours.ln();
-        (mu + self.session_sigma * z).exp().max(2.0 / self.ticks_per_hour as f64)
+        (mu + self.session_sigma * z)
+            .exp()
+            .max(2.0 / self.ticks_per_hour as f64)
     }
 
     /// The flash-crowd start time in ticks (for experiment annotations).
@@ -187,7 +189,9 @@ mod tests {
         let tr = m.generate(3);
         let before = tr.online_at(SimTime(m.flash_crowd_time().0 - 4 * m.ticks_per_hour));
         let after = tr.online_at(SimTime(
-            m.flash_crowd_time().0 + (m.flash_crowd_window_hours * m.ticks_per_hour as f64) as u64 + 1,
+            m.flash_crowd_time().0
+                + (m.flash_crowd_window_hours * m.ticks_per_hour as f64) as u64
+                + 1,
         ));
         let burst = after as i64 - before as i64;
         let reserved = (300.0 * m.flash_crowd_frac) as i64;
@@ -207,7 +211,10 @@ mod tests {
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let median = sorted[lens.len() / 2];
         assert!((median - 8.0).abs() < 1.5, "median {median} ≈ 8h");
-        assert!(mean > median * 1.3, "heavy tail: mean {mean} vs median {median}");
+        assert!(
+            mean > median * 1.3,
+            "heavy tail: mean {mean} vs median {median}"
+        );
     }
 
     #[test]
@@ -215,8 +222,14 @@ mod tests {
         let m = small();
         let mut rng = stream_rng(10, domain::WORKLOAD, 0);
         // Average gaps drawn at the peak vs the trough of the cycle.
-        let peak: f64 = (0..3000).map(|_| m.next_offline_gap(6.0, &mut rng)).sum::<f64>() / 3000.0;
-        let trough: f64 = (0..3000).map(|_| m.next_offline_gap(18.0, &mut rng)).sum::<f64>() / 3000.0;
+        let peak: f64 = (0..3000)
+            .map(|_| m.next_offline_gap(6.0, &mut rng))
+            .sum::<f64>()
+            / 3000.0;
+        let trough: f64 = (0..3000)
+            .map(|_| m.next_offline_gap(18.0, &mut rng))
+            .sum::<f64>()
+            / 3000.0;
         assert!(trough > peak * 1.5, "peak {peak} vs trough {trough}");
     }
 }

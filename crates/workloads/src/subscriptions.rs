@@ -242,7 +242,10 @@ mod tests {
             hi > lo && lo > r,
             "expected p95: hi > lo > random, got {hi} {lo} {r}"
         );
-        assert!(hi > 1.5 * r, "high correlation should be strong: {hi} vs {r}");
+        assert!(
+            hi > 1.5 * r,
+            "high correlation should be strong: {hi} vs {r}"
+        );
     }
 
     #[test]

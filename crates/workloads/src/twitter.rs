@@ -265,8 +265,16 @@ mod tests {
         let g = FollowGraph::generate(&small_model(), 2);
         let s = g.stats();
         assert_eq!(s.num_users, 4000);
-        assert!(s.max_out_degree > 20, "out tail too light: {}", s.max_out_degree);
-        assert!(s.max_in_degree > 20, "in tail too light: {}", s.max_in_degree);
+        assert!(
+            s.max_out_degree > 20,
+            "out tail too light: {}",
+            s.max_out_degree
+        );
+        assert!(
+            s.max_in_degree > 20,
+            "in tail too light: {}",
+            s.max_in_degree
+        );
         let a_out = s.alpha_out.expect("enough data");
         assert!(
             (a_out - 1.65).abs() < 0.35,

@@ -24,10 +24,7 @@ fn main() {
     // interests.
     let subs: Vec<TopicSet> = (0..num_nodes)
         .map(|i| {
-            let mut topics: Vec<u32> = vec![
-                1 + (i as u32 % 59),
-                1 + ((i as u32 * 7) % 59),
-            ];
+            let mut topics: Vec<u32> = vec![1 + (i as u32 % 59), 1 + ((i as u32 * 7) % 59)];
             if i % 5 < 2 {
                 topics.push(channel.0);
             }

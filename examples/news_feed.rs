@@ -46,11 +46,7 @@ fn main() {
     sys.run_rounds(50);
 
     // A tweet wave: the 300 most-followed users each post once.
-    let mut by_audience: Vec<(usize, u64)> = sample
-        .in_degrees()
-        .into_iter()
-        .enumerate()
-        .collect();
+    let mut by_audience: Vec<(usize, u64)> = sample.in_degrees().into_iter().enumerate().collect();
     by_audience.sort_by_key(|&(_, d)| std::cmp::Reverse(d));
     sys.reset_metrics();
     let mut posted = 0;
@@ -59,7 +55,10 @@ fn main() {
             break;
         }
         // The author itself publishes on its own timeline topic.
-        if sys.publish_from(user as u32, TopicId(user as u32)).is_some() {
+        if sys
+            .publish_from(user as u32, TopicId(user as u32))
+            .is_some()
+        {
             posted += 1;
         }
         if posted == 300 {
@@ -70,7 +69,12 @@ fn main() {
 
     let s = sys.stats();
     println!("tweets posted   : {posted}");
-    println!("deliveries      : {}/{} ({:.2}%)", s.delivered, s.expected, 100.0 * s.hit_ratio);
+    println!(
+        "deliveries      : {}/{} ({:.2}%)",
+        s.delivered,
+        s.expected,
+        100.0 * s.hit_ratio
+    );
     println!("traffic overhead: {:.1}%", s.overhead_pct);
     println!("propagation     : {:.2} hops mean", s.mean_hops);
     assert!(s.hit_ratio > 0.95, "hit ratio {}", s.hit_ratio);

@@ -42,8 +42,14 @@ fn main() {
     let s = sys.stats();
     println!("published      : {}", s.published);
     println!("hit ratio      : {:.2}%", 100.0 * s.hit_ratio);
-    println!("traffic overhead: {:.1}% (relay share of data messages)", s.overhead_pct);
-    println!("propagation    : {:.2} hops mean, {} max", s.mean_hops, s.max_hops);
+    println!(
+        "traffic overhead: {:.1}% (relay share of data messages)",
+        s.overhead_pct
+    );
+    println!(
+        "propagation    : {:.2} hops mean, {} max",
+        s.mean_hops, s.max_hops
+    );
 
     // Cluster view of one topic: how many disjoint subscriber clusters the
     // gateway/relay machinery has to stitch together.
@@ -55,6 +61,10 @@ fn main() {
         clusters.iter().map(|c| c.len()).collect::<Vec<_>>()
     );
 
-    assert!(s.hit_ratio > 0.99, "expected full delivery, got {}", s.hit_ratio);
+    assert!(
+        s.hit_ratio > 0.99,
+        "expected full delivery, got {}",
+        s.hit_ratio
+    );
     println!("ok: every subscriber got every event.");
 }
