@@ -1,7 +1,7 @@
 //! What happens *to* a notification at a node, shared by Vitis, RVR and
-//! OPT: forwarding dedup, causal-path extension, delivery and forward
-//! accounting, and the anti-entropy repair layer (cache, round step,
-//! digest / want / push handling).
+//! OPT: forwarding dedup, causal-path extension under a trace, delivery
+//! and forward accounting, and the anti-entropy repair layer (cache,
+//! round step, digest / want / push handling).
 //!
 //! A node type holds one [`Dissemination`] and keeps only the decision of
 //! *where* a copy goes next — friends + reverse links + relay fan-out
@@ -133,8 +133,8 @@ impl Dissemination {
     }
 
     /// Heap bytes of the dedup set, the target buffer and the repair
-    /// layer's tables. Hop paths behind cached copies are shared with the
-    /// copies in flight and not counted.
+    /// layer's tables. Hop paths behind cached copies (carried only under a
+    /// trace) are shared with the copies in flight and not counted.
     pub fn heap_bytes(&self) -> u64 {
         self.seen.heap_bytes()
             + (self.targets.capacity() * std::mem::size_of::<NodeIdx>()) as u64
@@ -157,6 +157,18 @@ impl Dissemination {
         self.round
     }
 
+    /// The hop path a copy carries on from `addr`: `path` extended by
+    /// `addr` while the monitor has a trace installed, no path otherwise
+    /// (the `deliver_event` record is a path's only reader). A publisher
+    /// passes the empty path, which gives its origin path.
+    pub fn path_through(&self, path: &HopPath, addr: NodeIdx) -> HopPath {
+        if self.monitor.traced() {
+            path.extend(addr)
+        } else {
+            HopPath::default()
+        }
+    }
+
     /// `addr` publishes `event`: mark it seen, cache it (so the publisher
     /// can answer pulls for its own events) and return the first-hop copy
     /// for the node to fan out.
@@ -166,7 +178,7 @@ impl Dissemination {
             event,
             topic,
             hops: 1,
-            path: HopPath::origin(addr),
+            path: self.path_through(&HopPath::default(), addr),
         };
         if self.ae.enabled() {
             let origin = Notification {
@@ -180,9 +192,9 @@ impl Dissemination {
 
     /// A copy of `notif` arrived at `addr` (subscribed to `subs`) through
     /// normal dissemination. Counts the reception, and for a first arrival
-    /// extends the causal path, records the delivery if subscribed and
-    /// caches the copy for pulling peers. Returns the copy to forward, one
-    /// hop on — `None` for a duplicate.
+    /// extends the causal path (under a trace), records the delivery if
+    /// subscribed and caches the copy for pulling peers. Returns the copy
+    /// to forward, one hop on — `None` for a duplicate.
     pub fn receive(
         &mut self,
         addr: NodeIdx,
@@ -198,7 +210,7 @@ impl Dissemination {
         // Extend the causal path with this node once; the delivery record,
         // the cached copy and every forwarded copy share it.
         let here = Notification {
-            path: notif.path.extend(addr),
+            path: self.path_through(&notif.path, addr),
             ..notif
         };
         if interested {
@@ -229,7 +241,7 @@ impl Dissemination {
             return;
         }
         let here = Notification {
-            path: notif.path.extend(addr),
+            path: self.path_through(&notif.path, addr),
             ..notif
         };
         if interested {
@@ -403,11 +415,49 @@ mod tests {
         }
     }
 
+    /// Hop paths ride only under a trace: untraced, the publisher's copy
+    /// and every copy received on carry none; once the monitor has a trace
+    /// they start at the publisher and grow by one slot per receipt.
+    #[test]
+    fn hop_paths_are_built_only_under_a_trace() {
+        let (mut d, subs, monitor, event) = setup();
+        let origin = NodeIdx(0);
+        let mut publisher = Dissemination::new(monitor.clone(), AeConfig::default());
+        let first = publisher.publish(origin, event, T);
+        assert!(first.path.nodes().is_empty());
+        let fwd = d.receive(ME, &subs, SimTime(5), first).unwrap();
+        assert_eq!((fwd.hops, fwd.path.nodes()), (2, &[][..]));
+        let late = monitor.register_event(T, SimTime(0), vec![ME]);
+        d.recover(ME, &subs, SimTime(5), copy(late, 1));
+        assert!(d.serve(&[late.0]).all(|c| c.path.is_empty()));
+
+        let trace = vitis_sim::trace::Trace::shared(16);
+        monitor.set_trace(Some(trace.clone()));
+        let traced = monitor.register_event(T, SimTime(0), vec![ME]);
+        let first = publisher.publish(origin, traced, T);
+        assert_eq!(first.path.nodes(), &[origin]);
+        let fwd = d.receive(ME, &subs, SimTime(5), first).unwrap();
+        assert_eq!((fwd.hops, fwd.path.nodes()), (2, &[origin, ME][..]));
+        let pulled = monitor.register_event(T, SimTime(0), vec![ME]);
+        d.recover(ME, &subs, SimTime(6), copy(pulled, 1));
+        let served: Vec<Notification> = d.serve(&[pulled.0]).collect();
+        assert_eq!(served[0].path.nodes(), &[origin, ME]);
+        let paths: Vec<String> = trace
+            .borrow()
+            .events()
+            .filter_map(|ev| match ev {
+                vitis_sim::trace::TraceEvent::DeliverEvent { path, .. } => Some(path.clone()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(paths, ["0>1", "0>1"]);
+    }
+
     #[test]
     fn duplicate_arrival_counts_rx_but_delivers_and_forwards_once() {
         let (mut d, subs, monitor, event) = setup();
         let fwd = d.receive(ME, &subs, SimTime(5), copy(event, 1)).unwrap();
-        assert_eq!((fwd.hops, fwd.path.nodes()), (2, &[NodeIdx(0), ME][..]));
+        assert_eq!(fwd.hops, 2);
         assert!(d.repair().holds(event.0), "first arrival is cached");
         assert!(d.receive(ME, &subs, SimTime(6), copy(event, 4)).is_none());
         d.recover(ME, &subs, SimTime(7), copy(event, 2)); // a late push is a duplicate too
@@ -451,7 +501,7 @@ mod tests {
     fn publisher_serves_pulls_for_its_own_event() {
         let (mut d, subs, _, event) = setup();
         let first = d.publish(ME, event, T);
-        assert_eq!((first.hops, first.path.nodes()), (1, &[ME][..]));
+        assert_eq!(first.hops, 1);
         assert!(
             d.receive(ME, &subs, SimTime(1), first).is_none(),
             "own event is seen"

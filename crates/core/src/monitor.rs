@@ -34,53 +34,62 @@ pub struct EventId(pub u64);
 /// shared `Rc` so fanning a notification out to `k` neighbors clones a
 /// pointer, not the path; [`HopPath::extend`] allocates once per hop.
 ///
-/// The handle is one thin pointer on purpose, at the price of a second
-/// allocation per path (the `Rc`, then the vector's buffer). A path rides
-/// in every `Notification` and every notification in flight is an event in
-/// the engine's queue: `Rc<[NodeIdx]>` — one allocation, but a 16-byte
-/// handle — grew every message of all three systems from 32 to 40 bytes
-/// and measured +4 % `cpu_s` on the benchmark's `publish_1k` (and +13 %
-/// peak RSS while queue buckets still kept their busiest tick's capacity;
-/// DESIGN §14).
+/// A copy carries a path only while its monitor has a trace installed
+/// (`Dissemination::path_through` builds every path): the `deliver_event`
+/// record is the path's only reader, so, like [`Monitor::record_forward`],
+/// it costs an untraced run nothing. An untraced copy holds `None`: its
+/// first receipt allocates nothing and its duplicates drop no shared `Rc`
+/// (DESIGN §14, "Notification copies").
+///
+/// The handle is one thin pointer on purpose (`Option` of an `Rc` is still
+/// 8 bytes), at the price of a second allocation per path (the `Rc`, then
+/// the vector's buffer). A path rides in every `Notification` and every
+/// notification in flight is an event in the engine's queue:
+/// `Rc<[NodeIdx]>` — one allocation, but a 16-byte handle — grew every
+/// message of all three systems from 32 to 40 bytes and measured +4 %
+/// `cpu_s` on `publish_1k` (and +13 % peak RSS while queue buckets still
+/// kept their busiest tick's capacity; DESIGN §14).
 ///
 /// The path is forensic metadata only — it never influences routing and
 /// does not count toward wire-size accounting (see `docs/METRICS.md` §6).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct HopPath(Rc<Vec<NodeIdx>>);
+pub struct HopPath(Option<Rc<Vec<NodeIdx>>>);
 
 impl HopPath {
     /// A path starting (and ending) at the publisher.
     pub fn origin(node: NodeIdx) -> Self {
-        HopPath(Rc::new(vec![node]))
+        HopPath(Some(Rc::new(vec![node])))
     }
 
     /// The path with `node` appended (a copy; the original is unchanged).
+    /// Extending the empty path gives [`HopPath::origin`].
     pub fn extend(&self, node: NodeIdx) -> Self {
-        let mut v = Vec::with_capacity(self.0.len() + 1);
-        v.extend_from_slice(&self.0);
+        let nodes = self.nodes();
+        let mut v = Vec::with_capacity(nodes.len() + 1);
+        v.extend_from_slice(nodes);
         v.push(node);
-        HopPath(Rc::new(v))
+        HopPath(Some(Rc::new(v)))
     }
 
-    /// Visited slots, publisher first.
+    /// Visited slots, publisher first; empty when no path was carried.
     pub fn nodes(&self) -> &[NodeIdx] {
-        &self.0
+        self.0.as_deref().map_or(&[], Vec::as_slice)
     }
 
     /// Number of visited slots (0 for an empty/absent path).
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.nodes().len()
     }
 
     /// Whether no provenance was carried.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.nodes().is_empty()
     }
 
     /// The trace encoding: `>`-joined slot numbers, e.g. `"0>5>12"`.
     pub fn render(&self) -> String {
         let mut s = String::new();
-        for (i, n) in self.0.iter().enumerate() {
+        for (i, n) in self.nodes().iter().enumerate() {
             if i > 0 {
                 s.push('>');
             }
@@ -592,6 +601,12 @@ impl Monitor {
         self.0.borrow_mut().trace = trace;
     }
 
+    /// Whether a forensics trace is installed: the one reader of the hop
+    /// paths that notifications may carry.
+    pub fn traced(&self) -> bool {
+        self.0.borrow().trace.is_some()
+    }
+
     /// Emit the `pub_event` forensics record for a freshly registered
     /// event: the root of its delivery tree. Call right after
     /// [`Monitor::register_event`], once the publisher is known.
@@ -974,6 +989,7 @@ mod forensics_tests {
         let empty = HopPath::default();
         assert!(empty.is_empty());
         assert_eq!(empty.render(), "");
+        assert_eq!(empty.extend(n(4)), p0, "extending no path starts one");
     }
 
     #[test]
@@ -1045,9 +1061,11 @@ mod forensics_tests {
         // A node's handle, cloned before any trace exists.
         let handle = m.clone();
         handle.record_forward(e, n(0), n(1), 1, SimTime(1));
+        assert!(!handle.traced());
 
         let trace = Trace::shared(16);
         m.set_trace(Some(trace.clone()));
+        assert!(handle.traced(), "every handle sees the installed trace");
         assert_eq!(trace.borrow().events().count(), 0, "untraced: nothing kept");
         handle.record_forward(e, n(0), n(1), 1, SimTime(2));
         m.record_forward(e, n(1), n(2), 2, SimTime(3));
@@ -1064,6 +1082,7 @@ mod forensics_tests {
         m.set_trace(None);
         handle.record_forward(e, n(0), n(1), 1, SimTime(4));
         assert_eq!(trace.borrow().events().count(), 2, "removed: off again");
+        assert!(!handle.traced());
     }
 
     #[test]

@@ -625,7 +625,9 @@ impl VitisNode {
             event,
             topic,
             hops: 1,
-            path: HopPath::origin(self.net.addr()),
+            path: self
+                .dissem
+                .path_through(&HopPath::default(), self.net.addr()),
         };
         self.forward_notification(ctx, None, notif);
         if attempt < self.cfg.publish_retries {

@@ -240,7 +240,8 @@ pub fn random_system(n: usize, topics: usize, subs_per_node: usize, seed: u64) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vitis_sim::fault::{FaultEpisode, LossScope, Span};
+    use vitis_sim::antientropy::AeConfig;
+    use vitis_sim::fault::{FaultEpisode, FaultPlan, LossScope, Span};
 
     /// Converged static network: every event reaches every subscriber.
     #[test]
@@ -341,33 +342,102 @@ mod tests {
         assert!(s.hit_ratio > 0.97, "hit ratio after rejoin {}", s.hit_ratio);
     }
 
+    /// One seed run untraced and once traced, under loss and a partition
+    /// with publisher retries and repair on, so every hop-path builder runs
+    /// (publish, receive, recover, retry). The trace changes no count:
+    /// stats, engine counters and the per-kind ledger are equal. Only the
+    /// traced run's copies carry hop paths: each `deliver_event` path
+    /// starts at the publisher with one slot per hop after it, as does
+    /// every copy the repair layer caches; no untraced copy carries one.
     #[test]
     fn tracing_does_not_perturb_results() {
-        use vitis_sim::trace::Trace;
+        use std::collections::HashMap;
+        use vitis_sim::trace::{Trace, TraceEvent};
         let run = |traced: bool| {
-            let mut sys = random_system(120, 15, 4, 17);
+            let mut rng = stream_rng(17, domain::WORKLOAD, 1);
+            let subscriptions: Vec<TopicSet> = (0..120)
+                .map(|_| TopicSet::from_iter((0..4).map(|_| rng.gen_range(0..15u32))))
+                .collect();
+            let mut params = SystemParams::new(subscriptions, 15);
+            params.seed = 17;
+            // Publishing starts at round 25 and a fifth of the nodes miss
+            // it behind a partition, which heals before the run ends.
+            let period = params.round_period.ticks();
+            params.faults = FaultPlan::new(vec![
+                FaultEpisode::LossBurst {
+                    prob: 0.05,
+                    span: Span::new(0, u64::MAX),
+                    scope: LossScope::All,
+                },
+                FaultEpisode::Partition {
+                    groups: vec![(0..24).collect()],
+                    span: Span::new(24 * period, 28 * period),
+                },
+            ])
+            .unwrap();
+            params.cfg.publish_retries = 2;
+            params.cfg.publish_ack_timeout = 64;
+            params.repair = AeConfig::on();
+            let mut sys = VitisSystem::new(params);
+            let trace = Trace::shared(1 << 16);
             if traced {
-                sys.install_trace(Trace::shared(1 << 14));
+                sys.install_trace(trace.clone());
             }
             sys.run_rounds(25);
             sys.reset_metrics();
-            for t in 0..15 {
-                sys.publish(TopicId(t));
-            }
-            sys.run_rounds(5);
-            let s = sys.stats();
-            (
-                s.delivered,
-                s.expected,
-                s.useful_msgs,
-                s.relay_msgs,
-                s.mean_hops.to_bits(),
-                s.mean_latency_ticks.to_bits(),
-                s.control_sent,
-                s.data_sent,
-            )
+            let events: Vec<u64> = (0..15)
+                .filter_map(|t| sys.publish(TopicId(t)))
+                .map(|e| e.0)
+                .collect();
+            sys.run_rounds(8);
+            let cached: Vec<(u32, usize)> = sys
+                .engine()
+                .alive_nodes()
+                .flat_map(|(_, node)| node.repair().serve(&events))
+                .map(|(_, _, copy)| (copy.hops, copy.path.len()))
+                .collect();
+            let counts = (
+                format!("{:?}", sys.stats()),
+                sys.perf_counters(),
+                sys.engine().kind_traffic(),
+                sys.recovered_deliveries(),
+            );
+            let records: Vec<TraceEvent> = trace.borrow().events().cloned().collect();
+            (counts, cached, records)
         };
-        assert_eq!(run(false), run(true), "forensics tracing must be inert");
+        let (untraced, cached, records) = run(false);
+        assert!(!cached.is_empty(), "the repair layer caches copies");
+        assert!(cached.iter().all(|&(_, len)| len == 0), "no path untraced");
+        assert!(records.is_empty());
+
+        let (traced, cached, records) = run(true);
+        assert_eq!(untraced, traced, "forensics tracing must be inert");
+        assert!(traced.3 > 0, "some deliveries came through repair");
+        let retries = traced.2.iter().find(|k| k.kind == "retry_pub");
+        assert!(
+            retries.is_some_and(|k| k.delivered > 0),
+            "publishers retried"
+        );
+        assert!(cached.iter().all(|&(hops, len)| len == hops as usize + 1));
+        let mut publisher = HashMap::new();
+        let mut delivered = 0;
+        for ev in &records {
+            match ev {
+                TraceEvent::PubEvent { event, node, .. } => {
+                    publisher.insert(*event, *node);
+                }
+                TraceEvent::DeliverEvent {
+                    event, hops, path, ..
+                } => {
+                    let slots: Vec<u32> = path.split('>').map(|s| s.parse().unwrap()).collect();
+                    assert_eq!(slots.len(), *hops as usize + 1, "{path}");
+                    assert_eq!(Some(&slots[0]), publisher.get(event), "{path}");
+                    delivered += 1;
+                }
+                _ => {}
+            }
+        }
+        assert!(delivered > 100, "{delivered} traced deliveries");
     }
 
     #[test]
