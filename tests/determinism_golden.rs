@@ -75,3 +75,32 @@ fn vitis_repair_fixed_seed_run_is_bit_identical() {
     );
     check_golden("vitis_repair", &got);
 }
+
+/// RVR's repair path under the same faulted scenario: its digests go to a
+/// sample of its routing table and recovered copies are never re-sent down
+/// the tree. Pinned so a change to the shared repair layer cannot move
+/// RVR's runs unseen.
+#[test]
+fn rvr_repair_fixed_seed_run_is_bit_identical() {
+    let mut sys = RvrSystem::new(repair_params());
+    let got = run_repair_scenario(&mut sys);
+    assert!(
+        got.contains("kind ae_digest"),
+        "repair-enabled run must send digests"
+    );
+    check_golden("rvr_repair", &got);
+}
+
+/// OPT's repair path under the same faulted scenario: digests go to a
+/// sample of its negotiated links and recovered copies are never
+/// re-flooded.
+#[test]
+fn opt_repair_fixed_seed_run_is_bit_identical() {
+    let mut sys = OptSystem::new(repair_params());
+    let got = run_repair_scenario(&mut sys);
+    assert!(
+        got.contains("kind ae_digest"),
+        "repair-enabled run must send digests"
+    );
+    check_golden("opt_repair", &got);
+}
