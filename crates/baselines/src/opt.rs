@@ -13,7 +13,7 @@
 use std::rc::Rc;
 use vitis::dissemination::Dissemination;
 use vitis::monitor::{EventId, Monitor};
-use vitis::msg::Notification;
+use vitis::msg::{Notification, RepairMsg};
 use vitis::smallmap::SmallMap;
 use vitis::topic::{Subs, TopicId, TopicSet};
 use vitis_overlay::entry::Entry;
@@ -71,14 +71,8 @@ pub enum OptMsg {
         /// Topic to publish on.
         topic: TopicId,
     },
-    /// Anti-entropy digest (IHAVE): `(event id, topic)` pairs the sender
-    /// holds in its repair cache. Only sent when repair is enabled.
-    AeDigest(Rc<Vec<(u64, u32)>>),
-    /// Anti-entropy pull request (IWANT): missing event ids.
-    AeWant(Vec<u64>),
-    /// Anti-entropy recovery push answering an [`OptMsg::AeWant`]; its hop
-    /// count includes the repair hop.
-    AePush(Notification),
+    /// Anti-entropy repair traffic. Only sent when repair is enabled.
+    Repair(RepairMsg),
 }
 
 struct Link {
@@ -263,17 +257,14 @@ impl Protocol for OptNode {
             OptMsg::Heartbeat => MsgTag::control("heartbeat"),
             OptMsg::Notif(_) => MsgTag::data("notification"),
             OptMsg::PublishCmd { .. } => MsgTag::data("publish_cmd"),
-            OptMsg::AeDigest(_) => MsgTag::control("ae_digest"),
-            OptMsg::AeWant(_) => MsgTag::control("ae_want"),
-            OptMsg::AePush(_) => MsgTag::data("ae_push"),
+            OptMsg::Repair(r) => r.tag(),
         }
     }
 
     fn event_of(msg: &OptMsg) -> Option<u64> {
         match msg {
-            // Lost recovery pushes attribute to the event the same way lost
-            // flood copies do, so `LossReason::Network` stays exact.
-            OptMsg::Notif(n) | OptMsg::AePush(n) => Some(n.event.0),
+            OptMsg::Notif(n) => Some(n.event.0),
+            OptMsg::Repair(r) => r.event(),
             _ => None,
         }
     }
@@ -317,17 +308,9 @@ impl Protocol for OptNode {
 
         // Anti-entropy repair. Entirely inert — no sends, no RNG draws —
         // unless the layer is enabled, so default runs stay bit-identical.
-        let links = &self.links;
-        let repair = self
-            .dissem
-            .round_step(|| links.keys().copied().collect(), ctx.rng);
-        for (target, ids) in repair.pulls {
-            ctx.send(target, OptMsg::AeWant(ids));
-        }
-        if let Some(entries) = repair.digest {
-            for t in repair.digest_targets {
-                ctx.send(t, OptMsg::AeDigest(entries.clone()));
-            }
+        let neighbors = || self.links.keys().copied().collect();
+        for (to, msg) in self.dissem.round_step(neighbors, ctx.rng) {
+            ctx.send(to, OptMsg::Repair(msg));
         }
     }
 
@@ -368,23 +351,11 @@ impl Protocol for OptNode {
                 let notif = self.dissem.publish(self.ps.addr(), event, topic);
                 self.flood(ctx, None, notif);
             }
-            OptMsg::AeDigest(entries) => {
-                let wants = self.dissem.on_digest(from, &entries, self.ps.payload());
-                if !wants.is_empty() {
-                    ctx.send(from, OptMsg::AeWant(wants));
+            OptMsg::Repair(msg) => {
+                let subs = self.ps.payload();
+                if let Some(want) = self.dissem.on_repair(ctx, from, subs, msg, OptMsg::Repair) {
+                    ctx.send(from, OptMsg::Repair(want));
                 }
-            }
-            OptMsg::AeWant(ids) => {
-                for push in self.dissem.serve(&ids) {
-                    self.dissem.send_copy(ctx, from, push, OptMsg::AePush);
-                }
-            }
-            OptMsg::AePush(notif) => {
-                // Recovered copies count as a first delivery only if the
-                // flood never got here, and are never re-flooded — repair
-                // traffic stays pull-bounded.
-                self.dissem
-                    .recover(self.ps.addr(), self.ps.payload(), ctx.now, notif);
             }
         }
     }

@@ -11,11 +11,10 @@
 //! non-subscriber on a path is pure relay traffic, which is exactly the
 //! overhead Vitis's clustering removes.
 
-use std::rc::Rc;
 use vitis::config::VitisConfig;
 use vitis::dissemination::Dissemination;
 use vitis::monitor::{EventId, Monitor};
-use vitis::msg::Notification;
+use vitis::msg::{Notification, RepairMsg};
 use vitis::relay::{RelayTable, RELAY_TTL};
 use vitis::topic::{Subs, TopicId};
 use vitis_overlay::entry::Entry;
@@ -58,14 +57,8 @@ pub enum RvrMsg {
         /// Topic to publish on.
         topic: TopicId,
     },
-    /// Anti-entropy digest (IHAVE): `(event id, topic)` pairs the sender
-    /// holds in its repair cache. Only sent when repair is enabled.
-    AeDigest(Rc<Vec<(u64, u32)>>),
-    /// Anti-entropy pull request (IWANT): missing event ids.
-    AeWant(Vec<u64>),
-    /// Anti-entropy recovery push answering an [`RvrMsg::AeWant`]; its hop
-    /// count includes the repair hop.
-    AePush(Notification),
+    /// Anti-entropy repair traffic. Only sent when repair is enabled.
+    Repair(RepairMsg),
 }
 
 /// An RVR peer. Its tree soft state expires after [`RELAY_TTL`] rounds
@@ -199,17 +192,14 @@ impl Protocol for RvrNode {
             RvrMsg::Join { .. } => MsgTag::control("join"),
             RvrMsg::Notif(_) => MsgTag::data("notification"),
             RvrMsg::PublishCmd { .. } => MsgTag::data("publish_cmd"),
-            RvrMsg::AeDigest(_) => MsgTag::control("ae_digest"),
-            RvrMsg::AeWant(_) => MsgTag::control("ae_want"),
-            RvrMsg::AePush(_) => MsgTag::data("ae_push"),
+            RvrMsg::Repair(r) => r.tag(),
         }
     }
 
     fn event_of(msg: &RvrMsg) -> Option<u64> {
         match msg {
-            // Lost recovery pushes attribute to the event the same way lost
-            // tree copies do, so `LossReason::Network` stays exact.
-            RvrMsg::Notif(n) | RvrMsg::AePush(n) => Some(n.event.0),
+            RvrMsg::Notif(n) => Some(n.event.0),
+            RvrMsg::Repair(r) => r.event(),
             _ => None,
         }
     }
@@ -261,15 +251,8 @@ impl Protocol for RvrNode {
 
         // Anti-entropy repair. Entirely inert — no sends, no RNG draws —
         // unless the layer is enabled, so default runs stay bit-identical.
-        let rt = self.net.rt();
-        let repair = self.dissem.round_step(|| rt.addrs(), ctx.rng);
-        for (target, ids) in repair.pulls {
-            ctx.send(target, RvrMsg::AeWant(ids));
-        }
-        if let Some(entries) = repair.digest {
-            for t in repair.digest_targets {
-                ctx.send(t, RvrMsg::AeDigest(entries.clone()));
-            }
+        for (to, msg) in self.dissem.round_step(|| self.net.rt().addrs(), ctx.rng) {
+            ctx.send(to, RvrMsg::Repair(msg));
         }
     }
 
@@ -305,22 +288,11 @@ impl Protocol for RvrNode {
                 let notif = self.dissem.publish(self.net.addr(), event, topic);
                 self.forward_notif(ctx, None, notif);
             }
-            RvrMsg::AeDigest(entries) => {
-                let wants = self.dissem.on_digest(from, &entries, self.net.payload());
-                if !wants.is_empty() {
-                    ctx.send(from, RvrMsg::AeWant(wants));
+            RvrMsg::Repair(msg) => {
+                let subs = self.net.payload();
+                if let Some(want) = self.dissem.on_repair(ctx, from, subs, msg, RvrMsg::Repair) {
+                    ctx.send(from, RvrMsg::Repair(want));
                 }
-            }
-            RvrMsg::AeWant(ids) => {
-                for push in self.dissem.serve(&ids) {
-                    self.dissem.send_copy(ctx, from, push, RvrMsg::AePush);
-                }
-            }
-            RvrMsg::AePush(notif) => {
-                // A recovery push counts as a first delivery only if the
-                // tree never got this event here, and is never re-flooded.
-                self.dissem
-                    .recover(self.net.addr(), self.net.payload(), ctx.now, notif);
             }
         }
     }

@@ -6,13 +6,14 @@
 //! A node type holds one [`Dissemination`] and keeps only the decision of
 //! *where* a copy goes next — friends + reverse links + relay fan-out
 //! (Vitis), tree fan-out (RVR) or the topic-subgraph flood (OPT) — plus its
-//! own hardening. The component knows no wire enum: it returns what to
-//! forward, pull or push and the node wraps that in its own message
-//! variants, so a node that accounts control bytes (Vitis) does so without
-//! this code branching on its caller.
+//! own hardening. The component owns the repair wire protocol,
+//! [`RepairMsg`], which each node's wire enum carries in one `Repair`
+//! variant: it returns the repair messages a round or a digest calls for
+//! and the node puts them on the wire, so a node that accounts control
+//! bytes (Vitis) does so without this code branching on its caller.
 
 use crate::monitor::{EventId, HopPath, Monitor};
-use crate::msg::Notification;
+use crate::msg::{Notification, RepairMsg};
 use crate::topic::{Subs, TopicId};
 use rand::rngs::SmallRng;
 use std::rc::Rc;
@@ -20,19 +21,6 @@ use vitis_sim::antientropy::{AeConfig, AntiEntropy};
 use vitis_sim::event::NodeIdx;
 use vitis_sim::protocol::Context;
 use vitis_sim::time::SimTime;
-
-/// The repair traffic one round produced, for the node to put on the wire:
-/// the pulls first, then the digest — the order the sends must leave in.
-#[derive(Debug, Default)]
-pub struct RepairRound {
-    /// Pull retries due this round, as `(advertiser, missing event ids)`.
-    pub pulls: Vec<(NodeIdx, Vec<u64>)>,
-    /// The `(event id, topic)` digest to gossip; `None` when the layer is
-    /// off or idle.
-    pub digest: Option<Rc<Vec<(u64, u32)>>>,
-    /// The neighbors sampled to receive the digest.
-    pub digest_targets: Vec<NodeIdx>,
-}
 
 /// The forwarding-dedup set: one bit per event id, from the lowest id the
 /// node has seen (rounded down to a 64-bit word) to the highest.
@@ -227,30 +215,6 @@ impl Dissemination {
         })
     }
 
-    /// A repair push arrived at `addr`: deliver it as the distinct
-    /// `recovered` class and cache it for onward repair. Nothing is
-    /// returned for forwarding — recovered copies spread only through
-    /// further digest exchanges, so repair traffic stays pull-bounded.
-    pub fn recover(&mut self, addr: NodeIdx, subs: &Subs, now: SimTime, notif: Notification) {
-        let interested = subs.contains(notif.topic);
-        self.monitor.record_data_rx(addr, interested);
-        if !self.seen.insert(notif.event) {
-            // Another pull (or the flood itself) won the race; the monitor
-            // would ignore the re-delivery, so just retire the want.
-            self.ae.satisfy(notif.event.0);
-            return;
-        }
-        let here = Notification {
-            path: self.path_through(&notif.path, addr),
-            ..notif
-        };
-        if interested {
-            self.monitor
-                .record_delivery_recovered(here.event, addr, here.hops, now, &here.path);
-        }
-        self.ae.insert(here.event.0, here.topic.0, here, self.round);
-    }
-
     /// Hand one copy of `notif` to `to`: the `fwd` forensics record and the
     /// send, always together.
     pub fn send_copy<M>(
@@ -284,55 +248,103 @@ impl Dissemination {
         self.targets = targets;
     }
 
-    /// End-of-round step: count the round, age the cache, collect the pull
-    /// retries that are due and, when there is a digest to gossip, sample
-    /// its targets from `neighbors()`. With repair off (or nothing cached)
-    /// the closure is never called and no randomness is drawn, so default
-    /// runs stay bit-identical and allocate nothing here.
+    /// End-of-round step: count the round, age the cache, and return the
+    /// repair messages for the node to put on the wire, in the order they
+    /// must leave — a [`RepairMsg::Want`] per pull retry that is due, then,
+    /// when there is a digest to gossip, one [`RepairMsg::Digest`] to each
+    /// target sampled from `neighbors()`. With repair off (or nothing
+    /// cached) the closure is never called and no randomness is drawn, so
+    /// default runs stay bit-identical and allocate nothing here.
     pub fn round_step(
         &mut self,
         neighbors: impl FnOnce() -> Vec<NodeIdx>,
         rng: &mut SmallRng,
-    ) -> RepairRound {
+    ) -> Vec<(NodeIdx, RepairMsg)> {
         self.round += 1;
         if !self.ae.enabled() {
-            return RepairRound::default();
+            return Vec::new();
         }
         self.ae.tick(self.round);
-        let mut out = RepairRound {
-            pulls: self.ae.due_pulls(self.round),
-            ..RepairRound::default()
-        };
+        let mut out: Vec<_> = self
+            .ae
+            .due_pulls(self.round)
+            .into_iter()
+            .map(|(to, ids)| (to, RepairMsg::Want(ids)))
+            .collect();
         if let Some(entries) = self.ae.digest(self.round) {
-            out.digest_targets = self.ae.pick_targets(&neighbors(), rng);
-            out.digest = Some(Rc::new(entries));
+            let entries = Rc::new(entries);
+            for to in self.ae.pick_targets(&neighbors(), rng) {
+                out.push((to, RepairMsg::Digest(entries.clone())));
+            }
         }
         out
     }
 
-    /// A digest arrived from `from`: the event ids to pull from it right
-    /// now (advertised, on a topic in `subs`, never seen here).
-    pub fn on_digest(&mut self, from: NodeIdx, entries: &[(u64, u32)], subs: &Subs) -> Vec<u64> {
-        let seen = &self.seen;
-        self.ae.on_digest(
-            from,
-            entries,
-            self.round,
-            |t| subs.contains(TopicId(t)),
-            |e| seen.contains(EventId(e)),
-        )
-    }
-
-    /// A pull request arrived: the cached copies to push back, each one
-    /// repair hop on. Aged-out or never-held ids are silently absent.
-    pub fn serve(&self, ids: &[u64]) -> impl Iterator<Item = Notification> {
-        self.ae
-            .serve(ids)
-            .into_iter()
-            .map(|(_, _, cached)| Notification {
-                hops: cached.hops + 1,
-                ..cached
-            })
+    /// A repair message from `from` arrived at this node, subscribed to
+    /// `subs`:
+    /// - a digest returns the [`RepairMsg::Want`] to send back for the
+    ///   advertised events on a topic in `subs` never seen here (`None`
+    ///   when there are none); the node puts it on the wire itself;
+    /// - a want gets one [`Dissemination::send_copy`] push, one repair
+    ///   hop on, per event it names that is still cached (aged-out or
+    ///   never-held ids are silently absent);
+    /// - a push is delivered as the distinct `recovered` class and cached
+    ///   for onward repair. It is never forwarded: recovered copies spread
+    ///   only through further digest exchanges, so repair traffic stays
+    ///   pull-bounded.
+    pub fn on_repair<M>(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        from: NodeIdx,
+        subs: &Subs,
+        msg: RepairMsg,
+        wrap: impl Fn(RepairMsg) -> M,
+    ) -> Option<RepairMsg> {
+        match msg {
+            RepairMsg::Digest(entries) => {
+                let seen = &self.seen;
+                let wants = self.ae.on_digest(
+                    from,
+                    &entries,
+                    self.round,
+                    |t| subs.contains(TopicId(t)),
+                    |e| seen.contains(EventId(e)),
+                );
+                (!wants.is_empty()).then_some(RepairMsg::Want(wants))
+            }
+            RepairMsg::Want(ids) => {
+                for (_, _, cached) in self.ae.serve(&ids) {
+                    let push = Notification {
+                        hops: cached.hops + 1,
+                        ..cached
+                    };
+                    self.send_copy(ctx, from, push, |n| wrap(RepairMsg::Push(n)));
+                }
+                None
+            }
+            RepairMsg::Push(notif) => {
+                let (addr, interested) = (ctx.self_idx, subs.contains(notif.topic));
+                self.monitor.record_data_rx(addr, interested);
+                if !self.seen.insert(notif.event) {
+                    // Another pull (or the flood itself) won the race; the
+                    // monitor would ignore the re-delivery, so just retire
+                    // the want.
+                    self.ae.satisfy(notif.event.0);
+                    return None;
+                }
+                let here = Notification {
+                    path: self.path_through(&notif.path, addr),
+                    ..notif
+                };
+                if interested {
+                    self.monitor.record_delivery_recovered(
+                        here.event, addr, here.hops, ctx.now, &here.path,
+                    );
+                }
+                self.ae.insert(here.event.0, here.topic.0, here, self.round);
+                None
+            }
+        }
     }
 }
 
@@ -342,6 +354,7 @@ mod tests {
     use crate::topic::TopicSet;
     use rand::{Rng, SeedableRng};
     use vitis_sim::antientropy::DIGEST_FANOUT;
+    use vitis_sim::protocol::capture_sends;
 
     const T: TopicId = TopicId(3);
     const ME: NodeIdx = NodeIdx(1);
@@ -363,6 +376,50 @@ mod tests {
             hops,
             path: HopPath::origin(NodeIdx(0)),
         }
+    }
+
+    /// `d`, at `ME` and subscribed to `subs`, handles `msg` from `PEER` at
+    /// time `now`: the reply it returns and the sends it made.
+    fn handle(
+        d: &mut Dissemination,
+        subs: &Subs,
+        now: u64,
+        msg: RepairMsg,
+    ) -> (Option<RepairMsg>, Vec<(NodeIdx, RepairMsg)>) {
+        let mut rng = SmallRng::seed_from_u64(0);
+        let mut reply = None;
+        let sent = capture_sends(ME, SimTime(now), &mut rng, |ctx| {
+            reply = d.on_repair(ctx, PEER, subs, msg, |m| m);
+        });
+        (reply, sent)
+    }
+
+    /// The digest's reply: the want to send back, if any.
+    fn digest(d: &mut Dissemination, subs: &Subs, entries: &[(u64, u32)]) -> Option<RepairMsg> {
+        let (reply, sent) = handle(d, subs, 0, RepairMsg::Digest(Rc::new(entries.to_vec())));
+        assert!(sent.is_empty(), "the node sends the reply itself");
+        reply
+    }
+
+    /// A push of `notif` arrives at time `now`.
+    fn push(d: &mut Dissemination, subs: &Subs, now: u64, notif: Notification) {
+        let (reply, sent) = handle(d, subs, now, RepairMsg::Push(notif));
+        assert!(
+            reply.is_none() && sent.is_empty(),
+            "a push is never sent on"
+        );
+    }
+
+    /// The copies pushed back to `PEER` for its want of `ids`.
+    fn serve(d: &mut Dissemination, subs: &Subs, ids: &[u64]) -> Vec<Notification> {
+        let (reply, sent) = handle(d, subs, 0, RepairMsg::Want(ids.to_vec()));
+        assert!(reply.is_none(), "a want is answered with pushes alone");
+        sent.into_iter()
+            .map(|(to, msg)| match (to, msg) {
+                (PEER, RepairMsg::Push(n)) => n,
+                other => panic!("not a push to the asker: {other:?}"),
+            })
+            .collect()
     }
 
     /// The bitmap against a hash set: ids in a dense window with gaps,
@@ -428,8 +485,10 @@ mod tests {
         let fwd = d.receive(ME, &subs, SimTime(5), first).unwrap();
         assert_eq!((fwd.hops, fwd.path.nodes()), (2, &[][..]));
         let late = monitor.register_event(T, SimTime(0), vec![ME]);
-        d.recover(ME, &subs, SimTime(5), copy(late, 1));
-        assert!(d.serve(&[late.0]).all(|c| c.path.is_empty()));
+        push(&mut d, &subs, 5, copy(late, 1));
+        assert!(serve(&mut d, &subs, &[late.0])
+            .iter()
+            .all(|c| c.path.is_empty()));
 
         let trace = vitis_sim::trace::Trace::shared(16);
         monitor.set_trace(Some(trace.clone()));
@@ -439,8 +498,8 @@ mod tests {
         let fwd = d.receive(ME, &subs, SimTime(5), first).unwrap();
         assert_eq!((fwd.hops, fwd.path.nodes()), (2, &[origin, ME][..]));
         let pulled = monitor.register_event(T, SimTime(0), vec![ME]);
-        d.recover(ME, &subs, SimTime(6), copy(pulled, 1));
-        let served: Vec<Notification> = d.serve(&[pulled.0]).collect();
+        push(&mut d, &subs, 6, copy(pulled, 1));
+        let served = serve(&mut d, &subs, &[pulled.0]);
         assert_eq!(served[0].path.nodes(), &[origin, ME]);
         let paths: Vec<String> = trace
             .borrow()
@@ -460,7 +519,7 @@ mod tests {
         assert_eq!(fwd.hops, 2);
         assert!(d.repair().holds(event.0), "first arrival is cached");
         assert!(d.receive(ME, &subs, SimTime(6), copy(event, 4)).is_none());
-        d.recover(ME, &subs, SimTime(7), copy(event, 2)); // a late push is a duplicate too
+        push(&mut d, &subs, 7, copy(event, 2)); // a late push is a duplicate too
         let s = monitor.snapshot();
         assert_eq!(
             (s.useful_msgs, s.delivered),
@@ -473,25 +532,30 @@ mod tests {
     #[test]
     fn recovery_delivers_once_and_duplicates_retire_the_want() {
         let (mut d, subs, monitor, event) = setup();
-        let wants = d.on_digest(PEER, &[(event.0, T.0), (77, 99)], &subs);
-        assert_eq!(wants, vec![event.0], "only the subscribed topic's gap");
-        d.recover(ME, &subs, SimTime(5), copy(event, 3));
+        let want = digest(&mut d, &subs, &[(event.0, T.0), (77, 99)]);
+        assert_eq!(
+            want,
+            Some(RepairMsg::Want(vec![event.0])),
+            "only the subscribed topic's gap"
+        );
+        push(&mut d, &subs, 5, copy(event, 3));
         assert_eq!(
             (monitor.snapshot().delivered, monitor.recovered_deliveries()),
             (1, 1)
         );
         assert!(d.repair().holds(event.0), "cached for onward repair");
         assert_eq!(d.repair().pending(), 0);
-        assert!(
-            d.on_digest(PEER, &[(event.0, T.0)], &subs).is_empty(),
+        assert_eq!(
+            digest(&mut d, &subs, &[(event.0, T.0)]),
+            None,
             "never re-pulled"
         );
         // Force the race the duplicate branch guards: an event already
         // seen whose want is still outstanding.
         let other = monitor.register_event(T, SimTime(0), vec![ME]);
-        d.on_digest(PEER, &[(other.0, T.0)], &subs);
+        digest(&mut d, &subs, &[(other.0, T.0)]);
         d.seen.insert(other);
-        d.recover(ME, &subs, SimTime(6), copy(other, 3));
+        push(&mut d, &subs, 6, copy(other, 3));
         assert_eq!(d.repair().pending(), 0, "duplicate push retires the want");
         assert!(!d.repair().holds(other.0), "and caches nothing");
         assert_eq!(monitor.snapshot().delivered, 1, "nor delivers");
@@ -506,7 +570,7 @@ mod tests {
             d.receive(ME, &subs, SimTime(1), first).is_none(),
             "own event is seen"
         );
-        let pushes: Vec<Notification> = d.serve(&[event.0, 12345]).collect();
+        let pushes = serve(&mut d, &subs, &[event.0, 12345]);
         assert_eq!(pushes.len(), 1, "unknown ids are silently absent");
         assert_eq!(
             (pushes[0].event, pushes[0].hops),
@@ -517,17 +581,17 @@ mod tests {
 
     #[test]
     fn round_step_is_inert_until_there_is_a_digest_to_gossip() {
-        let (mut d, _, monitor, event) = setup();
-        let mut off = Dissemination::new(monitor, AeConfig::default());
+        let (mut d, subs, monitor, event) = setup();
+        let mut off = Dissemination::new(monitor.clone(), AeConfig::default());
         let mut rng = SmallRng::seed_from_u64(7);
         let mut untouched = rng.clone();
         off.publish(ME, event, T);
         let out = off.round_step(|| panic!("neighbors must not be built"), &mut rng);
-        assert!(out.pulls.is_empty() && out.digest.is_none());
+        assert!(out.is_empty());
         assert_eq!(off.round(), 1, "the round still counts");
         // Enabled but with nothing cached is just as quiet.
         let out = d.round_step(|| panic!("neighbors must not be built"), &mut rng);
-        assert!(out.digest.is_none());
+        assert!(out.is_empty());
         assert_eq!(
             rng.gen::<u64>(),
             untouched.gen::<u64>(),
@@ -536,8 +600,23 @@ mod tests {
         // With a cached event the digest goes to a sample of the neighbors.
         d.publish(ME, event, T);
         let out = d.round_step(|| (10..20).map(NodeIdx).collect(), &mut rng);
-        let entries = out.digest.expect("cached event is advertised");
-        assert_eq!(*entries, vec![(event.0, T.0)]);
-        assert_eq!(out.digest_targets.len(), DIGEST_FANOUT);
+        assert_eq!(out.len(), DIGEST_FANOUT);
+        let advertised = RepairMsg::Digest(Rc::new(vec![(event.0, T.0)]));
+        assert!(out
+            .iter()
+            .all(|(to, msg)| (10..20).contains(&to.0) && *msg == advertised));
+        // A pull retry that is due leaves before the round's digests.
+        let missing = monitor.register_event(T, SimTime(0), vec![ME]);
+        digest(&mut d, &subs, &[(missing.0, T.0)]);
+        let out =
+            std::iter::repeat_with(|| d.round_step(|| (10..20).map(NodeIdx).collect(), &mut rng))
+                .take(8)
+                .find(|out| out.iter().any(|(_, msg)| matches!(msg, RepairMsg::Want(_))))
+                .expect("the pull is retried");
+        assert_eq!(out[0], (PEER, RepairMsg::Want(vec![missing.0])));
+        assert_eq!(out.len(), 1 + DIGEST_FANOUT);
+        assert!(out[1..]
+            .iter()
+            .all(|(_, msg)| matches!(msg, RepairMsg::Digest(_))));
     }
 }

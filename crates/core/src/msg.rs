@@ -5,6 +5,7 @@ use crate::monitor::{EventId, HopPath};
 use crate::topic::{Subs, TopicId};
 use std::rc::Rc;
 use vitis_overlay::entry::Entry;
+use vitis_sim::trace::MsgTag;
 
 /// A published-event notification as it travels the overlay. The paper
 /// separates a small notification from a payload pull over the same path;
@@ -43,6 +44,46 @@ pub struct ProfileMsg {
     /// proposals at those positions; a list that broke the invariant would
     /// silently fold the wrong votes. Both ends `debug_assert!` it.
     pub proposals: Rc<Vec<(TopicId, Proposal)>>,
+}
+
+/// The anti-entropy repair messages (DESIGN §13), one declaration for
+/// the wire enums of Vitis, RVR and OPT, each of which carries it in a
+/// single `Repair` variant; [`crate::dissemination::Dissemination`] makes
+/// and handles all three.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RepairMsg {
+    /// Digest (IHAVE): `(event id, topic)` pairs the sender holds in its
+    /// repair cache. Shared via `Rc` so the per-target fan-out clones are
+    /// free.
+    Digest(Rc<Vec<(u64, u32)>>),
+    /// Pull request (IWANT): event ids the sender is missing and asks the
+    /// receiver to re-serve from its cache.
+    Want(Vec<u64>),
+    /// Recovery push: a cached notification re-served in answer to a
+    /// [`RepairMsg::Want`]. Data-plane — it carries the event payload, and
+    /// its hop count includes the repair hop.
+    Push(Notification),
+}
+
+impl RepairMsg {
+    /// The traffic-ledger kind: `ae_digest` and `ae_want` are control
+    /// plane, `ae_push` data plane.
+    pub fn tag(&self) -> MsgTag {
+        match self {
+            RepairMsg::Digest(_) => MsgTag::control("ae_digest"),
+            RepairMsg::Want(_) => MsgTag::control("ae_want"),
+            RepairMsg::Push(_) => MsgTag::data("ae_push"),
+        }
+    }
+
+    /// The event a push carries: a lost push is a lost copy of its event,
+    /// so network-loss attribution treats repair and flood alike.
+    pub fn event(&self) -> Option<u64> {
+        match self {
+            RepairMsg::Push(n) => Some(n.event.0),
+            _ => None,
+        }
+    }
 }
 
 /// All messages exchanged by Vitis nodes.
@@ -93,18 +134,9 @@ pub enum VitisMsg {
         /// Retry attempt number, 1-based; drives the backoff exponent.
         attempt: u32,
     },
-    /// Anti-entropy digest (IHAVE): `(event id, topic)` pairs the sender
-    /// holds in its repair cache. Shared via `Rc` so the per-target
-    /// fan-out clones are free. Only sent when the repair layer is
+    /// Anti-entropy repair traffic. Only sent when the repair layer is
     /// enabled.
-    AeDigest(Rc<Vec<(u64, u32)>>),
-    /// Anti-entropy pull request (IWANT): event ids the sender is missing
-    /// and asks the receiver to re-serve from its cache.
-    AeWant(Vec<u64>),
-    /// Anti-entropy recovery push: a cached notification re-served in
-    /// answer to an [`VitisMsg::AeWant`]. Data-plane — it carries the
-    /// event payload.
-    AePush(Notification),
+    Repair(RepairMsg),
 }
 
 /// Approximate serialized sizes, in bytes, for bandwidth accounting: a node
@@ -150,12 +182,14 @@ pub mod wire {
             // its size only matters for totality.
             VitisMsg::RetryPublish { .. } => 0,
             VitisMsg::Notification(_) | VitisMsg::PublishCmd { .. } => 16,
-            VitisMsg::AeDigest(entries) => {
+            VitisMsg::Repair(RepairMsg::Digest(entries)) => {
                 entries.len() as u64 * vitis_sim::antientropy::DIGEST_ENTRY_BYTES
             }
-            VitisMsg::AeWant(ids) => ids.len() as u64 * vitis_sim::antientropy::WANT_ID_BYTES,
+            VitisMsg::Repair(RepairMsg::Want(ids)) => {
+                ids.len() as u64 * vitis_sim::antientropy::WANT_ID_BYTES
+            }
             // A recovery push is the notification transfer again.
-            VitisMsg::AePush(_) => 16,
+            VitisMsg::Repair(RepairMsg::Push(_)) => 16,
         }
     }
 }

@@ -667,18 +667,14 @@ impl Protocol for VitisNode {
             VitisMsg::PublishCmd { .. } => MsgTag::data("publish_cmd"),
             VitisMsg::PubAck { .. } => MsgTag::control("pub_ack"),
             VitisMsg::RetryPublish { .. } => MsgTag::control("retry_pub"),
-            VitisMsg::AeDigest(_) => MsgTag::control("ae_digest"),
-            VitisMsg::AeWant(_) => MsgTag::control("ae_want"),
-            VitisMsg::AePush(_) => MsgTag::data("ae_push"),
+            VitisMsg::Repair(r) => r.tag(),
         }
     }
 
     fn event_of(msg: &VitisMsg) -> Option<u64> {
         match msg {
             VitisMsg::Notification(n) => Some(n.event.0),
-            // A lost recovery push is a lost copy of its event too — the
-            // net-drop attribution treats repair and flood alike.
-            VitisMsg::AePush(n) => Some(n.event.0),
+            VitisMsg::Repair(r) => r.event(),
             _ => None,
         }
     }
@@ -764,17 +760,9 @@ impl Protocol for VitisNode {
         //    the connection set (table plus reverse links). Entirely inert
         //    — no sends, no RNG draws — unless the layer is enabled, so
         //    default runs stay bit-identical.
-        let (rt, nbrs) = (self.net.rt(), &self.nbrs);
-        let repair = self
-            .dissem
-            .round_step(|| repair_neighbors(rt, nbrs), ctx.rng);
-        for (target, ids) in repair.pulls {
-            self.send_control(ctx, target, VitisMsg::AeWant(ids));
-        }
-        if let Some(entries) = repair.digest {
-            for t in repair.digest_targets {
-                self.send_control(ctx, t, VitisMsg::AeDigest(entries.clone()));
-            }
+        let neighbors = || repair_neighbors(self.net.rt(), &self.nbrs);
+        for (to, msg) in self.dissem.round_step(neighbors, ctx.rng) {
+            self.send_control(ctx, to, VitisMsg::Repair(msg));
         }
     }
 
@@ -814,20 +802,14 @@ impl Protocol for VitisNode {
             } => {
                 self.on_retry_publish(ctx, event, topic, attempt);
             }
-            VitisMsg::AeDigest(entries) => {
-                let wants = self.dissem.on_digest(from, &entries, self.net.payload());
-                if !wants.is_empty() {
-                    self.send_control(ctx, from, VitisMsg::AeWant(wants));
+            VitisMsg::Repair(msg) => {
+                let subs = self.net.payload();
+                if let Some(want) = self
+                    .dissem
+                    .on_repair(ctx, from, subs, msg, VitisMsg::Repair)
+                {
+                    self.send_control(ctx, from, VitisMsg::Repair(want));
                 }
-            }
-            VitisMsg::AeWant(ids) => {
-                for push in self.dissem.serve(&ids) {
-                    self.dissem.send_copy(ctx, from, push, VitisMsg::AePush);
-                }
-            }
-            VitisMsg::AePush(notif) => {
-                let (addr, subs) = (self.net.addr(), self.net.payload());
-                self.dissem.recover(addr, subs, ctx.now, notif);
             }
         }
     }

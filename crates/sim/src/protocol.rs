@@ -116,6 +116,27 @@ impl<'a, M> Context<'a, M> {
     }
 }
 
+/// Run `handler` on a context outside any engine — node `self_idx` at
+/// `now`, drawing from `rng` — and return the sends it made, in order;
+/// self-timers are dropped. For unit tests of code that takes a
+/// [`Context`], without an engine around it.
+pub fn capture_sends<M>(
+    self_idx: NodeIdx,
+    now: SimTime,
+    rng: &mut SmallRng,
+    handler: impl FnOnce(&mut Context<'_, M>),
+) -> Vec<(NodeIdx, M)> {
+    let mut effects = Vec::new();
+    handler(&mut Context::new(self_idx, now, rng, &mut effects));
+    effects
+        .into_iter()
+        .filter_map(|e| match e {
+            Effect::Send { to, msg } => Some((to, msg)),
+            Effect::TimerMsg { .. } => None,
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,5 +165,17 @@ mod tests {
             }
             _ => panic!("expected timer"),
         }
+    }
+
+    #[test]
+    fn captured_sends_keep_their_order_and_drop_timers() {
+        let mut rng = SmallRng::seed_from_u64(1);
+        let sends = capture_sends(NodeIdx(3), SimTime(10), &mut rng, |ctx| {
+            assert_eq!((ctx.self_idx, ctx.now), (NodeIdx(3), SimTime(10)));
+            ctx.send(NodeIdx(1), 100);
+            ctx.timer(Duration(5), 200);
+            ctx.send(NodeIdx(2), 300);
+        });
+        assert_eq!(sends, [(NodeIdx(1), 100), (NodeIdx(2), 300)]);
     }
 }

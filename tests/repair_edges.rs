@@ -4,10 +4,15 @@
 //! cache-expiry edge (a pull answered after its entry aged out) is covered
 //! at unit level in `vitis_sim::antientropy` (`cache_ages_out_...`).
 
+use std::rc::Rc;
 use vitis::monitor::LossReason;
 use vitis::prelude::*;
+use vitis_baselines::opt::OptMsg;
+use vitis_baselines::rvr::RvrMsg;
+use vitis_baselines::{OptNode, RvrNode};
 use vitis_sim::antientropy::{AeConfig, CACHE_ROUNDS};
 use vitis_sim::fault::{FaultEpisode, FaultPlan, LossScope, Span};
+use vitis_sim::prelude::{MsgTag, Protocol};
 use vitis_workloads::{Correlation, SubscriptionModel};
 
 fn lossy_repair_params(seed: u64) -> SystemParams {
@@ -228,4 +233,40 @@ fn repair_does_not_cross_an_active_partition() {
         recovering >= 4,
         "post-heal repair recovered on {recovering} of 12 seeds"
     );
+}
+
+/// All three systems carry the one `RepairMsg` in their wire enums: each
+/// tags it with the same ledger kinds and attributes a lost push to its
+/// event, as it does a lost flood copy (`LossReason::Network`).
+#[test]
+fn every_system_tags_and_attributes_repair_messages_alike() {
+    fn check<P: Protocol>(wrap: impl Fn(RepairMsg) -> P::Msg) {
+        let push = Notification {
+            event: EventId(7),
+            topic: TopicId(1),
+            hops: 2,
+            path: Default::default(),
+        };
+        for (msg, tag, event) in [
+            (
+                RepairMsg::Digest(Rc::new(vec![(7, 1)])),
+                MsgTag::control("ae_digest"),
+                None,
+            ),
+            (RepairMsg::Want(vec![7]), MsgTag::control("ae_want"), None),
+            (RepairMsg::Push(push), MsgTag::data("ae_push"), Some(7)),
+        ] {
+            assert_eq!((msg.tag(), msg.event()), (tag, event));
+            let wire = wrap(msg);
+            assert_eq!(
+                (P::classify(&wire), P::event_of(&wire)),
+                (tag, event),
+                "{}",
+                std::any::type_name::<P>()
+            );
+        }
+    }
+    check::<VitisNode>(VitisMsg::Repair);
+    check::<RvrNode>(RvrMsg::Repair);
+    check::<OptNode>(OptMsg::Repair);
 }
