@@ -166,12 +166,14 @@ impl OptNode {
         came_from: Option<NodeIdx>,
         notif: Notification,
     ) {
-        for (&peer, link) in &self.links {
-            if Some(peer) != came_from && link.subs.contains(notif.topic) {
-                self.dissem
-                    .send_copy(ctx, peer, notif.clone(), OptMsg::Notif);
-            }
-        }
+        let (topic, links) = (notif.topic, &self.links);
+        self.dissem
+            .send_copies(ctx, notif, OptMsg::Notif, |targets| {
+                let shared = links
+                    .iter()
+                    .filter(|(&peer, link)| Some(peer) != came_from && link.subs.contains(topic));
+                targets.extend(shared.map(|(&peer, _)| peer));
+            });
     }
 }
 

@@ -6,13 +6,17 @@
 //! A node type holds one [`Dissemination`] and keeps only the decision of
 //! *where* a copy goes next — friends + reverse links + relay fan-out
 //! (Vitis), tree fan-out (RVR) or the topic-subgraph flood (OPT) — plus its
-//! own hardening. The component owns the repair wire protocol,
+//! own hardening. The component builds the publisher's first-hop copy,
+//! sends every forwarded copy ([`Dissemination::send_copies`]) and runs
+//! every arrival, flooded or recovered, through one routine, so a node
+//! delivers each event once however its copies reach it. It also owns the
+//! repair wire protocol,
 //! [`RepairMsg`], which each node's wire enum carries in one `Repair`
 //! variant: it returns the repair messages a round or a digest calls for
 //! and the node puts them on the wire, so a node that accounts control
 //! bytes (Vitis) does so without this code branching on its caller.
 
-use crate::monitor::{EventId, HopPath, Monitor};
+use crate::monitor::{Arrival, EventId, HopPath, Monitor};
 use crate::msg::{Notification, RepairMsg};
 use crate::topic::{Subs, TopicId};
 use rand::rngs::SmallRng;
@@ -149,11 +153,23 @@ impl Dissemination {
     /// `addr` while the monitor has a trace installed, no path otherwise
     /// (the `deliver_event` record is a path's only reader). A publisher
     /// passes the empty path, which gives its origin path.
-    pub fn path_through(&self, path: &HopPath, addr: NodeIdx) -> HopPath {
+    fn path_through(&self, path: &HopPath, addr: NodeIdx) -> HopPath {
         if self.monitor.traced() {
             path.extend(addr)
         } else {
             HopPath::default()
+        }
+    }
+
+    /// The copy of `event` that its publisher `addr` hands to its first
+    /// hops: one hop out, its path at the origin. A publish and each of
+    /// its retries send this copy.
+    pub(crate) fn first_hop(&self, addr: NodeIdx, event: EventId, topic: TopicId) -> Notification {
+        Notification {
+            event,
+            topic,
+            hops: 1,
+            path: self.path_through(&HopPath::default(), addr),
         }
     }
 
@@ -162,12 +178,7 @@ impl Dissemination {
     /// for the node to fan out.
     pub fn publish(&mut self, addr: NodeIdx, event: EventId, topic: TopicId) -> Notification {
         self.seen.insert(event);
-        let first_hop = Notification {
-            event,
-            topic,
-            hops: 1,
-            path: self.path_through(&HopPath::default(), addr),
-        };
+        let first_hop = self.first_hop(addr, event, topic);
         if self.ae.enabled() {
             let origin = Notification {
                 hops: 0,
@@ -179,10 +190,8 @@ impl Dissemination {
     }
 
     /// A copy of `notif` arrived at `addr` (subscribed to `subs`) through
-    /// normal dissemination. Counts the reception, and for a first arrival
-    /// extends the causal path (under a trace), records the delivery if
-    /// subscribed and caches the copy for pulling peers. Returns the copy
-    /// to forward, one hop on — `None` for a duplicate.
+    /// normal dissemination; see `arrive`. Returns the copy to forward, one
+    /// hop on — `None` for a duplicate.
     pub fn receive(
         &mut self,
         addr: NodeIdx,
@@ -190,9 +199,34 @@ impl Dissemination {
         now: SimTime,
         notif: Notification,
     ) -> Option<Notification> {
+        let here = self.arrive(addr, subs, now, notif, Arrival::Flooded)?;
+        Some(Notification {
+            hops: here.hops + 1,
+            ..here
+        })
+    }
+
+    /// Every copy that reaches this node, flooded or recovered, arrives
+    /// here: count the reception, and for a first arrival extend the
+    /// causal path (under a trace), record the delivery under `class` if
+    /// `subs` holds the topic and cache the copy for pulling peers.
+    /// Returns the copy as it stands here — `None` for a duplicate, which
+    /// only retires the pull for its event when it is a recovered one
+    /// (another pull, or the flood itself, won the race).
+    fn arrive(
+        &mut self,
+        addr: NodeIdx,
+        subs: &Subs,
+        now: SimTime,
+        notif: Notification,
+        class: Arrival,
+    ) -> Option<Notification> {
         let interested = subs.contains(notif.topic);
         self.monitor.record_data_rx(addr, interested);
         if !self.seen.insert(notif.event) {
+            if class == Arrival::Recovered {
+                self.ae.satisfy(notif.event.0);
+            }
             return None;
         }
         // Extend the causal path with this node once; the delivery record,
@@ -203,21 +237,18 @@ impl Dissemination {
         };
         if interested {
             self.monitor
-                .record_delivery_traced(here.event, addr, here.hops, now, &here.path);
+                .record_arrival(here.event, addr, here.hops, now, &here.path, class);
         }
         if self.ae.enabled() {
             self.ae
                 .insert(here.event.0, here.topic.0, here.clone(), self.round);
         }
-        Some(Notification {
-            hops: here.hops + 1,
-            ..here
-        })
+        Some(here)
     }
 
     /// Hand one copy of `notif` to `to`: the `fwd` forensics record and the
     /// send, always together.
-    pub fn send_copy<M>(
+    fn send_copy<M>(
         &self,
         ctx: &mut Context<'_, M>,
         to: NodeIdx,
@@ -229,9 +260,10 @@ impl Dissemination {
         ctx.send(to, wrap(notif));
     }
 
-    /// Fan `notif` out: `fill` appends the targets (in send order, without
-    /// duplicates) to the node's reused target buffer, and each gets one
-    /// [`Dissemination::send_copy`].
+    /// Fan `notif` out, the one way a node's forwarded copies leave: `fill`
+    /// appends the targets (in send order, without duplicates) to the
+    /// node's reused target buffer, and each gets one copy with its `fwd`
+    /// record.
     pub fn send_copies<M>(
         &mut self,
         ctx: &mut Context<'_, M>,
@@ -273,7 +305,7 @@ impl Dissemination {
             .collect();
         if let Some(entries) = self.ae.digest(self.round) {
             let entries = Rc::new(entries);
-            for to in self.ae.pick_targets(&neighbors(), rng) {
+            for to in self.ae.pick_targets(neighbors(), rng) {
                 out.push((to, RepairMsg::Digest(entries.clone())));
             }
         }
@@ -285,10 +317,11 @@ impl Dissemination {
     /// - a digest returns the [`RepairMsg::Want`] to send back for the
     ///   advertised events on a topic in `subs` never seen here (`None`
     ///   when there are none); the node puts it on the wire itself;
-    /// - a want gets one [`Dissemination::send_copy`] push, one repair
+    /// - a want gets one `send_copy` push, one repair
     ///   hop on, per event it names that is still cached (aged-out or
     ///   never-held ids are silently absent);
-    /// - a push is delivered as the distinct `recovered` class and cached
+    /// - a push arrives like a flooded copy (see `arrive`),
+    ///   delivered as the distinct recovered class and cached
     ///   for onward repair. It is never forwarded: recovered copies spread
     ///   only through further digest exchanges, so repair traffic stays
     ///   pull-bounded.
@@ -323,25 +356,7 @@ impl Dissemination {
                 None
             }
             RepairMsg::Push(notif) => {
-                let (addr, interested) = (ctx.self_idx, subs.contains(notif.topic));
-                self.monitor.record_data_rx(addr, interested);
-                if !self.seen.insert(notif.event) {
-                    // Another pull (or the flood itself) won the race; the
-                    // monitor would ignore the re-delivery, so just retire
-                    // the want.
-                    self.ae.satisfy(notif.event.0);
-                    return None;
-                }
-                let here = Notification {
-                    path: self.path_through(&notif.path, addr),
-                    ..notif
-                };
-                if interested {
-                    self.monitor.record_delivery_recovered(
-                        here.event, addr, here.hops, ctx.now, &here.path,
-                    );
-                }
-                self.ae.insert(here.event.0, here.topic.0, here, self.round);
+                self.arrive(ctx.self_idx, subs, ctx.now, notif, Arrival::Recovered);
                 None
             }
         }
@@ -527,6 +542,49 @@ mod tests {
             "three receptions, one delivery"
         );
         assert_eq!(monitor.recovered_deliveries(), 0);
+    }
+
+    /// A pushed copy and a flooded copy of one wanted event, in either
+    /// order: whichever arrives first is delivered (under its class),
+    /// cached and — if flooded — forwarded; the second only counts as a
+    /// reception. The want is retired either way.
+    #[test]
+    fn a_push_and_a_flooded_copy_deliver_once_in_either_order() {
+        for (case, push_first) in [("push first", true), ("flood first", false)] {
+            let (mut d, subs, monitor, event) = setup();
+            let want = digest(&mut d, &subs, &[(event.0, T.0)]);
+            assert_eq!(want, Some(RepairMsg::Want(vec![event.0])));
+            let (flooded, pushed) = (copy(event, 2), copy(event, 5));
+            let forwarded = if push_first {
+                push(&mut d, &subs, 5, pushed);
+                d.receive(ME, &subs, SimTime(6), flooded)
+            } else {
+                let fwd = d.receive(ME, &subs, SimTime(5), flooded);
+                push(&mut d, &subs, 6, pushed);
+                fwd
+            };
+            let s = monitor.snapshot();
+            assert_eq!(s.delivered, 1, "{case}: one delivery");
+            assert_eq!(
+                monitor.recovered_deliveries(),
+                u64::from(push_first),
+                "{case}: recovered only when the push came first"
+            );
+            assert_eq!(s.useful_msgs, 2, "{case}: both receptions count");
+            assert_eq!(
+                forwarded.map(|f| f.hops),
+                (!push_first).then_some(3),
+                "{case}: only a first flooded arrival is forwarded"
+            );
+            let cached = serve(&mut d, &subs, &[event.0]);
+            let first_hops = if push_first { 5 } else { 2 };
+            assert_eq!(
+                cached.iter().map(|c| c.hops).collect::<Vec<_>>(),
+                [first_hops + 1],
+                "{case}: the first copy alone is cached"
+            );
+            assert_eq!(d.repair().pending(), 0, "{case}: no want is left");
+        }
     }
 
     #[test]

@@ -29,13 +29,26 @@ use vitis_sim::trace::{KindTraffic, TraceEvent, TraceHandle, TrafficClass};
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EventId(pub u64);
 
+/// How a copy of an event reached a node: the delivery class a first
+/// arrival is recorded under ([`Monitor::record_arrival`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Arrival {
+    /// Through the system's own dissemination: the publisher's fan-out and
+    /// every copy forwarded on from it.
+    Flooded,
+    /// Through the anti-entropy repair layer (an `ae_push` answering a
+    /// pull): counted in [`Monitor::recovered_deliveries`] and flagged
+    /// `recovered` in its forensics record.
+    Recovered,
+}
+
 /// Causal hop-path provenance carried inside dissemination messages: the
 /// engine slots an event copy has visited, publisher first. Backed by a
 /// shared `Rc` so fanning a notification out to `k` neighbors clones a
 /// pointer, not the path; [`HopPath::extend`] allocates once per hop.
 ///
 /// A copy carries a path only while its monitor has a trace installed
-/// (`Dissemination::path_through` builds every path): the `deliver_event`
+/// (the `Dissemination` component builds every path): the `deliver_event`
 /// record is the path's only reader, so, like [`Monitor::record_forward`],
 /// it costs an untraced run nothing. An untraced copy holds `None`: its
 /// first receipt allocates nothing and its duplicates drop no shared `Rc`
@@ -506,49 +519,25 @@ impl Monitor {
     /// late joiners); repeated arrivals keep the minimum hop count and the
     /// earliest arrival time.
     pub fn record_delivery(&self, event: EventId, node: NodeIdx, hops: u32, now: SimTime) {
-        self.record_delivery_traced(event, node, hops, now, &HopPath::default());
+        let untraced = HopPath::default();
+        self.record_arrival(event, node, hops, now, &untraced, Arrival::Flooded);
     }
 
-    /// [`Monitor::record_delivery`] with causal provenance: the first
-    /// arrival at an expected subscriber additionally emits a
-    /// `deliver_event` forensics record (hops, publish-to-arrival latency,
-    /// and the hop path) into the installed trace, if any.
-    pub fn record_delivery_traced(
+    /// [`Monitor::record_delivery`] with causal provenance and the copy's
+    /// [`Arrival`] class: the first arrival at an expected subscriber
+    /// additionally emits a `deliver_event` forensics record (hops,
+    /// publish-to-arrival latency, the hop path and whether it was
+    /// recovered) into the installed trace, if any.
+    pub(crate) fn record_arrival(
         &self,
         event: EventId,
         node: NodeIdx,
         hops: u32,
         now: SimTime,
         path: &HopPath,
+        class: Arrival,
     ) {
-        self.deliver(event, node, hops, now, path, false);
-    }
-
-    /// [`Monitor::record_delivery_traced`] for a copy that arrived via
-    /// the anti-entropy repair layer: the first arrival still counts as a
-    /// delivery (shrinking the loss gap) but is flagged `recovered` in
-    /// its forensics record and tallied separately
-    /// ([`Monitor::recovered_deliveries`]).
-    pub fn record_delivery_recovered(
-        &self,
-        event: EventId,
-        node: NodeIdx,
-        hops: u32,
-        now: SimTime,
-        path: &HopPath,
-    ) {
-        self.deliver(event, node, hops, now, path, true);
-    }
-
-    fn deliver(
-        &self,
-        event: EventId,
-        node: NodeIdx,
-        hops: u32,
-        now: SimTime,
-        path: &HopPath,
-        recovered: bool,
-    ) {
+        let recovered = class == Arrival::Recovered;
         let mut inner = self.0.borrow_mut();
         let Some(rec) = inner.record_of(event) else {
             return;
@@ -1001,10 +990,10 @@ mod forensics_tests {
         m.trace_publish(e, n(0));
         m.record_forward(e, n(0), n(1), 1, SimTime(11));
         let path = HopPath::origin(n(0)).extend(n(1));
-        m.record_delivery_traced(e, n(1), 1, SimTime(12), &path);
+        m.record_arrival(e, n(1), 1, SimTime(12), &path, Arrival::Flooded);
         // A duplicate arrival and an unexpected node emit nothing extra.
-        m.record_delivery_traced(e, n(1), 2, SimTime(13), &path);
-        m.record_delivery_traced(e, n(9), 1, SimTime(12), &path);
+        m.record_arrival(e, n(1), 2, SimTime(13), &path, Arrival::Flooded);
+        m.record_arrival(e, n(9), 1, SimTime(12), &path, Arrival::Flooded);
         let evs: Vec<TraceEvent> = trace.borrow().events().cloned().collect();
         assert_eq!(evs.len(), 3);
         assert_eq!(
@@ -1050,7 +1039,8 @@ mod forensics_tests {
         let e = m.register_event(TopicId(0), SimTime(0), vec![n(1)]);
         m.trace_publish(e, n(0));
         m.record_forward(e, n(0), n(1), 1, SimTime(1));
-        m.record_delivery_traced(e, n(1), 1, SimTime(2), &HopPath::origin(n(0)));
+        let path = HopPath::origin(n(0));
+        m.record_arrival(e, n(1), 1, SimTime(2), &path, Arrival::Flooded);
         assert_eq!(m.snapshot().delivered, 1);
     }
 
@@ -1376,11 +1366,12 @@ mod delivery_table_tests {
                         let (hops, now) = (rng.gen_range(1..10), SimTime(rng.gen_range(50..200)));
                         let path = HopPath::default();
                         let is_recovery = rng.gen_range(0..5) == 0;
-                        if is_recovery {
-                            m.record_delivery_recovered(event, node, hops, now, &path);
+                        let class = if is_recovery {
+                            Arrival::Recovered
                         } else {
-                            m.record_delivery_traced(event, node, hops, now, &path);
-                        }
+                            Arrival::Flooded
+                        };
+                        m.record_arrival(event, node, hops, now, &path, class);
                         let Some(ev) = window.iter_mut().find(|e| e.id == event) else {
                             continue;
                         };

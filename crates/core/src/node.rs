@@ -7,7 +7,7 @@
 use crate::config::VitisConfig;
 use crate::dissemination::Dissemination;
 use crate::gateway::{revise_step, Proposal};
-use crate::monitor::{EventId, HopPath, Monitor};
+use crate::monitor::{EventId, Monitor};
 use crate::msg::{wire, Notification, ProfileMsg, VitisMsg};
 use crate::relay::{RelayTable, RELAY_TTL};
 use crate::smallmap::SmallMap;
@@ -621,14 +621,7 @@ impl VitisNode {
         if !self.pending_pubs.contains(&event) {
             return;
         }
-        let notif = Notification {
-            event,
-            topic,
-            hops: 1,
-            path: self
-                .dissem
-                .path_through(&HopPath::default(), self.net.addr()),
-        };
+        let notif = self.dissem.first_hop(self.net.addr(), event, topic);
         self.forward_notification(ctx, None, notif);
         if attempt < self.cfg.publish_retries {
             let delay = self

@@ -14,9 +14,9 @@
 //!
 //! * [`analyze`] computes per-round structural metrics — topic
 //!   connectivity with and without relay stitching, rendezvous
-//!   uniqueness, gateway load, degree/view-age histograms and sampled
-//!   relay-path stretch — summarized into a
-//!   [`vitis_sim::trace::TopoProbe`].
+//!   uniqueness, the largest gateway load, link count and mean view age,
+//!   and sampled relay-path stretch — as the flat
+//!   [`vitis_sim::trace::TopoProbe`] a `topo` record carries.
 //! * [`audit`] checks the relay-layer invariants (upstream/downstream
 //!   symmetry, no links to departed nodes, bounded views, rendezvous
 //!   marked iff terminal) and reports violations with node/topic
@@ -173,32 +173,6 @@ impl OverlaySnapshot {
     }
 }
 
-/// Full analysis output: the flat [`TopoProbe`] summary plus the
-/// distributions that do not fit a flat trace record.
-#[derive(Clone, Debug, Default)]
-pub struct TopoMetrics {
-    /// Flat per-round summary (what the periodic sampler records).
-    pub probe: TopoProbe,
-    /// Out-degree histogram over online nodes: `hist[d]` = nodes with
-    /// `d` live outgoing links.
-    pub out_degree_hist: Vec<u64>,
-    /// In-degree histogram over online nodes.
-    pub in_degree_hist: Vec<u64>,
-    /// View-age histogram over live links that carry ages.
-    pub view_age_hist: Vec<u64>,
-    /// Per-gateway load: `(gateway slot, topics it fronts)`, sorted by
-    /// slot; a gateway's load is the number of distinct topics some node
-    /// currently believes it is the gateway for.
-    pub gateway_loads: Vec<(u32, u64)>,
-}
-
-fn bump(hist: &mut Vec<u64>, value: usize) {
-    if hist.len() <= value {
-        hist.resize(value + 1, 0);
-    }
-    hist[value] += 1;
-}
-
 /// Evenly spaced sample of up to `max` items out of `0..len`.
 fn sample_indices(len: usize, max: usize) -> Vec<usize> {
     if len <= max || max == 0 {
@@ -229,48 +203,31 @@ fn walk_upstream(snap: &OverlaySnapshot, topic: TopicId, start: NodeIdx) -> Opti
     }
 }
 
-/// Compute the structural health metrics of a snapshot.
+/// Compute the structural health metrics of a snapshot (the audit's
+/// violation count aside, which [`probe`] adds).
 ///
 /// Per-topic connectivity is computed over at most `max_topics` evenly
 /// spaced subscribed topics (all of them when `max_topics` is large
 /// enough); `TopoProbe::sampled_topics` records how many were analysed.
-pub fn analyze(snap: &OverlaySnapshot, max_topics: usize) -> TopoMetrics {
-    let mut m = TopoMetrics {
-        probe: TopoProbe {
-            nodes: snap.nodes.len() as u64,
-            ..TopoProbe::default()
-        },
-        ..TopoMetrics::default()
+pub fn analyze(snap: &OverlaySnapshot, max_topics: usize) -> TopoProbe {
+    let mut p = TopoProbe {
+        nodes: snap.nodes.len() as u64,
+        ..TopoProbe::default()
     };
     let graph = snap.overlay_graph();
 
-    // Degree and view-age distributions over live links.
-    let mut in_deg: BTreeMap<u32, u64> = BTreeMap::new();
+    // Live links, and the mean age of those that carry one.
     let (mut age_sum, mut aged_links) = (0u64, 0u64);
     for n in &snap.nodes {
-        let mut out = 0usize;
-        for l in &n.links {
-            if !snap.is_alive(l.peer) {
-                continue;
-            }
-            out += 1;
-            *in_deg.entry(l.peer.0).or_default() += 1;
+        for l in n.links.iter().filter(|l| snap.is_alive(l.peer)) {
+            p.links += 1;
             if let Some(age) = l.age {
-                bump(&mut m.view_age_hist, age as usize);
                 age_sum += u64::from(age);
                 aged_links += 1;
             }
         }
-        m.probe.links += out as u64;
-        bump(&mut m.out_degree_hist, out);
     }
-    for n in &snap.nodes {
-        bump(
-            &mut m.in_degree_hist,
-            in_deg.get(&n.node.0).copied().unwrap_or(0) as usize,
-        );
-    }
-    m.probe.mean_view_age = (aged_links > 0).then(|| age_sum as f64 / aged_links as f64);
+    p.mean_view_age = (aged_links > 0).then(|| age_sum as f64 / aged_links as f64);
 
     // Relay state inventory: per-topic edges, holders and rendezvous
     // claimants; dead links counted globally.
@@ -290,15 +247,15 @@ pub fn analyze(snap: &OverlaySnapshot, max_topics: usize) -> TopoMetrics {
                         .or_default()
                         .push((n.node.0, peer.0));
                 } else {
-                    m.probe.dead_links += 1;
+                    p.dead_links += 1;
                 }
             }
         }
     }
     for (&t, holders) in &relay_holders {
         match rendezvous_claims.get(&t).copied().unwrap_or(0) {
-            0 if !holders.is_empty() => m.probe.headless_topics += 1,
-            c if c >= 2 => m.probe.rendezvous_conflicts += 1,
+            0 if !holders.is_empty() => p.headless_topics += 1,
+            c if c >= 2 => p.rendezvous_conflicts += 1,
             _ => {}
         }
     }
@@ -314,8 +271,7 @@ pub fn analyze(snap: &OverlaySnapshot, max_topics: usize) -> TopoMetrics {
     for (gw, _) in &believed {
         *loads.entry(gw.0).or_default() += 1;
     }
-    m.probe.max_gateway_load = loads.values().copied().max().unwrap_or(0);
-    m.gateway_loads = loads.into_iter().collect();
+    p.max_gateway_load = loads.values().copied().max().unwrap_or(0);
 
     // Per-topic connectivity: components of the alive-subscriber induced
     // subgraph (fragmentation), then again with the topic's relay edges
@@ -333,8 +289,8 @@ pub fn analyze(snap: &OverlaySnapshot, max_topics: usize) -> TopoMetrics {
         if subs.is_empty() {
             continue;
         }
-        m.probe.sampled_topics += 1;
-        m.probe.components += graph.components_within(subs).len() as u64;
+        p.sampled_topics += 1;
+        p.components += graph.components_within(subs).len() as u64;
 
         let mut stitched = graph.clone();
         if let Some(edges) = relay_edges.get(&t) {
@@ -352,7 +308,7 @@ pub fn analyze(snap: &OverlaySnapshot, max_topics: usize) -> TopoMetrics {
         for comp in stitched.components_within(&vertices) {
             let in_comp = comp.iter().filter(|v| sub_set.contains(v)).count();
             if in_comp > 0 {
-                m.probe.stitched_components += 1;
+                p.stitched_components += 1;
                 largest_subs = largest_subs.max(in_comp);
             }
         }
@@ -376,18 +332,18 @@ pub fn analyze(snap: &OverlaySnapshot, max_topics: usize) -> TopoMetrics {
             if hops == 0 {
                 continue; // the gateway is the rendezvous itself
             }
-            let dist = graph.bfs_hops(gw.0, None)[terminal.0 as usize];
+            let dist = graph.bfs_hops(gw.0)[terminal.0 as usize];
             if let Some(d) = dist.filter(|&d| d > 0) {
                 stretch_sum += f64::from(hops) / f64::from(d);
                 stretch_n += 1;
             }
         }
     }
-    if m.probe.sampled_topics > 0 {
-        m.probe.largest_component_frac = frac_sum / m.probe.sampled_topics as f64;
+    if p.sampled_topics > 0 {
+        p.largest_component_frac = frac_sum / p.sampled_topics as f64;
     }
-    m.probe.mean_relay_stretch = (stretch_n > 0).then(|| stretch_sum / stretch_n as f64);
-    m
+    p.mean_relay_stretch = (stretch_n > 0).then(|| stretch_sum / stretch_n as f64);
+    p
 }
 
 /// One invariant violation, with provenance.
@@ -506,7 +462,7 @@ pub fn audit(snap: &OverlaySnapshot) -> Vec<Violation> {
 /// [`audit`] violation count folded in. What the periodic sampler and
 /// the health time series record.
 pub fn probe(snap: &OverlaySnapshot, max_topics: usize) -> TopoProbe {
-    let mut p = analyze(snap, max_topics).probe;
+    let mut p = analyze(snap, max_topics);
     p.violations = audit(snap).len() as u64;
     p
 }
@@ -598,26 +554,24 @@ mod tests {
     #[test]
     fn relay_paths_stitch_components() {
         let snap = stitched_snapshot();
-        let m = analyze(&snap, 16);
-        assert_eq!(m.probe.nodes, 5);
-        assert_eq!(m.probe.sampled_topics, 1);
+        let p = analyze(&snap, 16);
+        assert_eq!(p.nodes, 5);
+        assert_eq!(p.sampled_topics, 1);
         // Overlay alone: {0,1} and {2,3}.
-        assert_eq!(m.probe.components, 2);
+        assert_eq!(p.components, 2);
         // Relay edges 1–4–2 join everything.
-        assert_eq!(m.probe.stitched_components, 1);
-        assert!((m.probe.largest_component_frac - 1.0).abs() < 1e-12);
-        assert_eq!(m.probe.rendezvous_conflicts, 0);
-        assert_eq!(m.probe.headless_topics, 0);
-        assert_eq!(m.probe.dead_links, 0);
-        assert_eq!(m.probe.max_gateway_load, 1);
-        assert_eq!(m.gateway_loads, vec![(1, 1)]);
+        assert_eq!(p.stitched_components, 1);
+        assert!((p.largest_component_frac - 1.0).abs() < 1e-12);
+        assert_eq!(p.rendezvous_conflicts, 0);
+        assert_eq!(p.headless_topics, 0);
+        assert_eq!(p.dead_links, 0);
+        assert_eq!(p.max_gateway_load, 1);
         // Gateway 1 reaches rendezvous 2 in 2 relay hops; the overlay
         // graph has no path at all, so no stretch sample is possible.
-        assert_eq!(m.probe.mean_relay_stretch, None);
+        assert_eq!(p.mean_relay_stretch, None);
         // 4 directed live links, ages 0,1,0,2.
-        assert_eq!(m.probe.links, 4);
-        assert_eq!(m.out_degree_hist, vec![1, 4]); // node 4 has 0 links
-        assert_eq!(m.view_age_hist, vec![2, 1, 1]);
+        assert_eq!(p.links, 4);
+        assert_eq!(p.mean_view_age, Some(0.75));
         assert!(audit(&snap).is_empty());
     }
 
@@ -627,10 +581,10 @@ mod tests {
         // Give the overlay a direct 1–2 edge: relay chain (2 hops) over
         // BFS distance 1 → stretch 2.
         snap.nodes[1].links.push(link(2, 0));
-        let m = analyze(&snap, 16);
-        assert_eq!(m.probe.mean_relay_stretch, Some(2.0));
+        let p = analyze(&snap, 16);
+        assert_eq!(p.mean_relay_stretch, Some(2.0));
         // The direct edge also merges the overlay-only components.
-        assert_eq!(m.probe.components, 1);
+        assert_eq!(p.components, 1);
     }
 
     #[test]
@@ -639,9 +593,9 @@ mod tests {
         // The rendezvous loses its claim (entry expired): node 2 keeps
         // only the downstream link.
         snap.nodes[2].relays[0].rendezvous = false;
-        let m = analyze(&snap, 16);
-        assert_eq!(m.probe.headless_topics, 1);
-        assert_eq!(m.probe.mean_relay_stretch, None);
+        let p = analyze(&snap, 16);
+        assert_eq!(p.headless_topics, 1);
+        assert_eq!(p.mean_relay_stretch, None);
     }
 
     #[test]
@@ -654,8 +608,8 @@ mod tests {
             downstream: vec![NodeIdx(2)],
             rendezvous: true,
         }];
-        let m = analyze(&snap, 16);
-        assert_eq!(m.probe.rendezvous_conflicts, 1);
+        let p = analyze(&snap, 16);
+        assert_eq!(p.rendezvous_conflicts, 1);
     }
 
     #[test]
@@ -663,15 +617,15 @@ mod tests {
         let mut snap = stitched_snapshot();
         // Node 4 departs; 1's upstream and 2's downstream now dangle.
         snap.nodes.remove(4);
-        let m = analyze(&snap, 16);
-        assert_eq!(m.probe.dead_links, 2);
-        assert_eq!(m.probe.stitched_components, 2, "stitching is lost");
+        let p = analyze(&snap, 16);
+        assert_eq!(p.dead_links, 2);
+        assert_eq!(p.stitched_components, 2, "stitching is lost");
         let v = audit(&snap);
         let kinds: Vec<&str> = v.iter().map(|x| x.kind).collect();
         assert_eq!(kinds, vec!["dead_upstream", "dead_downstream"]);
         assert_eq!(v[0].node, NodeIdx(1));
         assert_eq!(v[0].topic, Some(T));
-        assert_eq!(m.probe.violations, 0, "analyze() does not audit");
+        assert_eq!(p.violations, 0, "analyze() does not audit");
         assert_eq!(probe(&snap, 16).violations, 2);
     }
 

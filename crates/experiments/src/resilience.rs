@@ -25,73 +25,63 @@ use vitis_sim::time::SimTime;
 use vitis_sim::trace::TraceEvent;
 use vitis_workloads::Correlation;
 
-/// Timeline and sweep parameters, all in rounds (tick spans derive from
-/// the round period).
-#[derive(Clone, Debug)]
-pub struct ResiliencePlan {
-    /// Fractions of the network isolated by the partition episode.
-    pub severities: Vec<f64>,
-    /// Fault-free convergence rounds before any measurement.
-    pub warmup_rounds: u64,
-    /// Measurement windows establishing the pre-fault baseline.
-    pub baseline_windows: u64,
-    /// Windows the partition stays up.
-    pub episode_windows: u64,
-    /// Maximum windows observed after healing before a run is declared
-    /// non-reconverged.
-    pub recovery_windows: u64,
-    /// Rounds per measurement window (publish batch + dissemination).
-    pub window_rounds: u64,
-    /// Events published per window, round-robin over topics.
-    pub events_per_window: usize,
-    /// Reconvergence band: recovered once `hit ≥ baseline − tolerance`.
-    pub tolerance: f64,
-    /// Rounds between the heal and the fault-loss attribution pass. The
-    /// episode-published events stay registered through this grace, so a
-    /// repair layer (when enabled) gets a chance to pull fault-time
-    /// losses back before they are attributed.
-    pub repair_grace_rounds: u64,
+// The timeline, in rounds (tick spans derive from the round period).
+
+/// Fractions of the network isolated by the partition episode.
+const SEVERITIES: [f64; 3] = [0.1, 0.25, 0.5];
+/// Measurement windows establishing the pre-fault baseline.
+const BASELINE_WINDOWS: u64 = 2;
+/// Windows the partition stays up.
+const EPISODE_WINDOWS: u64 = 3;
+/// Maximum windows observed after healing before a run is declared
+/// non-reconverged.
+const RECOVERY_WINDOWS: u64 = 12;
+/// Rounds per measurement window (publish batch + dissemination).
+const WINDOW_ROUNDS: u64 = 3;
+/// Reconvergence band: recovered once `hit ≥ baseline − TOLERANCE`.
+const TOLERANCE: f64 = 0.02;
+/// Rounds between the heal and the fault-loss attribution pass. The
+/// episode-published events stay registered through this grace, so a
+/// repair layer (when enabled) gets a chance to pull fault-time losses
+/// back before they are attributed.
+const REPAIR_GRACE_ROUNDS: u64 = 6;
+
+/// Fault-free convergence rounds before any measurement.
+fn warmup_rounds(scale: &Scale) -> u64 {
+    scale.warmup_rounds.max(20)
 }
 
-impl ResiliencePlan {
-    /// A plan matched to an experiment scale.
-    pub fn for_scale(scale: &Scale) -> Self {
-        ResiliencePlan {
-            severities: vec![0.1, 0.25, 0.5],
-            warmup_rounds: scale.warmup_rounds.max(20),
-            baseline_windows: 2,
-            episode_windows: 3,
-            recovery_windows: 12,
-            window_rounds: 3,
-            events_per_window: scale.topics.min(20),
-            tolerance: 0.02,
-            repair_grace_rounds: 6,
-        }
-    }
+/// Events published per window, round-robin over topics.
+fn events_per_window(scale: &Scale) -> usize {
+    scale.topics.min(20)
+}
 
-    /// Ticks from run start until the partition heals.
-    pub fn episode_end_tick(&self, round_period: u64) -> u64 {
-        let start = self.warmup_rounds + self.baseline_windows * self.window_rounds;
-        (start + self.episode_windows * self.window_rounds) * round_period
-    }
+/// The round the partition starts in.
+fn episode_start_round(scale: &Scale) -> u64 {
+    warmup_rounds(scale) + BASELINE_WINDOWS * WINDOW_ROUNDS
+}
 
-    /// The partition episode for one severity: nodes `0..⌈s·N⌉` split off
-    /// for the episode span. Severities that round to zero nodes (or the
-    /// whole network) produce an empty plan.
-    pub fn fault_plan(&self, severity: f64, n: usize, round_period: u64) -> FaultPlan {
-        let k = ((severity * n as f64).ceil() as usize).min(n);
-        if k == 0 || k == n {
-            return FaultPlan::empty();
-        }
-        let start =
-            (self.warmup_rounds + self.baseline_windows * self.window_rounds) * round_period;
-        let end = self.episode_end_tick(round_period);
-        FaultPlan::new(vec![FaultEpisode::Partition {
-            groups: vec![(0..k as u32).collect()],
-            span: Span::new(start, end),
-        }])
-        .expect("partition plan is valid by construction")
+/// Ticks from run start until the partition heals.
+fn episode_end_tick(scale: &Scale, round_period: u64) -> u64 {
+    (episode_start_round(scale) + EPISODE_WINDOWS * WINDOW_ROUNDS) * round_period
+}
+
+/// The partition episode for one severity: nodes `0..⌈s·N⌉` of the
+/// scale's `N` split off for the episode span. Severities that round to
+/// zero nodes (or the whole network) produce an empty plan.
+fn fault_plan(scale: &Scale, severity: f64, round_period: u64) -> FaultPlan {
+    let n = scale.nodes;
+    let k = ((severity * n as f64).ceil() as usize).min(n);
+    if k == 0 || k == n {
+        return FaultPlan::empty();
     }
+    let start = episode_start_round(scale) * round_period;
+    let end = episode_end_tick(scale, round_period);
+    FaultPlan::new(vec![FaultEpisode::Partition {
+        groups: vec![(0..k as u32).collect()],
+        span: Span::new(start, end),
+    }])
+    .expect("partition plan is valid by construction")
 }
 
 /// Outcome of one `(system, severity)` run.
@@ -110,7 +100,7 @@ pub struct ResilienceOutcome {
     /// band, or `None` if it never did within the observation horizon.
     pub recovery_rounds: Option<f64>,
     /// `LossReason::Network` misses among the episode-published events,
-    /// attributed [`ResiliencePlan::repair_grace_rounds`] after the heal
+    /// attributed `REPAIR_GRACE_ROUNDS` after the heal
     /// — the fault-time loss gap the repair layer exists to close.
     pub fault_net_losses: u64,
     /// First-arrival deliveries that came in through the repair layer
@@ -138,15 +128,10 @@ fn sample_topo(series: &mut TopoSeries, sys: &dyn PubSub, round_period: u64) {
 }
 
 /// Publish one window's event batch round-robin over topics.
-fn publish_window(
-    sys: &mut dyn PubSub,
-    plan: &ResiliencePlan,
-    topics: usize,
-    topic_cursor: &mut u32,
-) {
-    for _ in 0..plan.events_per_window {
+fn publish_window(sys: &mut dyn PubSub, scale: &Scale, topic_cursor: &mut u32) {
+    for _ in 0..events_per_window(scale) {
         sys.publish(TopicId(*topic_cursor));
-        *topic_cursor = (*topic_cursor + 1) % topics as u32;
+        *topic_cursor = (*topic_cursor + 1) % scale.topics as u32;
     }
 }
 
@@ -154,15 +139,14 @@ fn publish_window(
 /// round (probing overlay health after each), return the window's stats.
 fn window_stats(
     sys: &mut dyn PubSub,
-    plan: &ResiliencePlan,
-    topics: usize,
+    scale: &Scale,
     topic_cursor: &mut u32,
     round_period: u64,
     topo: &mut TopoSeries,
 ) -> PubSubStats {
     sys.reset_metrics();
-    publish_window(sys, plan, topics, topic_cursor);
-    for _ in 0..plan.window_rounds {
+    publish_window(sys, scale, topic_cursor);
+    for _ in 0..WINDOW_ROUNDS {
         sys.run_rounds(1);
         sample_topo(topo, sys, round_period);
     }
@@ -184,7 +168,6 @@ fn ae_sent(stats: &PubSubStats) -> u64 {
 /// probes into `topo`.
 pub fn run_system(
     sys: &mut dyn PubSub,
-    plan: &ResiliencePlan,
     scale: &Scale,
     severity: f64,
     round_period: u64,
@@ -192,24 +175,24 @@ pub fn run_system(
 ) -> ResilienceOutcome {
     let mut cursor = 0u32;
     let mut repair_msgs = 0u64;
-    sys.run_rounds(plan.warmup_rounds);
+    sys.run_rounds(warmup_rounds(scale));
     sample_topo(topo, sys, round_period); // pre-fault structural baseline
     let mut baseline = 0.0;
-    for _ in 0..plan.baseline_windows {
-        let s = window_stats(sys, plan, scale.topics, &mut cursor, round_period, topo);
+    for _ in 0..BASELINE_WINDOWS {
+        let s = window_stats(sys, scale, &mut cursor, round_period, topo);
         baseline += s.hit_ratio;
         repair_msgs += ae_sent(&s);
     }
-    baseline /= plan.baseline_windows.max(1) as f64;
+    baseline /= BASELINE_WINDOWS as f64;
 
     // Episode phase: one pooled measurement window spanning every episode
     // window, so the events published under the partition stay registered
     // through the post-heal repair grace and the loss attribution below
     // observes any repair-layer recoveries.
     sys.reset_metrics();
-    for _ in 0..plan.episode_windows {
-        publish_window(sys, plan, scale.topics, &mut cursor);
-        for _ in 0..plan.window_rounds {
+    for _ in 0..EPISODE_WINDOWS {
+        publish_window(sys, scale, &mut cursor);
+        for _ in 0..WINDOW_ROUNDS {
             sys.run_rounds(1);
             sample_topo(topo, sys, round_period);
         }
@@ -217,7 +200,7 @@ pub fn run_system(
     let episode = sys.stats().hit_ratio;
     // The partition heals here; grant the grace before attributing the
     // fault-time losses.
-    for _ in 0..plan.repair_grace_rounds {
+    for _ in 0..REPAIR_GRACE_ROUNDS {
         sys.run_rounds(1);
         sample_topo(topo, sys, round_period);
     }
@@ -230,11 +213,11 @@ pub fn run_system(
         .sum();
     repair_msgs += ae_sent(&sys.stats());
 
-    let heal = SimTime(plan.episode_end_tick(round_period));
-    let mut tracker = ReconvergenceTracker::new(baseline, heal, plan.tolerance);
+    let heal = SimTime(episode_end_tick(scale, round_period));
+    let mut tracker = ReconvergenceTracker::new(baseline, heal, TOLERANCE);
     let mut last = episode;
-    for _ in 0..plan.recovery_windows {
-        let s = window_stats(sys, plan, scale.topics, &mut cursor, round_period, topo);
+    for _ in 0..RECOVERY_WINDOWS {
+        let s = window_stats(sys, scale, &mut cursor, round_period, topo);
         last = s.hit_ratio;
         repair_msgs += ae_sent(&s);
         tracker.observe(sys.now(), last);
@@ -261,7 +244,6 @@ pub fn run_system(
 /// default (enabled) configuration.
 pub fn run_point(
     system: System,
-    plan: &ResiliencePlan,
     scale: &Scale,
     severity: f64,
     repair: bool,
@@ -269,7 +251,7 @@ pub fn run_point(
 ) -> ResilienceOutcome {
     let mut params: SystemParams = synthetic_params(scale, Correlation::Low);
     let period = params.round_period.ticks();
-    params.faults = plan.fault_plan(severity, scale.nodes, period);
+    params.faults = fault_plan(scale, severity, period);
     if repair {
         params.repair = AeConfig::on();
     }
@@ -287,7 +269,7 @@ pub fn run_point(
     let mut sys = system.build(params);
     ctx.phase("build");
     let mut topo: TopoSeries = Obs::global().metrics.is_open().then(Vec::new);
-    let outcome = run_system(sys.as_mut(), plan, scale, severity, period, &mut topo);
+    let outcome = run_system(sys.as_mut(), scale, severity, period, &mut topo);
     ctx.phase("run");
     // The overlay-health series goes through the metrics sink (the
     // resilience sweep runs without a trace sink), one stamped `topo`
@@ -314,17 +296,15 @@ pub fn run_point(
 /// on, every `(system, severity)` point runs twice at identical seeds
 /// (anti-entropy off and on), so the figures carry paired curves.
 pub fn run(scale: &Scale, repair: bool) -> Vec<Figure> {
-    let plan = ResiliencePlan::for_scale(scale);
     let modes: &[bool] = if repair { &[false, true] } else { &[false] };
     // One curve per (system, mode), its severities adjacent.
-    let severities = &plan.severities;
     let points = System::ALL.iter().flat_map(|&s| {
         modes
             .iter()
-            .flat_map(move |&ae| severities.iter().map(move |&sev| (s, ae, sev)))
+            .flat_map(move |&ae| SEVERITIES.map(|sev| (s, ae, sev)))
     });
     let outcomes = par_indexed(points, |index, (system, ae, sev)| {
-        (system, ae, run_point(system, &plan, scale, sev, ae, index))
+        (system, ae, run_point(system, scale, sev, ae, index))
     });
 
     let mut hit = Figure::new(
@@ -342,7 +322,7 @@ pub fn run(scale: &Scale, repair: bool) -> Vec<Figure> {
         "% of nodes isolated",
         "messages / deliveries per run",
     );
-    for curve in outcomes.chunks(severities.len().max(1)) {
+    for curve in outcomes.chunks(SEVERITIES.len()) {
         let (system, ae, _) = curve[0];
         let label = &format!("{}{}", system.label(), if ae { "+AE" } else { "" });
         let mine: Vec<&ResilienceOutcome> = curve.iter().map(|(_, _, o)| o).collect();
@@ -367,7 +347,7 @@ pub fn run(scale: &Scale, repair: bool) -> Vec<Figure> {
                     "unrecovered: {label} at {:.0}% isolated never re-entered the band \
                      within {} post-heal windows",
                     100.0 * o.severity,
-                    plan.recovery_windows
+                    RECOVERY_WINDOWS
                 ));
             }
         }
@@ -397,7 +377,7 @@ pub fn run(scale: &Scale, repair: bool) -> Vec<Figure> {
     }
     hit.note(format!(
         "baseline windows before the episode; tolerance band {:.0}% of baseline hit ratio",
-        100.0 * plan.tolerance
+        100.0 * TOLERANCE
     ));
     hit.note(
         "Vitis runs with hardening on: publish_retries=2, gateway_failover, max_event_hops=64",
@@ -405,7 +385,7 @@ pub fn run(scale: &Scale, repair: bool) -> Vec<Figure> {
     rec.note(format!(
         "reconvergence observed for at most {} windows after the heal; unrecovered runs are \
          listed above, not plotted",
-        plan.recovery_windows
+        RECOVERY_WINDOWS
     ));
     let mut figs = vec![hit, rec];
     if repair {
@@ -423,14 +403,13 @@ mod tests {
     #[test]
     fn fault_plan_scales_with_severity() {
         let sc = Scale::proportional(100, 1);
-        let plan = ResiliencePlan::for_scale(&sc);
-        assert!(plan.fault_plan(0.0, 100, 64).is_empty());
-        let p = plan.fault_plan(0.25, 100, 64);
+        assert!(fault_plan(&sc, 0.0, 64).is_empty());
+        let p = fault_plan(&sc, 0.25, 64);
         assert_eq!(p.episodes().len(), 1);
         match &p.episodes()[0] {
             FaultEpisode::Partition { groups, span } => {
                 assert_eq!(groups[0].len(), 25);
-                assert_eq!(span.end, SimTime(plan.episode_end_tick(64)));
+                assert_eq!(span.end, SimTime(episode_end_tick(&sc, 64)));
                 assert!(span.start < span.end);
             }
             other => panic!("expected a partition, got {other:?}"),
@@ -445,9 +424,8 @@ mod tests {
     fn all_systems_reconverge_after_partition_heals() {
         let mut sc = Scale::proportional(150, 19);
         sc.warmup_rounds = 25;
-        let plan = ResiliencePlan::for_scale(&sc);
         for system in System::ALL {
-            let o = run_point(system, &plan, &sc, 0.25, false, 0);
+            let o = run_point(system, &sc, 0.25, false, 0);
             let system = system.name();
             assert!(o.baseline_hit > 0.9, "{system} baseline {}", o.baseline_hit);
             assert!(
@@ -477,14 +455,13 @@ mod tests {
     fn health_readings(seed: u64) -> HealthReadings {
         let mut sc = Scale::proportional(150, seed);
         sc.warmup_rounds = 25;
-        let plan = ResiliencePlan::for_scale(&sc);
         let severity = 0.4;
         let mut params = synthetic_params(&sc, Correlation::Low);
         let period = params.round_period.ticks();
-        params.faults = plan.fault_plan(severity, sc.nodes, period);
+        params.faults = fault_plan(&sc, severity, period);
         let mut sys = System::Vitis.build(params);
         let mut topo: TopoSeries = Some(Vec::new());
-        run_system(sys.as_mut(), &plan, &sc, severity, period, &mut topo);
+        run_system(sys.as_mut(), &sc, severity, period, &mut topo);
         for _ in 0..4 {
             sys.run_rounds(3);
             sample_topo(&mut topo, sys.as_ref(), period);
@@ -499,8 +476,8 @@ mod tests {
             })
             .collect();
         assert!(samples.windows(2).all(|w| w[0].0 < w[1].0));
-        let ep_start = plan.warmup_rounds + plan.baseline_windows * plan.window_rounds;
-        let ep_end = ep_start + plan.episode_windows * plan.window_rounds;
+        let ep_start = episode_start_round(&sc);
+        let ep_end = ep_start + EPISODE_WINDOWS * WINDOW_ROUNDS;
         let pre: Vec<_> = samples.iter().filter(|s| s.0 <= ep_start).collect();
         let during: Vec<_> = samples
             .iter()
@@ -573,9 +550,8 @@ mod tests {
     fn repair_reduces_fault_time_network_losses() {
         let mut sc = Scale::proportional(150, 19);
         sc.warmup_rounds = 25;
-        let plan = ResiliencePlan::for_scale(&sc);
-        let off = run_point(System::Vitis, &plan, &sc, 0.25, false, 0);
-        let on = run_point(System::Vitis, &plan, &sc, 0.25, true, 1);
+        let off = run_point(System::Vitis, &sc, 0.25, false, 0);
+        let on = run_point(System::Vitis, &sc, 0.25, true, 1);
         assert_eq!(off.recovered_deliveries, 0, "repair off must never recover");
         assert_eq!(off.repair_msgs, 0, "repair off must send no ae_* traffic");
         assert!(off.fault_net_losses > 0, "partition must drop something");
@@ -597,10 +573,9 @@ mod tests {
     fn n500_repair_strictly_reduces_network_losses() {
         let mut sc = Scale::proportional(500, 42);
         sc.warmup_rounds = 30;
-        let plan = ResiliencePlan::for_scale(&sc);
         for system in System::ALL {
-            let off = run_point(system, &plan, &sc, 0.25, false, 0);
-            let on = run_point(system, &plan, &sc, 0.25, true, 1);
+            let off = run_point(system, &sc, 0.25, false, 0);
+            let on = run_point(system, &sc, 0.25, true, 1);
             let system = system.name();
             assert!(
                 on.fault_net_losses < off.fault_net_losses,
@@ -617,9 +592,8 @@ mod tests {
     fn n500_partition_heal_recovers_within_band() {
         let mut sc = Scale::proportional(500, 42);
         sc.warmup_rounds = 30;
-        let plan = ResiliencePlan::for_scale(&sc);
         for system in System::ALL {
-            let o = run_point(system, &plan, &sc, 0.25, false, 0);
+            let o = run_point(system, &sc, 0.25, false, 0);
             let system = system.name();
             assert!(
                 o.recovery_rounds.is_some(),
@@ -628,7 +602,7 @@ mod tests {
                 o.baseline_hit
             );
             assert!(
-                o.recovered_hit >= o.baseline_hit - plan.tolerance,
+                o.recovered_hit >= o.baseline_hit - TOLERANCE,
                 "{system}: recovered hit {} not within 2% of baseline {}",
                 o.recovered_hit,
                 o.baseline_hit

@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 
 use crate::runner::synthetic_params;
 use crate::scale::Scale;
-use vitis::topo::{analyze, audit, OverlaySnapshot, TopoMetrics, Violation, TOPO_SAMPLE_TOPICS};
+use vitis::topo::{analyze, audit, OverlaySnapshot, TopoProbe, Violation, TOPO_SAMPLE_TOPICS};
 use vitis_baselines::System;
 use vitis_sim::trace::TraceEvent;
 use vitis_workloads::Correlation;
@@ -50,7 +50,7 @@ pub struct TopologyRun {
     /// One `topo` record per sample, in round order.
     pub samples: Vec<TraceEvent>,
     /// Structural metrics of the final snapshot.
-    pub final_metrics: TopoMetrics,
+    pub final_probe: TopoProbe,
     /// Invariant violations found in the final snapshot.
     pub violations: Vec<Violation>,
     /// Graphviz DOT rendering of the final overlay.
@@ -80,19 +80,13 @@ pub fn run(scale: &Scale, opts: &TopologyOpts) -> TopologyRun {
         samples.push(vitis::topo::sample(&snap, period));
     }
 
-    let final_metrics = analyze(&snap, TOPO_SAMPLE_TOPICS);
+    let final_probe = analyze(&snap, TOPO_SAMPLE_TOPICS);
     let violations = audit(&snap);
     let dot = render_dot(&snap);
-    let summary = render_summary(
-        opts.system,
-        round,
-        samples.len(),
-        &final_metrics,
-        &violations,
-    );
+    let summary = render_summary(opts.system, round, samples.len(), &final_probe, &violations);
     TopologyRun {
         samples,
-        final_metrics,
+        final_probe,
         violations,
         dot,
         summary,
@@ -149,10 +143,9 @@ fn render_summary(
     system: System,
     final_round: u64,
     samples: usize,
-    m: &TopoMetrics,
+    p: &TopoProbe,
     violations: &[Violation],
 ) -> String {
-    let p = &m.probe;
     let mut s = String::new();
     let _ = writeln!(
         s,
@@ -254,7 +247,7 @@ mod tests {
                 every: 5,
             };
             let r = run(&sc, &opts);
-            assert!(r.final_metrics.probe.nodes > 0);
+            assert!(r.final_probe.nodes > 0);
             assert!(r.dot.starts_with("digraph overlay {"));
             assert!(r.dot.ends_with("}\n"));
             match system {

@@ -3,7 +3,7 @@
 //! The experiment harness snapshots the current neighbor relation and uses
 //! these utilities to find topic *clusters* (maximal connected subgraphs of
 //! the subscribers of a topic — the unit the paper's gateway mechanism works
-//! on), measure hop distances, and extract degree distributions.
+//! on) and measure hop distances.
 
 use std::collections::VecDeque;
 
@@ -72,16 +72,6 @@ impl Graph {
         self.adj.iter().map(|a| a.len()).sum::<usize>() / 2
     }
 
-    /// Degrees of the given vertices (or all vertices if `None`).
-    pub fn degrees(&self, subset: Option<&[u32]>) -> Vec<u64> {
-        match subset {
-            Some(vs) => vs.iter().map(|&v| self.degree(v) as u64).collect(),
-            None => (0..self.len() as u32)
-                .map(|v| self.degree(v) as u64)
-                .collect(),
-        }
-    }
-
     /// Maximal connected components of the subgraph induced by `subset` —
     /// exactly the paper's "clusters" when `subset` is the subscriber set of
     /// a topic. Components are returned in discovery order; vertices within
@@ -115,26 +105,16 @@ impl Graph {
         comps
     }
 
-    /// BFS hop counts from `src` within the subgraph induced by `subset`
-    /// (or the whole graph if `None`). `None` entries are unreachable.
-    pub fn bfs_hops(&self, src: u32, subset: Option<&[u32]>) -> Vec<Option<u32>> {
-        let mut allowed = vec![subset.is_none(); self.len()];
-        if let Some(vs) = subset {
-            for &v in vs {
-                allowed[v as usize] = true;
-            }
-        }
+    /// BFS hop counts from `src`. `None` entries are unreachable.
+    pub fn bfs_hops(&self, src: u32) -> Vec<Option<u32>> {
         let mut dist = vec![None; self.len()];
-        if !allowed[src as usize] {
-            return dist;
-        }
         let mut q = VecDeque::new();
         dist[src as usize] = Some(0);
         q.push_back(src);
         while let Some(v) = q.pop_front() {
             let d = dist[v as usize].expect("queued vertex has distance");
             for &w in self.neighbors(v) {
-                if allowed[w as usize] && dist[w as usize].is_none() {
+                if dist[w as usize].is_none() {
                     dist[w as usize] = Some(d + 1);
                     q.push_back(w);
                 }
@@ -177,29 +157,12 @@ mod tests {
     }
 
     #[test]
-    fn bfs_hops_whole_graph_and_subset() {
-        let g = path_graph(5);
-        let d = g.bfs_hops(0, None);
-        assert_eq!(d[4], Some(4));
-        // Removing vertex 2 disconnects 0 from 4.
-        let d = g.bfs_hops(0, Some(&[0, 1, 3, 4]));
-        assert_eq!(d[1], Some(1));
-        assert_eq!(d[4], None);
-        assert_eq!(d[2], None);
-    }
-
-    #[test]
-    fn bfs_from_outside_subset_is_all_none() {
-        let g = path_graph(3);
-        let d = g.bfs_hops(1, Some(&[0, 2]));
-        assert!(d.iter().all(|x| x.is_none()));
-    }
-
-    #[test]
-    fn degrees_subset() {
-        let g = path_graph(4);
-        assert_eq!(g.degrees(None), vec![1, 2, 2, 1]);
-        assert_eq!(g.degrees(Some(&[1, 3])), vec![2, 1]);
+    fn bfs_hops_counts_hops_and_leaves_the_unreachable_out() {
+        assert_eq!(path_graph(5).bfs_hops(0), [0, 1, 2, 3, 4].map(Some));
+        // A vertex with no edge is unreachable, and reaches nothing.
+        let g = Graph::from_edges(6, (0..4).map(|i| (i, i + 1)));
+        assert_eq!(g.bfs_hops(1)[5], None);
+        assert_eq!(g.bfs_hops(5), [None, None, None, None, None, Some(0)]);
     }
 
     #[test]

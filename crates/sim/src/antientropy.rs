@@ -236,17 +236,17 @@ impl<P: Clone> AntiEntropy<P> {
 
     /// Sample up to [`DIGEST_FANOUT`] distinct digest targets from
     /// `neighbors` (a deterministic partial shuffle on the caller's RNG
-    /// stream). Call only when [`AntiEntropy::digest`] returned work, so
-    /// a disabled or idle layer consumes no randomness.
-    pub fn pick_targets(&self, neighbors: &[NodeIdx], rng: &mut impl Rng) -> Vec<NodeIdx> {
-        let mut pool: Vec<NodeIdx> = neighbors.to_vec();
-        let k = DIGEST_FANOUT.min(pool.len());
+    /// stream, in place: the list is the caller's to give up). Call only
+    /// when [`AntiEntropy::digest`] returned work, so a disabled or idle
+    /// layer consumes no randomness.
+    pub fn pick_targets(&self, mut neighbors: Vec<NodeIdx>, rng: &mut impl Rng) -> Vec<NodeIdx> {
+        let k = DIGEST_FANOUT.min(neighbors.len());
         for i in 0..k {
-            let j = rng.gen_range(i..pool.len());
-            pool.swap(i, j);
+            let j = rng.gen_range(i..neighbors.len());
+            neighbors.swap(i, j);
         }
-        pool.truncate(k);
-        pool
+        neighbors.truncate(k);
+        neighbors
     }
 
     /// Process a digest from `from`: every advertised event whose topic
@@ -503,7 +503,7 @@ mod tests {
         let nbrs: Vec<NodeIdx> = (0..10).map(NodeIdx).collect();
         let pick = |seed: u64| {
             let mut rng = SmallRng::seed_from_u64(seed);
-            ae.pick_targets(&nbrs, &mut rng)
+            ae.pick_targets(nbrs.clone(), &mut rng)
         };
         assert_eq!(pick(7), pick(7), "same stream, same sample");
         assert_eq!(pick(7).len(), DIGEST_FANOUT);
@@ -512,12 +512,12 @@ mod tests {
         one.dedup();
         assert_eq!(one.len(), DIGEST_FANOUT, "targets are distinct");
         assert_eq!(
-            ae.pick_targets(&nbrs[..1], &mut SmallRng::seed_from_u64(1))
+            ae.pick_targets(nbrs[..1].to_vec(), &mut SmallRng::seed_from_u64(1))
                 .len(),
             1
         );
         assert!(ae
-            .pick_targets(&[], &mut SmallRng::seed_from_u64(1))
+            .pick_targets(Vec::new(), &mut SmallRng::seed_from_u64(1))
             .is_empty());
     }
 }

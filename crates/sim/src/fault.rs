@@ -10,7 +10,7 @@
 //! Determinism: an empty plan consumes no randomness and delegates every
 //! call unchanged, so a faulted run with no episodes is bit-identical to an
 //! unfaulted one. Active loss bursts draw exactly one RNG value per
-//! in-scope message; partitions consume none.
+//! message; partitions consume none.
 
 use crate::event::NodeIdx;
 use crate::network::NetworkModel;
@@ -43,16 +43,16 @@ impl Span {
     }
 }
 
-/// Which messages a loss burst affects.
+/// Which messages a loss burst affects: every message in the network.
+/// The one variant is what every plan in the workspace and the benchmark
+/// names.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum LossScope {
     /// Every message in the network.
     All,
-    /// Messages whose sender *or* receiver is one of these slots.
-    Nodes(Vec<u32>),
 }
 
-/// One scheduled fault. Node lists refer to engine slots
+/// One scheduled fault. Partition groups refer to engine slots
 /// (`NodeIdx.0`); they are sorted and deduplicated during plan validation.
 #[derive(Clone, PartialEq, Debug)]
 pub enum FaultEpisode {
@@ -65,7 +65,7 @@ pub enum FaultEpisode {
         /// When the partition holds.
         span: Span,
     },
-    /// While active, each in-scope message is independently dropped with
+    /// While active, each message is independently dropped with
     /// probability `prob` (on top of whatever the inner model drops).
     LossBurst {
         /// Per-message drop probability in `[0, 1]`.
@@ -94,8 +94,7 @@ pub enum FaultPlanError {
     EmptySpan(usize),
     /// A loss probability outside `[0, 1]`.
     InvalidProb(usize),
-    /// A loss burst with an empty node list, or a partition with an empty
-    /// group or no groups.
+    /// A partition with no groups or an empty group.
     NoNodes(usize),
     /// A partition listing the same slot in two groups.
     OverlappingGroups(usize),
@@ -106,7 +105,7 @@ impl std::fmt::Display for FaultPlanError {
         match self {
             FaultPlanError::EmptySpan(i) => write!(f, "episode {i}: span start >= end"),
             FaultPlanError::InvalidProb(i) => write!(f, "episode {i}: prob outside [0, 1]"),
-            FaultPlanError::NoNodes(i) => write!(f, "episode {i}: empty node list or group"),
+            FaultPlanError::NoNodes(i) => write!(f, "episode {i}: empty partition or group"),
             FaultPlanError::OverlappingGroups(i) => {
                 write!(f, "episode {i}: partition groups overlap")
             }
@@ -128,7 +127,7 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Validate and normalize a schedule: node lists are sorted and
+    /// Validate and normalize a schedule: partition groups are sorted and
     /// deduplicated, episodes sorted by start time (stable, so same-start
     /// episodes keep their given order).
     pub fn new(mut episodes: Vec<FaultEpisode>) -> Result<Self, FaultPlanError> {
@@ -156,16 +155,9 @@ impl FaultPlan {
                         return Err(FaultPlanError::OverlappingGroups(i));
                     }
                 }
-                FaultEpisode::LossBurst { prob, scope, .. } => {
+                FaultEpisode::LossBurst { prob, .. } => {
                     if !(0.0..=1.0).contains(prob) {
                         return Err(FaultPlanError::InvalidProb(i));
-                    }
-                    if let LossScope::Nodes(nodes) = scope {
-                        if nodes.is_empty() {
-                            return Err(FaultPlanError::NoNodes(i));
-                        }
-                        nodes.sort_unstable();
-                        nodes.dedup();
                     }
                 }
             }
@@ -196,20 +188,11 @@ fn partition_group(groups: &[Vec<u32>], node: u32) -> usize {
     usize::MAX
 }
 
-fn in_scope(scope: &LossScope, from: NodeIdx, to: NodeIdx) -> bool {
-    match scope {
-        LossScope::All => true,
-        LossScope::Nodes(nodes) => {
-            nodes.binary_search(&from.0).is_ok() || nodes.binary_search(&to.0).is_ok()
-        }
-    }
-}
-
 /// Wraps a network model with the transit episodes of a [`FaultPlan`].
 ///
 /// Per message, in plan order: an active partition that separates sender
-/// and receiver drops it (no randomness); each active in-scope loss burst
-/// draws one uniform value and may drop it. A message no episode drops
+/// and receiver drops it (no randomness); each active loss burst draws one
+/// uniform value and may drop it. A message no episode drops
 /// takes the inner model's latency, so with no active episode the call is
 /// an exact pass-through.
 #[derive(Clone, Debug)]
@@ -240,8 +223,8 @@ impl<M: NetworkModel> NetworkModel for FaultedNetwork<M> {
                 span.contains(now)
                     && partition_group(groups, from.0) != partition_group(groups, to.0)
             }
-            FaultEpisode::LossBurst { prob, span, scope } => {
-                span.contains(now) && in_scope(scope, from, to) && rng.gen::<f64>() < *prob
+            FaultEpisode::LossBurst { prob, span, .. } => {
+                span.contains(now) && rng.gen::<f64>() < *prob
             }
         });
         if dropped {
@@ -303,20 +286,19 @@ mod tests {
             FaultEpisode::LossBurst {
                 prob: 0.5,
                 span: Span::new(50, 60),
-                scope: LossScope::Nodes(vec![3, 1, 3]),
+                scope: LossScope::All,
             },
             FaultEpisode::Partition {
-                groups: vec![vec![4, 2]],
+                groups: vec![vec![4, 2, 4]],
                 span: Span::new(10, 20),
             },
         ])
         .unwrap();
-        assert_eq!(plan.episodes()[0].span(), Span::new(10, 20));
-        match &plan.episodes()[1] {
-            FaultEpisode::LossBurst {
-                scope: LossScope::Nodes(nodes),
-                ..
-            } => assert_eq!(nodes, &vec![1, 3]),
+        assert_eq!(plan.episodes()[1].span(), Span::new(50, 60));
+        match &plan.episodes()[0] {
+            FaultEpisode::Partition { groups, span } => {
+                assert_eq!((groups, *span), (&vec![vec![2, 4]], Span::new(10, 20)))
+            }
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -339,10 +321,9 @@ mod tests {
             span: Span::new(0, 10),
         }]);
         assert_eq!(overlap.unwrap_err(), FaultPlanError::OverlappingGroups(0));
-        let empty = FaultPlan::new(vec![FaultEpisode::LossBurst {
-            prob: 0.5,
+        let empty = FaultPlan::new(vec![FaultEpisode::Partition {
+            groups: vec![vec![1], vec![]],
             span: Span::new(0, 10),
-            scope: LossScope::Nodes(vec![]),
         }]);
         assert_eq!(empty.unwrap_err(), FaultPlanError::NoNodes(0));
     }
@@ -381,7 +362,7 @@ mod tests {
         let plan = FaultPlan::new(vec![FaultEpisode::LossBurst {
             prob: 0.5,
             span: Span::new(0, 100),
-            scope: LossScope::Nodes(vec![7]),
+            scope: LossScope::All,
         }])
         .unwrap();
         let net = FaultedNetwork::new(base(), plan);
@@ -395,14 +376,5 @@ mod tests {
             .count();
         let rate = dropped as f64 / n as f64;
         assert!((rate - 0.5).abs() < 0.03, "rate = {rate}");
-        // Out-of-scope traffic is untouched (and consumes no randomness).
-        let mut r1 = rng();
-        let mut r2 = rng();
-        for _ in 0..100 {
-            assert!(net
-                .latency(SimTime(5), NodeIdx(1), NodeIdx(2), &mut r1)
-                .is_some());
-        }
-        assert_eq!(r1.gen::<u64>(), r2.gen::<u64>());
     }
 }

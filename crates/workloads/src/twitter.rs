@@ -261,7 +261,7 @@ mod tests {
     }
 
     #[test]
-    fn degrees_are_heavy_tailed_with_target_alpha() {
+    fn follow_degrees_are_heavy_tailed_with_target_alpha() {
         let g = FollowGraph::generate(&small_model(), 2);
         let s = g.stats();
         assert_eq!(s.num_users, 4000);
