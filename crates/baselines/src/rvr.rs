@@ -19,7 +19,6 @@ use vitis::relay::{RelayTable, RELAY_TTL};
 use vitis::topic::{Subs, TopicId};
 use vitis_overlay::entry::Entry;
 use vitis_overlay::id::Id;
-use vitis_overlay::routing::{next_hop, MAX_LOOKUP_HOPS};
 use vitis_overlay::rt::{HybridRt, RtParams};
 use vitis_overlay::substrate::{Sampler, Substrate};
 use vitis_sim::antientropy::{AeConfig, AntiEntropy};
@@ -61,8 +60,10 @@ pub enum RvrMsg {
     Repair(RepairMsg),
 }
 
-/// An RVR peer. Its tree soft state expires after [`RELAY_TTL`] rounds
-/// and a join travels at most [`MAX_LOOKUP_HOPS`] hops.
+/// An RVR peer. A join takes Vitis's relay-path hop,
+/// [`RelayTable::lookup_hop`], so it travels at most
+/// [`MAX_LOOKUP_HOPS`](vitis::relay::MAX_LOOKUP_HOPS) hops, and
+/// the tree soft state it installs expires after [`RELAY_TTL`] rounds.
 pub struct RvrNode {
     /// Membership substrate, the same one Vitis runs on. The subscriptions
     /// ride in the descriptors but no merge ever ranks by them.
@@ -135,32 +136,6 @@ impl RvrNode {
     /// The per-topic tree soft state.
     pub fn tree_table(&self) -> &RelayTable {
         &self.tree
-    }
-
-    /// One join/refresh step toward the rendezvous of `topic` at this node,
-    /// on one tree-table search; the same logic serves the initiating
-    /// subscriber (`from` is `None`) and forwarders, which first refresh the
-    /// child link the join arrived over.
-    fn join_hop(
-        &mut self,
-        ctx: &mut Context<'_, RvrMsg>,
-        topic: TopicId,
-        from: Option<NodeIdx>,
-        hops: u32,
-    ) {
-        let mut entry = self.tree.entry(topic);
-        if let Some(from) = from {
-            entry.refresh_downstream(from);
-        }
-        let table = self.net.rt().iter().map(|e| (e.id, e.addr));
-        let next = next_hop(self.net.id(), topic.ring_id(), table);
-        entry.route(next);
-        if let Some(next) = next {
-            if hops < MAX_LOOKUP_HOPS {
-                let hops = hops + 1;
-                ctx.send(next, RvrMsg::Join { topic, hops });
-            }
-        }
     }
 
     /// Send `notif` along every tree link of its topic except the one it
@@ -241,7 +216,10 @@ impl Protocol for RvrNode {
         // (Scribe keep-alive).
         let subs = self.net.payload().clone();
         for topic in subs.iter() {
-            self.join_hop(ctx, topic, None, 0);
+            let (me, rt) = (self.net.id(), self.net.rt());
+            if let Some((next, hops)) = self.tree.lookup_hop(topic, None, 0, me, rt) {
+                ctx.send(next, RvrMsg::Join { topic, hops });
+            }
         }
 
         // Heartbeats keep neighbor entries fresh.
@@ -272,7 +250,10 @@ impl Protocol for RvrNode {
                 self.net.on_heartbeat(from, id, &subs);
             }
             RvrMsg::Join { topic, hops } => {
-                self.join_hop(ctx, topic, Some(from), hops);
+                let (me, rt) = (self.net.id(), self.net.rt());
+                if let Some((next, hops)) = self.tree.lookup_hop(topic, Some(from), hops, me, rt) {
+                    ctx.send(next, RvrMsg::Join { topic, hops });
+                }
             }
             RvrMsg::Notif(notif) => {
                 if let Some(fwd) =
@@ -333,6 +314,58 @@ mod tests {
             directory.push(Entry::fresh(slot, id, subs));
         }
         (eng, monitor)
+    }
+
+    /// A join that arrives having taken `MAX_LOOKUP_HOPS` hops refreshes
+    /// the child link it came over and stops: no send, no upstream, no
+    /// root claim. One hop earlier it still goes on to the ring-closer
+    /// neighbor.
+    #[test]
+    fn a_join_at_the_hop_cap_installs_only_its_downstream_link() {
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        use vitis::relay::MAX_LOOKUP_HOPS;
+        use vitis_sim::protocol::capture_sends;
+        use vitis_sim::time::SimTime;
+        let topic = TopicId(5);
+        let (child, closer) = (NodeIdx(9), NodeIdx(4));
+        let cfg = VitisConfig::default();
+        let subs = Subs::new(TopicSet::from_iter([]));
+        let mut node = RvrNode::new(
+            Id(1 << 40),
+            subs.clone(),
+            &cfg,
+            Monitor::new(),
+            AeConfig::default(),
+            Vec::new(),
+        );
+        let mut rng = SmallRng::seed_from_u64(7);
+        node.net.start(NodeIdx(0));
+        let nbr = Entry::fresh(closer, topic.ring_id(), subs);
+        node.net.merge(vec![nbr], false, |_| 0.0, &mut rng);
+        assert_eq!(node.routing_table().len(), 1);
+        let mut join = |node: &mut RvrNode, hops| {
+            capture_sends(NodeIdx(0), SimTime(0), &mut rng, |ctx| {
+                node.on_message(ctx, child, RvrMsg::Join { topic, hops })
+            })
+        };
+
+        let sent = join(&mut node, MAX_LOOKUP_HOPS);
+        assert!(sent.is_empty(), "{sent:?}");
+        let e = node.tree_table().get(topic).unwrap();
+        assert_eq!(e.downstreams().collect::<Vec<_>>(), [child]);
+        assert_eq!(e.upstream(), None);
+        assert!(!e.is_rendezvous());
+
+        let sent = join(&mut node, MAX_LOOKUP_HOPS - 1);
+        let [(to, RvrMsg::Join { hops, .. })] = sent[..] else {
+            panic!("one join expected: {sent:?}");
+        };
+        assert_eq!((to, hops), (closer, MAX_LOOKUP_HOPS));
+        assert_eq!(
+            node.tree_table().get(topic).unwrap().upstream(),
+            Some(closer)
+        );
     }
 
     #[test]

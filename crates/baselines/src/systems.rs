@@ -9,7 +9,6 @@ use std::rc::Rc;
 use std::sync::Arc;
 use vitis::config::VitisConfig;
 use vitis::monitor::{EventId, LossReason, MissContext, Monitor};
-use vitis::relay::RELAY_TTL;
 use vitis::runtime::{LossView, PubSubProtocol, Reach, SystemRuntime};
 use vitis::system::{PubSub, SystemParams, VitisSystem};
 use vitis::topic::{RateTable, Subs, TopicId};
@@ -29,7 +28,6 @@ pub type RvrSystem = SystemRuntime<RvrProtocol>;
 /// [`vitis::relay::RELAY_TTL`], as for Vitis's relay paths.
 pub struct RvrProtocol {
     cfg: VitisConfig,
-    repair: AeConfig,
 }
 
 /// RVR's verdict on a miss no transport cause explains, from the facts
@@ -67,7 +65,6 @@ impl PubSubProtocol for RvrProtocol {
         }
         RvrProtocol {
             cfg: params.cfg.clone(),
-            repair: params.repair.clone(),
         }
     }
 
@@ -78,13 +75,14 @@ impl PubSubProtocol for RvrProtocol {
         bootstrap: Vec<Entry<Subs>>,
         _rates: &Arc<RateTable>,
         monitor: &Monitor,
+        repair: &AeConfig,
     ) -> RvrNode {
         RvrNode::new(
             Id::of_node(logical as u64),
             subs,
             &self.cfg,
             monitor.clone(),
-            self.repair.clone(),
+            repair.clone(),
             bootstrap,
         )
     }
@@ -120,7 +118,6 @@ impl PubSubProtocol for RvrProtocol {
         // so there is no believed-gateway view to export.
         topo.relays = RelayTopo::of_table(node.tree_table());
         topo.view_bound = Some(self.cfg.rt_size);
-        topo.relay_ttl = Some(RELAY_TTL);
     }
 }
 
@@ -132,7 +129,6 @@ pub type OptSystem = SystemRuntime<OptProtocol>;
 /// within each topic subgraph, no structured routing at all.
 pub struct OptProtocol {
     cfg: Rc<OptConfig>,
-    repair: AeConfig,
 }
 
 impl OptProtocol {
@@ -140,10 +136,7 @@ impl OptProtocol {
     /// gives the unbounded variant of Figure 11); combine with
     /// [`SystemRuntime::with_protocol`].
     pub fn with_config(cfg: OptConfig) -> Self {
-        OptProtocol {
-            cfg: Rc::new(cfg),
-            repair: AeConfig::default(),
-        }
+        OptProtocol { cfg: Rc::new(cfg) }
     }
 }
 
@@ -167,12 +160,10 @@ impl PubSubProtocol for OptProtocol {
     const RING: bool = false;
 
     fn from_params(params: &SystemParams) -> Self {
-        let mut p = OptProtocol::with_config(OptConfig {
+        OptProtocol::with_config(OptConfig {
             max_degree: Some(params.cfg.rt_size),
             age_threshold: params.cfg.age_threshold,
-        });
-        p.repair = params.repair.clone();
-        p
+        })
     }
 
     fn make_node(
@@ -182,13 +173,14 @@ impl PubSubProtocol for OptProtocol {
         bootstrap: Vec<Entry<Subs>>,
         _rates: &Arc<RateTable>,
         monitor: &Monitor,
+        repair: &AeConfig,
     ) -> OptNode {
         OptNode::new(
             Id::of_node(logical as u64),
             subs,
             self.cfg.clone(),
             monitor.clone(),
-            self.repair.clone(),
+            repair.clone(),
             bootstrap,
         )
     }
@@ -428,6 +420,22 @@ mod tests {
             "unbounded {unbounded} < bounded {bounded}"
         );
         assert!(max_degree > 8, "unbounded degrees should exceed the cap");
+    }
+
+    /// The run's repair setting reaches every node however the adapter was
+    /// built: an explicit OPT configuration does not reset it.
+    #[test]
+    fn opt_with_protocol_keeps_the_runs_repair_setting() {
+        let mut params = random_params(60, 10, 3, 43);
+        params.repair = AeConfig::on();
+        let unbounded = OptProtocol::with_config(OptConfig {
+            max_degree: None,
+            ..OptConfig::default()
+        });
+        let sys = OptSystem::with_protocol(unbounded, params);
+        let nodes: Vec<_> = sys.engine().alive_nodes().collect();
+        assert_eq!(nodes.len(), 60);
+        assert!(nodes.iter().all(|(_, n)| n.repair().enabled()));
     }
 
     /// Messages sit in every queued event, so their size is a hot constant.

@@ -19,8 +19,8 @@
 ///   replays.
 ///
 /// Every other value is one constant next to its reader:
-/// [`crate::relay::RELAY_TTL`], [`vitis_overlay::substrate::SAMPLING_VIEW`],
-/// [`vitis_overlay::routing::MAX_LOOKUP_HOPS`],
+/// [`crate::relay::RELAY_TTL`], [`crate::relay::MAX_LOOKUP_HOPS`],
+/// [`vitis_overlay::substrate::SAMPLING_VIEW`],
 /// [`crate::node::PUBLISH_BACKOFF_CAP`], and the anti-entropy layer's sizes
 /// in [`vitis_sim::antientropy`].
 #[derive(Clone, Debug)]

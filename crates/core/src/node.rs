@@ -19,7 +19,6 @@ use std::rc::Rc;
 use std::sync::Arc;
 use vitis_overlay::entry::Entry;
 use vitis_overlay::id::Id;
-use vitis_overlay::routing::{next_hop, MAX_LOOKUP_HOPS};
 use vitis_overlay::rt::{HybridRt, RtParams};
 use vitis_overlay::substrate::{Sampler, Substrate};
 use vitis_sim::antientropy::{AeConfig, AntiEntropy};
@@ -511,38 +510,13 @@ impl VitisNode {
         self.elect();
         for i in 0..self.advert.len() {
             let (topic, prop) = self.advert[i];
-            if prop.gw_addr == self.net.addr() {
-                self.relay_hop(ctx, topic, None, 0);
+            if prop.gw_addr != self.net.addr() {
+                continue;
             }
-        }
-    }
-
-    /// One lookup step at this node toward `hash(topic)`, `hops` into the
-    /// path, on one relay-table search: refresh the downstream link to
-    /// `from` (`None` at the refreshing gateway, where `hops` is 0), then
-    /// install the upstream link and forward the relay request, or claim
-    /// the rendezvous role if no neighbor is closer. A request that has
-    /// used up its hop budget leaves only the downstream link.
-    fn relay_hop(
-        &mut self,
-        ctx: &mut Context<'_, VitisMsg>,
-        topic: TopicId,
-        from: Option<NodeIdx>,
-        hops: u32,
-    ) {
-        let mut entry = self.relays.entry(topic);
-        if let Some(from) = from {
-            entry.refresh_downstream(from);
-            if hops >= MAX_LOOKUP_HOPS {
-                return;
+            let (me, rt) = (self.net.id(), self.net.rt());
+            if let Some((next, hops)) = self.relays.lookup_hop(topic, None, 0, me, rt) {
+                self.send_control(ctx, next, VitisMsg::RelayRequest { topic, hops });
             }
-        }
-        let table = self.net.rt().iter().map(|e| (e.id, e.addr));
-        let next = next_hop(self.net.id(), topic.ring_id(), table);
-        entry.route(next);
-        if let Some(next) = next {
-            let hops = hops + 1;
-            self.send_control(ctx, next, VitisMsg::RelayRequest { topic, hops });
         }
     }
 
@@ -777,7 +751,11 @@ impl Protocol for VitisNode {
             }
             VitisMsg::Profile(pm) => self.on_profile(from, pm),
             VitisMsg::RelayRequest { topic, hops } => {
-                self.relay_hop(ctx, topic, Some(from), hops);
+                let (me, rt) = (self.net.id(), self.net.rt());
+                let hop = self.relays.lookup_hop(topic, Some(from), hops, me, rt);
+                if let Some((next, hops)) = hop {
+                    self.send_control(ctx, next, VitisMsg::RelayRequest { topic, hops });
+                }
             }
             VitisMsg::Notification(n) => {
                 self.on_notification(ctx, from, n);
@@ -969,6 +947,47 @@ mod tests {
         );
         node.net.start(NodeIdx(0));
         node
+    }
+
+    /// A relay request that arrives having taken `MAX_LOOKUP_HOPS` hops
+    /// refreshes the downstream link it came over and stops: no send, no
+    /// upstream, no rendezvous claim. One hop earlier it still goes on to
+    /// the ring-closer neighbor.
+    #[test]
+    fn a_relay_request_at_the_hop_cap_installs_only_its_downstream_link() {
+        use crate::relay::MAX_LOOKUP_HOPS;
+        use rand::SeedableRng;
+        use vitis_sim::protocol::capture_sends;
+        use vitis_sim::time::SimTime;
+        let topic = TopicId(5);
+        let (gateway, closer) = (NodeIdx(9), NodeIdx(4));
+        let mut node = lone_node(&[], small_cfg());
+        let mut rng = SmallRng::seed_from_u64(7);
+        let nbr = Entry::fresh(closer, topic.ring_id(), subs_of(&[]));
+        merge(&mut node, vec![nbr], &mut rng);
+        assert_eq!(node.routing_table().len(), 1);
+        let mut request = |node: &mut VitisNode, hops| {
+            capture_sends(NodeIdx(0), SimTime(0), &mut rng, |ctx| {
+                node.on_message(ctx, gateway, VitisMsg::RelayRequest { topic, hops })
+            })
+        };
+
+        let sent = request(&mut node, MAX_LOOKUP_HOPS);
+        assert!(sent.is_empty(), "{sent:?}");
+        let e = node.relay_table().get(topic).unwrap();
+        assert_eq!(e.downstreams().collect::<Vec<_>>(), [gateway]);
+        assert_eq!(e.upstream(), None);
+        assert!(!e.is_rendezvous());
+
+        let sent = request(&mut node, MAX_LOOKUP_HOPS - 1);
+        let [(to, VitisMsg::RelayRequest { hops, .. })] = sent[..] else {
+            panic!("one relay request expected: {sent:?}");
+        };
+        assert_eq!((to, hops), (closer, MAX_LOOKUP_HOPS));
+        assert_eq!(
+            node.relay_table().get(topic).unwrap().upstream(),
+            Some(closer)
+        );
     }
 
     type Advert = Rc<Vec<(TopicId, Proposal)>>;

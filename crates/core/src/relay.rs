@@ -8,9 +8,13 @@
 //! rendezvous and back down every other branch, which is what stitches the
 //! disjoint clusters of a topic together.
 //!
+//! One hop of the walk is [`RelayTable::lookup_hop`]. RVR builds its
+//! Scribe trees with the same hop; only the walk's starters differ
+//! (elected gateways for Vitis, every subscriber for RVR).
+//!
 //! The state is soft: gateways re-issue their lookups every round, each pass
-//! refreshes the links it uses, and anything unrefreshed for `ttl` rounds is
-//! dropped — this is how the structure heals around churn.
+//! refreshes the links it uses, and anything unrefreshed for [`RELAY_TTL`]
+//! rounds is dropped — this is how the structure heals around churn.
 //!
 //! # Layout
 //!
@@ -49,9 +53,12 @@
 //! [`RelayEntry`] is a borrowed read view of one entry;
 //! [`RelayTable::entry`] hands out a [`RelayEntryMut`] write handle.
 
-use crate::topic::TopicId;
+use crate::topic::{Subs, TopicId};
 use std::mem::{size_of, size_of_val};
 use std::ops::Range;
+use vitis_overlay::id::Id;
+use vitis_overlay::routing::next_hop;
+use vitis_overlay::rt::HybridRt;
 use vitis_sim::event::NodeIdx;
 
 /// No link: a slot's upstream at the rendezvous or before the first route,
@@ -60,12 +67,18 @@ use vitis_sim::event::NodeIdx;
 const NONE: NodeIdx = NodeIdx(u32::MAX);
 
 /// Rounds a relay link (and an RVR tree link) survives without a refresh:
-/// the `ttl` Vitis and RVR pass to [`RelayTable::expire`].
+/// the `ttl` Vitis and RVR pass to [`RelayTable::expire`], and the age from
+/// which the topology audit (`crate::topo::audit`) counts a link as expiring.
 pub const RELAY_TTL: u16 = 5;
 
 // Byte-sized ages saturate at 255, so a link could never outlive a TTL of
 // 255 or more.
 const _: () = assert!(RELAY_TTL < 255);
+
+/// Safety cap on the hops of a walk [`RelayTable::lookup_hop`] takes one
+/// hop at a time (Vitis's relay requests, RVR's joins): a request that has
+/// taken this many hops is not forwarded again.
+pub const MAX_LOOKUP_HOPS: u32 = 128;
 
 fn link(n: NodeIdx) -> Option<NodeIdx> {
     (n != NONE).then_some(n)
@@ -298,11 +311,39 @@ impl RelayTable {
         RelayEntry { slot, spilled }
     }
 
+    /// One step of the greedy lookup toward `hash(topic)` at this node, on
+    /// one table search: the hop of a Vitis relay request and of an RVR
+    /// join alike. `from` is the node the request arrived from (`None` at
+    /// the node that starts the walk, where `hops` is 0), `hops` the hops
+    /// it has taken, `me` and `rt` this node's ring id and routing table.
+    ///
+    /// The step refreshes the downstream link to `from`. A request that has
+    /// taken [`MAX_LOOKUP_HOPS`] hops stops there and installs nothing
+    /// else. Otherwise the step records the greedy next hop with
+    /// [`RelayEntryMut::route`] (the rendezvous claim if no neighbor is
+    /// closer) and returns the request to send on: `(next, hops + 1)`.
+    pub fn lookup_hop(
+        &mut self,
+        topic: TopicId,
+        from: Option<NodeIdx>,
+        hops: u32,
+        me: Id,
+        rt: &HybridRt<Subs>,
+    ) -> Option<(NodeIdx, u32)> {
+        let mut entry = self.entry(topic);
+        if let Some(from) = from {
+            entry.refresh_downstream(from);
+        }
+        if hops >= MAX_LOOKUP_HOPS {
+            return None;
+        }
+        let next = next_hop(me, topic.ring_id(), rt.iter().map(|e| (e.id, e.addr)));
+        entry.route(next);
+        next.map(|next| (next, hops + 1))
+    }
+
     /// The entry for `topic`, created empty if absent — the one key search
-    /// of a relay hop. The lookup step then works on the entry in hand:
-    /// [`RelayEntryMut::refresh_downstream`] for the link the request
-    /// arrived over, the greedy next-hop scan, and [`RelayEntryMut::route`]
-    /// with its outcome.
+    /// of a [`RelayTable::lookup_hop`].
     pub fn entry(&mut self, topic: TopicId) -> RelayEntryMut<'_> {
         let i = self.pos(topic).unwrap_or_else(|i| {
             let slot = RelaySlot {

@@ -36,6 +36,7 @@ use vitis_overlay::entry::Entry;
 use vitis_overlay::graph::Graph;
 use vitis_overlay::id::Id;
 use vitis_overlay::rt::LinkKind;
+use vitis_sim::antientropy::AeConfig;
 use vitis_sim::engine::{Engine, EngineConfig};
 use vitis_sim::event::NodeIdx;
 use vitis_sim::fault::FaultedNetwork;
@@ -169,7 +170,8 @@ pub trait PubSubProtocol: Sized {
     /// construction parameters.
     fn from_params(params: &SystemParams) -> Self;
 
-    /// Construct the node joining as `logical`.
+    /// Construct the node joining as `logical`, with the run's
+    /// anti-entropy configuration ([`SystemParams::repair`]).
     fn make_node(
         &self,
         logical: u32,
@@ -177,6 +179,7 @@ pub trait PubSubProtocol: Sized {
         bootstrap: Vec<Entry<Subs>>,
         rates: &Arc<RateTable>,
         monitor: &Monitor,
+        repair: &AeConfig,
     ) -> Self::Node;
 
     /// `(ring id, subscriptions)` of a node, as advertised in bootstrap
@@ -226,6 +229,8 @@ pub struct SystemRuntime<P: PubSubProtocol> {
     pub(crate) monitor: Monitor,
     pub(crate) workload: Workload,
     pub(crate) protocol: P,
+    /// The run's anti-entropy configuration, handed to every node built.
+    repair: AeConfig,
     boot_rng: SmallRng,
     /// Periodic topology-sampling interval in rounds; `None` (default)
     /// disables the sampler entirely.
@@ -270,6 +275,7 @@ impl<P: PubSubProtocol> SystemRuntime<P> {
             monitor,
             workload,
             protocol,
+            repair: params.repair,
             boot_rng,
             topo_every: None,
             next_topo: SimTime::default(),
@@ -292,6 +298,7 @@ impl<P: PubSubProtocol> SystemRuntime<P> {
             bootstrap,
             self.workload.rates(),
             &self.monitor,
+            &self.repair,
         )
     }
 
@@ -580,7 +587,6 @@ impl<P: PubSubProtocol> SystemRuntime<P> {
                         relays: Vec::new(),
                         gateway_view: Vec::new(),
                         view_bound: None,
-                        relay_ttl: None,
                     };
                     self.protocol.node_topo(node, &mut topo);
                     topo

@@ -11,7 +11,6 @@ use crate::config::VitisConfig;
 use crate::monitor::{EventId, LossReason, MissContext, Monitor};
 use crate::msg::VitisMsg;
 use crate::node::VitisNode;
-use crate::relay::RELAY_TTL;
 use crate::runtime::{LossView, PubSubProtocol, Reach, SystemRuntime};
 use crate::topic::{RateTable, Subs, TopicId, TopicSet};
 use crate::topo::{NodeTopo, RelayTopo, TopoLink};
@@ -117,7 +116,6 @@ pub type VitisSystem = SystemRuntime<VitisProtocol>;
 /// rendezvous-aware loss classification.
 pub struct VitisProtocol {
     cfg: Rc<VitisConfig>,
-    repair: AeConfig,
 }
 
 impl VitisProtocol {
@@ -160,7 +158,6 @@ impl PubSubProtocol for VitisProtocol {
         }
         VitisProtocol {
             cfg: Rc::new(params.cfg.clone()),
-            repair: params.repair.clone(),
         }
     }
 
@@ -171,6 +168,7 @@ impl PubSubProtocol for VitisProtocol {
         bootstrap: Vec<Entry<Subs>>,
         rates: &Arc<RateTable>,
         monitor: &Monitor,
+        repair: &AeConfig,
     ) -> VitisNode {
         VitisNode::new(
             Id::of_node(logical as u64),
@@ -178,7 +176,7 @@ impl PubSubProtocol for VitisProtocol {
             self.cfg.clone(),
             rates.clone(),
             monitor.clone(),
-            self.repair.clone(),
+            repair.clone(),
             bootstrap,
         )
     }
@@ -221,7 +219,6 @@ impl PubSubProtocol for VitisProtocol {
             .filter_map(|t| node.proposal(t).map(|p| (t, p.gw_addr)))
             .collect();
         topo.view_bound = Some(self.cfg.rt_size);
-        topo.relay_ttl = Some(RELAY_TTL);
     }
 }
 

@@ -26,7 +26,7 @@
 //! topic order for relay state), so identical snapshots produce
 //! byte-identical exports.
 
-use crate::relay::RelayTable;
+use crate::relay::{RelayTable, RELAY_TTL};
 use crate::topic::TopicId;
 use std::collections::{BTreeMap, BTreeSet};
 use vitis_overlay::graph::Graph;
@@ -112,10 +112,6 @@ pub struct NodeTopo {
     pub gateway_view: Vec<(TopicId, NodeIdx)>,
     /// Configured view-size bound, `None` for unbounded overlays.
     pub view_bound: Option<usize>,
-    /// Relay soft-state TTL, `None` for overlays without relay state. A
-    /// link whose age has reached the TTL is in its final round before
-    /// collection, so the auditor treats it as already dead.
-    pub relay_ttl: Option<u16>,
 }
 
 /// A dense structural snapshot of the whole overlay at one instant:
@@ -381,8 +377,8 @@ pub const RELAY_SYMMETRY_GRACE: u16 = 2;
 ///   The two ends are installed by different events (A at send time, B
 ///   when the relay request arrives), so links younger than
 ///   [`RELAY_SYMMETRY_GRACE`] rounds get grace — their install message
-///   may still be in flight. Links whose age has reached the node's
-///   configured relay TTL are exempt at the other end of their life:
+///   may still be in flight. Links whose age has reached [`RELAY_TTL`]
+///   (every relay table's TTL) are exempt at the other end of their life:
 ///   both halves expire when `age > ttl`, but round clocks are
 ///   desynchronized, so at the TTL boundary the peer may already have
 ///   collected its backlink one tick before A collects the upstream —
@@ -425,10 +421,7 @@ pub fn audit(snap: &OverlaySnapshot) -> Vec<Violation> {
                             .find(|pr| pr.topic == r.topic)
                             .is_some_and(|pr| pr.downstream.contains(&n.node));
                         let past_grace = r.upstream_age.is_none_or(|a| a >= RELAY_SYMMETRY_GRACE);
-                        let expiring = n
-                            .relay_ttl
-                            .zip(r.upstream_age)
-                            .is_some_and(|(ttl, a)| a >= ttl);
+                        let expiring = r.upstream_age.is_some_and(|a| a >= RELAY_TTL);
                         if !symmetric && past_grace && !expiring {
                             out.push(Violation {
                                 node: n.node,
@@ -496,7 +489,6 @@ mod tests {
             relays: Vec::new(),
             gateway_view: Vec::new(),
             view_bound: Some(4),
-            relay_ttl: Some(5),
         }
     }
 
@@ -645,10 +637,10 @@ mod tests {
         // A link at the TTL boundary is exempt too: the peer's
         // desynchronized clock may already have collected its backlink
         // one tick before this node collects the upstream.
-        snap.nodes[1].relays[0].upstream_age = Some(5);
+        snap.nodes[1].relays[0].upstream_age = Some(RELAY_TTL);
         assert!(audit(&snap).is_empty());
-        // ... but only where a relay TTL is configured.
-        snap.nodes[1].relay_ttl = None;
+        // ... but one round younger it is dangling.
+        snap.nodes[1].relays[0].upstream_age = Some(RELAY_TTL - 1);
         assert_eq!(audit(&snap).len(), 1);
 
         // A rendezvous claim with an upstream link is terminal-invariant

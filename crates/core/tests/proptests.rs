@@ -4,10 +4,12 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use vitis::gateway::{revise_proposal, Proposal};
 use vitis::monitor::Monitor;
-use vitis::relay::RelayTable;
-use vitis::topic::{RateTable, TopicId, TopicSet};
+use vitis::relay::{RelayTable, MAX_LOOKUP_HOPS};
+use vitis::topic::{RateTable, Subs, TopicId, TopicSet};
 use vitis::utility;
+use vitis_overlay::entry::Entry;
 use vitis_overlay::id::Id;
+use vitis_overlay::rt::HybridRt;
 use vitis_sim::event::NodeIdx;
 use vitis_sim::time::SimTime;
 
@@ -196,9 +198,10 @@ proptest! {
         prop_assert_eq!(dedup.len(), fan.len());
     }
 
-    /// A relay hop on the one entry it looked up leaves the table the old
-    /// `add_downstream` → `set_upstream` / `mark_rendezvous` sequence left,
-    /// whatever ageing, expiry and peer removal happen in between.
+    /// A relay hop (`RelayTable::lookup_hop`, one table search) leaves the
+    /// table the old `add_downstream` → `set_upstream` / `mark_rendezvous`
+    /// sequence left and returns the request to send on, whatever ageing,
+    /// expiry and peer removal happen in between.
     /// Each op is `(kind, topic, a, b)`. Eight topics and eleven peers make
     /// entries with several downstream links side by side in the table, so
     /// spilling, promotion of the next link when the first expires or its
@@ -220,14 +223,25 @@ proptest! {
                     let from = (a > 0).then_some(a);
                     let capped = kind == 3 && from.is_some();
                     let next = (b > 0).then_some(b);
+                    let hops = match from {
+                        _ if capped => MAX_LOOKUP_HOPS,
+                        Some(_) => MAX_LOOKUP_HOPS - 1,
+                        None => 0,
+                    };
+                    // The routing table holds one neighbor, `b`, at the
+                    // topic's ring id. The node sits at the antipode when
+                    // the test wants `b` as the next hop, and on the
+                    // topic's ring id itself, where no neighbor is closer,
+                    // when it wants the rendezvous claim.
+                    let target = TopicId(topic).ring_id();
+                    let mut table = HybridRt::new();
+                    table.succ = Some(Entry::fresh(NodeIdx(b), target, Subs::default()));
+                    let me = if next.is_some() { Id(target.0 ^ (1 << 63)) } else { target };
 
-                    let mut entry = rt.entry(TopicId(topic));
-                    if let Some(from) = from {
-                        entry.refresh_downstream(NodeIdx(from));
-                    }
-                    if !capped {
-                        entry.route(next.map(NodeIdx));
-                    }
+                    let from_idx = from.map(NodeIdx);
+                    let sent = rt.lookup_hop(TopicId(topic), from_idx, hops, me, &table);
+                    let want = next.filter(|_| !capped).map(|n| (NodeIdx(n), hops + 1));
+                    prop_assert_eq!(sent, want);
 
                     if let Some(from) = from {
                         model.add_downstream(topic, from);

@@ -250,21 +250,12 @@ mod tests {
             assert!(r.final_probe.nodes > 0);
             assert!(r.dot.starts_with("digraph overlay {"));
             assert!(r.dot.ends_with("}\n"));
-            match system {
-                // OPT has no relay layer, so nothing can dangle.
-                System::Opt => assert!(r.violations.is_empty(), "opt violations:\n{}", r.summary),
-                // RVR's hop-capped joins install an upstream belief
-                // without ever sending the join onward (`join_hop`
-                // sets upstream even at MAX_LOOKUP_HOPS), so the
-                // auditor legitimately reports dangling upstream links
-                // — and must report nothing else.
-                System::Rvr => assert!(
-                    r.violations.iter().all(|v| v.kind == "asymmetric_upstream"),
-                    "rvr unexpected violations:\n{}",
-                    r.summary
-                ),
-                System::Vitis => unreachable!(),
-            }
+            assert!(
+                r.violations.is_empty(),
+                "{} violations:\n{}",
+                system.name(),
+                r.summary
+            );
         }
     }
 
