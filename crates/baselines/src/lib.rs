@@ -12,6 +12,12 @@
 //!   traffic, but a bounded degree cannot keep every topic subgraph
 //!   connected and the unbounded variant needs arbitrarily large degrees.
 //!
+//! Both read the run's one [`vitis::config::VitisConfig`], which
+//! [`vitis::runtime::SystemRuntime::new`] validates and shares with every
+//! node, as Vitis does: RVR its table size `rt_size`, `est_n` and
+//! `age_threshold`; OPT `rt_size` as its degree bound (`usize::MAX` for the
+//! unbounded variant) and `age_threshold`.
+//!
 //! [`systems`] exposes each as a [`vitis::runtime::PubSubProtocol`]
 //! adapter ([`RvrProtocol`], [`OptProtocol`]) plugged into the shared
 //! [`vitis::runtime::SystemRuntime`], which provides the whole-network
@@ -26,6 +32,6 @@ pub mod opt;
 pub mod rvr;
 pub mod systems;
 
-pub use opt::{OptConfig, OptNode};
+pub use opt::OptNode;
 pub use rvr::RvrNode;
 pub use systems::{OptProtocol, OptSystem, RvrProtocol, RvrSystem, System};

@@ -11,6 +11,7 @@
 //! (Figure 11).
 
 use std::rc::Rc;
+use vitis::config::VitisConfig;
 use vitis::dissemination::Dissemination;
 use vitis::monitor::{EventId, Monitor};
 use vitis::msg::{Notification, RepairMsg};
@@ -29,25 +30,6 @@ pub const COVERAGE: usize = 2;
 
 /// New connection requests issued per round (limits link churn).
 pub const REQUESTS_PER_ROUND: usize = 3;
-
-/// OPT node configuration: the degree bound Figures 10 and 11 vary, and the
-/// failure-detection threshold it shares with the Vitis configuration.
-#[derive(Clone, Debug)]
-pub struct OptConfig {
-    /// Maximum total degree, or `None` for the unbounded variant.
-    pub max_degree: Option<usize>,
-    /// Failure-detection age threshold in rounds.
-    pub age_threshold: u16,
-}
-
-impl Default for OptConfig {
-    fn default() -> Self {
-        OptConfig {
-            max_degree: Some(15),
-            age_threshold: 5,
-        }
-    }
-}
 
 /// OPT wire protocol.
 #[derive(Clone, Debug)]
@@ -82,7 +64,10 @@ struct Link {
 
 /// An OPT peer.
 pub struct OptNode {
-    cfg: Rc<OptConfig>,
+    /// The run's configuration. OPT reads two values: `rt_size`, its
+    /// degree bound (`usize::MAX` leaves the degree unbounded), and
+    /// `age_threshold`, its failure-detection threshold in rounds.
+    cfg: Rc<VitisConfig>,
     /// The sampling half of the membership substrate: identity, the
     /// advertised subscriptions and the Newscast view that feeds candidate
     /// discovery. OPT negotiates its own links, so no routing table.
@@ -99,12 +84,12 @@ pub struct OptNode {
 }
 
 impl OptNode {
-    /// Create a node with the given ring id, subscriptions, anti-entropy
-    /// configuration and bootstrap contacts.
+    /// Create a node with the given ring id, subscriptions, run
+    /// configuration, anti-entropy configuration and bootstrap contacts.
     pub fn new(
         id: Id,
         subs: Subs,
-        cfg: Rc<OptConfig>,
+        cfg: Rc<VitisConfig>,
         monitor: Monitor,
         repair: AeConfig,
         bootstrap: Vec<Entry<Subs>>,
@@ -148,9 +133,7 @@ impl OptNode {
     }
 
     fn at_capacity(&self) -> bool {
-        self.cfg
-            .max_degree
-            .is_some_and(|cap| self.links.len() + self.pending.len() >= cap)
+        self.links.len() + self.pending.len() >= self.cfg.rt_size
     }
 
     fn add_link(&mut self, peer: NodeIdx, subs: Subs) {
@@ -180,8 +163,9 @@ impl OptNode {
 /// Greedy coverage selection: candidates from `sample` ranked by how many
 /// of `own`'s topics with fewer than `coverage` links they would cover;
 /// returns up to `requests` picks with positive gain, in pick order, within
-/// the degree bound `max_degree`. Ties go to the first candidate in sample order, and a
-/// pick is `swap_remove`d from the candidates.
+/// the degree bound `max_degree` (`usize::MAX` for none). Ties go to the
+/// first candidate in sample order, and a pick is `swap_remove`d from the
+/// candidates.
 ///
 /// One merge per link counts coverage, and one merge per candidate lists
 /// the topics it shares with `own` that start under-covered, as indices
@@ -190,16 +174,13 @@ impl OptNode {
 fn pick_connect_targets(
     coverage: usize,
     requests: usize,
-    max_degree: Option<usize>,
+    max_degree: usize,
     me: NodeIdx,
     own: &TopicSet,
     links: &SmallMap<NodeIdx, Link>,
     sample: &[Entry<Subs>],
 ) -> Vec<NodeIdx> {
-    let mut budget = requests;
-    if let Some(cap) = max_degree {
-        budget = budget.min(cap.saturating_sub(links.len()));
-    }
+    let budget = requests.min(max_degree.saturating_sub(links.len()));
     if budget == 0 {
         return Vec::new();
     }
@@ -293,7 +274,7 @@ impl Protocol for OptNode {
         self.pending = pick_connect_targets(
             COVERAGE,
             REQUESTS_PER_ROUND,
-            self.cfg.max_degree,
+            self.cfg.rt_size,
             self.ps.addr(),
             self.ps.payload(),
             &self.links,
@@ -372,7 +353,7 @@ mod tests {
     fn build_net(
         n: usize,
         subs_of: impl Fn(usize) -> Vec<u32>,
-        cfg: OptConfig,
+        cfg: VitisConfig,
     ) -> (Engine<OptNode>, Monitor) {
         let cfg = Rc::new(cfg);
         let monitor = Monitor::new();
@@ -402,7 +383,7 @@ mod tests {
 
     #[test]
     fn links_are_symmetric_connections() {
-        let (mut eng, _) = build_net(32, |i| vec![(i % 2) as u32], OptConfig::default());
+        let (mut eng, _) = build_net(32, |i| vec![(i % 2) as u32], VitisConfig::default());
         eng.run_rounds(25);
         let mut asym = 0;
         let mut total = 0;
@@ -425,9 +406,9 @@ mod tests {
 
     #[test]
     fn coverage_reaches_target_when_unbounded() {
-        let cfg = OptConfig {
-            max_degree: None,
-            ..OptConfig::default()
+        let cfg = VitisConfig {
+            rt_size: usize::MAX,
+            ..VitisConfig::default()
         };
         let (mut eng, _) = build_net(40, |i| vec![(i % 4) as u32, 4 + (i % 3) as u32], cfg);
         eng.run_rounds(30);
@@ -450,9 +431,9 @@ mod tests {
 
     #[test]
     fn degree_bound_is_hard() {
-        let cfg = OptConfig {
-            max_degree: Some(6),
-            ..OptConfig::default()
+        let cfg = VitisConfig {
+            rt_size: 6,
+            ..VitisConfig::default()
         };
         let (mut eng, _) = build_net(40, |i| vec![(i % 8) as u32], cfg);
         eng.run_rounds(30);
@@ -464,7 +445,7 @@ mod tests {
 
     #[test]
     fn flood_stays_inside_topic_subgraph() {
-        let (mut eng, monitor) = build_net(32, |i| vec![(i % 2) as u32], OptConfig::default());
+        let (mut eng, monitor) = build_net(32, |i| vec![(i % 2) as u32], VitisConfig::default());
         eng.run_rounds(25);
         let expected: Vec<NodeIdx> = (1..16).map(|k| NodeIdx(k * 2)).collect();
         let e = monitor.register_event(TopicId(0), eng.now(), expected);
@@ -490,7 +471,7 @@ mod tests {
     fn btree_picks(
         coverage: usize,
         requests: usize,
-        max_degree: Option<usize>,
+        max_degree: usize,
         me: NodeIdx,
         own: &TopicSet,
         links: &SmallMap<NodeIdx, Link>,
@@ -513,10 +494,7 @@ mod tests {
             .iter()
             .filter(|e| e.addr != me && !links.contains_key(&e.addr))
             .collect();
-        let mut budget = requests;
-        if let Some(cap) = max_degree {
-            budget = budget.min(cap.saturating_sub(links.len()));
-        }
+        let budget = requests.min(max_degree.saturating_sub(links.len()));
         while picks.len() < budget {
             let mut best: Option<(usize, isize)> = None;
             for (i, c) in candidates.iter().enumerate() {
@@ -578,6 +556,8 @@ mod tests {
             max_degree in proptest::option::of(0usize..14),
             requests in 0usize..5,
         ) {
+            // `usize::MAX` is the unbounded degree.
+            let max_degree = max_degree.unwrap_or(usize::MAX);
             let own = TopicSet::from_iter(own);
             let links: Vec<(u32, &[u32])> =
                 links.iter().map(|(a, t)| (*a, t.as_slice())).collect();
@@ -599,11 +579,11 @@ mod tests {
         let own = TopicSet::from_iter([1, 2, 3]);
         let links = link_table(&[]);
         let sample = [entry(7, &[1]), entry(8, &[2]), entry(9, &[3])];
-        let picks = pick_connect_targets(1, 3, Some(15), NodeIdx(0), &own, &links, &sample);
+        let picks = pick_connect_targets(1, 3, 15, NodeIdx(0), &own, &links, &sample);
         assert_eq!(picks, [NodeIdx(7), NodeIdx(9), NodeIdx(8)]);
         assert_eq!(
             picks,
-            btree_picks(1, 3, Some(15), NodeIdx(0), &own, &links, &sample)
+            btree_picks(1, 3, 15, NodeIdx(0), &own, &links, &sample)
         );
     }
 
@@ -614,10 +594,10 @@ mod tests {
         let own = TopicSet::from_iter([1, 2]);
         let links = link_table(&[(3, &[5]), (4, &[6])]);
         let sample = [entry(7, &[1, 2]), entry(8, &[1])];
-        assert!(pick_connect_targets(2, 3, Some(2), NodeIdx(0), &own, &links, &sample).is_empty());
-        assert!(btree_picks(2, 3, Some(2), NodeIdx(0), &own, &links, &sample).is_empty());
+        assert!(pick_connect_targets(2, 3, 2, NodeIdx(0), &own, &links, &sample).is_empty());
+        assert!(btree_picks(2, 3, 2, NodeIdx(0), &own, &links, &sample).is_empty());
         assert_eq!(
-            pick_connect_targets(2, 3, Some(3), NodeIdx(0), &own, &links, &sample),
+            pick_connect_targets(2, 3, 3, NodeIdx(0), &own, &links, &sample),
             [NodeIdx(7)]
         );
     }

@@ -3,7 +3,7 @@
 //! engine–monitor plumbing as [`vitis::system::VitisSystem`] and the
 //! experiment harness can swap systems freely.
 
-use crate::opt::{OptConfig, OptMsg, OptNode};
+use crate::opt::{OptMsg, OptNode};
 use crate::rvr::{RvrMsg, RvrNode};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -22,12 +22,12 @@ use vitis_sim::antientropy::AeConfig;
 pub type RvrSystem = SystemRuntime<RvrProtocol>;
 
 /// The RVR adapter: subscription-oblivious small-world tables and a
-/// rendezvous multicast tree per topic. Built from the same parameters
-/// as a Vitis system; only `rt_size`, `est_n` and `age_threshold` are
+/// rendezvous multicast tree per topic. Shares the run's configuration
+/// with a Vitis system; only `rt_size`, `est_n` and `age_threshold` are
 /// used (RVR has no friends, gateways or relay radius). The tree TTL is
 /// [`vitis::relay::RELAY_TTL`], as for Vitis's relay paths.
 pub struct RvrProtocol {
-    cfg: VitisConfig,
+    cfg: Rc<VitisConfig>,
 }
 
 /// RVR's verdict on a miss no transport cause explains, from the facts
@@ -57,15 +57,8 @@ impl PubSubProtocol for RvrProtocol {
 
     const RING: bool = true;
 
-    fn from_params(params: &SystemParams) -> Self {
-        // RVR's table holds the two ring links and draws small-world links
-        // from `est_n`, which the Vitis rules bound.
-        if let Err(e) = params.cfg.validate() {
-            panic!("invalid VitisConfig: {e}");
-        }
-        RvrProtocol {
-            cfg: params.cfg.clone(),
-        }
+    fn from_config(cfg: Rc<VitisConfig>) -> Self {
+        RvrProtocol { cfg }
     }
 
     fn make_node(
@@ -126,18 +119,11 @@ impl PubSubProtocol for RvrProtocol {
 pub type OptSystem = SystemRuntime<OptProtocol>;
 
 /// The OPT adapter: correlation-aware overlay-per-topic links, flooding
-/// within each topic subgraph, no structured routing at all.
+/// within each topic subgraph, no structured routing at all. Of the run's
+/// configuration it reads `rt_size`, its degree bound (`usize::MAX` for
+/// Figure 11's unbounded variant), and `age_threshold`.
 pub struct OptProtocol {
-    cfg: Rc<OptConfig>,
-}
-
-impl OptProtocol {
-    /// Adapter with an explicit OPT configuration (`max_degree: None`
-    /// gives the unbounded variant of Figure 11); combine with
-    /// [`SystemRuntime::with_protocol`].
-    pub fn with_config(cfg: OptConfig) -> Self {
-        OptProtocol { cfg: Rc::new(cfg) }
-    }
+    cfg: Rc<VitisConfig>,
 }
 
 /// OPT's verdict on a miss no transport cause explains. OPT has no
@@ -159,11 +145,8 @@ impl PubSubProtocol for OptProtocol {
     // No ring, and its links carry no age.
     const RING: bool = false;
 
-    fn from_params(params: &SystemParams) -> Self {
-        OptProtocol::with_config(OptConfig {
-            max_degree: Some(params.cfg.rt_size),
-            age_threshold: params.cfg.age_threshold,
-        })
+    fn from_config(cfg: Rc<VitisConfig>) -> Self {
+        OptProtocol { cfg }
     }
 
     fn make_node(
@@ -213,7 +196,7 @@ impl PubSubProtocol for OptProtocol {
 
     fn node_topo(&self, _node: &OptNode, topo: &mut NodeTopo) {
         // OPT floods per-topic subgraphs: no relay state, no gateways.
-        topo.view_bound = self.cfg.max_degree;
+        topo.view_bound = Some(self.cfg.rt_size);
     }
 }
 
@@ -282,6 +265,7 @@ impl std::str::FromStr for System {
 mod tests {
     use super::*;
     use rand::Rng;
+    use std::panic::AssertUnwindSafe;
     use vitis::topic::TopicSet;
     use vitis_sim::rng::{domain, stream_rng};
 
@@ -381,31 +365,10 @@ mod tests {
 
     #[test]
     fn opt_unbounded_covers_more_and_grows_degrees() {
-        let params = random_params(150, 30, 8, 41);
-        let bounded = {
-            let mut sys = OptSystem::with_protocol(
-                OptProtocol::with_config(OptConfig {
-                    max_degree: Some(8),
-                    ..OptConfig::default()
-                }),
-                params.clone(),
-            );
-            sys.run_rounds(40);
-            sys.reset_metrics();
-            for t in 0..30 {
-                sys.publish(TopicId(t));
-            }
-            sys.run_rounds(6);
-            sys.stats().hit_ratio
-        };
-        let (unbounded, max_degree) = {
-            let mut sys = OptSystem::with_protocol(
-                OptProtocol::with_config(OptConfig {
-                    max_degree: None,
-                    ..OptConfig::default()
-                }),
-                params,
-            );
+        let mut params = random_params(150, 30, 8, 41);
+        let mut run = |rt_size: usize| {
+            params.cfg.rt_size = rt_size;
+            let mut sys = OptSystem::new(params.clone());
             sys.run_rounds(40);
             let max_degree = sys.degree_distribution().into_iter().max().unwrap();
             sys.reset_metrics();
@@ -415,6 +378,8 @@ mod tests {
             sys.run_rounds(6);
             (sys.stats().hit_ratio, max_degree)
         };
+        let (bounded, _) = run(8);
+        let (unbounded, max_degree) = run(usize::MAX);
         assert!(
             unbounded >= bounded,
             "unbounded {unbounded} < bounded {bounded}"
@@ -422,20 +387,80 @@ mod tests {
         assert!(max_degree > 8, "unbounded degrees should exceed the cap");
     }
 
-    /// The run's repair setting reaches every node however the adapter was
-    /// built: an explicit OPT configuration does not reset it.
+    /// OPT's failure detection reads the run's `age_threshold`: once a
+    /// tenth of the network crashes, the last link to a crashed peer goes
+    /// after more than `age_threshold` rounds and at most two more, so
+    /// with 2 it goes three rounds before it would with the default 5.
     #[test]
-    fn opt_with_protocol_keeps_the_runs_repair_setting() {
+    fn opt_drops_silent_links_after_the_runs_age_threshold() {
+        let rounds_to_forget = |age_threshold: u16| {
+            let mut params = random_params(100, 10, 3, 59);
+            params.cfg.age_threshold = age_threshold;
+            let mut sys = OptSystem::new(params);
+            sys.run_rounds(20);
+            for logical in 0..10 {
+                sys.set_online(logical, false);
+            }
+            let holds_crashed = |sys: &OptSystem| {
+                sys.engine()
+                    .alive_nodes()
+                    .any(|(_, n)| n.neighbors().any(|peer| peer.0 < 10))
+            };
+            assert!(holds_crashed(&sys), "crashed peers had links");
+            let mut rounds = 0;
+            while holds_crashed(&sys) && rounds < 20 {
+                sys.run_rounds(1);
+                rounds += 1;
+            }
+            rounds
+        };
+        for age_threshold in [2, 5] {
+            let rounds = rounds_to_forget(age_threshold);
+            let window = age_threshold + 1..=age_threshold + 2;
+            assert!(window.contains(&rounds), "{age_threshold}: {rounds}");
+        }
+    }
+
+    /// The run's repair setting reaches every node of every system built
+    /// through the one constructor.
+    #[test]
+    fn every_system_builds_every_node_with_the_runs_repair_setting() {
+        fn all_repair<P: PubSubProtocol>(
+            sys: SystemRuntime<P>,
+            enabled: fn(&P::Node) -> bool,
+        ) -> bool {
+            assert_eq!(sys.alive_count(), 60);
+            sys.engine().alive_nodes().all(|(_, n)| enabled(n))
+        }
         let mut params = random_params(60, 10, 3, 43);
         params.repair = AeConfig::on();
-        let unbounded = OptProtocol::with_config(OptConfig {
-            max_degree: None,
-            ..OptConfig::default()
-        });
-        let sys = OptSystem::with_protocol(unbounded, params);
-        let nodes: Vec<_> = sys.engine().alive_nodes().collect();
-        assert_eq!(nodes.len(), 60);
-        assert!(nodes.iter().all(|(_, n)| n.repair().enabled()));
+        for system in System::ALL {
+            let p = params.clone();
+            let on = match system {
+                System::Vitis => all_repair(VitisSystem::new(p), |n| n.repair().enabled()),
+                System::Rvr => all_repair(RvrSystem::new(p), |n| n.repair().enabled()),
+                System::Opt => all_repair(OptSystem::new(p), |n| n.repair().enabled()),
+            };
+            assert!(on, "{}: repair off on some node", system.label());
+        }
+    }
+
+    /// Every system refuses a configuration that `VitisConfig::validate`
+    /// rejects: the one constructor checks the config for all three.
+    #[test]
+    fn every_system_refuses_an_invalid_config() {
+        let mut params = random_params(20, 5, 2, 61);
+        params.cfg.rt_size = 2;
+        assert!(params.cfg.validate().is_err());
+        for system in System::ALL {
+            let p = params.clone();
+            let built = std::panic::catch_unwind(AssertUnwindSafe(|| system.build(p)));
+            let Err(err) = built else {
+                panic!("{} accepted rt_size 2", system.label());
+            };
+            let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(msg.starts_with("invalid VitisConfig"), "{msg}");
+        }
     }
 
     /// Messages sit in every queued event, so their size is a hot constant.

@@ -1,6 +1,8 @@
-//! Vitis protocol configuration.
+//! Protocol configuration: one validated [`VitisConfig`] per run, shared
+//! by all three systems.
 
-/// The settable values of a Vitis node. Defaults mirror the paper's
+/// The settable values of a run, shared by every node of all three
+/// systems (RVR and OPT read a few of them). Defaults mirror the paper's
 /// experimental settings (Section IV-A): routing-table size 15, `k = 3`
 /// small-world links counting the two ring links (so one extra
 /// sw-neighbor), gateway radius `d = 5`.
@@ -9,14 +11,17 @@
 /// or reads it:
 ///
 /// * `rt_size` and `k_sw`: Figures 4, 6 and 10 vary the table size and its
-///   split between friends and small-world links;
+///   split between friends and small-world links, and `rt_size` is also
+///   RVR's table size and OPT's degree bound, which Figure 11 lifts with
+///   `usize::MAX`;
 /// * `gateway_election` and `utility_selection`: the two Vitis ablations;
 /// * `est_n`: set to the network size by every runner;
 /// * `publish_retries`, `publish_ack_timeout`, `max_event_hops` and
 ///   `gateway_failover`: the fault-hardening switches the resilience runs
 ///   and the churn workload turn on;
 /// * `d_max_hops` and `age_threshold`: read by the benchmark's kernel
-///   replays.
+///   replays (`age_threshold` is also every system's failure-detection
+///   threshold).
 ///
 /// Every other value is one constant next to its reader:
 /// [`crate::relay::RELAY_TTL`], [`crate::relay::MAX_LOOKUP_HOPS`],
@@ -26,6 +31,8 @@
 #[derive(Clone, Debug)]
 pub struct VitisConfig {
     /// Bounded routing-table size (node degree bound). Paper default: 15.
+    /// RVR's table holds this many entries and OPT's links stop at it;
+    /// `usize::MAX` leaves OPT's degree unbounded (Figure 11).
     pub rt_size: usize,
     /// Small-world links beyond the two ring links. Paper's `k = 3` counts
     /// predecessor + successor + this many extras, so the default is 1.

@@ -21,7 +21,13 @@
 //! The blanket `impl<P: PubSubProtocol> PubSub for SystemRuntime<P>` is
 //! the **only** [`PubSub`] implementation in the workspace; the driver
 //! surface cannot drift between systems.
+//!
+//! [`SystemRuntime::new`] is the one way to build a system. It validates
+//! the run's [`VitisConfig`] once and shares that one copy with the adapter
+//! and every node, so all three systems read the same node-degree bound
+//! (`rt_size`) and failure-detection threshold (`age_threshold`).
 
+use crate::config::VitisConfig;
 use crate::harness::Workload;
 use crate::monitor::{EventId, LossReason, LossReport, MissContext, Monitor, PubSubStats};
 use crate::relay::RelayTable;
@@ -31,6 +37,7 @@ use crate::topo::{NodeTopo, OverlaySnapshot, TopoLink};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 use vitis_overlay::entry::Entry;
 use vitis_overlay::graph::Graph;
@@ -166,9 +173,9 @@ pub trait PubSubProtocol: Sized {
     /// view age.
     const RING: bool;
 
-    /// Derive the protocol's shared state (its config) from the common
-    /// construction parameters.
-    fn from_params(params: &SystemParams) -> Self;
+    /// Build the adapter around the run's validated configuration, which
+    /// it shares with every node it makes.
+    fn from_config(cfg: Rc<VitisConfig>) -> Self;
 
     /// Construct the node joining as `logical`, with the run's
     /// anti-entropy configuration ([`SystemParams::repair`]).
@@ -221,9 +228,8 @@ const BOOTSTRAP_CONTACTS: usize = 5;
 /// A complete network of one publish/subscribe design: engine, nodes,
 /// workload ground truth and metrics behind the uniform [`PubSub`] API.
 ///
-/// Construct with [`SystemRuntime::new`] (config derived from params via
-/// [`PubSubProtocol::from_params`]) or [`SystemRuntime::with_protocol`]
-/// (explicit adapter state, e.g. OPT's unbounded-degree variant).
+/// Construct with [`SystemRuntime::new`], the one constructor of every
+/// system.
 pub struct SystemRuntime<P: PubSubProtocol> {
     pub(crate) engine: Engine<P::Node, FaultedNetwork<ConstantLatency>>,
     pub(crate) monitor: Monitor,
@@ -240,14 +246,17 @@ pub struct SystemRuntime<P: PubSubProtocol> {
 }
 
 impl<P: PubSubProtocol> SystemRuntime<P> {
-    /// Build and start a network with every node online.
+    /// Build and start a network with every node online. The adapter and
+    /// every node share one copy of `params.cfg`.
+    ///
+    /// # Panics
+    ///
+    /// If [`VitisConfig::validate`] rejects `params.cfg`.
     pub fn new(params: SystemParams) -> Self {
-        Self::with_protocol(P::from_params(&params), params)
-    }
-
-    /// Build with explicit protocol adapter state (bypasses
-    /// [`PubSubProtocol::from_params`]).
-    pub fn with_protocol(protocol: P, params: SystemParams) -> Self {
+        if let Err(e) = params.cfg.validate() {
+            panic!("invalid VitisConfig: {e}");
+        }
+        let protocol = P::from_config(Rc::new(params.cfg));
         let n = params.subscriptions.len();
         let monitor = Monitor::new();
         let workload = Workload::new(

@@ -152,13 +152,8 @@ impl PubSubProtocol for VitisProtocol {
 
     const RING: bool = true;
 
-    fn from_params(params: &SystemParams) -> Self {
-        if let Err(e) = params.cfg.validate() {
-            panic!("invalid VitisConfig: {e}");
-        }
-        VitisProtocol {
-            cfg: Rc::new(params.cfg.clone()),
-        }
+    fn from_config(cfg: Rc<VitisConfig>) -> Self {
+        VitisProtocol { cfg }
     }
 
     fn make_node(

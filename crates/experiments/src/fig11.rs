@@ -10,7 +10,7 @@ use crate::obs::Obs;
 use crate::report::{Figure, Series};
 use crate::scale::Scale;
 use vitis::system::PubSub;
-use vitis_baselines::{OptConfig, OptProtocol, OptSystem};
+use vitis_baselines::OptSystem;
 
 /// Degree statistics of the unbounded run.
 #[derive(Clone, Debug)]
@@ -23,18 +23,13 @@ pub struct DegreeStats {
     pub max_degree: u64,
 }
 
-/// Run unbounded OPT on the Twitter sample until link churn settles, then
-/// snapshot the degree distribution.
+/// Run unbounded OPT (`rt_size` of `usize::MAX`) on the Twitter sample
+/// until link churn settles, then snapshot the degree distribution.
 pub fn degree_stats(scale: &Scale) -> DegreeStats {
     let mut ctx = Obs::global().start("fig11", "opt-unbounded", 0);
-    let params = twitter_params(scale);
-    let mut sys = OptSystem::with_protocol(
-        OptProtocol::with_config(OptConfig {
-            max_degree: None,
-            ..OptConfig::default()
-        }),
-        params,
-    );
+    let mut params = twitter_params(scale);
+    params.cfg.rt_size = usize::MAX;
+    let mut sys = OptSystem::new(params);
     ctx.phase("build");
     ctx.install_trace(&mut sys);
     sys.run_rounds(scale.warmup_rounds);

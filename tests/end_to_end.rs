@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 use vitis::prelude::*;
-use vitis_baselines::{OptConfig, OptProtocol, OptSystem, RvrNode, RvrSystem};
+use vitis_baselines::{OptSystem, RvrNode, RvrSystem};
 use vitis_overlay::rt::HybridRt;
 use vitis_sim::fault::{FaultEpisode, FaultPlan, LossScope, Span};
 use vitis_workloads::{Correlation, SubscriptionModel};
@@ -213,27 +213,17 @@ fn subscription_handles_stay_the_workloads_through_churn() {
     handles_stay_through_churn(rvr, RvrNode::subscriptions, RvrNode::routing_table);
 }
 
-/// OPT's degree/coverage trade-off end to end: unbounded beats bounded on
-/// hit ratio at the cost of degree.
+/// OPT's degree/coverage trade-off end to end: unbounded (`rt_size` of
+/// `usize::MAX`) beats bounded on hit ratio at the cost of degree.
 #[test]
 fn opt_trades_degree_for_coverage() {
-    let p = params(Correlation::High, 400, 23);
+    let mut p = params(Correlation::High, 400, 23);
     let topics = p.num_topics;
-    let mut bounded = OptSystem::with_protocol(
-        OptProtocol::with_config(OptConfig {
-            max_degree: Some(10),
-            ..OptConfig::default()
-        }),
-        p.clone(),
-    );
+    p.cfg.rt_size = 10;
+    let mut bounded = OptSystem::new(p.clone());
     let bs = warm_and_publish(&mut bounded, topics);
-    let mut unbounded = OptSystem::with_protocol(
-        OptProtocol::with_config(OptConfig {
-            max_degree: None,
-            ..OptConfig::default()
-        }),
-        p,
-    );
+    p.cfg.rt_size = usize::MAX;
+    let mut unbounded = OptSystem::new(p);
     let us = warm_and_publish(&mut unbounded, topics);
     assert!(us.hit_ratio >= bs.hit_ratio);
     assert!(unbounded.mean_degree() > bounded.mean_degree());
