@@ -14,7 +14,7 @@ use std::rc::Rc;
 use vitis::config::VitisConfig;
 use vitis::dissemination::Dissemination;
 use vitis::monitor::{EventId, Monitor};
-use vitis::msg::{Notification, RepairMsg};
+use vitis::msg::{wire, Notification, RepairMsg};
 use vitis::smallmap::SmallMap;
 use vitis::topic::{Subs, TopicId, TopicSet};
 use vitis_overlay::entry::Entry;
@@ -244,6 +244,16 @@ impl Protocol for OptNode {
         }
     }
 
+    fn wire_bytes(msg: &OptMsg) -> u64 {
+        match msg {
+            OptMsg::PsReq(b) | OptMsg::PsResp(b) => wire::buffer_bytes(b),
+            OptMsg::ConnectReq(subs) | OptMsg::ConnectAck(subs) => wire::subs_bytes(subs),
+            OptMsg::Heartbeat => wire::HEARTBEAT_BYTES,
+            OptMsg::Notif(_) | OptMsg::PublishCmd { .. } => wire::NOTIFICATION_BYTES,
+            OptMsg::Repair(r) => wire::repair_bytes(r),
+        }
+    }
+
     fn event_of(msg: &OptMsg) -> Option<u64> {
         match msg {
             OptMsg::Notif(n) => Some(n.event.0),
@@ -292,9 +302,7 @@ impl Protocol for OptNode {
         // Anti-entropy repair. Entirely inert — no sends, no RNG draws —
         // unless the layer is enabled, so default runs stay bit-identical.
         let neighbors = || self.links.keys().copied().collect();
-        for (to, msg) in self.dissem.round_step(neighbors, ctx.rng) {
-            ctx.send(to, OptMsg::Repair(msg));
-        }
+        self.dissem.round_step(ctx, neighbors, OptMsg::Repair);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, OptMsg>, from: NodeIdx, msg: OptMsg) {
@@ -336,9 +344,7 @@ impl Protocol for OptNode {
             }
             OptMsg::Repair(msg) => {
                 let subs = self.ps.payload();
-                if let Some(want) = self.dissem.on_repair(ctx, from, subs, msg, OptMsg::Repair) {
-                    ctx.send(from, OptMsg::Repair(want));
-                }
+                self.dissem.on_repair(ctx, from, subs, msg, OptMsg::Repair);
             }
         }
     }
@@ -379,6 +385,45 @@ mod tests {
             directory.push(Entry::fresh(slot, id, subs));
         }
         (eng, monitor)
+    }
+
+    /// Every OPT message is priced by a `wire` rule: descriptor buffers as
+    /// Vitis's, the handshake as a profile with no proposals, the bare
+    /// heartbeat as its framing.
+    #[test]
+    fn every_message_has_its_wire_size() {
+        use vitis::monitor::HopPath;
+        let subs = Subs::new(TopicSet::from_iter([1, 4, 9]));
+        let buf = vec![Entry::fresh(NodeIdx(1), Id(5), subs.clone())];
+        let buf_bytes = wire::buffer_bytes(&buf);
+        let (event, topic) = (EventId(7), TopicId(1));
+        let notif = Notification {
+            event,
+            topic,
+            hops: 2,
+            path: HopPath::default(),
+        };
+        let digest = RepairMsg::Digest(Rc::new(vec![(7, 1)]));
+        let want = RepairMsg::Want(vec![7, 8]);
+        let push = RepairMsg::Push(notif.clone());
+        let sizes = [
+            (OptMsg::PsReq(buf.clone()), buf_bytes),
+            (OptMsg::PsResp(buf), buf_bytes),
+            (OptMsg::ConnectReq(subs.clone()), wire::subs_bytes(&subs)),
+            (OptMsg::ConnectAck(subs.clone()), wire::subs_bytes(&subs)),
+            (OptMsg::Heartbeat, wire::HEARTBEAT_BYTES),
+            (OptMsg::Notif(notif), wire::NOTIFICATION_BYTES),
+            (
+                OptMsg::PublishCmd { event, topic },
+                wire::NOTIFICATION_BYTES,
+            ),
+            (OptMsg::Repair(digest.clone()), wire::repair_bytes(&digest)),
+            (OptMsg::Repair(want.clone()), wire::repair_bytes(&want)),
+            (OptMsg::Repair(push.clone()), wire::repair_bytes(&push)),
+        ];
+        for (msg, bytes) in sizes {
+            assert_eq!(OptNode::wire_bytes(&msg), bytes, "{msg:?}");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use vitis::config::VitisConfig;
 use vitis::dissemination::Dissemination;
 use vitis::monitor::{EventId, Monitor};
-use vitis::msg::{Notification, RepairMsg};
+use vitis::msg::{wire, Notification, RepairMsg};
 use vitis::relay::{RelayTable, RELAY_TTL};
 use vitis::topic::{Subs, TopicId};
 use vitis_overlay::entry::Entry;
@@ -171,6 +171,18 @@ impl Protocol for RvrNode {
         }
     }
 
+    fn wire_bytes(msg: &RvrMsg) -> u64 {
+        match msg {
+            RvrMsg::PsReq(b) | RvrMsg::PsResp(b) | RvrMsg::RtReq(b) | RvrMsg::RtResp(b) => {
+                wire::buffer_bytes(b)
+            }
+            RvrMsg::Heartbeat(_, subs) => wire::subs_bytes(subs),
+            RvrMsg::Join { .. } => wire::RELAY_REQUEST_BYTES,
+            RvrMsg::Notif(_) | RvrMsg::PublishCmd { .. } => wire::NOTIFICATION_BYTES,
+            RvrMsg::Repair(r) => wire::repair_bytes(r),
+        }
+    }
+
     fn event_of(msg: &RvrMsg) -> Option<u64> {
         match msg {
             RvrMsg::Notif(n) => Some(n.event.0),
@@ -229,9 +241,8 @@ impl Protocol for RvrNode {
 
         // Anti-entropy repair. Entirely inert — no sends, no RNG draws —
         // unless the layer is enabled, so default runs stay bit-identical.
-        for (to, msg) in self.dissem.round_step(|| self.net.rt().addrs(), ctx.rng) {
-            ctx.send(to, RvrMsg::Repair(msg));
-        }
+        self.dissem
+            .round_step(ctx, || self.net.rt().addrs(), RvrMsg::Repair);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, RvrMsg>, from: NodeIdx, msg: RvrMsg) {
@@ -271,9 +282,7 @@ impl Protocol for RvrNode {
             }
             RvrMsg::Repair(msg) => {
                 let subs = self.net.payload();
-                if let Some(want) = self.dissem.on_repair(ctx, from, subs, msg, RvrMsg::Repair) {
-                    ctx.send(from, RvrMsg::Repair(want));
-                }
+                self.dissem.on_repair(ctx, from, subs, msg, RvrMsg::Repair);
             }
         }
     }
@@ -366,6 +375,50 @@ mod tests {
             node.tree_table().get(topic).unwrap().upstream(),
             Some(closer)
         );
+    }
+
+    /// Every RVR message is priced by the `wire` rule Vitis's counterpart
+    /// uses: descriptor buffers alike, a join as a relay request, a
+    /// heartbeat as a profile with no proposals.
+    #[test]
+    fn every_message_has_its_wire_size() {
+        use std::rc::Rc;
+        use vitis::monitor::HopPath;
+        let subs = Subs::new(TopicSet::from_iter([1, 4, 9]));
+        let buf = vec![Entry::fresh(NodeIdx(1), Id(5), subs.clone())];
+        let buf_bytes = wire::buffer_bytes(&buf);
+        let (event, topic) = (EventId(7), TopicId(1));
+        let notif = Notification {
+            event,
+            topic,
+            hops: 2,
+            path: HopPath::default(),
+        };
+        let digest = RepairMsg::Digest(Rc::new(vec![(7, 1)]));
+        let want = RepairMsg::Want(vec![7, 8]);
+        let push = RepairMsg::Push(notif.clone());
+        let sizes = [
+            (RvrMsg::PsReq(buf.clone()), buf_bytes),
+            (RvrMsg::PsResp(buf.clone()), buf_bytes),
+            (RvrMsg::RtReq(buf.clone()), buf_bytes),
+            (RvrMsg::RtResp(buf), buf_bytes),
+            (
+                RvrMsg::Heartbeat(Id(3), subs.clone()),
+                wire::subs_bytes(&subs),
+            ),
+            (RvrMsg::Join { topic, hops: 4 }, wire::RELAY_REQUEST_BYTES),
+            (RvrMsg::Notif(notif), wire::NOTIFICATION_BYTES),
+            (
+                RvrMsg::PublishCmd { event, topic },
+                wire::NOTIFICATION_BYTES,
+            ),
+            (RvrMsg::Repair(digest.clone()), wire::repair_bytes(&digest)),
+            (RvrMsg::Repair(want.clone()), wire::repair_bytes(&want)),
+            (RvrMsg::Repair(push.clone()), wire::repair_bytes(&push)),
+        ];
+        for (msg, bytes) in sizes {
+            assert_eq!(RvrNode::wire_bytes(&msg), bytes, "{msg:?}");
+        }
     }
 
     #[test]

@@ -22,6 +22,7 @@ pub fn check_pubsub_conformance<P: PubSubProtocol>(
     churn_nodes: u32,
 ) {
     check_reset_zeroes_stats(sys, name, topics);
+    check_control_bytes_come_from_the_ledger(sys, name, topics);
     check_loss_report_partitions_misses(sys, name, topics, churn_nodes);
     check_set_online_idempotent(sys, name, churn_nodes);
     check_agrees_with_engine(sys, name);
@@ -48,6 +49,53 @@ pub fn check_reset_zeroes_stats(sys: &mut impl PubSub, name: &str, topics: u32) 
     assert_eq!(s.max_latency_ticks, 0, "{name}: max_latency after reset");
     let kind_sent: u64 = s.traffic_by_kind.iter().map(|k| k.sent).sum();
     assert_eq!(kind_sent, 0, "{name}: per-kind ledger after reset");
+}
+
+/// Control bandwidth is read from the engine's traffic ledger, the same
+/// way for every system: zero right after `reset_metrics`, positive once
+/// rounds have run, and exactly the window's control-class bytes over its
+/// round activations, which are the engine's. The window publishes, so
+/// data-plane bytes are there to be left out.
+pub fn check_control_bytes_come_from_the_ledger<P: PubSubProtocol>(
+    sys: &mut SystemRuntime<P>,
+    name: &str,
+    topics: u32,
+) {
+    sys.reset_metrics();
+    assert_eq!(
+        sys.stats().control_bytes_per_round,
+        0.0,
+        "{name}: control_bytes_per_round after reset"
+    );
+    let before = sys.perf_counters().activations_round;
+    for t in 0..topics {
+        sys.publish(TopicId(t));
+    }
+    sys.run_rounds(3);
+    let s = sys.stats();
+    let class_bytes = |class: &str| -> u64 {
+        s.traffic_by_kind
+            .iter()
+            .filter(|k| k.class == class)
+            .map(|k| k.bytes)
+            .sum()
+    };
+    assert!(
+        s.control_bytes_per_round > 0.0,
+        "{name}: control bytes are counted"
+    );
+    assert!(class_bytes("data") > 0, "{name}: data bytes are counted");
+    let rounds = sys.engine().traffic().rounds();
+    assert_eq!(
+        rounds,
+        sys.perf_counters().activations_round - before,
+        "{name}: the window's rounds are its round activations"
+    );
+    assert_eq!(
+        s.control_bytes_per_round,
+        class_bytes("control") as f64 / rounds as f64,
+        "{name}: control_bytes_per_round is the ledger's control bytes per round"
+    );
 }
 
 /// `loss_report` per-reason counts sum exactly to `expected - delivered`,

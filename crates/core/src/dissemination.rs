@@ -10,16 +10,16 @@
 //! sends every forwarded copy ([`Dissemination::send_copies`]) and runs
 //! every arrival, flooded or recovered, through one routine, so a node
 //! delivers each event once however its copies reach it. It also owns the
-//! repair wire protocol,
-//! [`RepairMsg`], which each node's wire enum carries in one `Repair`
-//! variant: it returns the repair messages a round or a digest calls for
-//! and the node puts them on the wire, so a node that accounts control
-//! bytes (Vitis) does so without this code branching on its caller.
+//! repair wire protocol, [`RepairMsg`], which each node's wire enum
+//! carries in one `Repair` variant: the node hands in that variant's
+//! constructor and the component sends every repair message a round or an
+//! arrival calls for itself. What the messages cost is the engine's to
+//! count, by the node type's `wire_bytes`, so nothing here depends on
+//! which system sends.
 
 use crate::monitor::{Arrival, EventId, HopPath, Monitor};
 use crate::msg::{Notification, RepairMsg};
 use crate::topic::{Subs, TopicId};
-use rand::rngs::SmallRng;
 use std::rc::Rc;
 use vitis_sim::antientropy::{AeConfig, AntiEntropy};
 use vitis_sim::event::NodeIdx;
@@ -131,12 +131,6 @@ impl Dissemination {
         self.seen.heap_bytes()
             + (self.targets.capacity() * std::mem::size_of::<NodeIdx>()) as u64
             + self.ae.heap_bytes()
-    }
-
-    /// The node's monitor handle, for accounting the node does itself
-    /// (control bytes, rounds).
-    pub fn monitor(&self) -> &Monitor {
-        &self.monitor
     }
 
     /// The anti-entropy repair state (tests/telemetry).
@@ -280,43 +274,40 @@ impl Dissemination {
         self.targets = targets;
     }
 
-    /// End-of-round step: count the round, age the cache, and return the
-    /// repair messages for the node to put on the wire, in the order they
-    /// must leave — a [`RepairMsg::Want`] per pull retry that is due, then,
-    /// when there is a digest to gossip, one [`RepairMsg::Digest`] to each
+    /// End-of-round step: count the round, age the cache, and send the
+    /// repair messages, each wrapped by `wrap`, in the order they must
+    /// leave — a [`RepairMsg::Want`] per pull retry that is due, then, when
+    /// there is a digest to gossip, one [`RepairMsg::Digest`] to each
     /// target sampled from `neighbors()`. With repair off (or nothing
     /// cached) the closure is never called and no randomness is drawn, so
     /// default runs stay bit-identical and allocate nothing here.
-    pub fn round_step(
+    pub fn round_step<M>(
         &mut self,
+        ctx: &mut Context<'_, M>,
         neighbors: impl FnOnce() -> Vec<NodeIdx>,
-        rng: &mut SmallRng,
-    ) -> Vec<(NodeIdx, RepairMsg)> {
+        wrap: impl Fn(RepairMsg) -> M,
+    ) {
         self.round += 1;
         if !self.ae.enabled() {
-            return Vec::new();
+            return;
         }
         self.ae.tick(self.round);
-        let mut out: Vec<_> = self
-            .ae
-            .due_pulls(self.round)
-            .into_iter()
-            .map(|(to, ids)| (to, RepairMsg::Want(ids)))
-            .collect();
+        for (to, ids) in self.ae.due_pulls(self.round) {
+            ctx.send(to, wrap(RepairMsg::Want(ids)));
+        }
         if let Some(entries) = self.ae.digest(self.round) {
             let entries = Rc::new(entries);
-            for to in self.ae.pick_targets(neighbors(), rng) {
-                out.push((to, RepairMsg::Digest(entries.clone())));
+            for to in self.ae.pick_targets(neighbors(), ctx.rng) {
+                ctx.send(to, wrap(RepairMsg::Digest(entries.clone())));
             }
         }
-        out
     }
 
     /// A repair message from `from` arrived at this node, subscribed to
-    /// `subs`:
-    /// - a digest returns the [`RepairMsg::Want`] to send back for the
-    ///   advertised events on a topic in `subs` never seen here (`None`
-    ///   when there are none); the node puts it on the wire itself;
+    /// `subs`; every reply leaves wrapped by `wrap`:
+    /// - a digest gets one [`RepairMsg::Want`] back for the advertised
+    ///   events on a topic in `subs` never seen here (none when there are
+    ///   none);
     /// - a want gets one `send_copy` push, one repair
     ///   hop on, per event it names that is still cached (aged-out or
     ///   never-held ids are silently absent);
@@ -332,7 +323,7 @@ impl Dissemination {
         subs: &Subs,
         msg: RepairMsg,
         wrap: impl Fn(RepairMsg) -> M,
-    ) -> Option<RepairMsg> {
+    ) {
         match msg {
             RepairMsg::Digest(entries) => {
                 let seen = &self.seen;
@@ -343,7 +334,9 @@ impl Dissemination {
                     |t| subs.contains(TopicId(t)),
                     |e| seen.contains(EventId(e)),
                 );
-                (!wants.is_empty()).then_some(RepairMsg::Want(wants))
+                if !wants.is_empty() {
+                    ctx.send(from, wrap(RepairMsg::Want(wants)));
+                }
             }
             RepairMsg::Want(ids) => {
                 for (_, _, cached) in self.ae.serve(&ids) {
@@ -353,11 +346,9 @@ impl Dissemination {
                     };
                     self.send_copy(ctx, from, push, |n| wrap(RepairMsg::Push(n)));
                 }
-                None
             }
             RepairMsg::Push(notif) => {
                 self.arrive(ctx.self_idx, subs, ctx.now, notif, Arrival::Recovered);
-                None
             }
         }
     }
@@ -367,6 +358,7 @@ impl Dissemination {
 mod tests {
     use super::*;
     use crate::topic::TopicSet;
+    use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use vitis_sim::antientropy::DIGEST_FANOUT;
     use vitis_sim::protocol::capture_sends;
@@ -394,41 +386,49 @@ mod tests {
     }
 
     /// `d`, at `ME` and subscribed to `subs`, handles `msg` from `PEER` at
-    /// time `now`: the reply it returns and the sends it made.
+    /// time `now`: the sends it made.
     fn handle(
         d: &mut Dissemination,
         subs: &Subs,
         now: u64,
         msg: RepairMsg,
-    ) -> (Option<RepairMsg>, Vec<(NodeIdx, RepairMsg)>) {
+    ) -> Vec<(NodeIdx, RepairMsg)> {
         let mut rng = SmallRng::seed_from_u64(0);
-        let mut reply = None;
-        let sent = capture_sends(ME, SimTime(now), &mut rng, |ctx| {
-            reply = d.on_repair(ctx, PEER, subs, msg, |m| m);
-        });
-        (reply, sent)
+        capture_sends(ME, SimTime(now), &mut rng, |ctx| {
+            d.on_repair(ctx, PEER, subs, msg, |m| m)
+        })
     }
 
-    /// The digest's reply: the want to send back, if any.
+    /// The digest's reply: the want sent back to `PEER`, if any.
     fn digest(d: &mut Dissemination, subs: &Subs, entries: &[(u64, u32)]) -> Option<RepairMsg> {
-        let (reply, sent) = handle(d, subs, 0, RepairMsg::Digest(Rc::new(entries.to_vec())));
-        assert!(sent.is_empty(), "the node sends the reply itself");
-        reply
+        let mut sent = handle(d, subs, 0, RepairMsg::Digest(Rc::new(entries.to_vec())));
+        assert!(sent.len() <= 1, "a digest is answered with one want");
+        sent.pop().map(|(to, msg)| {
+            assert!(to == PEER && matches!(msg, RepairMsg::Want(_)), "{msg:?}");
+            msg
+        })
     }
 
     /// A push of `notif` arrives at time `now`.
     fn push(d: &mut Dissemination, subs: &Subs, now: u64, notif: Notification) {
-        let (reply, sent) = handle(d, subs, now, RepairMsg::Push(notif));
-        assert!(
-            reply.is_none() && sent.is_empty(),
-            "a push is never sent on"
-        );
+        let sent = handle(d, subs, now, RepairMsg::Push(notif));
+        assert!(sent.is_empty(), "a push is never sent on");
+    }
+
+    /// The end-of-round step's sends, with `neighbors` to gossip to.
+    fn step(
+        d: &mut Dissemination,
+        rng: &mut SmallRng,
+        neighbors: impl FnOnce() -> Vec<NodeIdx>,
+    ) -> Vec<(NodeIdx, RepairMsg)> {
+        capture_sends(ME, SimTime(0), rng, |ctx| {
+            d.round_step(ctx, neighbors, |m| m)
+        })
     }
 
     /// The copies pushed back to `PEER` for its want of `ids`.
     fn serve(d: &mut Dissemination, subs: &Subs, ids: &[u64]) -> Vec<Notification> {
-        let (reply, sent) = handle(d, subs, 0, RepairMsg::Want(ids.to_vec()));
-        assert!(reply.is_none(), "a want is answered with pushes alone");
+        let sent = handle(d, subs, 0, RepairMsg::Want(ids.to_vec()));
         sent.into_iter()
             .map(|(to, msg)| match (to, msg) {
                 (PEER, RepairMsg::Push(n)) => n,
@@ -644,11 +644,11 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(7);
         let mut untouched = rng.clone();
         off.publish(ME, event, T);
-        let out = off.round_step(|| panic!("neighbors must not be built"), &mut rng);
+        let out = step(&mut off, &mut rng, || panic!("neighbors must not be built"));
         assert!(out.is_empty());
         assert_eq!(off.round(), 1, "the round still counts");
         // Enabled but with nothing cached is just as quiet.
-        let out = d.round_step(|| panic!("neighbors must not be built"), &mut rng);
+        let out = step(&mut d, &mut rng, || panic!("neighbors must not be built"));
         assert!(out.is_empty());
         assert_eq!(
             rng.gen::<u64>(),
@@ -657,7 +657,7 @@ mod tests {
         );
         // With a cached event the digest goes to a sample of the neighbors.
         d.publish(ME, event, T);
-        let out = d.round_step(|| (10..20).map(NodeIdx).collect(), &mut rng);
+        let out = step(&mut d, &mut rng, || (10..20).map(NodeIdx).collect());
         assert_eq!(out.len(), DIGEST_FANOUT);
         let advertised = RepairMsg::Digest(Rc::new(vec![(event.0, T.0)]));
         assert!(out
@@ -667,7 +667,7 @@ mod tests {
         let missing = monitor.register_event(T, SimTime(0), vec![ME]);
         digest(&mut d, &subs, &[(missing.0, T.0)]);
         let out =
-            std::iter::repeat_with(|| d.round_step(|| (10..20).map(NodeIdx).collect(), &mut rng))
+            std::iter::repeat_with(|| step(&mut d, &mut rng, || (10..20).map(NodeIdx).collect()))
                 .take(8)
                 .find(|out| out.iter().any(|(_, msg)| matches!(msg, RepairMsg::Want(_))))
                 .expect("the pull is retried");

@@ -23,7 +23,7 @@ use std::rc::Rc;
 use vitis_sim::event::NodeIdx;
 use vitis_sim::metrics::Summary;
 use vitis_sim::time::SimTime;
-use vitis_sim::trace::{KindTraffic, TraceEvent, TraceHandle, TrafficClass};
+use vitis_sim::trace::{TraceEvent, TraceHandle, TrafficClass, TrafficLedger};
 
 /// Identifier of a published event within a run.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -353,10 +353,6 @@ struct MonitorInner {
     useful_rx: Vec<u64>,
     /// Per-slot received data-plane messages for unsubscribed topics.
     relay_rx: Vec<u64>,
-    /// Control-plane bytes sent by all nodes (gossip, heartbeats, lookups).
-    control_tx_bytes: u64,
-    /// Gossip rounds executed by all nodes.
-    control_rounds: u64,
     /// First arrivals that came through the anti-entropy repair layer
     /// (monitor lifetime; not reset with metrics windows).
     recovered_deliveries: u64,
@@ -404,14 +400,17 @@ vitis_sim::record! {
         pub mean_latency_ticks: f64,
         /// Maximum delivery latency in ticks.
         pub max_latency_ticks: u64,
-        /// Mean control-plane bytes a node sends per gossip round.
+        /// Mean control-plane bytes a node sends per gossip round: the
+        /// window's control-class wire bytes over its round activations,
+        /// from the engine ledger (0 until
+        /// [`PubSubStats::with_kind_traffic`] merges it).
         pub control_bytes_per_round: f64,
         /// Control-plane messages handed to the network (engine-side count
         /// over the window, from `Protocol::classify`).
         pub control_sent: u64,
         /// Data-plane messages handed to the network over the window.
         pub data_sent: u64,
-        /// Per-message-kind sent/delivered counts over the window, in
+        /// Per-message-kind sent/delivered/byte counts over the window, in
         /// first-seen order (empty until a system merges its engine ledger
         /// via [`PubSubStats::with_kind_traffic`]).
         pub traffic_by_kind: Vec<KindStat>,
@@ -419,7 +418,7 @@ vitis_sim::record! {
 }
 
 vitis_sim::record! {
-    /// Sent/delivered counters for one protocol message kind, as surfaced in
+    /// Sent/delivered/byte counters for one protocol message kind, as surfaced in
     /// [`PubSubStats::traffic_by_kind`]. Owned strings so the snapshot is
     /// self-contained and serializable.
     #[derive(Clone, Debug, PartialEq, Eq)]
@@ -432,21 +431,28 @@ vitis_sim::record! {
         pub sent: u64,
         /// Messages of this kind delivered to alive nodes.
         pub delivered: u64,
+        /// Wire bytes of the messages of this kind handed to the network.
+        pub bytes: u64,
     }
 }
 
 impl PubSubStats {
     /// Merge an engine traffic ledger into this snapshot, filling
-    /// [`PubSubStats::control_sent`], [`PubSubStats::data_sent`] and
+    /// [`PubSubStats::control_sent`], [`PubSubStats::data_sent`],
+    /// [`PubSubStats::control_bytes_per_round`] and
     /// [`PubSubStats::traffic_by_kind`]. Every system calls this in its
-    /// `stats()` so all three report the same schema.
-    pub fn with_kind_traffic(mut self, kinds: &[KindTraffic]) -> Self {
+    /// `stats()` so all three report the same schema from one account.
+    pub fn with_kind_traffic(mut self, ledger: &TrafficLedger) -> Self {
         self.control_sent = 0;
         self.data_sent = 0;
         self.traffic_by_kind.clear();
-        for k in kinds {
+        let mut control_bytes = 0;
+        for k in ledger.kinds() {
             match k.class {
-                TrafficClass::Control => self.control_sent += k.sent,
+                TrafficClass::Control => {
+                    self.control_sent += k.sent;
+                    control_bytes += k.bytes;
+                }
                 TrafficClass::Data => self.data_sent += k.sent,
             }
             self.traffic_by_kind.push(KindStat {
@@ -454,8 +460,13 @@ impl PubSubStats {
                 class: k.class.as_str().to_string(),
                 sent: k.sent,
                 delivered: k.delivered,
+                bytes: k.bytes,
             });
         }
+        self.control_bytes_per_round = match ledger.rounds() {
+            0 => 0.0,
+            rounds => control_bytes as f64 / rounds as f64,
+        };
         self
     }
 }
@@ -710,20 +721,13 @@ impl Monitor {
         report
     }
 
-    /// Account control-plane bytes sent by `node` (gossip buffers,
-    /// heartbeats, relay lookups, exchange replies). Only the total over
-    /// all nodes is kept: the snapshot reads no per-node figure. `node`
-    /// stays only because `benchmark/src/replay.rs` passes it (ROADMAP
-    /// item 5(b)).
-    pub fn record_control_tx(&self, _node: NodeIdx, bytes: u64) {
-        self.0.borrow_mut().control_tx_bytes += bytes;
-    }
-
-    /// Mark one gossip round executed by some node; the per-round control
-    /// bandwidth statistic divides recorded bytes by recorded rounds.
-    pub fn record_control_round(&self) {
-        self.0.borrow_mut().control_rounds += 1;
-    }
+    // Control bytes are the engine ledger's (`Protocol::wire_bytes`), so
+    // this records nothing. Kept only because `benchmark/src/replay.rs`
+    // still times a call to it and that file is editable only by a
+    // `[benchmark]`-scoped PR; delete it together with that kernel
+    // (ROADMAP item 5(b)).
+    #[doc(hidden)]
+    pub fn record_control_tx(&self, _node: NodeIdx, _bytes: u64) {}
 
     /// Account one received data-plane message at `node`; `useful` is true
     /// iff the receiver is subscribed to the message's topic.
@@ -768,7 +772,6 @@ impl Monitor {
                 max_latency = max_latency.max(lat);
             }
         }
-        let (ctl_bytes, ctl_rounds) = (inner.control_tx_bytes, inner.control_rounds);
         let useful: u64 = inner.useful_rx.iter().sum();
         let relay: u64 = inner.relay_rx.iter().sum();
         let total = useful + relay;
@@ -792,11 +795,7 @@ impl Monitor {
             },
             mean_latency_ticks: latency.mean(),
             max_latency_ticks: max_latency,
-            control_bytes_per_round: if ctl_rounds == 0 {
-                0.0
-            } else {
-                ctl_bytes as f64 / ctl_rounds as f64
-            },
+            control_bytes_per_round: 0.0,
             control_sent: 0,
             data_sent: 0,
             traffic_by_kind: Vec::new(),
@@ -828,8 +827,6 @@ impl Monitor {
         inner.events.clear();
         inner.useful_rx.clear();
         inner.relay_rx.clear();
-        inner.control_tx_bytes = 0;
-        inner.control_rounds = 0;
     }
 }
 
@@ -1155,13 +1152,13 @@ mod kind_traffic_tests {
     fn with_kind_traffic_splits_control_and_data() {
         let mut ledger = vitis_sim::trace::TrafficLedger::new();
         for _ in 0..5 {
-            ledger.record_send(MsgTag::control("ps_req"));
+            ledger.record_send(MsgTag::control("ps_req"), 50);
         }
         for _ in 0..3 {
-            ledger.record_send(MsgTag::data("notification"));
+            ledger.record_send(MsgTag::data("notification"), 16);
         }
         ledger.record_deliver(MsgTag::data("notification"));
-        let s = Monitor::new().snapshot().with_kind_traffic(ledger.kinds());
+        let s = Monitor::new().snapshot().with_kind_traffic(&ledger);
         assert_eq!(s.control_sent, 5);
         assert_eq!(s.data_sent, 3);
         assert_eq!(s.traffic_by_kind.len(), 2);
@@ -1171,18 +1168,20 @@ mod kind_traffic_tests {
             .find(|k| k.kind == "notification")
             .unwrap();
         assert_eq!(notif.class, "data");
-        assert_eq!((notif.sent, notif.delivered), (3, 1));
+        assert_eq!((notif.sent, notif.delivered, notif.bytes), (3, 1, 48));
     }
 
     #[test]
     fn with_kind_traffic_is_idempotent() {
         let mut ledger = vitis_sim::trace::TrafficLedger::new();
-        ledger.record_send(MsgTag::control("hb"));
+        ledger.record_send(MsgTag::control("hb"), 4);
+        ledger.record_round();
         let s = Monitor::new()
             .snapshot()
-            .with_kind_traffic(ledger.kinds())
-            .with_kind_traffic(ledger.kinds());
+            .with_kind_traffic(&ledger)
+            .with_kind_traffic(&ledger);
         assert_eq!(s.control_sent, 1);
+        assert_eq!(s.control_bytes_per_round, 4.0);
         assert_eq!(s.traffic_by_kind.len(), 1);
     }
 }
@@ -1226,16 +1225,26 @@ mod bandwidth_tests {
 
     #[test]
     fn control_bandwidth_is_bytes_per_round() {
+        use vitis_sim::trace::MsgTag;
+        let mut ledger = TrafficLedger::new();
+        ledger.record_round();
+        ledger.record_send(MsgTag::control("profile"), 300);
+        ledger.record_round();
+        ledger.record_send(MsgTag::control("rt_req"), 100);
+        // Data-plane bytes are not control bandwidth.
+        ledger.record_send(MsgTag::data("notification"), 16);
+        ledger.record_round();
         let m = Monitor::new();
-        m.record_control_round();
-        m.record_control_tx(NodeIdx(0), 300);
-        m.record_control_round();
-        m.record_control_tx(NodeIdx(0), 100);
-        m.record_control_round();
-        let s = m.snapshot();
-        assert!((s.control_bytes_per_round - 400.0 / 3.0).abs() < 1e-9);
-        m.reset();
-        assert_eq!(m.snapshot().control_bytes_per_round, 0.0);
+        let s = m.snapshot().with_kind_traffic(&ledger);
+        assert_eq!(s.control_bytes_per_round, 400.0 / 3.0);
+        let bytes: Vec<_> = s.traffic_by_kind.iter().map(|k| k.bytes).collect();
+        assert_eq!(bytes, [300, 100, 16]);
+        // Bytes and rounds reset with the window; the kind list is kept.
+        ledger.reset();
+        let s = m.snapshot().with_kind_traffic(&ledger);
+        assert_eq!(s.control_bytes_per_round, 0.0);
+        assert_eq!(s.traffic_by_kind.len(), 3);
+        assert!(s.traffic_by_kind.iter().all(|k| k.bytes == 0));
     }
 }
 

@@ -139,10 +139,14 @@ pub enum VitisMsg {
     Repair(RepairMsg),
 }
 
-/// Approximate serialized sizes, in bytes, for bandwidth accounting: a node
+/// Approximate serialized sizes, in bytes, for bandwidth accounting, the
+/// encoding rules every system's [`Protocol::wire_bytes`] applies: a node
 /// descriptor is address (4) + ring id (8) + age (2) = 14 bytes plus 4
 /// bytes per subscribed topic in its profile payload; proposals are 24
-/// bytes each (topic + gateway id + gateway/parent addresses + hops).
+/// bytes each (topic + gateway id + gateway/parent addresses + hops). A
+/// fixed-size message is its fields plus 4 bytes of framing.
+///
+/// [`Protocol::wire_bytes`]: vitis_sim::protocol::Protocol::wire_bytes
 pub mod wire {
     use super::*;
 
@@ -156,40 +160,48 @@ pub mod wire {
         buf.iter().map(entry_bytes).sum()
     }
 
-    /// Bytes of a profile heartbeat.
-    pub fn profile_bytes(pm: &ProfileMsg) -> u64 {
-        8 + 4 * pm.subs.len() as u64 + 24 * pm.proposals.len() as u64
+    /// Bytes of a profile carrying `topics` subscribed topics and
+    /// `proposals` gateway proposals, behind the sender's ring id.
+    fn profile_rule(topics: usize, proposals: usize) -> u64 {
+        8 + 4 * topics as u64 + 24 * proposals as u64
     }
 
-    /// Bytes of a relay request (topic + hop counter + framing).
+    /// Bytes of a profile heartbeat.
+    pub fn profile_bytes(pm: &ProfileMsg) -> u64 {
+        profile_rule(pm.subs.len(), pm.proposals.len())
+    }
+
+    /// Bytes of a message that carries a subscription set and nothing the
+    /// profile rule does not cover (RVR's heartbeat, OPT's connection
+    /// handshake): a profile with no proposals.
+    pub fn subs_bytes(subs: &Subs) -> u64 {
+        profile_rule(subs.len(), 0)
+    }
+
+    /// Bytes of a relay request (topic + hop counter + framing). RVR's
+    /// tree join is the same lookup hop and the same size.
     pub const RELAY_REQUEST_BYTES: u64 = 12;
 
     /// Bytes of a publish acknowledgment (event id + framing).
     pub const PUB_ACK_BYTES: u64 = 12;
 
-    /// Approximate wire size of any Vitis message. `Notification` and
-    /// `PublishCmd` are data-plane (the monitor tracks them separately as
-    /// message counts); their control framing is 16 bytes.
-    pub fn message_bytes(msg: &VitisMsg) -> u64 {
+    /// Bytes of a bare liveness heartbeat (OPT's): framing only.
+    pub const HEARTBEAT_BYTES: u64 = 4;
+
+    /// Bytes of a notification or a publish command: their 16-byte
+    /// framing. The monitor counts the data plane in messages, not bytes.
+    pub const NOTIFICATION_BYTES: u64 = 16;
+
+    /// Bytes of an anti-entropy repair message, in every system: a digest
+    /// and a want by their entries, a recovery push as the notification
+    /// transfer again.
+    pub fn repair_bytes(msg: &RepairMsg) -> u64 {
         match msg {
-            VitisMsg::PsReq(b) | VitisMsg::PsResp(b) | VitisMsg::RtReq(b) | VitisMsg::RtResp(b) => {
-                buffer_bytes(b)
-            }
-            VitisMsg::Profile(pm) => profile_bytes(pm),
-            VitisMsg::RelayRequest { .. } => RELAY_REQUEST_BYTES,
-            VitisMsg::PubAck { .. } => PUB_ACK_BYTES,
-            // RetryPublish is a self-timer and never crosses the network;
-            // its size only matters for totality.
-            VitisMsg::RetryPublish { .. } => 0,
-            VitisMsg::Notification(_) | VitisMsg::PublishCmd { .. } => 16,
-            VitisMsg::Repair(RepairMsg::Digest(entries)) => {
+            RepairMsg::Digest(entries) => {
                 entries.len() as u64 * vitis_sim::antientropy::DIGEST_ENTRY_BYTES
             }
-            VitisMsg::Repair(RepairMsg::Want(ids)) => {
-                ids.len() as u64 * vitis_sim::antientropy::WANT_ID_BYTES
-            }
-            // A recovery push is the notification transfer again.
-            VitisMsg::Repair(RepairMsg::Push(_)) => 16,
+            RepairMsg::Want(ids) => ids.len() as u64 * vitis_sim::antientropy::WANT_ID_BYTES,
+            RepairMsg::Push(_) => NOTIFICATION_BYTES,
         }
     }
 }
@@ -225,12 +237,25 @@ mod tests {
             )]),
         };
         assert_eq!(wire::profile_bytes(&pm), 8 + 12 + 24);
-        assert_eq!(
-            wire::message_bytes(&VitisMsg::RelayRequest {
-                topic: TopicId(1),
-                hops: 2
-            }),
-            wire::RELAY_REQUEST_BYTES
-        );
+        // A subscriptions-only message is a profile with no proposals.
+        assert_eq!(wire::subs_bytes(&pm.subs), 8 + 12);
+        // A bare heartbeat is its framing.
+        assert_eq!(wire::HEARTBEAT_BYTES, 4);
+    }
+
+    #[test]
+    fn repair_sizes_count_entries_and_price_a_push_as_a_notification() {
+        let digest = RepairMsg::Digest(Rc::new(vec![(1, 0), (2, 0), (3, 1)]));
+        assert_eq!(wire::repair_bytes(&digest), 3 * 12);
+        assert_eq!(wire::repair_bytes(&RepairMsg::Want(vec![4, 5])), 2 * 8);
+        assert_eq!(wire::repair_bytes(&RepairMsg::Want(Vec::new())), 0);
+        let push = RepairMsg::Push(Notification {
+            event: EventId(1),
+            topic: TopicId(0),
+            hops: 2,
+            path: HopPath::default(),
+        });
+        assert_eq!(wire::repair_bytes(&push), 16);
+        assert_eq!(wire::NOTIFICATION_BYTES, 16);
     }
 }

@@ -221,10 +221,6 @@ impl VitisNode {
         self.dissem.repair()
     }
 
-    fn monitor(&self) -> &Monitor {
-        self.dissem.monitor()
-    }
-
     /// This node's ring identifier.
     pub fn ring_id(&self) -> Id {
         self.net.id()
@@ -300,14 +296,6 @@ impl VitisNode {
             .binary_search_by_key(&topic, |(t, _)| *t)
             .ok()
             .map(|i| &self.advert[i].1)
-    }
-
-    /// The one place control bytes are accounted: record the message's
-    /// wire size against this node, then send it.
-    fn send_control(&self, ctx: &mut Context<'_, VitisMsg>, to: NodeIdx, msg: VitisMsg) {
-        self.monitor()
-            .record_control_tx(self.net.addr(), wire::message_bytes(&msg));
-        ctx.send(to, msg);
     }
 
     /// Run one substrate merge under Vitis's friend policy — Equation 1
@@ -515,7 +503,7 @@ impl VitisNode {
             }
             let (me, rt) = (self.net.id(), self.net.rt());
             if let Some((next, hops)) = self.relays.lookup_hop(topic, None, 0, me, rt) {
-                self.send_control(ctx, next, VitisMsg::RelayRequest { topic, hops });
+                ctx.send(next, VitisMsg::RelayRequest { topic, hops });
             }
         }
     }
@@ -551,7 +539,7 @@ impl VitisNode {
             && notif.hops == 1
             && (self.is_gateway(notif.topic) || self.relays.has(notif.topic))
         {
-            self.send_control(ctx, from, VitisMsg::PubAck { event: notif.event });
+            ctx.send(from, VitisMsg::PubAck { event: notif.event });
         }
         let (addr, subs) = (self.net.addr(), self.net.payload());
         let Some(fwd) = self.dissem.receive(addr, subs, ctx.now, notif) else {
@@ -638,6 +626,22 @@ impl Protocol for VitisNode {
         }
     }
 
+    fn wire_bytes(msg: &VitisMsg) -> u64 {
+        match msg {
+            VitisMsg::PsReq(b) | VitisMsg::PsResp(b) | VitisMsg::RtReq(b) | VitisMsg::RtResp(b) => {
+                wire::buffer_bytes(b)
+            }
+            VitisMsg::Profile(pm) => wire::profile_bytes(pm),
+            VitisMsg::RelayRequest { .. } => wire::RELAY_REQUEST_BYTES,
+            VitisMsg::PubAck { .. } => wire::PUB_ACK_BYTES,
+            // RetryPublish is a self-timer and never crosses the network;
+            // its size only matters for totality.
+            VitisMsg::RetryPublish { .. } => 0,
+            VitisMsg::Notification(_) | VitisMsg::PublishCmd { .. } => wire::NOTIFICATION_BYTES,
+            VitisMsg::Repair(r) => wire::repair_bytes(r),
+        }
+    }
+
     fn event_of(msg: &VitisMsg) -> Option<u64> {
         match msg {
             VitisMsg::Notification(n) => Some(n.event.0),
@@ -663,11 +667,9 @@ impl Protocol for VitisNode {
     }
 
     fn on_round(&mut self, ctx: &mut Context<'_, VitisMsg>) {
-        self.monitor().record_control_round();
-
         // 1. Peer sampling exchange.
         if let Some((partner, buf)) = self.net.sampling_round(ctx.rng) {
-            self.send_control(ctx, partner, VitisMsg::PsReq(buf));
+            ctx.send(partner, VitisMsg::PsReq(buf));
         }
 
         // 2. T-Man exchange (Algorithm 2). Half the exchanges target a ring
@@ -697,7 +699,7 @@ impl Protocol for VitisNode {
         };
         if let Some(partner) = ring_pick.or_else(|| self.net.uniform_partner(ctx.rng)) {
             let buf = self.net.exchange_buffer();
-            self.send_control(ctx, partner, VitisMsg::RtReq(buf));
+            ctx.send(partner, VitisMsg::RtReq(buf));
         }
 
         // 3. Failure detection: age and expire stale neighbors (forward and
@@ -719,7 +721,7 @@ impl Protocol for VitisNode {
         };
         debug_assert!(proposes_for_its_subscriptions(&pm));
         for e in self.net.rt().iter() {
-            self.send_control(ctx, e.addr, VitisMsg::Profile(pm.clone()));
+            ctx.send(e.addr, VitisMsg::Profile(pm.clone()));
         }
 
         // 7. Anti-entropy repair: retry outstanding pulls, then gossip a
@@ -728,23 +730,21 @@ impl Protocol for VitisNode {
         //    — no sends, no RNG draws — unless the layer is enabled, so
         //    default runs stay bit-identical.
         let neighbors = || repair_neighbors(self.net.rt(), &self.nbrs);
-        for (to, msg) in self.dissem.round_step(neighbors, ctx.rng) {
-            self.send_control(ctx, to, VitisMsg::Repair(msg));
-        }
+        self.dissem.round_step(ctx, neighbors, VitisMsg::Repair);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, VitisMsg>, from: NodeIdx, msg: VitisMsg) {
         match msg {
             VitisMsg::PsReq(buf) => {
                 let reply = self.net.on_ps_request(from, &buf, ctx.rng);
-                self.send_control(ctx, from, VitisMsg::PsResp(reply));
+                ctx.send(from, VitisMsg::PsResp(reply));
             }
             VitisMsg::PsResp(buf) => self.net.on_ps_response(&buf),
             VitisMsg::RtReq(buf) => {
                 let reply = self.ranked_merge(|net, sticky, rank| {
                     net.on_rt_request(buf, sticky, rank, ctx.rng)
                 });
-                self.send_control(ctx, from, VitisMsg::RtResp(reply));
+                ctx.send(from, VitisMsg::RtResp(reply));
             }
             VitisMsg::RtResp(buf) => {
                 self.ranked_merge(|net, sticky, rank| net.merge(buf, sticky, rank, ctx.rng));
@@ -754,7 +754,7 @@ impl Protocol for VitisNode {
                 let (me, rt) = (self.net.id(), self.net.rt());
                 let hop = self.relays.lookup_hop(topic, Some(from), hops, me, rt);
                 if let Some((next, hops)) = hop {
-                    self.send_control(ctx, next, VitisMsg::RelayRequest { topic, hops });
+                    ctx.send(next, VitisMsg::RelayRequest { topic, hops });
                 }
             }
             VitisMsg::Notification(n) => {
@@ -775,12 +775,8 @@ impl Protocol for VitisNode {
             }
             VitisMsg::Repair(msg) => {
                 let subs = self.net.payload();
-                if let Some(want) = self
-                    .dissem
-                    .on_repair(ctx, from, subs, msg, VitisMsg::Repair)
-                {
-                    self.send_control(ctx, from, VitisMsg::Repair(want));
-                }
+                self.dissem
+                    .on_repair(ctx, from, subs, msg, VitisMsg::Repair);
             }
         }
     }
@@ -1675,5 +1671,66 @@ mod tests {
             .filter(|(_, n)| n.relay_table().has(TopicId(0)))
             .count();
         assert_eq!(holders, 0, "relay state must decay without refreshes");
+    }
+
+    /// Every Vitis message is priced by its `wire` rule. The sizes are
+    /// literals, so a change to a shared rule shows here as a change to
+    /// Vitis's bytes, which every golden pins.
+    #[test]
+    fn every_message_has_its_wire_size() {
+        use crate::msg::RepairMsg;
+        let subs = |n: u32| Subs::new(TopicSet::from_iter(0..n));
+        let buf = vec![
+            Entry::fresh(NodeIdx(1), Id(5), subs(10)),
+            Entry::fresh(NodeIdx(2), Id(6), subs(2)),
+        ];
+        let buf_bytes = (14 + 4 * 10) + (14 + 4 * 2);
+        for msg in [
+            VitisMsg::PsReq(buf.clone()),
+            VitisMsg::PsResp(buf.clone()),
+            VitisMsg::RtReq(buf.clone()),
+            VitisMsg::RtResp(buf),
+        ] {
+            assert_eq!(VitisNode::wire_bytes(&msg), buf_bytes);
+        }
+        let profile = VitisMsg::Profile(ProfileMsg {
+            id: Id(1),
+            subs: subs(3),
+            proposals: Rc::new(vec![
+                (TopicId(0), Proposal::self_proposal(NodeIdx(0), Id(0))),
+                (TopicId(1), Proposal::self_proposal(NodeIdx(0), Id(0))),
+            ]),
+        });
+        assert_eq!(VitisNode::wire_bytes(&profile), 8 + 4 * 3 + 24 * 2);
+        let (event, topic) = (EventId(7), TopicId(1));
+        let notif = Notification {
+            event,
+            topic,
+            hops: 3,
+            path: Default::default(),
+        };
+        let sizes = [
+            (VitisMsg::RelayRequest { topic, hops: 2 }, 12),
+            (VitisMsg::PubAck { event }, 12),
+            (VitisMsg::Notification(notif.clone()), 16),
+            (VitisMsg::PublishCmd { event, topic }, 16),
+            (
+                VitisMsg::RetryPublish {
+                    event,
+                    topic,
+                    attempt: 1,
+                },
+                0,
+            ),
+            (
+                VitisMsg::Repair(RepairMsg::Digest(Rc::new(vec![(7, 1), (8, 1)]))),
+                2 * 12,
+            ),
+            (VitisMsg::Repair(RepairMsg::Want(vec![7, 8, 9])), 3 * 8),
+            (VitisMsg::Repair(RepairMsg::Push(notif)), 16),
+        ];
+        for (msg, bytes) in sizes {
+            assert_eq!(VitisNode::wire_bytes(&msg), bytes, "{msg:?}");
+        }
     }
 }

@@ -643,7 +643,7 @@ impl<P: PubSubProtocol> PubSub for SystemRuntime<P> {
     fn stats(&self) -> PubSubStats {
         self.monitor
             .snapshot()
-            .with_kind_traffic(&self.engine.kind_traffic())
+            .with_kind_traffic(self.engine.traffic())
     }
 
     fn recovered_deliveries(&self) -> u64 {

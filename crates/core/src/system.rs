@@ -391,7 +391,7 @@ mod tests {
             let counts = (
                 format!("{:?}", sys.stats()),
                 sys.perf_counters(),
-                sys.engine().kind_traffic(),
+                sys.engine().traffic().kinds().to_vec(),
                 sys.recovered_deliveries(),
             );
             let records: Vec<TraceEvent> = trace.borrow().events().cloned().collect();

@@ -168,7 +168,7 @@ mod tests {
         let recorded =
             std::fs::read_to_string(format!("{root}/tests/golden/bench_parse_digests.txt"))
                 .unwrap();
-        assert!(recorded.lines().count() >= 60);
+        assert!(recorded.lines().count() >= 62);
         for want in recorded.lines() {
             let f = want.split(' ').next().unwrap();
             let text = std::fs::read_to_string(format!("{root}/docs/results/{f}")).unwrap();

@@ -700,11 +700,12 @@ mod tests {
 
         // The `run` record of `--metrics-out`.
         let scale = crate::scale::Scale::quick();
-        let kind = |kind: &str, class: &str, sent, delivered| KindStat {
+        let kind = |kind: &str, class: &str, sent, delivered, bytes| KindStat {
             kind: kind.to_string(),
             class: class.to_string(),
             sent,
             delivered,
+            bytes,
         };
         let stats = PubSubStats {
             published: 200,
@@ -722,8 +723,8 @@ mod tests {
             control_sent: 240210,
             data_sent: 12051,
             traffic_by_kind: vec![
-                kind("ps_req", "control", 48000, 47988),
-                kind("notification", "data", 11851, 11833),
+                kind("ps_req", "control", 48000, 47988, 5184000),
+                kind("notification", "data", 11851, 11833, 189616),
             ],
         };
         let sample = |round, now, hit_ratio, delivered| Sample {

@@ -17,7 +17,7 @@ use crate::network::{ConstantLatency, NetworkModel};
 use crate::protocol::{Context, Effect, Protocol};
 use crate::rng;
 use crate::time::{Duration, SimTime};
-use crate::trace::{KindTraffic, TraceEvent, TraceHandle, TrafficLedger};
+use crate::trace::{TraceEvent, TraceHandle, TrafficLedger};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::mem::size_of;
@@ -176,16 +176,12 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
         self.trace.clone()
     }
 
-    /// Per-message-kind sent/delivered counters since the last
-    /// [`Engine::reset_kind_traffic`], as classified by
-    /// [`Protocol::classify`].
-    pub fn kind_traffic(&self) -> Vec<KindTraffic> {
-        self.ledger.kinds().to_vec()
-    }
-
-    /// `(control, data)` messages sent since the last window reset.
-    pub fn sent_by_class(&self) -> (u64, u64) {
-        self.ledger.sent_by_class()
+    /// The traffic ledger since the last [`Engine::reset_kind_traffic`]:
+    /// per-kind messages and wire bytes sent and messages delivered, as
+    /// classified by [`Protocol::classify`] and sized by
+    /// [`Protocol::wire_bytes`], and the window's round activations.
+    pub fn traffic(&self) -> &TrafficLedger {
+        &self.ledger
     }
 
     /// Zero the per-kind traffic counters (start of a measurement
@@ -535,6 +531,7 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
                     .is_some_and(|s| s.proto.is_some() && s.incarnation == incarnation);
                 if alive {
                     self.stats.rounds_executed += 1;
+                    self.ledger.record_round();
                     self.dispatch(node, DispatchKind::Round);
                     self.push_event(
                         self.now + self.cfg.round_period,
@@ -597,7 +594,7 @@ impl<P: Protocol, N: NetworkModel> Engine<P, N> {
                 Effect::Send { to, msg } => {
                     self.stats.messages_sent += 1;
                     let tag = P::classify(&msg);
-                    self.ledger.record_send(tag);
+                    self.ledger.record_send(tag, P::wire_bytes(&msg));
                     self.trace_message(|| TraceEvent::MsgSend {
                         now: self.now.0,
                         from: idx.0,
@@ -1125,7 +1122,7 @@ mod tests {
     }
 
     #[test]
-    fn kind_traffic_follows_classify() {
+    fn kind_traffic_follows_classify_and_wire_bytes() {
         use crate::trace::{MsgTag, TrafficClass};
         struct Tagged {
             peer: Option<NodeIdx>,
@@ -1149,29 +1146,39 @@ mod tests {
                     PpMsg::Pong(_) => MsgTag::data("pong"),
                 }
             }
+            fn wire_bytes(msg: &PpMsg) -> u64 {
+                match msg {
+                    PpMsg::Ping(_) => 10,
+                    PpMsg::Pong(_) => 3,
+                }
+            }
         }
         let mut eng: Engine<Tagged> = Engine::new(cfg());
         let b = NodeIdx(1);
         eng.add_node(Tagged { peer: Some(b) });
         eng.add_node(Tagged { peer: None });
         eng.run_rounds(4);
-        let kinds = eng.kind_traffic();
+        let ledger = eng.traffic();
+        let kinds = ledger.kinds();
         let ping = kinds.iter().find(|k| k.kind == "ping").expect("pings");
         let pong = kinds.iter().find(|k| k.kind == "pong").expect("pongs");
         assert_eq!(ping.class, TrafficClass::Control);
         assert_eq!(pong.class, TrafficClass::Data);
         assert!(ping.sent >= 3);
         assert_eq!(ping.sent, pong.sent, "each ping triggers one pong");
+        assert_eq!((ping.bytes, pong.bytes), (10 * ping.sent, 3 * pong.sent));
         let total: u64 = kinds.iter().map(|k| k.sent).sum();
         assert_eq!(total, eng.stats().messages_sent);
-        let (control, data) = eng.sent_by_class();
-        assert_eq!(control, ping.sent);
-        assert_eq!(data, pong.sent);
+        // Every round activation of the window is counted, both nodes'.
+        assert_eq!(ledger.rounds(), eng.stats().rounds_executed);
+        assert_eq!(ledger.rounds(), eng.perf_counters().activations_round);
         eng.reset_kind_traffic();
-        assert!(eng
-            .kind_traffic()
+        let ledger = eng.traffic();
+        assert!(ledger
+            .kinds()
             .iter()
-            .all(|k| k.sent == 0 && k.delivered == 0));
+            .all(|k| k.sent == 0 && k.delivered == 0 && k.bytes == 0));
+        assert_eq!(ledger.rounds(), 0);
     }
 
     #[test]

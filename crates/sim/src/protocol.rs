@@ -19,6 +19,12 @@ use rand::rngs::SmallRng;
 /// The engine owns one value of this type per alive node. Handlers receive a
 /// [`Context`] carrying the node's identity, the simulated clock, the node's
 /// private RNG stream and the effect buffer.
+///
+/// Three associated functions describe a message to the engine without
+/// touching node state: [`Protocol::classify`] (its kind and plane),
+/// [`Protocol::wire_bytes`] (its size) and [`Protocol::event_of`] (the
+/// event it carries). The engine's traffic ledger counts every send by
+/// the first two, so one account covers every system's traffic.
 pub trait Protocol: Sized {
     /// The message type exchanged between nodes of this protocol.
     type Msg: Clone;
@@ -41,6 +47,13 @@ pub trait Protocol: Sized {
     /// the engine's traffic ledger and trace output.
     fn classify(_msg: &Self::Msg) -> MsgTag {
         MsgTag::control("msg")
+    }
+
+    /// The wire size of a message in bytes, which the engine's traffic
+    /// ledger sums per kind on every send. The default, 0, is for
+    /// protocols with no wire format (test and benchmark stand-ins).
+    fn wire_bytes(_msg: &Self::Msg) -> u64 {
+        0
     }
 
     /// The published-event id a data-plane message carries, if any. Like

@@ -121,14 +121,21 @@ pub struct KindTraffic {
     /// self-timers and harness injections, mirroring the engine's
     /// aggregate delivered counter).
     pub delivered: u64,
+    /// Wire bytes of the messages sent, by
+    /// [`crate::protocol::Protocol::wire_bytes`].
+    pub bytes: u64,
 }
 
-/// The engine's per-message-kind traffic ledger. A handful of kinds per
-/// protocol means a linear scan beats any map; counters reset with the
-/// measurement window while the kind list persists.
+/// The engine's per-message-kind traffic ledger, the one account of every
+/// system's traffic: messages and wire bytes sent and messages delivered
+/// per kind, plus the round activations that bytes per round divide by. A
+/// handful of kinds per protocol means a linear scan beats any map;
+/// counters reset with the measurement window while the kind list
+/// persists.
 #[derive(Clone, Debug, Default)]
 pub struct TrafficLedger {
     kinds: Vec<KindTraffic>,
+    rounds: u64,
 }
 
 impl TrafficLedger {
@@ -156,13 +163,26 @@ impl TrafficLedger {
             class: tag.class,
             sent: 0,
             delivered: 0,
+            bytes: 0,
         });
         self.kinds.last_mut().expect("just pushed")
     }
 
-    /// Count one send of a `tag`-classified message.
-    pub fn record_send(&mut self, tag: MsgTag) {
-        self.slot(tag).sent += 1;
+    /// Count one send of a `tag`-classified message of `bytes` wire bytes.
+    pub fn record_send(&mut self, tag: MsgTag, bytes: u64) {
+        let k = self.slot(tag);
+        k.sent += 1;
+        k.bytes += bytes;
+    }
+
+    /// Count one round activation (one node's round tick handled).
+    pub fn record_round(&mut self) {
+        self.rounds += 1;
+    }
+
+    /// Round activations over the window.
+    pub fn rounds(&self) -> u64 {
+        self.rounds
     }
 
     /// Count one delivery of a `tag`-classified message.
@@ -175,20 +195,14 @@ impl TrafficLedger {
         &self.kinds
     }
 
-    /// `(control, data)` messages sent over the window.
-    pub fn sent_by_class(&self) -> (u64, u64) {
-        self.kinds.iter().fold((0, 0), |(c, d), k| match k.class {
-            TrafficClass::Control => (c + k.sent, d),
-            TrafficClass::Data => (c, d + k.sent),
-        })
-    }
-
     /// Zero all counters, keeping the kind list (window reset).
     pub fn reset(&mut self) {
         for k in &mut self.kinds {
             k.sent = 0;
             k.delivered = 0;
+            k.bytes = 0;
         }
+        self.rounds = 0;
     }
 }
 
@@ -923,25 +937,44 @@ mod tests {
     #[test]
     fn ledger_accumulates_and_resets_by_window() {
         let mut l = TrafficLedger::new();
-        l.record_send(MsgTag::control("ps_req"));
-        l.record_send(MsgTag::control("ps_req"));
+        l.record_send(MsgTag::control("ps_req"), 40);
+        l.record_send(MsgTag::control("ps_req"), 60);
         l.record_deliver(MsgTag::control("ps_req"));
-        l.record_send(MsgTag::data("notification"));
+        l.record_send(MsgTag::data("notification"), 16);
         assert_eq!(l.kinds().len(), 2);
-        assert_eq!(l.sent_by_class(), (2, 1));
         let ps = l.kinds().iter().find(|k| k.kind == "ps_req").unwrap();
-        assert_eq!((ps.sent, ps.delivered), (2, 1));
+        assert_eq!((ps.sent, ps.delivered, ps.bytes), (2, 1, 100));
         // The same name at another address is the same kind, and the
         // kinds stay in first-seen order.
         let twin: &'static str = Box::leak(String::from("ps_req").into_boxed_str());
         assert!(!std::ptr::eq(twin, ps.kind));
-        l.record_send(MsgTag::control(twin));
+        l.record_send(MsgTag::control(twin), 0);
         let order: Vec<_> = l.kinds().iter().map(|k| (k.kind, k.sent)).collect();
         assert_eq!(order, vec![("ps_req", 3), ("notification", 1)]);
         l.reset();
-        assert_eq!(l.sent_by_class(), (0, 0));
+        assert!(l.kinds().iter().all(|k| k.sent == 0 && k.delivered == 0));
         // Kind list survives the window reset.
         assert_eq!(l.kinds().len(), 2);
+    }
+
+    #[test]
+    fn ledger_bytes_and_rounds_reset_with_the_window() {
+        let mut l = TrafficLedger::new();
+        l.record_round();
+        l.record_send(MsgTag::control("profile"), 300);
+        l.record_round();
+        l.record_send(MsgTag::control("profile"), 100);
+        l.record_send(MsgTag::data("notification"), 16);
+        l.record_round();
+        let bytes = |l: &TrafficLedger| -> Vec<_> { l.kinds().iter().map(|k| k.bytes).collect() };
+        assert_eq!(bytes(&l), [400, 16]);
+        assert_eq!(l.rounds(), 3);
+        l.reset();
+        assert_eq!(bytes(&l), [0, 0]);
+        assert_eq!(l.rounds(), 0);
+        // The kind list is kept, in first-seen order.
+        let kinds: Vec<_> = l.kinds().iter().map(|k| k.kind).collect();
+        assert_eq!(kinds, ["profile", "notification"]);
     }
 
     #[test]
