@@ -19,9 +19,9 @@ use vitis_sim::time::{Duration, SimTime};
 /// handle is made here, once, and every node built for it — at start and
 /// at each rejoin — advertises that same `Arc`, so every descriptor and
 /// heartbeat naming the node carries it too. Routing tables and OPT's
-/// links keep the handle a peer first brought, and the Vitis caches keyed
-/// on a peer (the Equation 1 memo, the election's common-topic pairs)
-/// `debug_assert!` that it is the one they were computed from.
+/// links keep the handle a peer first brought, and the Vitis cache keyed
+/// on a peer (the election's common-topic pairs) `debug_assert!`s that it
+/// is the one it was computed from.
 pub struct Workload {
     subs: Vec<Subs>,
     topic_subscribers: Vec<Vec<u32>>,

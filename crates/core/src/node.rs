@@ -12,8 +12,7 @@ use crate::msg::{wire, Notification, ProfileMsg, VitisMsg};
 use crate::relay::{RelayTable, RELAY_TTL};
 use crate::smallmap::SmallMap;
 use crate::topic::{RateTable, Subs, TopicId, TopicSet};
-use crate::utility::utility;
-use std::cell::{Cell, RefCell};
+use crate::utility::rank_by_utility;
 use std::collections::HashSet;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -114,30 +113,9 @@ fn repair_neighbors(rt: &HybridRt<Subs>, nbrs: &SmallMap<NodeIdx, Neighbor>) -> 
     out
 }
 
-/// How many T-Man merges a remembered Equation 1 result answers for,
-/// counting the merge that computed or last used it: ranked at merge *k*
-/// and not asked for again, it is still there at merge *k* + 5 and gone at
-/// *k* + 6 — three gossip rounds at two merges a round. Peers come back:
-/// on the benchmark's `churn_repair_300` 84 % of requests name a peer
-/// ranked within this window, against 63 % for the last merge alone, at
-/// 16 bytes per retained entry. DESIGN §14 ("The T-Man merge") has hit
-/// share, memo length and peak RSS by window: 7 takes
-/// `gossip_2k`'s peak RSS to within 0.02 points of the 2.5 % allowed for
-/// this memo on one of three seeds, and 8 is past it.
-const MEMO_WINDOW: u32 = 6;
-
 /// Upper bound, in ticks, on a publisher's doubling retry backoff
 /// ([`VitisConfig::publish_ack_timeout`] doubled per retry).
 pub const PUBLISH_BACKOFF_CAP: u64 = 512;
-
-/// One remembered Equation 1 result: what `peer` scored. Public only for
-/// `tests/size_budget.rs`.
-pub struct MemoEntry {
-    peer: NodeIdx,
-    /// The node's merge count when this entry last answered or was made.
-    used: Cell<u32>,
-    utility: f64,
-}
 
 /// The [`ProfileMsg::proposals`] invariant the election's cached pairs
 /// rely on: one proposal per topic of `subs`, in its order.
@@ -159,12 +137,6 @@ pub struct VitisNode {
     /// election that finds the same list keeps this allocation, so an
     /// unchanged heartbeat allocates nothing.
     advert: Rc<Vec<(TopicId, Proposal)>>,
-    /// Equation 1 results of the last [`MEMO_WINDOW`] T-Man merges, one
-    /// per peer, ascending by address. Bounded by the window times the
-    /// candidates of a merge.
-    utility_memo: Vec<MemoEntry>,
-    /// T-Man merges run so far: the clock of `utility_memo`.
-    merges: u32,
     /// Every neighbor whose advertisement is remembered, with its reverse
     /// link if it is one. Reverse links are nodes that hold *us* in their
     /// routing table, learned from their heartbeats. Overlay links are
@@ -207,8 +179,6 @@ impl VitisNode {
             cfg,
             rates,
             advert: Rc::new(Vec::new()),
-            utility_memo: Vec::new(),
-            merges: 0,
             nbrs: SmallMap::new(),
             relays: RelayTable::new(),
             pending_pubs: HashSet::new(),
@@ -253,10 +223,6 @@ impl VitisNode {
         owner("substrate", self.net.heap_bytes());
         owner("relay", self.relays.heap_bytes());
         owner("dissemination", self.dissem.heap_bytes());
-        owner(
-            "memo",
-            (self.utility_memo.capacity() * size_of::<MemoEntry>()) as u64,
-        );
         // An advertisement is one allocation shared by its advertiser, the
         // neighbors remembering it and the heartbeats in flight: each
         // holder reports its share, so a superseded copy that only
@@ -299,9 +265,9 @@ impl VitisNode {
     }
 
     /// Run one substrate merge under Vitis's friend policy — Equation 1
-    /// behind the memo with current friends winning ties, or the
-    /// ablation's pseudo-random key — then forget the advertisements of
-    /// peers the merge disconnected. `merge` is handed the substrate, the
+    /// with current friends winning ties, or the ablation's pseudo-random
+    /// key — then forget the advertisements of peers the merge
+    /// disconnected. `merge` is handed the substrate, the
     /// tie rule and the ranking, and picks the operation: a plain merge or
     /// the reply-then-merge of a T-Man request.
     fn ranked_merge<R>(
@@ -309,33 +275,10 @@ impl VitisNode {
         merge: impl FnOnce(&mut Substrate<Subs>, bool, &dyn Fn(&Entry<Subs>) -> f64) -> R,
     ) -> R {
         let out = if self.cfg.utility_selection {
-            self.merges = self.merges.wrapping_add(1);
-            let now = self.merges;
             let subs = self.net.payload().clone();
-            let (rates, memo) = (&self.rates, &self.utility_memo);
-            let misses = RefCell::new(Vec::new());
-            let out = merge(&mut self.net, true, &|e| {
-                if let Ok(i) = memo.binary_search_by_key(&e.addr, |m| m.peer) {
-                    let hit = &memo[i];
-                    // Debug builds recompute the hits of every eighth merge.
-                    debug_assert!(
-                        !now.is_multiple_of(8)
-                            || hit.utility.to_bits() == utility(&subs, &e.payload, rates).to_bits(),
-                        "memo hit under another subscription set"
-                    );
-                    hit.used.set(now);
-                    return hit.utility;
-                }
-                let u = utility(&subs, &e.payload, rates);
-                misses.borrow_mut().push(MemoEntry {
-                    peer: e.addr,
-                    used: Cell::new(now),
-                    utility: u,
-                });
-                u
-            });
-            self.remember(misses.into_inner());
-            out
+            rank_by_utility(&subs, &self.rates, |utility| {
+                merge(&mut self.net, true, &|e| utility(&e.payload))
+            })
         } else {
             // Ablation: rank friends by a deterministic pseudo-random key
             // instead of Equation 1.
@@ -347,37 +290,6 @@ impl VitisNode {
         let rt = self.net.rt();
         self.nbrs.retain(|addr, n| rt.contains(*addr) || n.link);
         out
-    }
-
-    /// Memo upkeep after a merge: drop what the window has passed, take in
-    /// the merge's `misses` — a miss for a remembered peer replaces its
-    /// entry, so an address never appears twice — and keep the address
-    /// order. The new vector is sized to what it holds; a merge that
-    /// missed nothing and aged nothing out leaves the memo as it is.
-    fn remember(&mut self, mut misses: Vec<MemoEntry>) {
-        let now = self.merges;
-        let live = |m: &MemoEntry| now.wrapping_sub(m.used.get()) < MEMO_WINDOW - 1;
-        let survivors = self.utility_memo.iter().filter(|m| live(m)).count();
-        if misses.is_empty() && survivors == self.utility_memo.len() {
-            return;
-        }
-        misses.sort_unstable_by_key(|m| m.peer);
-        misses.dedup_by_key(|m| m.peer);
-        let mut memo = Vec::with_capacity(survivors + misses.len());
-        let mut misses = misses.into_iter().peekable();
-        for old in std::mem::take(&mut self.utility_memo) {
-            if !live(&old) {
-                continue;
-            }
-            while let Some(new) = misses.next_if(|new| new.peer < old.peer) {
-                memo.push(new);
-            }
-            if misses.peek().is_none_or(|new| new.peer != old.peer) {
-                memo.push(old);
-            }
-        }
-        memo.extend(misses);
-        self.utility_memo = memo;
     }
 
     /// Algorithm 7: refresh the sender's entry and remember its proposals
@@ -1526,115 +1438,71 @@ mod tests {
         addrs
     }
 
-    fn memo_entry(node: &VitisNode, addr: u32) -> Option<&MemoEntry> {
-        node.utility_memo.iter().find(|m| m.peer == NodeIdx(addr))
-    }
-
-    fn memo_is_strictly_ascending(node: &VitisNode) -> bool {
-        node.utility_memo.windows(2).all(|w| w[0].peer < w[1].peer)
-    }
-
-    /// An entry ranked at merge *k* and not asked for since answers at
-    /// merge *k* + `MEMO_WINDOW` − 1 and is gone at *k* + `MEMO_WINDOW`.
-    /// "Answers" is made visible by poisoning the remembered value: only a
-    /// recomputation can undo it. The poisoned entry answers at merges 2
-    /// to 6 only, none of which debug builds recompute (every eighth).
+    /// Equation 1 ranks the friend contest: the three largest overlaps
+    /// win, and a merge that offers nobody new keeps them.
     #[test]
-    fn a_memo_entry_outlives_its_last_use_by_the_window_and_no_more() {
-        use rand::SeedableRng;
-        for unused in 0..=MEMO_WINDOW {
-            let mut rng = SmallRng::seed_from_u64(3);
-            let (mut node, peers) = friend_contest();
-            merge(&mut node, peers.clone(), &mut rng);
-            assert_eq!(friend_addrs(&node), vec![3, 4, 5]);
-            // Ring picks are never ranked, so never remembered.
-            assert_eq!(node.utility_memo.len(), 6);
-            assert_eq!(memo_entry(&node, 8).unwrap().utility, 3.0 / 8.0);
-            let entry = node.utility_memo.iter_mut().find(|m| m.peer == NodeIdx(8));
-            entry.unwrap().utility = 2.0;
-            // Merges that rank the table's own friends and nobody else.
-            for _ in 0..unused {
-                merge(&mut node, Vec::new(), &mut rng);
-                assert_eq!(friend_addrs(&node), vec![3, 4, 5]);
-            }
-            let remembered = unused < MEMO_WINDOW - 1;
-            assert_eq!(memo_entry(&node, 8).is_some(), remembered, "{unused}");
-            assert_eq!(node.utility_memo.len(), if remembered { 6 } else { 3 });
-            merge(&mut node, peers, &mut rng);
-            let expected = if remembered { [3, 4, 8] } else { [3, 4, 5] };
-            assert_eq!(friend_addrs(&node), expected, "unused for {unused} merges");
-            assert_eq!(node.utility_memo.len(), 6);
-            assert!(memo_is_strictly_ascending(&node));
-        }
-    }
-
-    /// A memo entry answers for its peer whatever set the candidate
-    /// carries, which is right only because a peer's subscriptions are
-    /// fixed for the run. Debug builds recompute the hits of every eighth
-    /// merge and panic on a peer re-offered under another set.
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "memo hit under another subscription set")]
-    fn a_remembered_peer_under_another_set_trips_the_memo_assertion() {
+    fn friends_are_the_largest_overlaps() {
         use rand::SeedableRng;
         let mut rng = SmallRng::seed_from_u64(3);
-        let (mut node, mut peers) = friend_contest();
-        merge(&mut node, peers.clone(), &mut rng);
-        assert_eq!(memo_entry(&node, 3).unwrap().utility, 1.0);
-        peers[2] = Entry::fresh(NodeIdx(3), peers[2].id, subs_of(&[50]));
-        for _ in 0..7 {
-            merge(&mut node, peers.clone(), &mut rng);
-        }
+        let (mut node, peers) = friend_contest();
+        merge(&mut node, peers, &mut rng);
+        assert_eq!(friend_addrs(&node), vec![3, 4, 5]);
+        merge(&mut node, Vec::new(), &mut rng);
+        assert_eq!(friend_addrs(&node), vec![3, 4, 5]);
     }
 
-    /// Whatever the memo remembers, a merge must pick the table a memo-less
-    /// merge picks, remember only values Equation 1 gives, and stay within
-    /// the window's bound.
+    /// A merge ranked by the marked count picks the table a merge ranked
+    /// by the ordered merge picks, under uniform and integer-skewed rates,
+    /// over a sequence that keeps changing the friends.
     #[test]
-    fn memoised_merges_equal_unmemoised_ones() {
+    fn marked_merges_equal_ordered_ones() {
         use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(21);
-        let mut node = lone_node(&[0, 1, 2, 3, 4, 5], VitisConfig::default());
-        // One handle per address, several addresses per set.
-        let handles: Vec<Subs> = (0..12u32)
-            .map(|k| subs_of(&[k % 5, k % 7, k % 3, 10 + k % 2]))
-            .collect();
-        let handle_of = |addr: NodeIdx| &handles[addr.index() % handles.len()];
-        let (mut hits, mut max_candidates, mut max_len) = (0, 0, 0);
-        for _ in 0..200 {
-            let incoming: Vec<Entry<Subs>> = (0..rng.gen_range(0..10))
+        let skewed = (0..64).map(|t| f64::from(t % 7 * 3)).collect();
+        for rates in [RateTable::uniform(64), RateTable::from_rates(skewed)] {
+            assert!(rates.weights().is_some());
+            let fresh = |rates: &RateTable| {
+                let mut node = lone_node(&[0, 1, 2, 3, 4, 5, 50, 51], VitisConfig::default());
+                node.rates = Arc::new(rates.clone());
+                node
+            };
+            let ordered = rates.clone().ordered_only();
+            let (mut node, mut twin) = (fresh(&rates), fresh(&ordered));
+            let mut rng = SmallRng::seed_from_u64(21);
+            // One handle per address.
+            let handles: Vec<Subs> = (0..40)
                 .map(|_| {
-                    let addr = rng.gen_range(1..40u32);
-                    Entry {
-                        addr: NodeIdx(addr),
-                        id: Id::of_node(addr as u64),
-                        age: rng.gen_range(0..3),
-                        payload: handle_of(NodeIdx(addr)).clone(),
-                    }
+                    let topics: Vec<u32> = (0..rng.gen_range(1..7))
+                        .map(|_| rng.gen_range(0..12) + 50 * rng.gen_range(0..2))
+                        .collect();
+                    subs_of(&topics)
                 })
                 .collect();
-            // The twin starts every merge with the same table and no memo.
-            let mut twin = lone_node(&[0, 1, 2, 3, 4, 5], VitisConfig::default());
-            *twin.net.rt_mut() = node.net.rt().clone();
-            let before: Vec<NodeIdx> = node.utility_memo.iter().map(|m| m.peer).collect();
-            max_candidates = max_candidates.max(node.net.rt().len() + incoming.len());
-            merge(&mut node, incoming.clone(), &mut rng.clone());
-            merge(&mut twin, incoming, &mut rng);
-            assert_eq!(node.net.rt().to_vec(), twin.net.rt().to_vec());
-            assert!(memo_is_strictly_ascending(&node));
-            for m in &node.utility_memo {
-                assert_eq!(
-                    m.utility,
-                    utility(node.subscriptions(), handle_of(m.peer), &node.rates)
-                );
-                // Asked for by this merge and already there before it.
-                hits += usize::from(m.used.get() == node.merges && before.contains(&m.peer));
+            let mut changes = 0;
+            for step in 0..200 {
+                // Start over every 20 merges: a converged table stops
+                // changing its friends.
+                if step % 20 == 0 {
+                    (node, twin) = (fresh(&rates), fresh(&ordered));
+                }
+                let incoming: Vec<Entry<Subs>> = (0..rng.gen_range(0..10))
+                    .map(|_| {
+                        let addr = rng.gen_range(1..40u32);
+                        Entry {
+                            addr: NodeIdx(addr),
+                            id: Id::of_node(addr as u64),
+                            age: rng.gen_range(0..3),
+                            payload: handles[addr as usize].clone(),
+                        }
+                    })
+                    .collect();
+                let before = friend_addrs(&node);
+                merge(&mut node, incoming.clone(), &mut rng.clone());
+                merge(&mut twin, incoming, &mut rng);
+                assert_eq!(node.net.rt().to_vec(), twin.net.rt().to_vec());
+                changes += usize::from(friend_addrs(&node) != before);
             }
-            max_len = max_len.max(node.utility_memo.len());
+            assert!(changes > 50, "the sequence must keep re-ranking: {changes}");
         }
-        assert!(max_len <= MEMO_WINDOW as usize * max_candidates);
-        assert!(max_len > max_candidates, "the memo must outlive one merge");
-        assert!(hits > 200, "the sequence must exercise memo hits: {hits}");
     }
 
     #[test]

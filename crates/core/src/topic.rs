@@ -137,17 +137,48 @@ pub type Subs = Arc<TopicSet>;
 
 /// Per-topic publication rates, the `rate(t)` of Equation 1. The paper's
 /// default is uniform; the α-sweep experiment installs a Zipf profile.
+///
+/// A table whose rates are all whole numbers of at most `u32::MAX`, with a
+/// total of at most 2^53, also holds them as integer weights, derived once
+/// here. Every partial sum of such rates is an integer no larger than
+/// 2^53, so it is exact in `f64` whatever the order of the additions:
+/// Equation 1 can then be counted in integers and still give the bits of
+/// the ordered merge (`utility::rank_by_utility`).
 #[derive(Clone, Debug)]
 pub struct RateTable {
     rates: Vec<f64>,
+    /// `rates` as integers, if they all are and their total is at most
+    /// [`EXACT_TOTAL`]; `None` sends Equation 1 down the ordered merge.
+    weights: Option<Box<[u32]>>,
+}
+
+/// The largest total rate mass whose integer partial sums are all exact
+/// in `f64` (its 53-bit significand).
+const EXACT_TOTAL: u64 = 1 << 53;
+
+/// The integer weights of `rates`, if every rate is a whole number of at
+/// most `u32::MAX` and their total is at most [`EXACT_TOTAL`].
+fn integral_weights(rates: &[f64]) -> Option<Box<[u32]>> {
+    let mut total = 0u64;
+    rates
+        .iter()
+        .map(|&r| {
+            let w = (r.fract() == 0.0 && r <= f64::from(u32::MAX)).then_some(r as u32)?;
+            total += u64::from(w);
+            (total <= EXACT_TOTAL).then_some(w)
+        })
+        .collect()
 }
 
 impl RateTable {
+    fn new(rates: Vec<f64>) -> Self {
+        let weights = integral_weights(&rates);
+        RateTable { rates, weights }
+    }
+
     /// Uniform rate 1.0 for `num_topics` topics.
     pub fn uniform(num_topics: usize) -> Self {
-        RateTable {
-            rates: vec![1.0; num_topics],
-        }
+        RateTable::new(vec![1.0; num_topics])
     }
 
     /// Explicit per-topic rates.
@@ -159,7 +190,22 @@ impl RateTable {
             rates.iter().all(|r| r.is_finite() && *r >= 0.0),
             "rates must be finite and non-negative"
         );
-        RateTable { rates }
+        RateTable::new(rates)
+    }
+
+    /// The same rates without integer weights, so Equation 1 takes the
+    /// ordered merge: the reference the integer count is tested against.
+    #[cfg(test)]
+    pub(crate) fn ordered_only(mut self) -> Self {
+        self.weights = None;
+        self
+    }
+
+    /// The integer weights, one per topic of the table, when every rate is
+    /// a whole number and the total is small enough for exact sums.
+    #[inline]
+    pub(crate) fn weights(&self) -> Option<&[u32]> {
+        self.weights.as_deref()
     }
 
     /// Number of topics covered.

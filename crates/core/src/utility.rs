@@ -12,15 +12,127 @@
 //! of Figure 7).
 
 use crate::topic::{RateTable, TopicSet};
+use std::cell::Cell;
 
 /// Pairwise utility of two subscription sets under a rate table. Returns
 /// zero when the union has no rate mass (disjoint or all-cold topics).
+///
+/// This is the ordered merge: every mass is summed in ascending topic
+/// order, which fractional rates (Figure 7's Zipf profile) need for their
+/// bits. A ranking of many peers against one node goes through
+/// `rank_by_utility`, which counts instead whenever the rates allow it.
 pub fn utility(a: &TopicSet, b: &TopicSet, rates: &RateTable) -> f64 {
     let (inter, union) = a.weighted_overlap(b, rates);
     if union <= 0.0 {
         0.0
     } else {
         inter / union
+    }
+}
+
+/// Run `rank` with Equation 1 against `own`: the evaluator it is handed
+/// returns `utility(own, b, rates)`, bit for bit, for any peer set `b`.
+///
+/// With integer weights (see [`RateTable`]) an evaluation is one pass over
+/// `b`: each topic adds its weight to `w(b)`, and to the intersection when
+/// `own` holds it, read from a per-thread bitmap in which `own`'s topics
+/// are marked before `rank` runs and cleared after it, panic or not. Then
+/// `union = w(own) + w(b) − inter` in `u64`; both masses are exact
+/// integers, so the quotient is the ordered merge's. Without weights the
+/// evaluator is [`utility`]. Debug builds recompute every eighth counted
+/// evaluation through the ordered merge and compare the bits.
+pub(crate) fn rank_by_utility<R>(
+    own: &TopicSet,
+    rates: &RateTable,
+    rank: impl FnOnce(&dyn Fn(&TopicSet) -> f64) -> R,
+) -> R {
+    let Some(weights) = rates.weights() else {
+        return rank(&|b| utility(own, b, rates));
+    };
+    let marks = Marks::set(own, weights);
+    let evaluations = Cell::new(0u32);
+    rank(&|b| {
+        let u = marks.utility(b, weights);
+        let n = evaluations.replace(evaluations.get().wrapping_add(1));
+        debug_assert!(
+            !n.is_multiple_of(8) || u.to_bits() == utility(own, b, rates).to_bits(),
+            "the marked count differs from the ordered merge"
+        );
+        u
+    })
+}
+
+thread_local! {
+    /// The bitmap [`Marks`] borrows: all-zero whenever no ranking is
+    /// running on this thread, and as wide as the widest rate table ranked
+    /// against here, one bit per topic. It is per thread, not per node.
+    static SCRATCH: Cell<Vec<u64>> = const { Cell::new(Vec::new()) };
+}
+
+/// A node's own topics marked in the thread's scratch bitmap, with their
+/// total weight. Dropping it clears the marks and hands the bitmap back.
+struct Marks<'a> {
+    own: &'a TopicSet,
+    bits: Vec<u64>,
+    own_weight: u64,
+}
+
+impl<'a> Marks<'a> {
+    /// Mark `own`'s topics that the table weighs; topics past its end
+    /// weigh nothing and stay unmarked.
+    fn set(own: &'a TopicSet, weights: &[u32]) -> Self {
+        let mut bits = SCRATCH.take();
+        let words = weights.len().div_ceil(64);
+        if bits.len() < words {
+            bits.resize(words, 0);
+        }
+        let mut own_weight = 0;
+        for t in own.iter() {
+            let t = t.0 as usize;
+            if let Some(&w) = weights.get(t) {
+                bits[t / 64] |= 1 << (t % 64);
+                own_weight += u64::from(w);
+            }
+        }
+        Marks {
+            own,
+            bits,
+            own_weight,
+        }
+    }
+
+    /// Equation 1 of the marked set against `other`, counted in integers.
+    #[inline]
+    fn utility(&self, other: &TopicSet, weights: &[u32]) -> f64 {
+        let (mut inter, mut theirs) = (0u64, 0u64);
+        for t in other.iter() {
+            let t = t.0 as usize;
+            if let Some(&w) = weights.get(t) {
+                let marked = (self.bits[t / 64] >> (t % 64)) & 1;
+                theirs += u64::from(w);
+                inter += u64::from(w) & marked.wrapping_neg();
+            }
+        }
+        let union = self.own_weight + theirs - inter;
+        if union == 0 {
+            0.0
+        } else {
+            inter as f64 / union as f64
+        }
+    }
+}
+
+impl Drop for Marks<'_> {
+    fn drop(&mut self) {
+        // Only the marked words can be non-zero.
+        for t in self.own.iter() {
+            if let Some(word) = self.bits.get_mut(t.0 as usize / 64) {
+                *word = 0;
+            }
+        }
+        let bits = std::mem::take(&mut self.bits);
+        // `try_with`: a drop must not panic, even during thread exit.
+        let _ = SCRATCH.try_with(|scratch| scratch.set(bits));
     }
 }
 
@@ -99,5 +211,96 @@ mod tests {
         let b = ts(&[0, 2]);
         assert!(utility(&a, &b, &hot) > utility(&a, &b, &cold));
         let _ = TopicId(0); // keep import used in doc context
+    }
+
+    /// The marked count gives the ordered merge's bits on every table that
+    /// has integer weights, and a table just past either limit (a rate
+    /// above `u32::MAX`, a total above 2^53) has none, so it ranks by the
+    /// ordered merge. Each set is ranked against every other in one
+    /// ranking, so marks are read many times between setting and clearing.
+    #[test]
+    fn marked_counts_equal_the_ordered_merge() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        const TOPICS: usize = 96;
+        let max = f64::from(u32::MAX);
+        let with = |last: f64| {
+            let mut rates = vec![1.0; TOPICS];
+            rates[TOPICS - 1] = last;
+            RateTable::from_rates(rates)
+        };
+        // 2^21 rates of `u32::MAX` total 2^53 − 2^21; one more rate of
+        // 2^21 reaches 2^53 exactly.
+        let total = |last: f64| {
+            let mut rates = vec![max; 1 << 21];
+            rates.push(last);
+            RateTable::from_rates(rates)
+        };
+        let mut signed_zeros = vec![0.0; TOPICS];
+        for (t, r) in signed_zeros.iter_mut().enumerate() {
+            *r = [-0.0, 0.0, 1.0, 7.0][t % 4];
+        }
+        let tables = [
+            (RateTable::uniform(TOPICS), true),
+            (
+                RateTable::from_rates((0..TOPICS).map(|t| (t * 37 % 11 * 1000) as f64).collect()),
+                true,
+            ),
+            (RateTable::from_rates(vec![0.0; TOPICS]), true),
+            (RateTable::from_rates(vec![-0.0; TOPICS]), true),
+            (RateTable::from_rates(signed_zeros), true),
+            (RateTable::uniform(0), true),
+            (with(max), true),
+            (with(max + 1.0), false),
+            (with(0.5), false),
+            (total(f64::from(1 << 21)), true),
+            (total(f64::from((1 << 21) + 1)), false),
+            (
+                RateTable::from_rates((1..=TOPICS).map(|k| 1.0 / (k as f64).powf(1.3)).collect()),
+                false,
+            ),
+        ];
+        let mut rng = SmallRng::seed_from_u64(13);
+        for (rates, integral) in &tables {
+            assert_eq!(rates.weights().is_some(), *integral, "{}", rates.len());
+            // Topics from the table's last 96 and 32 past its end: those
+            // rate 0.
+            let lo = rates.len().saturating_sub(TOPICS) as u32;
+            let mut sets = vec![ts(&[]), ts(&[lo]), ts(&[lo + TOPICS as u32 + 5])];
+            for _ in 0..60 {
+                let n = rng.gen_range(0..60);
+                let set =
+                    TopicSet::from_iter((0..n).map(|_| lo + rng.gen_range(0..TOPICS as u32 + 32)));
+                let nested =
+                    TopicSet::from_iter(set.iter().map(|t| t.0).filter(|_| rng.gen_bool(0.5)));
+                sets.push(set);
+                sets.push(nested);
+            }
+            for a in &sets {
+                rank_by_utility(a, rates, |counted| {
+                    for b in &sets {
+                        let ordered = utility(a, b, rates);
+                        assert_eq!(counted(b).to_bits(), ordered.to_bits(), "{a:?} {b:?}");
+                    }
+                });
+            }
+        }
+    }
+
+    /// The scratch bitmap is all-zero again after a ranking that panics,
+    /// so a later ranking on the thread reads only its own marks.
+    #[test]
+    fn the_scratch_is_all_zero_after_a_ranking_that_panics() {
+        let rates = RateTable::uniform(200);
+        let own = ts(&[1, 64, 65, 199]);
+        let caught = std::panic::catch_unwind(|| {
+            rank_by_utility(&own, &rates, |utility| {
+                assert_eq!(utility(&ts(&[1, 64, 70, 71])), 2.0 / 6.0);
+                panic!("a ranking that panics");
+            })
+        });
+        assert!(caught.is_err());
+        let bits = SCRATCH.take();
+        assert_eq!(bits.len(), 4, "the bitmap is handed back");
+        assert!(bits.iter().all(|&w| w == 0), "{bits:?}");
     }
 }

@@ -200,10 +200,9 @@ fn handles_stay_through_churn<P: PubSubProtocol>(
 }
 
 /// A logical node's subscription handle is the workload's for the whole
-/// run, across crashes and rejoins: the invariant behind every cache keyed
-/// on a peer (the Equation 1 memo, the election's common-topic pairs) and
-/// behind heartbeats that only re-age a table entry. Checked for both
-/// ring-based systems.
+/// run, across crashes and rejoins: the invariant behind the cache keyed
+/// on a peer (the election's common-topic pairs) and behind heartbeats
+/// that only re-age a table entry. Checked for both ring-based systems.
 #[test]
 fn subscription_handles_stay_the_workloads_through_churn() {
     let p = params(Correlation::Low, 450, 17);

@@ -29,7 +29,7 @@ use std::mem::size_of;
 use vitis::gateway::Proposal;
 use vitis::monitor::{DeliverySlot, Monitor};
 use vitis::msg::{Notification, RepairMsg, VitisMsg};
-use vitis::node::{MemoEntry, Neighbor, VitisNode};
+use vitis::node::{Neighbor, VitisNode};
 use vitis::relay::{RelaySlot, SpilledLink};
 use vitis::topic::TopicId;
 use vitis_baselines::opt::OptMsg;
@@ -74,16 +74,11 @@ fn nodes_fit_their_cache_line_budget() {
     // 2.41 → 2.12 s and 2.37 → 2.04 s), `baselines` −5.5 % (six pairs);
     // `peak_rss_kb_per_node` on those pairs `gossip_2k` 24.23 → 24.26 kB
     // and 24.29 → 24.35 kB, `baselines` 19.20 → 19.27 kB. Both budgets
-    // are the measured sizes.
-    within::<VitisNode>(520 + 64);
-    // A node retains ≈ 60 remembered Equation 1 results (DESIGN §14, "The
-    // T-Man merge"): eight bytes more per entry is half a kilobyte a node.
-    // 24 → 16 B when the entry stopped holding its peer's subscription
-    // handle (peers' subscriptions are fixed for a run). In one `benchmark
-    // run --seed 42` set a side, `peak_rss_kb_per_node`: `gossip_2k` 25.37
-    // → 24.24 kB, `publish_1k` 27.02 → 25.76, `churn_repair_300` 26.05 →
-    // 24.80, `baselines` 19.25 → 19.26.
-    within::<MemoEntry>(16);
+    // are the measured sizes. Vitis's then shrank by the Equation 1
+    // memo's `Vec` header and merge clock (32 B), to 552 B, when ranking
+    // began counting against the node's marked topics instead (DESIGN
+    // §14, "The T-Man merge"); the memo's 2.3–2.5 KB of heap went with it.
+    within::<VitisNode>(552);
     within::<RvrNode>(392 + 64);
     within::<OptNode>(320);
 }
