@@ -10,6 +10,8 @@
 //! (Figure 10), while the unbounded variant needs arbitrarily large degrees
 //! (Figure 11).
 
+use std::cell::Cell;
+use std::ops::Range;
 use std::rc::Rc;
 use vitis::config::VitisConfig;
 use vitis::dissemination::Dissemination;
@@ -162,15 +164,19 @@ impl OptNode {
 
 /// Greedy coverage selection: candidates from `sample` ranked by how many
 /// of `own`'s topics with fewer than `coverage` links they would cover;
-/// returns up to `requests` picks with positive gain, in pick order, within
-/// the degree bound `max_degree` (`usize::MAX` for none). Ties go to the
-/// first candidate in sample order, and a pick is `swap_remove`d from the
-/// candidates.
+/// fills `picks` with up to `requests` picks with positive gain, in pick
+/// order, within the degree bound `max_degree` (`usize::MAX` for none).
+/// Ties go to the first candidate in sample order, and a pick is
+/// `swap_remove`d from the candidates.
 ///
-/// One merge per link counts coverage, and one merge per candidate lists
-/// the topics it shares with `own` that start under-covered, as indices
-/// into `own`. Deficits only fall, so no other shared topic can ever add
-/// gain, and each pick re-scores candidates from these short lists.
+/// `own`'s topics are indexed in the thread's scratch ([`OwnIndex`]), so
+/// one pass over each link's topics counts coverage, and one pass over
+/// each candidate's lists the topics it shares with `own` that start
+/// under-covered, as indices into `own`, in ascending order. Deficits only
+/// fall, so no other shared topic can ever add gain, and each pick
+/// re-scores candidates from these short lists. The buffers are the
+/// scratch's, so a call allocates nothing once they have grown.
+#[allow(clippy::too_many_arguments)] // the repair's inputs and the list it fills
 fn pick_connect_targets(
     coverage: usize,
     requests: usize,
@@ -179,34 +185,45 @@ fn pick_connect_targets(
     own: &TopicSet,
     links: &SmallMap<NodeIdx, Link>,
     sample: &[Entry<Subs>],
-) -> Vec<NodeIdx> {
+    picks: &mut Vec<NodeIdx>,
+) {
+    picks.clear();
     let budget = requests.min(max_degree.saturating_sub(links.len()));
     if budget == 0 {
-        return Vec::new();
+        return;
     }
+    let mut marked = OwnIndex::set(own);
+    let top = marked.top;
+    let Scratch {
+        index,
+        deficit,
+        shared,
+        candidates,
+    } = &mut marked.scratch;
+    let index = &index[..top];
     // deficit[i]: links own topic i still wants; ≤ 0 once covered.
-    let mut deficit = vec![coverage as isize; own.len()];
+    deficit.clear();
+    deficit.resize(own.len(), coverage as isize);
     for l in links.values() {
-        own.for_each_common(&l.subs, |i, _, _| deficit[i] -= 1);
+        for_each_own(index, &l.subs, |i| deficit[i] -= 1);
     }
     if deficit.iter().all(|&d| d <= 0) {
-        return Vec::new();
+        return;
     }
-    let mut shared = Vec::new();
-    let mut candidates = Vec::new();
+    shared.clear();
+    candidates.clear();
     for e in sample {
         if e.addr == me || links.contains_key(&e.addr) {
             continue;
         }
         let start = shared.len();
-        own.for_each_common(&e.payload, |i, _, _| {
+        for_each_own(index, &e.payload, |i| {
             if deficit[i] > 0 {
                 shared.push(i);
             }
         });
         candidates.push((e.addr, start..shared.len()));
     }
-    let mut picks = Vec::new();
     while picks.len() < budget {
         let mut best: Option<(usize, usize)> = None;
         for (k, (_, topics)) in candidates.iter().enumerate() {
@@ -225,7 +242,90 @@ fn pick_connect_targets(
         }
         picks.push(addr);
     }
-    picks
+}
+
+/// Call `f(i)` for every topic of `other` that sits at position `i` of the
+/// set `index` was built from, in ascending topic order: the positions
+/// [`TopicSet::for_each_common`] would give, in its order. `index` ends
+/// just past that set's highest topic, so the first topic beyond it ends
+/// the pass.
+#[inline]
+fn for_each_own(index: &[u32], other: &TopicSet, mut f: impl FnMut(usize)) {
+    for t in other.iter() {
+        let Some(&k) = index.get(t.0 as usize) else {
+            break;
+        };
+        if k > 0 {
+            f(k as usize - 1);
+        }
+    }
+}
+
+/// What a coverage repair borrows from its thread: an own-topic index and
+/// the buffers [`pick_connect_targets`] fills.
+#[derive(Default)]
+struct Scratch {
+    /// `index[t]`: 1 + topic `t`'s position in the node's own set, 0 for
+    /// a topic it does not hold. All-zero whenever no repair is running on
+    /// this thread, and as long as the highest topic indexed here + 1
+    /// (topic ids are dense from zero, see [`TopicId`]).
+    index: Vec<u32>,
+    /// Links each own topic still wants, by position in the own set.
+    deficit: Vec<isize>,
+    /// The candidates' under-covered shared topics, as own positions.
+    shared: Vec<usize>,
+    /// Each candidate's address and its run of `shared`.
+    candidates: Vec<(NodeIdx, Range<usize>)>,
+}
+
+thread_local! {
+    /// The scratch [`OwnIndex`] borrows. It is per thread, not per node.
+    static SCRATCH: Cell<Scratch> = const {
+        Cell::new(Scratch {
+            index: Vec::new(),
+            deficit: Vec::new(),
+            shared: Vec::new(),
+            candidates: Vec::new(),
+        })
+    };
+}
+
+/// A node's own topics indexed in the thread's scratch. Dropping it clears
+/// the index, panic or not, and hands the scratch back.
+struct OwnIndex<'a> {
+    own: &'a TopicSet,
+    /// The own set's highest topic + 1 (0 when it is empty).
+    top: usize,
+    scratch: Scratch,
+}
+
+impl<'a> OwnIndex<'a> {
+    fn set(own: &'a TopicSet) -> Self {
+        let mut scratch = SCRATCH.take();
+        let mut top = 0;
+        for (i, t) in own.iter().enumerate() {
+            top = t.0 as usize + 1;
+            if scratch.index.len() < top {
+                scratch.index.resize(top, 0);
+            }
+            scratch.index[top - 1] = i as u32 + 1;
+        }
+        OwnIndex { own, top, scratch }
+    }
+}
+
+impl Drop for OwnIndex<'_> {
+    fn drop(&mut self) {
+        // Only the own topics' entries can be non-zero.
+        for t in self.own.iter() {
+            if let Some(k) = self.scratch.index.get_mut(t.0 as usize) {
+                *k = 0;
+            }
+        }
+        let scratch = std::mem::take(&mut self.scratch);
+        // `try_with`: a drop must not panic, even during thread exit.
+        let _ = SCRATCH.try_with(|s| s.set(scratch));
+    }
 }
 
 impl Protocol for OptNode {
@@ -281,7 +381,7 @@ impl Protocol for OptNode {
 
         // Greedy coverage repair; last round's requests are no longer in
         // flight.
-        self.pending = pick_connect_targets(
+        pick_connect_targets(
             COVERAGE,
             REQUESTS_PER_ROUND,
             self.cfg.rt_size,
@@ -289,6 +389,7 @@ impl Protocol for OptNode {
             self.ps.payload(),
             &self.links,
             self.ps.sample(),
+            &mut self.pending,
         );
         for &target in &self.pending {
             ctx.send(target, OptMsg::ConnectReq(self.ps.payload().clone()));
@@ -507,10 +608,9 @@ mod tests {
         assert!(s.useful_msgs > 0);
     }
 
-    /// The coverage repair as it was before it became linear merges, kept
-    /// as the oracle: a tree of deficits keyed by topic, one binary search
-    /// per link and own topic, and one tree lookup per candidate topic at
-    /// every pick. It also filtered candidates and the budget by the
+    /// The coverage repair's first form, kept as the oracle: a tree of
+    /// deficits keyed by topic, one binary search per link and own topic,
+    /// and one tree lookup per candidate topic at every pick. It also filtered candidates and the budget by the
     /// requests in flight, which are always empty when it runs, so those
     /// reads are left out.
     fn btree_picks(
@@ -564,6 +664,24 @@ mod tests {
         picks
     }
 
+    /// [`pick_connect_targets`] into a fresh list.
+    fn picks(
+        coverage: usize,
+        requests: usize,
+        max_degree: usize,
+        me: NodeIdx,
+        own: &TopicSet,
+        links: &SmallMap<NodeIdx, Link>,
+        sample: &[Entry<Subs>],
+    ) -> Vec<NodeIdx> {
+        // Stale contents must not survive into the picks.
+        let mut picks = vec![NodeIdx(u32::MAX)];
+        pick_connect_targets(
+            coverage, requests, max_degree, me, own, links, sample, &mut picks,
+        );
+        picks
+    }
+
     fn entry(addr: u32, topics: &[u32]) -> Entry<Subs> {
         let subs = Subs::new(TopicSet::from_iter(topics.iter().copied()));
         Entry::fresh(NodeIdx(addr), Id::of_node(addr as u64), subs)
@@ -581,20 +699,25 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(1024))]
 
-        /// The linear-merge repair picks the oracle's candidates in the
+        /// The indexed repair picks the oracle's candidates in the
         /// oracle's order. Topics come from a small universe, so deficits,
         /// zero-gain candidates and ties in gain are common; addresses
-        /// overlap between self, links and the sample.
+        /// overlap between self, links and the sample. Links and
+        /// candidates draw from a wider universe than either own set, so
+        /// lookups run past the index's end. Two picks run in a row on
+        /// one thread with different own sets, so the second reads only
+        /// its own index.
         #[test]
         fn picks_match_the_btree_oracle(
             me in 0u32..24,
             own in proptest::collection::vec(0u32..20, 0..16),
+            own_after in proptest::collection::vec(0u32..12, 0..10),
             links in proptest::collection::vec(
-                (0u32..24, proptest::collection::vec(0u32..20, 0..8)),
+                (0u32..24, proptest::collection::vec(0u32..28, 0..8)),
                 0..12,
             ),
             sample in proptest::collection::vec(
-                (0u32..24, proptest::collection::vec(0u32..20, 0..8)),
+                (0u32..24, proptest::collection::vec(0u32..28, 0..8)),
                 0..16,
             ),
             coverage in 0usize..4,
@@ -603,17 +726,40 @@ mod tests {
         ) {
             // `usize::MAX` is the unbounded degree.
             let max_degree = max_degree.unwrap_or(usize::MAX);
-            let own = TopicSet::from_iter(own);
             let links: Vec<(u32, &[u32])> =
                 links.iter().map(|(a, t)| (*a, t.as_slice())).collect();
             let links = link_table(&links);
             let sample: Vec<Entry<Subs>> = sample.iter().map(|(a, t)| entry(*a, t)).collect();
             let me = NodeIdx(me);
-            proptest::prop_assert_eq!(
-                pick_connect_targets(coverage, requests, max_degree, me, &own, &links, &sample),
-                btree_picks(coverage, requests, max_degree, me, &own, &links, &sample)
-            );
+            for own in [own, own_after] {
+                let own = TopicSet::from_iter(own);
+                proptest::prop_assert_eq!(
+                    picks(coverage, requests, max_degree, me, &own, &links, &sample),
+                    btree_picks(coverage, requests, max_degree, me, &own, &links, &sample)
+                );
+            }
         }
+    }
+
+    /// The scratch index is all-zero again after a pick that panics, so a
+    /// later pick on the thread reads only its own set's entries.
+    #[test]
+    fn the_opt_scratch_is_all_zero_after_a_pick_that_panics() {
+        let own = TopicSet::from_iter([1, 64, 65, 199]);
+        let caught = std::panic::catch_unwind(|| {
+            let marked = OwnIndex::set(&own);
+            let mut seen = Vec::new();
+            let other = TopicSet::from_iter([0, 64, 70, 199, 300]);
+            for_each_own(&marked.scratch.index[..marked.top], &other, |i| {
+                seen.push(i)
+            });
+            assert_eq!(seen, [1, 3]);
+            panic!("a pick that panics");
+        });
+        assert!(caught.is_err());
+        let scratch = SCRATCH.take();
+        assert_eq!(scratch.index.len(), 200, "the index is handed back");
+        assert!(scratch.index.iter().all(|&k| k == 0), "{:?}", scratch.index);
     }
 
     #[test]
@@ -624,7 +770,7 @@ mod tests {
         let own = TopicSet::from_iter([1, 2, 3]);
         let links = link_table(&[]);
         let sample = [entry(7, &[1]), entry(8, &[2]), entry(9, &[3])];
-        let picks = pick_connect_targets(1, 3, 15, NodeIdx(0), &own, &links, &sample);
+        let picks = picks(1, 3, 15, NodeIdx(0), &own, &links, &sample);
         assert_eq!(picks, [NodeIdx(7), NodeIdx(9), NodeIdx(8)]);
         assert_eq!(
             picks,
@@ -639,10 +785,10 @@ mod tests {
         let own = TopicSet::from_iter([1, 2]);
         let links = link_table(&[(3, &[5]), (4, &[6])]);
         let sample = [entry(7, &[1, 2]), entry(8, &[1])];
-        assert!(pick_connect_targets(2, 3, 2, NodeIdx(0), &own, &links, &sample).is_empty());
+        assert!(picks(2, 3, 2, NodeIdx(0), &own, &links, &sample).is_empty());
         assert!(btree_picks(2, 3, 2, NodeIdx(0), &own, &links, &sample).is_empty());
         assert_eq!(
-            pick_connect_targets(2, 3, 3, NodeIdx(0), &own, &links, &sample),
+            picks(2, 3, 3, NodeIdx(0), &own, &links, &sample),
             [NodeIdx(7)]
         );
     }
