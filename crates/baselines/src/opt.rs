@@ -15,10 +15,10 @@ use std::ops::Range;
 use std::rc::Rc;
 use vitis::config::VitisConfig;
 use vitis::dissemination::Dissemination;
-use vitis::monitor::{EventId, Monitor};
-use vitis::msg::{wire, Notification, RepairMsg};
+use vitis::monitor::Monitor;
+use vitis::msg::{wire, DissemMsg, Notification};
 use vitis::smallmap::SmallMap;
-use vitis::topic::{Subs, TopicId, TopicSet};
+use vitis::topic::{Subs, TopicSet};
 use vitis_overlay::entry::Entry;
 use vitis_overlay::id::Id;
 use vitis_overlay::substrate::Sampler;
@@ -46,17 +46,15 @@ pub enum OptMsg {
     ConnectAck(Subs),
     /// Liveness heartbeat between connected neighbors.
     Heartbeat,
-    /// Data-plane event notification flooding the topic subgraph.
-    Notif(Notification),
-    /// Harness stimulus: publish `event` on `topic` from this node.
-    PublishCmd {
-        /// Pre-registered event id.
-        event: EventId,
-        /// Topic to publish on.
-        topic: TopicId,
-    },
-    /// Anti-entropy repair traffic. Only sent when repair is enabled.
-    Repair(RepairMsg),
+    /// The data plane: copies flooding the topic subgraph, publish
+    /// stimuli and repair traffic.
+    Dissem(DissemMsg),
+}
+
+impl From<DissemMsg> for OptMsg {
+    fn from(msg: DissemMsg) -> Self {
+        OptMsg::Dissem(msg)
+    }
 }
 
 struct Link {
@@ -141,24 +139,6 @@ impl OptNode {
     fn add_link(&mut self, peer: NodeIdx, subs: Subs) {
         self.links.insert(peer, Link { subs, age: 0 });
         self.pending.retain(|&p| p != peer);
-    }
-
-    /// Send `notif` to every link that shares its topic except the one it
-    /// came in on.
-    fn flood(
-        &mut self,
-        ctx: &mut Context<'_, OptMsg>,
-        came_from: Option<NodeIdx>,
-        notif: Notification,
-    ) {
-        let (topic, links) = (notif.topic, &self.links);
-        self.dissem
-            .send_copies(ctx, notif, OptMsg::Notif, |targets| {
-                let shared = links
-                    .iter()
-                    .filter(|(&peer, link)| Some(peer) != came_from && link.subs.contains(topic));
-                targets.extend(shared.map(|(&peer, _)| peer));
-            });
     }
 }
 
@@ -268,7 +248,7 @@ struct Scratch {
     /// `index[t]`: 1 + topic `t`'s position in the node's own set, 0 for
     /// a topic it does not hold. All-zero whenever no repair is running on
     /// this thread, and as long as the highest topic indexed here + 1
-    /// (topic ids are dense from zero, see [`TopicId`]).
+    /// (topic ids are dense from zero, see [`vitis::topic::TopicId`]).
     index: Vec<u32>,
     /// Links each own topic still wants, by position in the own set.
     deficit: Vec<isize>,
@@ -338,9 +318,7 @@ impl Protocol for OptNode {
             OptMsg::ConnectReq(..) => MsgTag::control("connect_req"),
             OptMsg::ConnectAck(..) => MsgTag::control("connect_ack"),
             OptMsg::Heartbeat => MsgTag::control("heartbeat"),
-            OptMsg::Notif(_) => MsgTag::data("notification"),
-            OptMsg::PublishCmd { .. } => MsgTag::data("publish_cmd"),
-            OptMsg::Repair(r) => r.tag(),
+            OptMsg::Dissem(m) => m.tag(),
         }
     }
 
@@ -349,15 +327,13 @@ impl Protocol for OptNode {
             OptMsg::PsReq(b) | OptMsg::PsResp(b) => wire::buffer_bytes(b),
             OptMsg::ConnectReq(subs) | OptMsg::ConnectAck(subs) => wire::subs_bytes(subs),
             OptMsg::Heartbeat => wire::HEARTBEAT_BYTES,
-            OptMsg::Notif(_) | OptMsg::PublishCmd { .. } => wire::NOTIFICATION_BYTES,
-            OptMsg::Repair(r) => wire::repair_bytes(r),
+            OptMsg::Dissem(m) => wire::dissem_bytes(m),
         }
     }
 
     fn event_of(msg: &OptMsg) -> Option<u64> {
         match msg {
-            OptMsg::Notif(n) => Some(n.event.0),
-            OptMsg::Repair(r) => r.event(),
+            OptMsg::Dissem(m) => m.event(),
             _ => None,
         }
     }
@@ -403,7 +379,7 @@ impl Protocol for OptNode {
         // Anti-entropy repair. Entirely inert — no sends, no RNG draws —
         // unless the layer is enabled, so default runs stay bit-identical.
         let neighbors = || self.links.keys().copied().collect();
-        self.dissem.round_step(ctx, neighbors, OptMsg::Repair);
+        self.dissem.round_step(ctx, neighbors);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, OptMsg>, from: NodeIdx, msg: OptMsg) {
@@ -431,21 +407,18 @@ impl Protocol for OptNode {
                     l.age = 0;
                 }
             }
-            OptMsg::Notif(notif) => {
-                if let Some(fwd) =
-                    self.dissem
-                        .receive(self.ps.addr(), self.ps.payload(), ctx.now, notif)
-                {
-                    self.flood(ctx, Some(from), fwd);
-                }
-            }
-            OptMsg::PublishCmd { event, topic } => {
-                let notif = self.dissem.publish(self.ps.addr(), event, topic);
-                self.flood(ctx, None, notif);
-            }
-            OptMsg::Repair(msg) => {
+            OptMsg::Dissem(msg) => {
+                // OPT's `forward_targets`: every link that shares the
+                // copy's topic but the one it came in on.
+                let links = &self.links;
                 let subs = self.ps.payload();
-                self.dissem.on_repair(ctx, from, subs, msg, OptMsg::Repair);
+                self.dissem
+                    .on_message(ctx, from, subs, msg, |copy, came_from, targets| {
+                        let shared = links.iter().filter(|(&peer, link)| {
+                            Some(peer) != came_from && link.subs.contains(copy.topic)
+                        });
+                        targets.extend(shared.map(|(&peer, _)| peer));
+                    });
             }
         }
     }
@@ -454,6 +427,7 @@ impl Protocol for OptNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vitis::topic::TopicId;
     use vitis_sim::engine::{Engine, EngineConfig};
     use vitis_sim::time::Duration;
 
@@ -493,34 +467,15 @@ mod tests {
     /// heartbeat as its framing.
     #[test]
     fn every_message_has_its_wire_size() {
-        use vitis::monitor::HopPath;
         let subs = Subs::new(TopicSet::from_iter([1, 4, 9]));
         let buf = vec![Entry::fresh(NodeIdx(1), Id(5), subs.clone())];
         let buf_bytes = wire::buffer_bytes(&buf);
-        let (event, topic) = (EventId(7), TopicId(1));
-        let notif = Notification {
-            event,
-            topic,
-            hops: 2,
-            path: HopPath::default(),
-        };
-        let digest = RepairMsg::Digest(Rc::new(vec![(7, 1)]));
-        let want = RepairMsg::Want(vec![7, 8]);
-        let push = RepairMsg::Push(notif.clone());
         let sizes = [
             (OptMsg::PsReq(buf.clone()), buf_bytes),
             (OptMsg::PsResp(buf), buf_bytes),
             (OptMsg::ConnectReq(subs.clone()), wire::subs_bytes(&subs)),
             (OptMsg::ConnectAck(subs.clone()), wire::subs_bytes(&subs)),
             (OptMsg::Heartbeat, wire::HEARTBEAT_BYTES),
-            (OptMsg::Notif(notif), wire::NOTIFICATION_BYTES),
-            (
-                OptMsg::PublishCmd { event, topic },
-                wire::NOTIFICATION_BYTES,
-            ),
-            (OptMsg::Repair(digest.clone()), wire::repair_bytes(&digest)),
-            (OptMsg::Repair(want.clone()), wire::repair_bytes(&want)),
-            (OptMsg::Repair(push.clone()), wire::repair_bytes(&push)),
         ];
         for (msg, bytes) in sizes {
             assert_eq!(OptNode::wire_bytes(&msg), bytes, "{msg:?}");
@@ -597,10 +552,11 @@ mod tests {
         let e = monitor.register_event(TopicId(0), eng.now(), expected);
         eng.inject(
             NodeIdx(0),
-            OptMsg::PublishCmd {
+            DissemMsg::Publish {
                 event: e,
                 topic: TopicId(0),
-            },
+            }
+            .into(),
         );
         eng.run_rounds(3);
         let s = monitor.snapshot();

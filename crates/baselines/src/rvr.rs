@@ -13,8 +13,8 @@
 
 use vitis::config::VitisConfig;
 use vitis::dissemination::Dissemination;
-use vitis::monitor::{EventId, Monitor};
-use vitis::msg::{wire, Notification, RepairMsg};
+use vitis::monitor::Monitor;
+use vitis::msg::{wire, DissemMsg, Notification};
 use vitis::relay::{RelayTable, RELAY_TTL};
 use vitis::topic::{Subs, TopicId};
 use vitis_overlay::entry::Entry;
@@ -47,17 +47,15 @@ pub enum RvrMsg {
         /// Hops taken so far.
         hops: u32,
     },
-    /// Data-plane event notification travelling the tree.
-    Notif(Notification),
-    /// Harness stimulus: publish `event` on `topic` from this node.
-    PublishCmd {
-        /// Pre-registered event id.
-        event: EventId,
-        /// Topic to publish on.
-        topic: TopicId,
-    },
-    /// Anti-entropy repair traffic. Only sent when repair is enabled.
-    Repair(RepairMsg),
+    /// The data plane: copies travelling the tree, publish stimuli and
+    /// repair traffic.
+    Dissem(DissemMsg),
+}
+
+impl From<DissemMsg> for RvrMsg {
+    fn from(msg: DissemMsg) -> Self {
+        RvrMsg::Dissem(msg)
+    }
 }
 
 /// An RVR peer. A join takes Vitis's relay-path hop,
@@ -137,21 +135,6 @@ impl RvrNode {
     pub fn tree_table(&self) -> &RelayTable {
         &self.tree
     }
-
-    /// Send `notif` along every tree link of its topic except the one it
-    /// came in on.
-    fn forward_notif(
-        &mut self,
-        ctx: &mut Context<'_, RvrMsg>,
-        came_from: Option<NodeIdx>,
-        notif: Notification,
-    ) {
-        let (topic, tree) = (notif.topic, &self.tree);
-        self.dissem
-            .send_copies(ctx, notif, RvrMsg::Notif, |targets| {
-                tree.fanout_into(topic, came_from, targets)
-            });
-    }
 }
 
 impl Protocol for RvrNode {
@@ -165,9 +148,7 @@ impl Protocol for RvrNode {
             RvrMsg::RtResp(_) => MsgTag::control("rt_resp"),
             RvrMsg::Heartbeat(..) => MsgTag::control("heartbeat"),
             RvrMsg::Join { .. } => MsgTag::control("join"),
-            RvrMsg::Notif(_) => MsgTag::data("notification"),
-            RvrMsg::PublishCmd { .. } => MsgTag::data("publish_cmd"),
-            RvrMsg::Repair(r) => r.tag(),
+            RvrMsg::Dissem(m) => m.tag(),
         }
     }
 
@@ -178,15 +159,13 @@ impl Protocol for RvrNode {
             }
             RvrMsg::Heartbeat(_, subs) => wire::subs_bytes(subs),
             RvrMsg::Join { .. } => wire::RELAY_REQUEST_BYTES,
-            RvrMsg::Notif(_) | RvrMsg::PublishCmd { .. } => wire::NOTIFICATION_BYTES,
-            RvrMsg::Repair(r) => wire::repair_bytes(r),
+            RvrMsg::Dissem(m) => wire::dissem_bytes(m),
         }
     }
 
     fn event_of(msg: &RvrMsg) -> Option<u64> {
         match msg {
-            RvrMsg::Notif(n) => Some(n.event.0),
-            RvrMsg::Repair(r) => r.event(),
+            RvrMsg::Dissem(m) => m.event(),
             _ => None,
         }
     }
@@ -241,8 +220,7 @@ impl Protocol for RvrNode {
 
         // Anti-entropy repair. Entirely inert — no sends, no RNG draws —
         // unless the layer is enabled, so default runs stay bit-identical.
-        self.dissem
-            .round_step(ctx, || self.net.rt().addrs(), RvrMsg::Repair);
+        self.dissem.round_step(ctx, || self.net.rt().addrs());
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, RvrMsg>, from: NodeIdx, msg: RvrMsg) {
@@ -266,23 +244,17 @@ impl Protocol for RvrNode {
                     ctx.send(next, RvrMsg::Join { topic, hops });
                 }
             }
-            RvrMsg::Notif(notif) => {
-                if let Some(fwd) =
-                    self.dissem
-                        .receive(self.net.addr(), self.net.payload(), ctx.now, notif)
-                {
-                    self.forward_notif(ctx, Some(from), fwd);
-                }
-            }
-            RvrMsg::PublishCmd { event, topic } => {
-                // The publisher is a subscriber, so it sits in the tree; the
-                // notification climbs to the rendezvous and floods down.
-                let notif = self.dissem.publish(self.net.addr(), event, topic);
-                self.forward_notif(ctx, None, notif);
-            }
-            RvrMsg::Repair(msg) => {
+            RvrMsg::Dissem(msg) => {
+                // RVR's `forward_targets`: every tree link of the copy's
+                // topic but the one it came in on. A publisher is a
+                // subscriber, so it sits in the tree: its copy climbs to
+                // the rendezvous and floods down.
+                let tree = &self.tree;
                 let subs = self.net.payload();
-                self.dissem.on_repair(ctx, from, subs, msg, RvrMsg::Repair);
+                self.dissem
+                    .on_message(ctx, from, subs, msg, |copy, came_from, targets| {
+                        tree.fanout_into(copy.topic, came_from, targets)
+                    });
             }
         }
     }
@@ -377,26 +349,14 @@ mod tests {
         );
     }
 
-    /// Every RVR message is priced by the `wire` rule Vitis's counterpart
-    /// uses: descriptor buffers alike, a join as a relay request, a
-    /// heartbeat as a profile with no proposals.
+    /// Every RVR control message is priced by the `wire` rule Vitis's
+    /// counterpart uses: descriptor buffers alike, a join as a relay
+    /// request, a heartbeat as a profile with no proposals.
     #[test]
     fn every_message_has_its_wire_size() {
-        use std::rc::Rc;
-        use vitis::monitor::HopPath;
         let subs = Subs::new(TopicSet::from_iter([1, 4, 9]));
         let buf = vec![Entry::fresh(NodeIdx(1), Id(5), subs.clone())];
         let buf_bytes = wire::buffer_bytes(&buf);
-        let (event, topic) = (EventId(7), TopicId(1));
-        let notif = Notification {
-            event,
-            topic,
-            hops: 2,
-            path: HopPath::default(),
-        };
-        let digest = RepairMsg::Digest(Rc::new(vec![(7, 1)]));
-        let want = RepairMsg::Want(vec![7, 8]);
-        let push = RepairMsg::Push(notif.clone());
         let sizes = [
             (RvrMsg::PsReq(buf.clone()), buf_bytes),
             (RvrMsg::PsResp(buf.clone()), buf_bytes),
@@ -406,15 +366,13 @@ mod tests {
                 RvrMsg::Heartbeat(Id(3), subs.clone()),
                 wire::subs_bytes(&subs),
             ),
-            (RvrMsg::Join { topic, hops: 4 }, wire::RELAY_REQUEST_BYTES),
-            (RvrMsg::Notif(notif), wire::NOTIFICATION_BYTES),
             (
-                RvrMsg::PublishCmd { event, topic },
-                wire::NOTIFICATION_BYTES,
+                RvrMsg::Join {
+                    topic: TopicId(1),
+                    hops: 4,
+                },
+                wire::RELAY_REQUEST_BYTES,
             ),
-            (RvrMsg::Repair(digest.clone()), wire::repair_bytes(&digest)),
-            (RvrMsg::Repair(want.clone()), wire::repair_bytes(&want)),
-            (RvrMsg::Repair(push.clone()), wire::repair_bytes(&push)),
         ];
         for (msg, bytes) in sizes {
             assert_eq!(RvrNode::wire_bytes(&msg), bytes, "{msg:?}");
@@ -460,10 +418,11 @@ mod tests {
         let e = monitor.register_event(TopicId(0), eng.now(), expected);
         eng.inject(
             NodeIdx(0),
-            RvrMsg::PublishCmd {
+            DissemMsg::Publish {
                 event: e,
                 topic: TopicId(0),
-            },
+            }
+            .into(),
         );
         eng.run_rounds(4);
         let (exp, del) = monitor.event_progress(e).unwrap();

@@ -3,15 +3,15 @@
 //! engine–monitor plumbing as [`vitis::system::VitisSystem`] and the
 //! experiment harness can swap systems freely.
 
-use crate::opt::{OptMsg, OptNode};
-use crate::rvr::{RvrMsg, RvrNode};
+use crate::opt::OptNode;
+use crate::rvr::RvrNode;
 use std::rc::Rc;
 use std::sync::Arc;
 use vitis::config::VitisConfig;
-use vitis::monitor::{EventId, LossReason, MissContext, Monitor};
+use vitis::monitor::{LossReason, MissContext, Monitor};
 use vitis::runtime::{LossView, PubSubProtocol, Reach, SystemRuntime};
 use vitis::system::{PubSub, SystemParams, VitisSystem};
-use vitis::topic::{RateTable, Subs, TopicId};
+use vitis::topic::{RateTable, Subs};
 use vitis::topo::{NodeTopo, RelayTopo, TopoLink};
 use vitis_overlay::entry::Entry;
 use vitis_overlay::id::Id;
@@ -90,10 +90,6 @@ impl PubSubProtocol for RvrProtocol {
 
     fn for_each_link(node: &RvrNode, f: impl FnMut(TopoLink)) {
         TopoLink::of_table(node.routing_table()).for_each(f);
-    }
-
-    fn publish_cmd(event: EventId, topic: TopicId) -> RvrMsg {
-        RvrMsg::PublishCmd { event, topic }
     }
 
     fn classify_miss(view: &mut LossView<'_, Self>, miss: &MissContext<'_>) -> LossReason {
@@ -186,10 +182,6 @@ impl PubSubProtocol for OptProtocol {
             .for_each(f);
     }
 
-    fn publish_cmd(event: EventId, topic: TopicId) -> OptMsg {
-        OptMsg::PublishCmd { event, topic }
-    }
-
     fn classify_miss(view: &mut LossView<'_, Self>, miss: &MissContext<'_>) -> LossReason {
         opt_miss_reason(view.cluster(miss).0)
     }
@@ -266,6 +258,7 @@ mod tests {
     use super::*;
     use rand::Rng;
     use std::panic::AssertUnwindSafe;
+    use vitis::topic::TopicId;
     use vitis::topic::TopicSet;
     use vitis_sim::rng::{domain, stream_rng};
 
@@ -464,14 +457,6 @@ mod tests {
     }
 
     /// Messages sit in every queued event, so their size is a hot constant.
-    #[test]
-    fn wire_enums_stay_within_32_bytes() {
-        use std::mem::size_of;
-        assert!(size_of::<vitis::msg::VitisMsg>() <= 32);
-        assert!(size_of::<RvrMsg>() <= 32);
-        assert!(size_of::<OptMsg>() <= 32);
-    }
-
     /// All three systems must report the same observability schema:
     /// control/data traffic split by message kind, and a health probe.
     #[test]

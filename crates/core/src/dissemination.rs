@@ -1,24 +1,25 @@
-//! What happens *to* a notification at a node, shared by Vitis, RVR and
-//! OPT: forwarding dedup, causal-path extension under a trace, delivery
-//! and forward accounting, and the anti-entropy repair layer (cache,
-//! round step, digest / want / push handling).
+//! The data plane shared by Vitis, RVR and OPT: its wire protocol,
+//! [`DissemMsg`], and what happens *to* a copy at a node — forwarding dedup,
+//! causal-path extension under a trace, delivery and forward accounting,
+//! and the anti-entropy repair layer (cache, round step, digest / want /
+//! push handling).
 //!
-//! A node type holds one [`Dissemination`] and keeps only the decision of
-//! *where* a copy goes next — friends + reverse links + relay fan-out
-//! (Vitis), tree fan-out (RVR) or the topic-subgraph flood (OPT) — plus its
-//! own hardening. The component builds the publisher's first-hop copy,
-//! sends every forwarded copy ([`Dissemination::send_copies`]) and runs
-//! every arrival, flooded or recovered, through one routine, so a node
-//! delivers each event once however its copies reach it. It also owns the
-//! repair wire protocol, [`RepairMsg`], which each node's wire enum
-//! carries in one `Repair` variant: the node hands in that variant's
-//! constructor and the component sends every repair message a round or an
-//! arrival calls for itself. What the messages cost is the engine's to
-//! count, by the node type's `wire_bytes`, so nothing here depends on
-//! which system sends.
+//! A node type holds one [`Dissemination`], carries [`DissemMsg`] in one
+//! `Dissem` variant of its wire enum, and hands every such message to
+//! [`Dissemination::on_message`] with the one function it contributes,
+//! `forward_targets`: *where* a copy goes next — friends + reverse links +
+//! relay fan-out (Vitis), tree fan-out (RVR) or the topic-subgraph flood
+//! (OPT). The component builds the publisher's first-hop copy, runs every
+//! arrival, flooded or recovered, through one routine, so a node delivers
+//! each event once however its copies reach it, and sends every copy and
+//! repair message itself, through the node's `M: From<DissemMsg>`. What
+//! the messages cost is the engine's to count, by the node type's
+//! `wire_bytes`, so nothing here depends on which system sends. A node's
+//! own hardening (Vitis's publish acknowledgments and retries) stays in
+//! the node.
 
 use crate::monitor::{Arrival, EventId, HopPath, Monitor};
-use crate::msg::{Notification, RepairMsg};
+use crate::msg::{DissemMsg, Notification};
 use crate::topic::{Subs, TopicId};
 use std::rc::Rc;
 use vitis_sim::antientropy::{AeConfig, AntiEntropy};
@@ -158,7 +159,7 @@ impl Dissemination {
     /// The copy of `event` that its publisher `addr` hands to its first
     /// hops: one hop out, its path at the origin. A publish and each of
     /// its retries send this copy.
-    pub(crate) fn first_hop(&self, addr: NodeIdx, event: EventId, topic: TopicId) -> Notification {
+    fn first_hop(&self, addr: NodeIdx, event: EventId, topic: TopicId) -> Notification {
         Notification {
             event,
             topic,
@@ -169,8 +170,8 @@ impl Dissemination {
 
     /// `addr` publishes `event`: mark it seen, cache it (so the publisher
     /// can answer pulls for its own events) and return the first-hop copy
-    /// for the node to fan out.
-    pub fn publish(&mut self, addr: NodeIdx, event: EventId, topic: TopicId) -> Notification {
+    /// to fan out.
+    fn publish(&mut self, addr: NodeIdx, event: EventId, topic: TopicId) -> Notification {
         self.seen.insert(event);
         let first_hop = self.first_hop(addr, event, topic);
         if self.ae.enabled() {
@@ -186,7 +187,7 @@ impl Dissemination {
     /// A copy of `notif` arrived at `addr` (subscribed to `subs`) through
     /// normal dissemination; see `arrive`. Returns the copy to forward, one
     /// hop on — `None` for a duplicate.
-    pub fn receive(
+    fn receive(
         &mut self,
         addr: NodeIdx,
         subs: &Subs,
@@ -240,52 +241,65 @@ impl Dissemination {
         Some(here)
     }
 
-    /// Hand one copy of `notif` to `to`: the `fwd` forensics record and the
-    /// send, always together.
-    fn send_copy<M>(
+    /// Hand one copy of `notif` to `to` as `wrap` makes it a message: the
+    /// `fwd` forensics record and the send, always together.
+    fn send_copy<M: From<DissemMsg>>(
         &self,
         ctx: &mut Context<'_, M>,
         to: NodeIdx,
         notif: Notification,
-        wrap: impl FnOnce(Notification) -> M,
+        wrap: impl FnOnce(Notification) -> DissemMsg,
     ) {
         self.monitor
             .record_forward(notif.event, ctx.self_idx, to, notif.hops, ctx.now);
-        ctx.send(to, wrap(notif));
+        ctx.send(to, wrap(notif).into());
     }
 
-    /// Fan `notif` out, the one way a node's forwarded copies leave: `fill`
-    /// appends the targets (in send order, without duplicates) to the
-    /// node's reused target buffer, and each gets one copy with its `fwd`
-    /// record.
-    pub fn send_copies<M>(
+    /// Send `copy` on — the one way a node's copies leave. It came from
+    /// `came_from` (`None` at its publisher); `forward_targets` appends the
+    /// targets (in send order, without duplicates) to the reused target
+    /// buffer, and each gets one copy with its `fwd` record.
+    fn send_copies<M: From<DissemMsg>>(
         &mut self,
         ctx: &mut Context<'_, M>,
-        notif: Notification,
-        wrap: impl Fn(Notification) -> M,
-        fill: impl FnOnce(&mut Vec<NodeIdx>),
+        copy: Notification,
+        came_from: Option<NodeIdx>,
+        forward_targets: impl FnOnce(&Notification, Option<NodeIdx>, &mut Vec<NodeIdx>),
     ) {
         let mut targets = std::mem::take(&mut self.targets);
         targets.clear();
-        fill(&mut targets);
+        forward_targets(&copy, came_from, &mut targets);
         for &to in &targets {
-            self.send_copy(ctx, to, notif.clone(), &wrap);
+            self.send_copy(ctx, to, copy.clone(), DissemMsg::Notification);
         }
         self.targets = targets;
     }
 
+    /// Send the publisher's first-hop copies of `event` again, as a
+    /// publish did, without marking or caching anything: a publisher's
+    /// retry.
+    pub(crate) fn republish<M: From<DissemMsg>>(
+        &mut self,
+        ctx: &mut Context<'_, M>,
+        event: EventId,
+        topic: TopicId,
+        forward_targets: impl FnOnce(&Notification, Option<NodeIdx>, &mut Vec<NodeIdx>),
+    ) {
+        let copy = self.first_hop(ctx.self_idx, event, topic);
+        self.send_copies(ctx, copy, None, forward_targets);
+    }
+
     /// End-of-round step: count the round, age the cache, and send the
-    /// repair messages, each wrapped by `wrap`, in the order they must
-    /// leave — a [`RepairMsg::Want`] per pull retry that is due, then, when
-    /// there is a digest to gossip, one [`RepairMsg::Digest`] to each
-    /// target sampled from `neighbors()`. With repair off (or nothing
-    /// cached) the closure is never called and no randomness is drawn, so
-    /// default runs stay bit-identical and allocate nothing here.
-    pub fn round_step<M>(
+    /// repair messages in the order they must leave — a
+    /// [`DissemMsg::Want`] per pull retry that is due, then, when there is
+    /// a digest to gossip, one [`DissemMsg::Digest`] to each target
+    /// sampled from `neighbors()`. With repair off (or nothing cached) the
+    /// closure is never called and no randomness is drawn, so default
+    /// runs stay bit-identical and allocate nothing here.
+    pub fn round_step<M: From<DissemMsg>>(
         &mut self,
         ctx: &mut Context<'_, M>,
         neighbors: impl FnOnce() -> Vec<NodeIdx>,
-        wrap: impl Fn(RepairMsg) -> M,
     ) {
         self.round += 1;
         if !self.ae.enabled() {
@@ -293,39 +307,52 @@ impl Dissemination {
         }
         self.ae.tick(self.round);
         for (to, ids) in self.ae.due_pulls(self.round) {
-            ctx.send(to, wrap(RepairMsg::Want(ids)));
+            ctx.send(to, DissemMsg::Want(ids).into());
         }
         if let Some(entries) = self.ae.digest(self.round) {
             let entries = Rc::new(entries);
             for to in self.ae.pick_targets(neighbors(), ctx.rng) {
-                ctx.send(to, wrap(RepairMsg::Digest(entries.clone())));
+                ctx.send(to, DissemMsg::Digest(entries.clone()).into());
             }
         }
     }
 
-    /// A repair message from `from` arrived at this node, subscribed to
-    /// `subs`; every reply leaves wrapped by `wrap`:
-    /// - a digest gets one [`RepairMsg::Want`] back for the advertised
+    /// A data-plane message from `from` arrived at this node, subscribed
+    /// to `subs`. Copies leave through `forward_targets` (see
+    /// `send_copies`), every other reply straight back to `from`:
+    /// - a notification arrives (see `arrive`) and, the first time, goes
+    ///   on one hop further;
+    /// - a publish command marks and caches the event here and sends its
+    ///   first-hop copies;
+    /// - a digest gets one [`DissemMsg::Want`] back for the advertised
     ///   events on a topic in `subs` never seen here (none when there are
     ///   none);
-    /// - a want gets one `send_copy` push, one repair
-    ///   hop on, per event it names that is still cached (aged-out or
-    ///   never-held ids are silently absent);
-    /// - a push arrives like a flooded copy (see `arrive`),
-    ///   delivered as the distinct recovered class and cached
-    ///   for onward repair. It is never forwarded: recovered copies spread
-    ///   only through further digest exchanges, so repair traffic stays
-    ///   pull-bounded.
-    pub fn on_repair<M>(
+    /// - a want gets one push, one repair hop on, per event it names that
+    ///   is still cached (aged-out or never-held ids are silently absent);
+    /// - a push arrives like a flooded copy, delivered as the distinct
+    ///   recovered class and cached for onward repair. It is never
+    ///   forwarded: recovered copies spread only through further digest
+    ///   exchanges, so repair traffic stays pull-bounded.
+    pub fn on_message<M: From<DissemMsg>>(
         &mut self,
         ctx: &mut Context<'_, M>,
         from: NodeIdx,
         subs: &Subs,
-        msg: RepairMsg,
-        wrap: impl Fn(RepairMsg) -> M,
+        msg: DissemMsg,
+        forward_targets: impl FnOnce(&Notification, Option<NodeIdx>, &mut Vec<NodeIdx>),
     ) {
+        let me = ctx.self_idx;
         match msg {
-            RepairMsg::Digest(entries) => {
+            DissemMsg::Notification(notif) => {
+                if let Some(copy) = self.receive(me, subs, ctx.now, notif) {
+                    self.send_copies(ctx, copy, Some(from), forward_targets);
+                }
+            }
+            DissemMsg::Publish { event, topic } => {
+                let copy = self.publish(me, event, topic);
+                self.send_copies(ctx, copy, None, forward_targets);
+            }
+            DissemMsg::Digest(entries) => {
                 let seen = &self.seen;
                 let wants = self.ae.on_digest(
                     from,
@@ -335,20 +362,20 @@ impl Dissemination {
                     |e| seen.contains(EventId(e)),
                 );
                 if !wants.is_empty() {
-                    ctx.send(from, wrap(RepairMsg::Want(wants)));
+                    ctx.send(from, DissemMsg::Want(wants).into());
                 }
             }
-            RepairMsg::Want(ids) => {
+            DissemMsg::Want(ids) => {
                 for (_, _, cached) in self.ae.serve(&ids) {
                     let push = Notification {
                         hops: cached.hops + 1,
                         ..cached
                     };
-                    self.send_copy(ctx, from, push, |n| wrap(RepairMsg::Push(n)));
+                    self.send_copy(ctx, from, push, DissemMsg::Push);
                 }
             }
-            RepairMsg::Push(notif) => {
-                self.arrive(ctx.self_idx, subs, ctx.now, notif, Arrival::Recovered);
+            DissemMsg::Push(notif) => {
+                self.arrive(me, subs, ctx.now, notif, Arrival::Recovered);
             }
         }
     }
@@ -391,27 +418,29 @@ mod tests {
         d: &mut Dissemination,
         subs: &Subs,
         now: u64,
-        msg: RepairMsg,
-    ) -> Vec<(NodeIdx, RepairMsg)> {
+        msg: DissemMsg,
+    ) -> Vec<(NodeIdx, DissemMsg)> {
         let mut rng = SmallRng::seed_from_u64(0);
         capture_sends(ME, SimTime(now), &mut rng, |ctx| {
-            d.on_repair(ctx, PEER, subs, msg, |m| m)
+            d.on_message(ctx, PEER, subs, msg, |_, _, _| {
+                panic!("nothing is forwarded")
+            })
         })
     }
 
     /// The digest's reply: the want sent back to `PEER`, if any.
-    fn digest(d: &mut Dissemination, subs: &Subs, entries: &[(u64, u32)]) -> Option<RepairMsg> {
-        let mut sent = handle(d, subs, 0, RepairMsg::Digest(Rc::new(entries.to_vec())));
+    fn digest(d: &mut Dissemination, subs: &Subs, entries: &[(u64, u32)]) -> Option<DissemMsg> {
+        let mut sent = handle(d, subs, 0, DissemMsg::Digest(Rc::new(entries.to_vec())));
         assert!(sent.len() <= 1, "a digest is answered with one want");
         sent.pop().map(|(to, msg)| {
-            assert!(to == PEER && matches!(msg, RepairMsg::Want(_)), "{msg:?}");
+            assert!(to == PEER && matches!(msg, DissemMsg::Want(_)), "{msg:?}");
             msg
         })
     }
 
     /// A push of `notif` arrives at time `now`.
     fn push(d: &mut Dissemination, subs: &Subs, now: u64, notif: Notification) {
-        let sent = handle(d, subs, now, RepairMsg::Push(notif));
+        let sent = handle(d, subs, now, DissemMsg::Push(notif));
         assert!(sent.is_empty(), "a push is never sent on");
     }
 
@@ -420,18 +449,16 @@ mod tests {
         d: &mut Dissemination,
         rng: &mut SmallRng,
         neighbors: impl FnOnce() -> Vec<NodeIdx>,
-    ) -> Vec<(NodeIdx, RepairMsg)> {
-        capture_sends(ME, SimTime(0), rng, |ctx| {
-            d.round_step(ctx, neighbors, |m| m)
-        })
+    ) -> Vec<(NodeIdx, DissemMsg)> {
+        capture_sends(ME, SimTime(0), rng, |ctx| d.round_step(ctx, neighbors))
     }
 
     /// The copies pushed back to `PEER` for its want of `ids`.
     fn serve(d: &mut Dissemination, subs: &Subs, ids: &[u64]) -> Vec<Notification> {
-        let sent = handle(d, subs, 0, RepairMsg::Want(ids.to_vec()));
+        let sent = handle(d, subs, 0, DissemMsg::Want(ids.to_vec()));
         sent.into_iter()
             .map(|(to, msg)| match (to, msg) {
-                (PEER, RepairMsg::Push(n)) => n,
+                (PEER, DissemMsg::Push(n)) => n,
                 other => panic!("not a push to the asker: {other:?}"),
             })
             .collect()
@@ -527,6 +554,49 @@ mod tests {
         assert_eq!(paths, ["0>1", "0>1"]);
     }
 
+    /// Copies leave through `forward_targets`, which is asked once per
+    /// copy to send, with the copy as it goes on and where it came from:
+    /// a first arrival one hop further from its sender, a publish at one
+    /// hop from nobody. A duplicate asks for no targets and sends nothing.
+    #[test]
+    fn copies_leave_through_forward_targets() {
+        let (mut d, subs, monitor, event) = setup();
+        let mut rng = SmallRng::seed_from_u64(0);
+        let mut run = |d: &mut Dissemination, msg| {
+            let mut asked = Vec::new();
+            let sent = capture_sends(ME, SimTime(5), &mut rng, |ctx| {
+                d.on_message(ctx, PEER, &subs, msg, |copy, came_from, targets| {
+                    asked.push((copy.hops, came_from));
+                    targets.extend([NodeIdx(4), NodeIdx(6)]);
+                })
+            });
+            let sent: Vec<_> = sent
+                .into_iter()
+                .map(|(to, msg)| match msg {
+                    DissemMsg::Notification(n) => (to, n.event, n.hops),
+                    other => panic!("not a copy: {other:?}"),
+                })
+                .collect();
+            (asked, sent)
+        };
+        let (asked, sent) = run(&mut d, DissemMsg::Notification(copy(event, 2)));
+        assert_eq!(asked, [(3, Some(PEER))]);
+        assert_eq!(sent, [(NodeIdx(4), event, 3), (NodeIdx(6), event, 3)]);
+        let (asked, sent) = run(&mut d, DissemMsg::Notification(copy(event, 1)));
+        assert!(asked.is_empty() && sent.is_empty(), "a duplicate");
+        let own = monitor.register_event(T, SimTime(0), Vec::new());
+        let (asked, sent) = run(
+            &mut d,
+            DissemMsg::Publish {
+                event: own,
+                topic: T,
+            },
+        );
+        assert_eq!(asked, [(1, None)]);
+        assert_eq!(sent, [(NodeIdx(4), own, 1), (NodeIdx(6), own, 1)]);
+        assert!(d.repair().holds(own.0), "a publisher caches its event");
+    }
+
     #[test]
     fn duplicate_arrival_counts_rx_but_delivers_and_forwards_once() {
         let (mut d, subs, monitor, event) = setup();
@@ -553,7 +623,7 @@ mod tests {
         for (case, push_first) in [("push first", true), ("flood first", false)] {
             let (mut d, subs, monitor, event) = setup();
             let want = digest(&mut d, &subs, &[(event.0, T.0)]);
-            assert_eq!(want, Some(RepairMsg::Want(vec![event.0])));
+            assert_eq!(want, Some(DissemMsg::Want(vec![event.0])));
             let (flooded, pushed) = (copy(event, 2), copy(event, 5));
             let forwarded = if push_first {
                 push(&mut d, &subs, 5, pushed);
@@ -593,7 +663,7 @@ mod tests {
         let want = digest(&mut d, &subs, &[(event.0, T.0), (77, 99)]);
         assert_eq!(
             want,
-            Some(RepairMsg::Want(vec![event.0])),
+            Some(DissemMsg::Want(vec![event.0])),
             "only the subscribed topic's gap"
         );
         push(&mut d, &subs, 5, copy(event, 3));
@@ -659,7 +729,7 @@ mod tests {
         d.publish(ME, event, T);
         let out = step(&mut d, &mut rng, || (10..20).map(NodeIdx).collect());
         assert_eq!(out.len(), DIGEST_FANOUT);
-        let advertised = RepairMsg::Digest(Rc::new(vec![(event.0, T.0)]));
+        let advertised = DissemMsg::Digest(Rc::new(vec![(event.0, T.0)]));
         assert!(out
             .iter()
             .all(|(to, msg)| (10..20).contains(&to.0) && *msg == advertised));
@@ -669,12 +739,12 @@ mod tests {
         let out =
             std::iter::repeat_with(|| step(&mut d, &mut rng, || (10..20).map(NodeIdx).collect()))
                 .take(8)
-                .find(|out| out.iter().any(|(_, msg)| matches!(msg, RepairMsg::Want(_))))
+                .find(|out| out.iter().any(|(_, msg)| matches!(msg, DissemMsg::Want(_))))
                 .expect("the pull is retried");
-        assert_eq!(out[0], (PEER, RepairMsg::Want(vec![missing.0])));
+        assert_eq!(out[0], (PEER, DissemMsg::Want(vec![missing.0])));
         assert_eq!(out.len(), 1 + DIGEST_FANOUT);
         assert!(out[1..]
             .iter()
-            .all(|(_, msg)| matches!(msg, RepairMsg::Digest(_))));
+            .all(|(_, msg)| matches!(msg, DissemMsg::Digest(_))));
     }
 }

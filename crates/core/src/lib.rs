@@ -64,7 +64,7 @@ pub mod prelude {
     pub use crate::gateway::Proposal;
     pub use crate::harness::Workload;
     pub use crate::monitor::{EventId, Monitor, PubSubStats};
-    pub use crate::msg::{Notification, ProfileMsg, RepairMsg, VitisMsg};
+    pub use crate::msg::{DissemMsg, Notification, ProfileMsg, VitisMsg};
     pub use crate::node::VitisNode;
     pub use crate::runtime::{PubSubProtocol, SystemRuntime};
     pub use crate::smallmap::SmallMap;

@@ -46,41 +46,54 @@ pub struct ProfileMsg {
     pub proposals: Rc<Vec<(TopicId, Proposal)>>,
 }
 
-/// The anti-entropy repair messages (DESIGN §13), one declaration for
-/// the wire enums of Vitis, RVR and OPT, each of which carries it in a
-/// single `Repair` variant; [`crate::dissemination::Dissemination`] makes
-/// and handles all three.
+/// The data-plane wire protocol, one declaration for the wire enums of
+/// Vitis, RVR and OPT, each of which carries it in a single `Dissem`
+/// variant (DESIGN §2): an event's copies, the harness's publish stimulus
+/// and the anti-entropy repair messages (DESIGN §13).
+/// [`crate::dissemination::Dissemination`] makes and handles all five.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RepairMsg {
-    /// Digest (IHAVE): `(event id, topic)` pairs the sender holds in its
-    /// repair cache. Shared via `Rc` so the per-target fan-out clones are
-    /// free.
+pub enum DissemMsg {
+    /// A copy of an event travelling the overlay.
+    Notification(Notification),
+    /// Harness stimulus: this node publishes `event` on `topic` now.
+    Publish {
+        /// Pre-registered event id.
+        event: EventId,
+        /// Topic to publish on.
+        topic: TopicId,
+    },
+    /// Repair digest (IHAVE): `(event id, topic)` pairs the sender holds in
+    /// its repair cache. Shared via `Rc` so the per-target fan-out clones
+    /// are free.
     Digest(Rc<Vec<(u64, u32)>>),
-    /// Pull request (IWANT): event ids the sender is missing and asks the
-    /// receiver to re-serve from its cache.
+    /// Repair pull request (IWANT): event ids the sender is missing and
+    /// asks the receiver to re-serve from its cache.
     Want(Vec<u64>),
-    /// Recovery push: a cached notification re-served in answer to a
-    /// [`RepairMsg::Want`]. Data-plane — it carries the event payload, and
+    /// Recovery push: a cached copy re-served in answer to a
+    /// [`DissemMsg::Want`]. Data-plane — it carries the event payload, and
     /// its hop count includes the repair hop.
     Push(Notification),
 }
 
-impl RepairMsg {
+impl DissemMsg {
     /// The traffic-ledger kind: `ae_digest` and `ae_want` are control
-    /// plane, `ae_push` data plane.
+    /// plane, the rest data plane.
     pub fn tag(&self) -> MsgTag {
         match self {
-            RepairMsg::Digest(_) => MsgTag::control("ae_digest"),
-            RepairMsg::Want(_) => MsgTag::control("ae_want"),
-            RepairMsg::Push(_) => MsgTag::data("ae_push"),
+            DissemMsg::Notification(_) => MsgTag::data("notification"),
+            DissemMsg::Publish { .. } => MsgTag::data("publish_cmd"),
+            DissemMsg::Digest(_) => MsgTag::control("ae_digest"),
+            DissemMsg::Want(_) => MsgTag::control("ae_want"),
+            DissemMsg::Push(_) => MsgTag::data("ae_push"),
         }
     }
 
-    /// The event a push carries: a lost push is a lost copy of its event,
-    /// so network-loss attribution treats repair and flood alike.
+    /// The event a copy carries: a lost push is a lost copy of its event,
+    /// so network-loss attribution treats repair and flood alike. The
+    /// publish stimulus is injected, never in transit, and names none.
     pub fn event(&self) -> Option<u64> {
         match self {
-            RepairMsg::Push(n) => Some(n.event.0),
+            DissemMsg::Notification(n) | DissemMsg::Push(n) => Some(n.event.0),
             _ => None,
         }
     }
@@ -107,15 +120,6 @@ pub enum VitisMsg {
         /// Hops taken so far (safety-capped).
         hops: u32,
     },
-    /// Data-plane event notification.
-    Notification(Notification),
-    /// Harness stimulus: this node publishes `event` on `topic` now.
-    PublishCmd {
-        /// Pre-registered event id.
-        event: EventId,
-        /// Topic to publish on.
-        topic: TopicId,
-    },
     /// Acknowledgment from a gateway/relay holder back to the publisher:
     /// the rendezvous infrastructure saw this event. Only emitted when
     /// publisher retries are enabled (`publish_retries > 0`).
@@ -134,9 +138,14 @@ pub enum VitisMsg {
         /// Retry attempt number, 1-based; drives the backoff exponent.
         attempt: u32,
     },
-    /// Anti-entropy repair traffic. Only sent when the repair layer is
-    /// enabled.
-    Repair(RepairMsg),
+    /// The data plane: copies, publish stimuli and repair traffic.
+    Dissem(DissemMsg),
+}
+
+impl From<DissemMsg> for VitisMsg {
+    fn from(msg: DissemMsg) -> Self {
+        VitisMsg::Dissem(msg)
+    }
 }
 
 /// Approximate serialized sizes, in bytes, for bandwidth accounting, the
@@ -188,20 +197,23 @@ pub mod wire {
     /// Bytes of a bare liveness heartbeat (OPT's): framing only.
     pub const HEARTBEAT_BYTES: u64 = 4;
 
-    /// Bytes of a notification or a publish command: their 16-byte
-    /// framing. The monitor counts the data plane in messages, not bytes.
+    /// Bytes of a notification, a publish command or a recovery push:
+    /// their 16-byte framing. The monitor counts the data plane in
+    /// messages, not bytes.
     pub const NOTIFICATION_BYTES: u64 = 16;
 
-    /// Bytes of an anti-entropy repair message, in every system: a digest
-    /// and a want by their entries, a recovery push as the notification
-    /// transfer again.
-    pub fn repair_bytes(msg: &RepairMsg) -> u64 {
+    /// Bytes of a data-plane message, in every system: a copy or a
+    /// publish command by its framing, a repair digest and want by their
+    /// entries.
+    pub fn dissem_bytes(msg: &DissemMsg) -> u64 {
         match msg {
-            RepairMsg::Digest(entries) => {
+            DissemMsg::Notification(_) | DissemMsg::Publish { .. } | DissemMsg::Push(_) => {
+                NOTIFICATION_BYTES
+            }
+            DissemMsg::Digest(entries) => {
                 entries.len() as u64 * vitis_sim::antientropy::DIGEST_ENTRY_BYTES
             }
-            RepairMsg::Want(ids) => ids.len() as u64 * vitis_sim::antientropy::WANT_ID_BYTES,
-            RepairMsg::Push(_) => NOTIFICATION_BYTES,
+            DissemMsg::Want(ids) => ids.len() as u64 * vitis_sim::antientropy::WANT_ID_BYTES,
         }
     }
 }
@@ -243,19 +255,56 @@ mod tests {
         assert_eq!(wire::HEARTBEAT_BYTES, 4);
     }
 
+    /// Every data-plane message, in every system: its ledger kind and
+    /// plane, its wire bytes and the event it carries. A digest and a want
+    /// are priced by their entries, a push as the notification transfer
+    /// again.
     #[test]
-    fn repair_sizes_count_entries_and_price_a_push_as_a_notification() {
-        let digest = RepairMsg::Digest(Rc::new(vec![(1, 0), (2, 0), (3, 1)]));
-        assert_eq!(wire::repair_bytes(&digest), 3 * 12);
-        assert_eq!(wire::repair_bytes(&RepairMsg::Want(vec![4, 5])), 2 * 8);
-        assert_eq!(wire::repair_bytes(&RepairMsg::Want(Vec::new())), 0);
-        let push = RepairMsg::Push(Notification {
-            event: EventId(1),
-            topic: TopicId(0),
+    fn every_data_plane_message_has_its_kind_size_and_event() {
+        let (event, topic) = (EventId(7), TopicId(1));
+        let copy = Notification {
+            event,
+            topic,
             hops: 2,
             path: HopPath::default(),
-        });
-        assert_eq!(wire::repair_bytes(&push), 16);
+        };
+        let table = [
+            (
+                DissemMsg::Notification(copy.clone()),
+                MsgTag::data("notification"),
+                16,
+                Some(7),
+            ),
+            (
+                DissemMsg::Publish { event, topic },
+                MsgTag::data("publish_cmd"),
+                16,
+                None,
+            ),
+            (
+                DissemMsg::Digest(Rc::new(vec![(1, 0), (2, 0), (3, 1)])),
+                MsgTag::control("ae_digest"),
+                3 * 12,
+                None,
+            ),
+            (
+                DissemMsg::Want(vec![4, 5]),
+                MsgTag::control("ae_want"),
+                2 * 8,
+                None,
+            ),
+            (
+                DissemMsg::Want(Vec::new()),
+                MsgTag::control("ae_want"),
+                0,
+                None,
+            ),
+            (DissemMsg::Push(copy), MsgTag::data("ae_push"), 16, Some(7)),
+        ];
+        for (msg, tag, bytes, event) in table {
+            let row = (msg.tag(), wire::dissem_bytes(&msg), msg.event());
+            assert_eq!(row, (tag, bytes, event), "{msg:?}");
+        }
         assert_eq!(wire::NOTIFICATION_BYTES, 16);
     }
 }

@@ -8,7 +8,7 @@ use crate::config::VitisConfig;
 use crate::dissemination::Dissemination;
 use crate::gateway::{revise_step, Proposal};
 use crate::monitor::{EventId, Monitor};
-use crate::msg::{wire, Notification, ProfileMsg, VitisMsg};
+use crate::msg::{wire, DissemMsg, Notification, ProfileMsg, VitisMsg};
 use crate::relay::{RelayTable, RELAY_TTL};
 use crate::smallmap::SmallMap;
 use crate::topic::{RateTable, Subs, TopicId, TopicSet};
@@ -99,6 +99,28 @@ fn flood_targets(
             targets.push(addr);
         }
     }
+}
+
+/// Vitis's `forward_targets`: where a copy that came from `came_from`
+/// (`None` at its publisher) goes next — the flood's overlay targets, then
+/// the topic's relay links — or nowhere once its hop count passes
+/// `max_hops`. That TTL hardening (off by default, `u32::MAX`) lets traffic
+/// trapped by a partition die out; [`Dissemination`] asks for targets only
+/// after a copy is delivered and cached, so a cut copy is still both.
+fn forward_targets(
+    max_hops: u32,
+    rt: &HybridRt<Subs>,
+    nbrs: &SmallMap<NodeIdx, Neighbor>,
+    relays: &RelayTable,
+    copy: &Notification,
+    came_from: Option<NodeIdx>,
+    targets: &mut Vec<NodeIdx>,
+) {
+    if copy.hops > max_hops {
+        return;
+    }
+    flood_targets(rt, nbrs, copy.topic, came_from, targets);
+    relays.fanout_into(copy.topic, came_from, targets);
 }
 
 /// The anti-entropy repair layer's connection set: table entries in table
@@ -420,56 +442,38 @@ impl VitisNode {
         }
     }
 
-    /// Forward a notification to every interested routing-table neighbor and
-    /// along the topic's relay links, excluding the node it came from.
-    fn forward_notification(
-        &mut self,
-        ctx: &mut Context<'_, VitisMsg>,
-        came_from: Option<NodeIdx>,
-        notif: Notification,
-    ) {
-        let topic = notif.topic;
-        let (rt, nbrs, relays) = (self.net.rt(), &self.nbrs, &self.relays);
+    /// A data-plane message from `from`, wrapped in Vitis's hardening:
+    /// with publisher retries on, gateways and relay holders acknowledge
+    /// copies that came straight from the publisher — before the dedup,
+    /// so duplicates too, since the previous ack (or the retransmission
+    /// prompting it) may itself have been lost — and a publisher arms its
+    /// retry timer after the publish's copies have left.
+    fn on_dissem(&mut self, ctx: &mut Context<'_, VitisMsg>, from: NodeIdx, msg: DissemMsg) {
+        let retries = self.cfg.publish_retries > 0;
+        let mut publish = None;
+        match &msg {
+            DissemMsg::Notification(n)
+                if retries
+                    && n.hops == 1
+                    && (self.is_gateway(n.topic) || self.relays.has(n.topic)) =>
+            {
+                ctx.send(from, VitisMsg::PubAck { event: n.event });
+            }
+            &DissemMsg::Publish { event, topic } if retries => publish = Some((event, topic)),
+            _ => {}
+        }
+        let (max_hops, rt, nbrs, relays) = (
+            self.cfg.max_event_hops,
+            self.net.rt(),
+            &self.nbrs,
+            &self.relays,
+        );
+        let subs = self.net.payload();
         self.dissem
-            .send_copies(ctx, notif, VitisMsg::Notification, |targets| {
-                flood_targets(rt, nbrs, topic, came_from, targets);
-                relays.fanout_into(topic, came_from, targets);
+            .on_message(ctx, from, subs, msg, |copy, came_from, targets| {
+                forward_targets(max_hops, rt, nbrs, relays, copy, came_from, targets)
             });
-    }
-
-    fn on_notification(
-        &mut self,
-        ctx: &mut Context<'_, VitisMsg>,
-        from: NodeIdx,
-        notif: Notification,
-    ) {
-        // Retry hardening: gateways and relay holders acknowledge copies
-        // that came straight from the publisher — including duplicates,
-        // since the previous ack (or the retransmission prompting it) may
-        // itself have been lost. Must run before the dedup check.
-        if self.cfg.publish_retries > 0
-            && notif.hops == 1
-            && (self.is_gateway(notif.topic) || self.relays.has(notif.topic))
-        {
-            ctx.send(from, VitisMsg::PubAck { event: notif.event });
-        }
-        let (addr, subs) = (self.net.addr(), self.net.payload());
-        let Some(fwd) = self.dissem.receive(addr, subs, ctx.now, notif) else {
-            return;
-        };
-        // TTL hardening: deliver (and cache) locally but stop forwarding
-        // once the copy has exhausted its hop budget, so traffic trapped by
-        // a partition dies out. Disabled (u32::MAX) by default.
-        if fwd.hops > self.cfg.max_event_hops {
-            return;
-        }
-        self.forward_notification(ctx, Some(from), fwd);
-    }
-
-    fn on_publish(&mut self, ctx: &mut Context<'_, VitisMsg>, event: EventId, topic: TopicId) {
-        let notif = self.dissem.publish(self.net.addr(), event, topic);
-        self.forward_notification(ctx, None, notif);
-        if self.cfg.publish_retries > 0 {
+        if let Some((event, topic)) = publish {
             self.pending_pubs.insert(event);
             ctx.timer(
                 vitis_sim::time::Duration(self.cfg.publish_ack_timeout),
@@ -484,7 +488,8 @@ impl VitisNode {
 
     /// A retry timer fired: if the event is still unacknowledged, re-flood
     /// it (the overlay may have re-elected gateways since) and re-arm with
-    /// doubled, capped backoff until the retry budget runs out.
+    /// doubled backoff, capped at [`PUBLISH_BACKOFF_CAP`], until the retry
+    /// budget runs out.
     fn on_retry_publish(
         &mut self,
         ctx: &mut Context<'_, VitisMsg>,
@@ -495,14 +500,21 @@ impl VitisNode {
         if !self.pending_pubs.contains(&event) {
             return;
         }
-        let notif = self.dissem.first_hop(self.net.addr(), event, topic);
-        self.forward_notification(ctx, None, notif);
+        let (max_hops, rt, nbrs, relays) = (
+            self.cfg.max_event_hops,
+            self.net.rt(),
+            &self.nbrs,
+            &self.relays,
+        );
+        self.dissem
+            .republish(ctx, event, topic, |copy, came_from, targets| {
+                forward_targets(max_hops, rt, nbrs, relays, copy, came_from, targets)
+            });
         if attempt < self.cfg.publish_retries {
             let delay = self
                 .cfg
                 .publish_ack_timeout
-                .checked_shl(attempt)
-                .unwrap_or(u64::MAX)
+                .saturating_mul(2u64.saturating_pow(attempt))
                 .min(PUBLISH_BACKOFF_CAP);
             ctx.timer(
                 vitis_sim::time::Duration(delay),
@@ -530,11 +542,9 @@ impl Protocol for VitisNode {
             VitisMsg::RtResp(_) => MsgTag::control("rt_resp"),
             VitisMsg::Profile(_) => MsgTag::control("profile"),
             VitisMsg::RelayRequest { .. } => MsgTag::control("relay_req"),
-            VitisMsg::Notification(_) => MsgTag::data("notification"),
-            VitisMsg::PublishCmd { .. } => MsgTag::data("publish_cmd"),
             VitisMsg::PubAck { .. } => MsgTag::control("pub_ack"),
             VitisMsg::RetryPublish { .. } => MsgTag::control("retry_pub"),
-            VitisMsg::Repair(r) => r.tag(),
+            VitisMsg::Dissem(m) => m.tag(),
         }
     }
 
@@ -549,15 +559,13 @@ impl Protocol for VitisNode {
             // RetryPublish is a self-timer and never crosses the network;
             // its size only matters for totality.
             VitisMsg::RetryPublish { .. } => 0,
-            VitisMsg::Notification(_) | VitisMsg::PublishCmd { .. } => wire::NOTIFICATION_BYTES,
-            VitisMsg::Repair(r) => wire::repair_bytes(r),
+            VitisMsg::Dissem(m) => wire::dissem_bytes(m),
         }
     }
 
     fn event_of(msg: &VitisMsg) -> Option<u64> {
         match msg {
-            VitisMsg::Notification(n) => Some(n.event.0),
-            VitisMsg::Repair(r) => r.event(),
+            VitisMsg::Dissem(m) => m.event(),
             _ => None,
         }
     }
@@ -642,7 +650,7 @@ impl Protocol for VitisNode {
         //    — no sends, no RNG draws — unless the layer is enabled, so
         //    default runs stay bit-identical.
         let neighbors = || repair_neighbors(self.net.rt(), &self.nbrs);
-        self.dissem.round_step(ctx, neighbors, VitisMsg::Repair);
+        self.dissem.round_step(ctx, neighbors);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, VitisMsg>, from: NodeIdx, msg: VitisMsg) {
@@ -669,12 +677,7 @@ impl Protocol for VitisNode {
                     ctx.send(next, VitisMsg::RelayRequest { topic, hops });
                 }
             }
-            VitisMsg::Notification(n) => {
-                self.on_notification(ctx, from, n);
-            }
-            VitisMsg::PublishCmd { event, topic } => {
-                self.on_publish(ctx, event, topic);
-            }
+            VitisMsg::Dissem(msg) => self.on_dissem(ctx, from, msg),
             VitisMsg::PubAck { event } => {
                 self.pending_pubs.remove(&event);
             }
@@ -684,11 +687,6 @@ impl Protocol for VitisNode {
                 attempt,
             } => {
                 self.on_retry_publish(ctx, event, topic, attempt);
-            }
-            VitisMsg::Repair(msg) => {
-                let subs = self.net.payload();
-                self.dissem
-                    .on_repair(ctx, from, subs, msg, VitisMsg::Repair);
             }
         }
     }
@@ -786,7 +784,7 @@ mod tests {
         let topic = TopicId(0);
         let expected: Vec<NodeIdx> = (1..48).map(NodeIdx).collect();
         let e = monitor.register_event(topic, eng.now(), expected);
-        eng.inject(NodeIdx(0), VitisMsg::PublishCmd { event: e, topic });
+        eng.inject(NodeIdx(0), DissemMsg::Publish { event: e, topic }.into());
         eng.run_rounds(3);
         let (exp, del) = monitor.event_progress(e).unwrap();
         assert_eq!(exp, 47);
@@ -1541,12 +1539,44 @@ mod tests {
         assert_eq!(holders, 0, "relay state must decay without refreshes");
     }
 
-    /// Every Vitis message is priced by its `wire` rule. The sizes are
-    /// literals, so a change to a shared rule shows here as a change to
-    /// Vitis's bytes, which every golden pins.
+    /// A retry late in a large budget waits the capped backoff: doubling
+    /// the ack timeout past 64 bits saturates at [`PUBLISH_BACKOFF_CAP`]
+    /// instead of wrapping to a delay of 0, which would fire the remaining
+    /// retries at once and drop the event from the pending set.
+    #[test]
+    fn a_late_retry_waits_the_capped_backoff() {
+        let cfg = VitisConfig {
+            publish_retries: 64,
+            ..small_cfg()
+        };
+        let (mut eng, monitor) = build_net(1, |_| vec![0], 1, cfg);
+        let (topic, me) = (TopicId(0), NodeIdx(0));
+        let event = monitor.register_event(topic, eng.now(), Vec::new());
+        eng.inject(me, DissemMsg::Publish { event, topic }.into());
+        eng.run_for(Duration(2));
+        assert!(eng.node(me).unwrap().pending_pubs.contains(&event));
+        let attempt = 59;
+        eng.inject(
+            me,
+            VitisMsg::RetryPublish {
+                event,
+                topic,
+                attempt,
+            },
+        );
+        eng.run_for(Duration(4));
+        assert!(
+            eng.node(me).unwrap().pending_pubs.contains(&event),
+            "retries {attempt}..64 ran without waiting"
+        );
+    }
+
+    /// Every Vitis control message is priced by its `wire` rule (the data
+    /// plane's are `msg.rs`'s table). The sizes are literals, so a change
+    /// to a shared rule shows here as a change to Vitis's bytes, which
+    /// every golden pins.
     #[test]
     fn every_message_has_its_wire_size() {
-        use crate::msg::RepairMsg;
         let subs = |n: u32| Subs::new(TopicSet::from_iter(0..n));
         let buf = vec![
             Entry::fresh(NodeIdx(1), Id(5), subs(10)),
@@ -1571,17 +1601,9 @@ mod tests {
         });
         assert_eq!(VitisNode::wire_bytes(&profile), 8 + 4 * 3 + 24 * 2);
         let (event, topic) = (EventId(7), TopicId(1));
-        let notif = Notification {
-            event,
-            topic,
-            hops: 3,
-            path: Default::default(),
-        };
         let sizes = [
             (VitisMsg::RelayRequest { topic, hops: 2 }, 12),
             (VitisMsg::PubAck { event }, 12),
-            (VitisMsg::Notification(notif.clone()), 16),
-            (VitisMsg::PublishCmd { event, topic }, 16),
             (
                 VitisMsg::RetryPublish {
                     event,
@@ -1590,12 +1612,6 @@ mod tests {
                 },
                 0,
             ),
-            (
-                VitisMsg::Repair(RepairMsg::Digest(Rc::new(vec![(7, 1), (8, 1)]))),
-                2 * 12,
-            ),
-            (VitisMsg::Repair(RepairMsg::Want(vec![7, 8, 9])), 3 * 8),
-            (VitisMsg::Repair(RepairMsg::Push(notif)), 16),
         ];
         for (msg, bytes) in sizes {
             assert_eq!(VitisNode::wire_bytes(&msg), bytes, "{msg:?}");

@@ -30,6 +30,7 @@
 use crate::config::VitisConfig;
 use crate::harness::Workload;
 use crate::monitor::{EventId, LossReason, LossReport, MissContext, Monitor, PubSubStats};
+use crate::msg::DissemMsg;
 use crate::relay::RelayTable;
 use crate::system::SystemParams;
 use crate::topic::{RateTable, Subs, TopicId};
@@ -159,8 +160,10 @@ pub trait PubSub {
 /// structural reader and the loss-attribution loop — lives in the runtime
 /// and is shared verbatim.
 pub trait PubSubProtocol: Sized {
-    /// The per-node protocol state machine driven by the engine.
-    type Node: Protocol;
+    /// The per-node protocol state machine driven by the engine. Its wire
+    /// enum carries the shared data plane, so a publish is injected as
+    /// [`DissemMsg::Publish`].
+    type Node: Protocol<Msg: From<DissemMsg>>;
 
     /// Salt of the bootstrap-sampling RNG stream in
     /// [`vitis_sim::rng::domain::WORKLOAD`]. Distinct per system so
@@ -198,10 +201,6 @@ pub trait PubSubProtocol: Sized {
     /// graph, the degrees, ring accuracy, view age and the topology
     /// snapshot's links all fold over this one visitor.
     fn for_each_link(node: &Self::Node, f: impl FnMut(TopoLink));
-
-    /// The protocol message that starts disseminating `event` when
-    /// injected at the publisher.
-    fn publish_cmd(event: EventId, topic: TopicId) -> <Self::Node as Protocol>::Msg;
 
     /// Classify one missed `(event, subscriber)` pair that no transport
     /// cause explains (the subscriber is online and no copy addressed to it
@@ -461,8 +460,8 @@ impl<P: PubSubProtocol> SystemRuntime<P> {
             .expected_subscribers(topic, publisher, now, |s| engine.joined_at(NodeIdx(s)));
         let event = self.monitor.register_event(topic, now, expected);
         self.monitor.trace_publish(event, NodeIdx(publisher));
-        self.engine
-            .inject(NodeIdx(publisher), P::publish_cmd(event, topic));
+        let publish = DissemMsg::Publish { event, topic };
+        self.engine.inject(NodeIdx(publisher), publish.into());
         Some(event)
     }
 }

@@ -8,11 +8,10 @@
 //! loss classification — plus the parameter types the baselines reuse.
 
 use crate::config::VitisConfig;
-use crate::monitor::{EventId, LossReason, MissContext, Monitor};
-use crate::msg::VitisMsg;
+use crate::monitor::{LossReason, MissContext, Monitor};
 use crate::node::VitisNode;
 use crate::runtime::{LossView, PubSubProtocol, Reach, SystemRuntime};
-use crate::topic::{RateTable, Subs, TopicId, TopicSet};
+use crate::topic::{RateTable, Subs, TopicSet};
 use crate::topo::{NodeTopo, RelayTopo, TopoLink};
 use rand::Rng;
 use std::rc::Rc;
@@ -188,10 +187,6 @@ impl PubSubProtocol for VitisProtocol {
         TopoLink::of_table(node.routing_table()).for_each(f);
     }
 
-    fn publish_cmd(event: EventId, topic: TopicId) -> VitisMsg {
-        VitisMsg::PublishCmd { event, topic }
-    }
-
     fn classify_miss(view: &mut LossView<'_, Self>, miss: &MissContext<'_>) -> LossReason {
         let (topic, engine) = (miss.topic, view.engine());
         let (reach, cluster) = view.cluster(miss);
@@ -232,6 +227,7 @@ pub fn random_system(n: usize, topics: usize, subs_per_node: usize, seed: u64) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topic::TopicId;
     use vitis_sim::antientropy::AeConfig;
     use vitis_sim::fault::{FaultEpisode, FaultPlan, LossScope, Span};
 

@@ -2,11 +2,21 @@
 //! on (rendezvous, gateways) and verify the soft state heals; plus gossip
 //! cost bounds.
 
-use vitis::monitor::LossReason;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+use std::rc::Rc;
+use std::sync::Arc;
+use vitis::monitor::{HopPath, LossReason};
 use vitis::prelude::*;
 use vitis_baselines::{OptSystem, RvrSystem};
+use vitis_overlay::entry::Entry;
+use vitis_overlay::id::Id;
+use vitis_sim::antientropy::AeConfig;
 use vitis_sim::event::NodeIdx;
 use vitis_sim::fault::{FaultEpisode, FaultPlan, LossScope, Span};
+use vitis_sim::prelude::Protocol;
+use vitis_sim::protocol::capture_sends;
+use vitis_sim::time::SimTime;
 use vitis_workloads::{Correlation, SubscriptionModel};
 
 fn system(n: usize, seed: u64) -> VitisSystem {
@@ -217,4 +227,142 @@ fn ring_reconverges_after_mass_crash() {
         sys.ring_accuracy()
     );
     let _ = NodeIdx(0);
+}
+
+/// The topic the lone-node tests below disseminate on.
+const T: TopicId = TopicId(3);
+
+/// A Vitis node at slot 0 under `cfg`, subscribed to `subs`, writing to
+/// `monitor`, started with `peers` contacts (slots 1.., each subscribed to
+/// [`T`]) in its routing table and one round run: with no heartbeat heard,
+/// it has elected itself the gateway of each of its topics.
+fn lone_vitis(
+    cfg: VitisConfig,
+    subs: &[u32],
+    peers: u32,
+    monitor: &Monitor,
+    rng: &mut SmallRng,
+) -> VitisNode {
+    let peer_subs = Subs::new(TopicSet::from_iter([T.0]));
+    let contacts = (1..=peers)
+        .map(|k| Entry::fresh(NodeIdx(k), Id::of_node(u64::from(k)), peer_subs.clone()))
+        .collect();
+    let mut node = VitisNode::new(
+        Id::of_node(0),
+        Subs::new(TopicSet::from_iter(subs.iter().copied())),
+        Rc::new(cfg),
+        Arc::new(RateTable::uniform(8)),
+        monitor.clone(),
+        AeConfig::on(),
+        contacts,
+    );
+    capture_sends(NodeIdx(0), SimTime(0), rng, |ctx| node.on_start(ctx));
+    capture_sends(NodeIdx(0), SimTime(0), rng, |ctx| node.on_round(ctx));
+    node
+}
+
+/// `node` handles `msg` from `from`: the sends it made, in order.
+fn handle(
+    node: &mut VitisNode,
+    rng: &mut SmallRng,
+    from: NodeIdx,
+    msg: VitisMsg,
+) -> Vec<(NodeIdx, VitisMsg)> {
+    capture_sends(NodeIdx(0), SimTime(10), rng, |ctx| {
+        node.on_message(ctx, from, msg)
+    })
+}
+
+/// A copy of `event` on [`T`] that has taken `hops` hops.
+fn copy(event: EventId, hops: u32) -> VitisMsg {
+    let copy = Notification {
+        event,
+        topic: T,
+        hops,
+        path: HopPath::default(),
+    };
+    DissemMsg::Notification(copy).into()
+}
+
+/// With publisher retries on, a gateway and a relay holder acknowledge
+/// every copy that comes straight from the publisher, before anything
+/// else — duplicates too, since an earlier ack may have been lost — and
+/// no copy from further out.
+#[test]
+fn publisher_hop_copies_are_acked_even_when_duplicate() {
+    let cfg = VitisConfig {
+        publish_retries: 2,
+        ..VitisConfig::default()
+    };
+    let (publisher, relayer) = (NodeIdx(7), NodeIdx(8));
+    let monitor = Monitor::new();
+    let mut rng = SmallRng::seed_from_u64(1);
+    let gateway = lone_vitis(cfg.clone(), &[T.0], 2, &monitor, &mut rng);
+    assert!(gateway.is_gateway(T));
+    let mut relay = lone_vitis(cfg, &[], 2, &monitor, &mut rng);
+    let request = VitisMsg::RelayRequest { topic: T, hops: 0 };
+    handle(&mut relay, &mut rng, relayer, request);
+    assert!(relay.relay_table().has(T) && !relay.is_gateway(T));
+    for (name, mut node) in [("gateway", gateway), ("relay holder", relay)] {
+        let event = monitor.register_event(T, SimTime(0), Vec::new());
+        for arrival in ["first", "duplicate"] {
+            let sent = handle(&mut node, &mut rng, publisher, copy(event, 1));
+            assert!(
+                matches!(sent.first(), Some((to, VitisMsg::PubAck { event: e }))
+                    if *to == publisher && *e == event),
+                "{name}, {arrival} copy: {sent:?}"
+            );
+            let acks = sent
+                .iter()
+                .filter(|(_, m)| matches!(m, VitisMsg::PubAck { .. }));
+            assert_eq!(acks.count(), 1, "{name}, {arrival} copy: {sent:?}");
+        }
+        let later = monitor.register_event(T, SimTime(0), Vec::new());
+        let sent = handle(&mut node, &mut rng, relayer, copy(later, 2));
+        assert!(
+            !sent
+                .iter()
+                .any(|(_, m)| matches!(m, VitisMsg::PubAck { .. })),
+            "{name}: a second-hop copy is not acked: {sent:?}"
+        );
+    }
+}
+
+/// The TTL cut: a copy whose onward hop count would pass
+/// `max_event_hops` is still delivered and cached here, but not sent on;
+/// one hop short of that, it is forwarded to the interested neighbors.
+#[test]
+fn a_copy_past_its_hop_budget_is_delivered_and_cached_but_not_forwarded() {
+    let cfg = VitisConfig {
+        max_event_hops: 3,
+        ..VitisConfig::default()
+    };
+    let monitor = Monitor::new();
+    let mut rng = SmallRng::seed_from_u64(2);
+    let mut node = lone_vitis(cfg, &[T.0], 3, &monitor, &mut rng);
+    let from = NodeIdx(1);
+    for (arrived, forwarded) in [(2, true), (3, false)] {
+        let event = monitor.register_event(T, SimTime(0), vec![NodeIdx(0)]);
+        let sent = handle(&mut node, &mut rng, from, copy(event, arrived));
+        assert_eq!(
+            monitor.event_progress(event),
+            Some((1, 1)),
+            "hops {arrived}"
+        );
+        assert!(node.repair().holds(event.0), "hops {arrived}: cached");
+        let mut onward: Vec<_> = sent
+            .iter()
+            .filter_map(|(to, m)| match m {
+                VitisMsg::Dissem(DissemMsg::Notification(n)) => Some((*to, n.hops)),
+                _ => None,
+            })
+            .collect();
+        onward.sort_unstable();
+        let expected = if forwarded {
+            vec![(NodeIdx(2), 3), (NodeIdx(3), 3)]
+        } else {
+            Vec::new()
+        };
+        assert_eq!(onward, expected, "hops {arrived}");
+    }
 }

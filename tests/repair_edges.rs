@@ -7,8 +7,6 @@
 use std::rc::Rc;
 use vitis::monitor::LossReason;
 use vitis::prelude::*;
-use vitis_baselines::opt::OptMsg;
-use vitis_baselines::rvr::RvrMsg;
 use vitis_baselines::{OptNode, RvrNode};
 use vitis_sim::antientropy::{AeConfig, CACHE_ROUNDS};
 use vitis_sim::fault::{FaultEpisode, FaultPlan, LossScope, Span};
@@ -235,38 +233,58 @@ fn repair_does_not_cross_an_active_partition() {
     );
 }
 
-/// All three systems carry the one `RepairMsg` in their wire enums: each
-/// tags it with the same ledger kinds and attributes a lost push to its
-/// event, as it does a lost flood copy (`LossReason::Network`).
+/// All three systems carry the one `DissemMsg` in their wire enums: each
+/// tags its five kinds with the same ledger kinds and plane, prices them
+/// by the same bytes, and attributes a lost copy, flooded or pushed, to
+/// its event (`LossReason::Network`).
 #[test]
 fn every_system_tags_and_attributes_repair_messages_alike() {
-    fn check<P: Protocol>(wrap: impl Fn(RepairMsg) -> P::Msg) {
-        let push = Notification {
-            event: EventId(7),
-            topic: TopicId(1),
+    fn check<P: Protocol<Msg: From<DissemMsg>>>() {
+        let (event, topic) = (EventId(7), TopicId(1));
+        let copy = Notification {
+            event,
+            topic,
             hops: 2,
             path: Default::default(),
         };
-        for (msg, tag, event) in [
+        for (msg, tag, bytes, event) in [
             (
-                RepairMsg::Digest(Rc::new(vec![(7, 1)])),
-                MsgTag::control("ae_digest"),
+                DissemMsg::Notification(copy.clone()),
+                MsgTag::data("notification"),
+                16,
+                Some(7),
+            ),
+            (
+                DissemMsg::Publish { event, topic },
+                MsgTag::data("publish_cmd"),
+                16,
                 None,
             ),
-            (RepairMsg::Want(vec![7]), MsgTag::control("ae_want"), None),
-            (RepairMsg::Push(push), MsgTag::data("ae_push"), Some(7)),
+            (
+                DissemMsg::Digest(Rc::new(vec![(7, 1)])),
+                MsgTag::control("ae_digest"),
+                12,
+                None,
+            ),
+            (
+                DissemMsg::Want(vec![7]),
+                MsgTag::control("ae_want"),
+                8,
+                None,
+            ),
+            (DissemMsg::Push(copy), MsgTag::data("ae_push"), 16, Some(7)),
         ] {
             assert_eq!((msg.tag(), msg.event()), (tag, event));
-            let wire = wrap(msg);
+            let wire = P::Msg::from(msg);
             assert_eq!(
-                (P::classify(&wire), P::event_of(&wire)),
-                (tag, event),
+                (P::classify(&wire), P::wire_bytes(&wire), P::event_of(&wire)),
+                (tag, bytes, event),
                 "{}",
                 std::any::type_name::<P>()
             );
         }
     }
-    check::<VitisNode>(VitisMsg::Repair);
-    check::<RvrNode>(RvrMsg::Repair);
-    check::<OptNode>(OptMsg::Repair);
+    check::<VitisNode>();
+    check::<RvrNode>();
+    check::<OptNode>();
 }

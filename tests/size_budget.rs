@@ -28,7 +28,7 @@
 use std::mem::size_of;
 use vitis::gateway::Proposal;
 use vitis::monitor::{DeliverySlot, Monitor};
-use vitis::msg::{Notification, RepairMsg, VitisMsg};
+use vitis::msg::{DissemMsg, Notification, VitisMsg};
 use vitis::node::{Neighbor, VitisNode};
 use vitis::relay::{RelaySlot, SpilledLink};
 use vitis::topic::TopicId;
@@ -46,14 +46,15 @@ fn within<T>(budget: usize) {
 #[test]
 fn messages_fit_their_queue_slot() {
     within::<Notification>(24);
-    // The three repair messages are one nested enum, `RepairMsg`, held in
-    // one `Repair` variant of each wire enum. It is 32 B (its largest
-    // payloads, the want's `Vec` and the push's `Notification`, are 24 B),
-    // and nesting it leaves each wire enum at 32 B: the outer tag lives in
-    // values the inner tag leaves spare. A layout probe (rustc 1.95) put
-    // the wire enums at 40 B once a second sub-enum was nested the same
-    // way (the peer-sampling request and reply), so those stay flat.
-    within::<RepairMsg>(32);
+    // The five data-plane messages are one nested enum, `DissemMsg`, held
+    // in one `Dissem` variant of each wire enum. It is 32 B (its largest
+    // payloads, the want's `Vec` and the copies' `Notification`, are
+    // 24 B), and nesting it leaves each wire enum at 32 B: the outer tag
+    // lives in values the inner tag leaves spare. A layout probe (rustc
+    // 1.95) put the wire enums at 40 B once a second sub-enum was nested
+    // the same way (the peer-sampling request and reply), so those stay
+    // flat.
+    within::<DissemMsg>(32);
     within::<VitisMsg>(32);
     within::<RvrMsg>(32);
     within::<OptMsg>(32);
