@@ -67,6 +67,16 @@ impl TopicSet {
         self.topics.iter().map(|&t| TopicId(t))
     }
 
+    /// The set's topics below `end`, ascending, as raw ids.
+    #[inline]
+    pub(crate) fn below(&self, end: usize) -> &[u32] {
+        let t = &self.topics[..];
+        match t.last() {
+            Some(&last) if last as usize >= end => &t[..t.partition_point(|&x| (x as usize) < end)],
+            _ => t,
+        }
+    }
+
     /// Call `f(index in self, index in other, topic)` for every topic in
     /// both sets, in ascending order (linear merge).
     pub fn for_each_common(&self, other: &TopicSet, mut f: impl FnMut(usize, usize, TopicId)) {
@@ -138,42 +148,43 @@ pub type Subs = Arc<TopicSet>;
 /// Per-topic publication rates, the `rate(t)` of Equation 1. The paper's
 /// default is uniform; the α-sweep experiment installs a Zipf profile.
 ///
-/// A table whose rates are all whole numbers of at most `u32::MAX`, with a
-/// total of at most 2^53, also holds them as integer weights, derived once
-/// here. Every partial sum of such rates is an integer no larger than
-/// 2^53, so it is exact in `f64` whatever the order of the additions:
-/// Equation 1 can then be counted in integers and still give the bits of
-/// the ordered merge (`utility::rank_by_utility`).
+/// A table whose rates are all one whole number `w`, with `n·w` at most
+/// 2^53 over its `n` topics, is *counted*: every partial sum of its rates
+/// is `w` times a topic count, exact in `f64` whatever the order of the
+/// additions, and `w` cancels exactly in Equation 1's quotient. Equation 1
+/// can then be counted in topics and still give the bits of the ordered
+/// merge (`utility::rank_by_utility`).
 #[derive(Clone, Debug)]
 pub struct RateTable {
     rates: Vec<f64>,
-    /// `rates` as integers, if they all are and their total is at most
-    /// [`EXACT_TOTAL`]; `None` sends Equation 1 down the ordered merge.
-    weights: Option<Box<[u32]>>,
+    /// For a counted table, how many topics weigh its whole rate: `n`, or
+    /// 0 when that rate is 0 (every topic then weighs nothing, as past
+    /// the table's end). `None` sends Equation 1 down the ordered merge.
+    counted: Option<usize>,
 }
 
 /// The largest total rate mass whose integer partial sums are all exact
 /// in `f64` (its 53-bit significand).
 const EXACT_TOTAL: u64 = 1 << 53;
 
-/// The integer weights of `rates`, if every rate is a whole number of at
-/// most `u32::MAX` and their total is at most [`EXACT_TOTAL`].
-fn integral_weights(rates: &[f64]) -> Option<Box<[u32]>> {
-    let mut total = 0u64;
-    rates
-        .iter()
-        .map(|&r| {
-            let w = (r.fract() == 0.0 && r <= f64::from(u32::MAX)).then_some(r as u32)?;
-            total += u64::from(w);
-            (total <= EXACT_TOTAL).then_some(w)
-        })
-        .collect()
+/// The topics that weigh the table's rate, if `rates` is counted (see
+/// [`RateTable`]).
+fn counted_topics(rates: &[f64]) -> Option<usize> {
+    let Some(&w) = rates.first() else {
+        return Some(0);
+    };
+    let whole = w.fract() == 0.0 && rates.iter().all(|&r| r == w);
+    // `as` saturates, and a saturated rate fails the bound.
+    let exact = (w as u64)
+        .checked_mul(rates.len() as u64)
+        .is_some_and(|total| total <= EXACT_TOTAL);
+    (whole && exact).then_some(if w == 0.0 { 0 } else { rates.len() })
 }
 
 impl RateTable {
     fn new(rates: Vec<f64>) -> Self {
-        let weights = integral_weights(&rates);
-        RateTable { rates, weights }
+        let counted = counted_topics(&rates);
+        RateTable { rates, counted }
     }
 
     /// Uniform rate 1.0 for `num_topics` topics.
@@ -193,19 +204,19 @@ impl RateTable {
         RateTable::new(rates)
     }
 
-    /// The same rates without integer weights, so Equation 1 takes the
-    /// ordered merge: the reference the integer count is tested against.
+    /// The same rates, not counted, so Equation 1 takes the ordered merge:
+    /// the reference the count is tested against.
     #[cfg(test)]
     pub(crate) fn ordered_only(mut self) -> Self {
-        self.weights = None;
+        self.counted = None;
         self
     }
 
-    /// The integer weights, one per topic of the table, when every rate is
-    /// a whole number and the total is small enough for exact sums.
+    /// For a counted table (see [`RateTable`]), the number of topics, from
+    /// zero, that weigh its one rate; every other topic weighs nothing.
     #[inline]
-    pub(crate) fn weights(&self) -> Option<&[u32]> {
-        self.weights.as_deref()
+    pub(crate) fn counted_topics(&self) -> Option<usize> {
+        self.counted
     }
 
     /// Number of topics covered.

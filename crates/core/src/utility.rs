@@ -33,26 +33,28 @@ pub fn utility(a: &TopicSet, b: &TopicSet, rates: &RateTable) -> f64 {
 /// Run `rank` with Equation 1 against `own`: the evaluator it is handed
 /// returns `utility(own, b, rates)`, bit for bit, for any peer set `b`.
 ///
-/// With integer weights (see [`RateTable`]) an evaluation is one pass over
-/// `b`: each topic adds its weight to `w(b)`, and to the intersection when
-/// `own` holds it, read from a per-thread bitmap in which `own`'s topics
-/// are marked before `rank` runs and cleared after it, panic or not. Then
-/// `union = w(own) + w(b) − inter` in `u64`; both masses are exact
-/// integers, so the quotient is the ordered merge's. Without weights the
-/// evaluator is [`utility`]. Debug builds recompute every eighth counted
-/// evaluation through the ordered merge and compare the bits.
+/// On a counted table (see [`RateTable`]: every topic below `n` weighs one
+/// whole rate `w`, every other topic nothing) an evaluation is one pass
+/// over `b`'s topics below `n`, counting them, and counting those that
+/// `own` holds, read from a per-thread bitmap in which `own`'s topics are
+/// marked before `rank` runs and cleared after it, panic or not. Then
+/// `union = |own| + |b| − inter` in topics. The ordered merge sums `w·inter`
+/// and `w·union`, both exact, and `w` cancels exactly in the quotient, so
+/// the counted quotient is the ordered merge's. Any other table takes
+/// [`utility`]. Debug builds recompute every eighth counted evaluation
+/// through the ordered merge and compare the bits.
 pub(crate) fn rank_by_utility<R>(
     own: &TopicSet,
     rates: &RateTable,
     rank: impl FnOnce(&dyn Fn(&TopicSet) -> f64) -> R,
 ) -> R {
-    let Some(weights) = rates.weights() else {
+    let Some(topics) = rates.counted_topics() else {
         return rank(&|b| utility(own, b, rates));
     };
-    let marks = Marks::set(own, weights);
+    let marks = Marks::set(own, topics);
     let evaluations = Cell::new(0u32);
     rank(&|b| {
-        let u = marks.utility(b, weights);
+        let u = marks.utility(b);
         let n = evaluations.replace(evaluations.get().wrapping_add(1));
         debug_assert!(
             !n.is_multiple_of(8) || u.to_bits() == utility(own, b, rates).to_bits(),
@@ -70,50 +72,46 @@ thread_local! {
 }
 
 /// A node's own topics marked in the thread's scratch bitmap, with their
-/// total weight. Dropping it clears the marks and hands the bitmap back.
+/// count. Dropping it clears the marks and hands the bitmap back.
 struct Marks<'a> {
     own: &'a TopicSet,
     bits: Vec<u64>,
-    own_weight: u64,
+    /// The topics counted: those below it weigh the table's rate.
+    topics: usize,
+    own_count: u64,
 }
 
 impl<'a> Marks<'a> {
-    /// Mark `own`'s topics that the table weighs; topics past its end
-    /// weigh nothing and stay unmarked.
-    fn set(own: &'a TopicSet, weights: &[u32]) -> Self {
+    /// Mark `own`'s topics below `topics`; the others weigh nothing and
+    /// stay unmarked.
+    fn set(own: &'a TopicSet, topics: usize) -> Self {
         let mut bits = SCRATCH.take();
-        let words = weights.len().div_ceil(64);
+        let words = topics.div_ceil(64);
         if bits.len() < words {
             bits.resize(words, 0);
         }
-        let mut own_weight = 0;
-        for t in own.iter() {
-            let t = t.0 as usize;
-            if let Some(&w) = weights.get(t) {
-                bits[t / 64] |= 1 << (t % 64);
-                own_weight += u64::from(w);
-            }
+        let marked = own.below(topics);
+        for &t in marked {
+            bits[t as usize / 64] |= 1 << (t % 64);
         }
+        let own_count = marked.len() as u64;
         Marks {
             own,
             bits,
-            own_weight,
+            topics,
+            own_count,
         }
     }
 
-    /// Equation 1 of the marked set against `other`, counted in integers.
+    /// Equation 1 of the marked set against `other`, counted in topics.
     #[inline]
-    fn utility(&self, other: &TopicSet, weights: &[u32]) -> f64 {
-        let (mut inter, mut theirs) = (0u64, 0u64);
-        for t in other.iter() {
-            let t = t.0 as usize;
-            if let Some(&w) = weights.get(t) {
-                let marked = (self.bits[t / 64] >> (t % 64)) & 1;
-                theirs += u64::from(w);
-                inter += u64::from(w) & marked.wrapping_neg();
-            }
-        }
-        let union = self.own_weight + theirs - inter;
+    fn utility(&self, other: &TopicSet) -> f64 {
+        let theirs = other.below(self.topics);
+        let inter: u64 = theirs
+            .iter()
+            .map(|&t| (self.bits[t as usize / 64] >> (t % 64)) & 1)
+            .sum();
+        let union = self.own_count + theirs.len() as u64 - inter;
         if union == 0 {
             0.0
         } else {
@@ -213,11 +211,13 @@ mod tests {
         let _ = TopicId(0); // keep import used in doc context
     }
 
-    /// The marked count gives the ordered merge's bits on every table that
-    /// has integer weights, and a table just past either limit (a rate
-    /// above `u32::MAX`, a total above 2^53) has none, so it ranks by the
-    /// ordered merge. Each set is ranked against every other in one
-    /// ranking, so marks are read many times between setting and clearing.
+    /// The marked count gives the ordered merge's bits on every counted
+    /// table — one whole rate, 1, 3 or 0 (of either sign), none at all, or
+    /// a rate whose total reaches exactly 2^53 — and a table just past the
+    /// bound, or whose whole rates differ, or that has a fractional rate,
+    /// is not counted, so it ranks by the ordered merge. Each set is
+    /// ranked against every other in one ranking, so marks are read many
+    /// times between setting and clearing.
     #[test]
     fn marked_counts_equal_the_ordered_merge() {
         use rand::{rngs::SmallRng, Rng, SeedableRng};
@@ -228,40 +228,44 @@ mod tests {
             rates[TOPICS - 1] = last;
             RateTable::from_rates(rates)
         };
-        // 2^21 rates of `u32::MAX` total 2^53 − 2^21; one more rate of
-        // 2^21 reaches 2^53 exactly.
-        let total = |last: f64| {
-            let mut rates = vec![max; 1 << 21];
-            rates.push(last);
-            RateTable::from_rates(rates)
-        };
+        // 128 topics of 2^46 total 2^53 exactly.
+        let wide = |w: u64| RateTable::from_rates(vec![w as f64; 128]);
         let mut signed_zeros = vec![0.0; TOPICS];
         for (t, r) in signed_zeros.iter_mut().enumerate() {
             *r = [-0.0, 0.0, 1.0, 7.0][t % 4];
         }
         let tables = [
             (RateTable::uniform(TOPICS), true),
-            (
-                RateTable::from_rates((0..TOPICS).map(|t| (t * 37 % 11 * 1000) as f64).collect()),
-                true,
-            ),
+            (RateTable::from_rates(vec![3.0; TOPICS]), true),
             (RateTable::from_rates(vec![0.0; TOPICS]), true),
             (RateTable::from_rates(vec![-0.0; TOPICS]), true),
-            (RateTable::from_rates(signed_zeros), true),
+            (
+                RateTable::from_rates((0..TOPICS).map(|t| [-0.0, 0.0][t % 2]).collect()),
+                true,
+            ),
             (RateTable::uniform(0), true),
-            (with(max), true),
-            (with(max + 1.0), false),
+            (wide(1 << 46), true),
+            (wide((1 << 46) + 1), false),
+            (RateTable::from_rates(signed_zeros), false),
+            (
+                RateTable::from_rates((0..TOPICS).map(|t| (t * 37 % 11 * 1000) as f64).collect()),
+                false,
+            ),
+            (with(max), false),
             (with(0.5), false),
-            (total(f64::from(1 << 21)), true),
-            (total(f64::from((1 << 21) + 1)), false),
             (
                 RateTable::from_rates((1..=TOPICS).map(|k| 1.0 / (k as f64).powf(1.3)).collect()),
                 false,
             ),
         ];
         let mut rng = SmallRng::seed_from_u64(13);
-        for (rates, integral) in &tables {
-            assert_eq!(rates.weights().is_some(), *integral, "{}", rates.len());
+        for (rates, counted) in &tables {
+            assert_eq!(
+                rates.counted_topics().is_some(),
+                *counted,
+                "{}",
+                rates.len()
+            );
             // Topics from the table's last 96 and 32 past its end: those
             // rate 0.
             let lo = rates.len().saturating_sub(TOPICS) as u32;

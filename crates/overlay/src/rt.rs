@@ -14,11 +14,12 @@
 //! RVR baseline — the same code path serves both systems, which is exactly
 //! the comparability the paper sets up.
 
-use crate::entry::{merge_dedup, merge_dedup_owned, remove_addr, Entry};
+use crate::entry::{merge_dedup, merge_dedup_owned, remove_addr, AddrIndex, Entry};
 use crate::id::Id;
 use crate::ring::{find_predecessor, find_successor};
 use crate::smallworld::select_sw_neighbor;
 use rand::Rng;
+use std::cell::Cell;
 use vitis_sim::event::NodeIdx;
 
 /// Sizing parameters for neighbor selection.
@@ -324,44 +325,92 @@ pub fn select_neighbors<P: Clone, R: Rng>(
 
     let n_friends = params.num_friends();
     if n_friends > 0 && !candidates.is_empty() {
-        // Rank by utility; current friends win ties (stability); remaining
-        // ties break randomly (in-link diversity), and what is left after
-        // that by candidate position — the order a stable sort would leave,
-        // and what makes the selected *set* unique, so that a partial
-        // selection picks exactly the prefix a full sort would.
-        let mut ranked: Vec<(f64, bool, u64, usize)> = candidates
-            .iter()
-            .enumerate()
-            .map(|(i, e)| {
-                (
-                    utility(e),
-                    !keep_friends.contains(&e.addr),
-                    rng.gen::<u64>(),
-                    i,
-                )
-            })
-            .collect();
-        if ranked.len() > n_friends {
-            ranked.select_nth_unstable_by(n_friends - 1, |a, b| {
-                b.0.partial_cmp(&a.0)
-                    .expect("utility must not be NaN")
-                    .then_with(|| a.1.cmp(&b.1))
-                    .then_with(|| a.2.cmp(&b.2))
-                    .then_with(|| a.3.cmp(&b.3))
-            });
-            ranked.truncate(n_friends);
-        }
-        let mut selected = vec![false; candidates.len()];
-        for &(_, _, _, i) in &ranked {
-            selected[i] = true;
-        }
-        // Friends keep candidate order, whatever order the ranking left.
-        rt.friends.reserve_exact(ranked.len());
-        let winners = candidates.into_iter().zip(selected);
-        rt.friends
-            .extend(winners.filter_map(|(e, keep)| keep.then_some(e)));
+        rt.friends = rank_friends(n_friends, candidates, keep_friends, utility, rng);
     }
     rt
+}
+
+/// The buffers [`rank_friends`] fills, as long as the longest candidate
+/// list ranked on the thread.
+#[derive(Default)]
+struct Ranking {
+    /// Each candidate's key and position.
+    keys: Vec<(u128, u32)>,
+    /// Whether each candidate, by position, is a winner.
+    selected: Vec<bool>,
+}
+
+thread_local! {
+    /// The scratch [`rank_friends`] borrows. It is per thread, not per
+    /// node.
+    static RANKING: Cell<Ranking> = const {
+        Cell::new(Ranking {
+            keys: Vec::new(),
+            selected: Vec::new(),
+        })
+    };
+}
+
+/// Algorithm 4's friend ranking: the `n_friends` best of `candidates`, in
+/// candidate order.
+///
+/// Rank by utility; current friends win ties (stability); remaining ties
+/// break randomly (in-link diversity), and what is left after that by
+/// candidate position — the order a stable sort would leave, and what
+/// makes the selected *set* unique, so that a partial selection picks
+/// exactly the prefix a full sort would. One draw per candidate, in
+/// candidate order.
+///
+/// Utility, friendship and draw are one integer key, so the selection
+/// compares integers: the utility's bits, inverted, above a
+/// not-a-current-friend bit above the draw. A utility is never negative,
+/// so its 63 low bits order as the values do; dropping the sign bit makes
+/// `−0.0` tie with `+0.0`, as the values do. Current friends are looked
+/// up in the thread's [`AddrIndex`].
+///
+/// # Panics
+/// Panics if a utility is NaN or negative.
+fn rank_friends<P, R: Rng>(
+    n_friends: usize,
+    candidates: Vec<Entry<P>>,
+    keep_friends: &[NodeIdx],
+    utility: impl Fn(&Entry<P>) -> f64,
+    rng: &mut R,
+) -> Vec<Entry<P>> {
+    let Ranking {
+        keys: mut ranked,
+        mut selected,
+    } = RANKING.take();
+    ranked.clear();
+    let kept = AddrIndex::of(keep_friends.iter().copied());
+    ranked.extend(candidates.iter().enumerate().map(|(i, e)| {
+        let u = utility(e);
+        assert!(u >= 0.0, "utility must be neither NaN nor negative: {u}");
+        let descending = !u.to_bits() & (u64::MAX >> 1);
+        let new = !kept.contains(e.addr);
+        let key =
+            u128::from(descending) << 65 | u128::from(new) << 64 | u128::from(rng.gen::<u64>());
+        (key, i as u32)
+    }));
+    drop(kept);
+    if ranked.len() > n_friends {
+        ranked.select_nth_unstable(n_friends - 1);
+        ranked.truncate(n_friends);
+    }
+    selected.clear();
+    selected.resize(candidates.len(), false);
+    for &(_, i) in &ranked {
+        selected[i as usize] = true;
+    }
+    // Friends keep candidate order, whatever order the ranking left.
+    let mut friends = Vec::with_capacity(ranked.len());
+    let winners = candidates.into_iter().zip(&selected);
+    friends.extend(winners.filter_map(|(e, &keep)| keep.then_some(e)));
+    RANKING.set(Ranking {
+        keys: ranked,
+        selected,
+    });
+    friends
 }
 
 /// Build the T-Man exchange buffer (Algorithm 2, lines 3–4): the fresh
@@ -656,15 +705,29 @@ mod tests {
         }
     }
 
+    /// The integer key selects what the comparator chain selected: utility
+    /// levels that tie, current friends against new candidates at equal
+    /// utility, `−0.0` against `+0.0` (equal, so the tie goes on to the
+    /// friend bit and the draw), and large pseudo-random utilities as the
+    /// ablation ranks by, from a small pool so that they tie too.
     #[test]
     fn partial_selection_picks_what_the_stable_sort_picked() {
         let mut gen = SmallRng::seed_from_u64(16);
-        for case in 0..600 {
+        for case in 0..1200 {
             let n = gen.gen_range(0..48u32);
-            // Two or three utility levels: most comparisons tie on utility.
-            let levels = gen.gen_range(2..4u32);
+            let utilities: Vec<f64> = match case % 3 {
+                // Two or three levels: most comparisons tie on utility.
+                0 => (0..gen.gen_range(2..4u32)).map(f64::from).collect(),
+                1 => vec![-0.0, 0.0, 0.5, f64::INFINITY],
+                _ => (0..gen.gen_range(1..6))
+                    .map(|_| (gen.gen::<u64>() >> gen.gen_range(0..64)) as f64)
+                    .collect(),
+            };
             let cands: Vec<Entry<f64>> = (0..n)
-                .map(|i| e(i, gen.gen::<u64>(), f64::from(gen.gen_range(0..levels))))
+                .map(|i| {
+                    let u = utilities[gen.gen_range(0..utilities.len())];
+                    e(i, gen.gen::<u64>(), u)
+                })
                 .collect();
             let pick = |gen: &mut SmallRng| -> Vec<NodeIdx> {
                 (0..n).filter(|_| gen.gen_bool(0.3)).map(NodeIdx).collect()
@@ -700,6 +763,24 @@ mod tests {
             );
             assert_eq!(rng, oracle_rng, "case {case}: same draws");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "neither NaN nor negative")]
+    fn a_negative_utility_panics() {
+        // Ids 10 and 30 take the ring slots; id 20 is ranked.
+        let cands = vec![e(1, 10, 0.0), e(2, 20, -1.0), e(3, 30, 0.0)];
+        let mut rng = SmallRng::seed_from_u64(1);
+        select_neighbors(
+            NodeIdx(9),
+            Id(0),
+            &params(4, 0),
+            cands,
+            &[],
+            &[],
+            |x| x.payload,
+            &mut rng,
+        );
     }
 
     #[test]
