@@ -573,11 +573,14 @@ impl Protocol for VitisNode {
 
     /// A relay request's hop starts with a search of the relay table, the
     /// handler's cold miss on `gossip_2k`; warm the lines the search for its
-    /// topic reads. The other kinds' first reads measured no gain from a
-    /// hint (DESIGN §14).
+    /// topic reads. A profile message's handler starts with a search of the
+    /// neighbor map; warm its keys. The other kinds' first reads measured
+    /// no gain from a hint (DESIGN §14).
     fn prefetch(&self, msg: Option<&VitisMsg>) {
-        if let Some(&VitisMsg::RelayRequest { topic, .. }) = msg {
-            self.relays.prefetch(topic);
+        match msg {
+            Some(&VitisMsg::RelayRequest { topic, .. }) => self.relays.prefetch(topic),
+            Some(VitisMsg::Profile(_)) => self.nbrs.prefetch_keys(),
+            _ => {}
         }
     }
 

@@ -14,24 +14,27 @@ use vitis_sim::event::NodeIdx;
 /// `target` than `self_id`; `None` means this node is locally closest (the
 /// rendezvous for `target`, once the ring has converged). Ties break by
 /// lower raw id then address, for determinism.
+///
+/// The selection is a `fold`, so a chain of lists (a routing table's
+/// `iter()`) runs each list as its own loop rather than answering one
+/// `next()` at a time.
 pub fn next_hop<I>(self_id: Id, target: Id, neighbors: I) -> Option<NodeIdx>
 where
     I: IntoIterator<Item = (Id, NodeIdx)>,
 {
     let own = target.ring_distance(self_id);
-    let mut best: Option<(u64, u64, NodeIdx)> = None;
-    for (id, addr) in neighbors {
-        let d = target.ring_distance(id);
-        if d >= own {
-            continue;
-        }
-        let key = (d, id.0, addr);
-        match best {
-            Some((bd, braw, baddr)) if (bd, braw, baddr) <= key => {}
-            _ => best = Some(key),
-        }
-    }
-    best.map(|(_, _, addr)| addr)
+    neighbors
+        .into_iter()
+        .fold(None, |best: Option<(u64, u64, NodeIdx)>, (id, addr)| {
+            let d = target.ring_distance(id);
+            let key = (d, id.0, addr);
+            match best {
+                _ if d >= own => best,
+                Some(b) if b <= key => best,
+                _ => Some(key),
+            }
+        })
+        .map(|(_, _, addr)| addr)
 }
 
 /// Result of a whole-path greedy walk over a static snapshot (used by tests
@@ -84,6 +87,96 @@ pub fn greedy_walk(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entry::Entry;
+    use crate::rt::HybridRt;
+    use proptest::prelude::*;
+
+    /// `next_hop` as a `for` loop with external iteration, the form the
+    /// fold replaced: the reference it must pick the same hop as.
+    fn next_hop_reference<I>(self_id: Id, target: Id, neighbors: I) -> Option<NodeIdx>
+    where
+        I: IntoIterator<Item = (Id, NodeIdx)>,
+    {
+        let own = target.ring_distance(self_id);
+        let mut best: Option<(u64, u64, NodeIdx)> = None;
+        for (id, addr) in neighbors {
+            let d = target.ring_distance(id);
+            if d >= own {
+                continue;
+            }
+            let key = (d, id.0, addr);
+            match best {
+                Some((bd, braw, baddr)) if (bd, braw, baddr) <= key => {}
+                _ => best = Some(key),
+            }
+        }
+        best.map(|(_, _, addr)| addr)
+    }
+
+    /// A candidate id drawn to make ties: the target itself, its own
+    /// mirror at equal distance on the other side, the node's own id, ids
+    /// near both ends of the `u64` range, or any id.
+    fn candidate_id(target: u64, me: u64, pick: u8, offset: u64, any: u64) -> u64 {
+        match pick % 6 {
+            0 => target.wrapping_add(offset),
+            1 => target.wrapping_sub(offset),
+            2 => me,
+            3 => offset,
+            4 => u64::MAX - offset,
+            _ => any,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2048))]
+
+        /// The fold picks the reference loop's hop, over a plain list and
+        /// over a routing table's chained `iter()` (the path a relay hop
+        /// takes). Offsets are small, so equal distances on both sides of
+        /// the target are common; addresses are drawn from a small range,
+        /// so one id appears under several addresses and one address
+        /// under several ids; targets and offsets near 0 and `u64::MAX`
+        /// wrap around the ring.
+        #[test]
+        fn folded_next_hop_equals_the_reference_loop(
+            target_pick in 0u8..3,
+            target_any: u64,
+            me_offset in 0u64..8,
+            (succ, pred, sw, friends) in (
+                proptest::collection::vec((0u8..6, 0u64..8, any::<u64>(), 0u32..6), 0..2),
+                proptest::collection::vec((0u8..6, 0u64..8, any::<u64>(), 0u32..6), 0..2),
+                proptest::collection::vec((0u8..6, 0u64..8, any::<u64>(), 0u32..6), 0..12),
+                proptest::collection::vec((0u8..6, 0u64..8, any::<u64>(), 0u32..6), 0..12),
+            ),
+        ) {
+            let target = match target_pick {
+                0 => 0,
+                1 => u64::MAX,
+                _ => target_any,
+            };
+            let me = target.wrapping_add(me_offset.wrapping_mul(3) + 1);
+            let entries = |list: &Vec<(u8, u64, u64, u32)>| -> Vec<Entry<()>> {
+                list.iter()
+                    .map(|&(pick, offset, any, addr)| {
+                        let id = Id(candidate_id(target, me, pick, offset, any));
+                        Entry { addr: NodeIdx(addr), id, age: 0, payload: () }
+                    })
+                    .collect()
+            };
+            let rt = HybridRt {
+                succ: entries(&succ).pop(),
+                pred: entries(&pred).pop(),
+                sw: entries(&sw),
+                friends: entries(&friends),
+            };
+            let (me, target) = (Id(me), Id(target));
+            let flat: Vec<(Id, NodeIdx)> = rt.iter().map(|e| (e.id, e.addr)).collect();
+            let want = next_hop_reference(me, target, flat.iter().copied());
+            prop_assert_eq!(next_hop(me, target, flat.iter().copied()), want);
+            prop_assert_eq!(next_hop(me, target, rt.iter().map(|e| (e.id, e.addr))), want);
+            prop_assert_eq!(next_hop(me, target, rt.route_candidates()), want);
+        }
+    }
 
     #[test]
     fn next_hop_picks_strict_improvement_only() {

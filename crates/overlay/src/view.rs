@@ -68,7 +68,13 @@ impl<P: Clone> View<P> {
         merge_dedup(&mut self.entries, incoming);
         self.entries.retain(|e| e.addr != self_addr);
         if self.entries.len() > self.capacity {
-            self.entries.sort_by_key(|e| (e.age, e.addr.0));
+            // Addresses are unique after the dedup, so the keys are too
+            // and the unstable sort puts them in the stable sort's order.
+            self.entries.sort_unstable_by_key(|e| (e.age, e.addr.0));
+            debug_assert!(self
+                .entries
+                .windows(2)
+                .all(|w| (w[0].age, w[0].addr) < (w[1].age, w[1].addr)));
             self.entries.truncate(self.capacity);
         }
     }
@@ -123,6 +129,40 @@ mod tests {
         assert!(v.contains(NodeIdx(2)));
         assert!(v.contains(NodeIdx(3)));
         assert!(!v.contains(NodeIdx(1)));
+    }
+
+    /// The truncating sort is unstable, and keeps what a stable sort
+    /// kept, in its order: random views of few distinct ages, so most
+    /// keys tie on age and differ only by address.
+    #[test]
+    fn truncation_keeps_the_stable_sorts_order() {
+        let mut rng = SmallRng::seed_from_u64(53);
+        for _ in 0..500 {
+            let capacity = rng.gen_range(1..12);
+            let mut v: View<()> = View::new(capacity);
+            let mut reference: Vec<Entry<()>> = Vec::new();
+            for _ in 0..4 {
+                let incoming: Vec<Entry<()>> = (0..rng.gen_range(0..16))
+                    .map(|_| e(rng.gen_range(0..24), rng.gen_range(0..3)))
+                    .collect();
+                let me = NodeIdx(rng.gen_range(0..24));
+                v.merge(&incoming, me);
+                merge_dedup(&mut reference, &incoming);
+                reference.retain(|e| e.addr != me);
+                if reference.len() > capacity {
+                    reference.sort_by_key(|e| (e.age, e.addr.0));
+                    reference.truncate(capacity);
+                }
+                let got: Vec<(NodeIdx, u16)> =
+                    v.entries().iter().map(|e| (e.addr, e.age)).collect();
+                let want: Vec<(NodeIdx, u16)> = reference.iter().map(|e| (e.addr, e.age)).collect();
+                assert_eq!(got, want);
+                v.age_all();
+                for e in &mut reference {
+                    e.age = e.age.saturating_add(1);
+                }
+            }
+        }
     }
 
     #[test]
